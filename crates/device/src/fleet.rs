@@ -80,7 +80,7 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            backend: QueueBackend::Heap,
+            backend: QueueBackend::Wheel,
             reuse_batch_buffers: true,
             shards: 1,
         }
@@ -1200,9 +1200,7 @@ pub(crate) fn finish_fleet(
     events_handled: u64,
 ) -> FleetResult {
     let successes: Vec<f64> = devices.iter().map(|d| d.offload_successes as f64).collect();
-    let rejections_by_device: Vec<u64> = (0..devices.len())
-        .map(|i| tier.rejections_for(TenantId(i as u32)))
-        .collect();
+    let rejections_by_device = tier.rejections_by_tenant(devices.len());
     FleetResult {
         offload_fairness: jain_fairness_index(&successes),
         total_mean_throughput: devices.iter().map(|d| d.mean_throughput).sum(),

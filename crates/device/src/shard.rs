@@ -21,9 +21,11 @@
 //! phases (see [`ff_sim::run_phased`]):
 //!
 //! ```text
-//! coordinator r: merge submissions deposited by device rounds < r,
-//!                pop server items with at < window_end(r) in MergeKey
-//!                order, drive the tier, emit per-shard feedback
+//! coordinator r: sort the submissions deposited by device rounds < r,
+//!                merge them with the pending batch completions and
+//!                outages, handle what fires before window_end(r) in
+//!                MergeKey order, drive the tier, hand each shard its
+//!                feedback
 //! -- barrier --
 //! shard r:       apply feedback with at < window_end(r) interleaved
 //!                with local events by timestamp, then run the local
@@ -134,6 +136,85 @@ impl PartialOrd for ServerItem {
 impl Ord for ServerItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key.cmp(&other.key)
+    }
+}
+
+/// The coordinator's event order: a per-round sort-merge.
+///
+/// Submissions outnumber everything else (a 100k-device fleet deposits
+/// 100k of them in one round, all captured at the same microsecond), so
+/// they never enter a heap: each round's deposits are appended to one
+/// vector, sorted by [`MergeKey`], and consumed through a cursor.
+/// Outages and batch completions — a handful pending per server — sit
+/// in a small heap, and [`pop_before`](Self::pop_before) two-way merges
+/// the two by the same key, which yields exactly the order one global
+/// heap over all items would.
+#[derive(Default)]
+struct RoundMerge {
+    /// Submissions not yet handled; ascending from `next` after
+    /// [`begin_round`](Self::begin_round).
+    submissions: Vec<(MergeKey, u64)>,
+    next: usize,
+    /// Pending outages and batch completions.
+    timers: BinaryHeap<Reverse<ServerItem>>,
+}
+
+impl RoundMerge {
+    fn deposit(&mut self, sub: Submission) {
+        let class = if tag_is_probe(sub.tag) {
+            CLASS_PROBE
+        } else {
+            CLASS_FRAME
+        };
+        let key = MergeKey {
+            at: sub.at,
+            ins: sub.sent_at,
+            class,
+            tie: tag_device(sub.tag) as u64,
+        };
+        self.submissions.push((key, sub.tag));
+    }
+
+    /// Schedule an outage or a batch completion.
+    fn schedule(&mut self, key: MergeKey, kind: ItemKind) {
+        self.timers.push(Reverse(ServerItem { key, kind }));
+    }
+
+    /// Order this round's deposits among the submissions carried over
+    /// from earlier rounds (those arriving in a later window).
+    fn begin_round(&mut self) {
+        self.submissions.drain(..self.next);
+        self.next = 0;
+        self.submissions.sort_unstable_by_key(|&(key, _)| key);
+    }
+
+    /// The earliest item firing before `bound`, if any. Timers scheduled
+    /// between calls fire after the item that scheduled them, so they
+    /// merge in without disturbing what was already popped.
+    fn pop_before(&mut self, bound: SimTime) -> Option<ServerItem> {
+        let submission = self
+            .submissions
+            .get(self.next)
+            .filter(|(key, _)| key.at < bound);
+        let timer = self
+            .timers
+            .peek()
+            .map(|Reverse(item)| item.key)
+            .filter(|key| key.at < bound);
+        let submission_first = match (submission, timer) {
+            (Some(&(key, _)), Some(timer)) => key < timer,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        if submission_first {
+            let (key, tag) = self.submissions[self.next];
+            self.next += 1;
+            let kind = ItemKind::Submission { tag };
+            Some(ServerItem { key, kind })
+        } else {
+            self.timers.pop().map(|Reverse(item)| item)
+        }
     }
 }
 
@@ -282,29 +363,29 @@ pub fn run_fleet_sharded(
     // covers `end_at` inclusively, like the legacy `run_until(end_at)`).
     let window_end_us = move |r: u64| ((r + 1) * w_us).min(end_us + 1);
 
-    // ---- Coordinator state: the tier and its merge heap. ----
+    // ---- Coordinator state: the tier and its event merge. ----
     let tier_config = config.tier_config();
     let mut tier = ServerTier::new(&tier_config);
     for outage in &config.outages {
         outage.validate(tier.len());
     }
     let mut routing_rng = RngFactory::new(config.seed).stream("routing");
-    let mut heap: BinaryHeap<Reverse<ServerItem>> = BinaryHeap::new();
+    let mut merge = RoundMerge::default();
     let mut outage_tie = 0u64;
     for outage in &config.outages {
         for (t, recover) in [(outage.from_secs, false), (outage.until_secs, true)] {
-            heap.push(Reverse(ServerItem {
-                key: MergeKey {
+            merge.schedule(
+                MergeKey {
                     at: SimTime::from_secs_f64(t),
                     ins: SimTime::ZERO,
                     class: CLASS_OUTAGE,
                     tie: outage_tie,
                 },
-                kind: ItemKind::Outage {
+                ItemKind::Outage {
                     server: outage.server,
                     recover,
                 },
-            }));
+            );
             outage_tie += 1;
         }
     }
@@ -392,172 +473,134 @@ pub fn run_fleet_sharded(
 
     // ---- Mailboxes. The mutexes are for `Sync` soundness only: the
     // barrier protocol guarantees the coordinator and the workers never
-    // touch them in the same phase, so every lock is uncontended. ----
+    // touch them in the same phase, so every lock is uncontended, and
+    // each side takes each lock once per round, never once per record.
+    // A submission buffer changes hands whole, so at most one copy of a
+    // burst is allocated per shard. ----
     let submissions: Vec<Mutex<Vec<Submission>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
     let feedback: Vec<Mutex<Vec<Feedback>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
 
-    let coordinator =
-        |r: u64| {
-            // Merge everything the previous device round deposited. The
-            // conservative bound guarantees all submissions with an arrival
-            // inside this window are already here.
-            for mailbox in &submissions {
-                let mut box_ = mailbox.lock().unwrap();
-                for sub in box_.drain(..) {
-                    let class = if tag_is_probe(sub.tag) {
-                        CLASS_PROBE
-                    } else {
-                        CLASS_FRAME
-                    };
-                    heap.push(Reverse(ServerItem {
-                        key: MergeKey {
-                            at: sub.at,
-                            ins: sub.sent_at,
-                            class,
-                            tie: tag_device(sub.tag) as u64,
-                        },
-                        kind: ItemKind::Submission { tag: sub.tag },
-                    }));
-                }
+    let coordinator = |r: u64| {
+        // Merge everything the previous device round deposited. The
+        // conservative bound guarantees all submissions with an arrival
+        // inside this window are already here.
+        for mailbox in &submissions {
+            for sub in mem::take(&mut *mailbox.lock().unwrap()) {
+                merge.deposit(sub);
             }
-            let b_us = window_end_us(r);
-            let b = SimTime::from_micros(b_us);
-            while heap.peek().is_some_and(|Reverse(item)| item.key.at < b) {
-                let Reverse(item) = heap.pop().unwrap();
-                // Every pop corresponds to one event the legacy engine
-                // would have popped (stale-epoch batch completions
-                // included — their guard ran inside the handler).
-                server_popped += 1;
-                let now = item.key.at;
-                match item.kind {
-                    ItemKind::Outage { server, recover } => {
-                        if recover {
-                            tier.recover(server);
-                        } else {
-                            tier.crash(server);
-                        }
-                    }
-                    ItemKind::Submission { tag } => {
-                        let dev = tag_device(tag);
-                        let probe = tag_is_probe(tag);
-                        let request = Request {
-                            tenant: TenantId(dev as u32),
-                            model: offload_models[dev],
-                            submitted_at: now,
-                            tag,
-                        };
-                        let outcome = tier.submit(now, request, !probe, &mut routing_rng);
-                        if let TierSubmit::BatchStarted { server, done_at } = outcome {
-                            heap.push(Reverse(ServerItem {
-                                key: MergeKey {
-                                    at: done_at,
-                                    ins: now,
-                                    class: CLASS_BATCH,
-                                    tie: batch_tie,
-                                },
-                                kind: ItemKind::BatchDone {
-                                    server,
-                                    epoch: tier.epoch(server),
-                                },
-                            }));
-                            batch_tie += 1;
-                        }
-                        if !probe {
-                            let kind = match outcome {
-                                // Routed to a dead server: lost in flight,
-                                // the deadline will fire as a network-cause
-                                // timeout without any feedback.
-                                TierSubmit::Lost => None,
-                                TierSubmit::AdmissionRejected => Some(FeedbackKind::Arrived {
-                                    admission_rejected: true,
-                                }),
-                                TierSubmit::Queued { .. } | TierSubmit::BatchStarted { .. } => {
-                                    Some(FeedbackKind::Arrived {
-                                        admission_rejected: false,
-                                    })
-                                }
-                            };
-                            if let Some(kind) = kind {
-                                feedback[shard_of(dev)].lock().unwrap().push(Feedback {
-                                    at: now,
-                                    class: FB_ARRIVAL,
-                                    seq: fb_seq,
-                                    tag,
-                                    kind,
-                                });
-                                fb_seq += 1;
-                            }
-                        }
-                    }
-                    ItemKind::BatchDone { server, epoch } => {
-                        if epoch != tier.epoch(server) {
-                            continue;
-                        }
-                        if !reuse_buffers {
-                            batch_out = BatchOutput::default();
-                        }
-                        tier.batch_done_into(server, now, &mut batch_out);
-                        for c in &batch_out.completions {
-                            let at = now + propagation;
-                            // Past `end_at` the legacy engine schedules the
-                            // response but never pops it.
-                            if at <= end_at {
-                                let tag = c.request.tag;
-                                feedback[shard_of(tag_device(tag))].lock().unwrap().push(
-                                    Feedback {
-                                        at,
-                                        class: FB_BATCH,
-                                        seq: fb_seq,
-                                        tag,
-                                        kind: FeedbackKind::Response,
-                                    },
-                                );
-                                fb_seq += 1;
-                            }
-                        }
-                        for rej in &batch_out.rejections {
-                            let tag = rej.request.tag;
-                            if !tag_is_probe(tag) {
-                                feedback[shard_of(tag_device(tag))].lock().unwrap().push(
-                                    Feedback {
-                                        at: now,
-                                        class: FB_BATCH,
-                                        seq: fb_seq,
-                                        tag,
-                                        kind: FeedbackKind::BatchRejected,
-                                    },
-                                );
-                                fb_seq += 1;
-                            }
-                        }
-                        if let Some(done_at) = batch_out.next_done {
-                            heap.push(Reverse(ServerItem {
-                                key: MergeKey {
-                                    at: done_at,
-                                    ins: now,
-                                    class: CLASS_BATCH,
-                                    tie: batch_tie,
-                                },
-                                kind: ItemKind::BatchDone { server, epoch },
-                            }));
-                            batch_tie += 1;
-                        }
-                    }
-                }
-            }
-            // Tier-side telemetry at controller-period boundaries (the
-            // legacy engine reports from device 0's tick; results carry no
-            // telemetry so the report site is free to differ).
-            if coord_rec.is_enabled() {
-                while next_report_us < b_us && next_report_us <= end_us {
-                    tier_obs.report(&mut coord_rec, &tier, next_report_us);
-                    next_report_us += period_us;
-                }
-            }
-            if telemetry.is_enabled() {
-                telemetry.poll();
-            }
+        }
+        merge.begin_round();
+        let mut inboxes: Vec<_> = feedback.iter().map(|m| m.lock().unwrap()).collect();
+        let mut emit = |at: SimTime, class: u8, tag: u64, kind: FeedbackKind| {
+            inboxes[shard_of(tag_device(tag))].push(Feedback {
+                at,
+                class,
+                seq: fb_seq,
+                tag,
+                kind,
+            });
+            fb_seq += 1;
         };
+        let b_us = window_end_us(r);
+        let b = SimTime::from_micros(b_us);
+        while let Some(item) = merge.pop_before(b) {
+            // Every pop corresponds to one event the legacy engine
+            // would have popped (stale-epoch batch completions
+            // included — their guard ran inside the handler).
+            server_popped += 1;
+            let now = item.key.at;
+            match item.kind {
+                ItemKind::Outage { server, recover } => {
+                    if recover {
+                        tier.recover(server);
+                    } else {
+                        tier.crash(server);
+                    }
+                }
+                ItemKind::Submission { tag } => {
+                    let dev = tag_device(tag);
+                    let probe = tag_is_probe(tag);
+                    let request = Request {
+                        tenant: TenantId(dev as u32),
+                        model: offload_models[dev],
+                        submitted_at: now,
+                        tag,
+                    };
+                    let outcome = tier.submit(now, request, !probe, &mut routing_rng);
+                    if let TierSubmit::BatchStarted { server, done_at } = outcome {
+                        merge.schedule(
+                            MergeKey {
+                                at: done_at,
+                                ins: now,
+                                class: CLASS_BATCH,
+                                tie: batch_tie,
+                            },
+                            ItemKind::BatchDone {
+                                server,
+                                epoch: tier.epoch(server),
+                            },
+                        );
+                        batch_tie += 1;
+                    }
+                    // Routed to a dead server: lost in flight, the
+                    // deadline will fire as a network-cause timeout
+                    // without any feedback.
+                    if !probe && outcome != TierSubmit::Lost {
+                        let admission_rejected = outcome == TierSubmit::AdmissionRejected;
+                        let arrived = FeedbackKind::Arrived { admission_rejected };
+                        emit(now, FB_ARRIVAL, tag, arrived);
+                    }
+                }
+                ItemKind::BatchDone { server, epoch } => {
+                    if epoch != tier.epoch(server) {
+                        continue;
+                    }
+                    if !reuse_buffers {
+                        batch_out = BatchOutput::default();
+                    }
+                    tier.batch_done_into(server, now, &mut batch_out);
+                    for c in &batch_out.completions {
+                        let at = now + propagation;
+                        // Past `end_at` the legacy engine schedules the
+                        // response but never pops it.
+                        if at <= end_at {
+                            emit(at, FB_BATCH, c.request.tag, FeedbackKind::Response);
+                        }
+                    }
+                    for rej in &batch_out.rejections {
+                        let tag = rej.request.tag;
+                        if !tag_is_probe(tag) {
+                            emit(now, FB_BATCH, tag, FeedbackKind::BatchRejected);
+                        }
+                    }
+                    if let Some(done_at) = batch_out.next_done {
+                        merge.schedule(
+                            MergeKey {
+                                at: done_at,
+                                ins: now,
+                                class: CLASS_BATCH,
+                                tie: batch_tie,
+                            },
+                            ItemKind::BatchDone { server, epoch },
+                        );
+                        batch_tie += 1;
+                    }
+                }
+            }
+        }
+        // Tier-side telemetry at controller-period boundaries (the
+        // legacy engine reports from device 0's tick; results carry no
+        // telemetry so the report site is free to differ).
+        if coord_rec.is_enabled() {
+            while next_report_us < b_us && next_report_us <= end_us {
+                tier_obs.report(&mut coord_rec, &tier, next_report_us);
+                next_report_us += period_us;
+            }
+        }
+        if telemetry.is_enabled() {
+            telemetry.poll();
+        }
+    };
 
     let worker = |shard: usize, r: u64, state: &mut ShardState| {
         {
@@ -594,9 +637,10 @@ pub fn run_fleet_sharded(
             }
         }
         state.sim.run_until(SimTime::from_micros(b_us - 1));
-        let out = mem::take(&mut state.sim.model_mut().sink.outbox);
-        if !out.is_empty() {
-            submissions[shard].lock().unwrap().extend(out);
+        let outbox = &mut state.sim.model_mut().sink.outbox;
+        if !outbox.is_empty() {
+            // The coordinator emptied the mailbox this round.
+            *submissions[shard].lock().unwrap() = mem::take(outbox);
         }
     };
 
@@ -640,17 +684,50 @@ pub fn run_fleet_sharded(
 #[doc(hidden)]
 pub mod testhooks {
     pub use super::MergeKey;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use super::{ItemKind, RoundMerge, Submission, CLASS_BATCH, CLASS_PROBE};
+    use crate::tags::fleet_tag;
+    use ff_sim::SimTime;
 
-    /// Pop order of a set of merge keys through the coordinator's heap
-    /// — by construction independent of push order, which is what makes
-    /// the merge invariant under shard-completion timing.
+    /// Window width of the rounds `merge_order` plays, in microseconds.
+    const WINDOW_US: u64 = 8;
+
+    /// Pop order of a set of merge keys through the coordinator's
+    /// per-round sort-merge, played the way a run plays it: outage- and
+    /// batch-class keys are scheduled as timers, probe- and frame-class
+    /// keys are deposited as submissions — the `i`-th key in some round
+    /// no later than its arrival window, chosen by `i`, so a different
+    /// arrival order also moves keys between rounds — and every round
+    /// pops what fires before its window ends.
     pub fn merge_order(keys: Vec<MergeKey>) -> Vec<MergeKey> {
-        let mut heap: BinaryHeap<Reverse<MergeKey>> = keys.into_iter().map(Reverse).collect();
-        let mut out = Vec::with_capacity(heap.len());
-        while let Some(Reverse(k)) = heap.pop() {
-            out.push(k);
+        let window_of = |key: &MergeKey| (key.at.as_micros() / WINDOW_US) as usize;
+        let rounds = keys.iter().map(window_of).max().map_or(0, |w| w + 1);
+        let mut merge = RoundMerge::default();
+        let mut deposits: Vec<Vec<Submission>> = (0..rounds).map(|_| Vec::new()).collect();
+        for (i, key) in keys.into_iter().enumerate() {
+            if key.class <= CLASS_BATCH {
+                let kind = ItemKind::Outage {
+                    server: 0,
+                    recover: false,
+                };
+                merge.schedule(key, kind);
+            } else {
+                deposits[i % (window_of(&key) + 1)].push(Submission {
+                    at: key.at,
+                    sent_at: key.ins,
+                    tag: fleet_tag(key.tie as usize, 0, key.class == CLASS_PROBE),
+                });
+            }
+        }
+        let mut out = Vec::new();
+        for (round, deposited) in deposits.into_iter().enumerate() {
+            for sub in deposited {
+                merge.deposit(sub);
+            }
+            merge.begin_round();
+            let bound = SimTime::from_micros((round as u64 + 1) * WINDOW_US);
+            while let Some(item) = merge.pop_before(bound) {
+                out.push(item.key);
+            }
         }
         out
     }
@@ -702,5 +779,77 @@ mod tests {
             testhooks::merge_order(vec![frame, batch]),
             vec![batch, frame]
         );
+    }
+
+    proptest::proptest! {
+        /// The structure [`RoundMerge`] replaced — every item, wide
+        /// submissions included, through one global heap — is the
+        /// oracle: with submissions deposited rounds ahead of their
+        /// arrival and batch completions scheduled mid-pop by the items
+        /// that start them, both pop the same sequence.
+        #[test]
+        fn prop_round_merge_pops_like_one_global_heap(
+            // (deposit round, arrival delay, device and probe bit, batch latency)
+            subs in proptest::collection::vec((0u64..12, 0u64..40, 0u64..12, 0u64..30), 0..120),
+        ) {
+            const W: u64 = 10;
+            let mut by_round: Vec<Vec<(MergeKey, u64)>> = vec![Vec::new(); 12];
+            for &(round, delay, dev_probe, batch_after) in &subs {
+                // Sent inside window `round`, arriving at least one
+                // window later: the conservative bound.
+                let dev = dev_probe / 2;
+                let sent = round * W + dev;
+                let class = if dev_probe % 2 == 1 { CLASS_PROBE } else { CLASS_FRAME };
+                let k = key(sent + W + delay, sent, class, dev);
+                by_round[round as usize].push((k, batch_after));
+            }
+            // A submission's stand-in effect: one batch completion
+            // `batch_after` microseconds later (none for 0), keyed like
+            // the coordinator keys them.
+            let batch = |k: MergeKey, after: u64, tie: u64| MergeKey {
+                at: k.at + SimDuration::from_micros(after),
+                ins: k.at,
+                class: CLASS_BATCH,
+                tie,
+            };
+            let after_of = |k: MergeKey| {
+                by_round.iter().flatten().find(|(q, _)| *q == k).map_or(0, |&(_, a)| a)
+            };
+
+            let mut heap: BinaryHeap<Reverse<MergeKey>> = BinaryHeap::new();
+            let mut merge = RoundMerge::default();
+            let (mut heap_tie, mut merge_tie) = (0u64, 0u64);
+            for (round, deposited) in by_round.iter().enumerate() {
+                let bound = SimTime::from_micros((round as u64 + 2) * W);
+                let mut expected = Vec::new();
+                heap.extend(deposited.iter().map(|&(k, _)| Reverse(k)));
+                while heap.peek().is_some_and(|Reverse(k)| k.at < bound) {
+                    let Reverse(k) = heap.pop().unwrap();
+                    expected.push(k);
+                    if k.class > CLASS_BATCH && after_of(k) > 0 {
+                        heap.push(Reverse(batch(k, after_of(k), heap_tie)));
+                        heap_tie += 1;
+                    }
+                }
+                let mut popped = Vec::new();
+                for &(k, _) in deposited {
+                    merge.deposit(Submission {
+                        at: k.at,
+                        sent_at: k.ins,
+                        tag: crate::tags::fleet_tag(k.tie as usize, 0, k.class == CLASS_PROBE),
+                    });
+                }
+                merge.begin_round();
+                while let Some(ServerItem { key: k, kind }) = merge.pop_before(bound) {
+                    popped.push(k);
+                    if matches!(kind, ItemKind::Submission { .. }) && after_of(k) > 0 {
+                        let done = ItemKind::BatchDone { server: 0, epoch: 0 };
+                        merge.schedule(batch(k, after_of(k), merge_tie), done);
+                        merge_tie += 1;
+                    }
+                }
+                proptest::prop_assert_eq!(popped, expected, "round {}", round);
+            }
+        }
     }
 }

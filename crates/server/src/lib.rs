@@ -19,6 +19,7 @@
 mod background;
 mod policy;
 mod server;
+mod tenants;
 mod tier;
 
 pub use background::PoissonArrivals;
@@ -26,4 +27,5 @@ pub use policy::{jain_fairness_index, OverflowPolicy};
 pub use server::{
     BatchOutput, Completion, EdgeServer, Rejection, Request, ServerStats, Submit, TenantId,
 };
+pub use tenants::TenantTable;
 pub use tier::{AdmissionPolicy, RoutingPolicy, ServerSpec, ServerTier, TierConfig, TierSubmit};

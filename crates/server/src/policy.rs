@@ -16,7 +16,8 @@
 
 use crate::server::{Request, TenantId};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// How the server selects which queued requests to reject when the queue
 /// exceeds the batch limit.
@@ -54,32 +55,55 @@ impl OverflowPolicy {
                     victims.push(queue.pop_back().expect("len > limit >= 0"));
                 }
             }
-            OverflowPolicy::FairShare => {
-                while queue.len() > limit {
-                    let heaviest = Self::heaviest_tenant(queue);
-                    let idx = queue
-                        .iter()
-                        .rposition(|r| r.tenant == heaviest)
-                        .expect("heaviest tenant has at least one request");
-                    victims.push(queue.remove(idx).expect("index in range"));
-                }
-            }
+            OverflowPolicy::FairShare => fair_share_drain(queue, limit, victims),
         }
     }
+}
 
-    fn heaviest_tenant(queue: &VecDeque<Request>) -> TenantId {
-        use std::collections::HashMap;
-        let mut counts: HashMap<TenantId, usize> = HashMap::new();
-        for r in queue {
-            *counts.entry(r.tenant).or_default() += 1;
-        }
-        counts
-            .into_iter()
-            // Deterministic tie-break on tenant id.
-            .max_by_key(|&(tenant, count)| (count, std::cmp::Reverse(tenant)))
-            .expect("queue is non-empty")
-            .0
+/// [`OverflowPolicy::FairShare`]: the victim is always the newest request
+/// of the tenant with the most requests still queued (lowest tenant id
+/// on ties). Linear in the queue plus `victims · log(tenants)`: tenants
+/// are counted once, a max-heap names the victims' tenants in order, and
+/// one walk from the back of the queue picks the requests.
+fn fair_share_drain(queue: &mut VecDeque<Request>, limit: usize, victims: &mut Vec<Request>) {
+    let excess = queue.len().saturating_sub(limit);
+    if excess == 0 {
+        return;
     }
+    let mut counts: HashMap<TenantId, usize> = HashMap::new();
+    for r in queue.iter() {
+        *counts.entry(r.tenant).or_default() += 1;
+    }
+    let mut heaviest: BinaryHeap<(usize, Reverse<TenantId>)> = counts
+        .into_iter()
+        .map(|(tenant, count)| (count, Reverse(tenant)))
+        .collect();
+    // Per tenant, the positions in the victim sequence it must fill.
+    let mut owed: HashMap<TenantId, Vec<usize>> = HashMap::new();
+    for position in 0..excess {
+        let (count, Reverse(tenant)) = heaviest.pop().expect("the queue is over the limit");
+        owed.entry(tenant).or_default().push(position);
+        if count > 1 {
+            heaviest.push((count - 1, Reverse(tenant)));
+        }
+    }
+    // A tenant's newest request fills its earliest position, so hand
+    // positions out from the front while walking the queue from the back.
+    for positions in owed.values_mut() {
+        positions.reverse();
+    }
+    let mut picked: Vec<(usize, Request)> = Vec::with_capacity(excess);
+    let mut survivors = Vec::new();
+    while picked.len() < excess {
+        let r = queue.pop_back().expect("every owed position has a request");
+        match owed.get_mut(&r.tenant).and_then(Vec::pop) {
+            Some(position) => picked.push((position, r)),
+            None => survivors.push(r),
+        }
+    }
+    queue.extend(survivors.into_iter().rev());
+    picked.sort_unstable_by_key(|&(position, _)| position);
+    victims.extend(picked.into_iter().map(|(_, r)| r));
 }
 
 /// Jain's fairness index over per-client allocations: 1 = perfectly fair,
@@ -209,5 +233,61 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn jain_rejects_negative_allocations() {
         jain_fairness_index(&[-1.0]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use ff_models::ModelKind;
+    use ff_sim::SimTime;
+    use proptest::prelude::*;
+
+    /// `FairShare` as first written: recount the whole queue for every
+    /// victim. Quadratic, kept as the oracle for the victims and their
+    /// order.
+    fn fair_share_recounting(queue: &mut VecDeque<Request>, limit: usize) -> Vec<Request> {
+        let mut victims = Vec::new();
+        while queue.len() > limit {
+            let mut counts: HashMap<TenantId, usize> = HashMap::new();
+            for r in queue.iter() {
+                *counts.entry(r.tenant).or_default() += 1;
+            }
+            let heaviest = counts
+                .into_iter()
+                .max_by_key(|&(tenant, count)| (count, Reverse(tenant)))
+                .expect("queue is non-empty")
+                .0;
+            let idx = queue
+                .iter()
+                .rposition(|r| r.tenant == heaviest)
+                .expect("heaviest tenant has at least one request");
+            victims.push(queue.remove(idx).expect("index in range"));
+        }
+        victims
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fair_share_matches_the_recounting_oracle(
+            tenants in proptest::collection::vec(0u32..6, 0..80),
+            limit in 0usize..20,
+        ) {
+            let mut queue: VecDeque<Request> = tenants
+                .iter()
+                .enumerate()
+                .map(|(tag, &tenant)| Request {
+                    tenant: TenantId(tenant),
+                    model: ModelKind::MobileNetV3Small,
+                    submitted_at: SimTime::ZERO,
+                    tag: tag as u64,
+                })
+                .collect();
+            let mut oracle_queue = queue.clone();
+            let expected = fair_share_recounting(&mut oracle_queue, limit);
+            let victims = OverflowPolicy::FairShare.drain_overflow(&mut queue, limit);
+            prop_assert_eq!(victims, expected);
+            prop_assert_eq!(queue, oracle_queue);
+        }
     }
 }

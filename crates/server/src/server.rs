@@ -20,10 +20,11 @@
 //! batch's completion instant.
 
 use crate::policy::OverflowPolicy;
+use crate::tenants::TenantTable;
 use ff_models::{GpuProfile, ModelKind};
 use ff_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifies one client device (tenant) of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -129,8 +130,8 @@ pub struct EdgeServer {
     queue: VecDeque<Request>,
     running: Option<RunningBatch>,
     stats: ServerStats,
-    completions_by_tenant: BTreeMap<TenantId, u64>,
-    rejections_by_tenant: BTreeMap<TenantId, u64>,
+    completions_by_tenant: TenantTable<u64>,
+    rejections_by_tenant: TenantTable<u64>,
     /// Recycled batch-request buffer (the previous batch's vector).
     spare_requests: Vec<Request>,
     /// Recycled overflow-victim buffer for `drain_overflow_into`.
@@ -151,8 +152,8 @@ impl EdgeServer {
             queue: VecDeque::new(),
             running: None,
             stats: ServerStats::default(),
-            completions_by_tenant: BTreeMap::new(),
-            rejections_by_tenant: BTreeMap::new(),
+            completions_by_tenant: TenantTable::default(),
+            rejections_by_tenant: TenantTable::default(),
             spare_requests: Vec::new(),
             victim_scratch: Vec::new(),
         }
@@ -164,14 +165,12 @@ impl EdgeServer {
     }
 
     /// Completed inferences per tenant, for fairness accounting.
-    /// Ordered by tenant id so report serialization is reproducible.
-    pub fn completions_by_tenant(&self) -> &BTreeMap<TenantId, u64> {
+    pub fn completions_by_tenant(&self) -> &TenantTable<u64> {
         &self.completions_by_tenant
     }
 
     /// Rejections per tenant, for fairness accounting.
-    /// Ordered by tenant id so report serialization is reproducible.
-    pub fn rejections_by_tenant(&self) -> &BTreeMap<TenantId, u64> {
+    pub fn rejections_by_tenant(&self) -> &TenantTable<u64> {
         &self.rejections_by_tenant
     }
 
@@ -267,10 +266,7 @@ impl EdgeServer {
         self.spare_requests = batch.requests;
         self.stats.completions += out.completions.len() as u64;
         for c in &out.completions {
-            *self
-                .completions_by_tenant
-                .entry(c.request.tenant)
-                .or_default() += 1;
+            *self.completions_by_tenant.slot(c.request.tenant) += 1;
         }
 
         // Paper scheme: next batch = queue contents up to the limit; the
@@ -287,7 +283,7 @@ impl EdgeServer {
             .drain_overflow_into(&mut self.queue, limit, &mut victims);
         self.stats.rejections += victims.len() as u64;
         for v in &victims {
-            *self.rejections_by_tenant.entry(v.tenant).or_default() += 1;
+            *self.rejections_by_tenant.slot(v.tenant) += 1;
         }
         out.extend(victims.drain(..).map(|request| Rejection {
             request,
@@ -608,8 +604,14 @@ mod tests {
             }
         }
         assert_eq!(alloc.stats(), reuse.stats());
-        assert_eq!(alloc.completions_by_tenant(), reuse.completions_by_tenant());
-        assert_eq!(alloc.rejections_by_tenant(), reuse.rejections_by_tenant());
+        assert!(alloc
+            .completions_by_tenant()
+            .iter()
+            .eq(reuse.completions_by_tenant().iter()));
+        assert!(alloc
+            .rejections_by_tenant()
+            .iter()
+            .eq(reuse.rejections_by_tenant().iter()));
     }
 
     #[test]
@@ -705,31 +707,40 @@ mod proptests {
             );
         }
 
-        /// Batch sizes never exceed the limit, and the per-tenant
-        /// completion map sums to the total.
+        /// Batch sizes never exceed the limit, and the dense per-tenant
+        /// tables agree, tenant by tenant, with ordered maps built from
+        /// the returned completions and rejections (the accounting the
+        /// tables replaced) — over sparse ids including the background
+        /// tenant's.
         #[test]
         fn prop_batch_limit_and_tenant_accounting(
             gaps in proptest::collection::vec(0u64..20, 1..300),
         ) {
-            let models = vec![false; gaps.len()];
+            use std::collections::BTreeMap;
+            const TENANTS: [u32; 3] = [0, 5, 1000];
             let mut server = EdgeServer::new(GpuProfile::default());
             let mut now = SimTime::ZERO;
             let mut next_done: Option<SimTime> = None;
-            let mut by_tenant_total = 0u64;
+            let mut completed: BTreeMap<TenantId, u64> = BTreeMap::new();
+            let mut rejected: BTreeMap<TenantId, u64> = BTreeMap::new();
+            let mut fire = |server: &mut EdgeServer, d: SimTime| {
+                let (c, r, nd) = server.on_batch_done(d);
+                assert!(c.len() <= server.gpu().batch_limit);
+                for c in &c {
+                    *completed.entry(c.request.tenant).or_default() += 1;
+                }
+                for r in &r {
+                    *rejected.entry(r.request.tenant).or_default() += 1;
+                }
+                nd
+            };
             for (tag, &gap) in gaps.iter().enumerate() {
                 now += SimDuration::from_millis(gap);
-                while let Some(d) = next_done {
-                    if d <= now {
-                        let (c, _r, nd) = server.on_batch_done(d);
-                        prop_assert!(c.len() <= server.gpu().batch_limit);
-                        by_tenant_total += c.len() as u64;
-                        next_done = nd;
-                    } else {
-                        break;
-                    }
+                while let Some(d) = next_done.filter(|&d| d <= now) {
+                    next_done = fire(&mut server, d);
                 }
                 let request = Request {
-                    tenant: TenantId((tag % 3) as u32),
+                    tenant: TenantId(TENANTS[tag % 3]),
                     model: ModelKind::MobileNetV3Small,
                     submitted_at: now,
                     tag: tag as u64,
@@ -739,14 +750,21 @@ mod proptests {
                 }
             }
             while let Some(d) = next_done {
-                let (c, _r, nd) = server.on_batch_done(d);
-                by_tenant_total += c.len() as u64;
-                next_done = nd;
+                next_done = fire(&mut server, d);
             }
-            let map_sum: u64 = server.completions_by_tenant().values().sum();
-            prop_assert_eq!(map_sum, by_tenant_total);
-            prop_assert_eq!(map_sum, server.stats().completions);
-            let _ = models;
+            for (table, oracle) in [
+                (server.completions_by_tenant(), &completed),
+                (server.rejections_by_tenant(), &rejected),
+            ] {
+                for (tenant, count) in table.iter() {
+                    prop_assert_eq!(count, oracle.get(&tenant).copied().unwrap_or(0));
+                }
+                for (&tenant, &count) in oracle {
+                    prop_assert_eq!(table.get(tenant), count);
+                }
+            }
+            let total: u64 = server.completions_by_tenant().iter().map(|(_, c)| c).sum();
+            prop_assert_eq!(total, server.stats().completions);
         }
 
         /// Higher offered load never *increases* the completion ratio

@@ -28,11 +28,11 @@
 
 use crate::policy::OverflowPolicy;
 use crate::server::{BatchOutput, EdgeServer, Request, ServerStats, Submit, TenantId};
+use crate::tenants::TenantTable;
 use ff_models::GpuProfile;
 use ff_sim::{SimDuration, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Serializable description of one server in the tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -183,15 +183,22 @@ pub struct ServerTier {
     epochs: Vec<u64>,
     routing: RoutingPolicy,
     admission: AdmissionPolicy,
+    /// Indices of the servers that are up, ascending; maintained by
+    /// `crash`/`recover` so routing never scans `up`.
+    live: Vec<usize>,
     /// Stale queue-depth snapshot for JSQ (refreshed at the gossip
     /// interval, never on demand).
     gossip: Vec<usize>,
     gossip_next: SimTime,
-    buckets: BTreeMap<TenantId, TokenBucketState>,
-    admission_rejections_by_tenant: BTreeMap<TenantId, u64>,
+    /// JSQ's choice: the live server with the smallest `(gossiped depth,
+    /// index)`. It can only change when the snapshot or the membership
+    /// does, so it is recomputed there and nowhere else.
+    jsq_target: Option<usize>,
+    /// `None` until a tenant's first regulated request: buckets start
+    /// full.
+    buckets: TenantTable<Option<TokenBucketState>>,
+    admission_rejections_by_tenant: TenantTable<u64>,
     admission_rejections_total: u64,
-    /// Scratch list of live server indices (reused across submits).
-    candidates: Vec<usize>,
 }
 
 impl ServerTier {
@@ -209,12 +216,13 @@ impl ServerTier {
             epochs: vec![0; n],
             routing: config.routing,
             admission: config.admission,
+            live: (0..n).collect(),
             gossip: vec![0; n],
             gossip_next: SimTime::ZERO,
-            buckets: BTreeMap::new(),
-            admission_rejections_by_tenant: BTreeMap::new(),
+            jsq_target: Some(0),
+            buckets: TenantTable::default(),
+            admission_rejections_by_tenant: TenantTable::default(),
             admission_rejections_total: 0,
-            candidates: Vec::with_capacity(n),
         }
     }
 
@@ -267,16 +275,37 @@ impl ServerTier {
 
     /// Crash server `i`: its queue and running batch are lost, its
     /// epoch advances, and routing stops sending it traffic until
-    /// [`recover`](Self::recover).
+    /// [`recover`](Self::recover). Crashing a server that is already
+    /// down only advances its epoch.
     pub fn crash(&mut self, i: usize) {
         self.servers[i].crash();
-        self.up[i] = false;
         self.epochs[i] += 1;
+        if self.up[i] {
+            self.up[i] = false;
+            let at = self.live.binary_search(&i).expect("an up server is live");
+            self.live.remove(at);
+            self.refresh_jsq_target();
+        }
     }
 
     /// Bring server `i` back (a fresh process: empty queue, idle GPU).
+    /// A no-op for a server that is already up.
     pub fn recover(&mut self, i: usize) {
-        self.up[i] = true;
+        if !self.up[i] {
+            self.up[i] = true;
+            let at = self
+                .live
+                .binary_search(&i)
+                .expect_err("a down server is not live");
+            self.live.insert(at, i);
+            self.refresh_jsq_target();
+        }
+    }
+
+    fn refresh_jsq_target(&mut self) {
+        // `live` ascends, so `min_by_key` (first minimum) breaks depth
+        // ties to the lowest index.
+        self.jsq_target = self.live.iter().copied().min_by_key(|&i| self.gossip[i]);
     }
 
     /// Offer a request to the tier. `regulated` says whether the
@@ -294,10 +323,7 @@ impl ServerTier {
     ) -> TierSubmit {
         if regulated && !self.admit(now, request.tenant) {
             self.admission_rejections_total += 1;
-            *self
-                .admission_rejections_by_tenant
-                .entry(request.tenant)
-                .or_default() += 1;
+            *self.admission_rejections_by_tenant.slot(request.tenant) += 1;
             return TierSubmit::AdmissionRejected;
         }
         let Some(target) = self.route(now, request.tenant, rng) else {
@@ -323,7 +349,7 @@ impl ServerTier {
         match self.admission {
             AdmissionPolicy::AdmitAll => true,
             AdmissionPolicy::TokenBucket { rate_rps, burst } => {
-                let bucket = self.buckets.entry(tenant).or_insert(TokenBucketState {
+                let bucket = self.buckets.slot(tenant).get_or_insert(TokenBucketState {
                     tokens: burst,
                     last: SimTime::ZERO,
                 });
@@ -357,50 +383,31 @@ impl ServerTier {
                         *depth = server.queue_len();
                     }
                     self.gossip_next = now + gossip_interval;
+                    self.refresh_jsq_target();
                 }
-                let mut best: Option<(usize, usize)> = None; // (depth, index)
-                for i in 0..n {
-                    if !self.up[i] {
-                        continue;
-                    }
-                    let depth = self.gossip[i];
-                    match best {
-                        Some((bd, _)) if bd <= depth => {}
-                        _ => best = Some((depth, i)),
-                    }
-                }
-                best.map(|(_, i)| i)
+                self.jsq_target
             }
-            RoutingPolicy::PowerOfTwoChoices => {
-                self.candidates.clear();
-                for i in 0..n {
-                    if self.up[i] {
-                        self.candidates.push(i);
+            RoutingPolicy::PowerOfTwoChoices => match self.live.len() {
+                0 => None,
+                1 => Some(self.live[0]),
+                m => {
+                    // Two distinct draws from the routing stream.
+                    let first = rng.gen_range(0..m);
+                    let mut second = rng.gen_range(0..m - 1);
+                    if second >= first {
+                        second += 1;
                     }
+                    let (a, b) = (self.live[first], self.live[second]);
+                    let load = |i: usize| {
+                        self.servers[i].queue_len()
+                            + self.servers[i].running_batch_size().unwrap_or(0)
+                    };
+                    let (la, lb) = (load(a), load(b));
+                    // Less loaded wins; ties break to the lower index so
+                    // the draw order cannot leak into the decision.
+                    Some(if (lb, b) < (la, a) { b } else { a })
                 }
-                match self.candidates.len() {
-                    0 => None,
-                    1 => Some(self.candidates[0]),
-                    m => {
-                        // Two distinct draws from the routing stream.
-                        let first = rng.gen_range(0..m);
-                        let mut second = rng.gen_range(0..m - 1);
-                        if second >= first {
-                            second += 1;
-                        }
-                        let (a, b) = (self.candidates[first], self.candidates[second]);
-                        let load = |i: usize| {
-                            self.servers[i].queue_len()
-                                + self.servers[i].running_batch_size().unwrap_or(0)
-                        };
-                        let (la, lb) = (load(a), load(b));
-                        // Less loaded wins; ties break to the lower
-                        // index so the draw order cannot leak into the
-                        // decision.
-                        Some(if (lb, b) < (la, a) { b } else { a })
-                    }
-                }
-            }
+            },
         }
     }
 
@@ -433,10 +440,7 @@ impl ServerTier {
 
     /// Requests turned away by the admission policy, for one tenant.
     pub fn admission_rejections_for(&self, tenant: TenantId) -> u64 {
-        self.admission_rejections_by_tenant
-            .get(&tenant)
-            .copied()
-            .unwrap_or(0)
+        self.admission_rejections_by_tenant.get(tenant)
     }
 
     /// One tenant's rejections across the whole tier: batch-formation
@@ -444,16 +448,33 @@ impl ServerTier {
     pub fn rejections_for(&self, tenant: TenantId) -> u64 {
         self.servers
             .iter()
-            .map(|s| s.rejections_by_tenant().get(&tenant).copied().unwrap_or(0))
+            .map(|s| s.rejections_by_tenant().get(tenant))
             .sum::<u64>()
             + self.admission_rejections_for(tenant)
+    }
+
+    /// [`rejections_for`](Self::rejections_for) for tenants `0..tenants`
+    /// at once, in one pass over each server's table.
+    pub fn rejections_by_tenant(&self, tenants: usize) -> Vec<u64> {
+        let mut total = vec![0u64; tenants];
+        let tables = self
+            .servers
+            .iter()
+            .map(EdgeServer::rejections_by_tenant)
+            .chain([&self.admission_rejections_by_tenant]);
+        for table in tables {
+            for (slot, (_, count)) in total.iter_mut().zip(table.iter()) {
+                *slot += count;
+            }
+        }
+        total
     }
 
     /// One tenant's completed inferences across the whole tier.
     pub fn completions_for(&self, tenant: TenantId) -> u64 {
         self.servers
             .iter()
-            .map(|s| s.completions_by_tenant().get(&tenant).copied().unwrap_or(0))
+            .map(|s| s.completions_by_tenant().get(tenant))
             .sum()
     }
 }
@@ -777,5 +798,189 @@ mod tests {
             burst: 0.5,
         };
         ServerTier::new(&config);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use ff_models::ModelKind;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The router this module had before the live list and the cached
+    /// JSQ target: every decision scans all `N` servers. It reads the
+    /// tier only through its public observers and keeps its own gossip
+    /// snapshot, so it shares no state with the code under test.
+    struct ScanRouter {
+        gossip: Vec<usize>,
+        gossip_next: SimTime,
+    }
+
+    impl ScanRouter {
+        fn route(
+            &mut self,
+            tier: &ServerTier,
+            now: SimTime,
+            tenant: TenantId,
+            rng: &mut ChaCha8Rng,
+        ) -> Option<usize> {
+            let n = tier.len();
+            if n == 1 {
+                return tier.is_up(0).then_some(0);
+            }
+            match tier.routing() {
+                RoutingPolicy::StaticShard => {
+                    let target = tenant.0 as usize % n;
+                    tier.is_up(target).then_some(target)
+                }
+                RoutingPolicy::JoinShortestQueue { gossip_interval } => {
+                    if now >= self.gossip_next {
+                        for (i, depth) in self.gossip.iter_mut().enumerate() {
+                            *depth = tier.server(i).queue_len();
+                        }
+                        self.gossip_next = now + gossip_interval;
+                    }
+                    let mut best: Option<(usize, usize)> = None; // (depth, index)
+                    for i in 0..n {
+                        if !tier.is_up(i) {
+                            continue;
+                        }
+                        let depth = self.gossip[i];
+                        match best {
+                            Some((bd, _)) if bd <= depth => {}
+                            _ => best = Some((depth, i)),
+                        }
+                    }
+                    best.map(|(_, i)| i)
+                }
+                RoutingPolicy::PowerOfTwoChoices => {
+                    let candidates: Vec<usize> = (0..n).filter(|&i| tier.is_up(i)).collect();
+                    match candidates.len() {
+                        0 => None,
+                        1 => Some(candidates[0]),
+                        m => {
+                            let first = rng.gen_range(0..m);
+                            let mut second = rng.gen_range(0..m - 1);
+                            if second >= first {
+                                second += 1;
+                            }
+                            let (a, b) = (candidates[first], candidates[second]);
+                            let load = |i: usize| {
+                                tier.server(i).queue_len()
+                                    + tier.server(i).running_batch_size().unwrap_or(0)
+                            };
+                            let (la, lb) = (load(a), load(b));
+                            Some(if (lb, b) < (la, a) { b } else { a })
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Advance the clock by `gap_ms`, then submit for `tenant`.
+        Submit {
+            tenant: u32,
+            gap_ms: u64,
+        },
+        Crash(usize),
+        Recover(usize),
+    }
+
+    fn op(servers: usize) -> impl Strategy<Value = Op> {
+        // Crashes and recoveries are drawn independently, so double
+        // crashes and recoveries of live servers occur freely.
+        (0u32..8, 0u32..16, 0u64..30, 0..servers).prop_map(|(kind, tenant, gap_ms, server)| {
+            match kind {
+                0 => Op::Crash(server),
+                1 => Op::Recover(server),
+                _ => Op::Submit { tenant, gap_ms },
+            }
+        })
+    }
+
+    proptest! {
+        /// Differential oracle for the incremental router: over random
+        /// submit / crash / recover sequences, under every routing
+        /// policy, the chosen server, the `TierSubmit` outcome and the
+        /// position of the routing stream equal the scan-based
+        /// reference's at every step.
+        #[test]
+        fn prop_routing_equals_the_scan_reference(
+            policy in 0usize..3,
+            servers in 1usize..7,
+            ops in proptest::collection::vec(op(6), 1..200),
+        ) {
+            let mut config = TierConfig::uniform(servers, ServerSpec::default());
+            config.routing = [
+                RoutingPolicy::StaticShard,
+                RoutingPolicy::JoinShortestQueue { gossip_interval: SimDuration::from_millis(40) },
+                RoutingPolicy::PowerOfTwoChoices,
+            ][policy];
+            let mut tier = ServerTier::new(&config);
+            let mut reference = ScanRouter { gossip: vec![0; servers], gossip_next: SimTime::ZERO };
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut ref_rng = rng.clone();
+            let mut now = SimTime::ZERO;
+            // Scheduled batch completions: (instant, server, epoch).
+            let mut due: Vec<(SimTime, usize, u64)> = Vec::new();
+            let mut out = BatchOutput::default();
+            for (tag, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Crash(i) => tier.crash(i % servers),
+                    Op::Recover(i) => tier.recover(i % servers),
+                    Op::Submit { tenant, gap_ms } => {
+                        now += SimDuration::from_millis(gap_ms);
+                        // Fire what came due, in time order, so queues
+                        // drain and refill while routing watches them.
+                        due.sort_unstable();
+                        while let Some(&(at, server, epoch)) = due.first().filter(|d| d.0 <= now) {
+                            due.remove(0);
+                            if epoch == tier.epoch(server) {
+                                tier.batch_done_into(server, at, &mut out);
+                                due.extend(out.next_done.map(|d| (d, server, epoch)));
+                                due.sort_unstable();
+                            }
+                        }
+                        let request = Request {
+                            tenant: TenantId(tenant),
+                            model: ModelKind::MobileNetV3Small,
+                            submitted_at: now,
+                            tag: tag as u64,
+                        };
+                        let expected = reference.route(&tier, now, request.tenant, &mut ref_rng);
+                        let idle = expected.map(|s| !tier.server(s).busy());
+                        let outcome = tier.submit(now, request, true, &mut rng);
+                        match (expected, outcome) {
+                            (None, TierSubmit::Lost) => {}
+                            (Some(s), TierSubmit::Queued { server }) => {
+                                prop_assert_eq!(server, s);
+                                prop_assert_eq!(idle, Some(false));
+                            }
+                            (Some(s), TierSubmit::BatchStarted { server, done_at }) => {
+                                prop_assert_eq!(server, s);
+                                prop_assert_eq!(idle, Some(true));
+                                due.push((done_at, server, tier.epoch(server)));
+                            }
+                            (e, o) => prop_assert!(false, "reference chose {e:?}, tier did {o:?}"),
+                        }
+                        prop_assert_eq!(
+                            rng.clone().next_u64(),
+                            ref_rng.clone().next_u64(),
+                            "routing stream positions diverged"
+                        );
+                    }
+                }
+            }
+            // The one-pass per-tenant read agrees with the per-tenant one.
+            let by_tenant = tier.rejections_by_tenant(16);
+            for (t, &count) in by_tenant.iter().enumerate() {
+                prop_assert_eq!(count, tier.rejections_for(TenantId(t as u32)));
+            }
+        }
     }
 }
