@@ -14,7 +14,7 @@ use serde::Serialize;
 
 #[derive(Serialize)]
 struct Row {
-    device: String,
+    device: &'static str,
     mean_throughput: f64,
     offloaded: u64,
     timeouts: u64,
@@ -56,7 +56,7 @@ fn main() {
             d.device, d.mean_throughput, d.frames_offloaded, d.offload_timeouts, lo, hi
         );
         rows.push(Row {
-            device: d.device.clone(),
+            device: d.device,
             mean_throughput: d.mean_throughput,
             offloaded: d.frames_offloaded,
             timeouts: d.offload_timeouts,

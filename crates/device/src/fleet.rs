@@ -52,6 +52,7 @@ use ff_workload::{
 };
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+use std::sync::Arc;
 
 use crate::tags::{
     fleet_tag as make_tag, fleet_tag_device as tag_device, is_probe_tag as tag_is_probe,
@@ -246,11 +247,11 @@ impl FleetConfig {
 #[derive(Debug, Serialize)]
 pub struct FleetDeviceResult {
     /// Controller name driving this device.
-    pub controller: String,
+    pub controller: &'static str,
     /// Device profile name (Table II column).
-    pub device: String,
+    pub device: &'static str,
     /// Classification model name.
-    pub model: String,
+    pub model: &'static str,
     /// Per-second QoS records for this device.
     pub qos: QosLog,
     /// Frames routed to the uplink.
@@ -333,7 +334,9 @@ pub(crate) struct FleetDevices {
     pub(crate) source: Vec<FrameSource<ChaCha8Rng>>,
     pub(crate) engine: Vec<LocalEngine<ChaCha8Rng>>,
     pub(crate) link: Vec<Link<ChaCha8Rng>>,
-    pub(crate) filter: Vec<Option<SemanticFilter>>,
+    /// One filter per device, or empty when `FleetConfig::filter` is
+    /// `None`.
+    pub(crate) filter: Vec<SemanticFilter>,
     /// Model the tier runs for this device's offloads (== its `model`
     /// unless `FleetConfig::remote_model` overrides it).
     pub(crate) offload_model: Vec<ModelKind>,
@@ -354,6 +357,11 @@ pub(crate) struct FleetDevices {
     pub(crate) frames_local: Vec<u64>,
 }
 
+// One source per device: a field added to `FrameSource` costs a
+// 100k-device fleet 100 000× its size. (Checked here, where the RNG the
+// fleet instantiates it with is known.)
+const _: () = assert!(std::mem::size_of::<FrameSource<ChaCha8Rng>>() <= 192);
+
 impl FleetDevices {
     /// Build the state for global devices `[base, base + controllers.len())`.
     ///
@@ -368,13 +376,19 @@ impl FleetDevices {
         let rng = RngFactory::new(config.seed);
         let fs = config.stream.fps;
         let n = controllers.len();
+        // Frames a device captures within one deadline: the most it can
+        // have in flight.
+        let window_frames = (config.deadline.as_secs_f64() * fs).ceil() as usize;
+        // One QoS record per controller tick, the last at or before the
+        // end of the run.
+        let ticks = (config.end_at().as_micros() / config.controller_period.as_micros()) as usize;
         let mut devs = FleetDevices {
             base,
             cold: Vec::with_capacity(n),
             source: Vec::with_capacity(n),
             engine: Vec::with_capacity(n),
             link: Vec::with_capacity(n),
-            filter: Vec::with_capacity(n),
+            filter: Vec::with_capacity(if config.filter.is_some() { n } else { 0 }),
             offload_model: Vec::with_capacity(n),
             splitter: Vec::with_capacity(n),
             tracker: Vec::with_capacity(n),
@@ -421,7 +435,7 @@ impl FleetDevices {
             };
             devs.cold.push(DeviceCold {
                 controller,
-                qos: QosLog::new(),
+                qos: QosLog::with_capacity(ticks),
                 model: dc.model,
                 device_kind: dc.device,
                 local_accuracy: dc.model.profile().top1_accuracy,
@@ -438,10 +452,11 @@ impl FleetDevices {
                 initial_conditions,
                 rng.indexed_stream("fleet-link", g as u64),
             ));
-            devs.filter.push(config.filter.map(SemanticFilter::new));
+            devs.filter.extend(config.filter.map(SemanticFilter::new));
             devs.offload_model.push(offload_model);
             devs.splitter.push(FrameSplitter::new());
-            devs.tracker.push(FlightTable::new(config.deadline));
+            devs.tracker
+                .push(FlightTable::new(config.deadline, window_frames));
             devs.probes.push(ProbeTable::default());
             devs.po_target.push(po_target);
             devs.route_incr.push(route_increment(po_target, fs));
@@ -454,20 +469,21 @@ impl FleetDevices {
     /// Consume the state into per-device results (local order, which is
     /// global order for `base == 0`).
     pub(crate) fn into_results(self) -> Vec<FleetDeviceResult> {
+        // Yields `None` for every device of a fleet without a filter.
+        let mut filters = self.filter.into_iter();
         self.cold
             .into_iter()
-            .zip(self.filter)
             .zip(self.tracker)
             .zip(self.frames_offloaded)
             .zip(self.frames_local)
             .map(
-                |((((cold, filter), tracker), frames_offloaded), frames_local)| FleetDeviceResult {
-                    controller: cold.controller.name().to_string(),
-                    device: cold.device_kind.name().to_string(),
-                    model: cold.model.name().to_string(),
+                |(((cold, tracker), frames_offloaded), frames_local)| FleetDeviceResult {
+                    controller: cold.controller.name(),
+                    device: cold.device_kind.name(),
+                    model: cold.model.name(),
                     mean_throughput: cold.qos.mean_throughput(),
                     mean_accuracy_weighted_throughput: cold.qos.mean_accuracy_weighted(),
-                    filter_stats: filter.as_ref().map(|f| f.stats()),
+                    filter_stats: filters.next().map(|f| f.stats()),
                     frames_offloaded,
                     frames_local,
                     offload_successes: tracker.successes(),
@@ -563,7 +579,8 @@ pub(crate) struct TickReport {
 /// worlds (a contiguous device range each). Handlers take **global**
 /// device indices / tags and translate through `devs.base`.
 pub(crate) struct FleetCore {
-    pub(crate) config: FleetConfig,
+    /// Shared, not cloned, by the shards of one run.
+    pub(crate) config: Arc<FleetConfig>,
     pub(crate) devs: FleetDevices,
     pub(crate) end_at: SimTime,
 }
@@ -603,7 +620,7 @@ impl FleetCore {
         // Semantic filter: drop or shrink low-information frames
         // before they cost routing, uplink, or local compute.
         let mut frame_bytes = frame.bytes;
-        if let (Some(filter), Some(info)) = (&mut filter[i], src.last_info()) {
+        if let (Some(filter), Some(info)) = (filter.get_mut(i), src.last_info()) {
             match filter.verdict(info, frame.bytes) {
                 FilterVerdict::Pass => {}
                 FilterVerdict::Shrink { bytes } => frame_bytes = bytes,
@@ -870,6 +887,18 @@ pub(crate) fn observe_device_tick(
     rec.counter(scope, Metric::HeartbeatOk, heartbeat_ok as u64, t);
 }
 
+/// The "device/{g}" telemetry scopes of global devices `range`, or none
+/// on a disabled pipeline: a 100k-device fleet should not format 100k
+/// names for a recorder that drops everything.
+pub(crate) fn device_scopes(telemetry: &Telemetry, range: std::ops::Range<usize>) -> Vec<Scope> {
+    if !telemetry.is_enabled() {
+        return Vec::new();
+    }
+    range
+        .map(|g| telemetry.scope(&format!("device/{g}")))
+        .collect()
+}
+
 /// Tier-side observability: the aggregate "server" scope plus
 /// per-server scopes (N > 1 only), with previous-tick counter values
 /// for delta emission. Used by the single-threaded engine from device
@@ -970,9 +999,7 @@ impl FleetObs {
         FleetObs {
             recorder: telemetry.recorder(),
             engine: telemetry.scope("engine"),
-            devices: (0..n_devices)
-                .map(|i| telemetry.scope(&format!("device/{i}")))
-                .collect(),
+            devices: device_scopes(telemetry, 0..n_devices),
             tier_obs: TierObs::new(telemetry, n_servers),
             telemetry: telemetry.clone(),
         }
@@ -1242,7 +1269,7 @@ pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> 
     let devs = FleetDevices::build(&config, controllers, 0);
     let world = FleetWorld {
         core: FleetCore {
-            config,
+            config: Arc::new(config),
             devs,
             end_at,
         },

@@ -11,9 +11,15 @@
 //! when it would, the ring doubles and re-seats its entries. Lookups
 //! are one masked index plus one compare — no hashing, no probing.
 //!
+//! A fleet holds one table per device, so the table is sized for what a
+//! device can have in flight — `deadline × F_s` frames, 8 for the paper
+//! — and keeps that ring inside itself: a parked 100k-device fleet pays
+//! no allocation per table and no pointer chase per lookup. Only a table
+//! whose window outgrows the inline ring (8 slots) lives on the heap.
+//!
 //! [`ProbeTable`] plays the same role for heartbeat probes: at most
-//! `ceil(deadline / controller_period)` probes are ever outstanding
-//! (one per tick), so a tiny linear-scanned vec beats any map.
+//! `ceil(deadline / controller_period) + 1` probes are ever outstanding
+//! (one per tick), so a tiny linear-scanned array beats any map.
 //!
 //! The genuinely unordered maps (e.g. the live path's tag tables) keep
 //! `TagHash`; this module is only for the fleet, where the tag encodes
@@ -22,21 +28,73 @@
 use crate::offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 use ff_sim::{SimDuration, SimTime};
 
-/// Life-cycle stage of one in-flight offloaded frame (mirrors the
-/// states of [`crate::offload::OffloadTracker`] exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stage {
-    InNetwork,
-    DroppedByNetwork,
-    AtServer { arrived_at: SimTime },
-    RejectedByServer,
-}
+/// Stage words of an [`Entry`]: the life-cycle states of
+/// [`crate::offload::OffloadTracker`], one word each. Any value below
+/// [`REJECTED_BY_SERVER`] is the "at server" state and *is* the arrival
+/// instant in microseconds; the named states sit above every instant a
+/// run can reach.
+const EMPTY: u64 = u64::MAX;
+const IN_NETWORK: u64 = u64::MAX - 1;
+const DROPPED_BY_NETWORK: u64 = u64::MAX - 2;
+const REJECTED_BY_SERVER: u64 = u64::MAX - 3;
 
+/// One ring slot, 24 bytes. A slot whose stage is [`EMPTY`] is vacant
+/// (its other fields are stale), so occupancy costs no separate word.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
     captured_at: SimTime,
-    stage: Stage,
+    stage: u64,
+}
+
+const VACANT: Entry = Entry {
+    tag: 0,
+    captured_at: SimTime::ZERO,
+    stage: EMPTY,
+};
+
+/// Slots of the inline ring: the paper's `⌈0.25 s × 30 fps⌉` frames in
+/// flight.
+const INLINE_SLOTS: usize = 8;
+
+/// Open-addressed ring, length a power of two. A tag lives at
+/// `tag & (len − 1)`; the build invariant is that no two live tags
+/// share a slot (we grow instead of probing).
+#[derive(Debug, Clone)]
+enum Ring {
+    Inline([Entry; INLINE_SLOTS]),
+    Spilled(Box<[Entry]>),
+}
+
+impl Ring {
+    fn with_slots(slots: usize) -> Ring {
+        debug_assert!(slots.is_power_of_two());
+        if slots <= INLINE_SLOTS {
+            Ring::Inline([VACANT; INLINE_SLOTS])
+        } else {
+            Ring::Spilled(vec![VACANT; slots].into_boxed_slice())
+        }
+    }
+
+    #[inline]
+    fn slots(&self) -> &[Entry] {
+        match self {
+            Ring::Inline(slots) => slots,
+            Ring::Spilled(slots) => slots,
+        }
+    }
+
+    /// The slot `tag` maps to. The sequence number occupies the tag's
+    /// low bits, so masking the tag is masking the sequence.
+    #[inline]
+    fn slot_mut(&mut self, tag: u64) -> &mut Entry {
+        let slots: &mut [Entry] = match self {
+            Ring::Inline(slots) => slots,
+            Ring::Spilled(slots) => slots,
+        };
+        let mask = slots.len() - 1;
+        &mut slots[tag as usize & mask]
+    }
 }
 
 /// Deadline tracker for one fleet device, slab-indexed by the tag's
@@ -47,127 +105,111 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct FlightTable {
     deadline: SimDuration,
-    /// Open-addressed ring, `slots.len()` a power of two. A tag lives
-    /// at `seq & mask`; the build invariant is that no two live tags
-    /// share a slot (we grow instead of probing).
-    slots: Vec<Option<Entry>>,
-    mask: u64,
+    ring: Ring,
     len: usize,
     resolved_success: u64,
     resolved_timeout: u64,
 }
 
-/// Initial ring capacity: at 30 fps and a 250 ms deadline at most
-/// ~9 frames are ever in flight, so 32 slots absorb 4x that before the
-/// first (re-seating) growth.
-const INITIAL_SLOTS: usize = 32;
+// One table per device: a field added here costs a 100k-device fleet
+// 100 000× its size.
+const _: () = assert!(std::mem::size_of::<FlightTable>() <= 256);
 
 impl FlightTable {
-    /// A table enforcing the given end-to-end deadline.
-    pub fn new(deadline: SimDuration) -> Self {
+    /// A table enforcing the given end-to-end deadline, sized for
+    /// `expected_in_flight` frames — `⌈deadline × F_s⌉`, the frames a
+    /// device captures within one deadline window. A stream that keeps
+    /// to that never re-seats the ring; one that does not still
+    /// resolves correctly, by growing.
+    pub fn new(deadline: SimDuration, expected_in_flight: usize) -> Self {
         assert!(!deadline.is_zero(), "deadline must be positive");
         FlightTable {
             deadline,
-            slots: vec![None; INITIAL_SLOTS],
-            mask: (INITIAL_SLOTS - 1) as u64,
+            ring: Ring::with_slots(expected_in_flight.next_power_of_two()),
             len: 0,
             resolved_success: 0,
             resolved_timeout: 0,
         }
     }
 
-    #[inline]
-    fn slot_of(&self, tag: u64) -> usize {
-        // The sequence number occupies the tag's low bits, so masking
-        // the tag is masking the sequence.
-        (tag & self.mask) as usize
-    }
-
     /// Double the ring until every live entry has a private slot.
     #[cold]
     fn grow(&mut self) {
-        let mut next = self.slots.len();
-        'double: loop {
+        let old = self.ring.slots();
+        let mut next = old.len();
+        let grown = 'double: loop {
             next *= 2;
-            let mask = (next - 1) as u64;
-            let mut slots = vec![None; next];
-            for e in self.slots.iter().flatten() {
-                let s = &mut slots[(e.tag & mask) as usize];
-                if s.is_some() {
+            let mut ring = Ring::with_slots(next);
+            for e in old.iter().filter(|e| e.stage != EMPTY) {
+                let s = ring.slot_mut(e.tag);
+                if s.stage != EMPTY {
                     // Live sequence numbers congruent at this size too:
                     // keep doubling.
                     continue 'double;
                 }
-                *s = Some(*e);
+                *s = *e;
             }
-            self.slots = slots;
-            self.mask = mask;
-            return;
-        }
+            break ring;
+        };
+        self.ring = grown;
     }
 
     /// Register a frame the device just offloaded.
     pub fn sent(&mut self, tag: u64, captured_at: SimTime) {
         loop {
-            let i = self.slot_of(tag);
-            match &self.slots[i] {
-                Some(e) if e.tag == tag => panic!("tag {tag} offloaded twice"),
-                Some(_) => self.grow(),
-                None => {
-                    self.slots[i] = Some(Entry {
-                        tag,
-                        captured_at,
-                        stage: Stage::InNetwork,
-                    });
-                    self.len += 1;
-                    return;
-                }
+            let e = self.ring.slot_mut(tag);
+            if e.stage == EMPTY {
+                *e = Entry {
+                    tag,
+                    captured_at,
+                    stage: IN_NETWORK,
+                };
+                self.len += 1;
+                return;
             }
+            assert!(e.tag != tag, "tag {tag} offloaded twice");
+            self.grow();
         }
     }
 
     #[inline]
     fn get_mut(&mut self, tag: u64) -> Option<&mut Entry> {
-        let i = self.slot_of(tag);
-        match &mut self.slots[i] {
-            Some(e) if e.tag == tag => Some(e),
-            _ => None,
-        }
+        let e = self.ring.slot_mut(tag);
+        (e.tag == tag && e.stage != EMPTY).then_some(e)
     }
 
     #[inline]
     fn remove(&mut self, tag: u64) -> Option<Entry> {
-        let i = self.slot_of(tag);
-        match &self.slots[i] {
-            Some(e) if e.tag == tag => {
-                let e = *e;
-                self.slots[i] = None;
-                self.len -= 1;
-                Some(e)
-            }
-            _ => None,
-        }
+        let e = self.get_mut(tag)?;
+        let removed = *e;
+        e.stage = EMPTY;
+        self.len -= 1;
+        Some(removed)
     }
 
     /// The uplink dropped the frame; the cause is known early but the
     /// resolution still waits for the deadline event.
     pub fn network_dropped(&mut self, tag: u64) {
         if let Some(e) = self.get_mut(tag) {
-            e.stage = Stage::DroppedByNetwork;
+            e.stage = DROPPED_BY_NETWORK;
         }
     }
 
     /// The frame arrived at the server.
     pub fn arrived_at_server(&mut self, tag: u64, at: SimTime) {
+        assert!(
+            at.as_micros() < REJECTED_BY_SERVER,
+            "arrival instant {at} collides with the stage words"
+        );
         if let Some(e) = self.get_mut(tag) {
-            e.stage = Stage::AtServer { arrived_at: at };
+            e.stage = at.as_micros();
         }
     }
 
     /// The server rejected the request (admission or batch overflow).
     pub fn rejected_by_server(&mut self, tag: u64) {
         if let Some(e) = self.get_mut(tag) {
-            e.stage = Stage::RejectedByServer;
+            e.stage = REJECTED_BY_SERVER;
         }
     }
 
@@ -179,11 +221,14 @@ impl FlightTable {
         if latency <= self.deadline {
             self.resolved_success += 1;
             let breakdown = match e.stage {
-                Stage::AtServer { arrived_at } => LatencyBreakdown {
-                    uplink: Some(arrived_at.saturating_since(e.captured_at)),
-                    server_and_down: Some(now.saturating_since(arrived_at)),
-                },
-                _ => LatencyBreakdown::default(),
+                IN_NETWORK | DROPPED_BY_NETWORK | REJECTED_BY_SERVER => LatencyBreakdown::default(),
+                arrived_at => {
+                    let arrived_at = SimTime::from_micros(arrived_at);
+                    LatencyBreakdown {
+                        uplink: Some(arrived_at.saturating_since(e.captured_at)),
+                        server_and_down: Some(now.saturating_since(arrived_at)),
+                    }
+                }
             };
             Some(OffloadResolution::Success { latency, breakdown })
         } else {
@@ -223,10 +268,10 @@ impl FlightTable {
 
 fn attribute(e: &Entry, deadline: SimDuration) -> TimeoutCause {
     match e.stage {
-        Stage::InNetwork | Stage::DroppedByNetwork => TimeoutCause::Network,
-        Stage::RejectedByServer => TimeoutCause::ServerLoad,
-        Stage::AtServer { arrived_at } => {
-            let network_share = arrived_at.saturating_since(e.captured_at);
+        IN_NETWORK | DROPPED_BY_NETWORK => TimeoutCause::Network,
+        REJECTED_BY_SERVER => TimeoutCause::ServerLoad,
+        arrived_at => {
+            let network_share = SimTime::from_micros(arrived_at).saturating_since(e.captured_at);
             if network_share > deadline / 2 {
                 TimeoutCause::Network
             } else {
@@ -236,36 +281,58 @@ fn attribute(e: &Entry, deadline: SimDuration) -> TimeoutCause {
     }
 }
 
-/// Outstanding heartbeat probes for one device: a linear-scanned vec of
+/// Probes held inline: the paper's `⌈0.25 s / 1 s⌉ + 1`.
+const INLINE_PROBES: usize = 2;
+
+/// Outstanding heartbeat probes for one device: a linear-scanned set of
 /// `(tag, sent_at)`. One probe leaves per controller period and dies at
-/// its deadline, so the live set holds at most a couple of entries.
+/// its deadline, so the live set holds at most a couple of entries —
+/// inline; a deadline spanning several periods overflows into a vec.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeTable {
-    live: Vec<(u64, SimTime)>,
+    inline: [(u64, SimTime); INLINE_PROBES],
+    inline_len: usize,
+    overflow: Vec<(u64, SimTime)>,
 }
 
 impl ProbeTable {
+    fn live(&self) -> impl Iterator<Item = &(u64, SimTime)> {
+        self.inline[..self.inline_len].iter().chain(&self.overflow)
+    }
+
     /// Record a probe sent at `sent_at`.
     pub fn insert(&mut self, tag: u64, sent_at: SimTime) {
-        debug_assert!(self.live.iter().all(|&(t, _)| t != tag));
-        self.live.push((tag, sent_at));
+        debug_assert!(self.live().all(|&(t, _)| t != tag));
+        if self.inline_len < INLINE_PROBES {
+            self.inline[self.inline_len] = (tag, sent_at);
+            self.inline_len += 1;
+        } else {
+            self.overflow.push((tag, sent_at));
+        }
     }
 
     /// Remove a probe, returning when it was sent (or `None` if its
     /// deadline already reaped it).
     pub fn remove(&mut self, tag: u64) -> Option<SimTime> {
-        let i = self.live.iter().position(|&(t, _)| t == tag)?;
-        Some(self.live.swap_remove(i).1)
+        let held = &mut self.inline[..self.inline_len];
+        if let Some(i) = held.iter().position(|&(t, _)| t == tag) {
+            let sent_at = held[i].1;
+            self.inline_len -= 1;
+            self.inline[i] = self.inline[self.inline_len];
+            return Some(sent_at);
+        }
+        let i = self.overflow.iter().position(|&(t, _)| t == tag)?;
+        Some(self.overflow.swap_remove(i).1)
     }
 
     /// Probes still awaiting a response or deadline.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.inline_len + self.overflow.len()
     }
 
     /// True when no probes are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 }
 
@@ -274,9 +341,16 @@ mod tests {
     use super::*;
     use crate::offload::OffloadTracker;
     use proptest::prelude::*;
+    use std::collections::hash_map::{Entry as MapEntry, HashMap};
+
+    /// `⌈deadline × F_s⌉`, as the fleet sizes its tables.
+    fn window_frames(deadline: SimDuration, fps: f64) -> usize {
+        (deadline.as_secs_f64() * fps).ceil() as usize
+    }
 
     fn table() -> FlightTable {
-        FlightTable::new(SimDuration::from_millis(250))
+        let deadline = SimDuration::from_millis(250);
+        FlightTable::new(deadline, window_frames(deadline, 30.0))
     }
 
     #[test]
@@ -319,23 +393,61 @@ mod tests {
 
     #[test]
     fn congruent_tags_force_growth_not_corruption() {
-        // Tags 5, 5+32, 5+64 all land on slot 5 of the initial ring.
+        // Tags 5, 5+8, 5+16 all land on slot 5 of the inline ring: the
+        // second spills it to 16 slots, where the third collides with
+        // the first again and re-seats the spilled ring at 32.
         let mut t = table();
+        assert!(matches!(t.ring, Ring::Inline(_)));
         t.sent(5, SimTime::ZERO);
-        t.sent(5 + 32, SimTime::from_millis(10));
-        t.sent(5 + 64, SimTime::from_millis(20));
+        t.sent(5 + 8, SimTime::from_millis(10));
+        assert_eq!(t.ring.slots().len(), 16);
+        t.sent(5 + 16, SimTime::from_millis(20));
+        assert_eq!(t.ring.slots().len(), 32);
         assert_eq!(t.in_flight(), 3);
-        t.arrived_at_server(5 + 32, SimTime::from_millis(30));
+        t.arrived_at_server(5 + 8, SimTime::from_millis(30));
         assert!(t.response_arrived(5, SimTime::from_millis(40)).is_some());
         assert!(t
-            .response_arrived(5 + 32, SimTime::from_millis(50))
+            .response_arrived(5 + 8, SimTime::from_millis(50))
             .is_some());
         assert!(t
-            .deadline_expired(5 + 64, SimTime::from_millis(270))
+            .deadline_expired(5 + 16, SimTime::from_millis(270))
             .is_some());
         assert_eq!(t.successes(), 2);
         assert_eq!(t.timeouts(), 1);
         assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn table_sized_for_its_window_never_grows() {
+        // Every frame offloaded and none answered — the fullest a ring
+        // gets — in the fleet's event order: a deadline scheduled at
+        // capture pops before a capture at the same instant.
+        for (deadline_ms, fps, slots) in [
+            (250, 30.0, 8),
+            (250, 60.0, 16),
+            (1_000, 30.0, 32),
+            (1_000, 60.0, 64),
+            (2_000, 60.0, 128),
+        ] {
+            let deadline = SimDuration::from_millis(deadline_ms);
+            let interval = SimDuration::from_secs_f64(1.0 / fps);
+            let mut t = FlightTable::new(deadline, window_frames(deadline, fps));
+            assert_eq!(t.ring.slots().len(), slots, "{deadline_ms} ms at {fps} fps");
+            let mut oldest = 0u64;
+            for seq in 0..4 * slots as u64 {
+                let now = SimTime::ZERO + interval * seq;
+                while SimTime::ZERO + interval * oldest + deadline <= now {
+                    assert!(t.deadline_expired(oldest, now).is_some());
+                    oldest += 1;
+                }
+                t.sent(seq, now);
+            }
+            assert_eq!(
+                t.ring.slots().len(),
+                slots,
+                "{deadline_ms} ms at {fps} fps re-seated its ring"
+            );
+        }
     }
 
     #[test]
@@ -354,83 +466,131 @@ mod tests {
     /// One randomized operation against both trackers.
     #[derive(Debug, Clone)]
     enum Op {
-        Sent(u8),
-        Dropped(u8),
-        Arrived(u8),
-        Rejected(u8),
-        Response(u8),
-        Deadline(u8),
+        Sent(u64),
+        Dropped(u64),
+        Arrived(u64),
+        Rejected(u64),
+        Response(u64),
+        Deadline(u64),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        (0u8..24, 0u8..6).prop_map(|(tag, kind)| match kind {
+    fn op(kind: u8, tag: u64) -> Op {
+        match kind {
             0 => Op::Sent(tag),
             1 => Op::Dropped(tag),
             2 => Op::Arrived(tag),
             3 => Op::Rejected(tag),
             4 => Op::Response(tag),
             _ => Op::Deadline(tag),
-        })
+        }
+    }
+
+    /// Deadline (ms) and frame rate of the differential's tables: the
+    /// paper's (inline), then windows of 15, 30 and 120 frames, which
+    /// start spilled at 16, 32 and 128 slots.
+    const WINDOWS: [(u64, f64); 4] = [(250, 30.0), (250, 60.0), (1_000, 30.0), (2_000, 60.0)];
+
+    /// Drive `FlightTable` and the hash-map `OffloadTracker` through
+    /// `ops`, one every 40 ms so both success and timeout paths are
+    /// exercised, and demand identical resolutions and counters.
+    fn assert_matches_tracker(deadline_ms: u64, fps: f64, ops: Vec<Op>) -> Result<(), String> {
+        let deadline = SimDuration::from_millis(deadline_ms);
+        let mut slab = FlightTable::new(deadline, window_frames(deadline, fps));
+        let mut map = OffloadTracker::new(deadline);
+        let mut live: Vec<(u64, SimTime)> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            let now = SimTime::from_millis(step as u64 * 40);
+            match op {
+                Op::Sent(tag) => {
+                    if !live.iter().any(|&(t, _)| t == tag) {
+                        slab.sent(tag, now);
+                        map.sent(tag, now);
+                        live.push((tag, now));
+                    }
+                }
+                Op::Dropped(tag) => {
+                    slab.network_dropped(tag);
+                    map.network_dropped(tag);
+                }
+                Op::Arrived(tag) => {
+                    slab.arrived_at_server(tag, now);
+                    map.arrived_at_server(tag, now);
+                }
+                Op::Rejected(tag) => {
+                    slab.rejected_by_server(tag);
+                    map.rejected_by_server(tag);
+                }
+                Op::Response(tag) => {
+                    let a = slab.response_arrived(tag, now);
+                    let b = map.response_arrived(tag, now);
+                    prop_assert_eq!(a, b);
+                    live.retain(|&(t, _)| t != tag);
+                }
+                Op::Deadline(tag) => {
+                    // Only fire deadlines that are actually due, to
+                    // respect the trackers' debug assertions.
+                    let due = match live.iter().find(|&&(t, _)| t == tag) {
+                        Some(&(_, captured)) => now >= map.deadline_for(captured),
+                        None => true,
+                    };
+                    if due {
+                        let a = slab.deadline_expired(tag, now);
+                        let b = map.deadline_expired(tag, now);
+                        prop_assert_eq!(a, b);
+                        live.retain(|&(t, _)| t != tag);
+                    }
+                }
+            }
+            prop_assert_eq!(slab.in_flight(), map.in_flight());
+            prop_assert_eq!(slab.successes(), map.successes());
+            prop_assert_eq!(slab.timeouts(), map.timeouts());
+        }
+        Ok(())
     }
 
     proptest! {
         /// Differential: any operation sequence drives `FlightTable`
-        /// and the hash-map `OffloadTracker` to identical resolutions
-        /// and counters. Time advances monotonically per step so both
-        /// success and timeout paths are exercised.
+        /// and `OffloadTracker` to identical resolutions and counters —
+        /// on a table that stays inline, one that spills mid-sequence,
+        /// one that re-seats its spilled ring, and one that starts
+        /// spilled.
+        ///
+        /// Tags are `lane + (k << stride_log2)`: stride 1 is a device's
+        /// dense sequence numbers, stride 8 makes every tag of a lane
+        /// congruent modulo the inline ring, larger strides modulo the
+        /// spilled sizes too.
         #[test]
-        fn flight_table_matches_offload_tracker(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-            let deadline = SimDuration::from_millis(250);
-            let mut slab = FlightTable::new(deadline);
-            let mut map = OffloadTracker::new(deadline);
-            let mut live: Vec<(u64, SimTime)> = Vec::new();
-            for (step, op) in ops.into_iter().enumerate() {
-                let now = SimTime::from_millis(step as u64 * 40);
-                match op {
-                    Op::Sent(tag) => {
-                        let tag = tag as u64;
-                        if !live.iter().any(|&(t, _)| t == tag) {
-                            slab.sent(tag, now);
-                            map.sent(tag, now);
-                            live.push((tag, now));
-                        }
+        fn flight_table_matches_offload_tracker(
+            window in 0usize..WINDOWS.len(),
+            stride_log2 in 0u32..7,
+            draws in proptest::collection::vec((0u64..3, 0u64..24, 0u8..6), 1..160),
+        ) {
+            let (deadline_ms, fps) = WINDOWS[window];
+            let ops = draws
+                .into_iter()
+                .map(|(lane, k, kind)| op(kind, lane + (k << stride_log2)))
+                .collect();
+            assert_matches_tracker(deadline_ms, fps, ops)?;
+        }
+
+        /// Differential against a hash map, with up to a dozen probes
+        /// outstanding: past the inline capacity, and back.
+        #[test]
+        fn probe_table_matches_a_map(ops in proptest::collection::vec((0u64..12, any::<bool>()), 1..200)) {
+            let mut table = ProbeTable::default();
+            let mut map: HashMap<u64, SimTime> = HashMap::new();
+            for (step, (tag, insert)) in ops.into_iter().enumerate() {
+                let now = SimTime::from_millis(step as u64);
+                if insert {
+                    if let MapEntry::Vacant(slot) = map.entry(tag) {
+                        table.insert(tag, now);
+                        slot.insert(now);
                     }
-                    Op::Dropped(tag) => {
-                        slab.network_dropped(tag as u64);
-                        map.network_dropped(tag as u64);
-                    }
-                    Op::Arrived(tag) => {
-                        slab.arrived_at_server(tag as u64, now);
-                        map.arrived_at_server(tag as u64, now);
-                    }
-                    Op::Rejected(tag) => {
-                        slab.rejected_by_server(tag as u64);
-                        map.rejected_by_server(tag as u64);
-                    }
-                    Op::Response(tag) => {
-                        let a = slab.response_arrived(tag as u64, now);
-                        let b = map.response_arrived(tag as u64, now);
-                        prop_assert_eq!(a, b);
-                        live.retain(|&(t, _)| t != tag as u64);
-                    }
-                    Op::Deadline(tag) => {
-                        // Only fire deadlines that are actually due, to
-                        // respect the trackers' debug assertions.
-                        let due = match live.iter().find(|&&(t, _)| t == tag as u64) {
-                            Some(&(_, captured)) => now >= map.deadline_for(captured),
-                            None => true,
-                        };
-                        if due {
-                            let a = slab.deadline_expired(tag as u64, now);
-                            let b = map.deadline_expired(tag as u64, now);
-                            prop_assert_eq!(a, b);
-                            live.retain(|&(t, _)| t != tag as u64);
-                        }
-                    }
+                } else {
+                    prop_assert_eq!(table.remove(tag), map.remove(&tag));
                 }
-                prop_assert_eq!(slab.in_flight(), map.in_flight());
-                prop_assert_eq!(slab.successes(), map.successes());
-                prop_assert_eq!(slab.timeouts(), map.timeouts());
+                prop_assert_eq!(table.len(), map.len());
+                prop_assert_eq!(table.is_empty(), map.is_empty());
             }
         }
     }

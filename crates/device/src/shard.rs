@@ -76,11 +76,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::fleet::{
-    finish_fleet, network_change_events, observe_device_tick, validate_fleet, FleetConfig,
-    FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs, UplinkSink,
+    device_scopes, finish_fleet, network_change_events, observe_device_tick, validate_fleet,
+    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs, UplinkSink,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
 use ff_core::Controller;
@@ -279,7 +279,8 @@ struct ShardDeviceWorld {
     core: FleetCore,
     sink: OutboxSink,
     recorder: Recorder,
-    /// Telemetry scopes for the shard's devices, by local index.
+    /// Telemetry scopes for the shard's devices, by local index (empty
+    /// while telemetry is disabled).
     scopes: Vec<Scope>,
 }
 
@@ -348,6 +349,7 @@ pub fn run_fleet_sharded(
     shards: usize,
 ) -> FleetResult {
     validate_fleet(&config, &controllers);
+    let config = Arc::new(config);
     let n = controllers.len();
     let k = shards.clamp(1, n);
     let w_us = config.link.propagation.as_micros();
@@ -426,12 +428,10 @@ pub fn run_fleet_sharded(
         let size = per + usize::from(s < big);
         let chunk: Vec<Box<dyn Controller>> = remaining.drain(..size).collect();
         let devs = FleetDevices::build(&config, chunk, offset);
-        let scopes: Vec<Scope> = (offset..offset + size)
-            .map(|g| telemetry.scope(&format!("device/{g}")))
-            .collect();
+        let scopes = device_scopes(&telemetry, offset..offset + size);
         let world = ShardDeviceWorld {
             core: FleetCore {
-                config: config.clone(),
+                config: Arc::clone(&config),
                 devs,
                 end_at,
             },

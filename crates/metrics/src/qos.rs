@@ -95,6 +95,15 @@ impl QosLog {
         Self::default()
     }
 
+    /// An empty log with room for `intervals` records: a run that knows
+    /// how many controller periods it spans allocates its log once, at
+    /// exactly that size.
+    pub fn with_capacity(intervals: usize) -> Self {
+        QosLog {
+            records: Vec::with_capacity(intervals),
+        }
+    }
+
     /// Append one interval record; time must be non-decreasing.
     pub fn push(&mut self, r: QosRecord) {
         if let Some(last) = self.records.last() {

@@ -95,10 +95,18 @@ pub struct FrameSource<R: Rng> {
     next_capture: SimTime,
     /// Optional scene script evolving per-frame information scores on
     /// its own RNG stream. `None` (the default) leaves the stream
-    /// bit-identical to a pre-scene source.
-    scene: Option<SceneState<R>>,
+    /// bit-identical to a pre-scene source. Boxed: a fleet holds one
+    /// source per device, and a scene-less one should not carry the
+    /// script's and the second RNG's bytes.
+    scene: Option<Box<Scene<R>>>,
+}
+
+/// What only a scene-scripted source has.
+#[derive(Debug, Clone)]
+struct Scene<R: Rng> {
+    state: SceneState<R>,
     /// Information score of the most recent frame (`None` until the
-    /// first frame, or forever without a scene script).
+    /// first frame).
     last_info: Option<f64>,
 }
 
@@ -118,7 +126,6 @@ impl<R: Rng> FrameSource<R> {
             next_id: 0,
             next_capture: SimTime::ZERO,
             scene: None,
-            last_info: None,
         }
     }
 
@@ -128,7 +135,10 @@ impl<R: Rng> FrameSource<R> {
     /// as without a script, so scene-off runs stay bit-identical.
     pub fn with_scene(config: StreamConfig, rng: R, script: SceneScript, scene_rng: R) -> Self {
         let mut source = FrameSource::new(config, rng);
-        source.scene = Some(SceneState::new(script, scene_rng));
+        source.scene = Some(Box::new(Scene {
+            state: SceneState::new(script, scene_rng),
+            last_info: None,
+        }));
         source
     }
 
@@ -176,9 +186,11 @@ impl<R: Rng> FrameSource<R> {
         };
         let mut bytes = self.mean_bytes * factor;
         if let Some(scene) = &mut self.scene {
-            let info = scene.next_info(captured_at.as_secs_f64(), self.config.fps);
-            bytes *= scene.size_factor(info);
-            self.last_info = Some(info);
+            let info = scene
+                .state
+                .next_info(captured_at.as_secs_f64(), self.config.fps);
+            bytes *= scene.state.size_factor(info);
+            scene.last_info = Some(info);
         }
         Some(Frame {
             id: FrameId(id),
@@ -191,7 +203,7 @@ impl<R: Rng> FrameSource<R> {
     /// is attached (`None` otherwise — the filter then sees every frame
     /// as full-information and passes it).
     pub fn last_info(&self) -> Option<f64> {
-        self.last_info
+        self.scene.as_ref()?.last_info
     }
 }
 

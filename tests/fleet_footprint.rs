@@ -1,0 +1,163 @@
+//! Per-device memory footprint of a fleet run, counted exactly.
+//!
+//! A fleet's resident set is dominated by per-device state (DESIGN.md
+//! §"Sharded engine", "bytes per device"), so a field or an allocation
+//! added per device costs 100 000× its size on `fleet-cold-100k-x2`
+//! without any test noticing. This suite wraps the system allocator in
+//! exact counters — every allocation request, every live byte — and
+//! pins both per device on a 4 096-device Table V fleet, unsharded and
+//! on two shards. Counts and struct layouts do not depend on the build
+//! profile; CI runs this suite in release as well to prove it.
+//!
+//! One `#[test]` only: the counters are process-wide, so a second test
+//! running on a sibling thread would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use framefeedback::controller::{Controller, FrameFeedback};
+use framefeedback::device::{run_fleet, FleetConfig, FleetDeviceConfig, FleetResult};
+use framefeedback::models::{DeviceKind, ModelKind};
+use framefeedback::workload::table_v;
+
+/// The system allocator behind exact counters. `Relaxed` throughout:
+/// the counters publish no other data, and they are read only after the
+/// run's threads have been joined.
+struct Counting;
+
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters never touch
+// the memory being handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        grew(layout.size());
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        grew(layout.size());
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            LIVE.fetch_sub(layout.size() - new_size, Relaxed);
+        }
+        // SAFETY: `ptr` and `layout` describe a block this allocator
+        // returned, i.e. one `System` returned.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const DEVICES: usize = 4_096;
+const FRAMES: u64 = 60;
+
+/// What one run cost, per device.
+struct Footprint {
+    calls_per_device: f64,
+    peak_bytes_per_device: f64,
+}
+
+/// The shape of `fleet-cold-100k-x2`, scaled down: identical Pis on the
+/// Table V schedule against the single default server, so every
+/// controller parks at the probe floor.
+fn measured_fleet(shards: usize) -> (FleetResult, Footprint) {
+    let calls_before = CALLS.load(Relaxed);
+    let live_before = LIVE.load(Relaxed);
+    PEAK.store(live_before, Relaxed);
+
+    let mut config = FleetConfig {
+        devices: vec![
+            FleetDeviceConfig {
+                device: DeviceKind::Pi4BRev12,
+                model: ModelKind::MobileNetV3Small,
+            };
+            DEVICES
+        ],
+        network: table_v(),
+        ..FleetConfig::default()
+    };
+    config.stream.total_frames = FRAMES;
+    config.engine.shards = shards;
+    // The caller's controller boxes are part of the fleet's footprint.
+    let controllers = (0..DEVICES)
+        .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
+        .collect();
+    let result = run_fleet(config, controllers);
+
+    let footprint = Footprint {
+        calls_per_device: (CALLS.load(Relaxed) - calls_before) as f64 / DEVICES as f64,
+        peak_bytes_per_device: (PEAK.load(Relaxed) - live_before) as f64 / DEVICES as f64,
+    };
+    (result, footprint)
+}
+
+/// Allocation requests per device a run may make: the caller's
+/// controller box, the QoS log and the timeout window's deque.
+/// Measured 3.0232 unsharded and 3.1809 on two shards (9.02 and 9.18
+/// before the per-device diet); the allowance above that is for per-run
+/// costs, and is a quarter of what one more allocation per device adds.
+const MAX_CALLS_PER_DEVICE: f64 = 3.25;
+
+/// Peak live heap bytes per device, as measured (3 322 and 3 698 before
+/// the diet); the assertion allows 2 % on top.
+const MEASURED_PEAK_BYTES: [(usize, f64); 2] = [(1, 2_088.3), (2, 2_436.1)];
+
+#[test]
+fn per_device_allocations_and_live_bytes_stay_on_their_diet() {
+    let mut results = Vec::new();
+    for (shards, measured_peak) in MEASURED_PEAK_BYTES {
+        let (result, cost) = measured_fleet(shards);
+        println!(
+            "shards {shards}: {:.4} allocator calls and {:.1} peak live bytes per device",
+            cost.calls_per_device, cost.peak_bytes_per_device
+        );
+        assert!(
+            cost.calls_per_device <= MAX_CALLS_PER_DEVICE,
+            "shards {shards}: {:.4} allocator calls per device",
+            cost.calls_per_device
+        );
+        assert!(
+            cost.peak_bytes_per_device <= measured_peak * 1.02,
+            "shards {shards}: {:.1} peak live bytes per device, measured {measured_peak}",
+            cost.peak_bytes_per_device
+        );
+        assert_eq!(result.devices.len(), DEVICES);
+        results.push(result);
+    }
+
+    let (one, two) = (&results[0], &results[1]);
+    for (i, (a, b)) in one.devices.iter().zip(&two.devices).enumerate() {
+        assert_eq!(a.qos.records(), b.qos.records(), "device {i} qos");
+        assert_eq!(a.frames_offloaded, b.frames_offloaded, "device {i}");
+        assert_eq!(a.frames_local, b.frames_local, "device {i}");
+        assert_eq!(a.offload_successes, b.offload_successes, "device {i}");
+        assert_eq!(a.offload_timeouts, b.offload_timeouts, "device {i}");
+    }
+    assert_eq!(one.events_handled, two.events_handled);
+}
