@@ -1,9 +1,9 @@
 //! Criterion bench for the remaining component hot paths: the frame
-//! splitter, the offload tracker, the windowed rate estimator, the
+//! splitter, the in-flight table, the windowed rate estimator, the
 //! accuracy model (Table III), and the simulation engine's event loop.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ff_device::{FrameSplitter, OffloadTracker};
+use ff_device::{FlightTable, FrameSplitter};
 use ff_metrics::WindowedRate;
 use ff_models::{predicted_top1, Compression, ModelKind};
 use ff_sim::{Ctx, SimDuration, SimModel, SimTime, Simulation};
@@ -16,8 +16,8 @@ fn bench_splitter(c: &mut Criterion) {
 }
 
 fn bench_tracker(c: &mut Criterion) {
-    c.bench_function("offload_tracker_cycle", |b| {
-        let mut t = OffloadTracker::new(SimDuration::from_millis(250));
+    c.bench_function("flight_table_cycle", |b| {
+        let mut t = FlightTable::new(SimDuration::from_millis(250), 8);
         let mut tag = 0u64;
         b.iter(|| {
             let sent = SimTime::from_micros(tag * 33_000);

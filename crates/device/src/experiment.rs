@@ -15,10 +15,11 @@
 //! very same runtime.
 
 use crate::cpu::CpuModel;
+use crate::fleet::{observe_device_tick, FleetObs, LinkTransport};
 use crate::local::{LocalEngine, LocalOutcome};
 use crate::quality::{QualityAdapter, QualityConfig};
 use crate::runtime::{
-    DeviceRuntime, FrameOutcome, RuntimeConfig, SubmitOutcome, Transport, BACKGROUND_TAG_BASE,
+    trace_header, DeviceRuntime, FrameOutcome, RuntimeConfig, TickOutput, BACKGROUND_TAG_BASE,
 };
 use crate::selection::ModelSelection;
 use crate::selector::{ModelSelector, SelectorConfig};
@@ -27,14 +28,14 @@ use crate::trace::{timeout_fate, FrameFate, FrameRecord, FrameTrace};
 use ff_core::Controller;
 use ff_metrics::{LatencyStats, LatencySummary, QosLog};
 use ff_models::{DeviceKind, GpuProfile, ModelKind};
-use ff_net::{Link, LinkConfig, LinkStats, LossModel, NetworkConditions, SendOutcome};
+use ff_net::{Link, LinkConfig, LinkStats, LossModel, NetworkConditions};
 use ff_server::{
     BatchOutput, OverflowPolicy, PoissonArrivals, Request, ServerStats, ServerTier, TenantId,
     TierConfig, TierSubmit,
 };
 use ff_sim::{Ctx, RngFactory, SimDuration, SimModel, SimTime, Simulation};
-use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
-use ff_trace::{TraceHandle, TraceHeader};
+use ff_telemetry::Telemetry;
+use ff_trace::TraceHandle;
 use ff_workload::{
     FilterConfig, FilterStats, FilterVerdict, FrameSource, FrameStream, ReplayCursor, ReplayFrames,
     SceneScript, SemanticFilter, StepSchedule, StreamConfig,
@@ -284,77 +285,6 @@ enum Event {
     ServerRecover,
 }
 
-/// The sim side of the [`Transport`] seam: frames enter the emulated
-/// uplink, and deliveries become `Uplinked` events on the simulation's
-/// calendar.
-struct SimTransport<'a, 'b> {
-    ctx: &'a mut Ctx<'b, Event>,
-    link: &'a mut Link<ChaCha8Rng>,
-}
-
-impl Transport for SimTransport<'_, '_> {
-    fn send(&mut self, tag: u64, bytes: u64, now: SimTime) -> SubmitOutcome {
-        debug_assert_eq!(now, self.ctx.now(), "sim transport called out of sync");
-        match self.link.send(now, bytes) {
-            SendOutcome::Delivered { at } => {
-                self.ctx.schedule_at(at, Event::Uplinked { tag });
-                SubmitOutcome::Accepted
-            }
-            SendOutcome::Dropped(_) => SubmitOutcome::DroppedInNetwork,
-        }
-    }
-}
-
-/// Experiment-side observability state (see `FleetObs` in `fleet.rs`
-/// for the invariants: strictly write-only, never schedules events).
-///
-/// Lives outside [`ExperimentConfig`] because the config is the
-/// serializable `ffexp` surface; telemetry is a process-local pipeline
-/// handle and is threaded in via [`run_experiment_with_telemetry`].
-struct ExpObs {
-    telemetry: Telemetry,
-    recorder: Recorder,
-    device: Scope,
-    engine: Scope,
-    /// Tier-aggregate scope; stays named "server" at any N so pinned
-    /// scope ids keep working.
-    server: Scope,
-    /// Per-server scopes ("server/{i}"), interned only for N > 1 tiers.
-    servers: Vec<Scope>,
-    last_server: ServerStats,
-    last_servers: Vec<ServerStats>,
-    last_admission: u64,
-    last_offloaded: u64,
-    last_local: u64,
-    last_instant_failures: u64,
-}
-
-impl ExpObs {
-    fn new(telemetry: &Telemetry, n_servers: usize) -> ExpObs {
-        let servers: Vec<Scope> = if n_servers > 1 {
-            (0..n_servers)
-                .map(|i| telemetry.scope(&format!("server/{i}")))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ExpObs {
-            recorder: telemetry.recorder(),
-            device: telemetry.scope("device/0"),
-            engine: telemetry.scope("engine"),
-            server: telemetry.scope("server"),
-            last_server: ServerStats::default(),
-            last_servers: vec![ServerStats::default(); servers.len()],
-            servers,
-            last_admission: 0,
-            last_offloaded: 0,
-            last_local: 0,
-            last_instant_failures: 0,
-            telemetry: telemetry.clone(),
-        }
-    }
-}
-
 struct World {
     config: ExperimentConfig,
     controller: Box<dyn Controller>,
@@ -393,7 +323,9 @@ struct World {
     local_accuracy_sum: f64,
     local_done_total: u64,
     end_at: SimTime,
-    obs: ExpObs,
+    /// Telemetry is process-local, so it is threaded in beside the
+    /// serializable config ([`run_experiment_with_telemetry`]).
+    obs: FleetObs,
 }
 
 impl World {
@@ -404,14 +336,13 @@ impl World {
         captured_at: SimTime,
         bytes: u64,
     ) {
-        let submission = {
-            let mut transport = SimTransport {
-                ctx: &mut *ctx,
-                link: &mut self.link,
-            };
-            self.runtime
-                .offload(&mut transport, tag, bytes, captured_at)
+        let mut transport = LinkTransport {
+            link: &mut self.link,
+            deliver: |_, at, tag| ctx.schedule_at(at, Event::Uplinked { tag }),
         };
+        let submission = self
+            .runtime
+            .offload(&mut transport, tag, bytes, captured_at);
         ctx.schedule_at(submission.deadline_at, Event::Deadline { tag });
     }
 
@@ -437,14 +368,13 @@ impl World {
 
     fn tick(&mut self, ctx: &mut Ctx<'_, Event>) {
         let now = ctx.now();
-        let out = {
-            let mut transport = SimTransport {
-                ctx: &mut *ctx,
-                link: &mut self.link,
-            };
-            self.runtime
-                .tick(now, self.controller.as_mut(), &mut transport)
+        let mut transport = LinkTransport {
+            link: &mut self.link,
+            deliver: |_, at, tag| ctx.schedule_at(at, Event::Uplinked { tag }),
         };
+        let out = self
+            .runtime
+            .tick(now, self.controller.as_mut(), &mut transport);
         if let Some(adapter) = &mut self.quality {
             adapter.update(out.record.timeouts_network);
         }
@@ -466,114 +396,18 @@ impl World {
             ctx.schedule_at(next, Event::Tick);
         }
 
-        self.observe_tick(ctx, &out.record);
+        self.observe_tick(ctx, &out);
     }
 
     /// Report the controller-period observations to telemetry, then
-    /// poll the collector. Purely observational (see `FleetWorld`).
-    fn observe_tick(&mut self, ctx: &Ctx<'_, Event>, record: &ff_metrics::QosRecord) {
+    /// poll the collector. Purely observational (see `FleetObs`).
+    fn observe_tick(&mut self, ctx: &Ctx<'_, Event>, out: &TickOutput) {
         if !self.obs.recorder.is_enabled() {
             return;
         }
-        let t = ctx.now().as_micros();
-        let rec = &mut self.obs.recorder;
-        let fs = self.config.stream.fps;
-
-        let device = self.obs.device;
-        rec.gauge(device, Metric::Po, record.po, t);
-        rec.gauge(device, Metric::Pl, record.pl, t);
-        rec.gauge(device, Metric::TimeoutRate, record.timeouts, t);
-        rec.gauge(device, Metric::TimeoutsNetwork, record.timeouts_network, t);
-        rec.gauge(device, Metric::TimeoutsLoad, record.timeouts_load, t);
-        rec.gauge(device, Metric::PoTarget, record.po_target, t);
-        let err = fs - (record.po + record.pl);
-        rec.gauge(device, Metric::ControllerError, err, t);
-        rec.gauge(device, Metric::InFlight, self.runtime.in_flight() as f64, t);
-        let offloaded = self.runtime.frames_offloaded();
-        rec.counter(
-            device,
-            Metric::FramesOffloaded,
-            offloaded - self.obs.last_offloaded,
-            t,
-        );
-        self.obs.last_offloaded = offloaded;
-        rec.counter(
-            device,
-            Metric::FramesLocal,
-            self.frames_local - self.obs.last_local,
-            t,
-        );
-        self.obs.last_local = self.frames_local;
-        let failures = self.runtime.instant_failures();
-        rec.counter(
-            device,
-            Metric::InstantFailures,
-            failures - self.obs.last_instant_failures,
-            t,
-        );
-        self.obs.last_instant_failures = failures;
-
-        let engine = self.obs.engine;
-        rec.gauge(
-            engine,
-            Metric::EventsHandled,
-            ctx.events_handled() as f64,
-            t,
-        );
-        rec.gauge(
-            engine,
-            Metric::PendingEvents,
-            ctx.pending_events() as f64,
-            t,
-        );
-
-        // Tier aggregate under the legacy "server" scope.
-        let server = self.obs.server;
-        let stats = self.tier.total_stats();
-        let last = self.obs.last_server;
-        let queue_depth: usize = (0..self.tier.len())
-            .map(|i| self.tier.server(i).queue_len())
-            .sum();
-        rec.gauge(server, Metric::ServerQueueDepth, queue_depth as f64, t);
-        let occupancy: usize = (0..self.tier.len())
-            .map(|i| self.tier.server(i).running_batch_size().unwrap_or(0))
-            .sum();
-        rec.gauge(server, Metric::BatchOccupancy, occupancy as f64, t);
-        let d = stats.requests_received - last.requests_received;
-        rec.counter(server, Metric::ServerRequests, d, t);
-        let d = stats.completions - last.completions;
-        rec.counter(server, Metric::ServerCompletions, d, t);
-        let d = stats.rejections - last.rejections;
-        rec.counter(server, Metric::ServerRejections, d, t);
-        let d = stats.batches_executed - last.batches_executed;
-        rec.counter(server, Metric::ServerBatches, d, t);
-        let admission = self.tier.admission_rejections();
-        let d = admission - self.obs.last_admission;
-        rec.counter(server, Metric::AdmissionRejections, d, t);
-        self.obs.last_admission = admission;
-        self.obs.last_server = stats;
-
-        // Per-server scopes, only interned for multi-server tiers.
-        for (i, &scope) in self.obs.servers.iter().enumerate() {
-            let s = self.tier.server(i);
-            let stats = s.stats();
-            let last = self.obs.last_servers[i];
-            rec.gauge(scope, Metric::ServerUp, self.tier.is_up(i) as u64 as f64, t);
-            rec.gauge(scope, Metric::ServerQueueDepth, s.queue_len() as f64, t);
-            let occupancy = s.running_batch_size().unwrap_or(0);
-            rec.gauge(scope, Metric::BatchOccupancy, occupancy as f64, t);
-            let d = stats.requests_received - last.requests_received;
-            rec.counter(scope, Metric::ServerRequests, d, t);
-            let d = stats.completions - last.completions;
-            rec.counter(scope, Metric::ServerCompletions, d, t);
-            let d = stats.rejections - last.rejections;
-            rec.counter(scope, Metric::ServerRejections, d, t);
-            let d = stats.batches_executed - last.batches_executed;
-            rec.counter(scope, Metric::ServerBatches, d, t);
-            self.obs.last_servers[i] = stats;
-        }
-
-        self.obs.telemetry.poll();
+        let (t, fs) = (ctx.now().as_micros(), self.config.stream.fps);
+        observe_device_tick(&mut self.obs.recorder, self.obs.devices[0], t, fs, out);
+        self.obs.observe_shared(ctx, &self.tier);
     }
 
     fn schedule_background(&mut self, ctx: &mut Ctx<'_, Event>) {
@@ -888,19 +722,8 @@ fn run_experiment_inner(
         controller.as_mut(),
     );
     if record_binary_trace {
-        runtime.set_trace(TraceHandle::recording(&TraceHeader {
-            fs,
-            deadline_us: config.deadline.as_micros(),
-            controller_period_us: config.controller_period.as_micros(),
-            timeout_window_us: config.timeout_window.as_micros(),
-            probe_bytes: config.stream.compression.mean_frame_bytes(),
-            seed: config.seed,
-            controller: controller.name().to_string(),
-            selection: config.selection.code(),
-            selection_margin: config.selection.margin(),
-            local_accuracy,
-            remote_accuracy,
-        }));
+        let header = trace_header(runtime.config(), config.seed, controller.name());
+        runtime.set_trace(TraceHandle::recording(&header));
     }
 
     // A replayed schedule ends at its recorded last capture; a generated
@@ -969,7 +792,7 @@ fn run_experiment_inner(
         local_accuracy_sum: 0.0,
         local_done_total: 0,
         end_at,
-        obs: ExpObs::new(telemetry, n_servers),
+        obs: FleetObs::new(telemetry, 1, n_servers),
         controller,
         config,
     };

@@ -14,28 +14,30 @@
 //! ([`TierOutage`]) fold the crash/epoch machinery in at fleet scale
 //! for rolling-restart scenarios.
 //!
-//! Per-device **hot state** lives in structure-of-arrays form
-//! ([`FleetDevices`]): the scalars every event touches (splitter
-//! credit, offload target, interval counters, timeout windows,
-//! in-flight tables) sit in parallel `Vec`s indexed by the device id
-//! already packed into each tag, so the per-tick loop walks contiguous
-//! memory and tag-keyed lookups are a masked index instead of a hash
-//! probe ([`crate::flight`]). The event-handler bodies are shared with
-//! the sharded driver ([`crate::shard`]) through [`FleetCore`]: the
-//! only difference between the single-threaded engine and a shard is
-//! where a delivered uplink goes ([`UplinkSink`]).
+//! The device control loop is [`crate::runtime`]'s, the same one the
+//! experiment, the live clients and the replayer run: this module is a
+//! host adapter. [`FleetCore`] owns each device's frame source, uplink,
+//! local engine and filter, turns simulation events into runtime calls
+//! and schedules what they ask for; the only difference between the
+//! single-threaded engine and a shard ([`crate::shard`]) is where a
+//! delivered uplink goes (see [`FleetCore`]).
 //!
-//! Tag layout: the shared packing in [`crate::tags`] — the probe flag is
-//! the runtime's `PROBE_TAG_BASE` bit, bits 55..40 the device index,
-//! bits 39..0 the per-device sequence number.
+//! Per-device state lives in structure-of-arrays form ([`FleetDevices`]),
+//! indexed by the device id packed into each tag ([`crate::tags`] defines
+//! the layout). The runtime's state is two of those columns — the
+//! cache line every capture touches, and everything only an offload
+//! touches ([`RuntimeColumns`]) — so a device parked at the probe floor
+//! is served from a small array while its flight table stays cold.
 
-use crate::flight::{FlightTable, ProbeTable};
 use crate::local::{LocalEngine, LocalOutcome};
-use crate::offload::{OffloadResolution, TimeoutCause};
-use crate::selection::{deadline_risk, ModelSelection};
-use crate::splitter::{FrameSplitter, Route};
-use ff_core::{Controller, Measurement};
-use ff_metrics::{QosLog, WindowedRate};
+use crate::runtime::{
+    bootstrap, trace_header, DeviceLoop, FrameState, OffloadState, RuntimeConfig, SubmitOutcome,
+    TickOutput, Transport,
+};
+use crate::selection::ModelSelection;
+use crate::splitter::Route;
+use ff_core::Controller;
+use ff_metrics::QosLog;
 use ff_models::{DeviceKind, GpuProfile, ModelKind};
 use ff_net::{Link, LinkConfig, NetworkConditions, SendOutcome};
 use ff_server::{
@@ -46,6 +48,7 @@ use ff_sim::{
     Ctx, EventQueue, QueueBackend, RngFactory, SimDuration, SimModel, SimTime, Simulation,
 };
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
+use ff_trace::TraceHandle;
 use ff_workload::{
     FilterConfig, FilterStats, FilterVerdict, FrameSource, SceneScript, SemanticFilter,
     StepSchedule, StreamConfig,
@@ -60,15 +63,15 @@ use crate::tags::{
 
 /// Engine tuning knobs for a fleet run. These change **how fast** the
 /// simulation executes, never **what** it computes: every combination
-/// produces bit-identical QoS logs and server stats (asserted by tests
-/// and by the `engine_bench` binary).
+/// produces bit-identical QoS logs and server stats (pinned by
+/// `tests/shard_determinism.rs` and this module's own tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
     /// Event-queue backend driving the simulation calendar.
     pub backend: QueueBackend,
     /// Reuse one [`BatchOutput`] across all batch completions instead of
     /// allocating fresh result vectors per batch. Disabling this exists
-    /// only so `engine_bench` can measure the allocating baseline.
+    /// only to measure the allocating baseline.
     pub reuse_batch_buffers: bool,
     /// Number of device shards to simulate in parallel (each on its own
     /// thread with a private event queue). `1` (or `0`) runs the
@@ -236,6 +239,19 @@ impl FleetConfig {
             .unwrap_or_else(|| TierConfig::single(self.gpu, self.policy))
     }
 
+    /// The tier request a delivered uplink becomes on arrival at `now`:
+    /// billed to the sending device, for the model the tier runs for it
+    /// (`remote_model`, else the device's own).
+    pub(crate) fn request_for(&self, tag: u64, now: SimTime) -> Request {
+        let dev = tag_device(tag);
+        Request {
+            tenant: TenantId(dev as u32),
+            model: self.remote_model.unwrap_or(self.devices[dev].model),
+            submitted_at: now,
+            tag,
+        }
+    }
+
     /// The instant the run ends: stream duration plus one deadline of
     /// drain time.
     pub(crate) fn end_at(&self) -> SimTime {
@@ -298,30 +314,50 @@ pub struct FleetResult {
     pub events_handled: u64,
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct IntervalCounters {
-    pub(crate) sent: u64,
-    pub(crate) local_done: u64,
-    pub(crate) offload_success: u64,
-    pub(crate) timeouts: u64,
-    pub(crate) timeouts_network: u64,
-    pub(crate) timeouts_load: u64,
+/// The device runtime's state for every device of a [`FleetDevices`],
+/// in columns: what [`crate::runtime::DeviceRuntime`] owns per device,
+/// laid out so that each event pulls in only the part it needs.
+pub(crate) struct RuntimeColumns {
+    /// The loop's parameters, shared: devices differ only in the Table
+    /// III accuracies of their model, so there is one configuration per
+    /// model (indexed by `ModelKind as usize`), not one per row.
+    configs: [RuntimeConfig; ModelKind::ALL.len()],
+    model: Vec<ModelKind>,
+    frame: Vec<FrameState>,
+    offload: Vec<OffloadState>,
+    qos: Vec<QosLog>,
+    /// The one row (by local index) recording an `ff-trace`, if any; a
+    /// row carries no handle of its own.
+    recording: Option<(usize, TraceHandle)>,
+    /// What every other row lends as its trace handle.
+    untraced: TraceHandle,
 }
 
-/// Per-device state that is only touched once per controller period (or
-/// at teardown): boxed controllers, QoS logs, reporting metadata. Kept
-/// as an array-of-structs beside the hot SoA columns so per-frame
-/// handlers never pull these cache lines in.
-pub(crate) struct DeviceCold {
-    pub(crate) controller: Box<dyn Controller>,
-    pub(crate) qos: QosLog,
-    pub(crate) model: ModelKind,
-    pub(crate) device_kind: DeviceKind,
-    pub(crate) local_accuracy: f64,
-    pub(crate) remote_accuracy: f64,
+impl RuntimeColumns {
+    /// Row `i` as the runtime sees it.
+    #[inline]
+    pub(crate) fn lend(&mut self, i: usize) -> DeviceLoop<'_> {
+        DeviceLoop {
+            config: &self.configs[self.model[i] as usize],
+            frame: &mut self.frame[i],
+            offload: &mut self.offload[i],
+            qos: &mut self.qos[i],
+            trace: match &mut self.recording {
+                Some((row, handle)) if *row == i => handle,
+                _ => &mut self.untraced,
+            },
+        }
+    }
+
+    /// Close the recording row's trace at `now`, if this range of the
+    /// fleet has one.
+    pub(crate) fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
+        let row = self.recording.as_ref()?.0;
+        self.lend(row).finish_trace(now)
+    }
 }
 
-/// Structure-of-arrays per-device hot state. Every column is indexed by
+/// Structure-of-arrays per-device state. Every column is indexed by
 /// the **local** device index (`global - base`); the single-threaded
 /// engine has `base == 0`, a shard owns the contiguous global range
 /// `[base, base + len)`. Each per-frame handler touches only the
@@ -330,31 +366,15 @@ pub(crate) struct DeviceCold {
 pub(crate) struct FleetDevices {
     /// Global index of local device 0.
     pub(crate) base: usize,
-    pub(crate) cold: Vec<DeviceCold>,
+    pub(crate) controller: Vec<Box<dyn Controller>>,
     pub(crate) source: Vec<FrameSource<ChaCha8Rng>>,
     pub(crate) engine: Vec<LocalEngine<ChaCha8Rng>>,
     pub(crate) link: Vec<Link<ChaCha8Rng>>,
     /// One filter per device, or empty when `FleetConfig::filter` is
     /// `None`.
     pub(crate) filter: Vec<SemanticFilter>,
-    /// Model the tier runs for this device's offloads (== its `model`
-    /// unless `FleetConfig::remote_model` overrides it).
-    pub(crate) offload_model: Vec<ModelKind>,
-    pub(crate) splitter: Vec<FrameSplitter>,
-    pub(crate) tracker: Vec<FlightTable>,
-    pub(crate) probes: Vec<ProbeTable>,
-    pub(crate) probe_seq: Vec<u64>,
-    pub(crate) heartbeat: Vec<bool>,
-    pub(crate) po_target: Vec<f64>,
-    /// `po_target / fs`, cached whenever `po_target` is written: the
-    /// splitter credit increment. Same operands as the division the
-    /// splitter would do per frame, so routing stays bit-identical
-    /// while captures skip the `fdiv`.
-    pub(crate) route_incr: Vec<f64>,
-    pub(crate) interval: Vec<IntervalCounters>,
-    pub(crate) timeout_rate: Vec<WindowedRate>,
-    pub(crate) frames_offloaded: Vec<u64>,
     pub(crate) frames_local: Vec<u64>,
+    pub(crate) runtime: RuntimeColumns,
 }
 
 // One source per device: a field added to `FrameSource` costs a
@@ -363,7 +383,9 @@ pub(crate) struct FleetDevices {
 const _: () = assert!(std::mem::size_of::<FrameSource<ChaCha8Rng>>() <= 192);
 
 impl FleetDevices {
-    /// Build the state for global devices `[base, base + controllers.len())`.
+    /// Build the state for global devices `[base, base + controllers.len())`,
+    /// with global device `traced` (if it falls in that range) recording
+    /// an `ff-trace`.
     ///
     /// Every RNG stream is derived from the **global** device index, so
     /// the same device gets bit-identical randomness regardless of how
@@ -372,54 +394,54 @@ impl FleetDevices {
         config: &FleetConfig,
         controllers: Vec<Box<dyn Controller>>,
         base: usize,
+        traced: Option<usize>,
     ) -> FleetDevices {
         let rng = RngFactory::new(config.seed);
-        let fs = config.stream.fps;
         let n = controllers.len();
-        // Frames a device captures within one deadline: the most it can
-        // have in flight.
-        let window_frames = (config.deadline.as_secs_f64() * fs).ceil() as usize;
         // One QoS record per controller tick, the last at or before the
         // end of the run.
         let ticks = (config.end_at().as_micros() / config.controller_period.as_micros()) as usize;
+        let mut configs = [RuntimeConfig {
+            fs: config.stream.fps,
+            deadline: config.deadline,
+            controller_period: config.controller_period,
+            timeout_window: config.timeout_window,
+            probe_bytes: config.stream.compression.mean_frame_bytes(),
+            selection: config.selection,
+            local_accuracy: 0.0,
+            remote_accuracy: 0.0,
+        }; ModelKind::ALL.len()];
+        for model in ModelKind::ALL {
+            let rc = &mut configs[model as usize];
+            rc.local_accuracy = model.profile().top1_accuracy;
+            let remote = config.remote_model.unwrap_or(model);
+            rc.remote_accuracy = remote.profile().top1_accuracy;
+        }
         let mut devs = FleetDevices {
             base,
-            cold: Vec::with_capacity(n),
+            controller: controllers,
             source: Vec::with_capacity(n),
             engine: Vec::with_capacity(n),
             link: Vec::with_capacity(n),
             filter: Vec::with_capacity(if config.filter.is_some() { n } else { 0 }),
-            offload_model: Vec::with_capacity(n),
-            splitter: Vec::with_capacity(n),
-            tracker: Vec::with_capacity(n),
-            probes: Vec::with_capacity(n),
-            probe_seq: vec![0; n],
-            heartbeat: vec![false; n],
-            po_target: Vec::with_capacity(n),
-            route_incr: Vec::with_capacity(n),
-            interval: vec![IntervalCounters::default(); n],
-            timeout_rate: Vec::with_capacity(n),
-            frames_offloaded: vec![0; n],
             frames_local: vec![0; n],
+            runtime: RuntimeColumns {
+                configs,
+                model: Vec::with_capacity(n),
+                frame: Vec::with_capacity(n),
+                offload: Vec::with_capacity(n),
+                qos: Vec::with_capacity(n),
+                recording: None,
+                untraced: TraceHandle::disabled(),
+            },
         };
-        for (local, mut controller) in controllers.into_iter().enumerate() {
+        for (local, controller) in devs.controller.iter_mut().enumerate() {
             let g = base + local;
             let dc = &config.devices[g];
             let initial_conditions = match &config.per_device_network {
                 Some(schedules) => *schedules[g].value_at(0.0),
                 None => *config.network.value_at(0.0),
             };
-            let po_target = controller
-                .update(&Measurement {
-                    fs,
-                    po_achieved: 0.0,
-                    pl_achieved: 0.0,
-                    timeout_rate: 0.0,
-                    heartbeat_ok: false,
-                    dt_secs: config.controller_period.as_secs_f64(),
-                })
-                .po_target;
-            let offload_model = config.remote_model.unwrap_or(dc.model);
             let source = match &config.scene {
                 // The scene draws from its own indexed stream, so the
                 // frame/local/link streams are untouched by enabling it.
@@ -433,14 +455,6 @@ impl FleetDevices {
                     FrameSource::new(config.stream, rng.indexed_stream("fleet-frames", g as u64))
                 }
             };
-            devs.cold.push(DeviceCold {
-                controller,
-                qos: QosLog::with_capacity(ticks),
-                model: dc.model,
-                device_kind: dc.device,
-                local_accuracy: dc.model.profile().top1_accuracy,
-                remote_accuracy: offload_model.profile().top1_accuracy,
-            });
             devs.source.push(source);
             devs.engine.push(LocalEngine::new(
                 dc.device,
@@ -453,59 +467,55 @@ impl FleetDevices {
                 rng.indexed_stream("fleet-link", g as u64),
             ));
             devs.filter.extend(config.filter.map(SemanticFilter::new));
-            devs.offload_model.push(offload_model);
-            devs.splitter.push(FrameSplitter::new());
-            devs.tracker
-                .push(FlightTable::new(config.deadline, window_frames));
-            devs.probes.push(ProbeTable::default());
-            devs.po_target.push(po_target);
-            devs.route_incr.push(route_increment(po_target, fs));
-            devs.timeout_rate
-                .push(WindowedRate::new(config.timeout_window));
+
+            let rc = &devs.runtime.configs[dc.model as usize];
+            let (frame, offload) = bootstrap(rc, controller.as_mut(), make_tag(g, 0, true));
+            if traced == Some(g) {
+                let header = trace_header(rc, config.seed, controller.name());
+                devs.runtime.recording = Some((local, TraceHandle::recording(&header)));
+            }
+            devs.runtime.model.push(dc.model);
+            devs.runtime.frame.push(frame);
+            devs.runtime.offload.push(offload);
+            devs.runtime.qos.push(QosLog::with_capacity(ticks));
         }
         devs
     }
 
     /// Consume the state into per-device results (local order, which is
     /// global order for `base == 0`).
-    pub(crate) fn into_results(self) -> Vec<FleetDeviceResult> {
+    pub(crate) fn into_results(self, config: &FleetConfig) -> Vec<FleetDeviceResult> {
         // Yields `None` for every device of a fleet without a filter.
         let mut filters = self.filter.into_iter();
-        self.cold
-            .into_iter()
-            .zip(self.tracker)
-            .zip(self.frames_offloaded)
-            .zip(self.frames_local)
+        let RuntimeColumns {
+            frame,
+            offload,
+            qos,
+            ..
+        } = self.runtime;
+        let devices = &config.devices[self.base..];
+        self.controller
+            .iter()
+            .zip(devices)
+            .zip(frame.iter().zip(&offload))
+            .zip(qos.into_iter().zip(self.frames_local))
             .map(
-                |(((cold, tracker), frames_offloaded), frames_local)| FleetDeviceResult {
-                    controller: cold.controller.name(),
-                    device: cold.device_kind.name(),
-                    model: cold.model.name(),
-                    mean_throughput: cold.qos.mean_throughput(),
-                    mean_accuracy_weighted_throughput: cold.qos.mean_accuracy_weighted(),
+                |(((controller, dc), (frame, offload)), (qos, frames_local))| FleetDeviceResult {
+                    controller: controller.name(),
+                    device: dc.device.name(),
+                    model: dc.model.name(),
+                    mean_throughput: qos.mean_throughput(),
+                    mean_accuracy_weighted_throughput: qos.mean_accuracy_weighted(),
                     filter_stats: filters.next().map(|f| f.stats()),
-                    frames_offloaded,
+                    frames_offloaded: frame.frames_offloaded(),
                     frames_local,
-                    offload_successes: tracker.successes(),
-                    offload_timeouts: tracker.timeouts(),
-                    qos: cold.qos,
+                    offload_successes: offload.successes(),
+                    offload_timeouts: offload.timeouts(),
+                    qos,
                 },
             )
             .collect()
     }
-}
-
-/// The splitter credit increment for a new `po_target`: the same
-/// division (same operands, same result bits) the splitter's checked
-/// `route` would perform per frame, with its validation hoisted to the
-/// once-per-controller-period write.
-fn route_increment(po_target: f64, fs: f64) -> f64 {
-    assert!(fs > 0.0, "F_s must be positive");
-    assert!(
-        (0.0..=fs + 1e-9).contains(&po_target),
-        "P_o target {po_target} outside [0, F_s={fs}]"
-    );
-    po_target / fs
 }
 
 pub(crate) enum FleetEvent {
@@ -540,44 +550,38 @@ pub(crate) enum FleetEvent {
     },
 }
 
-/// Where a delivered uplink goes. The single-threaded engine schedules
-/// an [`FleetEvent::Uplinked`] on its own calendar; a shard appends a
-/// timestamped submission to its outbox for the tier shard to merge.
-/// This is the only seam between the two execution modes — everything
-/// else in the device handlers is shared code.
-pub(crate) trait UplinkSink {
-    fn delivered(&mut self, ctx: &mut Ctx<'_, FleetEvent>, sent_at: SimTime, at: SimTime, tag: u64);
+/// The simulated side of the runtime's [`Transport`] seam, for both the
+/// fleet and the experiment: frames and probes enter the device's
+/// emulated uplink, and `deliver(sent_at, at, tag)` says where a delivery
+/// goes — an `Uplinked` event on the host's calendar, or a shard's outbox.
+pub(crate) struct LinkTransport<'a, F> {
+    pub(crate) link: &'a mut Link<ChaCha8Rng>,
+    pub(crate) deliver: F,
 }
 
-/// The single-threaded engine's sink: an in-calendar `Uplinked` event.
-pub(crate) struct ScheduleUplink;
-
-impl UplinkSink for ScheduleUplink {
-    #[inline]
-    fn delivered(
-        &mut self,
-        ctx: &mut Ctx<'_, FleetEvent>,
-        _sent_at: SimTime,
-        at: SimTime,
-        tag: u64,
-    ) {
-        ctx.schedule_at(at, FleetEvent::Uplinked { tag });
+impl<F: FnMut(SimTime, SimTime, u64)> Transport for LinkTransport<'_, F> {
+    fn send(&mut self, tag: u64, bytes: u64, now: SimTime) -> SubmitOutcome {
+        match self.link.send(now, bytes) {
+            SendOutcome::Delivered { at } => {
+                (self.deliver)(now, at, tag);
+                SubmitOutcome::Accepted
+            }
+            SendOutcome::Dropped(_) => SubmitOutcome::DroppedInNetwork,
+        }
     }
-}
-
-/// One controller period's observations, handed back to the host world
-/// for telemetry (the core itself never records).
-pub(crate) struct TickReport {
-    pub(crate) po: f64,
-    pub(crate) pl: f64,
-    pub(crate) t_windowed: f64,
-    pub(crate) interval: IntervalCounters,
 }
 
 /// The device-side simulation core shared by [`FleetWorld`] (single
 /// thread, `base == 0`, all devices) and [`crate::shard`]'s per-shard
 /// worlds (a contiguous device range each). Handlers take **global**
 /// device indices / tags and translate through `devs.base`.
+///
+/// The handlers that send take `uplinked(ctx, sent_at, at, tag)`: where a
+/// delivered uplink goes. The single-threaded engine schedules an
+/// [`FleetEvent::Uplinked`] on its own calendar; a shard appends a
+/// timestamped submission to its outbox for the tier shard to merge.
+/// This is the only seam between the two execution modes — everything
+/// else in the device handlers is shared code.
 pub(crate) struct FleetCore {
     /// Shared, not cloned, by the shards of one run.
     pub(crate) config: Arc<FleetConfig>,
@@ -586,30 +590,28 @@ pub(crate) struct FleetCore {
 }
 
 impl FleetCore {
-    pub(crate) fn capture<S: UplinkSink>(
+    /// The runtime row of the device `tag` belongs to: where the hosts
+    /// deliver a response, a deadline or a batch rejection.
+    #[inline]
+    pub(crate) fn row_of(&mut self, tag: u64) -> DeviceLoop<'_> {
+        self.devs.runtime.lend(tag_device(tag) - self.devs.base)
+    }
+
+    pub(crate) fn capture(
         &mut self,
         ctx: &mut Ctx<'_, FleetEvent>,
-        sink: &mut S,
+        mut uplinked: impl FnMut(&mut Ctx<'_, FleetEvent>, SimTime, SimTime, u64),
         g: usize,
     ) {
         let now = ctx.now();
-        let deadline = self.config.deadline;
-        let selection = self.config.selection;
         let FleetDevices {
             base,
-            cold,
             source,
             engine,
             link,
             filter,
-            splitter,
-            tracker,
-            interval,
-            timeout_rate,
-            po_target,
-            route_incr,
-            frames_offloaded,
             frames_local,
+            runtime,
             ..
         } = &mut self.devs;
         let i = g - *base;
@@ -633,29 +635,16 @@ impl FleetCore {
                 }
             }
         }
-        let mut route = splitter[i].advance(route_incr[i]);
-        if route == Route::Offload && selection != ModelSelection::AlwaysPaper {
-            // Accuracy-aware demotion: keep the frame local when
-            // the deadline risk eats the remote model's accuracy
-            // edge. Guarded so `AlwaysPaper` never touches the
-            // timeout-rate window outside ticks (bit-inert).
-            let d = &cold[i];
-            let risk = deadline_risk(timeout_rate[i].rate_at(now), po_target[i]);
-            if selection.prefers_local(d.local_accuracy, d.remote_accuracy, risk) {
-                route = Route::Local;
-            }
-        }
-        match route {
+        let mut rt = runtime.lend(i);
+        match rt.route_frame(frame.id.0, frame_bytes, now) {
             Route::Offload => {
                 let tag = make_tag(g, frame.id.0, false);
-                tracker[i].sent(tag, now);
-                interval[i].sent += 1;
-                frames_offloaded[i] += 1;
-                match link[i].send(now, frame_bytes) {
-                    SendOutcome::Delivered { at } => sink.delivered(ctx, now, at, tag),
-                    SendOutcome::Dropped(_) => tracker[i].network_dropped(tag),
-                }
-                ctx.schedule_at(now + deadline, FleetEvent::Deadline { tag });
+                let mut transport = LinkTransport {
+                    link: &mut link[i],
+                    deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
+                };
+                let submission = rt.offload(&mut transport, tag, frame_bytes, now);
+                ctx.schedule_at(submission.deadline_at, FleetEvent::Deadline { tag });
             }
             Route::Local => {
                 if let LocalOutcome::Started { done_at } = engine[i].offer(now) {
@@ -672,149 +661,47 @@ impl FleetCore {
 
     pub(crate) fn local_done(&mut self, ctx: &mut Ctx<'_, FleetEvent>, g: usize) {
         let i = g - self.devs.base;
-        self.devs.interval[i].local_done += 1;
+        self.devs.runtime.lend(i).note_local_done(1, ctx.now());
         if let Some(next_done) = self.devs.engine[i].complete(ctx.now()) {
             ctx.schedule_at(next_done, FleetEvent::LocalDone(g));
         }
     }
 
-    pub(crate) fn tick<S: UplinkSink>(
+    pub(crate) fn tick(
         &mut self,
         ctx: &mut Ctx<'_, FleetEvent>,
-        sink: &mut S,
+        mut uplinked: impl FnMut(&mut Ctx<'_, FleetEvent>, SimTime, SimTime, u64),
         g: usize,
-    ) -> TickReport {
+    ) -> TickOutput {
         let now = ctx.now();
-        let dt = self.config.controller_period.as_secs_f64();
-        let fs = self.config.stream.fps;
-        let bytes = self.config.stream.compression.mean_frame_bytes();
-        let deadline = self.config.deadline;
-        let FleetDevices {
-            base,
-            cold,
-            link,
-            probes,
-            probe_seq,
-            heartbeat,
-            po_target,
-            route_incr,
-            interval,
-            timeout_rate,
-            ..
-        } = &mut self.devs;
-        let i = g - *base;
-
-        let d = &mut cold[i];
-        let po = interval[i].sent as f64 / dt;
-        let pl = interval[i].local_done as f64 / dt;
-        let t_windowed = timeout_rate[i].rate_at(now);
-
-        let decision = d.controller.update(&Measurement {
-            fs,
-            po_achieved: po,
-            pl_achieved: pl,
-            timeout_rate: t_windowed,
-            heartbeat_ok: heartbeat[i],
-            dt_secs: dt,
-        });
-        po_target[i] = decision.po_target;
-        route_incr[i] = route_increment(decision.po_target, fs);
-        let accuracy_weighted = (d.local_accuracy * interval[i].local_done as f64
-            + d.remote_accuracy * interval[i].offload_success as f64)
-            / dt;
-        d.qos.push_at(
-            now,
-            pl,
-            po,
-            interval[i].timeouts_network as f64 / dt,
-            interval[i].timeouts_load as f64 / dt,
-            po_target[i],
-            accuracy_weighted,
+        let i = g - self.devs.base;
+        // The heartbeat probe leaves through this device's own link.
+        let mut transport = LinkTransport {
+            link: &mut self.devs.link[i],
+            deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
+        };
+        let controller = self.devs.controller[i].as_mut();
+        let mut rt = self.devs.runtime.lend(i);
+        let out = rt.tick(now, controller, &mut transport);
+        ctx.schedule_at(
+            out.probe_deadline_at,
+            FleetEvent::Deadline { tag: out.probe_tag },
         );
-        let report = interval[i];
-        interval[i] = IntervalCounters::default();
-
-        // Heartbeat probe through this device's own link.
-        heartbeat[i] = false;
-        let ptag = make_tag(g, probe_seq[i], true);
-        probe_seq[i] += 1;
-        probes[i].insert(ptag, now);
-        match link[i].send(now, bytes) {
-            SendOutcome::Delivered { at } => sink.delivered(ctx, now, at, ptag),
-            SendOutcome::Dropped(_) => {}
-        }
-        ctx.schedule_at(now + deadline, FleetEvent::Deadline { tag: ptag });
-
         let next = now + self.config.controller_period;
         if next <= self.end_at {
             ctx.schedule_at(next, FleetEvent::Tick(g));
         }
-
-        TickReport {
-            po,
-            pl,
-            t_windowed,
-            interval: report,
-        }
-    }
-
-    pub(crate) fn deadline(&mut self, now: SimTime, tag: u64) {
-        let i = tag_device(tag) - self.devs.base;
-        if tag_is_probe(tag) {
-            self.devs.probes[i].remove(tag);
-            return;
-        }
-        if let Some(OffloadResolution::Timeout { cause }) =
-            self.devs.tracker[i].deadline_expired(tag, now)
-        {
-            note_timeout(
-                &mut self.devs.timeout_rate[i],
-                &mut self.devs.interval[i],
-                now,
-                cause,
-            );
-        }
+        out
     }
 
     /// The request reached the tier at `at` (and, when
     /// `admission_rejected`, was turned away at the door). Never called
     /// for probes — a probe's only feedback is its response.
     pub(crate) fn apply_arrival(&mut self, tag: u64, at: SimTime, admission_rejected: bool) {
-        let i = tag_device(tag) - self.devs.base;
-        let tracker = &mut self.devs.tracker[i];
-        tracker.arrived_at_server(tag, at);
+        let mut rt = self.row_of(tag);
+        rt.frame_arrived_at_server(tag, at);
         if admission_rejected {
-            tracker.rejected_by_server(tag);
-        }
-    }
-
-    /// The server's batch-formation overflow rejected the request.
-    pub(crate) fn apply_batch_rejection(&mut self, tag: u64) {
-        let i = tag_device(tag) - self.devs.base;
-        self.devs.tracker[i].rejected_by_server(tag);
-    }
-
-    /// A response (probe or frame) reached the device at `now`.
-    pub(crate) fn apply_response(&mut self, tag: u64, now: SimTime) {
-        let i = tag_device(tag) - self.devs.base;
-        let deadline = self.config.deadline;
-        if tag_is_probe(tag) {
-            if let Some(sent_at) = self.devs.probes[i].remove(tag) {
-                if now.saturating_since(sent_at) <= deadline {
-                    self.devs.heartbeat[i] = true;
-                }
-            }
-            return;
-        }
-        match self.devs.tracker[i].response_arrived(tag, now) {
-            Some(OffloadResolution::Success { .. }) => self.devs.interval[i].offload_success += 1,
-            Some(OffloadResolution::Timeout { cause }) => note_timeout(
-                &mut self.devs.timeout_rate[i],
-                &mut self.devs.interval[i],
-                now,
-                cause,
-            ),
-            None => {}
+            rt.frame_rejected_by_server(tag, at);
         }
     }
 
@@ -839,52 +726,32 @@ impl FleetCore {
     }
 }
 
-fn note_timeout(
-    timeout_rate: &mut WindowedRate,
-    interval: &mut IntervalCounters,
-    now: SimTime,
-    cause: TimeoutCause,
-) {
-    timeout_rate.record(now);
-    interval.timeouts += 1;
-    match cause {
-        TimeoutCause::Network => interval.timeouts_network += 1,
-        TimeoutCause::ServerLoad => interval.timeouts_load += 1,
-    }
-}
-
-/// Emit one device's controller-period metrics. Shared by the
-/// single-threaded engine and the shard worlds so "device/{i}" scopes
-/// carry the same gauges either way.
-#[allow(clippy::too_many_arguments)]
+/// Emit one device's controller-period metrics. Shared by the experiment,
+/// the single-threaded fleet and the shard worlds, so a "device/{i}" scope
+/// carries the same gauges and counters in every engine.
 pub(crate) fn observe_device_tick(
     rec: &mut Recorder,
     scope: Scope,
     t: u64,
     fs: f64,
-    rep: &TickReport,
-    po_target: f64,
-    in_flight: usize,
-    probes: usize,
-    heartbeat_ok: bool,
+    out: &TickOutput,
 ) {
-    rec.gauge(scope, Metric::Po, rep.po, t);
-    rec.gauge(scope, Metric::Pl, rep.pl, t);
-    rec.gauge(scope, Metric::TimeoutRate, rep.t_windowed, t);
-    rec.gauge(scope, Metric::PoTarget, po_target, t);
-    rec.gauge(scope, Metric::ControllerError, fs - (rep.po + rep.pl), t);
-    rec.gauge(scope, Metric::InFlight, in_flight as f64, t);
-    rec.gauge(scope, Metric::ProbesInFlight, probes as f64, t);
-    rec.counter(scope, Metric::FramesOffloaded, rep.interval.sent, t);
-    rec.counter(scope, Metric::FramesLocal, rep.interval.local_done, t);
-    rec.counter(
-        scope,
-        Metric::TimeoutsNetwork,
-        rep.interval.timeouts_network,
-        t,
-    );
-    rec.counter(scope, Metric::TimeoutsLoad, rep.interval.timeouts_load, t);
-    rec.counter(scope, Metric::HeartbeatOk, heartbeat_ok as u64, t);
+    let record = &out.record;
+    rec.gauge(scope, Metric::Po, record.po, t);
+    rec.gauge(scope, Metric::Pl, record.pl, t);
+    rec.gauge(scope, Metric::TimeoutRate, out.timeout_rate, t);
+    rec.gauge(scope, Metric::PoTarget, record.po_target, t);
+    let error = fs - (record.po + record.pl);
+    rec.gauge(scope, Metric::ControllerError, error, t);
+    rec.gauge(scope, Metric::InFlight, out.in_flight as f64, t);
+    let probes = out.probes_in_flight as f64;
+    rec.gauge(scope, Metric::ProbesInFlight, probes, t);
+    let interval = &out.interval;
+    rec.counter(scope, Metric::FramesOffloaded, interval.sent, t);
+    rec.counter(scope, Metric::FramesLocal, interval.local_done, t);
+    rec.counter(scope, Metric::TimeoutsNetwork, interval.timeouts_network, t);
+    rec.counter(scope, Metric::TimeoutsLoad, interval.timeouts_load, t);
+    rec.counter(scope, Metric::HeartbeatOk, out.heartbeat_ok as u64, t);
 }
 
 /// The "device/{g}" telemetry scopes of global devices `range`, or none
@@ -979,23 +846,25 @@ impl TierObs {
     }
 }
 
-/// Fleet-side observability state: one recorder for the (single)
-/// simulation thread, plus the interned scopes it reports under.
+/// Host-side observability state of a single-threaded simulated engine
+/// (the fleet, or the experiment as a fleet of one): one recorder for
+/// the simulation thread, plus the interned scopes it reports under.
 ///
 /// Strictly write-only with respect to the simulation: nothing here
 /// schedules events, advances RNG streams, or feeds back into routing
 /// decisions, which is what keeps telemetry-on runs bit-identical to
 /// telemetry-off runs.
-struct FleetObs {
-    telemetry: Telemetry,
-    recorder: Recorder,
+pub(crate) struct FleetObs {
+    pub(crate) telemetry: Telemetry,
+    pub(crate) recorder: Recorder,
     engine: Scope,
-    devices: Vec<Scope>,
+    /// "device/{i}" scopes (empty while telemetry is disabled).
+    pub(crate) devices: Vec<Scope>,
     tier_obs: TierObs,
 }
 
 impl FleetObs {
-    fn new(telemetry: &Telemetry, n_devices: usize, n_servers: usize) -> FleetObs {
+    pub(crate) fn new(telemetry: &Telemetry, n_devices: usize, n_servers: usize) -> FleetObs {
         FleetObs {
             recorder: telemetry.recorder(),
             engine: telemetry.scope("engine"),
@@ -1004,6 +873,25 @@ impl FleetObs {
             telemetry: telemetry.clone(),
         }
     }
+
+    /// Report the state all devices share — the engine's calendar and
+    /// the tier — then poll the collector. Once per controller period.
+    pub(crate) fn observe_shared<E>(&mut self, ctx: &Ctx<'_, E>, tier: &ServerTier) {
+        let t = ctx.now().as_micros();
+        let rec = &mut self.recorder;
+        let events = ctx.events_handled() as f64;
+        rec.gauge(self.engine, Metric::EventsHandled, events, t);
+        let pending = ctx.pending_events() as f64;
+        rec.gauge(self.engine, Metric::PendingEvents, pending, t);
+        self.tier_obs.report(rec, tier, t);
+        self.telemetry.poll();
+    }
+}
+
+/// The single-threaded engine's uplink seam: an in-calendar `Uplinked`
+/// event.
+fn schedule_uplink(ctx: &mut Ctx<'_, FleetEvent>, _sent_at: SimTime, at: SimTime, tag: u64) {
+    ctx.schedule_at(at, FleetEvent::Uplinked { tag });
 }
 
 struct FleetWorld {
@@ -1039,46 +927,22 @@ impl FleetWorld {
     /// device 0, the shared engine and server state), then poll the
     /// collector. Purely observational: emits into the recorder's ring
     /// and never schedules events, so it cannot perturb the run.
-    fn observe_tick(&mut self, ctx: &Ctx<'_, FleetEvent>, dev: usize, rep: &TickReport) {
+    fn observe_tick(&mut self, ctx: &Ctx<'_, FleetEvent>, dev: usize, out: &TickOutput) {
         if !self.obs.recorder.is_enabled() {
             return;
         }
         let t = ctx.now().as_micros();
         let rec = &mut self.obs.recorder;
-        let devs = &self.core.devs;
-        observe_device_tick(
-            rec,
-            self.obs.devices[dev],
-            t,
-            self.core.config.stream.fps,
-            rep,
-            devs.po_target[dev],
-            devs.tracker[dev].in_flight(),
-            devs.probes[dev].len(),
-            devs.heartbeat[dev],
-        );
+        let fs = self.core.config.stream.fps;
+        observe_device_tick(rec, self.obs.devices[dev], t, fs, out);
 
         // Shared state is reported once per controller period, by the
         // first device to tick in it.
         if dev == 0 {
-            let engine = self.obs.engine;
-            rec.gauge(
-                engine,
-                Metric::EventsHandled,
-                ctx.events_handled() as f64,
-                t,
-            );
-            rec.gauge(
-                engine,
-                Metric::PendingEvents,
-                ctx.pending_events() as f64,
-                t,
-            );
             let wheel = self.core.config.engine.backend == QueueBackend::Wheel;
+            let engine = self.obs.engine;
             rec.gauge(engine, Metric::QueueBackendWheel, wheel as u64 as f64, t);
-
-            self.obs.tier_obs.report(rec, &self.tier, t);
-            self.obs.telemetry.poll();
+            self.obs.observe_shared(ctx, &self.tier);
         }
     }
 }
@@ -1088,23 +952,15 @@ impl SimModel for FleetWorld {
 
     fn handle(&mut self, ctx: &mut Ctx<'_, FleetEvent>, event: FleetEvent) {
         match event {
-            FleetEvent::Capture(dev) => self.core.capture(ctx, &mut ScheduleUplink, dev),
+            FleetEvent::Capture(dev) => self.core.capture(ctx, schedule_uplink, dev),
 
             FleetEvent::LocalDone(dev) => self.core.local_done(ctx, dev),
 
             FleetEvent::Uplinked { tag } => {
                 let now = ctx.now();
-                let dev = tag_device(tag);
-                let model = self.core.devs.offload_model[dev];
-                let probe = tag_is_probe(tag);
-                let request = Request {
-                    tenant: TenantId(dev as u32),
-                    model,
-                    submitted_at: now,
-                    tag,
-                };
+                let request = self.core.config.request_for(tag, now);
                 let outcome = self.submit_to_server(ctx, request);
-                if probe {
+                if tag_is_probe(tag) {
                     // Probes to a lost/rejecting tier simply never come
                     // back: the heartbeat stays down.
                     return;
@@ -1145,8 +1001,9 @@ impl SimModel for FleetWorld {
                     );
                 }
                 for r in &self.batch_out.rejections {
-                    if !tag_is_probe(r.request.tag) {
-                        self.core.apply_batch_rejection(r.request.tag);
+                    let tag = r.request.tag;
+                    if !tag_is_probe(tag) {
+                        self.core.row_of(tag).frame_rejected_by_server(tag, now);
                     }
                 }
                 if let Some(done_at) = self.batch_out.next_done {
@@ -1154,13 +1011,17 @@ impl SimModel for FleetWorld {
                 }
             }
 
-            FleetEvent::Response { tag } => self.core.apply_response(tag, ctx.now()),
+            FleetEvent::Response { tag } => {
+                self.core.row_of(tag).on_response(tag, ctx.now(), true);
+            }
 
-            FleetEvent::Deadline { tag } => self.core.deadline(ctx.now(), tag),
+            FleetEvent::Deadline { tag } => {
+                self.core.row_of(tag).on_deadline(tag, ctx.now());
+            }
 
             FleetEvent::Tick(dev) => {
-                let rep = self.core.tick(ctx, &mut ScheduleUplink, dev);
-                self.observe_tick(ctx, dev, &rep);
+                let out = self.core.tick(ctx, schedule_uplink, dev);
+                self.observe_tick(ctx, dev, &out);
             }
 
             FleetEvent::ServerCrash(server) => self.tier.crash(server),
@@ -1247,10 +1108,21 @@ pub(crate) fn finish_fleet(
 /// ([`run_fleet_sharded`](crate::shard::run_fleet_sharded)); results
 /// are bit-identical at any shard count.
 pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> FleetResult {
+    run_fleet_recording(config, controllers, None).0
+}
+
+/// [`run_fleet`] with global device `traced`, if any, recording its
+/// runtime calls as an `ff-trace` (returned beside the result). Recording
+/// is write-only, so the result is that of the unrecorded run.
+pub(crate) fn run_fleet_recording(
+    config: FleetConfig,
+    controllers: Vec<Box<dyn Controller>>,
+    traced: Option<usize>,
+) -> (FleetResult, Option<Vec<u8>>) {
     validate_fleet(&config, &controllers);
     if config.engine.shards > 1 {
         let shards = config.engine.shards;
-        return crate::shard::run_fleet_sharded(config, controllers, shards);
+        return crate::shard::run_sharded(config, controllers, shards, traced);
     }
     let n = controllers.len();
     let end_at = config.end_at();
@@ -1266,7 +1138,7 @@ pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> 
     let controller_period = config.controller_period;
     let obs = FleetObs::new(&config.telemetry, n, tier.len());
     let outages = config.outages.clone();
-    let devs = FleetDevices::build(&config, controllers, 0);
+    let devs = FleetDevices::build(&config, controllers, 0, traced);
     let world = FleetWorld {
         core: FleetCore {
             config: Arc::new(config),
@@ -1301,14 +1173,17 @@ pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> 
     }
     sim.run_until(end_at);
     let events_handled = sim.events_handled();
-    let world = sim.into_model();
+    let now = sim.now();
+    let mut world = sim.into_model();
     // Drain whatever the final ticks recorded. The last (partial) window
     // stays open until the caller's `Telemetry::finish`, so one pipeline
     // can span several runs (e.g. a sweep).
     world.obs.telemetry.poll();
 
-    let device_results = world.core.devs.into_results();
-    finish_fleet(device_results, &world.tier, events_handled)
+    let trace = world.core.devs.runtime.finish_trace(now);
+    let device_results = world.core.devs.into_results(&world.core.config);
+    let result = finish_fleet(device_results, &world.tier, events_handled);
+    (result, trace)
 }
 
 #[cfg(test)]
@@ -1328,16 +1203,6 @@ mod tests {
         (0..n)
             .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
             .collect()
-    }
-
-    #[test]
-    fn tag_layout_round_trips() {
-        let t = make_tag(7, 123_456, false);
-        assert_eq!(tag_device(t), 7);
-        assert!(!tag_is_probe(t));
-        let p = make_tag(65_000, 1, true);
-        assert_eq!(tag_device(p), 65_000);
-        assert!(tag_is_probe(p));
     }
 
     #[test]
@@ -1411,6 +1276,36 @@ mod tests {
         assert_eq!(a.server_stats, b.server_stats);
         assert_eq!(a.rejections_by_device, b.rejections_by_device);
         assert_eq!(a.events_handled, b.events_handled);
+    }
+
+    #[test]
+    fn a_fleet_row_records_a_trace_that_replays_on_a_fresh_device_runtime() {
+        // The direct proof that the fleet engines drive the loop the
+        // replayer does: device 1 of a Table V fleet (fleet-packed frame
+        // and probe tags) records its runtime calls, unsharded and on
+        // two shards, and a freshly built `DeviceRuntime` reproduces
+        // every recorded decision — while recording changes nothing.
+        for shards in [1, 2] {
+            let mut config = FleetConfig {
+                network: ff_workload::table_v(),
+                ..FleetConfig::default()
+            };
+            config.stream.total_frames = 3_600; // Table V's 120 s
+            config.engine.shards = shards;
+            let untraced = run_fleet(config.clone(), ff_controllers(3));
+            let (traced, bytes) = run_fleet_recording(config, ff_controllers(3), Some(1));
+            assert_eq!(
+                format!("{traced:?}"),
+                format!("{untraced:?}"),
+                "recording perturbed the {shards}-shard run"
+            );
+            let bytes = bytes.expect("device 1 was recording");
+            let trace = ff_trace::Trace::decode(&bytes).expect("the recording decodes");
+            let report = crate::replay_verify(&trace).expect("replay diverged");
+            assert_eq!(report.captures, 3_600);
+            assert_eq!(report.ticks as usize, traced.devices[1].qos.len());
+            assert!(traced.devices[1].offload_timeouts > 0, "Table V bites");
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Slab-indexed in-flight bookkeeping for the fleet hot path.
+//! Slab-indexed in-flight bookkeeping: the device runtime's deadline
+//! tracker in every host.
 //!
-//! [`FlightTable`] is a drop-in replacement for the fleet's former
-//! per-device `HashMap<u64, …, TagHash>` in [`crate::offload`]: same
-//! life-cycle, same resolutions, same counters, but keyed by the
-//! per-device sequence number already packed into the tag
-//! (`fleet_tag_seq`) instead of hashing the whole tag. In-flight tags
-//! of one device span at most the frames captured within one deadline
-//! window (every entry is removed by its deadline event), so an
-//! open-addressed ring indexed by `seq & mask` almost never collides;
+//! [`FlightTable`] follows each offloaded frame from send to resolution,
+//! keyed by the sequence number in the tag's low bits — a live host's
+//! plain frame counter, or the per-device sequence packed into a fleet
+//! tag ([`crate::tags`]) — instead of hashing the whole tag. In-flight
+//! tags of one device span little more than the frames captured within
+//! one deadline window (every entry is removed by its deadline), so an
+//! open-addressed ring indexed by `tag & mask` almost never collides;
 //! when it would, the ring doubles and re-seats its entries. Lookups
 //! are one masked index plus one compare — no hashing, no probing.
 //!
@@ -21,18 +21,17 @@
 //! `ceil(deadline / controller_period) + 1` probes are ever outstanding
 //! (one per tick), so a tiny linear-scanned array beats any map.
 //!
-//! The genuinely unordered maps (e.g. the live path's tag tables) keep
-//! `TagHash`; this module is only for the fleet, where the tag encodes
-//! its own index.
+//! The hash-map tracker these tables replaced lives on as the
+//! `#[cfg(test)]` oracle of the differential proptests below
+//! (`crate::offload::OffloadTracker`).
 
 use crate::offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 use ff_sim::{SimDuration, SimTime};
 
-/// Stage words of an [`Entry`]: the life-cycle states of
-/// [`crate::offload::OffloadTracker`], one word each. Any value below
-/// [`REJECTED_BY_SERVER`] is the "at server" state and *is* the arrival
-/// instant in microseconds; the named states sit above every instant a
-/// run can reach.
+/// Stage words of an [`Entry`]: the life-cycle states of an offloaded
+/// frame, one word each. Any value below [`REJECTED_BY_SERVER`] is the
+/// "at server" state and *is* the arrival instant in microseconds; the
+/// named states sit above every instant a run can reach.
 const EMPTY: u64 = u64::MAX;
 const IN_NETWORK: u64 = u64::MAX - 1;
 const DROPPED_BY_NETWORK: u64 = u64::MAX - 2;
@@ -84,24 +83,29 @@ impl Ring {
         }
     }
 
+    #[inline]
+    fn slots_mut(&mut self) -> &mut [Entry] {
+        match self {
+            Ring::Inline(slots) => slots,
+            Ring::Spilled(slots) => slots,
+        }
+    }
+
     /// The slot `tag` maps to. The sequence number occupies the tag's
     /// low bits, so masking the tag is masking the sequence.
     #[inline]
     fn slot_mut(&mut self, tag: u64) -> &mut Entry {
-        let slots: &mut [Entry] = match self {
-            Ring::Inline(slots) => slots,
-            Ring::Spilled(slots) => slots,
-        };
+        let slots = self.slots_mut();
         let mask = slots.len() - 1;
         &mut slots[tag as usize & mask]
     }
 }
 
-/// Deadline tracker for one fleet device, slab-indexed by the tag's
-/// sequence bits. Semantically identical to
-/// [`crate::offload::OffloadTracker`] (asserted by a differential
-/// proptest below): `sent` panics on duplicates, stage updates on
-/// missing tags are no-ops, resolutions are reported exactly once.
+/// Deadline tracker for one device, slab-indexed by the tag's sequence
+/// bits: `sent` panics on duplicates, stage updates on missing tags are
+/// no-ops, resolutions are reported exactly once. Semantically identical
+/// to the hash-map tracker it replaced (asserted by a differential
+/// proptest below).
 #[derive(Debug, Clone)]
 pub struct FlightTable {
     deadline: SimDuration,
@@ -250,6 +254,25 @@ impl FlightTable {
         })
     }
 
+    /// Resolve every in-flight frame whose deadline has strictly passed
+    /// (`now > captured_at + deadline`), for hosts that poll instead of
+    /// scheduling a deadline event per frame. Expired frames are returned
+    /// in ascending tag order so polling hosts stay deterministic.
+    pub fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
+        let deadline = self.deadline;
+        let mut due = Vec::new();
+        for e in self.ring.slots_mut() {
+            if e.stage != EMPTY && now > e.captured_at + deadline {
+                due.push((e.tag, attribute(e, deadline)));
+                e.stage = EMPTY;
+            }
+        }
+        self.len -= due.len();
+        self.resolved_timeout += due.len() as u64;
+        due.sort_unstable_by_key(|&(tag, _)| tag);
+        due
+    }
+
     /// Requests still unresolved.
     pub fn in_flight(&self) -> usize {
         self.len
@@ -325,6 +348,22 @@ impl ProbeTable {
         Some(self.overflow.swap_remove(i).1)
     }
 
+    /// Discard every probe sent more than `deadline` before `now`: the
+    /// polling hosts' stand-in for per-probe deadline events.
+    pub fn reap_overdue(&mut self, now: SimTime, deadline: SimDuration) {
+        let overdue = |sent_at: SimTime| now.saturating_since(sent_at) > deadline;
+        let mut i = 0;
+        while i < self.inline_len {
+            if overdue(self.inline[i].1) {
+                self.inline_len -= 1;
+                self.inline[i] = self.inline[self.inline_len];
+            } else {
+                i += 1;
+            }
+        }
+        self.overflow.retain(|&(_, sent_at)| !overdue(sent_at));
+    }
+
     /// Probes still awaiting a response or deadline.
     pub fn len(&self) -> usize {
         self.inline_len + self.overflow.len()
@@ -381,6 +420,84 @@ mod tests {
         assert!(t.response_arrived(3, SimTime::from_millis(400)).is_none());
         assert_eq!(t.timeouts(), 1);
         assert_eq!(t.successes(), 0);
+    }
+
+    #[test]
+    fn timeouts_are_attributed_by_where_the_frame_got_stuck() {
+        type Stage = fn(&mut FlightTable);
+        let cases: [(&str, Stage, TimeoutCause); 5] = [
+            ("still in the network", |_| {}, TimeoutCause::Network),
+            (
+                "dropped by the uplink, known early",
+                |t| t.network_dropped(1),
+                TimeoutCause::Network,
+            ),
+            (
+                "rejected by the server",
+                |t| {
+                    t.arrived_at_server(1, SimTime::from_millis(30));
+                    t.rejected_by_server(1);
+                },
+                TimeoutCause::ServerLoad,
+            ),
+            // Arrived but answered late: attributed by where the 250 ms
+            // budget went.
+            (
+                "fast uplink, then the server sat on it",
+                |t| t.arrived_at_server(1, SimTime::from_millis(30)),
+                TimeoutCause::ServerLoad,
+            ),
+            (
+                "the uplink ate 200 ms",
+                |t| t.arrived_at_server(1, SimTime::from_millis(200)),
+                TimeoutCause::Network,
+            ),
+        ];
+        for (what, stage, cause) in cases {
+            let mut t = table();
+            t.sent(1, SimTime::ZERO);
+            stage(&mut t);
+            assert_eq!(
+                t.in_flight(),
+                1,
+                "{what}: resolution waits for the deadline"
+            );
+            assert_eq!(
+                t.deadline_expired(1, SimTime::from_millis(250)),
+                Some(OffloadResolution::Timeout { cause }),
+                "{what}"
+            );
+            assert_eq!((t.successes(), t.timeouts(), t.in_flight()), (0, 1, 0));
+        }
+    }
+
+    #[test]
+    fn a_response_at_the_exact_deadline_succeeds_and_silences_the_deadline_event() {
+        let mut t = table();
+        t.sent(8, SimTime::ZERO);
+        let r = t.response_arrived(8, SimTime::from_millis(250));
+        assert!(matches!(r, Some(OffloadResolution::Success { .. })));
+        assert!(t.deadline_expired(8, SimTime::from_millis(250)).is_none());
+        assert_eq!((t.successes(), t.timeouts(), t.in_flight()), (1, 0, 0));
+    }
+
+    #[test]
+    fn expire_due_is_strict_ordered_and_cause_attributed() {
+        let mut t = table();
+        t.sent(12, SimTime::ZERO);
+        t.sent(3, SimTime::ZERO);
+        t.arrived_at_server(3, SimTime::from_millis(20));
+        t.rejected_by_server(3);
+        t.sent(8, SimTime::from_millis(100));
+        // At exactly the deadline nothing expires (a response at this
+        // instant would still be a success).
+        assert!(t.expire_due(SimTime::from_millis(250)).is_empty());
+        assert_eq!(
+            t.expire_due(SimTime::from_millis(251)),
+            vec![(3, TimeoutCause::ServerLoad), (12, TimeoutCause::Network)]
+        );
+        assert_eq!(t.in_flight(), 1, "tag 8 is not due yet");
+        assert_eq!(t.timeouts(), 2);
     }
 
     #[test]
@@ -472,6 +589,8 @@ mod tests {
         Rejected(u64),
         Response(u64),
         Deadline(u64),
+        /// A polling host's sweep: no tag, everything overdue goes.
+        ExpireDue,
     }
 
     fn op(kind: u8, tag: u64) -> Op {
@@ -481,14 +600,21 @@ mod tests {
             2 => Op::Arrived(tag),
             3 => Op::Rejected(tag),
             4 => Op::Response(tag),
-            _ => Op::Deadline(tag),
+            5 => Op::Deadline(tag),
+            _ => Op::ExpireDue,
         }
     }
 
     /// Deadline (ms) and frame rate of the differential's tables: the
-    /// paper's (inline), then windows of 15, 30 and 120 frames, which
-    /// start spilled at 16, 32 and 128 slots.
-    const WINDOWS: [(u64, f64); 4] = [(250, 30.0), (250, 60.0), (1_000, 30.0), (2_000, 60.0)];
+    /// paper's (inline), then windows of 15, 30, 60 and 120 frames, which
+    /// start spilled at 16, 32, 64 and 128 slots.
+    const WINDOWS: [(u64, f64); 5] = [
+        (250, 30.0),
+        (250, 60.0),
+        (1_000, 30.0),
+        (1_000, 60.0),
+        (2_000, 60.0),
+    ];
 
     /// Drive `FlightTable` and the hash-map `OffloadTracker` through
     /// `ops`, one every 40 ms so both success and timeout paths are
@@ -540,6 +666,20 @@ mod tests {
                         live.retain(|&(t, _)| t != tag);
                     }
                 }
+                Op::ExpireDue => {
+                    // Same tags, same (ascending) order, same causes.
+                    let a = slab.expire_due(now);
+                    let b: Vec<_> = map
+                        .expire_due(now)
+                        .into_iter()
+                        .map(|(tag, resolution)| match resolution {
+                            OffloadResolution::Timeout { cause } => (tag, cause),
+                            OffloadResolution::Success { .. } => unreachable!("sweeps only expire"),
+                        })
+                        .collect();
+                    prop_assert_eq!(a, b);
+                    live.retain(|&(_, captured)| now <= map.deadline_for(captured));
+                }
             }
             prop_assert_eq!(slab.in_flight(), map.in_flight());
             prop_assert_eq!(slab.successes(), map.successes());
@@ -549,48 +689,74 @@ mod tests {
     }
 
     proptest! {
-        /// Differential: any operation sequence drives `FlightTable`
-        /// and `OffloadTracker` to identical resolutions and counters —
-        /// on a table that stays inline, one that spills mid-sequence,
-        /// one that re-seats its spilled ring, and one that starts
-        /// spilled.
+        /// Differential: any operation sequence — per-tag deadline
+        /// events and polling sweeps alike — drives `FlightTable` and
+        /// `OffloadTracker` to identical resolutions and counters, on a
+        /// table that stays inline, one that spills mid-sequence, one
+        /// that re-seats its spilled ring, and ones that start spilled.
         ///
         /// Tags are `lane + (k << stride_log2)`: stride 1 is a device's
         /// dense sequence numbers, stride 8 makes every tag of a lane
         /// congruent modulo the inline ring, larger strides modulo the
-        /// spilled sizes too.
+        /// spilled sizes too. With `plain` they are a live host's frame
+        /// counter instead: every send takes the next number, the other
+        /// operations address one of the last twenty.
         #[test]
         fn flight_table_matches_offload_tracker(
             window in 0usize..WINDOWS.len(),
             stride_log2 in 0u32..7,
-            draws in proptest::collection::vec((0u64..3, 0u64..24, 0u8..6), 1..160),
+            plain in any::<bool>(),
+            draws in proptest::collection::vec((0u64..3, 0u64..24, 0u8..7), 1..160),
         ) {
             let (deadline_ms, fps) = WINDOWS[window];
+            let mut next_seq = 0u64;
             let ops = draws
                 .into_iter()
-                .map(|(lane, k, kind)| op(kind, lane + (k << stride_log2)))
+                .map(|(lane, k, kind)| {
+                    let tag = if !plain {
+                        lane + (k << stride_log2)
+                    } else if kind == 0 {
+                        next_seq += 1;
+                        next_seq - 1
+                    } else {
+                        next_seq.saturating_sub(1 + (lane * 24 + k) % 20)
+                    };
+                    op(kind, tag)
+                })
                 .collect();
             assert_matches_tracker(deadline_ms, fps, ops)?;
         }
 
         /// Differential against a hash map, with up to a dozen probes
-        /// outstanding: past the inline capacity, and back.
+        /// outstanding — past the inline capacity, and back — removed
+        /// one by one (deadline events) or reaped by the `retain` sweep
+        /// the polling hosts used to run over their probe map.
         #[test]
-        fn probe_table_matches_a_map(ops in proptest::collection::vec((0u64..12, any::<bool>()), 1..200)) {
+        fn probe_table_matches_a_map(ops in proptest::collection::vec((0u64..12, 0u8..5), 1..200)) {
+            let deadline = SimDuration::from_millis(15);
             let mut table = ProbeTable::default();
             let mut map: HashMap<u64, SimTime> = HashMap::new();
-            for (step, (tag, insert)) in ops.into_iter().enumerate() {
+            for (step, (tag, kind)) in ops.into_iter().enumerate() {
                 let now = SimTime::from_millis(step as u64);
-                if insert {
-                    if let MapEntry::Vacant(slot) = map.entry(tag) {
-                        table.insert(tag, now);
-                        slot.insert(now);
+                match kind {
+                    0 | 1 => {
+                        if let MapEntry::Vacant(slot) = map.entry(tag) {
+                            table.insert(tag, now);
+                            slot.insert(now);
+                        }
                     }
-                } else {
-                    prop_assert_eq!(table.remove(tag), map.remove(&tag));
+                    2 | 3 => prop_assert_eq!(table.remove(tag), map.remove(&tag)),
+                    _ => {
+                        table.reap_overdue(now, deadline);
+                        map.retain(|_, sent_at| now.saturating_since(*sent_at) <= deadline);
+                    }
                 }
                 prop_assert_eq!(table.len(), map.len());
                 prop_assert_eq!(table.is_empty(), map.is_empty());
+            }
+            // What survived is the same set, not just the same count.
+            for (tag, sent_at) in map {
+                prop_assert_eq!(table.remove(tag), Some(sent_at));
             }
         }
     }

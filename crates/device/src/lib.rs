@@ -2,15 +2,15 @@
 //!
 //! Models the Raspberry Pi of the paper's evaluation: a 30 fps frame
 //! source, a credit-based [`FrameSplitter`] actuating the controller's
-//! offload rate, a no-buffer [`LocalEngine`] calibrated to Table II, an
-//! [`OffloadTracker`] enforcing the 250 ms end-to-end deadline with
+//! offload rate, a no-buffer [`LocalEngine`] calibrated to Table II, a
+//! [`FlightTable`] enforcing the 250 ms end-to-end deadline with
 //! `T_n`/`T_l` cause attribution, and the [`CpuModel`] reproducing the
 //! §II-A CPU-usage observation.
 //!
 //! The per-frame control loop itself lives in [`runtime`]: a
 //! [`DeviceRuntime`] that is clock- and transport-agnostic, driven here by
-//! the discrete-event simulation and in `ff-live` by the wall-clock TCP
-//! client — one loop, two hosts.
+//! the discrete-event experiment and fleet engines and in `ff-live` /
+//! `ff-reactor` by wall-clock clients — one loop, every host.
 //!
 //! [`run_experiment`] wires the device, the `ff-net` uplink, the
 //! `ff-server` batching server, background tenants, and any
@@ -34,7 +34,6 @@ mod selection;
 mod selector;
 pub mod shard;
 mod splitter;
-pub mod taghash;
 pub mod tags;
 mod trace;
 
@@ -50,14 +49,14 @@ pub use fleet::{
 };
 pub use flight::{FlightTable, ProbeTable};
 pub use local::{LocalEngine, LocalOutcome};
-pub use offload::{LatencyBreakdown, OffloadResolution, OffloadTracker, TimeoutCause};
+pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 pub use quality::{QualityAdapter, QualityConfig};
 pub use replay::{
     controller_by_name, replay_verify, replay_verify_with, ReplayMismatch, ReplayReport,
 };
 pub use runtime::{
-    is_probe_tag, DeviceRuntime, FrameOutcome, OffloadSubmission, RuntimeConfig, SubmitOutcome,
-    TickOutput, Transport, WallClock, BACKGROUND_TAG_BASE, PROBE_TAG_BASE,
+    is_probe_tag, DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig,
+    SubmitOutcome, TickOutput, Transport, WallClock, BACKGROUND_TAG_BASE, PROBE_TAG_BASE,
 };
 pub use selection::{deadline_risk, ModelSelection};
 pub use selector::{ModelSelector, SelectorConfig};

@@ -1,13 +1,16 @@
-//! In-flight offload bookkeeping and deadline enforcement.
+//! How an offloaded frame resolves.
 //!
-//! Every offloaded frame gets a deadline (`captured_at + 250 ms`, §II-B).
-//! The tracker records where each request is in its life cycle so that
-//! when the deadline event fires the device can decide whether the frame
-//! timed out and, if so, attribute the cause (`T_n` network vs `T_l`
-//! server load — Table I).
+//! Every offloaded frame gets a deadline (`captured_at + 250 ms`, §II-B):
+//! it either succeeds within it or times out, and a timeout is attributed
+//! to a cause (`T_n` network vs `T_l` server load — Table I). The
+//! bookkeeping that decides is [`crate::flight::FlightTable`]; the
+//! hash-map `OffloadTracker` it replaced is compiled for tests only, as
+//! the oracle of that module's differential proptest.
 
-use crate::taghash::TagHash;
-use ff_sim::{SimDuration, SimTime};
+use ff_sim::SimDuration;
+#[cfg(test)]
+use ff_sim::SimTime;
+#[cfg(test)]
 use std::collections::HashMap;
 
 /// Cause attribution for a timeout (Table I's `T_n` / `T_l` split).
@@ -20,6 +23,7 @@ pub enum TimeoutCause {
 }
 
 /// Life-cycle state of one in-flight offloaded frame.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     /// Sent; still traversing the uplink.
@@ -61,6 +65,7 @@ pub enum OffloadResolution {
     },
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     captured_at: SimTime,
@@ -68,14 +73,16 @@ struct InFlight {
 }
 
 /// Tracks all offloaded frames that have not yet been resolved.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct OffloadTracker {
+pub(crate) struct OffloadTracker {
     deadline: SimDuration,
-    in_flight: HashMap<u64, InFlight, TagHash>,
+    in_flight: HashMap<u64, InFlight>,
     resolved_success: u64,
     resolved_timeout: u64,
 }
 
+#[cfg(test)]
 impl OffloadTracker {
     /// A tracker enforcing the given end-to-end deadline.
     pub fn new(deadline: SimDuration) -> Self {
@@ -86,11 +93,6 @@ impl OffloadTracker {
             resolved_success: 0,
             resolved_timeout: 0,
         }
-    }
-
-    /// The configured end-to-end deadline.
-    pub fn deadline(&self) -> SimDuration {
-        self.deadline
     }
 
     /// The deadline instant for a frame captured at `captured_at`.
@@ -221,195 +223,5 @@ impl OffloadTracker {
     /// Offloads resolved as timeouts.
     pub fn timeouts(&self) -> u64 {
         self.resolved_timeout
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tracker() -> OffloadTracker {
-        OffloadTracker::new(SimDuration::from_millis(250))
-    }
-
-    #[test]
-    fn timely_response_is_a_success_with_latency() {
-        let mut t = tracker();
-        t.sent(1, SimTime::ZERO);
-        t.arrived_at_server(1, SimTime::from_millis(40));
-        let r = t.response_arrived(1, SimTime::from_millis(100)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Success {
-                latency: SimDuration::from_millis(100),
-                breakdown: LatencyBreakdown {
-                    uplink: Some(SimDuration::from_millis(40)),
-                    server_and_down: Some(SimDuration::from_millis(60)),
-                },
-            }
-        );
-        assert_eq!(t.successes(), 1);
-        assert_eq!(t.in_flight(), 0);
-    }
-
-    #[test]
-    fn deadline_without_response_is_a_network_timeout_when_still_in_network() {
-        let mut t = tracker();
-        t.sent(1, SimTime::ZERO);
-        let r = t.deadline_expired(1, SimTime::from_millis(250)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Timeout {
-                cause: TimeoutCause::Network
-            }
-        );
-        assert_eq!(t.timeouts(), 1);
-    }
-
-    #[test]
-    fn server_rejection_is_a_load_timeout() {
-        let mut t = tracker();
-        t.sent(2, SimTime::ZERO);
-        t.arrived_at_server(2, SimTime::from_millis(30));
-        t.rejected_by_server(2);
-        let r = t.deadline_expired(2, SimTime::from_millis(250)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Timeout {
-                cause: TimeoutCause::ServerLoad
-            }
-        );
-    }
-
-    #[test]
-    fn late_response_after_deadline_event_is_ignored() {
-        let mut t = tracker();
-        t.sent(3, SimTime::ZERO);
-        assert!(t.deadline_expired(3, SimTime::from_millis(250)).is_some());
-        assert!(
-            t.response_arrived(3, SimTime::from_millis(400)).is_none(),
-            "already resolved"
-        );
-        assert_eq!(t.timeouts(), 1);
-        assert_eq!(t.successes(), 0);
-    }
-
-    #[test]
-    fn deadline_event_after_success_is_ignored() {
-        let mut t = tracker();
-        t.sent(4, SimTime::ZERO);
-        t.response_arrived(4, SimTime::from_millis(100));
-        assert!(t.deadline_expired(4, SimTime::from_millis(250)).is_none());
-    }
-
-    #[test]
-    fn slow_server_wait_is_attributed_to_load() {
-        let mut t = tracker();
-        t.sent(5, SimTime::ZERO);
-        // Fast network (30 ms), then the server sat on it.
-        t.arrived_at_server(5, SimTime::from_millis(30));
-        let r = t.deadline_expired(5, SimTime::from_millis(250)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Timeout {
-                cause: TimeoutCause::ServerLoad
-            }
-        );
-    }
-
-    #[test]
-    fn slow_network_arrival_is_attributed_to_network() {
-        let mut t = tracker();
-        t.sent(6, SimTime::ZERO);
-        // The uplink ate 200 of the 250 ms budget.
-        t.arrived_at_server(6, SimTime::from_millis(200));
-        let r = t.deadline_expired(6, SimTime::from_millis(250)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Timeout {
-                cause: TimeoutCause::Network
-            }
-        );
-    }
-
-    #[test]
-    fn network_drop_known_early_still_resolves_at_deadline() {
-        let mut t = tracker();
-        t.sent(7, SimTime::ZERO);
-        t.network_dropped(7);
-        assert_eq!(t.in_flight(), 1, "resolution waits for the deadline");
-        let r = t.deadline_expired(7, SimTime::from_millis(250)).unwrap();
-        assert_eq!(
-            r,
-            OffloadResolution::Timeout {
-                cause: TimeoutCause::Network
-            }
-        );
-    }
-
-    #[test]
-    fn borderline_response_at_exact_deadline_is_a_success() {
-        let mut t = tracker();
-        t.sent(8, SimTime::ZERO);
-        let r = t.response_arrived(8, SimTime::from_millis(250)).unwrap();
-        assert!(matches!(r, OffloadResolution::Success { .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "twice")]
-    fn double_send_panics() {
-        let mut t = tracker();
-        t.sent(9, SimTime::ZERO);
-        t.sent(9, SimTime::ZERO);
-    }
-
-    #[test]
-    fn expire_due_is_strict_ordered_and_cause_attributed() {
-        let mut t = tracker();
-        t.sent(12, SimTime::ZERO);
-        t.sent(3, SimTime::ZERO);
-        t.arrived_at_server(3, SimTime::from_millis(20));
-        t.rejected_by_server(3);
-        t.sent(8, SimTime::from_millis(100));
-        // At exactly the deadline nothing expires (a response at this
-        // instant would still be a success).
-        assert!(t.expire_due(SimTime::from_millis(250)).is_empty());
-        let expired = t.expire_due(SimTime::from_millis(251));
-        assert_eq!(
-            expired,
-            vec![
-                (
-                    3,
-                    OffloadResolution::Timeout {
-                        cause: TimeoutCause::ServerLoad
-                    }
-                ),
-                (
-                    12,
-                    OffloadResolution::Timeout {
-                        cause: TimeoutCause::Network
-                    }
-                ),
-            ]
-        );
-        assert_eq!(t.in_flight(), 1, "tag 8 is not due yet");
-        assert_eq!(t.timeouts(), 2);
-    }
-
-    #[test]
-    fn counters_partition_resolutions() {
-        let mut t = tracker();
-        for tag in 0..10 {
-            t.sent(tag, SimTime::ZERO);
-        }
-        for tag in 0..6 {
-            t.response_arrived(tag, SimTime::from_millis(50));
-        }
-        for tag in 6..10 {
-            t.deadline_expired(tag, SimTime::from_millis(250));
-        }
-        assert_eq!(t.successes(), 6);
-        assert_eq!(t.timeouts(), 4);
-        assert_eq!(t.in_flight(), 0);
     }
 }

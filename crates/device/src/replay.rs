@@ -12,7 +12,8 @@
 //! and a cross-host check (a live recording verifies on any machine).
 
 use crate::runtime::{
-    trace_cause, trace_outcome, DeviceRuntime, RuntimeConfig, SubmitOutcome, Transport,
+    is_probe_tag, trace_cause, trace_outcome, DeviceRuntime, RuntimeConfig, SubmitOutcome,
+    Transport, PROBE_TAG_BASE,
 };
 use crate::selection::ModelSelection;
 use crate::splitter::Route;
@@ -134,7 +135,23 @@ pub fn replay_verify_with(
             index: 0,
             detail: format!("unknown model-selection code {} in header", h.selection),
         })?;
-    let mut rt = DeviceRuntime::new(
+    // A fleet row tags its probes from its own packed base, not
+    // `PROBE_TAG_BASE`; the recording's first tick names it.
+    let probe_tag_base = trace
+        .events
+        .iter()
+        .find_map(|e| match e {
+            TraceEvent::Tick { probe_tag, .. } => Some(*probe_tag),
+            _ => None,
+        })
+        .unwrap_or(PROBE_TAG_BASE);
+    if !is_probe_tag(probe_tag_base) {
+        return Err(ReplayMismatch {
+            index: 0,
+            detail: format!("first tick's probe tag {probe_tag_base} is outside the probe range"),
+        });
+    }
+    let mut rt = DeviceRuntime::with_probe_base(
         RuntimeConfig {
             fs: h.fs,
             deadline: SimDuration::from_micros(h.deadline_us),
@@ -146,6 +163,7 @@ pub fn replay_verify_with(
             remote_accuracy: h.remote_accuracy,
         },
         controller,
+        probe_tag_base,
     );
     let mut transport = ReplayTransport::default();
     let mut report = ReplayReport::default();

@@ -1,13 +1,21 @@
-//! The shared device runtime: one control loop for sim and live.
+//! The shared device runtime: one control loop for every host.
 //!
 //! The paper's central claim is that a single controller runs unchanged
 //! against a simulated network and a real one (§III). This module is where
-//! that claim becomes structural: [`DeviceRuntime`] owns the per-frame
-//! device loop — credit-based splitting, offload submission, in-flight
-//! deadline tracking, probe heartbeats, `WindowedRate` interval
+//! that claim becomes structural: it holds the only implementation of the
+//! per-frame device loop — credit-based splitting, offload submission,
+//! in-flight deadline tracking, probe heartbeats, `WindowedRate` interval
 //! aggregation, `Controller::update`, and [`QosRecord`] emission — and the
-//! discrete-event simulation (`experiment.rs`) and the wall-clock TCP
-//! client (`ff-live`) are two thin adapters over it.
+//! discrete-event experiment (`experiment.rs`), the simulated fleet and
+//! its shards (`fleet.rs`, `shard.rs`), and the wall-clock clients
+//! (`ff-live`, `ff-reactor`) are thin adapters over it.
+//!
+//! The loop is written against borrowed state (`DeviceLoop`): shared
+//! [`RuntimeConfig`], a one-cache-line per-frame part, a per-offload
+//! part, the QoS log and the trace handle. [`DeviceRuntime`] owns one of
+//! each and lends them; a fleet keeps the two state parts in two columns
+//! and lends a row, so a parked device's capture touches one line of a
+//! small array (DESIGN.md §"Architecture: device runtime").
 //!
 //! Two abstractions make the runtime host-agnostic:
 //!
@@ -24,17 +32,17 @@
 //! at exactly-scheduled instants; polling hosts (the live client) call
 //! [`DeviceRuntime::expire_due`] each iteration instead.
 
-use crate::offload::{LatencyBreakdown, OffloadResolution, OffloadTracker, TimeoutCause};
+use crate::flight::{FlightTable, ProbeTable};
+use crate::offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 use crate::selection::{deadline_risk, ModelSelection};
 use crate::splitter::{FrameSplitter, Route};
 use ff_core::{Controller, Measurement};
 use ff_metrics::{QosLog, QosRecord, WindowedRate};
 use ff_sim::{SimDuration, SimTime};
 use ff_trace::{
-    TickQos, TraceEvent, TraceHandle, TraceResponseOutcome, TraceRoute, TraceSubmitOutcome,
-    TraceTimeoutCause,
+    TickQos, TraceEvent, TraceHandle, TraceHeader, TraceResponseOutcome, TraceRoute,
+    TraceSubmitOutcome, TraceTimeoutCause,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 // The tag-space partition lives in the shared [`crate::tags`] module;
@@ -137,6 +145,16 @@ pub struct TickOutput {
     /// event here; polling hosts can ignore it ([`DeviceRuntime::expire_due`]
     /// cleans overdue probes).
     pub probe_deadline_at: SimTime,
+    /// The windowed timeout rate `T` the controller was fed.
+    pub timeout_rate: f64,
+    /// The heartbeat verdict the controller was fed.
+    pub heartbeat_ok: bool,
+    /// The interval's event counts behind the record's rates.
+    pub interval: IntervalCounters,
+    /// Offloads still awaiting a response or deadline after this tick.
+    pub in_flight: usize,
+    /// Heartbeat probes outstanding, the one just sent included.
+    pub probes_in_flight: usize,
 }
 
 /// Maps wall-clock [`Instant`]s onto the runtime's [`SimTime`] axis
@@ -178,33 +196,40 @@ impl WallClock {
     }
 }
 
-/// Interval counters reset at every controller tick.
-#[derive(Debug, Default, Clone, Copy)]
-struct IntervalCounters {
-    sent: u64,
-    local_done: u64,
-    offload_success: u64,
-    timeouts_network: u64,
-    timeouts_load: u64,
+/// Event counts of one controller interval, reset at every tick.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct IntervalCounters {
+    /// Frames handed to the uplink.
+    pub sent: u64,
+    /// Local inferences completed.
+    pub local_done: u64,
+    /// Offloads whose response beat the deadline.
+    pub offload_success: u64,
+    /// Timeouts attributed to the network (`T_n`).
+    pub timeouts_network: u64,
+    /// Timeouts attributed to server load (`T_l`).
+    pub timeouts_load: u64,
 }
 
-/// The single implementation of the per-frame device control loop shared
-/// by the discrete-event experiment and the live TCP client.
-///
-/// The runtime deliberately does **not** own the controller: hosts keep
-/// their own (`Box<dyn Controller>` in the sim, `&mut dyn Controller` in
-/// live) and lend it to [`DeviceRuntime::new`] and [`DeviceRuntime::tick`],
-/// so controller ownership and borrow patterns stay a host concern.
+/// The part of the loop's state every captured frame touches, whichever
+/// way it is routed: one cache line.
 #[derive(Debug)]
-pub struct DeviceRuntime {
-    config: RuntimeConfig,
+pub(crate) struct FrameState {
     splitter: FrameSplitter,
-    tracker: OffloadTracker,
-    probes: HashMap<u64, SimTime>,
-    probe_seq: u64,
-    last_heartbeat_ok: bool,
-    po_target: f64,
+    /// `po_target / fs`, the splitter's credit increment, recomputed and
+    /// validated whenever the target is written: the same operands as the
+    /// division `FrameSplitter::route` does per frame, so routing is
+    /// bit-identical while captures skip the `fdiv`.
+    route_incr: f64,
     interval: IntervalCounters,
+    frames_offloaded: u64,
+}
+
+/// The part only an offload, a response, a deadline or a tick touches.
+#[derive(Debug)]
+pub(crate) struct OffloadState {
+    flights: FlightTable,
+    probes: ProbeTable,
     timeout_rate: WindowedRate,
     /// Latest timeout stamp fed to `timeout_rate`. Wall-clock hosts can
     /// observe slightly out-of-order stamps (a response stamped by a
@@ -212,13 +237,111 @@ pub struct DeviceRuntime {
     /// requires monotone time, so stamps are clamped to this floor. A
     /// no-op for event-driven hosts, whose clock never runs backwards.
     timeout_clock_floor: SimTime,
-    qos: QosLog,
-    frames_offloaded: u64,
+    po_target: f64,
+    /// Tag of the next heartbeat probe: a base in the probe range
+    /// (`PROBE_TAG_BASE`, or a fleet row's packed device index) plus the
+    /// number of probes sent so far.
+    next_probe_tag: u64,
     instant_failures: u64,
-    /// Binary event recording (`ff-trace`), disabled by default. Same
-    /// contract as telemetry: strictly write-only, so results are
-    /// bit-identical with recording on or off (`tests/trace_inert.rs`).
-    trace: TraceHandle,
+    heartbeat_ok: bool,
+}
+
+// A fleet keeps one of each per device, in two columns (DESIGN.md
+// §"Architecture: device runtime" has the measurement behind the split):
+// a capture that stays local must not reach past its one line, and a
+// field added to either costs a 100k-device fleet 100 000× its size.
+const _: () = assert!(std::mem::size_of::<FrameState>() == 64);
+const _: () = assert!(std::mem::size_of::<OffloadState>() <= 400);
+
+/// Validate `config` and make the bootstrap decision (see
+/// [`DeviceRuntime::new`]); probes will be tagged `probe_tag_base + seq`.
+pub(crate) fn bootstrap(
+    config: &RuntimeConfig,
+    controller: &mut dyn Controller,
+    probe_tag_base: u64,
+) -> (FrameState, OffloadState) {
+    assert!(config.fs > 0.0, "F_s must be positive");
+    assert!(config.probe_bytes > 0, "probes must carry a payload");
+    assert!(
+        !config.controller_period.is_zero(),
+        "controller period must be positive"
+    );
+    debug_assert!(is_probe_tag(probe_tag_base));
+    let po_target = controller
+        .update(&Measurement {
+            fs: config.fs,
+            po_achieved: 0.0,
+            pl_achieved: 0.0,
+            timeout_rate: 0.0,
+            heartbeat_ok: false,
+            dt_secs: config.controller_period.as_secs_f64(),
+        })
+        .po_target;
+    // Frames captured within one deadline: the most a device that is
+    // answered or expired on time has in flight.
+    let window_frames = (config.deadline.as_secs_f64() * config.fs).ceil() as usize;
+    (
+        FrameState {
+            splitter: FrameSplitter::new(),
+            route_incr: route_increment(po_target, config.fs),
+            interval: IntervalCounters::default(),
+            frames_offloaded: 0,
+        },
+        OffloadState {
+            flights: FlightTable::new(config.deadline, window_frames),
+            probes: ProbeTable::default(),
+            timeout_rate: WindowedRate::new(config.timeout_window),
+            timeout_clock_floor: SimTime::ZERO,
+            po_target,
+            next_probe_tag: probe_tag_base,
+            instant_failures: 0,
+            heartbeat_ok: false,
+        },
+    )
+}
+
+/// The splitter credit increment for a new `po_target`, with the checks
+/// of `FrameSplitter::route` hoisted to the once-per-period write.
+fn route_increment(po_target: f64, fs: f64) -> f64 {
+    assert!(
+        (0.0..=fs + 1e-9).contains(&po_target),
+        "P_o target {po_target} outside [0, F_s={fs}]"
+    );
+    po_target / fs
+}
+
+impl FrameState {
+    pub(crate) fn frames_offloaded(&self) -> u64 {
+        self.frames_offloaded
+    }
+}
+
+impl OffloadState {
+    pub(crate) fn successes(&self) -> u64 {
+        self.flights.successes()
+    }
+
+    pub(crate) fn timeouts(&self) -> u64 {
+        self.flights.timeouts() + self.instant_failures
+    }
+}
+
+/// The header describing a runtime configured as `config`, for hosts
+/// that record one (replay rebuilds the configuration from it).
+pub(crate) fn trace_header(config: &RuntimeConfig, seed: u64, controller: &str) -> TraceHeader {
+    TraceHeader {
+        fs: config.fs,
+        deadline_us: config.deadline.as_micros(),
+        controller_period_us: config.controller_period.as_micros(),
+        timeout_window_us: config.timeout_window.as_micros(),
+        probe_bytes: config.probe_bytes,
+        seed,
+        controller: controller.to_string(),
+        selection: config.selection.code(),
+        selection_margin: config.selection.margin(),
+        local_accuracy: config.local_accuracy,
+        remote_accuracy: config.remote_accuracy,
+    }
 }
 
 /// Map the runtime's transport verdict into the trace vocabulary.
@@ -253,68 +376,28 @@ pub(crate) fn trace_outcome(outcome: &FrameOutcome) -> TraceResponseOutcome {
     }
 }
 
-impl DeviceRuntime {
-    /// Build the runtime and make the bootstrap decision at `t = 0` (so
-    /// policies with static targets, e.g. always-offload, act from the
-    /// first frame). The heartbeat is pessimistic: no probe has been
-    /// answered yet.
-    pub fn new(config: RuntimeConfig, controller: &mut dyn Controller) -> Self {
-        assert!(config.fs > 0.0, "F_s must be positive");
-        assert!(config.probe_bytes > 0, "probes must carry a payload");
-        assert!(
-            !config.controller_period.is_zero(),
-            "controller period must be positive"
-        );
-        let po_target = controller
-            .update(&Measurement {
-                fs: config.fs,
-                po_achieved: 0.0,
-                pl_achieved: 0.0,
-                timeout_rate: 0.0,
-                heartbeat_ok: false,
-                dt_secs: config.controller_period.as_secs_f64(),
-            })
-            .po_target;
-        DeviceRuntime {
-            splitter: FrameSplitter::new(),
-            tracker: OffloadTracker::new(config.deadline),
-            probes: HashMap::new(),
-            probe_seq: 0,
-            last_heartbeat_ok: false,
-            po_target,
-            interval: IntervalCounters::default(),
-            timeout_rate: WindowedRate::new(config.timeout_window),
-            timeout_clock_floor: SimTime::ZERO,
-            qos: QosLog::new(),
-            frames_offloaded: 0,
-            instant_failures: 0,
-            trace: TraceHandle::disabled(),
-            config,
-        }
-    }
+/// The device control loop, written once against borrowed state: the
+/// owned [`DeviceRuntime`] lends its own fields, a fleet row lends one
+/// element from each of its columns. Each method is documented on the
+/// [`DeviceRuntime`] method of the same name.
+pub(crate) struct DeviceLoop<'a> {
+    pub(crate) config: &'a RuntimeConfig,
+    pub(crate) frame: &'a mut FrameState,
+    pub(crate) offload: &'a mut OffloadState,
+    pub(crate) qos: &'a mut QosLog,
+    /// Binary event recording (`ff-trace`), disabled by default. Same
+    /// contract as telemetry: strictly write-only, so results are
+    /// bit-identical with recording on or off (`tests/trace_inert.rs`).
+    pub(crate) trace: &'a mut TraceHandle,
+}
 
-    /// Attach a trace recorder (see `ff-trace`). Call right after
-    /// [`DeviceRuntime::new`]; the bootstrap decision itself is not an
-    /// event — replay reproduces it by constructing the runtime the
-    /// same way.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Whether control-loop events are being recorded.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    /// Stop recording and return the encoded trace, closed with an
-    /// [`TraceEvent::End`] counter record at `now`. `None` if recording
-    /// was never enabled.
-    pub fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
+impl DeviceLoop<'_> {
+    pub(crate) fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
         let (frames_offloaded, successes, timeouts, instant_failures) = (
-            self.frames_offloaded,
-            self.successes(),
-            self.timeouts(),
-            self.instant_failures,
+            self.frame.frames_offloaded,
+            self.offload.successes(),
+            self.offload.timeouts(),
+            self.offload.instant_failures,
         );
         self.trace.record_with(|| TraceEvent::End {
             at: now,
@@ -323,27 +406,24 @@ impl DeviceRuntime {
             timeouts,
             instant_failures,
         });
-        std::mem::take(&mut self.trace).finish()
+        std::mem::take(self.trace).finish()
     }
 
-    /// Route one captured frame against the current target.
-    pub fn route(&mut self) -> Route {
-        self.splitter.route(self.po_target, self.config.fs)
+    pub(crate) fn route(&mut self) -> Route {
+        self.frame.splitter.advance(self.frame.route_incr)
     }
 
-    /// [`DeviceRuntime::route`] with the frame's identity attached, so
-    /// the decision lands in the trace: records a capture event carrying
-    /// the raw payload size (pre quality adaptation) and the route.
-    /// Hosts that may record a trace use this; `route()` remains for
-    /// callers without per-frame identity.
-    pub fn route_frame(&mut self, frame_id: u64, bytes: u64, now: SimTime) -> Route {
-        let mut route = self.splitter.route(self.po_target, self.config.fs);
+    pub(crate) fn route_frame(&mut self, frame_id: u64, bytes: u64, now: SimTime) -> Route {
+        let mut route = self.route();
         // Accuracy-aware demotion: an offload verdict may fall back to the
         // local model when the deadline risk discounts the remote model
         // below the local one. `AlwaysPaper` skips this entirely (not even
         // a rate-estimator read), keeping legacy runs bit-identical.
         if route == Route::Offload && self.config.selection != ModelSelection::AlwaysPaper {
-            let risk = deadline_risk(self.timeout_rate.rate_at(now), self.po_target);
+            let risk = deadline_risk(
+                self.offload.timeout_rate.rate_at(now),
+                self.offload.po_target,
+            );
             if self.config.selection.prefers_local(
                 self.config.local_accuracy,
                 self.config.remote_accuracy,
@@ -364,10 +444,7 @@ impl DeviceRuntime {
         route
     }
 
-    /// Offload one frame: count it, submit it through the transport, and
-    /// start deadline tracking (unless the attempt failed instantly, in
-    /// which case the timeout is recorded on the spot).
-    pub fn offload(
+    pub(crate) fn offload(
         &mut self,
         transport: &mut dyn Transport,
         tag: u64,
@@ -375,8 +452,8 @@ impl DeviceRuntime {
         captured_at: SimTime,
     ) -> OffloadSubmission {
         debug_assert!(tag < BACKGROUND_TAG_BASE, "frame tag in reserved range");
-        self.interval.sent += 1;
-        self.frames_offloaded += 1;
+        self.frame.interval.sent += 1;
+        self.frame.frames_offloaded += 1;
         let outcome = transport.send(tag, bytes, captured_at);
         self.trace.record_with(|| TraceEvent::Submit {
             at: captured_at,
@@ -385,13 +462,13 @@ impl DeviceRuntime {
             outcome: trace_submit(outcome),
         });
         match outcome {
-            SubmitOutcome::Accepted => self.tracker.sent(tag, captured_at),
+            SubmitOutcome::Accepted => self.offload.flights.sent(tag, captured_at),
             SubmitOutcome::DroppedInNetwork => {
-                self.tracker.sent(tag, captured_at);
-                self.tracker.network_dropped(tag);
+                self.offload.flights.sent(tag, captured_at);
+                self.offload.flights.network_dropped(tag);
             }
             SubmitOutcome::FailedInstantly => {
-                self.instant_failures += 1;
+                self.offload.instant_failures += 1;
                 self.record_timeout(captured_at, TimeoutCause::Network);
             }
         }
@@ -401,18 +478,14 @@ impl DeviceRuntime {
         }
     }
 
-    /// Count `n` completed local inferences (finishing at `now`) toward
-    /// the current interval.
-    pub fn note_local_done(&mut self, n: u64, now: SimTime) {
+    pub(crate) fn note_local_done(&mut self, n: u64, now: SimTime) {
         self.trace
             .record_with(|| TraceEvent::LocalDone { at: now, n });
-        self.interval.local_done += n;
+        self.frame.interval.local_done += n;
     }
 
-    /// A response for `tag` reached the device at `now`. `ok` is false for
-    /// server rejections (batch overflow).
-    pub fn on_response(&mut self, tag: u64, now: SimTime, ok: bool) -> FrameOutcome {
-        let outcome = self.on_response_inner(tag, now, ok);
+    pub(crate) fn on_response(&mut self, tag: u64, now: SimTime, ok: bool) -> FrameOutcome {
+        let outcome = self.resolve_response(tag, now, ok);
         self.trace.record_with(|| TraceEvent::Response {
             at: now,
             tag,
@@ -422,22 +495,22 @@ impl DeviceRuntime {
         outcome
     }
 
-    fn on_response_inner(&mut self, tag: u64, now: SimTime, ok: bool) -> FrameOutcome {
+    fn resolve_response(&mut self, tag: u64, now: SimTime, ok: bool) -> FrameOutcome {
         if is_probe_tag(tag) {
-            if let Some(sent_at) = self.probes.remove(&tag) {
+            if let Some(sent_at) = self.offload.probes.remove(tag) {
                 if ok && now.saturating_since(sent_at) <= self.config.deadline {
-                    self.last_heartbeat_ok = true;
+                    self.offload.heartbeat_ok = true;
                 }
             }
             return FrameOutcome::Probe;
         }
         if !ok {
-            self.tracker.rejected_by_server(tag);
+            self.offload.flights.rejected_by_server(tag);
             return FrameOutcome::Rejected;
         }
-        match self.tracker.response_arrived(tag, now) {
+        match self.offload.flights.response_arrived(tag, now) {
             Some(OffloadResolution::Success { latency, breakdown }) => {
-                self.interval.offload_success += 1;
+                self.frame.interval.offload_success += 1;
                 FrameOutcome::Success { latency, breakdown }
             }
             Some(OffloadResolution::Timeout { cause }) => {
@@ -448,42 +521,30 @@ impl DeviceRuntime {
         }
     }
 
-    /// The frame arrived at the server (sim adapter: refines `T_n`/`T_l`
-    /// attribution for late responses).
-    pub fn frame_arrived_at_server(&mut self, tag: u64, at: SimTime) {
+    pub(crate) fn frame_arrived_at_server(&mut self, tag: u64, at: SimTime) {
         self.trace
             .record_with(|| TraceEvent::ServerArrival { at, tag });
         if !is_probe_tag(tag) {
-            self.tracker.arrived_at_server(tag, at);
+            self.offload.flights.arrived_at_server(tag, at);
         }
     }
 
-    /// The server rejected the frame at `at` (batch overflow); it will
-    /// resolve as a load timeout at its deadline.
-    pub fn frame_rejected_by_server(&mut self, tag: u64, at: SimTime) {
+    pub(crate) fn frame_rejected_by_server(&mut self, tag: u64, at: SimTime) {
         self.trace
             .record_with(|| TraceEvent::ServerRejected { at, tag });
         if !is_probe_tag(tag) {
-            self.tracker.rejected_by_server(tag);
+            self.offload.flights.rejected_by_server(tag);
         }
     }
 
-    /// The deadline event for `tag` fired at `now` (event-driven hosts).
-    /// Returns the attributed cause if the frame actually timed out.
-    pub fn on_deadline(&mut self, tag: u64, now: SimTime) -> Option<TimeoutCause> {
-        if is_probe_tag(tag) {
+    pub(crate) fn on_deadline(&mut self, tag: u64, now: SimTime) -> Option<TimeoutCause> {
+        let result = if is_probe_tag(tag) {
             // An unresolved probe is a failed heartbeat; nothing to do —
             // the flag is already pessimistic.
-            self.probes.remove(&tag);
-            self.trace.record_with(|| TraceEvent::Deadline {
-                at: now,
-                tag,
-                timed_out: None,
-            });
-            return None;
-        }
-        let result = if let Some(OffloadResolution::Timeout { cause }) =
-            self.tracker.deadline_expired(tag, now)
+            self.offload.probes.remove(tag);
+            None
+        } else if let Some(OffloadResolution::Timeout { cause }) =
+            self.offload.flights.deadline_expired(tag, now)
         {
             self.record_timeout(now, cause);
             Some(cause)
@@ -498,71 +559,72 @@ impl DeviceRuntime {
         result
     }
 
-    /// Resolve every in-flight frame whose deadline has strictly passed
-    /// (polling hosts call this each loop iteration), and discard overdue
-    /// probes. Returns the expired frames in ascending tag order.
-    pub fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
-        let deadline = self.config.deadline;
-        self.probes
-            .retain(|_, sent_at| now.saturating_since(*sent_at) <= deadline);
-        let expired = self.tracker.expire_due(now);
-        let mut out = Vec::with_capacity(expired.len());
-        for (tag, resolution) in expired {
-            if let OffloadResolution::Timeout { cause } = resolution {
-                self.record_timeout(now, cause);
-                out.push((tag, cause));
-            }
+    pub(crate) fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
+        self.offload.probes.reap_overdue(now, self.config.deadline);
+        let expired = self.offload.flights.expire_due(now);
+        for &(_, cause) in &expired {
+            self.record_timeout(now, cause);
         }
         self.trace.record_with(|| TraceEvent::ExpireDue {
             at: now,
-            expired: out.iter().map(|&(tag, c)| (tag, trace_cause(c))).collect(),
+            expired: expired
+                .iter()
+                .map(|&(tag, c)| (tag, trace_cause(c)))
+                .collect(),
         });
-        out
+        expired
     }
 
-    /// One controller interval ended at `now`: measure, decide, emit the
-    /// QoS record, reset the interval, and send the next heartbeat probe
-    /// through the transport.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now: SimTime,
         controller: &mut dyn Controller,
         transport: &mut dyn Transport,
     ) -> TickOutput {
-        let dt = self.config.controller_period.as_secs_f64();
-        let po = self.interval.sent as f64 / dt;
-        let pl = self.interval.local_done as f64 / dt;
-        let t_windowed = self.timeout_rate.rate_at(now);
+        let config = self.config;
+        let dt = config.controller_period.as_secs_f64();
+        let interval = std::mem::take(&mut self.frame.interval);
+        let po = interval.sent as f64 / dt;
+        let pl = interval.local_done as f64 / dt;
+        let timeout_rate = self.offload.timeout_rate.rate_at(now);
+        let heartbeat_ok = self.offload.heartbeat_ok;
 
-        let m = Measurement {
-            fs: self.config.fs,
-            po_achieved: po,
-            pl_achieved: pl,
-            timeout_rate: t_windowed,
-            heartbeat_ok: self.last_heartbeat_ok,
-            dt_secs: dt,
-        };
-        self.po_target = controller.update(&m).po_target;
+        let po_target = controller
+            .update(&Measurement {
+                fs: config.fs,
+                po_achieved: po,
+                pl_achieved: pl,
+                timeout_rate,
+                heartbeat_ok,
+                dt_secs: dt,
+            })
+            .po_target;
+        self.offload.po_target = po_target;
+        self.frame.route_incr = route_increment(po_target, config.fs);
 
         // Accuracy-weighted throughput: completed inferences per second,
         // each weighted by its model's Table III top-1 accuracy. A timed-
         // out offload contributes nothing — which is exactly what the
         // ExpectedAccuracy selection policy optimises for.
-        let accuracy_weighted = (self.config.local_accuracy * self.interval.local_done as f64
-            + self.config.remote_accuracy * self.interval.offload_success as f64)
+        let accuracy_weighted = (config.local_accuracy * interval.local_done as f64
+            + config.remote_accuracy * interval.offload_success as f64)
             / dt;
         self.qos.push_at(
             now,
             pl,
             po,
-            self.interval.timeouts_network as f64 / dt,
-            self.interval.timeouts_load as f64 / dt,
-            self.po_target,
+            interval.timeouts_network as f64 / dt,
+            interval.timeouts_load as f64 / dt,
+            po_target,
             accuracy_weighted,
         );
         let record = *self.qos.records().last().expect("record just pushed");
-        self.interval = IntervalCounters::default();
 
+        // Heartbeat for the next interval. The flag is pessimistic until a
+        // timely probe response arrives.
+        self.offload.heartbeat_ok = false;
+        let probe_tag = self.offload.next_probe_tag;
+        self.offload.next_probe_tag += 1;
         self.trace.record_with(|| TraceEvent::Tick {
             at: now,
             qos: TickQos {
@@ -575,40 +637,190 @@ impl DeviceRuntime {
                 po_target: record.po_target,
                 accuracy_weighted_throughput: record.accuracy_weighted_throughput,
             },
-            timeout_rate: t_windowed,
-            heartbeat_ok: m.heartbeat_ok,
-            probe_tag: PROBE_TAG_BASE + self.probe_seq,
+            timeout_rate,
+            heartbeat_ok,
+            probe_tag,
         });
-
-        // Heartbeat for the next interval. The flag is pessimistic until a
-        // timely probe response arrives.
-        self.last_heartbeat_ok = false;
-        let probe_tag = PROBE_TAG_BASE + self.probe_seq;
-        self.probe_seq += 1;
-        self.probes.insert(probe_tag, now);
-        let probe_outcome = transport.send(probe_tag, self.config.probe_bytes, now);
-        let probe_bytes = self.config.probe_bytes;
+        self.offload.probes.insert(probe_tag, now);
+        let probe_outcome = transport.send(probe_tag, config.probe_bytes, now);
         self.trace.record_with(|| TraceEvent::Submit {
             at: now,
             tag: probe_tag,
-            bytes: probe_bytes,
+            bytes: config.probe_bytes,
             outcome: trace_submit(probe_outcome),
         });
 
         TickOutput {
             record,
             probe_tag,
-            probe_deadline_at: now + self.config.deadline,
+            probe_deadline_at: now + config.deadline,
+            timeout_rate,
+            heartbeat_ok,
+            interval,
+            in_flight: self.offload.flights.in_flight(),
+            probes_in_flight: self.offload.probes.len(),
         }
     }
 
     fn record_timeout(&mut self, now: SimTime, cause: TimeoutCause) {
-        self.timeout_clock_floor = self.timeout_clock_floor.max(now);
-        self.timeout_rate.record(self.timeout_clock_floor);
+        let offload = &mut *self.offload;
+        offload.timeout_clock_floor = offload.timeout_clock_floor.max(now);
+        offload.timeout_rate.record(offload.timeout_clock_floor);
         match cause {
-            TimeoutCause::Network => self.interval.timeouts_network += 1,
-            TimeoutCause::ServerLoad => self.interval.timeouts_load += 1,
+            TimeoutCause::Network => self.frame.interval.timeouts_network += 1,
+            TimeoutCause::ServerLoad => self.frame.interval.timeouts_load += 1,
         }
+    }
+}
+
+/// The per-frame device control loop with its state owned: what the
+/// discrete-event experiment, the live TCP client, the reactor fleet and
+/// the replayer hold, one per device. (The simulated fleet holds the same
+/// state in columns and runs the same loop over them.)
+///
+/// The runtime deliberately does **not** own the controller: hosts keep
+/// their own (`Box<dyn Controller>` in the sim, `&mut dyn Controller` in
+/// live) and lend it to [`DeviceRuntime::new`] and [`DeviceRuntime::tick`],
+/// so controller ownership and borrow patterns stay a host concern.
+#[derive(Debug)]
+pub struct DeviceRuntime {
+    config: RuntimeConfig,
+    frame: FrameState,
+    offload: OffloadState,
+    qos: QosLog,
+    trace: TraceHandle,
+}
+
+impl DeviceRuntime {
+    /// Build the runtime and make the bootstrap decision at `t = 0` (so
+    /// policies with static targets, e.g. always-offload, act from the
+    /// first frame). The heartbeat is pessimistic: no probe has been
+    /// answered yet.
+    pub fn new(config: RuntimeConfig, controller: &mut dyn Controller) -> Self {
+        Self::with_probe_base(config, controller, PROBE_TAG_BASE)
+    }
+
+    /// [`DeviceRuntime::new`] for a device whose probes are tagged
+    /// `probe_tag_base + seq` (a fleet row, when replayed).
+    pub(crate) fn with_probe_base(
+        config: RuntimeConfig,
+        controller: &mut dyn Controller,
+        probe_tag_base: u64,
+    ) -> Self {
+        let (frame, offload) = bootstrap(&config, controller, probe_tag_base);
+        DeviceRuntime {
+            config,
+            frame,
+            offload,
+            qos: QosLog::new(),
+            trace: TraceHandle::disabled(),
+        }
+    }
+
+    fn lend(&mut self) -> DeviceLoop<'_> {
+        DeviceLoop {
+            config: &self.config,
+            frame: &mut self.frame,
+            offload: &mut self.offload,
+            qos: &mut self.qos,
+            trace: &mut self.trace,
+        }
+    }
+
+    /// Attach a trace recorder (see `ff-trace`). Call right after
+    /// [`DeviceRuntime::new`]; the bootstrap decision itself is not an
+    /// event — replay reproduces it by constructing the runtime the
+    /// same way.
+    pub fn set_trace(&mut self, trace: TraceHandle) {
+        self.trace = trace;
+    }
+
+    /// Whether control-loop events are being recorded.
+    pub fn trace_enabled(&self) -> bool {
+        self.trace.is_enabled()
+    }
+
+    /// Stop recording and return the encoded trace, closed with an
+    /// [`TraceEvent::End`] counter record at `now`. `None` if recording
+    /// was never enabled.
+    pub fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
+        self.lend().finish_trace(now)
+    }
+
+    /// Route one captured frame against the current target.
+    pub fn route(&mut self) -> Route {
+        self.lend().route()
+    }
+
+    /// [`DeviceRuntime::route`] with the frame's identity attached, so
+    /// the decision lands in the trace: records a capture event carrying
+    /// the raw payload size (pre quality adaptation) and the route.
+    /// Hosts that may record a trace use this; `route()` remains for
+    /// callers without per-frame identity.
+    pub fn route_frame(&mut self, frame_id: u64, bytes: u64, now: SimTime) -> Route {
+        self.lend().route_frame(frame_id, bytes, now)
+    }
+
+    /// Offload one frame: count it, submit it through the transport, and
+    /// start deadline tracking (unless the attempt failed instantly, in
+    /// which case the timeout is recorded on the spot).
+    pub fn offload(
+        &mut self,
+        transport: &mut dyn Transport,
+        tag: u64,
+        bytes: u64,
+        captured_at: SimTime,
+    ) -> OffloadSubmission {
+        self.lend().offload(transport, tag, bytes, captured_at)
+    }
+
+    /// Count `n` completed local inferences (finishing at `now`) toward
+    /// the current interval.
+    pub fn note_local_done(&mut self, n: u64, now: SimTime) {
+        self.lend().note_local_done(n, now)
+    }
+
+    /// A response for `tag` reached the device at `now`. `ok` is false for
+    /// server rejections (batch overflow).
+    pub fn on_response(&mut self, tag: u64, now: SimTime, ok: bool) -> FrameOutcome {
+        self.lend().on_response(tag, now, ok)
+    }
+
+    /// The frame arrived at the server (sim adapter: refines `T_n`/`T_l`
+    /// attribution for late responses).
+    pub fn frame_arrived_at_server(&mut self, tag: u64, at: SimTime) {
+        self.lend().frame_arrived_at_server(tag, at)
+    }
+
+    /// The server rejected the frame at `at` (batch overflow); it will
+    /// resolve as a load timeout at its deadline.
+    pub fn frame_rejected_by_server(&mut self, tag: u64, at: SimTime) {
+        self.lend().frame_rejected_by_server(tag, at)
+    }
+
+    /// The deadline event for `tag` fired at `now` (event-driven hosts).
+    /// Returns the attributed cause if the frame actually timed out.
+    pub fn on_deadline(&mut self, tag: u64, now: SimTime) -> Option<TimeoutCause> {
+        self.lend().on_deadline(tag, now)
+    }
+
+    /// Resolve every in-flight frame whose deadline has strictly passed
+    /// (polling hosts call this each loop iteration), and discard overdue
+    /// probes. Returns the expired frames in ascending tag order.
+    pub fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
+        self.lend().expire_due(now)
+    }
+
+    /// One controller interval ended at `now`: measure, decide, emit the
+    /// QoS record, reset the interval, and send the next heartbeat probe
+    /// through the transport.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        controller: &mut dyn Controller,
+        transport: &mut dyn Transport,
+    ) -> TickOutput {
+        self.lend().tick(now, controller, transport)
     }
 
     /// The runtime's static parameters.
@@ -618,33 +830,33 @@ impl DeviceRuntime {
 
     /// The controller's current offload-rate target (frames/s).
     pub fn po_target(&self) -> f64 {
-        self.po_target
+        self.offload.po_target
     }
 
     /// Frames handed to [`DeviceRuntime::offload`] (including instant
     /// failures).
     pub fn frames_offloaded(&self) -> u64 {
-        self.frames_offloaded
+        self.frame.frames_offloaded
     }
 
     /// Offloads whose response beat the deadline.
     pub fn successes(&self) -> u64 {
-        self.tracker.successes()
+        self.offload.successes()
     }
 
     /// Offloads that missed the deadline, including instant failures.
     pub fn timeouts(&self) -> u64 {
-        self.tracker.timeouts() + self.instant_failures
+        self.offload.timeouts()
     }
 
     /// Offload attempts that failed synchronously (no connection).
     pub fn instant_failures(&self) -> u64 {
-        self.instant_failures
+        self.offload.instant_failures
     }
 
     /// Offloads still awaiting a response or deadline.
     pub fn in_flight(&self) -> usize {
-        self.tracker.in_flight()
+        self.offload.flights.in_flight()
     }
 
     /// The per-interval QoS log so far.
@@ -789,7 +1001,7 @@ mod tests {
         // The next tick's measurement sees heartbeat_ok = true; observe it
         // indirectly: a second response for the same (consumed) probe is
         // inert, and an overdue probe would not have set the flag.
-        assert!(rt.last_heartbeat_ok);
+        assert!(rt.offload.heartbeat_ok);
     }
 
     #[test]
@@ -798,10 +1010,10 @@ mod tests {
         let mut tp = Scripted(SubmitOutcome::Accepted);
         let out = rt.tick(SimTime::from_secs(1), &mut ctl, &mut tp);
         rt.on_response(out.probe_tag, SimTime::from_secs(2), true); // late
-        assert!(!rt.last_heartbeat_ok);
+        assert!(!rt.offload.heartbeat_ok);
         let out = rt.tick(SimTime::from_secs(2), &mut ctl, &mut tp);
         rt.on_response(out.probe_tag, SimTime::from_millis(2050), false); // rejected
-        assert!(!rt.last_heartbeat_ok);
+        assert!(!rt.offload.heartbeat_ok);
     }
 
     #[test]

@@ -80,12 +80,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::fleet::{
     device_scopes, finish_fleet, network_change_events, observe_device_tick, validate_fleet,
-    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs, UplinkSink,
+    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
 use ff_core::Controller;
-use ff_models::ModelKind;
-use ff_server::{BatchOutput, Request, ServerTier, TenantId, TierSubmit};
+use ff_server::{BatchOutput, ServerTier, TierSubmit};
 use ff_sim::{run_phased, Ctx, EventQueue, RngFactory, SimDuration, SimModel, SimTime, Simulation};
 use ff_telemetry::{Recorder, Scope};
 
@@ -253,31 +252,14 @@ struct Feedback {
     kind: FeedbackKind,
 }
 
-/// The shard-side uplink sink: deliveries become outbox submissions for
-/// the coordinator instead of local `Uplinked` events.
-struct OutboxSink {
-    outbox: Vec<Submission>,
-}
-
-impl UplinkSink for OutboxSink {
-    #[inline]
-    fn delivered(
-        &mut self,
-        _ctx: &mut Ctx<'_, FleetEvent>,
-        sent_at: SimTime,
-        at: SimTime,
-        tag: u64,
-    ) {
-        self.outbox.push(Submission { at, sent_at, tag });
-    }
-}
-
 /// One shard's simulation model: the shared [`FleetCore`] handlers over
 /// this shard's device range, with all server-side events unreachable
 /// (they live on the coordinator).
 struct ShardDeviceWorld {
     core: FleetCore,
-    sink: OutboxSink,
+    /// Uplink deliveries of this window: submissions for the
+    /// coordinator instead of local `Uplinked` events.
+    outbox: Vec<Submission>,
     recorder: Recorder,
     /// Telemetry scopes for the shard's devices, by local index (empty
     /// while telemetry is disabled).
@@ -288,28 +270,24 @@ impl SimModel for ShardDeviceWorld {
     type Event = FleetEvent;
 
     fn handle(&mut self, ctx: &mut Ctx<'_, FleetEvent>, event: FleetEvent) {
+        let outbox = &mut self.outbox;
+        let to_outbox = |_: &mut Ctx<'_, FleetEvent>, sent_at, at, tag| {
+            outbox.push(Submission { at, sent_at, tag })
+        };
         match event {
-            FleetEvent::Capture(dev) => self.core.capture(ctx, &mut self.sink, dev),
+            FleetEvent::Capture(dev) => self.core.capture(ctx, to_outbox, dev),
             FleetEvent::LocalDone(dev) => self.core.local_done(ctx, dev),
             FleetEvent::Tick(dev) => {
-                let rep = self.core.tick(ctx, &mut self.sink, dev);
+                let out = self.core.tick(ctx, to_outbox, dev);
                 if self.recorder.is_enabled() {
-                    let local = dev - self.core.devs.base;
-                    let devs = &self.core.devs;
-                    observe_device_tick(
-                        &mut self.recorder,
-                        self.scopes[local],
-                        ctx.now().as_micros(),
-                        self.core.config.stream.fps,
-                        &rep,
-                        devs.po_target[local],
-                        devs.tracker[local].in_flight(),
-                        devs.probes[local].len(),
-                        devs.heartbeat[local],
-                    );
+                    let scope = self.scopes[dev - self.core.devs.base];
+                    let (t, fs) = (ctx.now().as_micros(), self.core.config.stream.fps);
+                    observe_device_tick(&mut self.recorder, scope, t, fs, &out);
                 }
             }
-            FleetEvent::Deadline { tag } => self.core.deadline(ctx.now(), tag),
+            FleetEvent::Deadline { tag } => {
+                self.core.row_of(tag).on_deadline(tag, ctx.now());
+            }
             FleetEvent::NetworkChange { dev, step } => self.core.network_change(dev, step),
             FleetEvent::Uplinked { .. }
             | FleetEvent::BatchDone { .. }
@@ -348,6 +326,17 @@ pub fn run_fleet_sharded(
     controllers: Vec<Box<dyn Controller>>,
     shards: usize,
 ) -> FleetResult {
+    run_sharded(config, controllers, shards, None).0
+}
+
+/// [`run_fleet_sharded`] with global device `traced`, if any, recording
+/// an `ff-trace` (see `fleet::run_fleet_recording`).
+pub(crate) fn run_sharded(
+    config: FleetConfig,
+    controllers: Vec<Box<dyn Controller>>,
+    shards: usize,
+    traced: Option<usize>,
+) -> (FleetResult, Option<Vec<u8>>) {
     validate_fleet(&config, &controllers);
     let config = Arc::new(config);
     let n = controllers.len();
@@ -391,11 +380,6 @@ pub fn run_fleet_sharded(
             outage_tie += 1;
         }
     }
-    let offload_models: Vec<ModelKind> = config
-        .devices
-        .iter()
-        .map(|d| config.remote_model.unwrap_or(d.model))
-        .collect();
     let propagation = config.link.propagation;
     let reuse_buffers = config.engine.reuse_batch_buffers;
     let mut batch_out = BatchOutput::default();
@@ -427,7 +411,7 @@ pub fn run_fleet_sharded(
     for s in 0..k {
         let size = per + usize::from(s < big);
         let chunk: Vec<Box<dyn Controller>> = remaining.drain(..size).collect();
-        let devs = FleetDevices::build(&config, chunk, offset);
+        let devs = FleetDevices::build(&config, chunk, offset, traced);
         let scopes = device_scopes(&telemetry, offset..offset + size);
         let world = ShardDeviceWorld {
             core: FleetCore {
@@ -435,7 +419,7 @@ pub fn run_fleet_sharded(
                 devs,
                 end_at,
             },
-            sink: OutboxSink { outbox: Vec::new() },
+            outbox: Vec::new(),
             recorder: telemetry.recorder(),
             scopes,
         };
@@ -518,14 +502,8 @@ pub fn run_fleet_sharded(
                     }
                 }
                 ItemKind::Submission { tag } => {
-                    let dev = tag_device(tag);
                     let probe = tag_is_probe(tag);
-                    let request = Request {
-                        tenant: TenantId(dev as u32),
-                        model: offload_models[dev],
-                        submitted_at: now,
-                        tag,
-                    };
+                    let request = config.request_for(tag, now);
                     let outcome = tier.submit(now, request, !probe, &mut routing_rng);
                     if let TierSubmit::BatchStarted { server, done_at } = outcome {
                         merge.schedule(
@@ -627,17 +605,19 @@ pub fn run_fleet_sharded(
                 }
                 FeedbackKind::BatchRejected => {
                     state.sim.run_until(f.at);
-                    state.sim.model_mut().core.apply_batch_rejection(f.tag);
+                    let mut row = state.sim.model_mut().core.row_of(f.tag);
+                    row.frame_rejected_by_server(f.tag, f.at);
                 }
                 FeedbackKind::Response => {
                     state.sim.run_until(f.at);
-                    state.sim.model_mut().core.apply_response(f.tag, f.at);
+                    let mut row = state.sim.model_mut().core.row_of(f.tag);
+                    row.on_response(f.tag, f.at, true);
                     state.responses_applied += 1;
                 }
             }
         }
         state.sim.run_until(SimTime::from_micros(b_us - 1));
-        let outbox = &mut state.sim.model_mut().sink.outbox;
+        let outbox = &mut state.sim.model_mut().outbox;
         if !outbox.is_empty() {
             // The coordinator emptied the mailbox this round.
             *submissions[shard].lock().unwrap() = mem::take(outbox);
@@ -651,11 +631,14 @@ pub fn run_fleet_sharded(
     let mut device_results = Vec::with_capacity(n);
     let mut shard_events = 0u64;
     let mut responses_applied = 0u64;
+    let mut trace = None;
     for state in states {
         shard_events += state.sim.events_handled();
         responses_applied += state.responses_applied;
-        let world = state.sim.into_model();
-        device_results.extend(world.core.devs.into_results());
+        let now = state.sim.now();
+        let mut devs = state.sim.into_model().core.devs;
+        trace = trace.or(devs.runtime.finish_trace(now));
+        device_results.extend(devs.into_results(&config));
     }
     // Shared network-schedule steps were replicated into every shard;
     // the legacy engine pops each exactly once.
@@ -676,7 +659,8 @@ pub fn run_fleet_sharded(
     if telemetry.is_enabled() {
         telemetry.poll();
     }
-    finish_fleet(device_results, &tier, events_handled)
+    let result = finish_fleet(device_results, &tier, events_handled);
+    (result, trace)
 }
 
 /// Test hooks for the merge-order proptest in

@@ -119,14 +119,16 @@ fn measured_fleet(shards: usize) -> (FleetResult, Footprint) {
 
 /// Allocation requests per device a run may make: the caller's
 /// controller box, the QoS log and the timeout window's deque.
-/// Measured 3.0232 unsharded and 3.1809 on two shards (9.02 and 9.18
+/// Measured 3.0212 unsharded and 3.1770 on two shards (9.02 and 9.18
 /// before the per-device diet); the allowance above that is for per-run
 /// costs, and is a quarter of what one more allocation per device adds.
 const MAX_CALLS_PER_DEVICE: f64 = 3.25;
 
 /// Peak live heap bytes per device, as measured (3 322 and 3 698 before
-/// the diet); the assertion allows 2 % on top.
-const MEASURED_PEAK_BYTES: [(usize, f64); 2] = [(1, 2_088.3), (2, 2_436.1)];
+/// the diet, 2 088.3 and 2 436.1 after it; the shared device runtime's
+/// two-column state is 9 bytes smaller still); the assertion allows 2 %
+/// on top.
+const MEASURED_PEAK_BYTES: [(usize, f64); 2] = [(1, 2_079.3), (2, 2_427.2)];
 
 #[test]
 fn per_device_allocations_and_live_bytes_stay_on_their_diet() {
