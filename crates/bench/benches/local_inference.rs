@@ -1,9 +1,9 @@
-//! Criterion bench for the Table II pipeline: the local engine's offer /
-//! complete hot path and a full local-only run per device profile.
+//! Criterion bench for the Table II pipeline: the local engine's apply_due /
+//! offer hot path and a full local-only run per device profile.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ff_baselines::LocalOnly;
-use ff_device::{run_experiment, ExperimentConfig, LocalEngine, LocalOutcome};
+use ff_device::{run_experiment, ExperimentConfig, LocalEngine};
 use ff_models::{DeviceKind, ModelKind};
 use ff_sim::{RngFactory, SimDuration, SimTime};
 
@@ -15,16 +15,9 @@ fn bench_engine_hot_path(c: &mut Criterion) {
             RngFactory::new(1).stream("bench-local"),
         );
         let mut now = SimTime::ZERO;
-        let mut done: Option<SimTime> = None;
         b.iter(|| {
-            if let Some(d) = done {
-                if d <= now {
-                    done = engine.complete(d);
-                }
-            }
-            if let LocalOutcome::Started { done_at } = engine.offer(now) {
-                done = Some(done_at);
-            }
+            engine.apply_due(now, false, |_| {});
+            black_box(engine.offer(now));
             now += SimDuration::from_millis(33);
             black_box(now)
         });

@@ -15,7 +15,7 @@
 //! very same runtime.
 
 use crate::cpu::CpuModel;
-use crate::fleet::{observe_device_tick, FleetObs, LinkTransport};
+use crate::fleet::{lane, observe_device_tick, FleetObs, LinkTransport};
 use crate::local::{LocalEngine, LocalOutcome};
 use crate::quality::{QualityAdapter, QualityConfig};
 use crate::runtime::{
@@ -343,7 +343,11 @@ impl World {
         let submission = self
             .runtime
             .offload(&mut transport, tag, bytes, captured_at);
-        ctx.schedule_at(submission.deadline_at, Event::Deadline { tag });
+        ctx.schedule_lane(
+            lane::DEADLINE,
+            submission.deadline_at,
+            Event::Deadline { tag },
+        );
     }
 
     fn submit_to_server(&mut self, ctx: &mut Ctx<'_, Event>, request: Request) -> TierSubmit {
@@ -386,14 +390,12 @@ impl World {
                 self.current_local_accuracy = after.profile().top1_accuracy;
             }
         }
-        ctx.schedule_at(
-            out.probe_deadline_at,
-            Event::Deadline { tag: out.probe_tag },
-        );
+        let deadline = Event::Deadline { tag: out.probe_tag };
+        ctx.schedule_lane(lane::DEADLINE, out.probe_deadline_at, deadline);
 
         let next = now + self.config.controller_period;
         if next <= self.end_at {
-            ctx.schedule_at(next, Event::Tick);
+            ctx.schedule_lane(lane::TICK, next, Event::Tick);
         }
 
         self.observe_tick(ctx, &out);
@@ -407,7 +409,7 @@ impl World {
         }
         let (t, fs) = (ctx.now().as_micros(), self.config.stream.fps);
         observe_device_tick(&mut self.obs.recorder, self.obs.devices[0], t, fs, out);
-        self.obs.observe_shared(ctx, &self.tier);
+        self.obs.observe_shared(ctx, &self.tier, 0);
     }
 
     fn schedule_background(&mut self, ctx: &mut Ctx<'_, Event>) {
@@ -456,7 +458,7 @@ impl SimModel for World {
                             );
                             if !self.source.exhausted() {
                                 let next = self.source.next_capture_time();
-                                ctx.schedule_at(next, Event::Capture);
+                                ctx.schedule_lane(lane::CAPTURE, next, Event::Capture);
                             }
                             return;
                         }
@@ -504,18 +506,22 @@ impl SimModel for World {
                 }
                 if !self.source.exhausted() {
                     let next = self.source.next_capture_time();
-                    ctx.schedule_at(next, Event::Capture);
+                    ctx.schedule_lane(lane::CAPTURE, next, Event::Capture);
                 }
             }
 
+            // This host still files its completions (the handler settles
+            // per-frame fates); the engine applies the one that is due.
             Event::LocalDone => {
-                self.runtime.note_local_done(1, ctx.now());
+                let runtime = &mut self.runtime;
+                self.engine
+                    .apply_due(ctx.now(), false, |at| runtime.note_local_done(1, at));
                 self.local_done_total += 1;
                 self.local_accuracy_sum += self.current_local_accuracy;
                 if let Some(finished) = self.local_running.take() {
                     self.trace.resolve(finished, FrameFate::LocalCompleted);
                 }
-                if let Some(next_done) = self.engine.complete(ctx.now()) {
+                if let Some(next_done) = self.engine.busy_until() {
                     ctx.schedule_at(next_done, Event::LocalDone);
                     self.local_running = self.local_pending.take();
                 }
@@ -558,7 +564,8 @@ impl SimModel for World {
                 for c in &self.batch_out.completions {
                     if c.request.tenant == DEVICE_TENANT {
                         let at = now + self.config.link.propagation;
-                        ctx.schedule_at(at, Event::Response { tag: c.request.tag });
+                        let response = Event::Response { tag: c.request.tag };
+                        ctx.schedule_lane(lane::RESPONSE, at, response);
                     }
                 }
                 for r in &self.batch_out.rejections {
@@ -820,8 +827,8 @@ fn run_experiment_inner(
     // matters when a sweep executes thousands of runs back to back.
     let mut sim = Simulation::with_event_capacity(world, 512);
     let first_capture = sim.model().source.next_capture_time();
-    sim.schedule_at(first_capture, Event::Capture);
-    sim.schedule_at(SimTime::ZERO + controller_period, Event::Tick);
+    sim.schedule_lane(lane::CAPTURE, first_capture, Event::Capture);
+    sim.schedule_lane(lane::TICK, SimTime::ZERO + controller_period, Event::Tick);
     for (i, &t) in network_steps.iter().enumerate().skip(1) {
         sim.schedule_at(SimTime::from_secs_f64(t), Event::NetworkChange(i));
     }

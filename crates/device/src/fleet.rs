@@ -22,6 +22,14 @@
 //! single-threaded engine and a shard ([`crate::shard`]) is where a
 //! delivered uplink goes (see [`FleetCore`]).
 //!
+//! What reaches the calendar: an event is filed only if something other
+//! than its own device can observe its instant. Captures, ticks,
+//! deadlines and responses are each filed a constant distance ahead, so
+//! they wait on the event queue's FIFO lanes ([`lane`]); a finished
+//! batch's responses share one entry; and a local inference's completion
+//! is not filed at all — the engine applies it when its device next looks
+//! ([`LocalEngine::apply_due`]). DESIGN.md §"What is a calendar event".
+//!
 //! Per-device state lives in structure-of-arrays form ([`FleetDevices`]),
 //! indexed by the device id packed into each tag ([`crate::tags`] defines
 //! the layout). The runtime's state is two of those columns — the
@@ -29,7 +37,7 @@
 //! touches ([`RuntimeColumns`]) — so a device parked at the probe floor
 //! is served from a small array while its flight table stays cold.
 
-use crate::local::{LocalEngine, LocalOutcome};
+use crate::local::LocalEngine;
 use crate::runtime::{
     bootstrap, trace_header, DeviceLoop, FrameState, OffloadState, RuntimeConfig, SubmitOutcome,
     TickOutput, Transport,
@@ -55,11 +63,25 @@ use ff_workload::{
 };
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::tags::{
     fleet_tag as make_tag, fleet_tag_device as tag_device, is_probe_tag as tag_is_probe,
 };
+
+/// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
+/// that every DES host files a constant distance ahead of `now`.
+pub(crate) mod lane {
+    /// The next capture, one frame interval ahead.
+    pub(crate) const CAPTURE: usize = 0;
+    /// The next controller tick, one period ahead.
+    pub(crate) const TICK: usize = 1;
+    /// A frame's or a probe's deadline.
+    pub(crate) const DEADLINE: usize = 2;
+    /// A response, one propagation delay after its batch.
+    pub(crate) const RESPONSE: usize = 3;
+}
 
 /// Engine tuning knobs for a fleet run. These change **how fast** the
 /// simulation executes, never **what** it computes: every combination
@@ -308,9 +330,14 @@ pub struct FleetResult {
     pub total_mean_throughput: f64,
     /// Server-side rejections per device index (fairness diagnostics).
     pub rejections_by_device: Vec<u64>,
-    /// Total simulation events dispatched during the run (the
-    /// denominator of `engine_bench`'s events/sec figure). Independent
-    /// of the shard count.
+    /// Events of the model handled during the run: one per capture,
+    /// tick, deadline, uplink arrival, batch completion, response,
+    /// local-inference completion, outage edge and network-schedule
+    /// step that fired at or before the end of the run — whether the
+    /// engine popped it from its calendar or applied it some cheaper way
+    /// (a response inside a batch entry, a completion applied by its
+    /// engine, a response handed over by the shard coordinator).
+    /// Independent of backend and shard count.
     pub events_handled: u64,
 }
 
@@ -381,6 +408,8 @@ pub(crate) struct FleetDevices {
 // 100k-device fleet 100 000× its size. (Checked here, where the RNG the
 // fleet instantiates it with is known.)
 const _: () = assert!(std::mem::size_of::<FrameSource<ChaCha8Rng>>() <= 192);
+// Likewise one engine per device.
+const _: () = assert!(std::mem::size_of::<LocalEngine<ChaCha8Rng>>() <= 176);
 
 impl FleetDevices {
     /// Build the state for global devices `[base, base + controllers.len())`,
@@ -520,7 +549,6 @@ impl FleetDevices {
 
 pub(crate) enum FleetEvent {
     Capture(usize),
-    LocalDone(usize),
     Uplinked {
         tag: u64,
     },
@@ -531,9 +559,9 @@ pub(crate) enum FleetEvent {
         server: usize,
         epoch: u64,
     },
-    Response {
-        tag: u64,
-    },
+    /// The responses of one finished batch reach their devices: the next
+    /// this many tags of `FleetWorld::responses`.
+    Responses(u32),
     Deadline {
         tag: u64,
     },
@@ -587,9 +615,21 @@ pub(crate) struct FleetCore {
     pub(crate) config: Arc<FleetConfig>,
     pub(crate) devs: FleetDevices,
     pub(crate) end_at: SimTime,
+    /// Local-inference completions applied so far: events of the model
+    /// that never were calendar entries.
+    pub(crate) local_completions: u64,
 }
 
 impl FleetCore {
+    pub(crate) fn new(config: Arc<FleetConfig>, devs: FleetDevices) -> FleetCore {
+        FleetCore {
+            end_at: config.end_at(),
+            config,
+            devs,
+            local_completions: 0,
+        }
+    }
+
     /// The runtime row of the device `tag` belongs to: where the hosts
     /// deliver a response, a deadline or a batch rejection.
     #[inline]
@@ -629,7 +669,7 @@ impl FleetCore {
                 FilterVerdict::Skip => {
                     if !src.exhausted() {
                         let next = src.next_capture_time();
-                        ctx.schedule_at(next, FleetEvent::Capture(g));
+                        ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
                     }
                     return;
                 }
@@ -644,26 +684,20 @@ impl FleetCore {
                     deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
                 };
                 let submission = rt.offload(&mut transport, tag, frame_bytes, now);
-                ctx.schedule_at(submission.deadline_at, FleetEvent::Deadline { tag });
+                let deadline = FleetEvent::Deadline { tag };
+                ctx.schedule_lane(lane::DEADLINE, submission.deadline_at, deadline);
             }
             Route::Local => {
-                if let LocalOutcome::Started { done_at } = engine[i].offer(now) {
-                    ctx.schedule_at(done_at, FleetEvent::LocalDone(g));
-                }
+                let engine = &mut engine[i];
+                self.local_completions +=
+                    engine.apply_due(now, false, |done_at| rt.note_local_done(1, done_at));
+                engine.offer(now);
                 frames_local[i] += 1;
             }
         }
         if !src.exhausted() {
             let next = src.next_capture_time();
-            ctx.schedule_at(next, FleetEvent::Capture(g));
-        }
-    }
-
-    pub(crate) fn local_done(&mut self, ctx: &mut Ctx<'_, FleetEvent>, g: usize) {
-        let i = g - self.devs.base;
-        self.devs.runtime.lend(i).note_local_done(1, ctx.now());
-        if let Some(next_done) = self.devs.engine[i].complete(ctx.now()) {
-            ctx.schedule_at(next_done, FleetEvent::LocalDone(g));
+            ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
         }
     }
 
@@ -681,17 +715,36 @@ impl FleetCore {
             deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
         };
         let controller = self.devs.controller[i].as_mut();
+        let engine = &mut self.devs.engine[i];
         let mut rt = self.devs.runtime.lend(i);
+        self.local_completions +=
+            engine.apply_due(now, true, |done_at| rt.note_local_done(1, done_at));
         let out = rt.tick(now, controller, &mut transport);
-        ctx.schedule_at(
-            out.probe_deadline_at,
-            FleetEvent::Deadline { tag: out.probe_tag },
-        );
+        engine.tick_passed();
+        let deadline = FleetEvent::Deadline { tag: out.probe_tag };
+        ctx.schedule_lane(lane::DEADLINE, out.probe_deadline_at, deadline);
         let next = now + self.config.controller_period;
         if next <= self.end_at {
-            ctx.schedule_at(next, FleetEvent::Tick(g));
+            ctx.schedule_lane(lane::TICK, next, FleetEvent::Tick(g));
         }
         out
+    }
+
+    /// The run is over at `now`: apply the local completions due by
+    /// `end_at` (the calendar would have popped each), close the trace,
+    /// and free the columns no result reads — before the caller allocates
+    /// the results, so that teardown does not set the run's peak memory.
+    pub(crate) fn finish(&mut self, now: SimTime) -> Option<Vec<u8>> {
+        let devs = &mut self.devs;
+        for (i, engine) in devs.engine.iter_mut().enumerate() {
+            let mut rt = devs.runtime.lend(i);
+            self.local_completions +=
+                engine.apply_due(self.end_at, false, |done_at| rt.note_local_done(1, done_at));
+        }
+        devs.source = Vec::new();
+        devs.engine = Vec::new();
+        devs.link = Vec::new();
+        devs.runtime.finish_trace(now)
     }
 
     /// The request reached the tier at `at` (and, when
@@ -876,10 +929,17 @@ impl FleetObs {
 
     /// Report the state all devices share — the engine's calendar and
     /// the tier — then poll the collector. Once per controller period.
-    pub(crate) fn observe_shared<E>(&mut self, ctx: &Ctx<'_, E>, tier: &ServerTier) {
+    /// `off_calendar` is how many events the host has applied without
+    /// filing them, so the gauge keeps counting events of the model.
+    pub(crate) fn observe_shared<E>(
+        &mut self,
+        ctx: &Ctx<'_, E>,
+        tier: &ServerTier,
+        off_calendar: u64,
+    ) {
         let t = ctx.now().as_micros();
         let rec = &mut self.recorder;
-        let events = ctx.events_handled() as f64;
+        let events = (ctx.events_handled() + off_calendar) as f64;
         rec.gauge(self.engine, Metric::EventsHandled, events, t);
         let pending = ctx.pending_events() as f64;
         rec.gauge(self.engine, Metric::PendingEvents, pending, t);
@@ -902,6 +962,11 @@ struct FleetWorld {
     /// legacy single-server runs never advance it.
     routing_rng: ChaCha8Rng,
     batch_out: BatchOutput,
+    /// Tags of the responses in flight to their devices, in the order of
+    /// the [`FleetEvent::Responses`] entries that will deliver them (each
+    /// is due one fixed propagation delay after it was filed, so the
+    /// entries fire in filing order).
+    responses: VecDeque<u64>,
     obs: FleetObs,
 }
 
@@ -942,7 +1007,8 @@ impl FleetWorld {
             let wheel = self.core.config.engine.backend == QueueBackend::Wheel;
             let engine = self.obs.engine;
             rec.gauge(engine, Metric::QueueBackendWheel, wheel as u64 as f64, t);
-            self.obs.observe_shared(ctx, &self.tier);
+            self.obs
+                .observe_shared(ctx, &self.tier, self.core.local_completions);
         }
     }
 }
@@ -953,8 +1019,6 @@ impl SimModel for FleetWorld {
     fn handle(&mut self, ctx: &mut Ctx<'_, FleetEvent>, event: FleetEvent) {
         match event {
             FleetEvent::Capture(dev) => self.core.capture(ctx, schedule_uplink, dev),
-
-            FleetEvent::LocalDone(dev) => self.core.local_done(ctx, dev),
 
             FleetEvent::Uplinked { tag } => {
                 let now = ctx.now();
@@ -994,11 +1058,15 @@ impl SimModel for FleetWorld {
                     self.batch_out = BatchOutput::default();
                 }
                 self.tier.batch_done_into(server, now, &mut self.batch_out);
-                for c in &self.batch_out.completions {
-                    ctx.schedule_at(
-                        now + propagation,
-                        FleetEvent::Response { tag: c.request.tag },
-                    );
+                // One response per completion, all `propagation` from now:
+                // one lane entry delivers them in this order.
+                let completions = &self.batch_out.completions;
+                if !completions.is_empty() {
+                    self.responses
+                        .extend(completions.iter().map(|c| c.request.tag));
+                    let n = completions.len() as u32;
+                    let at = now + propagation;
+                    ctx.schedule_lane_batch(lane::RESPONSE, at, n, FleetEvent::Responses(n));
                 }
                 for r in &self.batch_out.rejections {
                     let tag = r.request.tag;
@@ -1011,8 +1079,10 @@ impl SimModel for FleetWorld {
                 }
             }
 
-            FleetEvent::Response { tag } => {
-                self.core.row_of(tag).on_response(tag, ctx.now(), true);
+            FleetEvent::Responses(n) => {
+                for tag in self.responses.drain(..n as usize) {
+                    self.core.row_of(tag).on_response(tag, ctx.now(), true);
+                }
             }
 
             FleetEvent::Deadline { tag } => {
@@ -1125,7 +1195,6 @@ pub(crate) fn run_fleet_recording(
         return crate::shard::run_sharded(config, controllers, shards, traced);
     }
     let n = controllers.len();
-    let end_at = config.end_at();
     let change_events = network_change_events(&config);
     let tier_config = config.tier_config();
     let tier = ServerTier::new(&tier_config);
@@ -1139,21 +1208,21 @@ pub(crate) fn run_fleet_recording(
     let obs = FleetObs::new(&config.telemetry, n, tier.len());
     let outages = config.outages.clone();
     let devs = FleetDevices::build(&config, controllers, 0, traced);
+    let core = FleetCore::new(Arc::new(config), devs);
+    let end_at = core.end_at;
     let world = FleetWorld {
-        core: FleetCore {
-            config: Arc::new(config),
-            devs,
-            end_at,
-        },
+        core,
         tier,
         routing_rng,
         batch_out: BatchOutput::default(),
+        responses: VecDeque::new(),
         obs,
     };
     let mut sim = Simulation::with_queue(world, EventQueue::with_backend(backend));
     for dev in 0..n {
-        sim.schedule_at(SimTime::ZERO, FleetEvent::Capture(dev));
-        sim.schedule_at(SimTime::ZERO + controller_period, FleetEvent::Tick(dev));
+        sim.schedule_lane(lane::CAPTURE, SimTime::ZERO, FleetEvent::Capture(dev));
+        let first_tick = SimTime::ZERO + controller_period;
+        sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(dev));
     }
     for (t, dev, step) in change_events {
         sim.schedule_at(
@@ -1172,15 +1241,17 @@ pub(crate) fn run_fleet_recording(
         );
     }
     sim.run_until(end_at);
-    let events_handled = sim.events_handled();
+    let dispatched = sim.events_handled();
     let now = sim.now();
+    // Dropping the simulation frees its calendar.
     let mut world = sim.into_model();
     // Drain whatever the final ticks recorded. The last (partial) window
     // stays open until the caller's `Telemetry::finish`, so one pipeline
     // can span several runs (e.g. a sweep).
     world.obs.telemetry.poll();
 
-    let trace = world.core.devs.runtime.finish_trace(now);
+    let trace = world.core.finish(now);
+    let events_handled = dispatched + world.core.local_completions;
     let device_results = world.core.devs.into_results(&world.core.config);
     let result = finish_fleet(device_results, &world.tier, events_handled);
     (result, trace)

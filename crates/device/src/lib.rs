@@ -48,6 +48,8 @@ pub use fleet::{
     TierOutage,
 };
 pub use flight::{FlightTable, ProbeTable};
+#[doc(hidden)]
+pub use local::testhooks as local_testhooks;
 pub use local::{LocalEngine, LocalOutcome};
 pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 pub use quality::{QualityAdapter, QualityConfig};

@@ -10,6 +10,19 @@
 //! Service time is `1 / P_l` with small multiplicative jitter (CPU
 //! inference time varies a few percent run to run); the mean is
 //! calibrated to the measured Table II rates via `ff-models`.
+//!
+//! ## Completions are not calendar events
+//!
+//! The engine knows when the inference in flight finishes, and nothing
+//! but its own device can observe that instant: the controller sees
+//! local execution only as completions counted over an interval, the
+//! splitter only as "busy or not" when it offers the next frame. So the
+//! fleet engines file no completion event. [`LocalEngine::apply_due`] is
+//! the one rule for when an outstanding completion takes effect — before
+//! the device's next locally routed capture, before its next controller
+//! tick, and once at the end of the run — and it reproduces, completion
+//! for completion and draw for draw, what a calendar that filed each one
+//! would have done (`testhooks` keeps that calendar as the oracle).
 
 use ff_models::{DeviceKind, ModelKind};
 use ff_sim::{SimDuration, SimTime};
@@ -37,6 +50,9 @@ pub struct LocalEngine<R: Rng> {
     jitter: f64,
     busy_until: Option<SimTime>,
     pending: bool,
+    /// The inference in flight was already in flight when the device's
+    /// last controller tick ran (see [`LocalEngine::apply_due`]).
+    spans_tick: bool,
     rng: R,
     /// Cumulative time spent computing, for CPU accounting.
     busy_time: SimDuration,
@@ -58,6 +74,7 @@ impl<R: Rng> LocalEngine<R> {
             jitter: 0.05,
             busy_until: None,
             pending: false,
+            spans_tick: false,
             rng,
             busy_time: SimDuration::ZERO,
             completed: 0,
@@ -92,6 +109,7 @@ impl<R: Rng> LocalEngine<R> {
         let service = self.mean_service.mul_f64(factor);
         let done = now + service;
         self.busy_until = Some(done);
+        self.spans_tick = false;
         self.busy_time += service;
         done
     }
@@ -111,12 +129,12 @@ impl<R: Rng> LocalEngine<R> {
         LocalOutcome::Started { done_at }
     }
 
-    /// The caller's completion event fired at `now`. Returns the next
+    /// The inference in flight finished at `now`. Returns the next
     /// completion instant if the pending frame starts immediately.
-    pub fn complete(&mut self, now: SimTime) -> Option<SimTime> {
+    fn complete(&mut self, now: SimTime) -> Option<SimTime> {
         debug_assert!(
             self.busy_until.is_some_and(|t| t == now),
-            "completion event out of sync with engine state"
+            "completion out of sync with engine state"
         );
         self.busy_until = None;
         self.completed += 1;
@@ -126,6 +144,55 @@ impl<R: Rng> LocalEngine<R> {
         } else {
             None
         }
+    }
+
+    /// When the inference in flight finishes, if one is.
+    pub fn busy_until(&self) -> Option<SimTime> {
+        self.busy_until
+    }
+
+    /// Apply the completions that have fallen due, oldest first, each at
+    /// its own instant: `bill(done_at)`, then the engine moves on — which
+    /// may start the pending frame at `done_at` (one draw from the
+    /// engine's stream) and so produce the next completion, due in turn.
+    /// Returns how many were applied.
+    ///
+    /// The caller is an event of the engine's own device at `now`, and
+    /// "due" means what a calendar holding one event per completion would
+    /// already have popped:
+    ///
+    /// * before a capture that is about to [`offer`](Self::offer), or at
+    ///   the end of the run (`before_tick == false`): `done_at ≤ now`;
+    /// * before a controller tick (`before_tick == true`): `done_at < now`,
+    ///   and `done_at == now` only if the inference was already in flight
+    ///   when the *previous* tick ran. Both events were filed when their
+    ///   predecessor fired — this tick by the previous tick, the
+    ///   completion at its start of service — so at a shared instant the
+    ///   one filed first pops first, and [`tick_passed`](Self::tick_passed)
+    ///   records exactly which that is.
+    pub fn apply_due(
+        &mut self,
+        now: SimTime,
+        before_tick: bool,
+        mut bill: impl FnMut(SimTime),
+    ) -> u64 {
+        let mut applied = 0;
+        while let Some(done_at) = self.busy_until {
+            let due = done_at < now || (done_at == now && (!before_tick || self.spans_tick));
+            if !due {
+                break;
+            }
+            bill(done_at);
+            self.complete(done_at);
+            applied += 1;
+        }
+        applied
+    }
+
+    /// The device's controller tick has just run: whatever is in flight
+    /// now was started before it. Call at the end of every tick handler.
+    pub fn tick_passed(&mut self) {
+        self.spans_tick = self.busy_until.is_some();
     }
 
     /// Frames inferred locally so far (services completed).
@@ -147,6 +214,200 @@ impl<R: Rng> LocalEngine<R> {
         }
         // busy_time may exceed `now` by the tail of an in-flight inference.
         (self.busy_time.as_secs_f64() / now.as_secs_f64()).min(1.0)
+    }
+}
+
+/// Test hooks for the local-completion oracle in
+/// `tests/local_completions.rs`: one device's captures and controller
+/// ticks played against its engine twice — with every completion filed on
+/// a calendar, as the engines did before completions left it, and with
+/// [`LocalEngine::apply_due`] called the way `FleetCore` calls it.
+#[doc(hidden)]
+pub mod testhooks {
+    use super::{LocalEngine, LocalOutcome};
+    use ff_sim::{RngFactory, SimDuration, SimTime};
+    use rand::RngCore;
+    use rand_chacha::ChaCha8Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// One device's run, as its engine sees it.
+    #[derive(Debug, Clone)]
+    pub struct Script {
+        /// Mean service rate of the engine.
+        pub rate_fps: f64,
+        /// Multiplicative service jitter (the engine ships with 0.05).
+        pub jitter: f64,
+        /// Seed of the engine's stream.
+        pub seed: u64,
+        /// Capture instants, strictly ascending, and whether the splitter
+        /// routed that frame to the local engine.
+        pub captures: Vec<(SimTime, bool)>,
+        /// Controller period: ticks at `period, 2·period, … ≤ end_at`.
+        pub period: SimDuration,
+        /// The run ends here, inclusively.
+        pub end_at: SimTime,
+    }
+
+    /// Everything about the run the rest of the device could observe.
+    #[derive(Debug, Default, PartialEq)]
+    pub struct Observed {
+        /// Completion instants, in the order they took effect.
+        pub completions: Vec<SimTime>,
+        /// What each locally routed capture was told.
+        pub offers: Vec<LocalOutcome>,
+        /// `interval.local_done` as each tick read it, then what was
+        /// billed after the last tick.
+        pub done_per_tick: Vec<u64>,
+        /// Captures + ticks + completions: `events_handled`.
+        pub events: u64,
+        /// The stream's next value after the run, equal iff both runs
+        /// drew the same number of service times.
+        pub next_draw: u64,
+    }
+
+    impl Observed {
+        /// A tick, or the end of the run, reads the completions billed
+        /// since the last one did.
+        fn close_interval(&mut self) {
+            let read_before: u64 = self.done_per_tick.iter().sum();
+            let billed = self.completions.len() as u64;
+            self.done_per_tick.push(billed - read_before);
+        }
+    }
+
+    fn engine(script: &Script) -> LocalEngine<ChaCha8Rng> {
+        let rng = RngFactory::new(script.seed).stream("local");
+        let mut engine = LocalEngine::with_rate(script.rate_fps, rng);
+        engine.jitter = script.jitter;
+        engine
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Event {
+        Capture(usize),
+        LocalDone,
+        Tick,
+    }
+
+    /// The eager discipline: every completion is a calendar event, filed
+    /// when its service starts and popped in `(time, filing order)`.
+    ///
+    /// `Err` on the one schedule it mishandles: a completion and a locally
+    /// routed capture of the same microsecond with the capture filed
+    /// first. The capture then finds the engine no longer busy (`busy_until
+    /// > now` fails) and starts a second service over the unfinished first,
+    /// whose completion event is thereby orphaned — `LocalEngine::complete`'s
+    /// `debug_assert` in debug builds, a double-booked engine in release.
+    /// `apply_due` completes first at such a tie.
+    pub fn eager(script: &Script) -> Result<Observed, String> {
+        let mut engine = engine(script);
+        let mut calendar = BinaryHeap::new();
+        let mut filed = 0u64;
+        let mut file = |calendar: &mut BinaryHeap<_>, at: SimTime, event: Event| {
+            calendar.push(Reverse((at, filed, event)));
+            filed += 1;
+        };
+        if let Some(&(first, _)) = script.captures.first() {
+            file(&mut calendar, first, Event::Capture(0));
+        }
+        file(&mut calendar, SimTime::ZERO + script.period, Event::Tick);
+
+        let mut seen = Observed::default();
+        while let Some(Reverse((now, _, event))) = calendar.pop() {
+            if now > script.end_at {
+                break;
+            }
+            seen.events += 1;
+            match event {
+                Event::Capture(i) => {
+                    if script.captures[i].1 {
+                        let outcome = engine.offer(now);
+                        if let LocalOutcome::Started { done_at } = outcome {
+                            file(&mut calendar, done_at, Event::LocalDone);
+                        }
+                        seen.offers.push(outcome);
+                    }
+                    if let Some(&(next, _)) = script.captures.get(i + 1) {
+                        file(&mut calendar, next, Event::Capture(i + 1));
+                    }
+                }
+                Event::LocalDone => {
+                    if engine.busy_until != Some(now) {
+                        return Err(format!(
+                            "completion at {now} orphaned: a capture of the same \
+                             instant restarted the engine until {:?}",
+                            engine.busy_until
+                        ));
+                    }
+                    seen.completions.push(now);
+                    if let Some(next_done) = engine.complete(now) {
+                        file(&mut calendar, next_done, Event::LocalDone);
+                    }
+                }
+                Event::Tick => {
+                    seen.close_interval();
+                    let next = now + script.period;
+                    if next <= script.end_at {
+                        file(&mut calendar, next, Event::Tick);
+                    }
+                }
+            }
+        }
+        seen.close_interval();
+        seen.next_draw = engine.rng.next_u64();
+        Ok(seen)
+    }
+
+    /// The shipped discipline: captures and ticks are the only calendar
+    /// events (merged here by the same filing order), and completions take
+    /// effect through `apply_due` at the three places `FleetCore` calls it.
+    pub fn lazy(script: &Script) -> Observed {
+        let mut engine = engine(script);
+        let mut seen = Observed::default();
+        let mut captures = script.captures.iter().peekable();
+        let mut next_tick = SimTime::ZERO + script.period;
+        // Filing order of the pending capture and the pending tick: each
+        // is filed while its predecessor is handled, the first two at
+        // set-up.
+        let (mut capture_filed, mut tick_filed, mut filed) = (0u64, 1u64, 2u64);
+        loop {
+            let capture_at = captures.peek().map(|&&(at, _)| at);
+            let tick_at = (next_tick <= script.end_at).then_some(next_tick);
+            let capture_first = match (capture_at, tick_at) {
+                (Some(c), Some(t)) => (c, capture_filed) < (t, tick_filed),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let completions = &mut seen.completions;
+            if capture_first {
+                let &(now, local) = captures.next().expect("peeked");
+                if now > script.end_at {
+                    break;
+                }
+                seen.events += 1;
+                if local {
+                    seen.events += engine.apply_due(now, false, |at| completions.push(at));
+                    seen.offers.push(engine.offer(now));
+                }
+                capture_filed = filed;
+                filed += 1;
+            } else {
+                let now = next_tick;
+                seen.events += 1 + engine.apply_due(now, true, |at| completions.push(at));
+                seen.close_interval();
+                engine.tick_passed();
+                tick_filed = filed;
+                filed += 1;
+                next_tick = now + script.period;
+            }
+        }
+        let completions = &mut seen.completions;
+        seen.events += engine.apply_due(script.end_at, false, |at| completions.push(at));
+        seen.close_interval();
+        seen.next_draw = engine.rng.next_u64();
+        seen
     }
 }
 

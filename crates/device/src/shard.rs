@@ -79,7 +79,7 @@ use std::mem;
 use std::sync::{Arc, Mutex};
 
 use crate::fleet::{
-    device_scopes, finish_fleet, network_change_events, observe_device_tick, validate_fleet,
+    device_scopes, finish_fleet, lane, network_change_events, observe_device_tick, validate_fleet,
     FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
@@ -276,7 +276,6 @@ impl SimModel for ShardDeviceWorld {
         };
         match event {
             FleetEvent::Capture(dev) => self.core.capture(ctx, to_outbox, dev),
-            FleetEvent::LocalDone(dev) => self.core.local_done(ctx, dev),
             FleetEvent::Tick(dev) => {
                 let out = self.core.tick(ctx, to_outbox, dev);
                 if self.recorder.is_enabled() {
@@ -291,7 +290,7 @@ impl SimModel for ShardDeviceWorld {
             FleetEvent::NetworkChange { dev, step } => self.core.network_change(dev, step),
             FleetEvent::Uplinked { .. }
             | FleetEvent::BatchDone { .. }
-            | FleetEvent::Response { .. }
+            | FleetEvent::Responses(_)
             | FleetEvent::ServerCrash(_)
             | FleetEvent::ServerRecover(_) => {
                 unreachable!("server-side event scheduled inside a device shard")
@@ -414,11 +413,7 @@ pub(crate) fn run_sharded(
         let devs = FleetDevices::build(&config, chunk, offset, traced);
         let scopes = device_scopes(&telemetry, offset..offset + size);
         let world = ShardDeviceWorld {
-            core: FleetCore {
-                config: Arc::clone(&config),
-                devs,
-                end_at,
-            },
+            core: FleetCore::new(Arc::clone(&config), devs),
             outbox: Vec::new(),
             recorder: telemetry.recorder(),
             scopes,
@@ -426,11 +421,9 @@ pub(crate) fn run_sharded(
         let mut sim =
             Simulation::with_queue(world, EventQueue::with_backend(config.engine.backend));
         for g in offset..offset + size {
-            sim.schedule_at(SimTime::ZERO, FleetEvent::Capture(g));
-            sim.schedule_at(
-                SimTime::ZERO + config.controller_period,
-                FleetEvent::Tick(g),
-            );
+            sim.schedule_lane(lane::CAPTURE, SimTime::ZERO, FleetEvent::Capture(g));
+            let first_tick = SimTime::ZERO + config.controller_period;
+            sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(g));
         }
         for &(t, dev, step) in &change_events {
             let mine = match dev {
@@ -626,18 +619,29 @@ pub(crate) fn run_sharded(
 
     let states = run_phased(states, rounds, coordinator, worker);
 
-    // ---- Reassembly. Shards are contiguous, so concatenating their
-    // results in shard order is global device order. ----
-    let mut device_results = Vec::with_capacity(n);
+    // ---- Reassembly. Every shard first gives up its calendar and the
+    // columns no result reads; only then is the result vector allocated,
+    // so teardown stays below the run's own peak. Shards are contiguous,
+    // so concatenating their results in shard order is global device
+    // order. ----
     let mut shard_events = 0u64;
     let mut responses_applied = 0u64;
     let mut trace = None;
-    for state in states {
-        shard_events += state.sim.events_handled();
-        responses_applied += state.responses_applied;
-        let now = state.sim.now();
-        let mut devs = state.sim.into_model().core.devs;
-        trace = trace.or(devs.runtime.finish_trace(now));
+    let finished: Vec<FleetDevices> = states
+        .into_iter()
+        .map(|state| {
+            responses_applied += state.responses_applied;
+            let now = state.sim.now();
+            let dispatched = state.sim.events_handled();
+            let mut core = state.sim.into_model().core;
+            let recorded = core.finish(now);
+            trace = trace.take().or(recorded);
+            shard_events += dispatched + core.local_completions;
+            core.devs
+        })
+        .collect();
+    let mut device_results = Vec::with_capacity(n);
+    for devs in finished {
         device_results.extend(devs.into_results(&config));
     }
     // Shared network-schedule steps were replicated into every shard;

@@ -42,12 +42,14 @@ mod engine;
 mod par;
 mod queue;
 mod rng;
+#[doc(hidden)]
+pub mod testhooks;
 mod time;
 mod wheel;
 
 pub use engine::{Ctx, RunOutcome, SimModel, Simulation};
 pub use par::run_phased;
-pub use queue::{EventQueue, Popped, QueueBackend};
+pub use queue::{EventQueue, Popped, QueueBackend, LANES};
 pub use rng::RngFactory;
 pub use time::{round_nonneg_f64, SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};
 pub use wheel::{PopBefore, TimerWheel};

@@ -15,12 +15,34 @@
 //! The two backends produce bit-identical pop sequences for any
 //! interleaving of operations (property-tested below), so backend
 //! choice is purely a performance knob.
+//!
+//! ## Lanes
+//!
+//! Most of what a frame-loop simulation files is scheduled a *constant*
+//! distance ahead of `now` — the next capture, the next controller tick,
+//! an offload's deadline, a response's propagation delay — so within one
+//! such class the firing times arrive already sorted. The queue keeps
+//! [`LANES`] FIFOs beside its backend for them. A lane push draws its
+//! sequence number from the queue's **one** counter exactly as
+//! [`EventQueue::push`] does and appends to the FIFO; a push earlier than
+//! the lane's back (a heterogeneous or replayed cadence) goes to the
+//! backend *with that same number*. Every pop takes the minimum
+//! `(time, seq)` over the lane fronts and the backend's head, so the pop
+//! sequence is that of one heap fed the same pushes — by construction,
+//! on either backend (`testhooks::replay` checks it against one).
+//!
+//! A lane entry may stand for `n` consecutive pushes at one instant (the
+//! responses of one finished batch): it reserves `n` sequence numbers, so
+//! no later event's number moves, and counts as `n` events.
 
 use crate::time::SimTime;
 use crate::wheel::{PopBefore, TimerWheel};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Number of FIFO lanes beside the backend (see the module docs).
+pub const LANES: usize = 4;
 
 struct Entry<E> {
     time: SimTime,
@@ -75,10 +97,41 @@ pub enum Popped<E> {
     Empty,
 }
 
+/// One lane entry: `n` consecutive pushes of `event` at `time`, holding
+/// sequence numbers `seq..seq + n`.
+struct LaneEntry<E> {
+    time: SimTime,
+    seq: u64,
+    n: u32,
+    event: E,
+}
+
 /// A deterministic future-event list.
 pub struct EventQueue<E> {
     backend: Backend<E>,
+    /// Each sorted by `(time, seq)`.
+    lanes: [VecDeque<LaneEntry<E>>; LANES],
+    /// Key of each lane's front entry (`NO_KEY` for an empty lane), and
+    /// the smallest of them with its lane: kept beside the FIFOs so that a
+    /// pop compares the backend's head with one cached key, and only a
+    /// lane pop re-reads the other three.
+    fronts: [Key; LANES],
+    first: Key,
+    first_lane: usize,
+    /// Events standing on the lanes (an entry for `n` pushes counts `n`).
+    lane_len: usize,
     next_seq: u64,
+}
+
+/// An entry's position in the pop order: `(time, seq)` packed so that
+/// one integer comparison orders it.
+type Key = u128;
+/// Above every entry's key (no sequence number reaches `u64::MAX`).
+const NO_KEY: Key = Key::MAX;
+
+#[inline]
+fn key(time: SimTime, seq: u64) -> Key {
+    (Key::from(time.as_micros()) << 64) | Key::from(seq)
 }
 
 impl<E> Default for EventQueue<E> {
@@ -99,20 +152,26 @@ impl<E> EventQueue<E> {
     /// pre-sizing avoids the doubling churn on every run of a sweep
     /// grid.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::with_capacity(capacity)),
-            next_seq: 0,
-        }
+        Self::on(Backend::Heap(BinaryHeap::with_capacity(capacity)))
     }
 
     /// An empty queue on the given backend.
     pub fn with_backend(backend: QueueBackend) -> Self {
         match backend {
             QueueBackend::Heap => Self::new(),
-            QueueBackend::Wheel => EventQueue {
-                backend: Backend::Wheel(Box::default()),
-                next_seq: 0,
-            },
+            QueueBackend::Wheel => Self::on(Backend::Wheel(Box::default())),
+        }
+    }
+
+    fn on(backend: Backend<E>) -> Self {
+        EventQueue {
+            backend,
+            lanes: std::array::from_fn(|_| VecDeque::new()),
+            fronts: [NO_KEY; LANES],
+            first: NO_KEY,
+            first_lane: 0,
+            lane_len: 0,
+            next_seq: 0,
         }
     }
 
@@ -138,6 +197,11 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.push_backend(at, seq, event);
+    }
+
+    #[inline]
+    fn push_backend(&mut self, at: SimTime, seq: u64, event: E) {
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(Entry {
                 time: at,
@@ -148,14 +212,61 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// [`push`](Self::push) for an event whose class is scheduled a
+    /// constant distance ahead, `n` times over (`n ≥ 1` consecutive pushes
+    /// at one instant, filed as one entry that pops once and counts `n`).
+    /// Appended to lane `lane` while `at` keeps the lane sorted; otherwise
+    /// a single push falls through to the backend under the sequence
+    /// number it drew here, and an entry for several — which the backend
+    /// cannot count — is inserted into the lane in order.
+    #[inline]
+    pub(crate) fn push_lane(&mut self, lane: usize, at: SimTime, n: u32, event: E) {
+        debug_assert!(n >= 1, "a lane entry stands for at least one push");
+        let seq = self.next_seq;
+        self.next_seq += u64::from(n);
+        let fifo = &mut self.lanes[lane];
+        let sorted = fifo.back().is_none_or(|back| back.time <= at);
+        if !sorted && n == 1 {
+            return self.push_backend(at, seq, event);
+        }
+        let entry = LaneEntry {
+            time: at,
+            seq,
+            n,
+            event,
+        };
+        if fifo.len() == fifo.capacity() {
+            // A lane settles at a steady length (events in flight per
+            // device × devices) and then cycles through all of its buffer:
+            // doubling would leave up to half of it as resident slack, so
+            // grow by an eighth.
+            fifo.reserve_exact(fifo.len() / 8 + 64);
+        }
+        if sorted {
+            fifo.push_back(entry);
+        } else {
+            // `seq` is the largest so far: after everything at `at`.
+            let after = fifo.partition_point(|e| e.time <= at);
+            fifo.insert(after, entry);
+        }
+        let front = fifo.front().expect("just pushed");
+        let front = key(front.time, front.seq);
+        if front != self.fronts[lane] {
+            self.fronts[lane] = front;
+            // A lane's front only ever moves down on a push.
+            if front < self.first {
+                (self.first, self.first_lane) = (front, lane);
+            }
+        }
+        self.lane_len += n as usize;
+    }
+
     /// Remove and return the earliest event, together with its firing time.
     /// Events at equal times come back in the order they were pushed.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|e| (e.time, e.event)),
-            Backend::Wheel(wheel) => wheel
-                .pop()
-                .map(|(t, _seq, event)| (SimTime::from_micros(t), event)),
+        match self.pop_counted(SimTime::MAX) {
+            Popped::Event(t, (_, event)) => Some((t, event)),
+            Popped::Beyond | Popped::Empty => None,
         }
     }
 
@@ -163,20 +274,63 @@ impl<E> EventQueue<E> {
     /// before `horizon` — the fused peek-then-pop the simulation loop
     /// performs once per event. One backend traversal instead of two.
     pub fn pop_before(&mut self, horizon: SimTime) -> Popped<E> {
+        match self.pop_counted(horizon) {
+            Popped::Event(t, (_, event)) => Popped::Event(t, event),
+            Popped::Beyond => Popped::Beyond,
+            Popped::Empty => Popped::Empty,
+        }
+    }
+
+    /// [`pop_before`](Self::pop_before), with the number of events the
+    /// popped entry stands for.
+    #[inline]
+    pub(crate) fn pop_counted(&mut self, horizon: SimTime) -> Popped<(u32, E)> {
+        // The backend's head goes first only if its `(time, seq)` is
+        // below the earliest lane front (`NO_KEY` when the lanes are
+        // empty, which nothing is above).
+        let popped = self.pop_backend_below(horizon, self.first);
+        if matches!(popped, Popped::Event(..)) || self.first == NO_KEY {
+            return popped;
+        }
+        let lane = self.first_lane;
+        let fifo = &mut self.lanes[lane];
+        if fifo.front().is_none_or(|e| e.time > horizon) {
+            return Popped::Beyond;
+        }
+        let e = fifo.pop_front().expect("front was just read");
+        self.fronts[lane] = fifo.front().map_or(NO_KEY, |next| key(next.time, next.seq));
+        (self.first, self.first_lane) = (self.fronts[0], 0);
+        for (i, &front) in self.fronts.iter().enumerate().skip(1) {
+            if front < self.first {
+                (self.first, self.first_lane) = (front, i);
+            }
+        }
+        self.lane_len -= e.n as usize;
+        Popped::Event(e.time, (e.n, e.event))
+    }
+
+    /// Pop the backend's head if it fires at or before `horizon` and
+    /// its `(time, seq)` is below `bound`.
+    #[inline]
+    fn pop_backend_below(&mut self, horizon: SimTime, bound: Key) -> Popped<(u32, E)> {
         match &mut self.backend {
             Backend::Heap(heap) => match heap.peek() {
                 None => Popped::Empty,
-                Some(e) if e.time > horizon => Popped::Beyond,
+                Some(e) if e.time > horizon || key(e.time, e.seq) >= bound => Popped::Beyond,
                 Some(_) => {
                     let e = heap.pop().expect("peeked event vanished");
-                    Popped::Event(e.time, e.event)
+                    Popped::Event(e.time, (1, e.event))
                 }
             },
-            Backend::Wheel(wheel) => match wheel.pop_before(horizon.as_micros()) {
-                PopBefore::Event(t, _seq, event) => Popped::Event(SimTime::from_micros(t), event),
-                PopBefore::Beyond => Popped::Beyond,
-                PopBefore::Empty => Popped::Empty,
-            },
+            Backend::Wheel(wheel) => {
+                match wheel.pop_below(horizon.as_micros(), ((bound >> 64) as u64, bound as u64)) {
+                    PopBefore::Event(t, _seq, event) => {
+                        Popped::Event(SimTime::from_micros(t), (1, event))
+                    }
+                    PopBefore::Beyond => Popped::Beyond,
+                    PopBefore::Empty => Popped::Empty,
+                }
+            }
         }
     }
 
@@ -184,18 +338,21 @@ impl<E> EventQueue<E> {
     /// because the wheel stages its earliest batch during the search
     /// (which is exactly what makes the following pop O(1)).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
+        let backend = match &mut self.backend {
             Backend::Heap(heap) => heap.peek().map(|e| e.time),
             Backend::Wheel(wheel) => wheel.peek().map(|(t, _)| SimTime::from_micros(t)),
-        }
+        };
+        let lanes = (self.first != NO_KEY).then(|| self.lanes[self.first_lane][0].time);
+        lanes.into_iter().chain(backend).min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.lane_len
+            + match &self.backend {
+                Backend::Heap(heap) => heap.len(),
+                Backend::Wheel(wheel) => wheel.len(),
+            }
     }
 
     /// Whether no events are pending.
@@ -210,6 +367,12 @@ impl<E> EventQueue<E> {
             Backend::Heap(heap) => heap.clear(),
             Backend::Wheel(wheel) => wheel.clear(),
         }
+        for fifo in &mut self.lanes {
+            fifo.clear();
+        }
+        self.fronts = [NO_KEY; LANES];
+        self.first = NO_KEY;
+        self.lane_len = 0;
     }
 }
 
@@ -281,6 +444,27 @@ mod tests {
             );
             assert_eq!(q.pop_before(SimTime::MAX), Popped::Empty);
             assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn pushes_after_a_beyond_horizon_pop_order_correctly_on_both_backends() {
+        // The `Simulation::schedule_at`-between-`run_until`s pattern (the
+        // wheel's own test checks it takes no slow path): a pop finds the
+        // next event beyond its horizon, then earlier events are pushed.
+        for mut q in both_backends() {
+            q.push(SimTime::from_millis(5), 0);
+            q.push(SimTime::from_millis(5), 1);
+            assert_eq!(q.pop_before(SimTime::from_millis(1)), Popped::Beyond);
+            for i in 0..8 {
+                q.push(SimTime::from_micros(1_000 + i as u64), 2 + i);
+            }
+            q.push(SimTime::from_millis(5), 10);
+            let mut popped = Vec::new();
+            while let Some((_, e)) = q.pop() {
+                popped.push(e);
+            }
+            assert_eq!(popped, vec![2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 10]);
         }
     }
 

@@ -60,6 +60,17 @@
 //! the 2⁵⁰ µs (~35 year) wheel horizon, e.g. `SimTime::MAX` sentinels.
 //! Every peek/pop compares the staged batch against both heaps by
 //! `(time, seq)`, so ordering is exact across all three stores.
+//!
+//! ## Bounded staging
+//!
+//! Staging moves the cursor, and a push behind the cursor costs an
+//! un-stage, a re-sort and a trip through `past`. So a pop that is only
+//! interested in entries up to some instant — [`TimerWheel::pop_before`]'s
+//! horizon, or the earliest entry of the event queue's FIFO lanes — never
+//! stages (or moves the cursor) beyond it: the caller may legally push at
+//! any time from that instant on. Where the search gave up is kept as
+//! `floor`, a lower bound on everything filed, so asking again before
+//! that instant costs one comparison instead of a re-scan.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -131,7 +142,8 @@ const EMPTY_SLOT: Slot = Slot {
 /// * every level-0 entry lies in the cursor's aligned `SLOTS` µs window
 ///   (so one level-0 slot holds exactly one firing instant);
 /// * while `current` is non-empty it holds the earliest wheel batch
-///   (one instant, ascending `seq`) and `cursor == current_time`.
+///   (one instant, ascending `seq`) and `cursor == current_time`;
+/// * `cursor` ≤ `floor` ≤ the time of every entry filed in the slot table.
 pub struct TimerWheel<E> {
     /// All filed entries. Slot lists thread through it by index; freed
     /// indices chain from `free_head` and are recycled LIFO, so the
@@ -160,6 +172,9 @@ pub struct TimerWheel<E> {
     current: VecDeque<WheelEntry<E>>,
     current_time: u64,
     cursor: u64,
+    /// Lower bound on the time of every slot-table entry: where the last
+    /// bounded staging gave up, lowered by each earlier push.
+    floor: u64,
     len: usize,
 }
 
@@ -185,6 +200,7 @@ impl<E> TimerWheel<E> {
             current: VecDeque::new(),
             current_time: 0,
             cursor: 0,
+            floor: 0,
             len: 0,
         }
     }
@@ -232,32 +248,34 @@ impl<E> TimerWheel<E> {
 
     /// Remove and return the earliest `(time, seq, event)` entry.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        match self.min_source()? {
-            Source::Current => {
-                self.len -= 1;
-                self.current.pop_front().map(|e| (e.time, e.seq, e.event))
-            }
-            Source::Past => {
-                self.len -= 1;
-                self.past.pop().map(|r| (r.0.time, r.0.seq, r.0.event))
-            }
-            Source::Overflow => {
-                self.len -= 1;
-                self.overflow.pop().map(|r| (r.0.time, r.0.seq, r.0.event))
-            }
+        match self.pop_below(u64::MAX, (u64::MAX, u64::MAX)) {
+            PopBefore::Event(t, seq, event) => Some((t, seq, event)),
+            PopBefore::Beyond | PopBefore::Empty => None,
         }
     }
 
     /// Pop the earliest entry only if it fires at or before `horizon` —
     /// the fused peek-then-pop the simulation loop runs per event, which
-    /// pays the minimum-source bookkeeping once instead of twice.
+    /// pays the minimum-source bookkeeping once instead of twice. Nothing
+    /// later than `horizon` is staged, so pushing at any time from
+    /// `horizon` on stays on the fast path.
     pub fn pop_before(&mut self, horizon: u64) -> PopBefore<E> {
-        let Some(source) = self.min_source() else {
+        self.pop_below(horizon, (u64::MAX, u64::MAX))
+    }
+
+    /// [`pop_before`](Self::pop_before), additionally only if the entry's
+    /// `(time, seq)` is below `bound` — the key of the earliest entry the
+    /// caller holds elsewhere (the event queue's lanes). Staging stops at
+    /// `min(horizon, bound.0)`.
+    #[inline]
+    pub(crate) fn pop_below(&mut self, horizon: u64, bound: (u64, u64)) -> PopBefore<E> {
+        let Some(source) = self.min_source(horizon.min(bound.0)) else {
             return PopBefore::Empty;
         };
+        let fires = |time: u64, seq: u64| time <= horizon && (time, seq) < bound;
         match source {
             Source::Current => {
-                if self.current.front().is_some_and(|e| e.time > horizon) {
+                if !self.current.front().is_some_and(|e| fires(e.time, e.seq)) {
                     return PopBefore::Beyond;
                 }
                 self.len -= 1;
@@ -265,7 +283,7 @@ impl<E> TimerWheel<E> {
                 PopBefore::Event(e.time, e.seq, e.event)
             }
             Source::Past => {
-                if self.past.peek().is_some_and(|r| r.0.time > horizon) {
+                if !self.past.peek().is_some_and(|r| fires(r.0.time, r.0.seq)) {
                     return PopBefore::Beyond;
                 }
                 self.len -= 1;
@@ -273,20 +291,25 @@ impl<E> TimerWheel<E> {
                 PopBefore::Event(r.0.time, r.0.seq, r.0.event)
             }
             Source::Overflow => {
-                if self.overflow.peek().is_some_and(|r| r.0.time > horizon) {
+                if !self
+                    .overflow
+                    .peek()
+                    .is_some_and(|r| fires(r.0.time, r.0.seq))
+                {
                     return PopBefore::Beyond;
                 }
                 self.len -= 1;
                 let r = self.overflow.pop().expect("overflow heap is non-empty");
                 PopBefore::Event(r.0.time, r.0.seq, r.0.event)
             }
+            Source::Later => PopBefore::Beyond,
         }
     }
 
     /// `(time, seq)` of the next pop. Mutates: staging the earliest
     /// batch is what makes the subsequent pop O(1).
     pub fn peek(&mut self) -> Option<(u64, u64)> {
-        self.min_source()?;
+        self.min_source(u64::MAX)?;
         let mut best: Option<(u64, u64)> = self.current.front().map(|e| (e.time, e.seq));
         for heap in [&self.past, &self.overflow] {
             if let Some(r) = heap.peek() {
@@ -440,6 +463,7 @@ impl<E> TimerWheel<E> {
         let idx = self.alloc(time, seq, event);
         self.link(level, slot, idx);
         self.wheel_len += 1;
+        self.floor = self.floor.min(time);
     }
 
     /// Re-file a slab node against the current cursor. Cascaded times
@@ -480,8 +504,10 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Move the earliest pending wheel batch into `current`.
-    fn stage_earliest(&mut self) {
+    /// Move the earliest pending wheel batch into `current`, unless it
+    /// fires after `limit`: then nothing is staged, the cursor stays at
+    /// or before `limit`, and `floor` records how far the search got.
+    fn stage_earliest(&mut self, limit: u64) {
         debug_assert!(self.current.is_empty());
         loop {
             // All level-0 entries share the cursor's aligned `SLOTS` µs
@@ -490,6 +516,10 @@ impl<E> TimerWheel<E> {
             let s0 = (self.cursor & MASK) as usize;
             if let Some(s) = self.next_occupied(0, s0) {
                 let t = self.nodes[self.slots[0][s].head as usize].time;
+                self.floor = t;
+                if t > limit {
+                    return;
+                }
                 self.cursor = t;
                 // Pull down same-time entries parked in cursor-colliding
                 // slots of higher levels (determinism fix #2). Cascades
@@ -550,7 +580,14 @@ impl<E> TimerWheel<E> {
                     // window; everything below it is provably empty.
                     let shift = LEVEL_BITS * l;
                     let above = !0u64 << (shift + LEVEL_BITS);
-                    self.cursor = (self.cursor & above) | ((s as u64) << shift);
+                    let start = (self.cursor & above) | ((s as u64) << shift);
+                    self.floor = start;
+                    if start > limit {
+                        return;
+                    }
+                    self.cursor = start;
+                } else if self.cursor > limit {
+                    return;
                 }
                 self.cascade_slot(l, s);
                 progressed = true;
@@ -563,18 +600,25 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    fn min_source(&mut self) -> Option<Source> {
+    /// Where the earliest entry at or before `limit` lives
+    /// ([`Source::Later`] if everything pending fires after it), staging
+    /// the wheel's earliest batch if that is needed to know. `None` when
+    /// nothing is pending at all.
+    fn min_source(&mut self, limit: u64) -> Option<Source> {
         if self.len == 0 {
             return None;
         }
-        if self.current.is_empty() && self.wheel_len > 0 {
-            self.stage_earliest();
+        if self.current.is_empty() && self.wheel_len > 0 && limit >= self.floor {
+            self.stage_earliest(limit);
         }
         // Fast path: no stragglers in the side heaps (the steady state
         // for simulator workloads), so the staged batch is the minimum.
         if self.past.is_empty() && self.overflow.is_empty() {
-            debug_assert!(!self.current.is_empty());
-            return Some(Source::Current);
+            return Some(if self.current.is_empty() {
+                Source::Later
+            } else {
+                Source::Current
+            });
         }
         let mut best: Option<((u64, u64), Source)> = self
             .current
@@ -592,7 +636,7 @@ impl<E> TimerWheel<E> {
                 best = Some((k, Source::Overflow));
             }
         }
-        best.map(|(_, s)| s)
+        Some(best.map_or(Source::Later, |(_, s)| s))
     }
 }
 
@@ -600,6 +644,9 @@ enum Source {
     Current,
     Past,
     Overflow,
+    /// The slot table's earliest entry fires after the caller's limit and
+    /// nothing else is pending.
+    Later,
 }
 
 /// Outcome of [`TimerWheel::pop_before`].
@@ -679,6 +726,33 @@ mod tests {
         assert_eq!(w.pop().map(|(t, _, e)| (t, e)), Some((50, 2)));
         assert_eq!(w.pop().map(|(t, _, e)| (t, e)), Some((100, 0)));
         assert_eq!(w.pop().map(|(t, _, e)| (t, e)), Some((100, 1)));
+    }
+
+    #[test]
+    fn pop_before_stages_nothing_beyond_its_horizon() {
+        // `run_until(h)` ends on a `pop_before(h)` that finds the next
+        // batch beyond `h`, and the caller may then schedule anywhere
+        // from `h` on. Had that pop staged the batch, the cursor would
+        // sit at 5 000 and each earlier push would un-stage it or land in
+        // `past`.
+        let mut w = TimerWheel::new();
+        w.push(5_000, 0, 0);
+        w.push(5_000, 1, 1);
+        assert!(matches!(w.pop_before(1_000), PopBefore::Beyond));
+        assert!(w.current.is_empty(), "staged a batch beyond the horizon");
+        assert!(w.cursor <= 1_000, "cursor ran ahead to {}", w.cursor);
+        for (i, t) in (1_000..1_008u64).enumerate() {
+            w.push(t, 2 + i as u64, 2 + i as u32);
+            assert!(w.past.is_empty(), "push at {t} went through `past`");
+        }
+        // Asking again below where the search gave up costs no re-scan
+        // and still stages nothing.
+        assert!(matches!(w.pop_before(999), PopBefore::Beyond));
+        assert!(w.current.is_empty());
+        let mut expect: Vec<(u64, u32)> = (0..8).map(|i| (1_000 + i, 2 + i as u32)).collect();
+        expect.extend([(5_000, 0), (5_000, 1)]);
+        assert_eq!(drain(&mut w), expect);
+        assert!(w.past.is_empty());
     }
 
     #[test]

@@ -541,6 +541,43 @@ mod tests {
     }
 
     #[test]
+    fn completions_logged_when_applied_round_trip_in_call_order() {
+        // A fleet row: the capture at 1.0 s is recorded first, then the
+        // two completions its engine applied before taking the frame,
+        // each stamped with its own earlier instant.
+        let at = SimTime::from_micros;
+        let t = Trace {
+            header: header(),
+            events: vec![
+                TraceEvent::Capture {
+                    at: at(1_000_000),
+                    frame_id: 30,
+                    bytes: 24_000,
+                    route: TraceRoute::Local,
+                },
+                TraceEvent::LocalDone {
+                    at: at(930_000),
+                    n: 1,
+                },
+                TraceEvent::LocalDone {
+                    at: at(990_000),
+                    n: 1,
+                },
+                TraceEvent::Capture {
+                    at: at(1_033_333),
+                    frame_id: 31,
+                    bytes: 24_000,
+                    route: TraceRoute::Offload,
+                },
+            ],
+        };
+        let decoded = decode_trace(&t.encode()).unwrap();
+        assert_eq!(decoded, t);
+        let stamps: Vec<u64> = decoded.events.iter().map(|e| e.at().as_micros()).collect();
+        assert_eq!(stamps, [1_000_000, 930_000, 990_000, 1_033_333]);
+    }
+
+    #[test]
     fn bad_magic_is_rejected() {
         assert_eq!(decode_trace(b"NOPE"), Err(TraceError::BadMagic));
         assert_eq!(decode_trace(b""), Err(TraceError::Truncated));

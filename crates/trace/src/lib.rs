@@ -31,7 +31,10 @@
 //!
 //! Integers are LEB128 varints; event times are zigzag-encoded deltas so
 //! the (rare) out-of-order stamps a wall-clock host can produce still
-//! encode. `f64` fields are 8 raw little-endian bytes — bit-exact by
+//! encode. Simulated hosts step backwards too: a fleet row logs
+//! `LocalDone { at }` when its engine applies the completion — before the
+//! device's next local capture or tick, stamped with the completion's own
+//! earlier instant — so records are in call order, not in `at` order. `f64` fields are 8 raw little-endian bytes — bit-exact by
 //! construction, which is what lets replay assert QoS records with
 //! `to_bits` equality. Decoding is total: corrupt or truncated input
 //! yields a [`TraceError`], never a panic.
