@@ -1,6 +1,6 @@
 //! Extension: bursty (Gilbert–Elliott) vs. i.i.d. packet loss.
 //!
-//! The paper's NetEm setup uses independent loss; its reference [37]
+//! The paper's NetEm setup uses independent loss; its reference \[37\]
 //! notes real wireless links lose in bursts, sometimes tens of percent.
 //! At the *same average* loss rate, bursts change the timeout pattern a
 //! controller sees: calm stretches punctuated by storms. This experiment

@@ -1,4 +1,4 @@
-//! Extension: adaptive local-model selection (the related-work [38]
+//! Extension: adaptive local-model selection (the related-work \[38\]
 //! idea, composed with FrameFeedback).
 //!
 //! When the controller offloads nearly everything, the local engine only

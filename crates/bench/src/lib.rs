@@ -60,7 +60,7 @@ pub fn controller_lineup() -> Vec<Box<dyn Controller>> {
 /// Backed by the `ff-sweep` engine: the four runs execute in parallel
 /// (one per core, `FF_SWEEP_WORKERS` to override) and aggregate in
 /// lineup order. Results are bit-identical to running
-/// [`run_experiment`] serially per controller.
+/// [`run_experiment`](ff_device::run_experiment) serially per controller.
 pub fn run_lineup(config: &ExperimentConfig) -> Vec<ExperimentResult> {
     let spec = SweepSpec::lineup("lineup", config.clone());
     run_sweep(&spec, &SweepOptions::from_env())

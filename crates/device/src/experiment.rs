@@ -11,8 +11,8 @@
 //! [`DeviceRuntime`](crate::runtime::DeviceRuntime); this module is the
 //! discrete-event **adapter**: it turns simulation events into runtime
 //! calls and implements [`Transport`] over the emulated `ff-net` uplink.
-//! The wall-clock TCP client in `ff-live` is the other adapter over the
-//! very same runtime.
+//! The wall-clock TCP fleet client in `ff-reactor` is another adapter
+//! over the very same runtime.
 
 use crate::cpu::CpuModel;
 use crate::fleet::{lane, observe_device_tick, FleetObs, LinkTransport};

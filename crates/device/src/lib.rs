@@ -9,8 +9,8 @@
 //!
 //! The per-frame control loop itself lives in [`runtime`]: a
 //! [`DeviceRuntime`] that is clock- and transport-agnostic, driven here by
-//! the discrete-event experiment and fleet engines and in `ff-live` /
-//! `ff-reactor` by wall-clock clients — one loop, every host.
+//! the discrete-event experiment and fleet engines and in `ff-reactor` by
+//! the wall-clock fleet client — one loop, every host.
 //!
 //! [`run_experiment`] wires the device, the `ff-net` uplink, the
 //! `ff-server` batching server, background tenants, and any

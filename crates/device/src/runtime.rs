@@ -7,8 +7,8 @@
 //! in-flight deadline tracking, probe heartbeats, `WindowedRate` interval
 //! aggregation, `Controller::update`, and [`QosRecord`] emission — and the
 //! discrete-event experiment (`experiment.rs`), the simulated fleet and
-//! its shards (`fleet.rs`, `shard.rs`), and the wall-clock clients
-//! (`ff-live`, `ff-reactor`) are thin adapters over it.
+//! its shards (`fleet.rs`, `shard.rs`), and the wall-clock fleet client
+//! (`ff-reactor`) are thin adapters over it.
 //!
 //! The loop is written against borrowed state (`DeviceLoop`): shared
 //! [`RuntimeConfig`], a one-cache-line per-frame part, a per-offload
@@ -54,7 +54,7 @@ pub use crate::tags::{is_probe_tag, BACKGROUND_TAG_BASE, PROBE_TAG_BASE};
 pub enum SubmitOutcome {
     /// The transport took the frame; a response may arrive later.
     Accepted,
-    /// The transport dropped it (link overflow, shim loss). The device
+    /// The transport dropped it (link overflow, pacer loss). The device
     /// only learns at the deadline, but the cause is already known to be
     /// the network.
     DroppedInNetwork,
@@ -66,8 +66,8 @@ pub enum SubmitOutcome {
 }
 
 /// Where the runtime hands outgoing frames and probes. Implementations
-/// wrap the simulated uplink (`experiment.rs`) or the TCP send queue and
-/// impairment shim (`ff-live`).
+/// wrap the simulated uplink (`experiment.rs`) or a TCP connection and
+/// its uplink pacer (`ff-reactor`).
 pub trait Transport {
     /// Submit `bytes` of payload under `tag` at instant `now`.
     fn send(&mut self, tag: u64, bytes: u64, now: SimTime) -> SubmitOutcome;

@@ -1,52 +1,20 @@
-//! # ff-live — live TCP offloading mode
+//! # ff-live — live-mode helpers outside the reactor
 //!
-//! The same FrameFeedback control loop as the simulator — literally the
-//! same code, `ff_device::DeviceRuntime` — run against a **real TCP
-//! server over real time**: a [`LiveServer`] with the paper's adaptive
-//! batching (GPU execution simulated by calibrated sleeps), a device loop
-//! ([`run_live_device`]) pacing a real capture cadence, and a software
-//! [`ImpairmentShim`] standing in for NetEm (rate limiting and loss on
-//! the loopback link). QoS output uses `ff_metrics::QosLog`, the same
-//! schema the simulator emits.
+//! The live tier — real sockets, real time, the same `DeviceRuntime`
+//! control loop as the simulator — is `ff_reactor`: its epoll fleet
+//! client, `ReactorServer` and per-device `Pacer`. This crate holds the
+//! two pieces that sit beside it:
 //!
-//! We use `std::net` + threads (+`crossbeam` channels) rather than an
-//! async runtime: the protocol is one small framed request/response per
-//! frame at ≤30 Hz, where thread-per-connection is the simplest correct
-//! design (see DESIGN.md §6).
-//!
-//! **The thread-per-device client is in compat mode.** The readiness-
-//! driven tier in [`reactor`] (one epoll thread multiplexing thousands
-//! of devices, binary `FFLP` framing, bounded write buffers) is the
-//! forward path; the blocking client remains available behind the
-//! default-on `blocking-compat` feature for one release, with
-//! [`run_live_device_reactor`] as the drop-in migration shim.
+//! * [`TcpExportSink`], the line-delimited JSON telemetry endpoint the
+//!   `ff-bench dashboard` connects to;
+//! * the request direction of the legacy length-prefixed wire codec
+//!   ([`WireRequest`], [`encode_request_into`], [`read_request`]), which
+//!   the benchmark's `live.json_*` rows measure beside `FFLP`.
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "blocking-compat")]
-mod adapter;
-#[cfg(feature = "blocking-compat")]
-mod client;
 mod export;
 mod proto;
-mod server;
-mod shim;
 
-/// The readiness-driven live tier (re-export of `ff_reactor`): reactor
-/// server, fleet client, `FFLP` framed connections, deadline wheel.
-pub use ff_reactor as reactor;
-
-#[cfg(feature = "blocking-compat")]
-pub use adapter::{reactor_device_config, run_live_device_reactor};
-#[cfg(feature = "blocking-compat")]
-pub use client::{
-    run_live_device, run_live_device_with_telemetry, LiveDeviceConfig, LiveRunSummary,
-    ReconnectPolicy,
-};
 pub use export::TcpExportSink;
-pub use proto::{
-    encode_request, encode_request_into, encode_response_into, poll_request, poll_response,
-    read_request, read_response, write_response, Poll, Status, WireRequest, WireResponse,
-};
-pub use server::{ChaosConfig, ChaosHandle, LiveServer, LiveServerConfig, LiveServerStats};
-pub use shim::{Impairment, ImpairmentShim, ShimVerdict};
+pub use proto::{encode_request_into, read_request, WireRequest};

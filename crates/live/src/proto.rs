@@ -1,46 +1,17 @@
-//! Wire protocol for the live TCP offloading mode.
+//! The legacy live wire codec, request direction only.
 //!
-//! One TCP connection per device, carrying length-prefixed inference
-//! requests and fixed-size responses. Payload bytes are synthetic (the
-//! simulated JPEG); only their *size* matters to the system, exactly as
-//! in the simulator.
+//! One length-prefixed inference request per frame. Payload bytes are
+//! synthetic (the simulated JPEG); only their *size* matters to the
+//! system, exactly as in the simulator. The live tier itself speaks
+//! `ff_reactor`'s `FFLP` framing; this codec stays because the
+//! benchmark's `live.json_*` rows measure it against `FFLP`.
 //!
 //! ```text
 //! request:  [len: u32 BE][tag: u64 BE][payload: len-12 bytes]
-//! response: [tag: u64 BE][status: u8]
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::io::{self, Read, Write};
-
-/// Response status codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Classification completed.
-    Ok,
-    /// The server rejected the request (batch overflow).
-    Rejected,
-}
-
-impl Status {
-    fn to_byte(self) -> u8 {
-        match self {
-            Status::Ok => 0,
-            Status::Rejected => 1,
-        }
-    }
-
-    fn from_byte(b: u8) -> io::Result<Status> {
-        match b {
-            0 => Ok(Status::Ok),
-            1 => Ok(Status::Rejected),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown status byte {other}"),
-            )),
-        }
-    }
-}
+use std::io::{self, Read};
 
 /// An inference request as it travels on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,30 +22,11 @@ pub struct WireRequest {
     pub payload: Bytes,
 }
 
-/// An inference response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireResponse {
-    /// The request's correlation tag.
-    pub tag: u64,
-    /// Outcome at the server.
-    pub status: Status,
-}
-
 /// Frame header size: u32 length prefix counts tag + payload.
 const LEN_PREFIX: usize = 4;
 const TAG_SIZE: usize = 8;
 /// Cap a single frame at 16 MiB — anything bigger is a protocol error.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// Encode a request into a buffer ready for one `write_all`.
-///
-/// Allocates per call; hot paths that send many requests should hold a
-/// `BytesMut` and use [`encode_request_into`] instead.
-pub fn encode_request(req: &WireRequest) -> BytesMut {
-    let mut buf = BytesMut::new();
-    encode_request_into(req, &mut buf);
-    buf
-}
 
 /// Encode a request into `buf`, clearing it first but keeping its
 /// allocation — the per-message-allocation-free path for senders that
@@ -89,14 +41,6 @@ pub fn encode_request_into(req: &WireRequest, buf: &mut BytesMut) {
     buf.put_u32(body_len as u32);
     buf.put_u64(req.tag);
     buf.extend_from_slice(&req.payload);
-}
-
-/// Encode a response into `buf`, clearing it first but keeping its
-/// allocation (the fixed-size twin of [`encode_request_into`]).
-pub fn encode_response_into(resp: WireResponse, buf: &mut BytesMut) {
-    buf.clear();
-    buf.put_u64(resp.tag);
-    buf.put_u8(resp.status.to_byte());
 }
 
 /// Read one request from a blocking stream. `Ok(None)` means clean EOF
@@ -121,107 +65,6 @@ pub fn read_request<R: Read>(r: &mut R) -> io::Result<Option<WireRequest>> {
         tag,
         payload: Bytes::copy_from_slice(cursor),
     }))
-}
-
-/// Encode and write a response.
-pub fn write_response<W: Write>(w: &mut W, resp: WireResponse) -> io::Result<()> {
-    let mut buf = [0u8; TAG_SIZE + 1];
-    buf[..TAG_SIZE].copy_from_slice(&resp.tag.to_be_bytes());
-    buf[TAG_SIZE] = resp.status.to_byte();
-    w.write_all(&buf)
-}
-
-/// Read one response. `Ok(None)` means clean EOF at a frame boundary.
-pub fn read_response<R: Read>(r: &mut R) -> io::Result<Option<WireResponse>> {
-    let mut buf = [0u8; TAG_SIZE + 1];
-    if !read_exact_or_eof(r, &mut buf)? {
-        return Ok(None);
-    }
-    let tag = u64::from_be_bytes(buf[..TAG_SIZE].try_into().expect("fixed size"));
-    Ok(Some(WireResponse {
-        tag,
-        status: Status::from_byte(buf[TAG_SIZE])?,
-    }))
-}
-
-/// One poll of a stream that has a read timeout configured.
-///
-/// Distinguishes the three things a timed read can mean, which a plain
-/// `read_exact` conflates: a whole frame arrived, the peer is merely
-/// idle (timeout before the *first* byte), or the peer closed cleanly.
-/// A timeout in the *middle* of a frame is a stalled peer and surfaces
-/// as an error, which is what lets both sides treat their configured
-/// read timeout as a stall detector without false-positives on idle
-/// connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Poll<T> {
-    /// A complete frame arrived.
-    Frame(T),
-    /// The read timeout elapsed with no data: idle, not gone.
-    Idle,
-    /// Clean EOF at a frame boundary.
-    Closed,
-}
-
-/// Poll for one request on a stream with a read timeout.
-pub fn poll_request<R: Read>(r: &mut R) -> io::Result<Poll<WireRequest>> {
-    let mut len_buf = [0u8; LEN_PREFIX];
-    match poll_exact(r, &mut len_buf)? {
-        Poll::Idle => return Ok(Poll::Idle),
-        Poll::Closed => return Ok(Poll::Closed),
-        Poll::Frame(()) => {}
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len < TAG_SIZE as u32 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let mut cursor = &body[..];
-    let tag = cursor.get_u64();
-    Ok(Poll::Frame(WireRequest {
-        tag,
-        payload: Bytes::copy_from_slice(cursor),
-    }))
-}
-
-/// Poll for one response on a stream with a read timeout.
-pub fn poll_response<R: Read>(r: &mut R) -> io::Result<Poll<WireResponse>> {
-    let mut buf = [0u8; TAG_SIZE + 1];
-    match poll_exact(r, &mut buf)? {
-        Poll::Idle => return Ok(Poll::Idle),
-        Poll::Closed => return Ok(Poll::Closed),
-        Poll::Frame(()) => {}
-    }
-    let tag = u64::from_be_bytes(buf[..TAG_SIZE].try_into().expect("fixed size"));
-    Ok(Poll::Frame(WireResponse {
-        tag,
-        status: Status::from_byte(buf[TAG_SIZE])?,
-    }))
-}
-
-/// Fill `buf`, treating a timeout before the first byte as `Idle` and a
-/// clean EOF before the first byte as `Closed`. Once the first byte has
-/// arrived the rest must follow: timeouts and EOF mid-buffer are errors.
-fn poll_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<Poll<()>> {
-    loop {
-        match r.read(&mut buf[..1]) {
-            Ok(0) => return Ok(Poll::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(Poll::Idle)
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    r.read_exact(&mut buf[1..])?;
-    Ok(Poll::Frame(()))
 }
 
 /// `read_exact`, but a clean EOF before the first byte returns `false`
@@ -250,14 +93,19 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn encode(req: &WireRequest) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_request_into(req, &mut buf);
+        buf.to_vec()
+    }
+
     #[test]
     fn request_round_trip() {
         let req = WireRequest {
             tag: 0xDEAD_BEEF_0000_0042,
             payload: Bytes::from(vec![7u8; 1000]),
         };
-        let encoded = encode_request(&req);
-        let mut cursor = Cursor::new(encoded.to_vec());
+        let mut cursor = Cursor::new(encode(&req));
         let decoded = read_request(&mut cursor).unwrap().unwrap();
         assert_eq!(decoded, req);
     }
@@ -268,28 +116,14 @@ mod tests {
             tag: 1,
             payload: Bytes::new(),
         };
-        let encoded = encode_request(&req);
-        let mut cursor = Cursor::new(encoded.to_vec());
+        let mut cursor = Cursor::new(encode(&req));
         assert_eq!(read_request(&mut cursor).unwrap().unwrap(), req);
-    }
-
-    #[test]
-    fn response_round_trip() {
-        for status in [Status::Ok, Status::Rejected] {
-            let resp = WireResponse { tag: 99, status };
-            let mut buf = Vec::new();
-            write_response(&mut buf, resp).unwrap();
-            let mut cursor = Cursor::new(buf);
-            assert_eq!(read_response(&mut cursor).unwrap().unwrap(), resp);
-        }
     }
 
     #[test]
     fn clean_eof_yields_none() {
         let mut empty = Cursor::new(Vec::<u8>::new());
         assert!(read_request(&mut empty).unwrap().is_none());
-        let mut empty = Cursor::new(Vec::<u8>::new());
-        assert!(read_response(&mut empty).unwrap().is_none());
     }
 
     #[test]
@@ -298,19 +132,11 @@ mod tests {
             tag: 5,
             payload: Bytes::from(vec![1u8; 100]),
         };
-        let encoded = encode_request(&req);
+        let encoded = encode(&req);
         let truncated = &encoded[..encoded.len() - 10];
         let mut cursor = Cursor::new(truncated.to_vec());
         let err = read_request(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn bad_status_byte_is_an_error() {
-        let mut buf = vec![0u8; 9];
-        buf[8] = 200;
-        let mut cursor = Cursor::new(buf);
-        assert!(read_response(&mut cursor).is_err());
     }
 
     #[test]
@@ -324,66 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_parses_frames_then_reports_closed() {
-        let req = WireRequest {
-            tag: 3,
-            payload: Bytes::from_static(b"xyz"),
-        };
-        let mut cursor = Cursor::new(encode_request(&req).to_vec());
-        assert_eq!(poll_request(&mut cursor).unwrap(), Poll::Frame(req));
-        assert_eq!(poll_request(&mut cursor).unwrap(), Poll::Closed);
-
-        let resp = WireResponse {
-            tag: 3,
-            status: Status::Ok,
-        };
-        let mut buf = Vec::new();
-        write_response(&mut buf, resp).unwrap();
-        let mut cursor = Cursor::new(buf);
-        assert_eq!(poll_response(&mut cursor).unwrap(), Poll::Frame(resp));
-        assert_eq!(poll_response(&mut cursor).unwrap(), Poll::Closed);
-    }
-
-    /// A reader that times out before the first byte, then mid-frame.
-    struct TimeoutAfter {
-        data: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for TimeoutAfter {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos >= self.data.len() {
-                return Err(io::Error::new(io::ErrorKind::WouldBlock, "timed out"));
-            }
-            let n = buf.len().min(self.data.len() - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn poll_distinguishes_idle_from_mid_frame_stall() {
-        // No data at all: idle, not an error.
-        let mut idle = TimeoutAfter {
-            data: Vec::new(),
-            pos: 0,
-        };
-        assert_eq!(poll_response(&mut idle).unwrap(), Poll::Idle);
-
-        // A truncated frame followed by a timeout: stalled peer, an error.
-        let resp = WireResponse {
-            tag: 9,
-            status: Status::Ok,
-        };
-        let mut buf = Vec::new();
-        write_response(&mut buf, resp).unwrap();
-        buf.truncate(4);
-        let mut stalled = TimeoutAfter { data: buf, pos: 0 };
-        assert!(poll_response(&mut stalled).is_err());
-    }
-
-    #[test]
     fn encode_into_reuses_the_buffer_and_matches_fresh_encoding() {
         let mut buf = BytesMut::with_capacity(4096);
         for len in [0usize, 1, 100, 3000] {
@@ -392,17 +158,8 @@ mod tests {
                 payload: Bytes::from(vec![0xAB; len]),
             };
             encode_request_into(&req, &mut buf);
-            assert_eq!(&buf[..], &encode_request(&req)[..]);
+            assert_eq!(&buf[..], &encode(&req)[..]);
         }
-        let mut buf = BytesMut::new();
-        let resp = WireResponse {
-            tag: 77,
-            status: Status::Rejected,
-        };
-        encode_response_into(resp, &mut buf);
-        let mut via_writer = Vec::new();
-        write_response(&mut via_writer, resp).unwrap();
-        assert_eq!(&buf[..], &via_writer[..]);
     }
 
     #[test]
@@ -415,9 +172,8 @@ mod tests {
             tag: 2,
             payload: Bytes::from_static(b"bbbbbb"),
         };
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_request(&a));
-        stream.extend_from_slice(&encode_request(&b));
+        let mut stream = encode(&a);
+        stream.extend_from_slice(&encode(&b));
         let mut cursor = Cursor::new(stream);
         assert_eq!(read_request(&mut cursor).unwrap().unwrap(), a);
         assert_eq!(read_request(&mut cursor).unwrap().unwrap(), b);
@@ -427,8 +183,7 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Encode → decode → re-encode is byte-identical, and the
-        /// reusable-buffer encoder agrees with the allocating one.
+        /// Encode → decode → re-encode is byte-identical.
         #[test]
         fn prop_request_round_trip_is_byte_identical(
             tag in any::<u64>(),
@@ -438,14 +193,11 @@ mod tests {
                 tag,
                 payload: Bytes::from(payload),
             };
-            let mut reused = BytesMut::new();
-            encode_request_into(&req, &mut reused);
-            let fresh = encode_request(&req);
-            prop_assert_eq!(&reused[..], &fresh[..]);
-            let decoded = read_request(&mut Cursor::new(reused.to_vec()))
+            let bytes = encode(&req);
+            let decoded = read_request(&mut Cursor::new(bytes.clone()))
                 .expect("decodes")
                 .expect("one frame");
-            prop_assert_eq!(&encode_request(&decoded)[..], &fresh[..]);
+            prop_assert_eq!(&encode(&decoded), &bytes);
         }
 
         /// Any strict truncation of a request frame is a clean error
@@ -457,7 +209,7 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 0..256),
             cut in any::<u64>(),
         ) {
-            let bytes = encode_request(&WireRequest {
+            let bytes = encode(&WireRequest {
                 tag,
                 payload: Bytes::from(payload),
             });
@@ -479,20 +231,13 @@ mod tests {
             pos in any::<u64>(),
             bit in 0u8..8,
         ) {
-            let mut bytes = encode_request(&WireRequest {
+            let mut bytes = encode(&WireRequest {
                 tag,
                 payload: Bytes::from(payload),
-            })
-            .to_vec();
+            });
             let pos = (pos % bytes.len() as u64) as usize;
             bytes[pos] ^= 1 << bit;
             let _ = read_request(&mut Cursor::new(bytes));
-
-            let mut resp = Vec::new();
-            write_response(&mut resp, WireResponse { tag, status: Status::Ok }).unwrap();
-            let pos = pos % resp.len();
-            resp[pos] ^= 1 << bit;
-            let _ = read_response(&mut Cursor::new(resp));
         }
     }
 }

@@ -10,9 +10,8 @@
 //!   (default 256 KiB). When a frame does not fit, the enqueue is
 //!   rejected and the caller surfaces the verdict — the transport maps
 //!   it to `FailedInstantly`, the server counts a dropped reply. Nothing
-//!   ever blocks and nothing queues without bound: this is the reactor's
-//!   answer to the blocking tier's unbounded per-connection reply
-//!   channel.
+//!   ever blocks and nothing queues without bound: a peer that stops
+//!   reading costs its own replies, not the process's memory.
 //!
 //! Both directions follow the edge-triggered discipline: `fill`/`flush`
 //! run until `WouldBlock`, so a single readiness edge is never lost.

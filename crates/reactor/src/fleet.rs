@@ -1,19 +1,18 @@
 //! N live devices, one thread: the reactor fleet client.
 //!
 //! Every device is the same `DeviceRuntime` + `Controller` pair the
-//! simulator and the blocking live client drive — §III's control loop is
-//! not reimplemented here. What changes is the host: instead of four
-//! threads per device, all devices share one epoll loop, one deadline
-//! wheel (capture pacing, controller ticks, offload deadlines, local
-//! completions, paced sends, reconnect backoff — the same event kinds
-//! the DES schedules), and one nonblocking socket each.
+//! simulator drives — §III's control loop is not reimplemented here.
+//! What changes is the host: all devices share one epoll loop, one
+//! deadline wheel (capture pacing, controller ticks, offload deadlines,
+//! local completions, paced sends, reconnect backoff — the same event
+//! kinds the DES schedules), and one nonblocking socket each.
 //!
-//! The offload transport preserves the PR-1 backpressure contract: a
-//! dead connection or a full bounded write buffer yields
-//! `FailedInstantly` (the runtime records the timeout on the spot and
-//! the controller parks at the §III-A.1 probe floor), and the per-device
-//! [`Pacer`] maps impaired-link verdicts onto `DroppedInNetwork` exactly
-//! like the blocking tier's `ImpairmentShim`.
+//! The offload transport's backpressure contract: a dead connection or
+//! a full bounded write buffer yields `FailedInstantly` (the runtime
+//! records the timeout on the spot and the controller parks at the
+//! §III-A.1 probe floor), and the per-device [`Pacer`] turns an
+//! impaired link's loss or backlog overflow into `DroppedInNetwork`,
+//! as `ff-net`'s link does in the DES.
 
 use crate::conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
 use crate::pacer::{Pacer, PacerConditions, PacerVerdict};
@@ -45,9 +44,8 @@ const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 /// deadline so stragglers resolve, plus slack for the final responses.
 const DRAIN_MARGIN: Duration = Duration::from_millis(500);
 
-/// Reconnect backoff: exponential with multiplicative jitter (the
-/// reactor's copy of the blocking client's policy — `ff-live` depends on
-/// this crate, so the type cannot be borrowed from there).
+/// Reconnect backoff: exponential with multiplicative jitter, so a fleet
+/// that loses its server does not redial in lock-step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconnectPolicy {
     /// Wait after the first failure.
@@ -83,7 +81,9 @@ impl ReconnectPolicy {
     }
 }
 
-/// Per-device parameters (defaults mirror `ff_live::LiveDeviceConfig`).
+/// Per-device parameters. The defaults are the paper's device: 30 fps
+/// capture of 25 kB frames, a 250 ms deadline, 13 fps local inference
+/// (MobileNetV3Small on a Pi 4) and a 1 s control interval.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorDeviceConfig {
     /// Camera capture rate in frames/s.
@@ -216,8 +216,10 @@ fn sim_dur(d: Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
-/// Run one device against a reactor (or blocking) server. Equivalent to
-/// a single-device [`run_reactor_fleet`].
+/// Run one device against a server speaking `FFLP` (a [`ReactorServer`]).
+/// Equivalent to a single-device [`run_reactor_fleet`].
+///
+/// [`ReactorServer`]: crate::ReactorServer
 pub fn run_reactor_device(
     addr: SocketAddr,
     config: &FleetClientConfig,

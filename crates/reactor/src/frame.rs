@@ -1,10 +1,7 @@
 //! The `FFLP` wire codec: length-prefixed binary frames.
 //!
-//! The legacy live protocol (`ff_live::proto`) frames requests with a
-//! fixed `u32` length and responses with a bare 9-byte record — workable,
-//! but asymmetric (a stream observer must know the direction to parse)
-//! and fixed-width. The reactor replaces both directions with one
-//! self-describing frame:
+//! Both directions share one self-describing frame, so a stream observer
+//! can parse either side without knowing which it is watching:
 //!
 //! ```text
 //! +------+-------------+--------+----------------------+
@@ -135,7 +132,7 @@ fn get_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, FrameError> {
 
 /// Append an encoded request frame to `buf` (which is **not** cleared:
 /// consecutive encodes coalesce, and a long-lived buffer amortizes all
-/// allocation — the fix for the legacy codec's per-message `BytesMut`).
+/// allocation).
 pub fn encode_request_into(tag: u64, payload: &[u8], buf: &mut Vec<u8>) {
     let body_len = 1 + varint_len(tag) + payload.len();
     debug_assert!((body_len as u64) <= MAX_FRAME_BYTES);

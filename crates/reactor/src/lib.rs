@@ -1,18 +1,21 @@
-//! `ff-reactor` — the readiness-driven live tier.
+//! `ff-reactor` — the live tier: real sockets in real time.
 //!
-//! The blocking live path (`ff-live`) spends two OS threads per device
-//! plus four per server connection; a few hundred devices exhaust a small
-//! host. This crate replaces threads with *readiness*: one epoll instance
-//! (via the vendored `mio` shim), one timer wheel (the same hierarchical
+//! The paper's testbed (§IV-A) is devices offloading over a shaped
+//! wireless link to a batching GPU server. This crate reproduces it over
+//! real TCP with *readiness* instead of threads: one epoll instance (via
+//! the vendored `mio` shim), one timer wheel (the same hierarchical
 //! layout `ff-sim` schedules millions of events on), and one thread
-//! multiplexing every socket and every [`DeviceRuntime`] in the process.
+//! multiplexing every socket and every
+//! [`DeviceRuntime`](ff_device::DeviceRuntime) on its side — a fleet
+//! client ([`run_reactor_fleet`]), a batching server ([`ReactorServer`])
+//! and a per-device uplink emulator ([`Pacer`]).
 //!
 //! Three design rules carry over from the rest of the repo:
 //!
 //! * **The control loop is the sim's control loop.** Devices run the
-//!   shared [`DeviceRuntime`]; the reactor only supplies wall-clock
-//!   capture pacing, socket transport, and timer-driven local inference —
-//!   exactly the seams the blocking client supplies with threads.
+//!   shared [`DeviceRuntime`](ff_device::DeviceRuntime); the reactor
+//!   only supplies wall-clock capture pacing, socket transport, and
+//!   timer-driven local inference.
 //! * **Backpressure is a verdict, not a stall.** Writes coalesce into a
 //!   bounded per-connection buffer; when the buffer is full the transport
 //!   reports [`SubmitOutcome::FailedInstantly`](ff_device::SubmitOutcome)

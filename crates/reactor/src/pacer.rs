@@ -1,11 +1,11 @@
 //! Single-threaded network impairment pacer.
 //!
-//! The reactor's port of `ff_live::ImpairmentShim`: the same two Table V
-//! knobs (token-bucket rate limiting over payload bytes, MTU-derived
-//! frame drop probability with ARQ giving up after four attempts), but
-//! with no `Mutex` — the reactor owns one pacer per device on a single
-//! thread — and on the [`SimTime`] axis its [`WallClock`]
-//! (`ff_device::WallClock`) already maps real time onto.
+//! The software stand-in for the paper's NetEm shaping on the live tier:
+//! the two Table V knobs (token-bucket rate limiting over payload bytes,
+//! MTU-derived frame drop probability with ARQ giving up after four
+//! attempts). The reactor owns one pacer per device on a single thread,
+//! so there is no lock, and it works on the [`SimTime`] axis that
+//! [`WallClock`](ff_device::WallClock) maps real time onto.
 
 use ff_sim::{SimDuration, SimTime};
 use rand::Rng;
@@ -76,10 +76,9 @@ impl Pacer {
 
     /// Decide the fate of a `bytes`-sized frame offered at `now`.
     ///
-    /// Same math as the blocking shim: frame-level drop probability
-    /// `1 − (1 − p^A)^n_packets`, serialization `bytes·8 / bandwidth`
-    /// inflated by the expected `1/(1−p)` retransmissions, tail drop
-    /// past a 600 ms backlog.
+    /// Frame-level drop probability `1 − (1 − p^A)^n_packets`,
+    /// serialization `bytes·8 / bandwidth` inflated by the expected
+    /// `1/(1−p)` retransmissions, tail drop past a 600 ms backlog.
     pub fn offer(&mut self, bytes: u64, now: SimTime) -> PacerVerdict {
         let p = self.conditions.loss_pct / 100.0;
         if p > 0.0 {

@@ -1,12 +1,13 @@
-//! The readiness-driven live inference server.
+//! The live inference server.
 //!
-//! Functionally the same server as `ff_live::LiveServer` — §IV-A adaptive
-//! batching (collect while a batch "executes", cap at the limit, reject
-//! the overflow) with the same chaos knobs — but the execution model is
-//! inverted: instead of four threads per connection, **one** thread runs
-//! an epoll loop over every connection, and the GPU sleep becomes a
-//! timer-wheel event (`BatchDone`), so a thousand connections cost a
-//! thousand sockets and nothing else.
+//! §IV-A adaptive batching over real TCP: requests collect while a batch
+//! "executes", the next batch takes at most `batch_limit` of them, and
+//! the overflow is rejected at once. **One** thread runs an epoll loop
+//! over every connection, and the GPU's execution time is a timer-wheel
+//! event (`BatchDone`) rather than a sleep, so a thousand connections
+//! cost a thousand sockets and nothing else. Fault injection (hang-ups,
+//! swallowed requests, stalled replies) is retunable while the server
+//! runs, through [`ReactorChaos`].
 //!
 //! Writes never block and never queue without bound: replies coalesce
 //! into each connection's bounded write buffer, and a reply that does not
@@ -36,8 +37,9 @@ const LISTENER: Token = Token(0);
 /// the wheel is empty.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
-/// Server batching parameters (wall-clock analogue of `GpuProfile`),
-/// mirroring `ff_live::LiveServerConfig` defaults.
+/// Server batching parameters: the wall-clock analogue of `GpuProfile`.
+/// The defaults are the paper's batch limit of 15 and the MobileNetV3Small
+/// GPU profile of `ff-models` (`40 ms + 4.3 ms` per frame in the batch).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactorServerConfig {
     /// Maximum frames per batch (paper: 15).
@@ -94,9 +96,9 @@ pub struct ReactorServerStats {
     pub coalesced_writes: AtomicU64,
 }
 
-/// Chaos probabilities in millionths, retunable while the loop runs
-/// (same semantics and evaluation order as the blocking server:
-/// disconnect → drop → stall, with `fail_all` overriding everything).
+/// Chaos probabilities in millionths, retunable while the loop runs.
+/// Each request is judged in the order disconnect → drop → stall, and
+/// `fail_all` overrides everything.
 #[derive(Debug, Default)]
 struct ChaosKnobs {
     disconnect_ppm: AtomicU32,
@@ -142,7 +144,8 @@ impl ChaosKnobs {
 }
 
 /// Runtime handle to a reactor server's chaos knobs (cloneable,
-/// thread-safe); the reactor twin of `ff_live::ChaosHandle`.
+/// thread-safe). Every knob starts at zero: a fresh server injects no
+/// faults.
 #[derive(Debug, Clone)]
 pub struct ReactorChaos {
     knobs: Arc<ChaosKnobs>,

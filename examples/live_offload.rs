@@ -1,62 +1,58 @@
 //! Live mode: the same FrameFeedback controller, but over a **real TCP
-//! connection in real time** — a local edge server with adaptive batching,
-//! a paced 30 fps capture loop, and a software NetEm shim that throttles
-//! the loopback link halfway through the run.
+//! connection in real time** — a local edge server with adaptive
+//! batching, a paced 30 fps capture loop on a 10 Mbps emulated uplink,
+//! and a server that starts answering past the deadline halfway through
+//! the run.
 //!
-//! This example runs for ~20 wall-clock seconds.
+//! This example runs for ~21 wall-clock seconds.
 //!
 //! ```sh
 //! cargo run --release --example live_offload
 //! ```
 
 use framefeedback::controller::FrameFeedback;
-use framefeedback::live::{
-    run_live_device, Impairment, ImpairmentShim, LiveDeviceConfig, LiveServer, LiveServerConfig,
+use framefeedback::reactor::{
+    run_reactor_device, FleetClientConfig, PacerConditions, ReactorDeviceConfig, ReactorServer,
+    ReactorServerConfig,
 };
-use framefeedback::sim::RngFactory;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
 fn main() {
-    let server = LiveServer::start("127.0.0.1:0", LiveServerConfig::default())
+    let server = ReactorServer::start("127.0.0.1:0", ReactorServerConfig::default())
         .expect("bind loopback server");
     println!("edge server listening on {}", server.addr());
 
-    let shim = Arc::new(ImpairmentShim::new(
-        Impairment {
-            bandwidth_mbps: 10.0,
-            loss_pct: 0.0,
-        },
-        RngFactory::new(7).stream("live-example"),
-    ));
-
-    // Degrade the link to 2 Mbps after 10 seconds, like a NetEm phase.
+    // After 10 seconds every reply is held for 300 ms, past the 250 ms
+    // deadline: the path has degraded and no offload can succeed.
     {
-        let shim = Arc::clone(&shim);
+        let chaos = server.chaos();
         thread::spawn(move || {
             thread::sleep(Duration::from_secs(10));
-            println!(">>> link degraded to 2 Mbps");
-            shim.set_conditions(Impairment {
-                bandwidth_mbps: 2.0,
-                loss_pct: 0.0,
-            });
+            println!(">>> replies now stall 300 ms, past the deadline");
+            chaos.set_stall(1.0, Duration::from_millis(300));
         });
     }
 
-    let config = LiveDeviceConfig {
-        fs: 30.0,
-        duration: Duration::from_secs(20),
-        deadline: Duration::from_millis(250),
-        frame_bytes: 25_000,
-        local_rate_fps: 13.0,
-        tick: Duration::from_secs(1),
-        ..Default::default()
+    let config = FleetClientConfig {
+        device: ReactorDeviceConfig {
+            fs: 30.0,
+            duration: Duration::from_secs(20),
+            deadline: Duration::from_millis(250),
+            frame_bytes: 25_000,
+            local_rate_fps: 13.0,
+            tick: Duration::from_secs(1),
+            pacer: PacerConditions {
+                bandwidth_mbps: 10.0,
+                loss_pct: 0.0,
+            },
+            ..ReactorDeviceConfig::default()
+        },
+        ..FleetClientConfig::default()
     };
-
-    let mut controller = FrameFeedback::new();
-    let summary =
-        run_live_device(server.addr(), config, shim, &mut controller).expect("device session");
+    let summary = run_reactor_device(server.addr(), &config, Box::new(FrameFeedback::new()))
+        .expect("device session");
 
     println!("\nper-second control trace:");
     println!(
@@ -83,16 +79,17 @@ fn main() {
         summary.local_completed,
         summary.successes,
         summary.timeouts,
-        summary.mean_throughput()
+        summary.qos.mean_throughput()
     );
 
     let s = server.stats();
     println!(
-        "server: {} requests, {} completions, {} rejections, {} batches",
-        s.requests.load(std::sync::atomic::Ordering::Relaxed),
-        s.completions.load(std::sync::atomic::Ordering::Relaxed),
-        s.rejections.load(std::sync::atomic::Ordering::Relaxed),
-        s.batches.load(std::sync::atomic::Ordering::Relaxed),
+        "server: {} requests, {} completions, {} rejections, {} batches, {} stalled replies",
+        s.requests.load(Ordering::Relaxed),
+        s.completions.load(Ordering::Relaxed),
+        s.rejections.load(Ordering::Relaxed),
+        s.batches.load(Ordering::Relaxed),
+        s.chaos_stalls.load(Ordering::Relaxed),
     );
     server.shutdown();
 }

@@ -32,7 +32,7 @@ pub mod baselines {
 
 /// The edge device model and experiment runner (`ff-device`), including
 /// the shared `DeviceRuntime` control loop that both the simulator and
-/// the live TCP client drive.
+/// the reactor's live client drive.
 pub mod device {
     pub use ff_device::*;
 }
@@ -76,13 +76,14 @@ pub mod sim {
     pub use ff_sim::*;
 }
 
-/// The live TCP offloading mode (`ff-live`) — the wall-clock adapter
-/// over the same `device::DeviceRuntime` the simulator runs.
+/// Live-mode helpers beside the reactor (`ff-live`): the telemetry TCP
+/// export sink and the request direction of the legacy wire codec. The
+/// live tier itself is [`reactor`].
 pub mod live {
     pub use ff_live::*;
 }
 
-/// The readiness-driven live tier (`ff-reactor`): one epoll thread
+/// The live tier (`ff-reactor`): real sockets in real time, one epoll thread
 /// multiplexing thousands of `DeviceRuntime`s and server connections,
 /// length-prefixed `FFLP` binary framing, bounded write buffers with
 /// backpressure verdicts, and the fleet soak client.

@@ -1,19 +1,29 @@
-//! Integration: the reactor live tier end to end over loopback — real
+//! Integration: the live tier end to end over loopback — real
 //! nonblocking sockets, one event-loop thread per side, real time, the
 //! same controller as the simulator.
 //!
-//! These are the chaos cases of `live_loopback.rs` ported to the
-//! reactor client: the park/recover contract (§III-A.1 probe floor)
-//! must survive the host swap, and every run must satisfy the frame
-//! conservation law (`offloaded == successes + timeouts`, nothing in
-//! flight at exit) no matter what the server does.
+//! The paper-level contracts: convergence on a clean link; backing off
+//! on a throttled uplink; parking at the §III-A.1 probe floor through a
+//! server kill or a total-failure chaos fault, then recovering within
+//! five control intervals; a local-only policy holding the local floor;
+//! a server that outlives device churn and batches a fleet. Every run
+//! must also satisfy the frame conservation law (`offloaded ==
+//! successes + timeouts`, nothing in flight at exit) no matter what the
+//! server does.
+//!
+//! The reactor has no handle to change a pacer's bandwidth mid-run, so
+//! "the target falls when the path degrades mid-run" is covered by three
+//! cases instead: a link throttled from the start, a fail-all fault
+//! switched on mid-run, and replies stalled past the deadline.
 
-use framefeedback::controller::FrameFeedback;
+use framefeedback::baselines::LocalOnly;
+use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::metrics::QosRecord;
 use framefeedback::reactor::{
-    run_reactor_device, FleetClientConfig, ReactorDeviceConfig, ReactorDeviceSummary,
-    ReactorServer, ReactorServerConfig, ReconnectPolicy,
+    run_reactor_device, run_reactor_fleet, FleetClientConfig, PacerConditions, ReactorDeviceConfig,
+    ReactorDeviceSummary, ReactorServer, ReactorServerConfig, ReconnectPolicy,
 };
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn server_config() -> ReactorServerConfig {
@@ -41,8 +51,7 @@ fn fast_device(secs: u64) -> ReactorDeviceConfig {
     }
 }
 
-/// Device settings for the outage tests, mirroring `live_loopback.rs`:
-/// a slower tick (less timeout-rate quantization noise around the probe
+/// Device settings for the outage tests: a slower tick (less timeout-rate quantization noise around the probe
 /// floor) and an aggressive reconnect policy so redial latency is small
 /// against the 500 ms intervals.
 fn outage_device(secs: u64) -> ReactorDeviceConfig {
@@ -100,11 +109,11 @@ fn reactor_client_converges_and_mostly_succeeds_on_a_clean_link() {
     server.shutdown();
 }
 
-/// Outage timeline shared by the park/recover tests — the same one
-/// `live_loopback.rs` uses, and for the same reason: the timeout spike
-/// at the moment of failure kicks the derivative term hard, and with
-/// K_P = 0.2 the gap to the probe floor closes geometrically, so the
-/// target needs >10 s of sustained failure to settle within ±0.5 fps.
+/// Outage timeline shared by the park/recover tests. The long hold is
+/// deliberate: the timeout spike at the moment of failure kicks the
+/// derivative term hard, and with K_P = 0.2 the gap to the probe floor
+/// closes geometrically, so the target needs >10 s of sustained failure
+/// to settle within ±0.5 fps.
 const OUTAGE_START_SECS: u64 = 2;
 const OUTAGE_END_SECS: u64 = 16;
 const RUN_SECS: u64 = 21;
@@ -237,5 +246,102 @@ fn reactor_stalled_replies_become_timeouts_and_conserve() {
     assert_eq!(summary.successes, 0, "a stalled reply beat the deadline");
     assert!(summary.timeouts > 0);
     assert!(summary.frames_conserved(), "conservation: {summary:?}");
+    server.shutdown();
+}
+
+/// A 0.5 Mbps uplink: an 8 kB frame takes 128 ms of link time, so more
+/// than one in flight blows the 150 ms deadline. The controller must see
+/// timeouts and settle well below `F_s`.
+#[test]
+fn reactor_throttled_uplink_times_out_and_backs_off() {
+    let server = fast_server();
+    let device = ReactorDeviceConfig {
+        pacer: PacerConditions {
+            bandwidth_mbps: 0.5,
+            loss_pct: 0.0,
+        },
+        ..fast_device(3)
+    };
+    let summary = run_one(server.addr(), device);
+
+    assert!(summary.timeouts > 0, "a throttled link must time out");
+    let final_target = summary.qos.records().last().unwrap().po_target;
+    assert!(
+        final_target < 30.0,
+        "controller should back off well below F_s = 60, got {final_target:.1}"
+    );
+    assert!(summary.frames_conserved(), "conservation: {summary:?}");
+    server.shutdown();
+}
+
+/// A local-only policy offloads nothing, and the local engine alone
+/// completes at least two thirds of `local_rate_fps × duration`.
+#[test]
+fn reactor_local_only_controller_holds_the_local_floor() {
+    let server = fast_server();
+    let device = fast_device(2);
+    let config = FleetClientConfig {
+        device,
+        ..FleetClientConfig::default()
+    };
+    let summary =
+        run_reactor_device(server.addr(), &config, Box::new(LocalOnly::new())).expect("run");
+
+    assert_eq!(summary.offloaded, 0);
+    let expected = device.local_rate_fps * device.duration.as_secs_f64();
+    assert!(
+        summary.local_completed as f64 >= expected * 2.0 / 3.0,
+        "local floor too low: {} of ~{expected:.0}",
+        summary.local_completed
+    );
+    server.shutdown();
+}
+
+/// Three sessions, one after another, against one server: each captures
+/// its full quota, and the server answers each new connection.
+#[test]
+fn reactor_server_survives_sequential_device_churn() {
+    let server = fast_server();
+    // 510 ms at 60 fps: 30 captures, the last one 10 ms clear of the end.
+    let device = ReactorDeviceConfig {
+        duration: Duration::from_millis(510),
+        ..fast_device(1)
+    };
+    let mut completions = 0;
+    for session in 0..3 {
+        let summary = run_one(server.addr(), device);
+        assert_eq!(summary.frames, 30, "session {session}");
+        assert!(summary.frames_conserved(), "session {session}: {summary:?}");
+        let now = server.stats().completions.load(Ordering::Relaxed);
+        assert!(now > completions, "session {session} was never served");
+        completions = now;
+    }
+    server.shutdown();
+}
+
+/// Three devices on one client loop share one server's batcher.
+#[test]
+fn reactor_three_devices_in_one_fleet_share_one_server() {
+    let server = fast_server();
+    let config = FleetClientConfig {
+        device: fast_device(3),
+        ..FleetClientConfig::default()
+    };
+    let controllers: Vec<Box<dyn Controller>> = (0..3)
+        .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
+        .collect();
+    let fleet = run_reactor_fleet(server.addr(), &config, controllers).expect("fleet run");
+
+    assert!(fleet.frames_conserved(), "conservation: {fleet:?}");
+    for (i, s) in fleet.devices.iter().enumerate() {
+        let ratio = s.successes as f64 / (s.successes + s.timeouts).max(1) as f64;
+        assert!(ratio > 0.7, "device {i}: success ratio {ratio:.2}");
+    }
+    let offloaded: u64 = fleet.devices.iter().map(|s| s.offloaded).sum();
+    let completions = server.stats().completions.load(Ordering::Relaxed);
+    assert!(
+        completions as f64 >= 0.7 * offloaded as f64,
+        "{completions} completions for {offloaded} offloads"
+    );
     server.shutdown();
 }
