@@ -2,31 +2,37 @@
 //!
 //! One `FramedConn` owns one socket plus two buffers:
 //!
-//! * **read side** — bytes accumulate in `read_buf`; callers drain
+//! * **read side** — the socket reads straight into `read_buf`'s spare
+//!   capacity, the only user-space copy a request makes; callers drain
 //!   complete frames with [`FramedConn::next_frame`]. Payload bytes are
 //!   opaque to every consumer in this crate, so decoded requests carry
-//!   the payload *length*, not a copy.
+//!   the payload *length*, not a copy. The buffer grows to what arrives
+//!   and is reclaimed before the next read: emptied once every byte is
+//!   consumed, compacted only when a partial frame sits behind a long
+//!   consumed prefix.
 //! * **write side** — frames coalesce into a **bounded** buffer
 //!   (default 256 KiB). When a frame does not fit, the enqueue is
 //!   rejected and the caller surfaces the verdict — the transport maps
 //!   it to `FailedInstantly`, the server counts a dropped reply. Nothing
 //!   ever blocks and nothing queues without bound: a peer that stops
-//!   reading costs its own replies, not the process's memory.
+//!   reading costs its own replies, not the process's memory. The bound
+//!   is exact: [`FramedConn::pending_write_bytes`] never exceeds it.
 //!
 //! Both directions follow the edge-triggered discipline: `fill`/`flush`
 //! run until `WouldBlock`, so a single readiness edge is never lost.
 
-use crate::frame::{decode_frame, encode_request_into, encode_response_into, Frame, FrameError};
+use crate::frame::{
+    decode_frame, encode_request_into, encode_response_into, request_frame_len, response_frame_len,
+    Frame, FrameError,
+};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 /// Default cap on buffered unwritten bytes per connection.
 pub const DEFAULT_WRITE_BUF_CAP: usize = 256 * 1024;
 
-/// Read chunk size per `read` call.
-const READ_CHUNK: usize = 16 * 1024;
-
-/// Compact the read buffer once this many consumed bytes accumulate.
+/// Move a partial frame to the front of the read buffer only once the
+/// consumed bytes ahead of it reach this many.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
 /// Whether the peer is still there after a `fill`/`flush`.
@@ -104,22 +110,30 @@ impl FramedConn {
         &self.stream
     }
 
-    /// Read until `WouldBlock`, accumulating into the frame buffer.
+    /// Read until `WouldBlock`, appending straight into the frame buffer.
+    ///
+    /// Frames that arrived together with the peer's EOF stay decodable:
+    /// a `Closed` fill still leaves them for [`FramedConn::next_frame`].
     pub fn fill(&mut self) -> io::Result<ConnStatus> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.closed = true;
-                    return Ok(ConnStatus::Closed);
-                }
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(ConnStatus::Open),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.closed = true;
-                    return Err(e);
-                }
+        if self.read_pos == self.read_buf.len() {
+            self.read_buf.clear();
+            self.read_pos = 0;
+        } else if self.read_pos >= COMPACT_THRESHOLD {
+            self.read_buf.drain(..self.read_pos);
+            self.read_pos = 0;
+        }
+        // `read_to_end` appends into spare capacity without zero-filling
+        // it, retries `Interrupted`, and keeps what it read before an
+        // error; on a nonblocking socket only EOF ends it with `Ok`.
+        match self.stream.read_to_end(&mut self.read_buf) {
+            Ok(_) => {
+                self.closed = true;
+                Ok(ConnStatus::Closed)
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(ConnStatus::Open),
+            Err(e) => {
+                self.closed = true;
+                Err(e)
             }
         }
     }
@@ -129,24 +143,23 @@ impl FramedConn {
     /// `Ok(None)` = no complete frame yet; `Err` = the stream is corrupt
     /// and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<InboundFrame>, FrameError> {
-        let out = match decode_frame(&self.read_buf[self.read_pos..])? {
-            None => None,
-            Some((frame, consumed)) => {
-                self.read_pos += consumed;
-                Some(match frame {
-                    Frame::Request { tag, payload } => InboundFrame::Request {
-                        tag,
-                        payload_len: payload.len(),
-                    },
-                    Frame::Response { tag, ok } => InboundFrame::Response { tag, ok },
-                })
-            }
+        let Some((frame, consumed)) = decode_frame(&self.read_buf[self.read_pos..])? else {
+            return Ok(None);
         };
-        if self.read_pos >= COMPACT_THRESHOLD {
-            self.read_buf.drain(..self.read_pos);
-            self.read_pos = 0;
-        }
-        Ok(out)
+        self.read_pos += consumed;
+        Ok(Some(match frame {
+            Frame::Request { tag, payload } => InboundFrame::Request {
+                tag,
+                payload_len: payload.len(),
+            },
+            Frame::Response { tag, ok } => InboundFrame::Response { tag, ok },
+        }))
+    }
+
+    /// Bytes the read buffer holds allocated. It tracks the largest
+    /// burst a `fill` met, not the total the connection ever read.
+    pub fn read_capacity(&self) -> usize {
+        self.read_buf.capacity()
     }
 
     /// Unwritten bytes currently buffered.
@@ -172,9 +185,7 @@ impl FramedConn {
 
     /// Buffer a request frame, coalescing with any pending bytes.
     pub fn enqueue_request(&mut self, tag: u64, payload: &[u8]) -> EnqueueOutcome {
-        // 16 bytes generously covers magic + varints + opcode.
-        let size = 16 + payload.len();
-        let fits = self.can_enqueue(size);
+        let fits = self.can_enqueue(request_frame_len(tag, payload.len()));
         let had_pending = self.pending_write_bytes() > 0;
         if fits {
             encode_request_into(tag, payload, &mut self.write_buf);
@@ -184,7 +195,7 @@ impl FramedConn {
 
     /// Buffer a response frame, coalescing with any pending bytes.
     pub fn enqueue_response(&mut self, tag: u64, ok: bool) -> EnqueueOutcome {
-        let fits = self.can_enqueue(16);
+        let fits = self.can_enqueue(response_frame_len(tag));
         let had_pending = self.pending_write_bytes() > 0;
         if fits {
             encode_response_into(tag, ok, &mut self.write_buf);

@@ -130,13 +130,28 @@ fn get_varint(buf: &[u8]) -> Result<Option<(u64, usize)>, FrameError> {
     Ok(None)
 }
 
+/// Wire size of a frame whose opcode + body is `body_len` bytes.
+fn frame_len(body_len: usize) -> usize {
+    MAGIC.len() + varint_len(body_len as u64) + body_len
+}
+
+/// Exact number of bytes [`encode_request_into`] appends.
+pub(crate) fn request_frame_len(tag: u64, payload_len: usize) -> usize {
+    frame_len(1 + varint_len(tag) + payload_len)
+}
+
+/// Exact number of bytes [`encode_response_into`] appends.
+pub(crate) fn response_frame_len(tag: u64) -> usize {
+    frame_len(1 + varint_len(tag) + 1)
+}
+
 /// Append an encoded request frame to `buf` (which is **not** cleared:
 /// consecutive encodes coalesce, and a long-lived buffer amortizes all
 /// allocation).
 pub fn encode_request_into(tag: u64, payload: &[u8], buf: &mut Vec<u8>) {
     let body_len = 1 + varint_len(tag) + payload.len();
     debug_assert!((body_len as u64) <= MAX_FRAME_BYTES);
-    buf.reserve(4 + varint_len(body_len as u64) + body_len);
+    buf.reserve(frame_len(body_len));
     buf.extend_from_slice(&MAGIC);
     put_varint(buf, body_len as u64);
     buf.push(OP_REQUEST);
@@ -148,7 +163,7 @@ pub fn encode_request_into(tag: u64, payload: &[u8], buf: &mut Vec<u8>) {
 /// [`encode_request_into`]).
 pub fn encode_response_into(tag: u64, ok: bool, buf: &mut Vec<u8>) {
     let body_len = 1 + varint_len(tag) + 1;
-    buf.reserve(4 + varint_len(body_len as u64) + body_len);
+    buf.reserve(frame_len(body_len));
     buf.extend_from_slice(&MAGIC);
     put_varint(buf, body_len as u64);
     buf.push(OP_RESPONSE);
@@ -341,6 +356,13 @@ mod tests {
             // Decode → re-encode is byte-identical.
             let decoded = decode_frame_exact(&bytes).expect("round trip decodes");
             prop_assert_eq!(encode(&decoded), bytes);
+            // The size helpers predict the encoders exactly.
+            let predicted = if is_request {
+                request_frame_len(tag, payload.len())
+            } else {
+                response_frame_len(tag)
+            };
+            prop_assert_eq!(predicted, bytes.len());
         }
 
         #[test]

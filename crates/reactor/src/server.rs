@@ -13,7 +13,10 @@
 //! into each connection's bounded write buffer, and a reply that does not
 //! fit is **dropped and counted** (`writer_drops`) — the PR-6
 //! `TcpExportSink` discipline applied to the inference path. A client
-//! that stops reading loses replies, not the server's memory.
+//! that stops reading loses replies, not the server's memory. Producing a
+//! reply only enqueues it: every connection a loop turn touched is
+//! flushed once, just before the next `poll`, so a batch's replies to one
+//! client leave in one `write`.
 
 use crate::conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
 use crate::timer::DeadlineWheel;
@@ -311,6 +314,8 @@ struct SConn {
     /// Uniquely identifies this acceptance of the slot, so stale timers
     /// and batch items from a previous tenant cannot reach a new peer.
     gen: u64,
+    /// Replies were queued this loop turn; the slot is in `ServerLoop::dirty`.
+    dirty: bool,
 }
 
 struct ServerLoop {
@@ -324,6 +329,8 @@ struct ServerLoop {
     wheel: DeadlineWheel<ServerTimer>,
     conns: Vec<Option<SConn>>,
     free: Vec<usize>,
+    /// Slots with replies queued since the last flush, each listed once.
+    dirty: Vec<usize>,
     next_gen: u64,
     queue: VecDeque<QItem>,
     batch: Vec<QItem>,
@@ -357,6 +364,7 @@ impl ServerLoop {
             wheel: DeadlineWheel::new(),
             conns: Vec::new(),
             free: Vec::new(),
+            dirty: Vec::new(),
             next_gen: 0,
             queue: VecDeque::new(),
             batch: Vec::new(),
@@ -376,6 +384,7 @@ impl ServerLoop {
                 self.handle_timer(timer);
             }
             self.maybe_form_batch();
+            self.flush_dirty();
 
             let timeout = match self.wheel.next_deadline() {
                 Some(at) => {
@@ -450,7 +459,12 @@ impl ServerLoop {
                         self.free.push(slot);
                         continue;
                     }
-                    self.conns[slot] = Some(SConn { conn, rng, gen });
+                    self.conns[slot] = Some(SConn {
+                        conn,
+                        rng,
+                        gen,
+                        dirty: false,
+                    });
                     self.stats.connections.fetch_add(1, Ordering::Relaxed);
                     self.stats.open_connections.fetch_add(1, Ordering::Relaxed);
                     self.recorder.log(
@@ -546,6 +560,16 @@ impl ServerLoop {
         }
     }
 
+    /// One flush per connection that queued replies this turn.
+    fn flush_dirty(&mut self) {
+        while let Some(i) = self.dirty.pop() {
+            if let Some(sconn) = self.conns.get_mut(i).and_then(Option::as_mut) {
+                sconn.dirty = false;
+            }
+            self.flush_conn(i);
+        }
+    }
+
     fn close_conn(&mut self, i: usize) {
         if let Some(sconn) = self.conns.get_mut(i).and_then(Option::take) {
             let _ = self.poll.registry().deregister(sconn.conn.stream());
@@ -577,7 +601,7 @@ impl ServerLoop {
             t,
         );
         let take = self.queue.len().min(self.config.batch_limit);
-        self.batch = self.queue.drain(..take).collect();
+        self.batch.extend(self.queue.drain(..take));
         let rejected_now = self.queue.len() as u64;
         if rejected_now > 0 {
             self.recorder
@@ -599,7 +623,8 @@ impl ServerLoop {
     fn handle_timer(&mut self, timer: ServerTimer) {
         match timer {
             ServerTimer::BatchDone => {
-                let batch = std::mem::take(&mut self.batch);
+                // Taken and handed back so the vector's capacity is reused.
+                let mut batch = std::mem::take(&mut self.batch);
                 self.batch_busy = false;
                 self.stats.batches.fetch_add(1, Ordering::Relaxed);
                 self.stats
@@ -612,17 +637,21 @@ impl ServerLoop {
                     .counter(self.scope, Metric::ServerBatches, 1, t);
                 self.recorder
                     .counter(self.scope, Metric::ServerCompletions, batch.len() as u64, t);
-                let pending: usize = self
-                    .conns
-                    .iter()
-                    .flatten()
-                    .map(|c| c.conn.pending_write_bytes())
-                    .sum();
-                self.recorder
-                    .gauge(self.scope, Metric::WriteBufferBytes, pending as f64, t);
-                for item in batch {
+                if self.recorder.is_enabled() {
+                    // A scan over every connection: only paid when watched.
+                    let pending: usize = self
+                        .conns
+                        .iter()
+                        .flatten()
+                        .map(|c| c.conn.pending_write_bytes())
+                        .sum();
+                    self.recorder
+                        .gauge(self.scope, Metric::WriteBufferBytes, pending as f64, t);
+                }
+                for item in batch.drain(..) {
                     self.send_reply(item, true);
                 }
+                self.batch = batch;
             }
             ServerTimer::Reply { conn, gen, tag, ok } => self.write_reply(conn, gen, tag, ok),
         }
@@ -663,11 +692,12 @@ impl ServerLoop {
                     self.clock.now().as_micros(),
                 );
             }
-            EnqueueOutcome::Queued => {
-                if !matches!(sconn.conn.flush(), Ok(ConnStatus::Open)) {
-                    self.close_conn(conn);
-                }
+            // Sent by `flush_dirty` before the next poll.
+            EnqueueOutcome::Queued if !sconn.dirty => {
+                sconn.dirty = true;
+                self.dirty.push(conn);
             }
+            EnqueueOutcome::Queued => {}
         }
     }
 }

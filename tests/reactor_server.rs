@@ -4,7 +4,8 @@
 //! Each case pins one piece of the §IV-A batching contract or of the
 //! server's lifecycle: a request is answered; requests that arrive
 //! together run as one batch; what queues beyond the batch limit while a
-//! batch runs is rejected at once; connections share one batcher; chaos
+//! batch runs is rejected at once; a batch's replies to one connection
+//! leave in one write; connections share one batcher; chaos
 //! drops swallow requests; a restart on a cloned listener keeps the
 //! address; shutdown joins. Every case finishes well under a second.
 
@@ -159,6 +160,44 @@ fn two_connections_share_one_batcher() {
     let stats = server.stats();
     assert_eq!(stats.completions.load(Ordering::Relaxed), 3);
     assert_eq!(stats.batches.load(Ordering::Relaxed), 2);
+    server.shutdown();
+}
+
+/// The replies one batch produces for a connection leave in one write:
+/// the first read after the batch returns all k, in request order, and
+/// the server counts k − 1 of them as coalesced behind the first.
+#[test]
+fn a_batch_answers_a_connection_in_one_write() {
+    const K: u64 = 4;
+    let server = ReactorServer::start("127.0.0.1:0", config(15, 0, 0)).unwrap();
+    let mut client = Client::connect(server.addr());
+    let tags: Vec<u64> = (0..K).collect();
+    client.send(&tags);
+
+    let mut chunk = [0u8; 1024];
+    let n = client.stream.read(&mut chunk).unwrap();
+    let mut replies = Vec::new();
+    let mut at = 0;
+    while let Some((frame, used)) = decode_frame(&chunk[at..n]).expect("well-formed replies") {
+        let Frame::Response { tag, ok } = frame else {
+            panic!("the server sent a request frame");
+        };
+        replies.push((tag, ok));
+        at += used;
+    }
+    let expected: Vec<_> = tags.iter().map(|&tag| (tag, true)).collect();
+    assert_eq!(replies, expected, "one read returned {n} bytes");
+    assert_eq!(at, n, "a partial reply followed the batch");
+    assert_eq!(server.stats().batches.load(Ordering::Relaxed), 1);
+
+    // The server publishes a connection's coalesced writes when it closes.
+    drop(client);
+    let give_up = Instant::now() + Duration::from_secs(2);
+    while server.stats().open_connections.load(Ordering::Relaxed) > 0 {
+        assert!(Instant::now() < give_up, "the server never saw the close");
+        std::thread::yield_now();
+    }
+    assert!(server.stats().coalesced_writes.load(Ordering::Relaxed) >= K - 1);
     server.shutdown();
 }
 
