@@ -13,20 +13,17 @@
 //! | `fig4_server_load`    | Fig. 4 + Table VI — throughput under server load |
 //! | `cpu_usage`           | §II-A CPU usage observation |
 //! | `combined_stress`     | §IV-C combined network × load (extension X2) |
-//! | `sweep`               | `ff-sweep` engine benchmark → `BENCH_sweep.json` |
-//! | `soak`                | reactor live-tier fleet soak → `BENCH_live.json` |
 //! | `dashboard`           | live terminal fleet view over telemetry export |
 //!
 //! Each binary prints a human-readable table and exports the raw series
-//! as JSON under `target/experiments/`. Grid-shaped experiments
+//! as JSON under `target/experiments/`. Performance is measured by the
+//! standalone `benchmark/` package, not here. Grid-shaped experiments
 //! (`seed_sweep`, `fig2_gain_sweep`, `deadline_sweep`, `pid_ablation`,
 //! and the [`run_lineup`] lineups) execute through the `ff-sweep`
 //! work-stealing engine — one worker per core, deterministic
 //! aggregation, `FF_SWEEP_WORKERS` / `FF_SWEEP_CACHE_DIR` to override.
 
 mod dashboard;
-pub mod gate;
-pub mod soak;
 
 pub use dashboard::Dashboard;
 

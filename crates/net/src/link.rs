@@ -36,14 +36,6 @@ pub struct LinkConfig {
     pub max_attempts: u32,
     /// Maximum queued serialization backlog; beyond this, sends are dropped.
     pub max_backlog: SimDuration,
-    /// Opt-in fast path: draw per-round loss counts with a single
-    /// binomial inversion instead of one RNG draw per packet
-    /// ([`LossProcess::batch_lost`]). Statistically equivalent, but it
-    /// changes how many RNG values each frame consumes, so runs are not
-    /// bit-identical to the default per-packet path — hence off by
-    /// default. Ignored for Gilbert–Elliott loss (always per-packet).
-    #[serde(default)]
-    pub fast_loss: bool,
 }
 
 impl Default for LinkConfig {
@@ -54,7 +46,6 @@ impl Default for LinkConfig {
             rto: SimDuration::from_millis(120),
             max_attempts: 4,
             max_backlog: SimDuration::from_millis(600),
-            fast_loss: false,
         }
     }
 }
@@ -196,13 +187,9 @@ impl<R: Rng> Link<R> {
         let mut gave_up = false;
         loop {
             total_packets_sent += outstanding;
-            let lost = if self.config.fast_loss {
-                self.loss.batch_lost(outstanding, &mut self.rng)
-            } else {
-                (0..outstanding)
-                    .filter(|_| self.loss.packet_lost(&mut self.rng))
-                    .count() as u64
-            };
+            let lost = (0..outstanding)
+                .filter(|_| self.loss.packet_lost(&mut self.rng))
+                .count() as u64;
             self.stats.packets_lost += lost;
             if lost == 0 {
                 break;
@@ -382,42 +369,6 @@ mod tests {
         // Retransmissions re-draw loss, so observed per-packet loss stays
         // near the configured 7%.
         assert!((obs - 0.07).abs() < 0.01, "observed {obs:.4}");
-    }
-
-    #[test]
-    fn fast_loss_is_off_by_default_and_absent_configs_deserialize_off() {
-        assert!(!LinkConfig::default().fast_loss);
-        // Configs serialized before the flag existed must keep the
-        // bit-reproducible per-packet path.
-        let mut json = serde_json::to_value(&LinkConfig::default()).unwrap();
-        if let serde::Value::Obj(entries) = &mut json {
-            entries.retain(|(k, _)| k != "fast_loss");
-        }
-        let cfg: LinkConfig = serde_json::from_value(&json).unwrap();
-        assert!(!cfg.fast_loss);
-    }
-
-    #[test]
-    fn fast_loss_tracks_configured_loss_with_fewer_rng_draws() {
-        let config = LinkConfig {
-            fast_loss: true,
-            ..LinkConfig::default()
-        };
-        let mut l = Link::new(
-            config,
-            NetworkConditions::new(100.0, 7.0),
-            RngFactory::new(7).stream("link"),
-        );
-        for i in 0..2_000u64 {
-            let _ = l.send(SimTime::from_millis(i * 10), 25_000);
-        }
-        let obs = l.observed_loss();
-        assert!((obs - 0.07).abs() < 0.01, "observed {obs:.4}");
-        let s = l.stats();
-        assert_eq!(
-            s.frames_delivered + s.frames_dropped_loss + s.frames_dropped_overflow,
-            2_000
-        );
     }
 
     #[test]

@@ -168,50 +168,6 @@ impl LossProcess {
         }
     }
 
-    /// Draw how many of `n` packets are lost in a single step.
-    ///
-    /// For i.i.d. Bernoulli loss this inverts the Binomial(n, p) CDF
-    /// with **one** uniform draw instead of `n` independent draws. The
-    /// loss count has exactly the right distribution, but the RNG
-    /// consumes fewer values than `n` calls to
-    /// [`packet_lost`](Self::packet_lost) would, so runs using it are
-    /// not bit-identical to per-packet runs — which is why the link
-    /// only uses it behind the opt-in `fast_loss` flag.
-    ///
-    /// Gilbert–Elliott loss is inherently sequential (the Markov state
-    /// advances per packet), so it falls back to per-packet draws and
-    /// stays bit-identical.
-    pub fn batch_lost<R: Rng>(&mut self, n: u64, rng: &mut R) -> u64 {
-        match self.model {
-            LossModel::Bernoulli { p } => {
-                if n == 0 || p <= 0.0 {
-                    return 0; // no RNG draw: nothing is at stake
-                }
-                if p >= 1.0 {
-                    return n; // no RNG draw: every packet is lost
-                }
-                // Invert the Binomial(n, p) CDF: walk the pmf upward
-                // from k = 0 until it covers the uniform draw. Expected
-                // work is O(np); frames are at most a few hundred MTU
-                // packets, so the walk is short. If q^n underflows to
-                // zero (enormous n), the walk degenerates to returning
-                // n, which is out of range for any real frame size.
-                let u: f64 = rng.gen();
-                let q = 1.0 - p;
-                let mut pmf = q.powf(n as f64);
-                let mut cdf = pmf;
-                let mut k = 0u64;
-                while u > cdf && k < n {
-                    pmf *= (n - k) as f64 * p / ((k + 1) as f64 * q);
-                    k += 1;
-                    cdf += pmf;
-                }
-                k
-            }
-            LossModel::GilbertElliott(_) => (0..n).filter(|_| self.packet_lost(rng)).count() as u64,
-        }
-    }
-
     /// Whether the process is currently in the bad (bursty) state.
     pub fn in_burst(&self) -> bool {
         self.in_bad_state
@@ -299,69 +255,6 @@ mod tests {
         assert!(p.in_burst());
         p.set_model(LossModel::NONE);
         assert!(!p.in_burst());
-    }
-
-    #[test]
-    fn batch_lost_matches_the_binomial_mean() {
-        let mut p = LossProcess::new(LossModel::bernoulli(0.07));
-        let mut rng = RngFactory::new(11).stream("batch");
-        let n = 17u64;
-        let trials = 100_000u64;
-        let total: u64 = (0..trials).map(|_| p.batch_lost(n, &mut rng)).sum();
-        let mean = total as f64 / trials as f64;
-        let expected = n as f64 * 0.07;
-        assert!((mean - expected).abs() < 0.02, "mean {mean:.4}");
-    }
-
-    #[test]
-    fn batch_lost_matches_the_binomial_spread() {
-        // Beyond the mean: check the full shape via the variance, which
-        // a buggy inversion (e.g. always returning the mode) would miss.
-        let mut p = LossProcess::new(LossModel::bernoulli(0.3));
-        let mut rng = RngFactory::new(12).stream("spread");
-        let n = 10u64;
-        let trials = 100_000u64;
-        let draws: Vec<u64> = (0..trials).map(|_| p.batch_lost(n, &mut rng)).collect();
-        let mean = draws.iter().sum::<u64>() as f64 / trials as f64;
-        let var = draws
-            .iter()
-            .map(|&k| (k as f64 - mean).powi(2))
-            .sum::<f64>()
-            / trials as f64;
-        let expected_var = n as f64 * 0.3 * 0.7; // np(1-p) = 2.1
-        assert!((var - expected_var).abs() < 0.05, "variance {var:.4}");
-        assert!(draws.iter().all(|&k| k <= n), "count exceeds n");
-    }
-
-    #[test]
-    fn batch_lost_edge_cases_consume_no_rng() {
-        let mut zero = LossProcess::new(LossModel::NONE);
-        let mut certain = LossProcess::new(LossModel::bernoulli(1.0));
-        let mut some = LossProcess::new(LossModel::bernoulli(0.2));
-        let mut rng = RngFactory::new(13).stream("edges");
-        let mut twin = rng.clone();
-        assert_eq!(zero.batch_lost(50, &mut rng), 0);
-        assert_eq!(certain.batch_lost(50, &mut rng), 50);
-        assert_eq!(some.batch_lost(0, &mut rng), 0);
-        // The RNG is untouched: the next value matches the twin's first.
-        assert_eq!(rng.gen::<u64>(), twin.gen::<u64>());
-    }
-
-    #[test]
-    fn gilbert_elliott_batch_is_bit_identical_to_per_packet() {
-        let ge = LossModel::GilbertElliott(GilbertElliott::with_average_loss(0.1));
-        let mut batch = LossProcess::new(ge);
-        let mut single = LossProcess::new(ge);
-        let mut rng_a = RngFactory::new(14).stream("ge");
-        let mut rng_b = rng_a.clone();
-        for n in [1u64, 5, 17, 40] {
-            let via_batch = batch.batch_lost(n, &mut rng_a);
-            let via_loop = (0..n).filter(|_| single.packet_lost(&mut rng_b)).count() as u64;
-            assert_eq!(via_batch, via_loop);
-            assert_eq!(batch.in_burst(), single.in_burst());
-        }
-        // Both RNGs advanced by exactly the same number of draws.
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub struct ReactorDeviceSummary {
 
 impl ReactorDeviceSummary {
     /// `sent == completed + timed-out`, with nothing still in flight —
-    /// the soak harness's per-device conservation law.
+    /// the per-device conservation law.
     pub fn frames_conserved(&self) -> bool {
         self.in_flight_at_end == 0 && self.offloaded == self.successes + self.timeouts
     }

@@ -86,7 +86,7 @@ pub mod live {
 /// The live tier (`ff-reactor`): real sockets in real time, one epoll thread
 /// multiplexing thousands of `DeviceRuntime`s and server connections,
 /// length-prefixed `FFLP` binary framing, bounded write buffers with
-/// backpressure verdicts, and the fleet soak client.
+/// backpressure verdicts, and the in-process fleet client.
 pub mod reactor {
     pub use ff_reactor::*;
 }

@@ -8,9 +8,20 @@
 //! `run_steps` and `clear` — on both backends. The property lives in
 //! `ff_sim::testhooks::replay`; this file generates the scripts, so the
 //! root `cargo test` is what runs it.
+//!
+//! The last test lifts the claim to a whole fleet: the heap backend with
+//! fresh batch buffers and the timing wheel with reused ones must compute
+//! the same run, bit for bit.
 
+use framefeedback::controller::{Controller, FrameFeedback};
+use framefeedback::device::{
+    run_fleet, EngineOptions, FleetConfig, FleetDeviceConfig, FleetDeviceResult,
+};
+use framefeedback::models::{DeviceKind, ModelKind};
+use framefeedback::server::{ServerSpec, TierConfig};
 use framefeedback::sim::testhooks::{replay, LaneOp};
 use framefeedback::sim::QueueBackend;
+use framefeedback::workload::table_v;
 use proptest::prelude::*;
 
 /// Expand one generated tuple into an operation. Distances are either
@@ -101,4 +112,70 @@ fn a_same_instant_tie_between_a_lane_and_the_backend_pops_in_push_order() {
     for backend in [QueueBackend::Heap, QueueBackend::Wheel] {
         replay(backend, &ops).unwrap_or_else(|why| panic!("{backend:?}: {why}"));
     }
+}
+
+#[test]
+fn wheel_backend_and_buffer_reuse_reproduce_the_heap_run_exactly() {
+    // 64 Table V devices on two servers: enough load that batches
+    // overflow, so completions and rejections both flow through the
+    // reused `BatchOutput` on one side and fresh ones on the other.
+    let fleet = |backend, reuse_batch_buffers| {
+        let mut c = FleetConfig {
+            devices: vec![
+                FleetDeviceConfig {
+                    device: DeviceKind::Pi4BRev12,
+                    model: ModelKind::MobileNetV3Small,
+                };
+                64
+            ],
+            network: table_v(),
+            tier: Some(TierConfig::uniform(2, ServerSpec::default())),
+            engine: EngineOptions {
+                backend,
+                reuse_batch_buffers,
+                shards: 1,
+            },
+            ..FleetConfig::default()
+        };
+        c.stream.total_frames = 450;
+        let controllers = (0..64)
+            .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
+            .collect();
+        run_fleet(c, controllers)
+    };
+    let a = fleet(QueueBackend::Heap, false);
+    let b = fleet(QueueBackend::Wheel, true);
+
+    // Every float of a QoS log, as raw bits.
+    let bits = |d: &FleetDeviceResult| -> Vec<u64> {
+        d.qos
+            .records()
+            .iter()
+            .flat_map(|r| {
+                [
+                    r.t_secs,
+                    r.pl,
+                    r.po,
+                    r.timeouts,
+                    r.timeouts_network,
+                    r.timeouts_load,
+                    r.po_target,
+                    r.accuracy_weighted_throughput,
+                ]
+            })
+            .map(f64::to_bits)
+            .collect()
+    };
+    assert!(a.server_stats.completions > 0 && a.server_stats.rejections > 0);
+    assert_eq!(a.devices.len(), b.devices.len());
+    for (i, (da, db)) in a.devices.iter().zip(&b.devices).enumerate() {
+        assert_eq!(bits(da), bits(db), "device {i}: QoS log diverged");
+        assert_eq!(da.frames_offloaded, db.frames_offloaded, "device {i}");
+        assert_eq!(da.frames_local, db.frames_local, "device {i}");
+        assert_eq!(da.offload_successes, db.offload_successes, "device {i}");
+        assert_eq!(da.offload_timeouts, db.offload_timeouts, "device {i}");
+    }
+    assert_eq!(a.server_stats, b.server_stats);
+    assert_eq!(a.rejections_by_device, b.rejections_by_device);
+    assert_eq!(a.events_handled, b.events_handled);
 }

@@ -289,12 +289,12 @@ fn the_scripted_history_actually_exercises_every_path() {
     }
 }
 
-/// Fleet-level live-vs-sim parity: a 16-device reactor fleet over
+/// Fleet-level live-vs-sim parity: a 64-device reactor fleet over
 /// loopback against the DES running the identical scenario (same
 /// hardware profile, capture rate, deadline, tick and server batching
 /// parameters). The fleet means of per-device throughput must agree
-/// within a documented tolerance; the full-scale version of this check
-/// is the `soak` benchmark's cross-check (`BENCH_live.json`).
+/// within a documented tolerance, every device must conserve its
+/// frames, and the server must see every connection close.
 #[test]
 fn reactor_fleet_tracks_the_simulated_fleet_within_tolerance() {
     use framefeedback::controller::Controller;
@@ -305,14 +305,15 @@ fn reactor_fleet_tracks_the_simulated_fleet_within_tolerance() {
         ReactorServerConfig,
     };
     use framefeedback::workload::StreamConfig;
-    use std::time::Duration;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
 
     // 64 devices saturate the ~143 frames/s shared server (capacity /
-    // device < the 3 fps probe floor), the same regime the full-scale
-    // soak runs in: controllers park at the floor and throughput is
-    // dominated by the 13.4 fps local rate. The *contended middle*
-    // (few devices, server busy but not saturated) is deliberately
-    // avoided — there the two server models' overflow policies (the
+    // device < the 3 fps probe floor): controllers park at the floor
+    // and throughput is dominated by the 13.4 fps local rate. The
+    // *contended middle* (few devices, server busy but not saturated)
+    // is deliberately avoided — there the two server models' overflow
+    // policies (the
     // reactor batcher rejects its queue remainder, the DES queues it)
     // legitimately diverge.
     const DEVICES: usize = 64;
@@ -343,7 +344,23 @@ fn reactor_fleet_tracks_the_simulated_fleet_within_tolerance() {
         ..FleetClientConfig::default()
     };
     let fleet = run_reactor_fleet(server.addr(), &config, controllers()).unwrap();
-    assert!(fleet.frames_conserved(), "live fleet lost frames");
+    for (i, d) in fleet.devices.iter().enumerate() {
+        assert!(
+            d.frames_conserved(),
+            "device {i} lost frames: {} offloaded, {} ok, {} timed out, {} in flight",
+            d.offloaded,
+            d.successes,
+            d.timeouts,
+            d.in_flight_at_end
+        );
+    }
+    // The fleet has dropped its sockets; the server must see every close.
+    let open = || server.stats().open_connections.load(Ordering::Relaxed);
+    let give_up = Instant::now() + Duration::from_secs(2);
+    while open() > 0 && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
+    assert_eq!(open(), 0, "connections still open after the fleet exited");
     let live_mean = fleet
         .devices
         .iter()
