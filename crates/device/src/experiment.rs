@@ -338,7 +338,7 @@ impl World {
     ) {
         let mut transport = LinkTransport {
             link: &mut self.link,
-            deliver: |_, at, tag| ctx.schedule_at(at, Event::Uplinked { tag }),
+            deliver: |_, at, tag| ctx.schedule_lane(lane::UPLINK, at, Event::Uplinked { tag }),
         };
         let submission = self
             .runtime
@@ -359,7 +359,8 @@ impl World {
             .tier
             .submit(ctx.now(), request, regulated, &mut self.routing_rng);
         if let TierSubmit::BatchStarted { server, done_at } = outcome {
-            ctx.schedule_at(
+            ctx.schedule_lane(
+                lane::BATCH,
                 done_at,
                 Event::BatchDone {
                     server,
@@ -374,7 +375,7 @@ impl World {
         let now = ctx.now();
         let mut transport = LinkTransport {
             link: &mut self.link,
-            deliver: |_, at, tag| ctx.schedule_at(at, Event::Uplinked { tag }),
+            deliver: |_, at, tag| ctx.schedule_lane(lane::UPLINK, at, Event::Uplinked { tag }),
         };
         let out = self
             .runtime
@@ -418,7 +419,7 @@ impl World {
         }
         if let Some(at) = self.bg_arrivals.next_after(ctx.now(), self.bg_rate) {
             self.bg_pending = true;
-            ctx.schedule_at(at, Event::BackgroundArrival);
+            ctx.schedule_lane(lane::BACKGROUND, at, Event::BackgroundArrival);
         }
     }
 
@@ -489,7 +490,7 @@ impl SimModel for World {
                             .captured(frame.id.0, now, frame_bytes, FrameFate::Unresolved);
                         match self.engine.offer(now) {
                             LocalOutcome::Started { done_at } => {
-                                ctx.schedule_at(done_at, Event::LocalDone);
+                                ctx.schedule_lane(lane::LOCAL, done_at, Event::LocalDone);
                                 self.local_running = Some(frame.id.0);
                             }
                             LocalOutcome::Queued => {
@@ -522,7 +523,7 @@ impl SimModel for World {
                     self.trace.resolve(finished, FrameFate::LocalCompleted);
                 }
                 if let Some(next_done) = self.engine.busy_until() {
-                    ctx.schedule_at(next_done, Event::LocalDone);
+                    ctx.schedule_lane(lane::LOCAL, next_done, Event::LocalDone);
                     self.local_running = self.local_pending.take();
                 }
             }
@@ -574,7 +575,7 @@ impl SimModel for World {
                     }
                 }
                 if let Some(done_at) = self.batch_out.next_done {
-                    ctx.schedule_at(done_at, Event::BatchDone { server, epoch });
+                    ctx.schedule_lane(lane::BATCH, done_at, Event::BatchDone { server, epoch });
                 }
             }
 
@@ -821,11 +822,9 @@ fn run_experiment_inner(
         .map(|&(t, _)| t)
         .collect();
 
-    // Pre-size the calendar: steady state holds one deadline per in-flight
-    // offload plus captures, ticks, and batch completions — well under 512
-    // even at full offload. Sized once, the heap never reallocates, which
-    // matters when a sweep executes thousands of runs back to back.
-    let mut sim = Simulation::with_event_capacity(world, 512);
+    // Every recurring event rides a lane, so the calendar itself holds
+    // only the network/load steps and the outage, all filed here.
+    let mut sim = Simulation::new(world);
     let first_capture = sim.model().source.next_capture_time();
     sim.schedule_lane(lane::CAPTURE, first_capture, Event::Capture);
     sim.schedule_lane(lane::TICK, SimTime::ZERO + controller_period, Event::Tick);

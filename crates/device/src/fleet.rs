@@ -71,7 +71,9 @@ use crate::tags::{
 };
 
 /// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
-/// that every DES host files a constant distance ahead of `now`.
+/// a DES host files in time order. The first four every host files a
+/// constant distance ahead of `now`; the last four only a single-device
+/// host (`run_experiment`) files in order, so the fleet leaves them idle.
 pub(crate) mod lane {
     /// The next capture, one frame interval ahead.
     pub(crate) const CAPTURE: usize = 0;
@@ -81,6 +83,17 @@ pub(crate) mod lane {
     pub(crate) const DEADLINE: usize = 2;
     /// A response, one propagation delay after its batch.
     pub(crate) const RESPONSE: usize = 3;
+    /// One link's deliveries to the server, probes included: FIFO, but a
+    /// frame that overtakes one a retransmission round holds back falls
+    /// through.
+    pub(crate) const UPLINK: usize = 4;
+    /// One server's successive batch completions (with several servers,
+    /// out-of-order ones fall through to the backend).
+    pub(crate) const BATCH: usize = 5;
+    /// The single pending background arrival.
+    pub(crate) const BACKGROUND: usize = 6;
+    /// The single pending local-inference completion.
+    pub(crate) const LOCAL: usize = 7;
 }
 
 /// Engine tuning knobs for a fleet run. These change **how fast** the

@@ -120,7 +120,6 @@ impl TimeSeries {
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     values_ms: Vec<f64>,
-    sorted: bool,
 }
 
 /// Summary emitted by [`LatencyStats::summary`].
@@ -150,7 +149,6 @@ impl LatencyStats {
     pub fn record_ms(&mut self, ms: f64) {
         assert!(ms.is_finite(), "latency observation must be finite");
         self.values_ms.push(ms);
-        self.sorted = false;
     }
 
     /// Number of observations recorded.
@@ -164,20 +162,12 @@ impl LatencyStats {
         if self.values_ms.is_empty() {
             return None;
         }
-        if !self.sorted {
-            self.values_ms
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-            self.sorted = true;
-        }
-        let n = self.values_ms.len();
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(self.values_ms[lo] * (1.0 - frac) + self.values_ms[hi] * frac)
+        Some(quantiles(&mut self.values_ms, [q])[0])
     }
 
     /// Arithmetic mean in milliseconds, if any observation was recorded.
+    /// Summed in recording order until a quantile query reorders the
+    /// observations.
     pub fn mean_ms(&self) -> Option<f64> {
         if self.values_ms.is_empty() {
             return None;
@@ -196,18 +186,50 @@ impl LatencyStats {
 
     /// Build the standard summary (mean, p50/p95/p99, max).
     pub fn summary(&mut self) -> Option<LatencySummary> {
-        if self.values_ms.is_empty() {
-            return None;
-        }
+        // The mean's bits depend on the summation order: take it before
+        // the quantiles reorder the observations.
+        let mean_ms = self.mean_ms()?;
+        let [p50_ms, p95_ms, p99_ms, max_ms] =
+            quantiles(&mut self.values_ms, [0.50, 0.95, 0.99, 1.0]);
         Some(LatencySummary {
             count: self.count(),
-            mean_ms: self.mean_ms().unwrap(),
-            p50_ms: self.percentile_ms(0.50).unwrap(),
-            p95_ms: self.percentile_ms(0.95).unwrap(),
-            p99_ms: self.percentile_ms(0.99).unwrap(),
-            max_ms: self.percentile_ms(1.0).unwrap(),
+            mean_ms,
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            max_ms,
         })
     }
+}
+
+/// Linear-interpolated quantiles of `values` at each of `qs`, which must
+/// ascend: for each `q`, the order statistics at the floor and ceil of
+/// `q·(n − 1)`, weighted by its fractional part. Exactly the values a
+/// full sort would give, but only those ranks are selected, each over
+/// the suffix the previous selection left, so `values` ends up partly
+/// reordered rather than sorted.
+fn quantiles<const K: usize>(values: &mut [f64], qs: [f64; K]) -> [f64; K] {
+    debug_assert!(!values.is_empty() && qs.is_sorted());
+    let last = (values.len() - 1) as f64;
+    // Everything before `start` is at most everything from it on, so a
+    // selection in the suffix places the overall rank; later selections
+    // work on later suffixes and leave it put. With ascending `qs`, a
+    // rank below `start` is the previous floor or ceil: one placed so.
+    let mut start = 0;
+    let mut rank = |r: usize| {
+        if r >= start {
+            values[start..]
+                .select_nth_unstable_by(r - start, |a, b| a.partial_cmp(b).expect("finite values"));
+            start = r + 1;
+        }
+        values[r]
+    };
+    qs.map(|q| {
+        let pos = q * last;
+        let lo = pos.floor() as usize;
+        let frac = pos - lo as f64;
+        rank(lo) * (1.0 - frac) + rank(pos.ceil() as usize) * frac
+    })
 }
 
 #[cfg(test)]

@@ -57,8 +57,9 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// [`schedule_at`](Self::schedule_at) for an event of a class that is
-    /// always scheduled the same distance ahead of `now` (the next
-    /// capture, a deadline, …): give each such class its own `lane`
+    /// filed in time order — one always scheduled the same distance ahead
+    /// of `now` (the next capture, a deadline, …) is one case, one link's
+    /// FIFO deliveries another: give each such class its own `lane`
     /// (`< LANES`) and its events wait in a FIFO instead of the calendar.
     /// Purely a speed hint — the event fires exactly when and in the order
     /// `schedule_at` would fire it, also when `at` is not in step with the
@@ -135,15 +136,6 @@ impl<M: SimModel> Simulation<M> {
             now: SimTime::ZERO,
             events_handled: 0,
         }
-    }
-
-    /// Like [`new`](Self::new) but with the event queue pre-sized for
-    /// `event_capacity` pending events, so steady-state scheduling never
-    /// reallocates. Experiment-scale models keep one deadline per
-    /// in-flight offload queued; a few hundred slots cover the paper's
-    /// 30 fps workloads with margin.
-    pub fn with_event_capacity(model: M, event_capacity: usize) -> Self {
-        Self::with_queue(model, EventQueue::with_capacity(event_capacity))
     }
 
     /// Like [`new`](Self::new) but on an explicitly constructed event

@@ -18,11 +18,13 @@
 //!
 //! ## Lanes
 //!
-//! Most of what a frame-loop simulation files is scheduled a *constant*
-//! distance ahead of `now` — the next capture, the next controller tick,
-//! an offload's deadline, a response's propagation delay — so within one
-//! such class the firing times arrive already sorted. The queue keeps
-//! [`LANES`] FIFOs beside its backend for them. A lane push draws its
+//! Most of what a frame-loop simulation files arrives in time order
+//! within its class. Some classes are scheduled a *constant* distance
+//! ahead of `now` — the next capture, the next controller tick, an
+//! offload's deadline, a response's propagation delay; others are FIFO by
+//! nature — one link's deliveries, one server's successive batches — or
+//! have at most one event pending at a time. The queue keeps [`LANES`]
+//! FIFOs beside its backend for such classes. A lane push draws its
 //! sequence number from the queue's **one** counter exactly as
 //! [`EventQueue::push`] does and appends to the FIFO; a push earlier than
 //! the lane's back (a heterogeneous or replayed cadence) goes to the
@@ -42,7 +44,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of FIFO lanes beside the backend (see the module docs).
-pub const LANES: usize = 4;
+pub const LANES: usize = 8;
 
 struct Entry<E> {
     time: SimTime,
@@ -114,7 +116,7 @@ pub struct EventQueue<E> {
     /// Key of each lane's front entry (`NO_KEY` for an empty lane), and
     /// the smallest of them with its lane: kept beside the FIFOs so that a
     /// pop compares the backend's head with one cached key, and only a
-    /// lane pop re-reads the other three.
+    /// lane pop re-reads the other fronts.
     fronts: [Key; LANES],
     first: Key,
     first_lane: usize,
@@ -143,16 +145,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty heap-backed queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty heap-backed queue with room for `capacity` pending
-    /// events before the backing heap reallocates. Long experiment runs
-    /// keep a few hundred in-flight deadlines queued at once;
-    /// pre-sizing avoids the doubling churn on every run of a sweep
-    /// grid.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::on(Backend::Heap(BinaryHeap::with_capacity(capacity)))
+        Self::on(Backend::Heap(BinaryHeap::new()))
     }
 
     /// An empty queue on the given backend.
@@ -183,16 +176,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of events the queue can hold without reallocating (for
-    /// the wheel: the staging buffer's capacity — slot storage grows
-    /// independently per slot).
-    pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.capacity(),
-            Backend::Wheel(wheel) => wheel.staging_capacity(),
-        }
-    }
-
     /// Schedule `event` at absolute time `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
@@ -212,9 +195,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`push`](Self::push) for an event whose class is scheduled a
-    /// constant distance ahead, `n` times over (`n ≥ 1` consecutive pushes
-    /// at one instant, filed as one entry that pops once and counts `n`).
+    /// [`push`](Self::push) for an event whose class is filed in time
+    /// order, `n` times over (`n ≥ 1` consecutive pushes at one instant,
+    /// filed as one entry that pops once and counts `n`).
     /// Appended to lane `lane` while `at` keeps the lane sorted; otherwise
     /// a single push falls through to the backend under the sequence
     /// number it drew here, and an entry for several — which the backend
@@ -466,20 +449,6 @@ mod tests {
             }
             assert_eq!(popped, vec![2, 3, 4, 5, 6, 7, 8, 9, 0, 1, 10]);
         }
-    }
-
-    #[test]
-    fn with_capacity_pre_sizes_without_changing_behavior() {
-        let mut q = EventQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
-        for i in 0..64 {
-            q.push(SimTime::from_millis(64 - i), i);
-        }
-        assert_eq!(
-            q.capacity(),
-            EventQueue::<u64>::with_capacity(64).capacity()
-        );
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 63)));
     }
 
     #[test]

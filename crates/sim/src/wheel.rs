@@ -215,12 +215,6 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
-    /// Capacity of the staging buffer (slab and slot storage are
-    /// retained independently across pops).
-    pub fn staging_capacity(&self) -> usize {
-        self.current.capacity()
-    }
-
     /// File `event` to fire at absolute time `time` (µs). `seq` must be
     /// a monotone insertion counter; same-time entries pop in `seq`
     /// order. Pushing behind the cursor is legal (it lands in the `past`

@@ -520,7 +520,12 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepReport {
     // it is pure file I/O and keeps the execution set deterministic.
     let mut slots: Vec<Option<(bool, ExperimentResult)>> = Vec::with_capacity(cells.len());
     let mut pending: Vec<usize> = Vec::new();
-    let hashes: Vec<u64> = cells.iter().map(Cell::content_hash).collect();
+    // A key serializes the whole config: build them only for a cache.
+    let hashes: Vec<u64> = if opts.cache_dir.is_some() {
+        cells.iter().map(Cell::content_hash).collect()
+    } else {
+        Vec::new()
+    };
     for (i, cell) in cells.iter().enumerate() {
         let hit = opts
             .cache_dir

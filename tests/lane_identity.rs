@@ -9,19 +9,23 @@
 //! `ff_sim::testhooks::replay`; this file generates the scripts, so the
 //! root `cargo test` is what runs it.
 //!
-//! The last test lifts the claim to a whole fleet: the heap backend with
-//! fresh batch buffers and the timing wheel with reused ones must compute
-//! the same run, bit for bit.
+//! Two tests lift the claim to whole runs. A fleet on the heap backend
+//! with fresh batch buffers and one on the timing wheel with reused ones
+//! must compute the same run, bit for bit. And the paper grid of
+//! single-device experiments, whose in-order event classes ride lanes,
+//! must land on the bits it produced before they did.
 
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::device::{
-    run_fleet, EngineOptions, FleetConfig, FleetDeviceConfig, FleetDeviceResult,
+    run_fleet, EngineOptions, ExperimentConfig, FleetConfig, FleetDeviceConfig, FleetDeviceResult,
 };
+use framefeedback::metrics::LatencySummary;
 use framefeedback::models::{DeviceKind, ModelKind};
 use framefeedback::server::{ServerSpec, TierConfig};
 use framefeedback::sim::testhooks::{replay, LaneOp};
-use framefeedback::sim::QueueBackend;
-use framefeedback::workload::table_v;
+use framefeedback::sim::{QueueBackend, LANES};
+use framefeedback::sweep::{run_sweep, ControllerSpec, SweepOptions, SweepSpec};
+use framefeedback::workload::{table_v, table_vi};
 use proptest::prelude::*;
 
 /// Expand one generated tuple into an operation. Distances are either
@@ -34,21 +38,21 @@ fn op((kind, raw, shift_sel, pick): (u8, u16, u8, u8)) -> LaneOp {
     } else {
         u64::from(raw) << [0u32, 6, 14, 30, 47][shift_sel as usize % 5]
     };
-    // The low bits pick the lane, the rest a small count.
-    let (lane, n) = (pick as usize % 4, pick / 4);
+    // The low bits pick one of all the lanes, the rest a small count.
+    let (lane, n) = (usize::from(pick) % LANES, usize::from(pick) / LANES);
     match kind {
         0..=3 => LaneOp::Push { ahead },
         4..=9 => LaneOp::PushLane { lane, ahead, n: 1 },
         10..=11 => LaneOp::PushLane {
             lane,
             ahead,
-            n: u32::from(n % 5) + 1,
+            n: (n % 5) as u32 + 1,
         },
         12 => LaneOp::Pop,
         13..=14 => LaneOp::PopBefore { ahead },
         15..=16 => LaneOp::RunUntil { ahead },
         17..=18 => LaneOp::RunSteps {
-            budget: u64::from(n % 7),
+            budget: (n % 7) as u64,
         },
         _ => LaneOp::Clear,
     }
@@ -178,4 +182,118 @@ fn wheel_backend_and_buffer_reuse_reproduce_the_heap_run_exactly() {
     assert_eq!(a.server_stats, b.server_stats);
     assert_eq!(a.rejections_by_device, b.rejections_by_device);
     assert_eq!(a.events_handled, b.events_handled);
+}
+
+/// FNV-1a of [`paper_grid_is_bit_identical_to_the_parent`]'s grid, computed
+/// before the experiment host filed uplink arrivals, batch completions,
+/// background arrivals and local completions on lanes, and before the
+/// latency quantiles were selected instead of sorted.
+const PAPER_GRID_BEFORE_LANES: u64 = 0xab39_7e54_20ae_9e1f;
+
+/// FNV-1a over little-endian bytes; floats enter as raw bit patterns.
+struct Fnv(u64);
+
+impl Fnv {
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    fn summary(&mut self, s: &Option<LatencySummary>) {
+        let Some(s) = s else {
+            return self.u64(u64::MAX);
+        };
+        self.u64(s.count as u64);
+        for v in [s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms] {
+            self.f64(v);
+        }
+    }
+}
+
+#[test]
+fn paper_grid_is_bit_identical_to_the_parent() {
+    // The `sweep-paper-grid` shape at test scale: the three paper
+    // scenarios × the four §IV-B controllers, one seed, 600 frames.
+    let base = || {
+        let mut c = ExperimentConfig::default();
+        c.stream.total_frames = 600;
+        c
+    };
+    let mut network = base();
+    network.network = table_v();
+    let mut background = base();
+    background.background = table_vi();
+    let spec = SweepSpec {
+        name: "paper-grid".into(),
+        scenarios: vec![
+            ("ideal".into(), base()),
+            ("table-v".into(), network),
+            ("table-vi".into(), background),
+        ],
+        seeds: vec![42],
+        routings: Vec::new(),
+        admissions: Vec::new(),
+        controllers: ControllerSpec::lineup(),
+    };
+    let report = run_sweep(&spec, &SweepOptions::serial());
+    assert_eq!(report.cells.len(), 12);
+
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for cell in &report.cells {
+        let r = &cell.result;
+        h.u64(r.qos.records().len() as u64);
+        for q in r.qos.records() {
+            for v in [
+                q.t_secs,
+                q.pl,
+                q.po,
+                q.timeouts,
+                q.timeouts_network,
+                q.timeouts_load,
+                q.po_target,
+                q.accuracy_weighted_throughput,
+            ] {
+                h.f64(v);
+            }
+        }
+        for v in [
+            r.frames_generated,
+            r.frames_offloaded,
+            r.frames_local,
+            r.offload_successes,
+            r.offload_timeouts,
+        ] {
+            h.u64(v);
+        }
+        let l = &r.link_stats;
+        let s = &r.server_stats;
+        for v in [
+            l.frames_offered,
+            l.frames_delivered,
+            l.frames_dropped_overflow,
+            l.frames_dropped_loss,
+            l.packets_sent,
+            l.packets_lost,
+            s.requests_received,
+            s.completions,
+            s.rejections,
+            s.batches_executed,
+            s.batched_frames,
+            s.full_batches,
+        ] {
+            h.u64(v);
+        }
+        h.summary(&r.offload_latency);
+        h.summary(&r.uplink_latency);
+        h.summary(&r.server_latency);
+    }
+    assert_eq!(
+        h.0, PAPER_GRID_BEFORE_LANES,
+        "the paper grid drifted from its pre-lane bits: {:#018x}",
+        h.0
+    );
 }
