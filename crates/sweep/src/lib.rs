@@ -53,7 +53,11 @@ use std::time::Instant;
 /// v3: `QosRecord` grew the accuracy-weighted throughput column and
 /// [`ExperimentResult`] the filter/selection summaries with the
 /// content-aware workload layer; v2 entries predate them.
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+///
+/// v4: the same [`ExperimentConfig`] computes different bits once the
+/// experiment runs as a one-device fleet (fleet RNG stream names, and
+/// requests billed as the offload model); a v3 entry holds the old bits.
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// A routing-policy axis entry: which server a request lands on. This is
 /// exactly [`ff_server::RoutingPolicy`] — serializable and `Copy`, so a

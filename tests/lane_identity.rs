@@ -188,7 +188,11 @@ fn wheel_backend_and_buffer_reuse_reproduce_the_heap_run_exactly() {
 /// before the experiment host filed uplink arrivals, batch completions,
 /// background arrivals and local completions on lanes, and before the
 /// latency quantiles were selected instead of sorted.
-const PAPER_GRID_BEFORE_LANES: u64 = 0xab39_7e54_20ae_9e1f;
+///
+/// Re-pinned once, when the single-device experiment became a fleet of
+/// one: its RNG streams took the fleet's names (`indexed_stream("fleet-…",
+/// 0)`). It was `0xab39_7e54_20ae_9e1f` before.
+const PAPER_GRID_BEFORE_LANES: u64 = 0x2c20_8b1a_bddb_3d25;
 
 /// FNV-1a over little-endian bytes; floats enter as raw bit patterns.
 struct Fnv(u64);
