@@ -15,12 +15,14 @@
 //! for rolling-restart scenarios.
 //!
 //! The device control loop is [`crate::runtime`]'s, the same one the
-//! experiment, the live clients and the replayer run: this module is a
-//! host adapter. [`FleetCore`] owns each device's frame source, uplink,
-//! local engine and filter, turns simulation events into runtime calls
-//! and schedules what they ask for; the only difference between the
-//! single-threaded engine and a shard ([`crate::shard`]) is where a
-//! delivered uplink goes (see [`FleetCore`]).
+//! live clients and the replayer run: this module is a host adapter. The
+//! single-device experiment is this host too — a fleet of one carrying
+//! a [`Solo`] block for what only the experiment has. [`FleetCore`]
+//! owns each device's frame source, uplink, local engine and filter,
+//! turns simulation events into runtime calls and schedules what they
+//! ask for; the only difference between the single-threaded engine and a
+//! shard ([`crate::shard`]) is where a delivered uplink goes (see
+//! [`FleetCore`]).
 //!
 //! What reaches the calendar: an event is filed only if something other
 //! than its own device can observe its instant. Captures, ticks,
@@ -43,6 +45,7 @@ use crate::runtime::{
     TickOutput, Transport,
 };
 use crate::selection::ModelSelection;
+use crate::solo::Solo;
 use crate::splitter::Route;
 use ff_core::Controller;
 use ff_metrics::QosLog;
@@ -58,8 +61,8 @@ use ff_sim::{
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use ff_trace::TraceHandle;
 use ff_workload::{
-    FilterConfig, FilterStats, FilterVerdict, FrameSource, SceneScript, SemanticFilter,
-    StepSchedule, StreamConfig,
+    FilterConfig, FilterStats, FilterVerdict, FrameSource, ReplayCursor, SceneScript,
+    SemanticFilter, StepSchedule, StreamConfig,
 };
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -67,13 +70,17 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::tags::{
-    fleet_tag as make_tag, fleet_tag_device as tag_device, is_probe_tag as tag_is_probe,
+    fleet_tag as make_tag, fleet_tag_device as tag_device, is_background_tag,
+    is_probe_tag as tag_is_probe, BACKGROUND_TAG_BASE,
 };
 
 /// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
-/// a DES host files in time order. The first four every host files a
-/// constant distance ahead of `now`; the last four only a single-device
-/// host (`run_experiment`) files in order, so the fleet leaves them idle.
+/// the fleet host files in time order. The first four are filed a
+/// constant distance ahead of `now`; the last three are FIFO per link,
+/// per server and per background process, so in a fleet of one they stay
+/// in step, while in a larger fleet an out-of-order push falls through to
+/// the backend under its own sequence number (pop order never changes).
+/// A shard files only the first four.
 pub(crate) mod lane {
     /// The next capture, one frame interval ahead.
     pub(crate) const CAPTURE: usize = 0;
@@ -90,10 +97,8 @@ pub(crate) mod lane {
     /// One server's successive batch completions (with several servers,
     /// out-of-order ones fall through to the backend).
     pub(crate) const BATCH: usize = 5;
-    /// The single pending background arrival.
+    /// The single pending background arrival (a fleet of one's).
     pub(crate) const BACKGROUND: usize = 6;
-    /// The single pending local-inference completion.
-    pub(crate) const LOCAL: usize = 7;
 }
 
 /// Engine tuning knobs for a fleet run. These change **how fast** the
@@ -569,7 +574,7 @@ pub(crate) enum FleetEvent {
     /// event to the server process that scheduled it: a crash bumps the
     /// tier-side epoch, so completions of a dead process are discarded.
     BatchDone {
-        server: usize,
+        server: u32,
         epoch: u64,
     },
     /// The responses of one finished batch reach their devices: the next
@@ -586,15 +591,34 @@ pub(crate) enum FleetEvent {
     /// Apply schedule step `step` (shared schedule: to all devices;
     /// per-device schedules: to device `dev`).
     NetworkChange {
-        dev: Option<usize>,
-        step: usize,
+        dev: Option<u32>,
+        step: u32,
     },
+    /// Background schedule step `step` takes effect ([`Solo`] only).
+    LoadChange(usize),
+    /// The next background request arrives ([`Solo`] only).
+    Background,
 }
 
-/// The simulated side of the runtime's [`Transport`] seam, for both the
-/// fleet and the experiment: frames and probes enter the device's
-/// emulated uplink, and `deliver(sent_at, at, tag)` says where a delivery
-/// goes — an `Uplinked` event on the host's calendar, or a shard's outbox.
+// Every calendar and lane entry carries one: 16 bytes, not the 32 that
+// word-sized server, device and step indices would take.
+const _: () = assert!(std::mem::size_of::<FleetEvent>() <= 16);
+
+impl FleetEvent {
+    /// Step `step` of the shared network schedule (`dev: None`) or of
+    /// device `dev`'s own.
+    pub(crate) fn network_change(dev: Option<usize>, step: usize) -> FleetEvent {
+        FleetEvent::NetworkChange {
+            dev: dev.map(|d| d as u32),
+            step: step as u32,
+        }
+    }
+}
+
+/// The simulated side of the runtime's [`Transport`] seam: frames and
+/// probes enter the device's emulated uplink, and `deliver(sent_at, at,
+/// tag)` says where a delivery goes — an `Uplinked` event on the host's
+/// calendar, or a shard's outbox.
 pub(crate) struct LinkTransport<'a, F> {
     pub(crate) link: &'a mut Link<ChaCha8Rng>,
     pub(crate) deliver: F,
@@ -631,6 +655,8 @@ pub(crate) struct FleetCore {
     /// Local-inference completions applied so far: events of the model
     /// that never were calendar entries.
     pub(crate) local_completions: u64,
+    /// The single-device experiment's block, for a fleet of one.
+    pub(crate) solo: Option<Box<Solo>>,
 }
 
 impl FleetCore {
@@ -640,7 +666,23 @@ impl FleetCore {
             config,
             devs,
             local_completions: 0,
+            solo: None,
         }
+    }
+
+    /// Make this fleet of one run `solo`'s features: its end of run and
+    /// its loss model, which the link takes before its first send.
+    fn attach(&mut self, solo: Box<Solo>) {
+        assert_eq!(
+            self.devs.link.len(),
+            1,
+            "a Solo block drives a fleet of one"
+        );
+        self.end_at = solo.end_at;
+        if let Some(model) = solo.loss_model {
+            self.devs.link[0].set_loss_model(model);
+        }
+        self.solo = Some(solo);
     }
 
     /// The runtime row of the device `tag` belongs to: where the hosts
@@ -669,19 +711,26 @@ impl FleetCore {
         } = &mut self.devs;
         let i = g - *base;
         let src = &mut source[i];
-        let Some(frame) = src.next_frame() else {
+        let mut solo = self.solo.as_deref_mut();
+        let (frame, info) = match solo.as_mut().and_then(|s| s.replay.as_mut()) {
+            Some(replay) => (replay.next_frame(), None),
+            None => (src.next_frame(), src.last_info()),
+        };
+        let Some(frame) = frame else {
             return;
         };
         // Semantic filter: drop or shrink low-information frames
         // before they cost routing, uplink, or local compute.
         let mut frame_bytes = frame.bytes;
-        if let (Some(filter), Some(info)) = (filter.get_mut(i), src.last_info()) {
+        if let (Some(filter), Some(info)) = (filter.get_mut(i), info) {
             match filter.verdict(info, frame.bytes) {
                 FilterVerdict::Pass => {}
                 FilterVerdict::Shrink { bytes } => frame_bytes = bytes,
                 FilterVerdict::Skip => {
-                    if !src.exhausted() {
-                        let next = src.next_capture_time();
+                    if let Some(solo) = solo.as_deref_mut() {
+                        solo.filtered_out(frame.id.0, now, frame.bytes);
+                    }
+                    if let Some(next) = next_capture(src, solo.as_deref()) {
                         ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
                     }
                     return;
@@ -691,25 +740,31 @@ impl FleetCore {
         let mut rt = runtime.lend(i);
         match rt.route_frame(frame.id.0, frame_bytes, now) {
             Route::Offload => {
+                let bytes = match solo.as_deref_mut() {
+                    Some(solo) => solo.offloaded(frame.id.0, now, frame_bytes),
+                    None => frame_bytes,
+                };
                 let tag = make_tag(g, frame.id.0, false);
                 let mut transport = LinkTransport {
                     link: &mut link[i],
                     deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
                 };
-                let submission = rt.offload(&mut transport, tag, frame_bytes, now);
+                let submission = rt.offload(&mut transport, tag, bytes, now);
                 let deadline = FleetEvent::Deadline { tag };
                 ctx.schedule_lane(lane::DEADLINE, submission.deadline_at, deadline);
             }
             Route::Local => {
                 let engine = &mut engine[i];
                 self.local_completions +=
-                    engine.apply_due(now, false, |done_at| rt.note_local_done(1, done_at));
-                engine.offer(now);
+                    apply_local(engine, &mut rt, solo.as_deref_mut(), now, false);
+                let outcome = engine.offer(now);
+                if let Some(solo) = solo.as_deref_mut() {
+                    solo.offered_locally(frame.id.0, now, frame_bytes, outcome);
+                }
                 frames_local[i] += 1;
             }
         }
-        if !src.exhausted() {
-            let next = src.next_capture_time();
+        if let Some(next) = next_capture(src, solo.as_deref()) {
             ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
         }
     }
@@ -730,9 +785,12 @@ impl FleetCore {
         let controller = self.devs.controller[i].as_mut();
         let engine = &mut self.devs.engine[i];
         let mut rt = self.devs.runtime.lend(i);
-        self.local_completions +=
-            engine.apply_due(now, true, |done_at| rt.note_local_done(1, done_at));
+        let mut solo = self.solo.as_deref_mut();
+        self.local_completions += apply_local(engine, &mut rt, solo.as_deref_mut(), now, true);
         let out = rt.tick(now, controller, &mut transport);
+        if let Some(solo) = solo {
+            solo.ticked(&out, engine);
+        }
         engine.tick_passed();
         let deadline = FleetEvent::Deadline { tag: out.probe_tag };
         ctx.schedule_lane(lane::DEADLINE, out.probe_deadline_at, deadline);
@@ -744,15 +802,19 @@ impl FleetCore {
     }
 
     /// The run is over at `now`: apply the local completions due by
-    /// `end_at` (the calendar would have popped each), close the trace,
-    /// and free the columns no result reads — before the caller allocates
-    /// the results, so that teardown does not set the run's peak memory.
+    /// `end_at` (the calendar would have popped each), let a [`Solo`]
+    /// block read its device, close the trace, and free the columns no
+    /// result reads — before the caller allocates the results, so that
+    /// teardown does not set the run's peak memory.
     pub(crate) fn finish(&mut self, now: SimTime) -> Option<Vec<u8>> {
         let devs = &mut self.devs;
         for (i, engine) in devs.engine.iter_mut().enumerate() {
             let mut rt = devs.runtime.lend(i);
-            self.local_completions +=
-                engine.apply_due(self.end_at, false, |done_at| rt.note_local_done(1, done_at));
+            let solo = self.solo.as_deref_mut();
+            self.local_completions += apply_local(engine, &mut rt, solo, self.end_at, false);
+        }
+        if let Some(solo) = self.solo.as_deref_mut() {
+            solo.finish(now, &devs.link[0], &devs.engine[0], &devs.source[0]);
         }
         devs.source = Vec::new();
         devs.engine = Vec::new();
@@ -789,11 +851,43 @@ impl FleetCore {
                 self.devs.link[dev - self.devs.base].set_conditions(conditions);
             }
         }
+        if let Some(model) = self.solo.as_ref().and_then(|solo| solo.loss_model) {
+            for link in &mut self.devs.link {
+                link.set_loss_model(model);
+            }
+        }
     }
 }
 
-/// Emit one device's controller-period metrics. Shared by the experiment,
-/// the single-threaded fleet and the shard worlds, so a "device/{i}" scope
+/// Apply the local completions due at `now` ([`LocalEngine::apply_due`])
+/// to the device's runtime row and, in a fleet of one, its [`Solo`]
+/// block. Returns how many were applied.
+fn apply_local(
+    engine: &mut LocalEngine<ChaCha8Rng>,
+    rt: &mut DeviceLoop<'_>,
+    mut solo: Option<&mut Solo>,
+    now: SimTime,
+    before_tick: bool,
+) -> u64 {
+    engine.apply_due(now, before_tick, |done_at| {
+        rt.note_local_done(1, done_at);
+        if let Some(solo) = solo.as_deref_mut() {
+            solo.local_completed();
+        }
+    })
+}
+
+/// When the device captures next, if it does: from its generated stream,
+/// or from a [`Solo`] block's replayed schedule.
+fn next_capture(source: &FrameSource<ChaCha8Rng>, solo: Option<&Solo>) -> Option<SimTime> {
+    match solo.and_then(|solo| solo.replay.as_ref()) {
+        Some(replay) => (!replay.exhausted()).then(|| replay.next_capture_time()),
+        None => (!source.exhausted()).then(|| source.next_capture_time()),
+    }
+}
+
+/// Emit one device's controller-period metrics. Shared by the
+/// single-threaded fleet and the shard worlds, so a "device/{i}" scope
 /// carries the same gauges and counters in every engine.
 pub(crate) fn observe_device_tick(
     rec: &mut Recorder,
@@ -912,9 +1006,9 @@ impl TierObs {
     }
 }
 
-/// Host-side observability state of a single-threaded simulated engine
-/// (the fleet, or the experiment as a fleet of one): one recorder for
-/// the simulation thread, plus the interned scopes it reports under.
+/// Host-side observability state of the single-threaded fleet engine:
+/// one recorder for the simulation thread, plus the interned scopes it
+/// reports under.
 ///
 /// Strictly write-only with respect to the simulation: nothing here
 /// schedules events, advances RNG streams, or feeds back into routing
@@ -961,10 +1055,10 @@ impl FleetObs {
     }
 }
 
-/// The single-threaded engine's uplink seam: an in-calendar `Uplinked`
-/// event.
+/// The single-threaded engine's uplink seam: an `Uplinked` event on the
+/// link's lane.
 fn schedule_uplink(ctx: &mut Ctx<'_, FleetEvent>, _sent_at: SimTime, at: SimTime, tag: u64) {
-    ctx.schedule_at(at, FleetEvent::Uplinked { tag });
+    ctx.schedule_lane(lane::UPLINK, at, FleetEvent::Uplinked { tag });
 }
 
 struct FleetWorld {
@@ -984,21 +1078,30 @@ struct FleetWorld {
 }
 
 impl FleetWorld {
-    fn submit_to_server(&mut self, ctx: &mut Ctx<'_, FleetEvent>, request: Request) -> TierSubmit {
-        let regulated = !tag_is_probe(request.tag);
+    /// Hand `request` to the tier; `regulated` requests face admission
+    /// control (a device's frames; not its probes or background tenants).
+    fn submit_to_server(
+        &mut self,
+        ctx: &mut Ctx<'_, FleetEvent>,
+        request: Request,
+        regulated: bool,
+    ) -> TierSubmit {
         let outcome = self
             .tier
             .submit(ctx.now(), request, regulated, &mut self.routing_rng);
         if let TierSubmit::BatchStarted { server, done_at } = outcome {
-            ctx.schedule_at(
-                done_at,
-                FleetEvent::BatchDone {
-                    server,
-                    epoch: self.tier.epoch(server),
-                },
-            );
+            let epoch = self.tier.epoch(server);
+            let server = server as u32;
+            let done = FleetEvent::BatchDone { server, epoch };
+            ctx.schedule_lane(lane::BATCH, done_at, done);
         }
         outcome
+    }
+
+    /// The block of a fleet of one, for its background events.
+    fn solo(&mut self) -> &mut Solo {
+        let solo = self.core.solo.as_deref_mut();
+        solo.expect("background events are filed only with a Solo block")
     }
 
     /// Report this device's controller-period observations (and, from
@@ -1036,7 +1139,7 @@ impl SimModel for FleetWorld {
             FleetEvent::Uplinked { tag } => {
                 let now = ctx.now();
                 let request = self.core.config.request_for(tag, now);
-                let outcome = self.submit_to_server(ctx, request);
+                let outcome = self.submit_to_server(ctx, request, !tag_is_probe(tag));
                 if tag_is_probe(tag) {
                     // Probes to a lost/rejecting tier simply never come
                     // back: the heartbeat stays down.
@@ -1060,6 +1163,7 @@ impl SimModel for FleetWorld {
             FleetEvent::BatchDone { server, epoch } => {
                 // A stale epoch means the batch belonged to a server
                 // process that has since crashed: its results are gone.
+                let server = server as usize;
                 if epoch != self.tier.epoch(server) {
                     return;
                 }
@@ -1072,35 +1176,46 @@ impl SimModel for FleetWorld {
                     self.batch_out = BatchOutput::default();
                 }
                 self.tier.batch_done_into(server, now, &mut self.batch_out);
-                // One response per completion, all `propagation` from now:
-                // one lane entry delivers them in this order.
-                let completions = &self.batch_out.completions;
-                if !completions.is_empty() {
-                    self.responses
-                        .extend(completions.iter().map(|c| c.request.tag));
-                    let n = completions.len() as u32;
+                // One response per device completion, all `propagation`
+                // from now: one lane entry delivers them in this order.
+                // Background tenants' requests go nowhere.
+                let queued = self.responses.len();
+                let tags = self.batch_out.completions.iter().map(|c| c.request.tag);
+                self.responses
+                    .extend(tags.filter(|&tag| !is_background_tag(tag)));
+                let n = (self.responses.len() - queued) as u32;
+                if n > 0 {
                     let at = now + propagation;
                     ctx.schedule_lane_batch(lane::RESPONSE, at, n, FleetEvent::Responses(n));
                 }
                 for r in &self.batch_out.rejections {
+                    // Only a device's frames learn of a rejection.
                     let tag = r.request.tag;
-                    if !tag_is_probe(tag) {
+                    if tag < BACKGROUND_TAG_BASE {
                         self.core.row_of(tag).frame_rejected_by_server(tag, now);
                     }
                 }
                 if let Some(done_at) = self.batch_out.next_done {
-                    ctx.schedule_at(done_at, FleetEvent::BatchDone { server, epoch });
+                    let server = server as u32;
+                    let done = FleetEvent::BatchDone { server, epoch };
+                    ctx.schedule_lane(lane::BATCH, done_at, done);
                 }
             }
 
             FleetEvent::Responses(n) => {
                 for tag in self.responses.drain(..n as usize) {
-                    self.core.row_of(tag).on_response(tag, ctx.now(), true);
+                    let outcome = self.core.row_of(tag).on_response(tag, ctx.now(), true);
+                    if let Some(solo) = self.core.solo.as_deref_mut() {
+                        solo.responded(tag, outcome);
+                    }
                 }
             }
 
             FleetEvent::Deadline { tag } => {
-                self.core.row_of(tag).on_deadline(tag, ctx.now());
+                let timed_out = self.core.row_of(tag).on_deadline(tag, ctx.now());
+                if let (Some(solo), Some(cause)) = (self.core.solo.as_deref_mut(), timed_out) {
+                    solo.timed_out(tag, cause);
+                }
             }
 
             FleetEvent::Tick(dev) => {
@@ -1112,7 +1227,24 @@ impl SimModel for FleetWorld {
 
             FleetEvent::ServerRecover(server) => self.tier.recover(server),
 
-            FleetEvent::NetworkChange { dev, step } => self.core.network_change(dev, step),
+            FleetEvent::NetworkChange { dev, step } => self
+                .core
+                .network_change(dev.map(|d| d as usize), step as usize),
+
+            FleetEvent::LoadChange(step) => {
+                if let Some(at) = self.solo().load_change(step, ctx.now()) {
+                    ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
+                }
+            }
+
+            FleetEvent::Background => {
+                let now = ctx.now();
+                let request = self.solo().background_arrival(now);
+                self.submit_to_server(ctx, request, false);
+                if let Some(at) = self.solo().next_background(now) {
+                    ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
+                }
+            }
         }
     }
 }
@@ -1192,21 +1324,28 @@ pub(crate) fn finish_fleet(
 /// ([`run_fleet_sharded`](crate::shard::run_fleet_sharded)); results
 /// are bit-identical at any shard count.
 pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> FleetResult {
-    run_fleet_recording(config, controllers, None).0
+    run_fleet_recording(config, controllers, None, None).0
 }
 
 /// [`run_fleet`] with global device `traced`, if any, recording its
-/// runtime calls as an `ff-trace` (returned beside the result). Recording
-/// is write-only, so the result is that of the unrecorded run.
+/// runtime calls as an `ff-trace` (returned beside the result), and, for
+/// a fleet of one, a [`Solo`] block (handed back with its accounting).
+/// Recording is write-only, so the result is that of the unrecorded run.
 pub(crate) fn run_fleet_recording(
     config: FleetConfig,
     controllers: Vec<Box<dyn Controller>>,
     traced: Option<usize>,
-) -> (FleetResult, Option<Vec<u8>>) {
+    solo: Option<Box<Solo>>,
+) -> (FleetResult, Option<Vec<u8>>, Option<Box<Solo>>) {
     validate_fleet(&config, &controllers);
     if config.engine.shards > 1 {
+        assert!(
+            solo.is_none(),
+            "the sharded engine cannot run a Solo block (a single-device experiment)"
+        );
         let shards = config.engine.shards;
-        return crate::shard::run_sharded(config, controllers, shards, traced);
+        let (result, trace) = crate::shard::run_sharded(config, controllers, shards, traced);
+        return (result, trace, None);
     }
     let n = controllers.len();
     let change_events = network_change_events(&config);
@@ -1222,8 +1361,17 @@ pub(crate) fn run_fleet_recording(
     let obs = FleetObs::new(&config.telemetry, n, tier.len());
     let outages = config.outages.clone();
     let devs = FleetDevices::build(&config, controllers, 0, traced);
-    let core = FleetCore::new(Arc::new(config), devs);
+    let mut core = FleetCore::new(Arc::new(config), devs);
+    if let Some(solo) = solo {
+        core.attach(solo);
+    }
     let end_at = core.end_at;
+    // A replayed schedule starts at its first recorded capture.
+    let solo = core.solo.as_deref();
+    let first_capture = solo
+        .and_then(|solo| solo.replay.as_ref())
+        .map_or(SimTime::ZERO, ReplayCursor::next_capture_time);
+    let load_steps = solo.map(Solo::load_steps);
     let world = FleetWorld {
         core,
         tier,
@@ -1234,15 +1382,22 @@ pub(crate) fn run_fleet_recording(
     };
     let mut sim = Simulation::with_queue(world, EventQueue::with_backend(backend));
     for dev in 0..n {
-        sim.schedule_lane(lane::CAPTURE, SimTime::ZERO, FleetEvent::Capture(dev));
+        sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(dev));
         let first_tick = SimTime::ZERO + controller_period;
         sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(dev));
     }
     for (t, dev, step) in change_events {
         sim.schedule_at(
             SimTime::from_secs_f64(t),
-            FleetEvent::NetworkChange { dev, step },
+            FleetEvent::network_change(dev, step),
         );
+    }
+    if let Some(steps) = load_steps {
+        for (step, &t) in steps.iter().enumerate().skip(1) {
+            sim.schedule_at(SimTime::from_secs_f64(t), FleetEvent::LoadChange(step));
+        }
+        // Start the background process.
+        sim.schedule_at(SimTime::ZERO, FleetEvent::LoadChange(0));
     }
     for outage in outages {
         sim.schedule_at(
@@ -1268,7 +1423,7 @@ pub(crate) fn run_fleet_recording(
     let events_handled = dispatched + world.core.local_completions;
     let device_results = world.core.devs.into_results(&world.core.config);
     let result = finish_fleet(device_results, &world.tier, events_handled);
-    (result, trace)
+    (result, trace, world.core.solo)
 }
 
 #[cfg(test)]
@@ -1349,7 +1504,7 @@ mod tests {
             config.stream.total_frames = 3_600; // Table V's 120 s
             config.engine.shards = shards;
             let untraced = run_fleet(config.clone(), ff_controllers(3));
-            let (traced, bytes) = run_fleet_recording(config, ff_controllers(3), Some(1));
+            let (traced, bytes, _) = run_fleet_recording(config, ff_controllers(3), Some(1), None);
             assert_eq!(
                 format!("{traced:?}"),
                 format!("{untraced:?}"),

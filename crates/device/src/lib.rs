@@ -9,14 +9,16 @@
 //!
 //! The per-frame control loop itself lives in [`runtime`]: a
 //! [`DeviceRuntime`] that is clock- and transport-agnostic, driven here by
-//! the discrete-event experiment and fleet engines and in `ff-reactor` by
-//! the wall-clock fleet client — one loop, every host.
+//! the discrete-event fleet engines and in `ff-reactor` by the wall-clock
+//! fleet client — one loop, every host.
 //!
 //! [`run_experiment`] wires the device, the `ff-net` uplink, the
 //! `ff-server` batching server, background tenants, and any
 //! `ff_core::Controller` into one deterministic discrete-event run — the
 //! substitution for the paper's physical testbed that every figure and
-//! table regeneration is built on.
+//! table regeneration is built on. It runs as a fleet of one
+//! ([`run_fleet`]'s engine, with the experiment's extra features beside
+//! its one device).
 
 #![warn(missing_docs)]
 
@@ -33,6 +35,7 @@ pub mod runtime;
 mod selection;
 mod selector;
 pub mod shard;
+mod solo;
 mod splitter;
 pub mod tags;
 mod trace;

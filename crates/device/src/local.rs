@@ -31,7 +31,8 @@ use rand::Rng;
 /// Outcome of offering a frame to the local engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalOutcome {
-    /// Inference started; the caller must schedule a completion event.
+    /// Inference started; it completes at `done_at`, applied by
+    /// [`LocalEngine::apply_due`].
     Started {
         /// Instant at which the inference finishes.
         done_at: SimTime,
@@ -144,11 +145,6 @@ impl<R: Rng> LocalEngine<R> {
         } else {
             None
         }
-    }
-
-    /// When the inference in flight finishes, if one is.
-    pub fn busy_until(&self) -> Option<SimTime> {
-        self.busy_until
     }
 
     /// Apply the completions that have fallen due, oldest first, each at

@@ -6,9 +6,9 @@
 //! per-frame device loop — credit-based splitting, offload submission,
 //! in-flight deadline tracking, probe heartbeats, `WindowedRate` interval
 //! aggregation, `Controller::update`, and [`QosRecord`] emission — and the
-//! discrete-event experiment (`experiment.rs`), the simulated fleet and
-//! its shards (`fleet.rs`, `shard.rs`), and the wall-clock fleet client
-//! (`ff-reactor`) are thin adapters over it.
+//! simulated fleet and its shards (`fleet.rs`, `shard.rs`; the
+//! single-device experiment is a fleet of one), the wall-clock fleet
+//! client (`ff-reactor`) and the replayer are thin adapters over it.
 //!
 //! The loop is written against borrowed state (`DeviceLoop`): shared
 //! [`RuntimeConfig`], a one-cache-line per-frame part, a per-offload
@@ -66,8 +66,8 @@ pub enum SubmitOutcome {
 }
 
 /// Where the runtime hands outgoing frames and probes. Implementations
-/// wrap the simulated uplink (`experiment.rs`) or a TCP connection and
-/// its uplink pacer (`ff-reactor`).
+/// wrap the simulated uplink (`fleet.rs`) or a TCP connection and its
+/// uplink pacer (`ff-reactor`).
 pub trait Transport {
     /// Submit `bytes` of payload under `tag` at instant `now`.
     fn send(&mut self, tag: u64, bytes: u64, now: SimTime) -> SubmitOutcome;
@@ -392,6 +392,9 @@ pub(crate) struct DeviceLoop<'a> {
 }
 
 impl DeviceLoop<'_> {
+    /// Stop recording and return the encoded trace, closed with a
+    /// [`TraceEvent::End`] counter record at `now`; `None` if this row
+    /// was not recording.
     pub(crate) fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
         let (frames_offloaded, successes, timeouts, instant_failures) = (
             self.frame.frames_offloaded,
@@ -674,9 +677,10 @@ impl DeviceLoop<'_> {
 }
 
 /// The per-frame device control loop with its state owned: what the
-/// discrete-event experiment, the live TCP client, the reactor fleet and
-/// the replayer hold, one per device. (The simulated fleet holds the same
-/// state in columns and runs the same loop over them.)
+/// reactor fleet client and the replayer hold, one per device. (The
+/// simulated fleet — the single-device experiment included, as a fleet of
+/// one — holds the same state in columns and runs the same loop over
+/// them.)
 ///
 /// The runtime deliberately does **not** own the controller: hosts keep
 /// their own (`Box<dyn Controller>` in the sim, `&mut dyn Controller` in
@@ -725,26 +729,6 @@ impl DeviceRuntime {
             qos: &mut self.qos,
             trace: &mut self.trace,
         }
-    }
-
-    /// Attach a trace recorder (see `ff-trace`). Call right after
-    /// [`DeviceRuntime::new`]; the bootstrap decision itself is not an
-    /// event — replay reproduces it by constructing the runtime the
-    /// same way.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
-    /// Whether control-loop events are being recorded.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
-    /// Stop recording and return the encoded trace, closed with an
-    /// [`TraceEvent::End`] counter record at `now`. `None` if recording
-    /// was never enabled.
-    pub fn finish_trace(&mut self, now: SimTime) -> Option<Vec<u8>> {
-        self.lend().finish_trace(now)
     }
 
     /// Route one captured frame against the current target.
@@ -821,11 +805,6 @@ impl DeviceRuntime {
         transport: &mut dyn Transport,
     ) -> TickOutput {
         self.lend().tick(now, controller, transport)
-    }
-
-    /// The runtime's static parameters.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
     }
 
     /// The controller's current offload-rate target (frames/s).

@@ -287,12 +287,16 @@ impl SimModel for ShardDeviceWorld {
             FleetEvent::Deadline { tag } => {
                 self.core.row_of(tag).on_deadline(tag, ctx.now());
             }
-            FleetEvent::NetworkChange { dev, step } => self.core.network_change(dev, step),
+            FleetEvent::NetworkChange { dev, step } => self
+                .core
+                .network_change(dev.map(|d| d as usize), step as usize),
             FleetEvent::Uplinked { .. }
             | FleetEvent::BatchDone { .. }
             | FleetEvent::Responses(_)
             | FleetEvent::ServerCrash(_)
-            | FleetEvent::ServerRecover(_) => {
+            | FleetEvent::ServerRecover(_)
+            | FleetEvent::LoadChange(_)
+            | FleetEvent::Background => {
                 unreachable!("server-side event scheduled inside a device shard")
             }
         }
@@ -436,7 +440,7 @@ pub(crate) fn run_sharded(
             if mine {
                 sim.schedule_at(
                     SimTime::from_secs_f64(t),
-                    FleetEvent::NetworkChange { dev, step },
+                    FleetEvent::network_change(dev, step),
                 );
             }
         }

@@ -4,8 +4,11 @@
 //! response path, and is the only way the device-side bookkeeping can
 //! recognize what came back. Three populations share the space:
 //!
-//! - **Frames** — plain sequence numbers (single-device hosts) or the
-//!   packed fleet layout below, always `< BACKGROUND_TAG_BASE`;
+//! - **Frames** — the packed fleet layout below, always
+//!   `< BACKGROUND_TAG_BASE`. A single-device host's plain sequence
+//!   numbers (the live and replayed runtimes) are exactly device 0's
+//!   packed tags, which is why a one-device fleet — the experiment — and
+//!   a lone `DeviceRuntime` tag frames alike;
 //! - **Background requests** — `BACKGROUND_TAG_BASE + seq` (sim only);
 //! - **Probes** — heartbeat frames at `>= PROBE_TAG_BASE`.
 //!
@@ -31,6 +34,11 @@ pub const BACKGROUND_TAG_BASE: u64 = 1 << 61;
 /// Whether a tag belongs to the heartbeat-probe range (either layout).
 pub fn is_probe_tag(tag: u64) -> bool {
     tag >= PROBE_TAG_BASE
+}
+
+/// Whether a tag belongs to the background-tenant range.
+pub(crate) fn is_background_tag(tag: u64) -> bool {
+    (BACKGROUND_TAG_BASE..PROBE_TAG_BASE).contains(&tag)
 }
 
 /// Bit position of the fleet device index within a packed tag.

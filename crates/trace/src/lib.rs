@@ -263,7 +263,8 @@ pub enum TraceEvent {
         /// Tag of the heartbeat probe sent for the next interval.
         probe_tag: u64,
     },
-    /// End-of-run counters, written by `DeviceRuntime::finish_trace`.
+    /// End-of-run counters, written when the recording device's run
+    /// finishes.
     End {
         /// Finish instant.
         at: SimTime,

@@ -207,61 +207,6 @@ impl<R: Rng> FrameSource<R> {
     }
 }
 
-/// A frame stream that is either generated ([`FrameSource`]) or replayed
-/// from a recorded schedule ([`ReplayCursor`](crate::ReplayCursor)) —
-/// the experiment runner drives both through this one interface.
-#[derive(Debug, Clone)]
-pub enum FrameStream<R: Rng> {
-    /// Generative stream (fixed cadence, RNG-jittered sizes).
-    Generated(FrameSource<R>),
-    /// Replay of a recorded capture schedule (no RNG).
-    Replay(crate::replay::ReplayCursor),
-}
-
-impl<R: Rng> FrameStream<R> {
-    /// Frames produced so far.
-    pub fn generated(&self) -> u64 {
-        match self {
-            FrameStream::Generated(s) => s.generated(),
-            FrameStream::Replay(c) => c.generated(),
-        }
-    }
-
-    /// Whether the stream has been exhausted.
-    pub fn exhausted(&self) -> bool {
-        match self {
-            FrameStream::Generated(s) => s.exhausted(),
-            FrameStream::Replay(c) => c.exhausted(),
-        }
-    }
-
-    /// Capture instant of the next frame.
-    pub fn next_capture_time(&self) -> SimTime {
-        match self {
-            FrameStream::Generated(s) => s.next_capture_time(),
-            FrameStream::Replay(c) => c.next_capture_time(),
-        }
-    }
-
-    /// Produce the next frame, or `None` when exhausted.
-    pub fn next_frame(&mut self) -> Option<Frame> {
-        match self {
-            FrameStream::Generated(s) => s.next_frame(),
-            FrameStream::Replay(c) => c.next_frame(),
-        }
-    }
-
-    /// Information score of the most recent frame. `None` for replayed
-    /// streams (the recorded captures are post-filter) and for
-    /// generated streams without a scene script.
-    pub fn last_info(&self) -> Option<f64> {
-        match self {
-            FrameStream::Generated(s) => s.last_info(),
-            FrameStream::Replay(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
