@@ -20,7 +20,7 @@
 //! standalone `benchmark/` package, not here. Grid-shaped experiments
 //! (`seed_sweep`, `fig2_gain_sweep`, `deadline_sweep`, `pid_ablation`,
 //! and the [`run_lineup`] lineups) execute through the `ff-sweep`
-//! work-stealing engine — one worker per core, deterministic
+//! shared-cursor engine — one worker per core, deterministic
 //! aggregation, `FF_SWEEP_WORKERS` / `FF_SWEEP_CACHE_DIR` to override.
 
 mod dashboard;

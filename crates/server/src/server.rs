@@ -130,7 +130,6 @@ pub struct EdgeServer {
     queue: VecDeque<Request>,
     running: Option<RunningBatch>,
     stats: ServerStats,
-    completions_by_tenant: TenantTable<u64>,
     rejections_by_tenant: TenantTable<u64>,
     /// Recycled batch-request buffer (the previous batch's vector).
     spare_requests: Vec<Request>,
@@ -152,7 +151,6 @@ impl EdgeServer {
             queue: VecDeque::new(),
             running: None,
             stats: ServerStats::default(),
-            completions_by_tenant: TenantTable::default(),
             rejections_by_tenant: TenantTable::default(),
             spare_requests: Vec::new(),
             victim_scratch: Vec::new(),
@@ -162,11 +160,6 @@ impl EdgeServer {
     /// The active overflow policy.
     pub fn policy(&self) -> OverflowPolicy {
         self.policy
-    }
-
-    /// Completed inferences per tenant, for fairness accounting.
-    pub fn completions_by_tenant(&self) -> &TenantTable<u64> {
-        &self.completions_by_tenant
     }
 
     /// Rejections per tenant, for fairness accounting.
@@ -265,9 +258,6 @@ impl EdgeServer {
         // Recycle the drained batch buffer for the next formation.
         self.spare_requests = batch.requests;
         self.stats.completions += out.completions.len() as u64;
-        for c in &out.completions {
-            *self.completions_by_tenant.slot(c.request.tenant) += 1;
-        }
 
         // Paper scheme: next batch = queue contents up to the limit; the
         // remainder is rejected.
@@ -605,10 +595,6 @@ mod tests {
         }
         assert_eq!(alloc.stats(), reuse.stats());
         assert!(alloc
-            .completions_by_tenant()
-            .iter()
-            .eq(reuse.completions_by_tenant().iter()));
-        assert!(alloc
             .rejections_by_tenant()
             .iter()
             .eq(reuse.rejections_by_tenant().iter()));
@@ -708,9 +694,9 @@ mod proptests {
         }
 
         /// Batch sizes never exceed the limit, and the dense per-tenant
-        /// tables agree, tenant by tenant, with ordered maps built from
-        /// the returned completions and rejections (the accounting the
-        /// tables replaced) — over sparse ids including the background
+        /// rejection table agrees, tenant by tenant, with an ordered map
+        /// built from the returned rejections (the accounting the table
+        /// replaced) — over sparse ids including the background
         /// tenant's.
         #[test]
         fn prop_batch_limit_and_tenant_accounting(
@@ -721,14 +707,10 @@ mod proptests {
             let mut server = EdgeServer::new(GpuProfile::default());
             let mut now = SimTime::ZERO;
             let mut next_done: Option<SimTime> = None;
-            let mut completed: BTreeMap<TenantId, u64> = BTreeMap::new();
             let mut rejected: BTreeMap<TenantId, u64> = BTreeMap::new();
             let mut fire = |server: &mut EdgeServer, d: SimTime| {
                 let (c, r, nd) = server.on_batch_done(d);
                 assert!(c.len() <= server.gpu().batch_limit);
-                for c in &c {
-                    *completed.entry(c.request.tenant).or_default() += 1;
-                }
                 for r in &r {
                     *rejected.entry(r.request.tenant).or_default() += 1;
                 }
@@ -752,19 +734,13 @@ mod proptests {
             while let Some(d) = next_done {
                 next_done = fire(&mut server, d);
             }
-            for (table, oracle) in [
-                (server.completions_by_tenant(), &completed),
-                (server.rejections_by_tenant(), &rejected),
-            ] {
-                for (tenant, count) in table.iter() {
-                    prop_assert_eq!(count, oracle.get(&tenant).copied().unwrap_or(0));
-                }
-                for (&tenant, &count) in oracle {
-                    prop_assert_eq!(table.get(tenant), count);
-                }
+            let table = server.rejections_by_tenant();
+            for (tenant, count) in table.iter() {
+                prop_assert_eq!(count, rejected.get(&tenant).copied().unwrap_or(0));
             }
-            let total: u64 = server.completions_by_tenant().iter().map(|(_, c)| c).sum();
-            prop_assert_eq!(total, server.stats().completions);
+            for (&tenant, &count) in &rejected {
+                prop_assert_eq!(table.get(tenant), count);
+            }
         }
 
         /// Higher offered load never *increases* the completion ratio

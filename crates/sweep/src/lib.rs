@@ -21,17 +21,16 @@
 //!   version). Re-running a sweep only executes cells whose inputs
 //!   changed; everything else is read back from the cache directory.
 //!
-//! Scheduling uses `crossbeam::deque` work stealing: all cells start on
-//! a global [`Injector`]; each worker drains its local deque first,
-//! refills in batches from the injector, and steals from victims when
-//! both are dry. Cells cost milliseconds to minutes each, so stealing
-//! keeps cores busy even when one scenario is far slower than the rest
-//! (e.g. a lossy network cell that schedules many retransmissions).
+//! Scheduling is a shared cursor: each worker claims the next unrun
+//! cell index from one atomic counter and sends its result back to the
+//! calling thread. Cells cost milliseconds to minutes each, so claiming
+//! one at a time keeps cores busy even when one scenario is far slower
+//! than the rest (e.g. a lossy network cell that schedules many
+//! retransmissions). One worker runs the grid on the calling thread.
 
 #![warn(missing_docs)]
 
 use crossbeam::channel;
-use crossbeam::deque::{Injector, Stealer, Worker};
 use ff_baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
 use ff_core::{Controller, FrameFeedback, PidConfig};
 use ff_device::{
@@ -41,6 +40,7 @@ use ff_server::{OverflowPolicy, TierConfig};
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Bump when the meaning of a cached result changes (new fields on
@@ -327,8 +327,9 @@ pub struct SweepOptions {
     pub workers: usize,
     /// Cache directory. `None` disables caching entirely.
     pub cache_dir: Option<PathBuf>,
-    /// Observability pipeline. Each worker reports cells done and steal
-    /// counts under `sweep/worker/<i>`; cache hits land under `sweep`.
+    /// Observability pipeline. Each worker reports cells done under
+    /// `sweep/worker/<i>` (a serial run under `sweep`); cache hits land
+    /// under `sweep`.
     /// Event timestamps are wall-clock micros since the sweep started
     /// (sweeps have no simulated clock). Disabled by default; never
     /// affects results.
@@ -498,13 +499,6 @@ fn cache_write(dir: &Path, hash: u64, result: &ExperimentResult) {
     let _ = std::fs::remove_file(&tmp);
 }
 
-/// One unit of work for the generic executor: which report slot the
-/// result merges into, plus whatever payload the runner needs.
-struct Job<P> {
-    slot: usize,
-    payload: P,
-}
-
 fn run_cell(config: ExperimentConfig, controller: &ControllerSpec) -> ExperimentResult {
     run_experiment(config, controller.build())
 }
@@ -517,58 +511,36 @@ fn run_cell(config: ExperimentConfig, controller: &ControllerSpec) -> Experiment
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepReport {
     let started = std::time::Instant::now();
     let cells = spec.cells();
-    let mut rec = opts.telemetry.recorder();
-    let sweep_scope = opts.telemetry.scope("sweep");
 
     // Cache probe happens serially, in grid order, before any dispatch:
     // it is pure file I/O and keeps the execution set deterministic.
-    let mut slots: Vec<Option<(bool, ExperimentResult)>> = Vec::with_capacity(cells.len());
-    let mut pending: Vec<usize> = Vec::new();
+    let mut slots: Vec<Option<(bool, ExperimentResult)>> = (0..cells.len()).map(|_| None).collect();
     // A key serializes the whole config: build them only for a cache.
-    let hashes: Vec<u64> = if opts.cache_dir.is_some() {
-        cells.iter().map(Cell::content_hash).collect()
-    } else {
-        Vec::new()
-    };
-    for (i, cell) in cells.iter().enumerate() {
-        let hit = opts
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| cache_read(dir, hashes[i]));
-        match hit {
-            Some(result) => {
-                rec.counter(
-                    sweep_scope,
-                    Metric::CacheHits,
-                    1,
-                    started.elapsed().as_micros() as u64,
-                );
-                slots.push(Some((true, result)));
-            }
-            None => {
-                slots.push(None);
-                pending.push(i);
-                let _ = cell; // cells[i] is executed below
+    let mut hashes: Vec<u64> = Vec::new();
+    if let Some(dir) = opts.cache_dir.as_deref() {
+        let mut rec = opts.telemetry.recorder();
+        let sweep_scope = opts.telemetry.scope("sweep");
+        hashes = cells.iter().map(Cell::content_hash).collect();
+        for (slot, &hash) in slots.iter_mut().zip(&hashes) {
+            *slot = cache_read(dir, hash).map(|result| (true, result));
+            if slot.is_some() {
+                let t = started.elapsed().as_micros() as u64;
+                rec.counter(sweep_scope, Metric::CacheHits, 1, t);
             }
         }
     }
+    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
 
-    if opts.workers > 1 && pending.len() > 1 {
-        run_pending_parallel(&cells, &pending, &mut slots, opts, started);
-    } else {
-        for &i in &pending {
-            let result = run_cell(cells[i].config.clone(), &cells[i].controller);
-            rec.counter(
-                sweep_scope,
-                Metric::CellsDone,
-                1,
-                started.elapsed().as_micros() as u64,
-            );
-            slots[i] = Some((false, result));
-            opts.telemetry.poll();
-        }
-    }
-    opts.telemetry.poll();
+    run_indexed(
+        pending.len(),
+        |j| {
+            let cell = &cells[pending[j]];
+            run_cell(cell.config.clone(), &cell.controller)
+        },
+        opts,
+        started,
+        |j, result| slots[pending[j]] = Some((false, result)),
+    );
 
     // Persist fresh results (main thread only — workers never touch the
     // cache, so partial files cannot race).
@@ -603,108 +575,71 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepReport {
     }
 }
 
-/// Per-worker observability handle: its own recorder (one ring per
-/// producer thread — the SPSC contract) plus its interned scope.
-struct WorkerObs {
-    recorder: Recorder,
-    scope: Scope,
-}
-
-fn run_pending_parallel(
-    cells: &[Cell],
-    pending: &[usize],
-    slots: &mut [Option<(bool, ExperimentResult)>],
+/// The one executor behind [`run_sweep`] and [`run_fleet_sweep`]: runs
+/// `run(0)..run(jobs - 1)` and hands each result to `merge` on the
+/// calling thread, which polls the telemetry pipeline after each one.
+///
+/// With one worker (or one job) everything runs on the calling thread,
+/// in index order. Otherwise `opts.workers` scoped threads claim
+/// indices from one shared cursor and send results back over a channel;
+/// cells cost milliseconds each, so claiming one at a time keeps every
+/// worker busy to the end. Callers merge by index, so arrival order is
+/// scheduling noise that never reaches a report.
+fn run_indexed<R, F>(
+    jobs: usize,
+    run: F,
     opts: &SweepOptions,
     started: Instant,
-) {
-    let jobs: Vec<Job<(ExperimentConfig, ControllerSpec)>> = pending
-        .iter()
-        .map(|&i| Job {
-            slot: i,
-            payload: (cells[i].config.clone(), cells[i].controller.clone()),
-        })
-        .collect();
-    run_slots_parallel(
-        jobs,
-        &|(config, controller): (ExperimentConfig, ControllerSpec)| run_cell(config, &controller),
-        slots,
-        opts,
-        started,
-    );
-}
-
-/// The work-stealing core shared by [`run_sweep`] and
-/// [`run_fleet_sweep`]: generic over the job payload and result so both
-/// grid kinds schedule identically. Results land in `slots` by grid
-/// index, so scheduling nondeterminism never reaches the report.
-fn run_slots_parallel<P, R, F>(
-    jobs: Vec<Job<P>>,
-    run: &F,
-    slots: &mut [Option<(bool, R)>],
-    opts: &SweepOptions,
-    started: Instant,
+    mut merge: impl FnMut(usize, R),
 ) where
-    P: Send,
     R: Send,
-    F: Fn(P) -> R + Sync,
+    F: Fn(usize) -> R + Sync,
 {
-    let workers = opts.workers;
-    let injector = Injector::new();
-    for job in jobs {
-        injector.push(job);
-    }
-    let (tx, rx) = channel::unbounded::<(usize, R)>();
-    std::thread::scope(|scope| {
-        let locals: Vec<Worker<Job<P>>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job<P>>> = locals.iter().map(Worker::stealer).collect();
-        for (w, local) in locals.into_iter().enumerate() {
-            let tx = tx.clone();
-            let stealers = stealers.clone();
-            let injector = &injector;
-            let mut obs = WorkerObs {
-                recorder: opts.telemetry.recorder(),
-                scope: opts.telemetry.scope(&format!("sweep/worker/{w}")),
-            };
-            scope.spawn(move || {
-                loop {
-                    // Local work first, then a batch from the global
-                    // queue, then steal from a victim. All jobs exist
-                    // up front, so an empty sweep of all three sources
-                    // means the grid is drained and the worker exits.
-                    let mut stolen = false;
-                    let job = local
-                        .pop()
-                        .or_else(|| injector.steal_batch_and_pop(&local).success())
-                        .or_else(|| {
-                            stolen = true;
-                            stealers.iter().find_map(|s| s.steal().success())
-                        });
-                    let Some(job) = job else { break };
-                    let t = started.elapsed().as_micros() as u64;
-                    if stolen {
-                        obs.recorder.counter(obs.scope, Metric::Steals, 1, t);
-                    }
-                    let result = run(job.payload);
-                    obs.recorder.counter(
-                        obs.scope,
-                        Metric::CellsDone,
-                        1,
-                        started.elapsed().as_micros() as u64,
-                    );
-                    if tx.send((job.slot, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // Merge by grid slot: arrival order is scheduling noise and
-        // never influences the report.
-        for (slot, result) in rx.iter() {
-            slots[slot] = Some((false, result));
+    let done = |rec: &mut Recorder, scope: Scope| {
+        let t = started.elapsed().as_micros() as u64;
+        rec.counter(scope, Metric::CellsDone, 1, t);
+    };
+    if opts.workers <= 1 || jobs <= 1 {
+        let mut rec = opts.telemetry.recorder();
+        let scope = opts.telemetry.scope("sweep");
+        for i in 0..jobs {
+            let result = run(i);
+            done(&mut rec, scope);
+            merge(i, result);
             opts.telemetry.poll();
         }
-    });
+    } else {
+        let cursor = AtomicUsize::new(0);
+        let (tx, rx) = channel::unbounded::<(usize, R)>();
+        std::thread::scope(|threads| {
+            for w in 0..opts.workers {
+                let tx = tx.clone();
+                let (cursor, run, done) = (&cursor, &run, &done);
+                let mut rec = opts.telemetry.recorder();
+                let scope = opts.telemetry.scope(&format!("sweep/worker/{w}"));
+                threads.spawn(move || loop {
+                    // `Relaxed` suffices: the cursor only hands out
+                    // indices; results travel over the channel, which
+                    // synchronises.
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
+                    }
+                    let result = run(i);
+                    done(&mut rec, scope);
+                    if tx.send((i, result)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            for (i, result) in rx.iter() {
+                merge(i, result);
+                opts.telemetry.poll();
+            }
+        });
+    }
+    opts.telemetry.poll();
 }
 
 // ---------------------------------------------------------------------
@@ -906,46 +841,20 @@ fn run_fleet_cell(config: FleetConfig, lineup: &[ControllerSpec]) -> FleetResult
 pub fn run_fleet_sweep(spec: &FleetSweepSpec, opts: &SweepOptions) -> FleetSweepReport {
     let started = std::time::Instant::now();
     let cells = spec.cells();
-    let mut rec = opts.telemetry.recorder();
-    let sweep_scope = opts.telemetry.scope("sweep");
-
-    let mut slots: Vec<Option<(bool, FleetResult)>> = (0..cells.len()).map(|_| None).collect();
-    if opts.workers > 1 && cells.len() > 1 {
-        let jobs: Vec<Job<(FleetConfig, Vec<ControllerSpec>)>> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| Job {
-                slot: i,
-                payload: (cell.config.clone(), cell.fleet.clone()),
-            })
-            .collect();
-        run_slots_parallel(
-            jobs,
-            &|(config, lineup): (FleetConfig, Vec<ControllerSpec>)| run_fleet_cell(config, &lineup),
-            &mut slots,
-            opts,
-            started,
-        );
-    } else {
-        for (i, cell) in cells.iter().enumerate() {
-            let result = run_fleet_cell(cell.config.clone(), &cell.fleet);
-            rec.counter(
-                sweep_scope,
-                Metric::CellsDone,
-                1,
-                started.elapsed().as_micros() as u64,
-            );
-            slots[i] = Some((false, result));
-            opts.telemetry.poll();
-        }
-    }
-    opts.telemetry.poll();
+    let mut slots: Vec<Option<FleetResult>> = (0..cells.len()).map(|_| None).collect();
+    run_indexed(
+        cells.len(),
+        |i| run_fleet_cell(cells[i].config.clone(), &cells[i].fleet),
+        opts,
+        started,
+        |i, result| slots[i] = Some(result),
+    );
 
     let cell_results = cells
         .into_iter()
         .zip(slots)
         .map(|(cell, slot)| {
-            let (_, result) = slot.expect("every slot filled");
+            let result = slot.expect("every slot filled");
             FleetCellResult {
                 key: cell.key,
                 result,

@@ -44,7 +44,6 @@ pub enum Metric {
     // Sweep workers.
     CellsDone,
     CacheHits,
-    Steals,
     // Live client connection lifecycle.
     Reconnects,
     // Server tier (appended so earlier metric ids stay stable).
@@ -89,7 +88,6 @@ impl Metric {
             Metric::ChaosStalls => "chaos_stalls",
             Metric::CellsDone => "cells_done",
             Metric::CacheHits => "cache_hits",
-            Metric::Steals => "steals",
             Metric::Reconnects => "reconnects",
             Metric::AdmissionRejections => "admission_rejections",
             Metric::ServerUp => "server_up",

@@ -37,11 +37,6 @@ impl TraceWriter {
         self.events
     }
 
-    /// Encoded size so far, in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Finish the trace, yielding the encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf

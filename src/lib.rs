@@ -102,7 +102,7 @@ pub mod trace {
 /// The parallel deterministic sweep engine (`ff-sweep`): declarative
 /// `(scenario × seed × routing × admission × controller)` grids — plus
 /// the fleet twin `FleetSweepSpec` crossing whole controller lineups —
-/// work-stealing execution, order-independent aggregation, and the
+/// shared-cursor execution, order-independent aggregation, and the
 /// content-hash result cache (experiment grids only).
 pub mod sweep {
     pub use ff_sweep::*;

@@ -2,7 +2,7 @@
 //! pure function of the grid, independent of how the work is scheduled.
 //!
 //! One master seed drives the same `(scenario × seed × controller)` grid
-//! through (a) the serial path and (b) the work-stealing parallel path at
+//! through (a) the serial path and (b) the shared-cursor parallel path at
 //! 1, 4, and 8 workers. Worker threads race for cells in a
 //! scheduling-dependent order, so any order sensitivity in RNG stream
 //! derivation, event-queue draining, or result merging would show up as
