@@ -236,17 +236,6 @@ impl Controller for Aimd {
     }
 }
 
-/// Convenience constructor set for experiment harnesses: every evaluated
-/// controller, boxed behind the common trait.
-pub fn all_controllers() -> Vec<Box<dyn Controller>> {
-    vec![
-        Box::new(ff_core::FrameFeedback::new()),
-        Box::new(LocalOnly::new()),
-        Box::new(AlwaysOffload::new()),
-        Box::new(AllOrNothing::new()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,20 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_set_covers_all_four_policies() {
-        let names: Vec<&str> = all_controllers().iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "framefeedback",
-                "local-only",
-                "always-offload",
-                "all-or-nothing"
-            ]
-        );
-    }
-
-    #[test]
     fn aimd_increases_additively_and_decreases_multiplicatively() {
         let mut c = Aimd::new();
         assert_eq!(c.update(&measure(true, 0.0)).po_target, 1.0);
@@ -370,7 +345,13 @@ mod tests {
     fn baselines_validate_measurements_too() {
         let mut m = measure(true, 0.0);
         m.fs = -1.0;
-        for mut c in all_controllers() {
+        let controllers: Vec<Box<dyn Controller>> = vec![
+            Box::new(ff_core::FrameFeedback::new()),
+            Box::new(LocalOnly::new()),
+            Box::new(AlwaysOffload::new()),
+            Box::new(AllOrNothing::new()),
+        ];
+        for mut c in controllers {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 c.update(&m);
             }));

@@ -138,7 +138,7 @@ fn main() {
                 },
             ),
         ],
-        fleets: fleets(devices),
+        controllers: fleets(devices),
     };
 
     let report = run_fleet_sweep(&spec, &SweepOptions::from_env());
@@ -161,7 +161,7 @@ fn main() {
         rows.push(ZooRow {
             routing: cell.key.routing.clone(),
             admission: cell.key.admission.clone(),
-            fleet: cell.key.fleet.clone(),
+            fleet: cell.key.controller.clone(),
             seed: cell.key.seed,
             total_throughput: r.total_mean_throughput,
             deadline_miss_rate: miss_rate,

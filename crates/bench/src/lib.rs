@@ -27,8 +27,6 @@ mod dashboard;
 
 pub use dashboard::Dashboard;
 
-use ff_baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
-use ff_core::{Controller, FrameFeedback};
 use ff_device::{ExperimentConfig, ExperimentResult};
 use ff_metrics::{render_chart, ChartConfig, ChartSeries};
 use ff_sweep::{run_sweep, SweepOptions, SweepSpec};
@@ -40,16 +38,6 @@ pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The four controllers of §IV-B, freshly constructed.
-pub fn controller_lineup() -> Vec<Box<dyn Controller>> {
-    vec![
-        Box::new(FrameFeedback::new()),
-        Box::new(LocalOnly::new()),
-        Box::new(AlwaysOffload::new()),
-        Box::new(AllOrNothing::new()),
-    ]
 }
 
 /// Run the same experiment configuration under every controller.
@@ -117,7 +105,7 @@ pub fn print_series(result: &ExperimentResult) {
 }
 
 /// Symbols used for the controller series in terminal charts, in
-/// `controller_lineup()` order.
+/// [`ControllerSpec::lineup`](ff_sweep::ControllerSpec::lineup) order.
 pub const CHART_SYMBOLS: [char; 4] = ['F', 'l', 'a', 'n'];
 
 /// Render the per-second throughput `P` of several results as a terminal
@@ -208,20 +196,6 @@ pub fn export_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lineup_has_the_four_policies() {
-        let names: Vec<&str> = controller_lineup().iter().map(|c| c.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "framefeedback",
-                "local-only",
-                "always-offload",
-                "all-or-nothing"
-            ]
-        );
-    }
 
     #[test]
     fn run_lineup_produces_one_result_per_controller() {

@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 mod content;
+mod controller;
 mod cpu;
 mod experiment;
 mod fleet;
@@ -41,6 +42,7 @@ pub mod tags;
 mod trace;
 
 pub use content::{content_scenario, content_scenarios, CONTENT_SCENARIO_NAMES};
+pub use controller::ControllerSpec;
 pub use cpu::{CpuModel, EnergyModel};
 pub use experiment::{
     run_experiment, run_experiment_traced, run_experiment_with_telemetry, ExperimentConfig,
@@ -54,11 +56,11 @@ pub use flight::{FlightTable, ProbeTable};
 #[doc(hidden)]
 pub use local::testhooks as local_testhooks;
 pub use local::{LocalEngine, LocalOutcome};
+#[doc(hidden)]
+pub use offload::testhooks as offload_testhooks;
 pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 pub use quality::{QualityAdapter, QualityConfig};
-pub use replay::{
-    controller_by_name, replay_verify, replay_verify_with, ReplayMismatch, ReplayReport,
-};
+pub use replay::{replay_verify, replay_verify_with, ReplayMismatch, ReplayReport};
 pub use runtime::{
     is_probe_tag, DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig,
     SubmitOutcome, TickOutput, Transport, WallClock, BACKGROUND_TAG_BASE, PROBE_TAG_BASE,

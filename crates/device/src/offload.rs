@@ -4,13 +4,10 @@
 //! it either succeeds within it or times out, and a timeout is attributed
 //! to a cause (`T_n` network vs `T_l` server load — Table I). The
 //! bookkeeping that decides is [`crate::flight::FlightTable`]; the
-//! hash-map `OffloadTracker` it replaced is compiled for tests only, as
-//! the oracle of that module's differential proptest.
+//! hash-map `OffloadTracker` it replaced is kept, behind
+//! [`testhooks`], as the oracle of `tests/flight_oracle.rs`.
 
-use ff_sim::SimDuration;
-#[cfg(test)]
-use ff_sim::SimTime;
-#[cfg(test)]
+use ff_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Cause attribution for a timeout (Table I's `T_n` / `T_l` split).
@@ -23,7 +20,6 @@ pub enum TimeoutCause {
 }
 
 /// Life-cycle state of one in-flight offloaded frame.
-#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     /// Sent; still traversing the uplink.
@@ -65,24 +61,27 @@ pub enum OffloadResolution {
     },
 }
 
-#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     captured_at: SimTime,
     stage: Stage,
 }
 
+/// Test hooks for the flight-table oracle in `tests/flight_oracle.rs`.
+#[doc(hidden)]
+pub mod testhooks {
+    pub use super::OffloadTracker;
+}
+
 /// Tracks all offloaded frames that have not yet been resolved.
-#[cfg(test)]
 #[derive(Debug, Clone)]
-pub(crate) struct OffloadTracker {
+pub struct OffloadTracker {
     deadline: SimDuration,
     in_flight: HashMap<u64, InFlight>,
     resolved_success: u64,
     resolved_timeout: u64,
 }
 
-#[cfg(test)]
 impl OffloadTracker {
     /// A tracker enforcing the given end-to-end deadline.
     pub fn new(deadline: SimDuration) -> Self {

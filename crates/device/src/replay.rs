@@ -17,8 +17,8 @@ use crate::runtime::{
 };
 use crate::selection::ModelSelection;
 use crate::splitter::Route;
-use ff_baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
-use ff_core::{Controller, FrameFeedback};
+use crate::ControllerSpec;
+use ff_core::Controller;
 use ff_sim::{SimDuration, SimTime};
 use ff_trace::{Trace, TraceEvent, TraceRoute, TraceSubmitOutcome};
 
@@ -56,18 +56,6 @@ impl std::fmt::Display for ReplayMismatch {
 }
 
 impl std::error::Error for ReplayMismatch {}
-
-/// Build the controller named in a trace header, with its default
-/// configuration — the same construction the recorded run used.
-pub fn controller_by_name(name: &str) -> Option<Box<dyn Controller>> {
-    match name {
-        "framefeedback" => Some(Box::new(FrameFeedback::new())),
-        "local-only" => Some(Box::new(LocalOnly::new())),
-        "always-offload" => Some(Box::new(AlwaysOffload::new())),
-        "all-or-nothing" => Some(Box::new(AllOrNothing::new())),
-        _ => None,
-    }
-}
 
 /// Transport stand-in for replay: the replayer arms it with the recorded
 /// submission before each call that sends, and it checks the runtime
@@ -113,18 +101,20 @@ impl Transport for ReplayTransport {
 }
 
 /// Re-run `trace` through a fresh runtime with the controller named in
-/// its header (see [`controller_by_name`]) and assert every recorded
-/// decision reproduces exactly.
+/// its header, at its default settings
+/// ([`ControllerSpec::from_name`]), and assert every recorded decision
+/// reproduces exactly.
 pub fn replay_verify(trace: &Trace) -> Result<ReplayReport, ReplayMismatch> {
-    let mut controller = controller_by_name(&trace.header.controller).ok_or(ReplayMismatch {
+    let spec = ControllerSpec::from_name(&trace.header.controller).ok_or(ReplayMismatch {
         index: 0,
         detail: format!("unknown controller {:?} in header", trace.header.controller),
     })?;
-    replay_verify_with(trace, controller.as_mut())
+    replay_verify_with(trace, spec.build().as_mut())
 }
 
-/// [`replay_verify`] with a caller-supplied controller (for controllers
-/// outside the built-in lineup; it must have the recorded dynamics).
+/// [`replay_verify`] with a caller-supplied controller: tuned gains the
+/// header does not carry, or a controller outside the lineup. It must
+/// have the recorded dynamics.
 pub fn replay_verify_with(
     trace: &Trace,
     controller: &mut dyn Controller,

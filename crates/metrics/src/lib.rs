@@ -5,9 +5,7 @@
 //!
 //! * [`WindowedRate`] — trailing-window event-rate estimation (the
 //!   controller's `T` and `P_o` inputs),
-//! * [`Ewma`] — optional smoothing,
-//! * [`TimeSeries`] / [`LatencyStats`] — experiment output series and
-//!   latency order statistics,
+//! * [`LatencyStats`] / [`LogHistogram`] — latency order statistics,
 //! * [`QosRecord`] / [`QosLog`] — per-interval QoS in the paper's Table I
 //!   notation, including the headline throughput `P = P_o + P_l − T`.
 
@@ -23,6 +21,6 @@ mod stats;
 pub use chart::{render_chart, ChartConfig, ChartSeries};
 pub use histogram::LogHistogram;
 pub use qos::{QosAggregate, QosLog, QosRecord};
-pub use rate::{Ewma, WindowedRate};
-pub use series::{LatencyStats, LatencySummary, Sample, TimeSeries};
+pub use rate::WindowedRate;
+pub use series::{LatencyStats, LatencySummary};
 pub use stats::{bootstrap_mean_ci, ConfidenceInterval};

@@ -216,21 +216,6 @@ impl QosLog {
         self.aggregate_all()
             .map_or(0.0, |a| a.mean_accuracy_weighted_throughput)
     }
-
-    /// Fraction of intervals in which `P < P_l`-floor would have been
-    /// violated, i.e. the controller let timeouts eat into local capacity.
-    /// (§II-A.5: "the controller should always strive to keep P ≥ P_l".)
-    pub fn floor_violation_fraction(&self, pl_capacity: f64) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let bad = self
-            .records
-            .iter()
-            .filter(|r| r.throughput() < pl_capacity)
-            .count();
-        bad as f64 / self.records.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -326,16 +311,6 @@ mod tests {
         let mut log = QosLog::new();
         log.push(rec(2.0, 0.0, 0.0, 0.0, 0.0));
         log.push(rec(1.0, 0.0, 0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn floor_violation_fraction_counts_bad_intervals() {
-        let mut log = QosLog::new();
-        log.push(rec(0.0, 13.0, 0.0, 0.0, 0.0)); // P = 13, at floor
-        log.push(rec(1.0, 0.0, 30.0, 25.0, 0.0)); // P = 5 < 13: violation
-        log.push(rec(2.0, 5.0, 20.0, 0.0, 0.0)); // P = 25
-        assert!((log.floor_violation_fraction(13.0) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(QosLog::new().floor_violation_fraction(13.0), 0.0);
     }
 
     #[test]

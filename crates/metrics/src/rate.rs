@@ -16,7 +16,6 @@ pub struct WindowedRate {
     /// are coalesced.
     events: VecDeque<(SimTime, u64)>,
     total_in_window: u64,
-    lifetime_total: u64,
 }
 
 impl WindowedRate {
@@ -30,7 +29,6 @@ impl WindowedRate {
             window,
             events: VecDeque::new(),
             total_in_window: 0,
-            lifetime_total: 0,
         }
     }
 
@@ -62,7 +60,6 @@ impl WindowedRate {
             _ => self.events.push_back((now, n)),
         }
         self.total_in_window += n;
-        self.lifetime_total += n;
         self.evict(now);
     }
 
@@ -103,83 +100,10 @@ impl WindowedRate {
         self.total_in_window as f64 / denom
     }
 
-    /// Total occurrences ever recorded.
-    pub fn lifetime_total(&self) -> u64 {
-        self.lifetime_total
-    }
-
     /// Drop all state (e.g. on controller reconfiguration).
     pub fn reset(&mut self) {
         self.events.clear();
         self.total_in_window = 0;
-        self.lifetime_total = 0;
-    }
-}
-
-/// Exponentially weighted moving average.
-///
-/// Used for optional smoothing of noisy measurements; `alpha` is the weight
-/// of the newest sample (0 < alpha <= 1).
-///
-/// [`update`](Ewma::update) assumes evenly spaced samples (one controller
-/// interval apart). For irregular spacing use
-/// [`update_dt`](Ewma::update_dt), which scales the decay to the elapsed
-/// time so a sample arriving after two intervals discounts history as much
-/// as two unit-spaced samples would.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// An EWMA giving weight `alpha` to each new sample.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in a new observation one unit interval after the previous
-    /// one and return the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        self.update_dt(x, 1.0)
-    }
-
-    /// Fold in an observation taken `dt` intervals after the previous
-    /// one and return the updated average.
-    ///
-    /// The effective weight is `1 - (1 - alpha)^dt`, so the retained
-    /// history decays by exactly `(1 - alpha)` per unit of elapsed time
-    /// regardless of how the samples are spaced. `dt = 1` is identical
-    /// to [`update`](Ewma::update); `dt = 0` leaves the average at the
-    /// previous value when one exists.
-    pub fn update_dt(&mut self, x: f64, dt: f64) -> f64 {
-        assert!(
-            dt >= 0.0 && dt.is_finite(),
-            "EWMA dt must be finite and >= 0, got {dt}"
-        );
-        let v = match self.value {
-            None => x,
-            Some(prev) => {
-                let alpha_eff = 1.0 - (1.0 - self.alpha).powf(dt);
-                alpha_eff * x + (1.0 - alpha_eff) * prev
-            }
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// The current average, if any observation has been folded in.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Forget the accumulated average.
-    pub fn reset(&mut self) {
-        self.value = None;
     }
 }
 
@@ -249,80 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn lifetime_total_ignores_eviction() {
-        let mut r = WindowedRate::new(SimDuration::from_secs(1));
-        r.record_n(s(0), 3);
-        r.record_n(s(10), 2);
-        assert_eq!(r.lifetime_total(), 5);
-        assert_eq!(r.count_at(s(10)), 2);
-    }
-
-    #[test]
     fn reset_clears_window_state() {
         let mut r = WindowedRate::new(SimDuration::from_secs(5));
         r.record_n(s(1), 7);
         r.reset();
         assert_eq!(r.count_at(s(1)), 0);
-        assert_eq!(
-            r.lifetime_total(),
-            0,
-            "reset must clear the lifetime counter too"
-        );
         // A reset estimator behaves like a fresh one: counts restart and
         // earlier timestamps are admissible again.
         r.record_n(s(0), 2);
         assert_eq!(r.count_at(s(0)), 2);
-        assert_eq!(r.lifetime_total(), 2);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_window_panics() {
         let _ = WindowedRate::new(SimDuration::ZERO);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant_input() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.value(), None);
-        for _ in 0..100 {
-            e.update(4.0);
-        }
-        assert!((e.value().unwrap() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_sample_is_taken_verbatim() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.update(42.0), 42.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
-    }
-
-    #[test]
-    fn ewma_update_dt_matches_unit_steps() {
-        // One sample after dt=3 must equal three unit-spaced samples of
-        // the same value: decay depends on elapsed time, not sample count.
-        let mut stepped = Ewma::new(0.3);
-        let mut jumped = Ewma::new(0.3);
-        stepped.update(10.0);
-        jumped.update(10.0);
-        for _ in 0..3 {
-            stepped.update(0.0);
-        }
-        jumped.update_dt(0.0, 3.0);
-        let (a, b) = (stepped.value().unwrap(), jumped.value().unwrap());
-        assert!((a - b).abs() < 1e-12, "stepped {a} vs jumped {b}");
-    }
-
-    #[test]
-    fn ewma_update_dt_zero_keeps_value() {
-        let mut e = Ewma::new(0.5);
-        e.update(8.0);
-        assert_eq!(e.update_dt(1000.0, 0.0), 8.0);
     }
 }

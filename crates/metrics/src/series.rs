@@ -1,120 +1,6 @@
-//! Time series storage and summarization for experiment output.
+//! Latency order statistics for experiment output.
 
-use ff_sim::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// One `(t, value)` sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct Sample {
-    /// Sample instant in seconds since experiment start.
-    pub t_secs: f64,
-    /// Sampled value.
-    pub value: f64,
-}
-
-/// An append-only series of timestamped samples (e.g. `P` per second).
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct TimeSeries {
-    name: String,
-    samples: Vec<Sample>,
-}
-
-impl TimeSeries {
-    /// An empty named series.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// The series' display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Append a sample; time must be non-decreasing.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        let t_secs = t.as_secs_f64();
-        if let Some(last) = self.samples.last() {
-            assert!(
-                t_secs >= last.t_secs,
-                "TimeSeries samples must arrive in time order"
-            );
-        }
-        self.samples.push(Sample { t_secs, value });
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// All samples in time order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<Sample> {
-        self.samples.last().copied()
-    }
-
-    /// Mean of values whose instant lies in `[from, to)` seconds.
-    /// Returns `None` if the range holds no samples.
-    pub fn mean_between(&self, from: f64, to: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for s in &self.samples {
-            if s.t_secs >= from && s.t_secs < to {
-                sum += s.value;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
-
-    /// Mean over the whole series.
-    pub fn mean(&self) -> Option<f64> {
-        self.mean_between(f64::NEG_INFINITY, f64::INFINITY)
-    }
-
-    /// Minimum value over `[from, to)`.
-    pub fn min_between(&self, from: f64, to: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.t_secs >= from && s.t_secs < to)
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// Maximum value over `[from, to)`.
-    pub fn max_between(&self, from: f64, to: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|s| s.t_secs >= from && s.t_secs < to)
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Standard deviation (population) over `[from, to)`.
-    pub fn stddev_between(&self, from: f64, to: f64) -> Option<f64> {
-        let mean = self.mean_between(from, to)?;
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|s| s.t_secs >= from && s.t_secs < to)
-            .map(|s| s.value)
-            .collect();
-        let var = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / vals.len() as f64;
-        Some(var.sqrt())
-    }
-}
 
 /// Order statistics over a set of scalar observations (e.g. latencies).
 #[derive(Debug, Clone, Default)]
@@ -175,15 +61,6 @@ impl LatencyStats {
         Some(self.values_ms.iter().sum::<f64>() / self.values_ms.len() as f64)
     }
 
-    /// Fraction of observations strictly above `deadline_ms`.
-    pub fn violation_fraction(&self, deadline_ms: f64) -> f64 {
-        if self.values_ms.is_empty() {
-            return 0.0;
-        }
-        let v = self.values_ms.iter().filter(|&&x| x > deadline_ms).count();
-        v as f64 / self.values_ms.len() as f64
-    }
-
     /// Build the standard summary (mean, p50/p95/p99, max).
     pub fn summary(&mut self) -> Option<LatencySummary> {
         // The mean's bits depend on the summation order: take it before
@@ -238,46 +115,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn push_and_aggregate() {
-        let mut s = TimeSeries::new("p");
-        for t in 0..10u64 {
-            s.push(SimTime::from_secs(t), t as f64);
-        }
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.mean_between(0.0, 5.0), Some(2.0));
-        assert_eq!(s.min_between(2.0, 8.0), Some(2.0));
-        assert_eq!(s.max_between(2.0, 8.0), Some(7.0));
-        assert_eq!(s.mean(), Some(4.5));
-        assert_eq!(s.last().unwrap().value, 9.0);
-    }
-
-    #[test]
-    fn empty_range_yields_none() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(1), 1.0);
-        assert_eq!(s.mean_between(5.0, 10.0), None);
-        assert_eq!(s.min_between(5.0, 10.0), None);
-        assert_eq!(TimeSeries::new("empty").mean(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn out_of_order_push_panics() {
-        let mut s = TimeSeries::new("x");
-        s.push(SimTime::from_secs(2), 0.0);
-        s.push(SimTime::from_secs(1), 0.0);
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let mut s = TimeSeries::new("c");
-        for t in 0..5u64 {
-            s.push(SimTime::from_secs(t), 3.0);
-        }
-        assert!(s.stddev_between(0.0, 10.0).unwrap() < 1e-12);
-    }
-
-    #[test]
     fn latency_percentiles() {
         let mut l = LatencyStats::new();
         for i in 1..=100 {
@@ -288,18 +125,6 @@ mod tests {
         let p50 = l.percentile_ms(0.5).unwrap();
         assert!((p50 - 50.5).abs() < 1e-9, "got {p50}");
         assert_eq!(l.mean_ms(), Some(50.5));
-    }
-
-    #[test]
-    fn violation_fraction_counts_strict_exceedances() {
-        let mut l = LatencyStats::new();
-        l.record_ms(100.0);
-        l.record_ms(250.0);
-        l.record_ms(300.0);
-        l.record_ms(400.0);
-        assert!((l.violation_fraction(250.0) - 0.5).abs() < 1e-12);
-        assert_eq!(l.violation_fraction(1000.0), 0.0);
-        assert_eq!(LatencyStats::new().violation_fraction(1.0), 0.0);
     }
 
     #[test]
@@ -338,19 +163,6 @@ mod tests {
                 prop_assert!(p >= vals[0] - 1e-9 && p <= vals[vals.len()-1] + 1e-9);
                 prev = p;
             }
-        }
-
-        /// Series mean always lies between min and max of the window.
-        #[test]
-        fn prop_mean_bounded(vals in proptest::collection::vec(-1e3f64..1e3, 1..100)) {
-            let mut s = TimeSeries::new("prop");
-            for (i, &v) in vals.iter().enumerate() {
-                s.push(SimTime::from_secs(i as u64), v);
-            }
-            let mean = s.mean().unwrap();
-            let min = s.min_between(f64::NEG_INFINITY, f64::INFINITY).unwrap();
-            let max = s.max_between(f64::NEG_INFINITY, f64::INFINITY).unwrap();
-            prop_assert!(mean >= min - 1e-9 && mean <= max + 1e-9);
         }
     }
 }

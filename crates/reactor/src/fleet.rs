@@ -4,8 +4,11 @@
 //! simulator drives — §III's control loop is not reimplemented here.
 //! What changes is the host: all devices share one epoll loop, one
 //! deadline wheel (capture pacing, controller ticks, offload deadlines,
-//! local completions, paced sends, reconnect backoff — the same event
-//! kinds the DES schedules), and one nonblocking socket each.
+//! paced sends, reconnect backoff — the same event kinds the DES
+//! schedules), and one nonblocking socket each. Local inference is the
+//! simulator's [`LocalEngine`] too, its completions applied as
+//! `FleetCore` applies them: before a local route, before a tick, and
+//! at the end of the run, never as timer events.
 //!
 //! The offload transport's backpressure contract: a dead connection or
 //! a full bounded write buffer yields `FailedInstantly` (the runtime
@@ -19,8 +22,8 @@ use crate::pacer::{Pacer, PacerConditions, PacerVerdict};
 use crate::timer::DeadlineWheel;
 use ff_core::Controller;
 use ff_device::{
-    DeviceRuntime, FrameOutcome, ModelSelection, Route, RuntimeConfig, SubmitOutcome, Transport,
-    WallClock,
+    DeviceRuntime, FrameOutcome, LocalEngine, ModelSelection, Route, RuntimeConfig, SubmitOutcome,
+    Transport, WallClock,
 };
 use ff_metrics::{LogHistogram, QosLog};
 use ff_sim::{SimDuration, SimTime};
@@ -94,7 +97,9 @@ pub struct ReactorDeviceConfig {
     pub deadline: Duration,
     /// Compressed frame payload size in bytes.
     pub frame_bytes: u64,
-    /// Local inference rate `P_l` in frames/s.
+    /// Mean local inference rate `P_l` in frames/s; each service time
+    /// jitters a few percent around it, as in the simulator's
+    /// [`LocalEngine`].
     pub local_rate_fps: f64,
     /// Controller measurement period.
     pub tick: Duration,
@@ -258,8 +263,6 @@ enum ClientTimer {
     Tick { dev: usize },
     /// An offload (or probe) deadline fired.
     Deadline { dev: usize, tag: u64 },
-    /// The local inference engine finished a frame.
-    LocalDone { dev: usize },
     /// The pacer released a frame for writing.
     Send { dev: usize, tag: u64, bytes: u64 },
     /// Try dialing the server (again).
@@ -272,6 +275,7 @@ struct Dev {
     conn: Option<FramedConn>,
     pacer: Pacer,
     rng: SmallRng,
+    engine: LocalEngine<ChaCha8Rng>,
     /// Capture/tick grids are anchored here (staggered per device).
     origin: SimTime,
     end_at: SimTime,
@@ -281,11 +285,6 @@ struct Dev {
     dial_failures: u32,
     dial_failures_total: u64,
     reconnects: u64,
-    local_busy: bool,
-    local_pending: bool,
-    local_completed: u64,
-    local_skipped: u64,
-    local_done_since_tick: u64,
     paced_drops: u64,
     late_backpressure: u64,
     latency_ms: LogHistogram,
@@ -335,7 +334,6 @@ impl Transport for FleetTransport<'_> {
 struct FleetLoop {
     addr: SocketAddr,
     write_buf_cap: usize,
-    service: SimDuration,
     capture_step: SimDuration,
     tick_step: SimDuration,
     deadline: SimDuration,
@@ -393,6 +391,10 @@ impl FleetLoop {
                 conn: None,
                 pacer: Pacer::new(d.pacer, ChaCha8Rng::seed_from_u64(seed)),
                 rng: SmallRng::seed_from_u64(seed.rotate_left(17)),
+                engine: LocalEngine::with_rate(
+                    d.local_rate_fps,
+                    ChaCha8Rng::seed_from_u64(seed.rotate_left(41)),
+                ),
                 origin,
                 end_at,
                 frame_idx: 0,
@@ -401,11 +403,6 @@ impl FleetLoop {
                 dial_failures: 0,
                 dial_failures_total: 0,
                 reconnects: 0,
-                local_busy: false,
-                local_pending: false,
-                local_completed: 0,
-                local_skipped: 0,
-                local_done_since_tick: 0,
                 paced_drops: 0,
                 late_backpressure: 0,
                 latency_ms: LogHistogram::for_latency_ms(),
@@ -415,7 +412,6 @@ impl FleetLoop {
         Ok(FleetLoop {
             addr,
             write_buf_cap: config.write_buf_cap,
-            service: SimDuration::from_secs_f64(1.0 / d.local_rate_fps),
             capture_step,
             tick_step: sim_dur(d.tick),
             deadline: sim_dur(d.deadline),
@@ -473,11 +469,13 @@ impl FleetLoop {
                 }
             }
         }
-        // Final sweep: resolve every straggler so `in_flight` hits zero
-        // and the conservation law is checkable.
-        let end = self.clock.now() + self.deadline;
+        // Final sweep: bill the local completions due by now, and
+        // resolve every straggler so `in_flight` hits zero and the
+        // conservation law is checkable.
+        let now = self.clock.now();
         for dev in &mut self.devs {
-            let _ = dev.runtime.expire_due(end);
+            apply_local(dev, now, false);
+            let _ = dev.runtime.expire_due(now + self.deadline);
         }
     }
 
@@ -492,8 +490,8 @@ impl FleetLoop {
                 successes: dev.runtime.successes(),
                 timeouts: dev.runtime.timeouts(),
                 instant_failures: dev.runtime.instant_failures(),
-                local_completed: dev.local_completed,
-                local_skipped: dev.local_skipped,
+                local_completed: dev.engine.completed(),
+                local_skipped: dev.engine.skipped(),
                 paced_drops: dev.paced_drops,
                 late_backpressure: dev.late_backpressure,
                 reconnects: dev.reconnects,
@@ -518,7 +516,6 @@ impl FleetLoop {
                 let now = self.clock.now();
                 let _ = self.devs[dev].runtime.on_deadline(tag, now);
             }
-            ClientTimer::LocalDone { dev } => self.on_local_done(dev),
             ClientTimer::Send { dev, tag, bytes } => self.on_send(dev, tag, bytes),
             ClientTimer::Reconnect { dev } => self.on_reconnect(dev),
         }
@@ -557,40 +554,16 @@ impl FleetLoop {
                 }
             }
             Route::Local => {
-                if dev.local_busy {
-                    if dev.local_pending {
-                        dev.local_skipped += 1; // full pending slot = frame skip
-                    } else {
-                        dev.local_pending = true;
-                    }
-                } else {
-                    dev.local_busy = true;
-                    self.wheel
-                        .schedule(now + self.service, ClientTimer::LocalDone { dev: i });
-                }
+                apply_local(dev, now, false);
+                dev.engine.offer(now);
             }
-        }
-    }
-
-    fn on_local_done(&mut self, i: usize) {
-        let dev = &mut self.devs[i];
-        dev.local_completed += 1;
-        dev.local_done_since_tick += 1;
-        dev.local_busy = false;
-        if dev.local_pending {
-            dev.local_pending = false;
-            dev.local_busy = true;
-            let at = self.clock.now() + self.service;
-            self.wheel.schedule(at, ClientTimer::LocalDone { dev: i });
         }
     }
 
     fn on_tick(&mut self, i: usize) {
         let now = self.clock.now();
         let dev = &mut self.devs[i];
-        let delta = dev.local_done_since_tick;
-        dev.local_done_since_tick = 0;
-        dev.runtime.note_local_done(delta, now);
+        apply_local(dev, now, true);
         let mut tp = FleetTransport {
             dev: i,
             conn: &mut dev.conn,
@@ -599,6 +572,7 @@ impl FleetLoop {
             paced_drops: &mut dev.paced_drops,
         };
         let out = dev.runtime.tick(now, dev.controller.as_mut(), &mut tp);
+        dev.engine.tick_passed();
         self.wheel.schedule(
             out.probe_deadline_at,
             ClientTimer::Deadline {
@@ -761,6 +735,15 @@ impl FleetLoop {
             }
         }
     }
+}
+
+/// Bill the device's local completions due at `now`
+/// ([`LocalEngine::apply_due`]) to its runtime, each at its own instant.
+fn apply_local(dev: &mut Dev, now: SimTime, before_tick: bool) {
+    let runtime = &mut dev.runtime;
+    dev.engine.apply_due(now, before_tick, |done_at| {
+        runtime.note_local_done(1, done_at)
+    });
 }
 
 #[cfg(test)]

@@ -33,16 +33,8 @@ pub enum OverflowPolicy {
 
 impl OverflowPolicy {
     /// Remove requests from `queue` until it holds at most `limit`,
-    /// returning the victims.
-    pub fn drain_overflow(self, queue: &mut VecDeque<Request>, limit: usize) -> Vec<Request> {
-        let mut victims = Vec::new();
-        self.drain_overflow_into(queue, limit, &mut victims);
-        victims
-    }
-
-    /// Like [`drain_overflow`](Self::drain_overflow), but appends the
-    /// victims to a caller-provided buffer so the per-batch hot path can
-    /// reuse one allocation across the whole run.
+    /// appending the victims to a caller-provided buffer so the
+    /// per-batch hot path can reuse one allocation across the whole run.
     pub fn drain_overflow_into(
         self,
         queue: &mut VecDeque<Request>,
@@ -141,10 +133,21 @@ mod tests {
         specs.iter().map(|&(t, tag)| req(t, tag)).collect()
     }
 
+    /// The victims of one [`OverflowPolicy::drain_overflow_into`] call.
+    pub(super) fn drain(
+        policy: OverflowPolicy,
+        queue: &mut VecDeque<Request>,
+        limit: usize,
+    ) -> Vec<Request> {
+        let mut victims = Vec::new();
+        policy.drain_overflow_into(queue, limit, &mut victims);
+        victims
+    }
+
     #[test]
     fn reject_newest_drops_from_the_back() {
         let mut q = queue_of(&[(0, 1), (1, 2), (0, 3), (1, 4)]);
-        let victims = OverflowPolicy::RejectNewest.drain_overflow(&mut q, 2);
+        let victims = drain(OverflowPolicy::RejectNewest, &mut q, 2);
         assert_eq!(
             victims.iter().map(|r| r.tag).collect::<Vec<_>>(),
             vec![4, 3]
@@ -157,7 +160,7 @@ mod tests {
     fn fair_share_penalizes_the_heaviest_tenant() {
         // Tenant 0 floods (5 requests); tenant 1 has 1.
         let mut q = queue_of(&[(0, 1), (0, 2), (1, 3), (0, 4), (0, 5), (0, 6)]);
-        let victims = OverflowPolicy::FairShare.drain_overflow(&mut q, 3);
+        let victims = drain(OverflowPolicy::FairShare, &mut q, 3);
         assert_eq!(victims.len(), 3);
         assert!(
             victims.iter().all(|r| r.tenant == TenantId(0)),
@@ -186,7 +189,7 @@ mod tests {
             (0, 7),
             (1, 8),
         ]);
-        let _ = OverflowPolicy::FairShare.drain_overflow(&mut q, 4);
+        let _ = drain(OverflowPolicy::FairShare, &mut q, 4);
         let t0 = q.iter().filter(|r| r.tenant == TenantId(0)).count();
         let t1 = q.iter().filter(|r| r.tenant == TenantId(1)).count();
         assert_eq!((t0, t1), (2, 2));
@@ -196,7 +199,7 @@ mod tests {
     fn no_overflow_means_no_victims() {
         for policy in [OverflowPolicy::RejectNewest, OverflowPolicy::FairShare] {
             let mut q = queue_of(&[(0, 1), (1, 2)]);
-            assert!(policy.drain_overflow(&mut q, 5).is_empty());
+            assert!(drain(policy, &mut q, 5).is_empty());
             assert_eq!(q.len(), 2);
         }
     }
@@ -205,7 +208,7 @@ mod tests {
     fn policies_preserve_survivor_order() {
         for policy in [OverflowPolicy::RejectNewest, OverflowPolicy::FairShare] {
             let mut q = queue_of(&[(0, 1), (1, 2), (0, 3), (1, 4), (0, 5)]);
-            let _ = policy.drain_overflow(&mut q, 2);
+            let _ = drain(policy, &mut q, 2);
             let tags: Vec<u64> = q.iter().map(|r| r.tag).collect();
             let mut sorted = tags.clone();
             sorted.sort_unstable();
@@ -285,7 +288,7 @@ mod proptests {
                 .collect();
             let mut oracle_queue = queue.clone();
             let expected = fair_share_recounting(&mut oracle_queue, limit);
-            let victims = OverflowPolicy::FairShare.drain_overflow(&mut queue, limit);
+            let victims = tests::drain(OverflowPolicy::FairShare, &mut queue, limit);
             prop_assert_eq!(victims, expected);
             prop_assert_eq!(queue, oracle_queue);
         }

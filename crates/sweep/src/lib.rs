@@ -1,25 +1,27 @@
 //! # ff-sweep — the parallel deterministic sweep engine
 //!
-//! Every evaluation artifact in this repository is some grid of
-//! experiment runs: Table V is `network-phase × controller`, the seed
-//! sweep is `seed × controller`, the Figure 2 trace is `gain × scenario`.
-//! This crate executes such a **declarative `(scenario × seed ×
-//! controller)` grid** across all cores — optionally crossed with
+//! Every evaluation artifact in this repository is some grid of runs:
+//! Table V is `network-phase × controller`, the seed sweep is
+//! `seed × controller`, the Figure 2 trace is `gain × scenario`. This
+//! crate executes such a **declarative `(scenario × seed × controller)`
+//! grid** ([`SweepSpec`]) across all cores, optionally crossed with
 //! **routing and admission axes** ([`RoutingSpec`] / [`AdmissionSpec`])
-//! over the multi-server tier, and with a fleet-level twin
-//! ([`FleetSweepSpec`] / [`run_fleet_sweep`]) for multi-device grids —
-//! and guarantees two properties a naive thread pool would not:
+//! over the multi-server tier. The same grid type runs single-device
+//! experiments ([`run_sweep`]) and whole fleets, one controller lineup
+//! per cell ([`FleetSweepSpec`] / [`run_fleet_sweep`]). It guarantees
+//! two properties a naive thread pool would not:
 //!
 //! - **Order-independent deterministic aggregation.** Each cell is an
-//!   independent `run_experiment` call keyed by its grid coordinates;
-//!   results are merged back *by key*, in grid order. The aggregated
-//!   output of a parallel sweep is therefore **bit-identical** to a
-//!   serial one — regardless of worker count or which thread ran which
-//!   cell (pinned by `tests/sweep_determinism.rs`).
-//! - **Content-hash caching.** A cell's identity is the hash of its
-//!   full serialized configuration (config + controller spec + schema
-//!   version). Re-running a sweep only executes cells whose inputs
-//!   changed; everything else is read back from the cache directory.
+//!   independent run keyed by its grid coordinates; results are merged
+//!   back *by key*, in grid order. The aggregated output of a parallel
+//!   sweep is therefore **bit-identical** to a serial one — regardless
+//!   of worker count or which thread ran which cell (pinned by
+//!   `tests/sweep_determinism.rs`).
+//! - **Content-hash caching** (experiment grids). A cell's identity is
+//!   the hash of its full serialized configuration (config + controller
+//!   spec + schema version). Re-running a sweep only executes cells
+//!   whose inputs changed; everything else is read back from the cache
+//!   directory.
 //!
 //! Scheduling is a shared cursor: each worker claims the next unrun
 //! cell index from one atomic counter and sends its result back to the
@@ -31,14 +33,14 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel;
-use ff_baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
-use ff_core::{Controller, FrameFeedback, PidConfig};
+pub use ff_device::ControllerSpec;
 use ff_device::{
     run_experiment, run_fleet, ExperimentConfig, ExperimentResult, FleetConfig, FleetResult,
 };
 use ff_server::{OverflowPolicy, TierConfig};
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -69,66 +71,79 @@ pub type RoutingSpec = ff_server::RoutingPolicy;
 /// bucket), serializable and `Copy` like [`RoutingSpec`].
 pub type AdmissionSpec = ff_server::AdmissionPolicy;
 
-/// A controller recipe a sweep cell can construct on its own thread.
-///
-/// `Box<dyn Controller>` is neither `Send` nor serializable, so the grid
-/// carries this declarative form instead and each worker builds the
-/// controller right before running its cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ControllerSpec {
-    /// The paper's closed-loop controller with explicit Table IV gains.
-    FrameFeedback(PidConfig),
-    /// Never offload (§IV-B baseline).
-    LocalOnly,
-    /// Offload every frame (§IV-B baseline).
-    AlwaysOffload,
-    /// Offload all while heartbeats succeed, else nothing (§IV-B).
-    AllOrNothing,
+/// What a grid needs from a scenario whose cells run under controller
+/// axis entries of type `L`: the three things that differ between an
+/// experiment and a fleet.
+pub trait GridScenario<L>: Clone {
+    /// Apply the cell's master seed.
+    fn set_seed(&mut self, seed: u64);
+    /// The scenario's tier, made explicit so a routing/admission axis
+    /// can overlay it: its own `tier` if set, else the tier it would run
+    /// on implicitly.
+    fn tier_mut(&mut self) -> &mut TierConfig;
+    /// Why `controllers` cannot run this scenario, if it cannot.
+    fn check_lineup(&self, controllers: &L) -> Result<(), String>;
 }
 
-impl ControllerSpec {
-    /// The paper's controller with default Table IV settings.
-    pub fn framefeedback() -> Self {
-        ControllerSpec::FrameFeedback(PidConfig::default())
+/// An experiment runs under one controller.
+impl GridScenario<ControllerSpec> for ExperimentConfig {
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
     }
 
-    /// The four controllers of §IV-B in `ff_bench::controller_lineup`
-    /// order, as `(label, spec)` pairs.
-    pub fn lineup() -> Vec<(String, ControllerSpec)> {
-        vec![
-            ("framefeedback".into(), Self::framefeedback()),
-            ("local-only".into(), ControllerSpec::LocalOnly),
-            ("always-offload".into(), ControllerSpec::AlwaysOffload),
-            ("all-or-nothing".into(), ControllerSpec::AllOrNothing),
-        ]
+    fn tier_mut(&mut self) -> &mut TierConfig {
+        let gpu = self.gpu;
+        self.tier
+            .get_or_insert_with(|| TierConfig::single(gpu, OverflowPolicy::default()))
     }
 
-    /// Construct the controller this spec describes.
-    pub fn build(&self) -> Box<dyn Controller> {
-        match self {
-            ControllerSpec::FrameFeedback(cfg) => Box::new(FrameFeedback::with_config(*cfg)),
-            ControllerSpec::LocalOnly => Box::new(LocalOnly::new()),
-            ControllerSpec::AlwaysOffload => Box::new(AlwaysOffload::new()),
-            ControllerSpec::AllOrNothing => Box::new(AllOrNothing::new()),
+    fn check_lineup(&self, _: &ControllerSpec) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// A fleet runs under a lineup of one controller per device.
+impl GridScenario<Vec<ControllerSpec>> for FleetConfig {
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn tier_mut(&mut self) -> &mut TierConfig {
+        let (gpu, policy) = (self.gpu, self.policy);
+        self.tier
+            .get_or_insert_with(|| TierConfig::single(gpu, policy))
+    }
+
+    fn check_lineup(&self, controllers: &Vec<ControllerSpec>) -> Result<(), String> {
+        if controllers.len() == self.devices.len() {
+            return Ok(());
         }
+        Err(format!(
+            "has {} controllers for {} devices",
+            controllers.len(),
+            self.devices.len()
+        ))
     }
 }
 
 /// A declarative `(scenario × seed × [routing ×] [admission ×]
-/// controller)` grid.
+/// controller)` grid over scenarios of type `S`, run under controller
+/// axis entries of type `L`: an [`ExperimentConfig`] under one
+/// [`ControllerSpec`] by default, or a [`FleetConfig`] under one spec
+/// per device ([`FleetSweepSpec`]).
 ///
 /// The `routings` / `admissions` axes are optional: empty vectors (the
 /// serde default, so pre-tier specs parse unchanged) mean "one
 /// pass-through combination" — each cell keeps the scenario's own tier
 /// configuration and the key's axis labels stay empty.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepSpec {
+pub struct SweepSpec<S = ExperimentConfig, L = ControllerSpec> {
     /// Sweep name (used in reports and exported artifacts).
     pub name: String,
-    /// Labelled experiment configurations. Each cell overrides only the
-    /// config's `seed` field with the cell's seed (plus `tier` when a
-    /// routing/admission axis is present).
-    pub scenarios: Vec<(String, ExperimentConfig)>,
+    /// Labelled scenarios. Each cell overrides only the scenario's seed
+    /// with the cell's seed (plus its tier when a routing/admission axis
+    /// is present).
+    pub scenarios: Vec<(String, S)>,
     /// Master seeds; every scenario × controller pair runs once per seed.
     pub seeds: Vec<u64>,
     /// Labelled routing policies applied over the scenario's server
@@ -139,9 +154,16 @@ pub struct SweepSpec {
     /// tier. Empty (default) leaves every scenario's tier untouched.
     #[serde(default)]
     pub admissions: Vec<(String, AdmissionSpec)>,
-    /// Labelled controller recipes.
-    pub controllers: Vec<(String, ControllerSpec)>,
+    /// Labelled controller axis entries. Every entry must fit every
+    /// scenario ([`GridScenario::check_lineup`]).
+    pub controllers: Vec<(String, L)>,
 }
+
+/// A fleet grid: each cell runs a whole [`FleetConfig`] under a lineup
+/// of one [`ControllerSpec`] per device. [`FleetConfig`] carries live
+/// handles (a `Telemetry` pipeline), so fleet grids are not serializable
+/// and never cached.
+pub type FleetSweepSpec = SweepSpec<FleetConfig, Vec<ControllerSpec>>;
 
 /// Materialize an optional axis: empty means one pass-through entry
 /// with an empty label and no override.
@@ -153,27 +175,15 @@ fn axis_or_passthrough<T: Copy>(axis: &[(String, T)]) -> Vec<(String, Option<T>)
     }
 }
 
-/// Overlay routing/admission axis picks onto a config's tier. `None`
-/// picks leave the corresponding policy as the scenario configured it;
-/// if both picks are `None` the tier (possibly absent) is untouched so
-/// legacy grids stay bit-identical.
-fn overlay_tier(
-    tier: &mut Option<TierConfig>,
-    base: impl FnOnce() -> TierConfig,
-    routing: Option<RoutingSpec>,
-    admission: Option<AdmissionSpec>,
+/// Panic on the first label (or seed) `items` repeats.
+fn assert_unique<T: std::hash::Hash + Eq + std::fmt::Debug + Copy>(
+    what: &str,
+    items: impl IntoIterator<Item = T>,
 ) {
-    if routing.is_none() && admission.is_none() {
-        return;
+    let mut seen = HashSet::new();
+    for item in items {
+        assert!(seen.insert(item), "duplicate {what} {item:?}");
     }
-    let mut t = tier.take().unwrap_or_else(base);
-    if let Some(r) = routing {
-        t.routing = r;
-    }
-    if let Some(a) = admission {
-        t.admission = a;
-    }
-    *tier = Some(t);
 }
 
 impl SweepSpec {
@@ -189,7 +199,9 @@ impl SweepSpec {
             controllers: ControllerSpec::lineup(),
         }
     }
+}
 
+impl<S: GridScenario<L>, L: Clone> SweepSpec<S, L> {
     /// Total number of grid cells.
     pub fn cell_count(&self) -> usize {
         self.scenarios.len()
@@ -202,7 +214,11 @@ impl SweepSpec {
     /// The grid cells in canonical order: scenario-major, then seed,
     /// then routing, admission, controller. This order defines the
     /// layout of [`SweepReport::cells`], independent of execution order.
-    pub fn cells(&self) -> Vec<Cell> {
+    ///
+    /// A routing or admission pick overlays the scenario's tier
+    /// ([`GridScenario::tier_mut`]); with both axes empty the scenario,
+    /// tier included, is untouched but for its seed.
+    pub fn cells(&self) -> Vec<Cell<S, L>> {
         self.validate();
         let routings = axis_or_passthrough(&self.routings);
         let admissions = axis_or_passthrough(&self.admissions);
@@ -213,14 +229,12 @@ impl SweepSpec {
                     for (admission_label, admission) in &admissions {
                         for (controller, spec) in &self.controllers {
                             let mut config = config.clone();
-                            config.seed = seed;
-                            let gpu = config.gpu;
-                            overlay_tier(
-                                &mut config.tier,
-                                || TierConfig::single(gpu, OverflowPolicy::default()),
-                                *routing,
-                                *admission,
-                            );
+                            config.set_seed(seed);
+                            if routing.is_some() || admission.is_some() {
+                                let tier = config.tier_mut();
+                                tier.routing = routing.unwrap_or(tier.routing);
+                                tier.admission = admission.unwrap_or(tier.admission);
+                            }
                             out.push(Cell {
                                 key: CellKey {
                                     scenario: scenario.clone(),
@@ -244,25 +258,17 @@ impl SweepSpec {
         assert!(!self.scenarios.is_empty(), "sweep needs >= 1 scenario");
         assert!(!self.seeds.is_empty(), "sweep needs >= 1 seed");
         assert!(!self.controllers.is_empty(), "sweep needs >= 1 controller");
-        let mut seen = std::collections::HashSet::new();
-        for (l, _) in &self.scenarios {
-            assert!(seen.insert(l.as_str()), "duplicate scenario label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.controllers {
-            assert!(seen.insert(l.as_str()), "duplicate controller label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.routings {
-            assert!(seen.insert(l.as_str()), "duplicate routing label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.admissions {
-            assert!(seen.insert(l.as_str()), "duplicate admission label {l:?}");
-        }
-        let mut seeds = std::collections::HashSet::new();
-        for &s in &self.seeds {
-            assert!(seeds.insert(s), "duplicate seed {s}");
+        assert_unique("scenario label", self.scenarios.iter().map(|(l, _)| l));
+        assert_unique("controller label", self.controllers.iter().map(|(l, _)| l));
+        assert_unique("routing label", self.routings.iter().map(|(l, _)| l));
+        assert_unique("admission label", self.admissions.iter().map(|(l, _)| l));
+        assert_unique("seed", self.seeds.iter().copied());
+        for (controller, spec) in &self.controllers {
+            for (scenario, config) in &self.scenarios {
+                if let Err(why) = config.check_lineup(spec) {
+                    panic!("controller {controller:?} {why} in scenario {scenario:?}");
+                }
+            }
         }
     }
 }
@@ -286,13 +292,13 @@ pub struct CellKey {
 
 /// One fully resolved grid cell, ready to execute.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub struct Cell<S = ExperimentConfig, L = ControllerSpec> {
     /// Grid coordinates.
     pub key: CellKey,
-    /// The experiment configuration (seed already applied).
-    pub config: ExperimentConfig,
-    /// The controller recipe.
-    pub controller: ControllerSpec,
+    /// The scenario (seed and tier overlay already applied).
+    pub config: S,
+    /// The controller recipe: one spec, or one per fleet device.
+    pub controller: L,
 }
 
 impl Cell {
@@ -383,23 +389,23 @@ impl SweepOptions {
 
 /// One executed (or cache-restored) cell in the report.
 #[derive(Debug, Clone, Serialize)]
-pub struct CellResult {
+pub struct CellResult<R = ExperimentResult> {
     /// Grid coordinates.
     pub key: CellKey,
     /// Whether this result was read from the cache instead of executed.
     pub cached: bool,
-    /// The full experiment output.
-    pub result: ExperimentResult,
+    /// The full run output.
+    pub result: R,
 }
 
 /// The aggregated output of one sweep, cells in canonical grid order.
 #[derive(Debug, Clone, Serialize)]
-pub struct SweepReport {
+pub struct SweepReport<R = ExperimentResult> {
     /// Sweep name (from the spec).
     pub name: String,
     /// Per-cell results in [`SweepSpec::cells`] order.
-    pub cells: Vec<CellResult>,
-    /// Cells actually simulated this run.
+    pub cells: Vec<CellResult<R>>,
+    /// Cells actually run this time.
     pub executed: usize,
     /// Cells restored from the cache.
     pub cached: usize,
@@ -408,19 +414,19 @@ pub struct SweepReport {
     pub elapsed_secs: f64,
 }
 
-impl SweepReport {
+impl<R: Serialize> SweepReport<R> {
     /// Look up one cell by `(scenario, seed, controller)`. When the spec
     /// carried routing/admission axes this returns the first matching
     /// combination in grid order; use [`SweepReport::cells`] with a full
     /// [`CellKey`] match to disambiguate.
-    pub fn get(&self, scenario: &str, seed: u64, controller: &str) -> Option<&CellResult> {
+    pub fn get(&self, scenario: &str, seed: u64, controller: &str) -> Option<&CellResult<R>> {
         self.cells.iter().find(|c| {
             c.key.scenario == scenario && c.key.seed == seed && c.key.controller == controller
         })
     }
 
     /// All results for one `(scenario, seed)` row, in controller order.
-    pub fn row(&self, scenario: &str, seed: u64) -> Vec<&CellResult> {
+    pub fn row(&self, scenario: &str, seed: u64) -> Vec<&CellResult<R>> {
         self.cells
             .iter()
             .filter(|c| c.key.scenario == scenario && c.key.seed == seed)
@@ -430,7 +436,7 @@ impl SweepReport {
     /// Whether two reports carry bit-identical results (keys, cell
     /// order, and every QoS record / summary statistic; cache and
     /// timing metadata are excluded by construction).
-    pub fn results_identical(&self, other: &SweepReport) -> bool {
+    pub fn results_identical(&self, other: &SweepReport<R>) -> bool {
         self.cells.len() == other.cells.len()
             && self.cells.iter().zip(&other.cells).all(|(a, b)| {
                 a.key == b.key
@@ -499,17 +505,13 @@ fn cache_write(dir: &Path, hash: u64, result: &ExperimentResult) {
     let _ = std::fs::remove_file(&tmp);
 }
 
-fn run_cell(config: ExperimentConfig, controller: &ControllerSpec) -> ExperimentResult {
-    run_experiment(config, controller.build())
-}
-
 /// Execute every cell of `spec` and aggregate in canonical grid order.
 ///
 /// The returned report is bit-identical for any `workers` value: cells
 /// are merged by grid slot, so scheduling nondeterminism never reaches
 /// the output.
 pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepReport {
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let cells = spec.cells();
 
     // Cache probe happens serially, in grid order, before any dispatch:
@@ -529,55 +531,79 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> SweepReport {
             }
         }
     }
-    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
-
-    run_indexed(
-        pending.len(),
-        |j| {
-            let cell = &cells[pending[j]];
-            run_cell(cell.config.clone(), &cell.controller)
-        },
-        opts,
-        started,
-        |j, result| slots[pending[j]] = Some((false, result)),
-    );
+    let mut report = run_cells(&spec.name, cells, slots, opts, started, |cell| {
+        run_experiment(cell.config.clone(), cell.controller.build())
+    });
 
     // Persist fresh results (main thread only — workers never touch the
     // cache, so partial files cannot race).
     if let Some(dir) = opts.cache_dir.as_deref() {
-        for &i in &pending {
-            let (_, result) = slots[i].as_ref().expect("pending cell was executed");
-            cache_write(dir, hashes[i], result);
+        for (cell, &hash) in report.cells.iter().zip(&hashes) {
+            if !cell.cached {
+                cache_write(dir, hash, &cell.result);
+            }
         }
+        report.elapsed_secs = started.elapsed().as_secs_f64();
     }
+    report
+}
 
+/// Execute every cell of a fleet grid and aggregate in canonical grid
+/// order, with [`run_sweep`]'s executor and its bit-identical-at-any-
+/// worker-count guarantee; fleet cells are never cached.
+pub fn run_fleet_sweep(spec: &FleetSweepSpec, opts: &SweepOptions) -> SweepReport<FleetResult> {
+    let started = Instant::now();
+    let cells = spec.cells();
+    let slots = (0..cells.len()).map(|_| None).collect();
+    run_cells(&spec.name, cells, slots, opts, started, |cell| {
+        let lineup = cell.controller.iter().map(ControllerSpec::build).collect();
+        run_fleet(cell.config.clone(), lineup)
+    })
+}
+
+/// Run the `cells` whose slot is still empty (a filled slot is a cache
+/// hit) and assemble the report in grid order.
+fn run_cells<S: Sync, L: Sync, R: Send>(
+    name: &str,
+    cells: Vec<Cell<S, L>>,
+    mut slots: Vec<Option<(bool, R)>>,
+    opts: &SweepOptions,
+    started: Instant,
+    run: impl Fn(&Cell<S, L>) -> R + Sync,
+) -> SweepReport<R> {
+    let pending: Vec<usize> = (0..cells.len()).filter(|&i| slots[i].is_none()).collect();
+    run_indexed(
+        pending.len(),
+        |j| run(&cells[pending[j]]),
+        opts,
+        started,
+        |j, result| slots[pending[j]] = Some((false, result)),
+    );
     let executed = pending.len();
-    let cached = cells.len() - executed;
-    let cell_results = cells
+    let cells: Vec<CellResult<R>> = cells
         .into_iter()
         .zip(slots)
         .map(|(cell, slot)| {
-            let (was_cached, result) = slot.expect("every slot filled");
+            let (cached, result) = slot.expect("every slot filled");
             CellResult {
                 key: cell.key,
-                cached: was_cached,
+                cached,
                 result,
             }
         })
         .collect();
-
     SweepReport {
-        name: spec.name.clone(),
-        cells: cell_results,
+        name: name.to_string(),
+        cached: cells.len() - executed,
+        cells,
         executed,
-        cached,
         elapsed_secs: started.elapsed().as_secs_f64(),
     }
 }
 
-/// The one executor behind [`run_sweep`] and [`run_fleet_sweep`]: runs
-/// `run(0)..run(jobs - 1)` and hands each result to `merge` on the
-/// calling thread, which polls the telemetry pipeline after each one.
+/// The executor behind [`run_cells`]: runs `run(0)..run(jobs - 1)` and
+/// hands each result to `merge` on the calling thread, which polls the
+/// telemetry pipeline after each one.
 ///
 /// With one worker (or one job) everything runs on the calling thread,
 /// in index order. Otherwise `opts.workers` scoped threads claim
@@ -640,233 +666,6 @@ fn run_indexed<R, F>(
         });
     }
     opts.telemetry.poll();
-}
-
-// ---------------------------------------------------------------------
-// Fleet grids: `(scenario × seed × routing × admission × fleet)` over
-// `run_fleet`. The fleet twin of `SweepSpec` — same canonical-order /
-// merge-by-slot discipline, same executor — but each cell runs a whole
-// multi-device fleet against the server tier, and the fleet axis swaps
-// the *controller lineup* (one spec per device) instead of a single
-// controller. `FleetConfig` carries live handles (a `Telemetry`
-// pipeline), so fleet grids are not serializable and never cached.
-// ---------------------------------------------------------------------
-
-/// A declarative fleet grid. Unlike [`SweepSpec`] this is not a serde
-/// type ([`FleetConfig`] is not serializable); build it in code.
-///
-/// Empty `routings` / `admissions` axes mean one pass-through
-/// combination, like [`SweepSpec`].
-#[derive(Clone)]
-pub struct FleetSweepSpec {
-    /// Sweep name (used in reports and exported artifacts).
-    pub name: String,
-    /// Labelled fleet configurations. Each cell overrides the config's
-    /// `seed` (and `tier` when a routing/admission axis is present).
-    pub scenarios: Vec<(String, FleetConfig)>,
-    /// Master seeds.
-    pub seeds: Vec<u64>,
-    /// Labelled routing policies overlaid on each scenario's tier.
-    pub routings: Vec<(String, RoutingSpec)>,
-    /// Labelled admission policies overlaid on each scenario's tier.
-    pub admissions: Vec<(String, AdmissionSpec)>,
-    /// Labelled controller lineups, one [`ControllerSpec`] per device.
-    /// Every lineup's length must match every scenario's device count.
-    pub fleets: Vec<(String, Vec<ControllerSpec>)>,
-}
-
-impl FleetSweepSpec {
-    /// Total number of grid cells.
-    pub fn cell_count(&self) -> usize {
-        self.scenarios.len()
-            * self.seeds.len()
-            * self.routings.len().max(1)
-            * self.admissions.len().max(1)
-            * self.fleets.len()
-    }
-
-    /// The grid cells in canonical order: scenario-major, then seed,
-    /// routing, admission, fleet — the layout of
-    /// [`FleetSweepReport::cells`], independent of execution order.
-    pub fn cells(&self) -> Vec<FleetCell> {
-        self.validate();
-        let routings = axis_or_passthrough(&self.routings);
-        let admissions = axis_or_passthrough(&self.admissions);
-        let mut out = Vec::with_capacity(self.cell_count());
-        for (scenario, config) in &self.scenarios {
-            for &seed in &self.seeds {
-                for (routing_label, routing) in &routings {
-                    for (admission_label, admission) in &admissions {
-                        for (fleet, lineup) in &self.fleets {
-                            let mut config = config.clone();
-                            config.seed = seed;
-                            let base = config.tier_config();
-                            overlay_tier(&mut config.tier, || base, *routing, *admission);
-                            out.push(FleetCell {
-                                key: FleetCellKey {
-                                    scenario: scenario.clone(),
-                                    seed,
-                                    routing: routing_label.clone(),
-                                    admission: admission_label.clone(),
-                                    fleet: fleet.clone(),
-                                },
-                                config,
-                                fleet: lineup.clone(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn validate(&self) {
-        assert!(
-            !self.scenarios.is_empty(),
-            "fleet sweep needs >= 1 scenario"
-        );
-        assert!(!self.seeds.is_empty(), "fleet sweep needs >= 1 seed");
-        assert!(
-            !self.fleets.is_empty(),
-            "fleet sweep needs >= 1 fleet lineup"
-        );
-        let mut seen = std::collections::HashSet::new();
-        for (l, _) in &self.scenarios {
-            assert!(seen.insert(l.as_str()), "duplicate scenario label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.fleets {
-            assert!(seen.insert(l.as_str()), "duplicate fleet label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.routings {
-            assert!(seen.insert(l.as_str()), "duplicate routing label {l:?}");
-        }
-        seen.clear();
-        for (l, _) in &self.admissions {
-            assert!(seen.insert(l.as_str()), "duplicate admission label {l:?}");
-        }
-        let mut seeds = std::collections::HashSet::new();
-        for &s in &self.seeds {
-            assert!(seeds.insert(s), "duplicate seed {s}");
-        }
-        for (fleet, lineup) in &self.fleets {
-            for (scenario, config) in &self.scenarios {
-                assert_eq!(
-                    lineup.len(),
-                    config.devices.len(),
-                    "fleet {fleet:?} has {} controllers but scenario {scenario:?} has {} devices",
-                    lineup.len(),
-                    config.devices.len()
-                );
-            }
-        }
-    }
-}
-
-/// Grid coordinates of one fleet cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
-pub struct FleetCellKey {
-    /// Scenario label.
-    pub scenario: String,
-    /// Master seed of this run.
-    pub seed: u64,
-    /// Routing axis label (empty when the spec has no routing axis).
-    pub routing: String,
-    /// Admission axis label (empty when the spec has no admission axis).
-    pub admission: String,
-    /// Fleet (controller lineup) label.
-    pub fleet: String,
-}
-
-/// One fully resolved fleet cell, ready to execute.
-#[derive(Clone)]
-pub struct FleetCell {
-    /// Grid coordinates.
-    pub key: FleetCellKey,
-    /// The fleet configuration (seed and tier overlay applied).
-    pub config: FleetConfig,
-    /// Controller recipes, one per device.
-    pub fleet: Vec<ControllerSpec>,
-}
-
-/// One executed fleet cell in the report.
-#[derive(Debug, Serialize)]
-pub struct FleetCellResult {
-    /// Grid coordinates.
-    pub key: FleetCellKey,
-    /// The full fleet output.
-    pub result: FleetResult,
-}
-
-/// The aggregated output of one fleet sweep, cells in canonical grid
-/// order.
-#[derive(Debug, Serialize)]
-pub struct FleetSweepReport {
-    /// Sweep name (from the spec).
-    pub name: String,
-    /// Per-cell results in [`FleetSweepSpec::cells`] order.
-    pub cells: Vec<FleetCellResult>,
-    /// Wall-clock duration in seconds (not part of the deterministic
-    /// payload — compare `cells`, not this).
-    pub elapsed_secs: f64,
-}
-
-impl FleetSweepReport {
-    /// Look up one cell by its full grid coordinates.
-    pub fn get(&self, key: &FleetCellKey) -> Option<&FleetCellResult> {
-        self.cells.iter().find(|c| c.key == *key)
-    }
-
-    /// Whether two reports carry bit-identical fleet results (keys,
-    /// cell order, every per-device summary and server counter).
-    pub fn results_identical(&self, other: &FleetSweepReport) -> bool {
-        self.cells.len() == other.cells.len()
-            && self.cells.iter().zip(&other.cells).all(|(a, b)| {
-                a.key == b.key
-                    && serde_json::to_string(&a.result).expect("result serializes")
-                        == serde_json::to_string(&b.result).expect("result serializes")
-            })
-    }
-}
-
-fn run_fleet_cell(config: FleetConfig, lineup: &[ControllerSpec]) -> FleetResult {
-    run_fleet(config, lineup.iter().map(ControllerSpec::build).collect())
-}
-
-/// Execute every cell of a fleet grid and aggregate in canonical grid
-/// order. Shares the executor (and the bit-identical-at-any-worker-count
-/// guarantee) with [`run_sweep`]; fleet cells are never cached.
-pub fn run_fleet_sweep(spec: &FleetSweepSpec, opts: &SweepOptions) -> FleetSweepReport {
-    let started = std::time::Instant::now();
-    let cells = spec.cells();
-    let mut slots: Vec<Option<FleetResult>> = (0..cells.len()).map(|_| None).collect();
-    run_indexed(
-        cells.len(),
-        |i| run_fleet_cell(cells[i].config.clone(), &cells[i].fleet),
-        opts,
-        started,
-        |i, result| slots[i] = Some(result),
-    );
-
-    let cell_results = cells
-        .into_iter()
-        .zip(slots)
-        .map(|(cell, slot)| {
-            let result = slot.expect("every slot filled");
-            FleetCellResult {
-                key: cell.key,
-                result,
-            }
-        })
-        .collect();
-
-    FleetSweepReport {
-        name: spec.name.clone(),
-        cells: cell_results,
-        elapsed_secs: started.elapsed().as_secs_f64(),
-    }
 }
 
 #[cfg(test)]
@@ -1069,7 +868,7 @@ mod tests {
                 ("po2c".into(), RoutingSpec::PowerOfTwoChoices),
             ],
             admissions: vec![("admit-all".into(), AdmissionSpec::AdmitAll)],
-            fleets: vec![(
+            controllers: vec![(
                 "mixed".into(),
                 vec![
                     ControllerSpec::framefeedback(),
@@ -1087,7 +886,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].key.routing, "shard");
         assert_eq!(cells[1].key.routing, "po2c");
-        assert_eq!(cells[0].key.fleet, "mixed");
+        assert_eq!(cells[0].key.controller, "mixed");
         assert_eq!(cells[0].config.seed, 7);
         let tier = cells[1].config.tier.as_ref().expect("tier set");
         assert_eq!(tier.routing, RoutingSpec::PowerOfTwoChoices);
@@ -1101,15 +900,14 @@ mod tests {
         let parallel = run_fleet_sweep(&spec, &SweepOptions::parallel(3));
         assert_eq!(serial.cells.len(), 2);
         assert!(serial.results_identical(&parallel));
-        let key = serial.cells[0].key.clone();
-        assert!(serial.get(&key).is_some());
+        assert!(serial.get("two-servers", 7, "mixed").is_some());
     }
 
     #[test]
     #[should_panic(expected = "has 2 controllers")]
     fn fleet_lineup_must_match_device_count() {
         let mut spec = tiny_fleet_spec();
-        spec.fleets = vec![(
+        spec.controllers = vec![(
             "short".into(),
             vec![ControllerSpec::framefeedback(), ControllerSpec::LocalOnly],
         )];

@@ -9,11 +9,9 @@
 //! cargo run --release --bin ffexp -- --scenario ideal --frames 900 --json out.json
 //! ```
 
-use framefeedback::baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
-use framefeedback::controller::{Controller, FrameFeedback, PidConfig};
 use framefeedback::device::{
-    content_scenario, replay_verify, run_experiment, run_experiment_traced, ExperimentConfig,
-    ModelSelection,
+    content_scenario, replay_verify_with, run_experiment, run_experiment_traced, ControllerSpec,
+    ExperimentConfig, ModelSelection, ReplayReport,
 };
 use framefeedback::server::{AdmissionPolicy, RoutingPolicy, ServerSpec, TierConfig};
 use framefeedback::sim::SimDuration;
@@ -78,6 +76,7 @@ USAGE:
         [--dump-config]    print the default config as JSON and exit
         [--trace PATH]     record the run as a binary control-loop trace
         [--verify-trace PATH]  replay-verify a recorded trace and exit
+                           (pass the --kp/--kd it was recorded with)
 
 SCENARIOS:
   ideal     perfect 10 Mbps network, no background load
@@ -238,42 +237,36 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
     {
         return Err(format!("unknown scenario {:?}\n\n{USAGE}", config.scenario));
     }
-    if ![
-        "framefeedback",
-        "local-only",
-        "always-offload",
-        "all-or-nothing",
-    ]
-    .contains(&config.controller.as_str())
-    {
-        return Err(format!(
-            "unknown controller {:?}\n\n{USAGE}",
-            config.controller
-        ));
-    }
-    if (config.kp.is_some() || config.kd.is_some()) && config.controller != "framefeedback" {
-        return Err("--kp/--kd only apply to the framefeedback controller".into());
-    }
+    controller_spec(&config.controller, &config).map_err(|e| format!("{e}\n\n{USAGE}"))?;
     Ok(config)
 }
 
-fn build_controller(cli: &CliConfig) -> Box<dyn Controller> {
-    match cli.controller.as_str() {
-        "framefeedback" => {
-            let mut pid = PidConfig::default();
-            if let Some(kp) = cli.kp {
-                pid.kp = kp;
-            }
-            if let Some(kd) = cli.kd {
-                pid.kd = kd;
-            }
-            Box::new(FrameFeedback::with_config(pid))
+/// The controller called `name` with the `--kp`/`--kd` gain overrides
+/// applied — to the run's `--controller`, or to the controller a
+/// `--verify-trace` header names.
+fn controller_spec(name: &str, cli: &CliConfig) -> Result<ControllerSpec, String> {
+    match ControllerSpec::from_name(name) {
+        None => Err(format!("unknown controller {name:?}")),
+        Some(ControllerSpec::FrameFeedback(mut pid)) => {
+            pid.kp = cli.kp.unwrap_or(pid.kp);
+            pid.kd = cli.kd.unwrap_or(pid.kd);
+            Ok(ControllerSpec::FrameFeedback(pid))
         }
-        "local-only" => Box::new(LocalOnly::new()),
-        "always-offload" => Box::new(AlwaysOffload::new()),
-        "all-or-nothing" => Box::new(AllOrNothing::new()),
-        other => unreachable!("validated controller name {other}"),
+        Some(_) if cli.kp.is_some() || cli.kd.is_some() => Err(format!(
+            "--kp/--kd only apply to the framefeedback controller, not {name}"
+        )),
+        Some(spec) => Ok(spec),
     }
+}
+
+/// Replay-verify an encoded trace under the controller its header names,
+/// with the CLI's gain overrides (the header does not carry gains).
+fn verify_trace(bytes: &[u8], cli: &CliConfig) -> Result<(Trace, ReplayReport), String> {
+    let trace = Trace::decode(bytes).map_err(|e| format!("not a valid trace: {e}"))?;
+    let spec = controller_spec(&trace.header.controller, cli)?;
+    let report = replay_verify_with(&trace, spec.build().as_mut())
+        .map_err(|e| format!("replay mismatch: {e}"))?;
+    Ok((trace, report))
 }
 
 /// Overlay the tier flags onto a config. No flags → the config's own
@@ -372,7 +365,7 @@ fn main() -> ExitCode {
 
     // Verification mode: no experiment runs; the trace itself carries
     // the runtime configuration and controller name it was recorded
-    // under.
+    // under, and `--kp`/`--kd` the gains.
     if let Some(path) = &cli.verify_trace {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
@@ -381,15 +374,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let trace = match Trace::decode(&bytes) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: not a valid trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match replay_verify(&trace) {
-            Ok(report) => {
+        return match verify_trace(&bytes, &cli) {
+            Ok((trace, report)) => {
                 println!(
                     "{path}: OK — controller={} seed={} events={} captures={} submits={} ticks={}",
                     trace.header.controller,
@@ -402,14 +388,17 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("{path}: replay mismatch: {e}");
+                eprintln!("{path}: {e}");
                 ExitCode::FAILURE
             }
         };
     }
 
+    let controller = controller_spec(&cli.controller, &cli)
+        .expect("controller validated at parse time")
+        .build();
     let result = if let Some(path) = &cli.trace {
-        let (result, bytes) = run_experiment_traced(build_experiment(&cli), build_controller(&cli));
+        let (result, bytes) = run_experiment_traced(build_experiment(&cli), controller);
         if let Err(e) = std::fs::write(path, &bytes) {
             eprintln!("failed to write trace {path}: {e}");
             return ExitCode::FAILURE;
@@ -419,7 +408,7 @@ fn main() -> ExitCode {
         }
         result
     } else {
-        run_experiment(build_experiment(&cli), build_controller(&cli))
+        run_experiment(build_experiment(&cli), controller)
     };
 
     if !cli.quiet {
@@ -536,8 +525,10 @@ mod tests {
         let c = parse_args(&args("--kp 0.3 --kd 0.1")).unwrap();
         assert_eq!(c.kp, Some(0.3));
         assert_eq!(c.kd, Some(0.1));
-        let ctl = build_controller(&c);
-        assert_eq!(ctl.name(), "framefeedback");
+        let ControllerSpec::FrameFeedback(pid) = controller_spec(&c.controller, &c).unwrap() else {
+            panic!("framefeedback is a PID controller");
+        };
+        assert_eq!((pid.kp, pid.kd), (0.3, 0.1));
     }
 
     #[test]
@@ -662,6 +653,33 @@ mod tests {
     }
 
     #[test]
+    fn verify_trace_takes_the_gain_flags() {
+        let v = parse_args(&args("--verify-trace b.fftrace --kp 0.9 --kd 0.1")).unwrap();
+        assert_eq!(v.verify_trace.as_deref(), Some("b.fftrace"));
+        assert_eq!((v.kp, v.kd), (Some(0.9), Some(0.1)));
+    }
+
+    #[test]
+    fn a_run_recorded_with_tuned_gains_verifies_under_those_gains() {
+        let record = |flags: &str| {
+            let cli = parse_args(&args(flags)).unwrap();
+            let controller = controller_spec(&cli.controller, &cli).unwrap().build();
+            run_experiment_traced(build_experiment(&cli), controller).1
+        };
+        let tuned = record("--scenario table5 --frames 300 --kp 0.9");
+        let with = |flags: &str| verify_trace(&tuned, &parse_args(&args(flags)).unwrap());
+        let (trace, report) = with("--kp 0.9").expect("tuned gains replay the tuned run");
+        assert_eq!(trace.header.controller, "framefeedback");
+        assert!(report.ticks > 0);
+        let err = with("").expect_err("default gains must not replay a tuned run");
+        assert!(err.contains("replay mismatch"), "{err}");
+
+        let baseline = record("--controller local-only --frames 90");
+        let err = verify_trace(&baseline, &parse_args(&args("--kp 0.9")).unwrap()).unwrap_err();
+        assert!(err.contains("only apply"), "{err}");
+    }
+
+    #[test]
     fn dump_config_flag_parses() {
         let c = parse_args(&args("--dump-config")).unwrap();
         assert!(c.dump_config);
@@ -768,7 +786,8 @@ mod tests {
         ] {
             let mut cli = CliConfig::default();
             cli.controller = name.into();
-            assert_eq!(build_controller(&cli).name(), name);
+            let spec = controller_spec(name, &cli).unwrap();
+            assert_eq!(spec.build().name(), name);
         }
     }
 }

@@ -99,11 +99,11 @@ pub mod trace {
     pub use ff_trace::*;
 }
 
-/// The parallel deterministic sweep engine (`ff-sweep`): declarative
-/// `(scenario × seed × routing × admission × controller)` grids — plus
-/// the fleet twin `FleetSweepSpec` crossing whole controller lineups —
-/// shared-cursor execution, order-independent aggregation, and the
-/// content-hash result cache (experiment grids only).
+/// The parallel deterministic sweep engine (`ff-sweep`): one declarative
+/// `(scenario × seed × routing × admission × controller)` grid type over
+/// experiments or whole fleets (`FleetSweepSpec`, one controller lineup
+/// per cell), shared-cursor execution, order-independent aggregation,
+/// and the content-hash result cache (experiment grids only).
 pub mod sweep {
     pub use ff_sweep::*;
 }

@@ -158,7 +158,7 @@ fn four_server_grid() -> FleetSweepSpec {
                 burst: 20.0,
             },
         )],
-        fleets: vec![(
+        controllers: vec![(
             "all-pd".into(),
             (0..6).map(|_| ControllerSpec::framefeedback()).collect(),
         )],
