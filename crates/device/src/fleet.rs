@@ -964,10 +964,12 @@ impl TierObs {
         let server = self.server;
         let stats = tier.total_stats();
         let last = self.last_server;
-        let queue_depth: usize = (0..tier.len()).map(|i| tier.server(i).queue_len()).sum();
+        let queue_depth: usize = (0..tier.len())
+            .map(|i| tier.server(i).batcher().queue_len())
+            .sum();
         rec.gauge(server, Metric::ServerQueueDepth, queue_depth as f64, t);
         let occupancy: usize = (0..tier.len())
-            .map(|i| tier.server(i).running_batch_size().unwrap_or(0))
+            .map(|i| tier.server(i).batcher().running_batch_size().unwrap_or(0))
             .sum();
         rec.gauge(server, Metric::BatchOccupancy, occupancy as f64, t);
         let d = stats.requests_received - last.requests_received;
@@ -986,7 +988,7 @@ impl TierObs {
 
         // Per-server scopes, only interned for multi-server tiers.
         for (i, &scope) in self.servers.iter().enumerate() {
-            let s = tier.server(i);
+            let s = tier.server(i).batcher();
             let stats = s.stats();
             let last = self.last_servers[i];
             rec.gauge(scope, Metric::ServerUp, tier.is_up(i) as u64 as f64, t);
@@ -1180,7 +1182,7 @@ impl SimModel for FleetWorld {
                 // from now: one lane entry delivers them in this order.
                 // Background tenants' requests go nowhere.
                 let queued = self.responses.len();
-                let tags = self.batch_out.completions.iter().map(|c| c.request.tag);
+                let tags = self.batch_out.completions.iter().map(|c| c.tag);
                 self.responses
                     .extend(tags.filter(|&tag| !is_background_tag(tag)));
                 let n = (self.responses.len() - queued) as u32;
@@ -1190,7 +1192,7 @@ impl SimModel for FleetWorld {
                 }
                 for r in &self.batch_out.rejections {
                     // Only a device's frames learn of a rejection.
-                    let tag = r.request.tag;
+                    let tag = r.tag;
                     if tag < BACKGROUND_TAG_BASE {
                         self.core.row_of(tag).frame_rejected_by_server(tag, now);
                     }

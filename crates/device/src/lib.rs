@@ -22,6 +22,19 @@
 
 #![warn(missing_docs)]
 
+/// Dependencies re-exported for crates with no edge of their own to
+/// them (`ff-reactor` reaches the batcher and the uplink here). The
+/// benchmark's frozen `Cargo.lock` records direct edges only: a new
+/// `[dependencies]` edge would rewrite it, a path through this one does
+/// not. Real edges replace this module once the benchmark builds
+/// `--locked` (ROADMAP item 9(g)). It holds only crates a caller names.
+#[doc(hidden)]
+pub mod deps {
+    pub use ff_models;
+    pub use ff_net;
+    pub use ff_server;
+}
+
 mod content;
 mod controller;
 mod cpu;

@@ -54,7 +54,7 @@ pub use crate::tags::{is_probe_tag, BACKGROUND_TAG_BASE, PROBE_TAG_BASE};
 pub enum SubmitOutcome {
     /// The transport took the frame; a response may arrive later.
     Accepted,
-    /// The transport dropped it (link overflow, pacer loss). The device
+    /// The transport dropped it (link overflow, loss beyond ARQ). The device
     /// only learns at the deadline, but the cause is already known to be
     /// the network.
     DroppedInNetwork,
@@ -66,8 +66,8 @@ pub enum SubmitOutcome {
 }
 
 /// Where the runtime hands outgoing frames and probes. Implementations
-/// wrap the simulated uplink (`fleet.rs`) or a TCP connection and its
-/// uplink pacer (`ff-reactor`).
+/// wrap the simulated uplink (`fleet.rs`) or a TCP connection behind
+/// the same simulated uplink (`ff-reactor`).
 pub trait Transport {
     /// Submit `bytes` of payload under `tag` at instant `now`.
     fn send(&mut self, tag: u64, bytes: u64, now: SimTime) -> SubmitOutcome;

@@ -539,11 +539,11 @@ pub(crate) fn run_sharded(
                         // Past `end_at` the legacy engine schedules the
                         // response but never pops it.
                         if at <= end_at {
-                            emit(at, FB_BATCH, c.request.tag, FeedbackKind::Response);
+                            emit(at, FB_BATCH, c.tag, FeedbackKind::Response);
                         }
                     }
                     for rej in &batch_out.rejections {
-                        let tag = rej.request.tag;
+                        let tag = rej.tag;
                         if !tag_is_probe(tag) {
                             emit(now, FB_BATCH, tag, FeedbackKind::BatchRejected);
                         }
@@ -672,56 +672,98 @@ pub(crate) fn run_sharded(
 }
 
 /// Test hooks for the merge-order proptest in
-/// `tests/shard_determinism.rs`.
+/// `tests/shard_determinism.rs` and the one-global-heap oracle in
+/// `tests/shard_merge_oracle.rs`.
 #[doc(hidden)]
 pub mod testhooks {
     pub use super::MergeKey;
-    use super::{ItemKind, RoundMerge, Submission, CLASS_BATCH, CLASS_PROBE};
+    use super::{ItemKind, RoundMerge, Submission};
     use crate::tags::fleet_tag;
-    use ff_sim::SimTime;
+    use ff_sim::{SimDuration, SimTime};
+
+    /// The batch-completion [`MergeKey`] class.
+    pub const CLASS_BATCH: u8 = super::CLASS_BATCH;
+    /// The probe-submission class.
+    pub const CLASS_PROBE: u8 = super::CLASS_PROBE;
+    /// The frame-submission class.
+    pub const CLASS_FRAME: u8 = super::CLASS_FRAME;
+
+    /// The key of the batch completion that a submission keyed `key`
+    /// starts, `after` µs past its arrival, `tie`-th in emission order.
+    pub fn batch_key(key: MergeKey, after: u64, tie: u64) -> MergeKey {
+        MergeKey {
+            at: key.at + SimDuration::from_micros(after),
+            ins: key.at,
+            class: CLASS_BATCH,
+            tie,
+        }
+    }
+
+    /// Each round's pop order through the coordinator's `RoundMerge`,
+    /// `timers` scheduled up front. A round `(bound, deposits)` deposits
+    /// submissions, each with the latency of the batch it starts (0 for
+    /// none), then pops what fires before `bound`; a popped submission
+    /// schedules its batch completion ([`batch_key`]) mid-pop.
+    pub fn play(
+        timers: Vec<MergeKey>,
+        rounds: &[(SimTime, Vec<(MergeKey, u64)>)],
+    ) -> Vec<Vec<MergeKey>> {
+        let mut merge = RoundMerge::default();
+        for key in timers {
+            let (server, recover) = (0, false);
+            merge.schedule(key, ItemKind::Outage { server, recover });
+        }
+        let deposited = || rounds.iter().flat_map(|(_, deposits)| deposits);
+        let after_of = |k| deposited().find(|(q, _)| *q == k).map_or(0, |&(_, a)| a);
+        let mut tie = 0;
+        let mut pops = Vec::new();
+        for (bound, deposits) in rounds {
+            for &(k, _) in deposits {
+                let tag = fleet_tag(k.tie as usize, 0, k.class == CLASS_PROBE);
+                let (at, sent_at) = (k.at, k.ins);
+                merge.deposit(Submission { at, sent_at, tag });
+            }
+            merge.begin_round();
+            let mut popped = Vec::new();
+            while let Some(item) = merge.pop_before(*bound) {
+                let after = after_of(item.key);
+                if matches!(item.kind, ItemKind::Submission { .. }) && after > 0 {
+                    let (server, epoch) = (0, 0);
+                    let done = ItemKind::BatchDone { server, epoch };
+                    merge.schedule(batch_key(item.key, after, tie), done);
+                    tie += 1;
+                }
+                popped.push(item.key);
+            }
+            pops.push(popped);
+        }
+        pops
+    }
 
     /// Window width of the rounds `merge_order` plays, in microseconds.
     const WINDOW_US: u64 = 8;
 
-    /// Pop order of a set of merge keys through the coordinator's
-    /// per-round sort-merge, played the way a run plays it: outage- and
-    /// batch-class keys are scheduled as timers, probe- and frame-class
-    /// keys are deposited as submissions — the `i`-th key in some round
-    /// no later than its arrival window, chosen by `i`, so a different
-    /// arrival order also moves keys between rounds — and every round
-    /// pops what fires before its window ends.
+    /// Pop order of a set of merge keys through [`play`]: outage- and
+    /// batch-class keys are timers, probe- and frame-class keys are
+    /// deposited — the `i`-th key in some round no later than its
+    /// arrival window, chosen by `i`, so a different arrival order also
+    /// moves keys between rounds — and every round pops what fires
+    /// before its window ends.
     pub fn merge_order(keys: Vec<MergeKey>) -> Vec<MergeKey> {
         let window_of = |key: &MergeKey| (key.at.as_micros() / WINDOW_US) as usize;
-        let rounds = keys.iter().map(window_of).max().map_or(0, |w| w + 1);
-        let mut merge = RoundMerge::default();
-        let mut deposits: Vec<Vec<Submission>> = (0..rounds).map(|_| Vec::new()).collect();
+        let n = keys.iter().map(window_of).max().map_or(0, |w| w + 1);
+        let mut rounds: Vec<(SimTime, Vec<(MergeKey, u64)>)> = (1..=n as u64)
+            .map(|r| (SimTime::from_micros(r * WINDOW_US), Vec::new()))
+            .collect();
+        let mut timers = Vec::new();
         for (i, key) in keys.into_iter().enumerate() {
             if key.class <= CLASS_BATCH {
-                let kind = ItemKind::Outage {
-                    server: 0,
-                    recover: false,
-                };
-                merge.schedule(key, kind);
+                timers.push(key);
             } else {
-                deposits[i % (window_of(&key) + 1)].push(Submission {
-                    at: key.at,
-                    sent_at: key.ins,
-                    tag: fleet_tag(key.tie as usize, 0, key.class == CLASS_PROBE),
-                });
+                rounds[i % (window_of(&key) + 1)].1.push((key, 0));
             }
         }
-        let mut out = Vec::new();
-        for (round, deposited) in deposits.into_iter().enumerate() {
-            for sub in deposited {
-                merge.deposit(sub);
-            }
-            merge.begin_round();
-            let bound = SimTime::from_micros((round as u64 + 1) * WINDOW_US);
-            while let Some(item) = merge.pop_before(bound) {
-                out.push(item.key);
-            }
-        }
-        out
+        play(timers, &rounds).concat()
     }
 }
 
@@ -771,77 +813,5 @@ mod tests {
             testhooks::merge_order(vec![frame, batch]),
             vec![batch, frame]
         );
-    }
-
-    proptest::proptest! {
-        /// The structure [`RoundMerge`] replaced — every item, wide
-        /// submissions included, through one global heap — is the
-        /// oracle: with submissions deposited rounds ahead of their
-        /// arrival and batch completions scheduled mid-pop by the items
-        /// that start them, both pop the same sequence.
-        #[test]
-        fn prop_round_merge_pops_like_one_global_heap(
-            // (deposit round, arrival delay, device and probe bit, batch latency)
-            subs in proptest::collection::vec((0u64..12, 0u64..40, 0u64..12, 0u64..30), 0..120),
-        ) {
-            const W: u64 = 10;
-            let mut by_round: Vec<Vec<(MergeKey, u64)>> = vec![Vec::new(); 12];
-            for &(round, delay, dev_probe, batch_after) in &subs {
-                // Sent inside window `round`, arriving at least one
-                // window later: the conservative bound.
-                let dev = dev_probe / 2;
-                let sent = round * W + dev;
-                let class = if dev_probe % 2 == 1 { CLASS_PROBE } else { CLASS_FRAME };
-                let k = key(sent + W + delay, sent, class, dev);
-                by_round[round as usize].push((k, batch_after));
-            }
-            // A submission's stand-in effect: one batch completion
-            // `batch_after` microseconds later (none for 0), keyed like
-            // the coordinator keys them.
-            let batch = |k: MergeKey, after: u64, tie: u64| MergeKey {
-                at: k.at + SimDuration::from_micros(after),
-                ins: k.at,
-                class: CLASS_BATCH,
-                tie,
-            };
-            let after_of = |k: MergeKey| {
-                by_round.iter().flatten().find(|(q, _)| *q == k).map_or(0, |&(_, a)| a)
-            };
-
-            let mut heap: BinaryHeap<Reverse<MergeKey>> = BinaryHeap::new();
-            let mut merge = RoundMerge::default();
-            let (mut heap_tie, mut merge_tie) = (0u64, 0u64);
-            for (round, deposited) in by_round.iter().enumerate() {
-                let bound = SimTime::from_micros((round as u64 + 2) * W);
-                let mut expected = Vec::new();
-                heap.extend(deposited.iter().map(|&(k, _)| Reverse(k)));
-                while heap.peek().is_some_and(|Reverse(k)| k.at < bound) {
-                    let Reverse(k) = heap.pop().unwrap();
-                    expected.push(k);
-                    if k.class > CLASS_BATCH && after_of(k) > 0 {
-                        heap.push(Reverse(batch(k, after_of(k), heap_tie)));
-                        heap_tie += 1;
-                    }
-                }
-                let mut popped = Vec::new();
-                for &(k, _) in deposited {
-                    merge.deposit(Submission {
-                        at: k.at,
-                        sent_at: k.ins,
-                        tag: crate::tags::fleet_tag(k.tie as usize, 0, k.class == CLASS_PROBE),
-                    });
-                }
-                merge.begin_round();
-                while let Some(ServerItem { key: k, kind }) = merge.pop_before(bound) {
-                    popped.push(k);
-                    if matches!(kind, ItemKind::Submission { .. }) && after_of(k) > 0 {
-                        let done = ItemKind::BatchDone { server: 0, epoch: 0 };
-                        merge.schedule(batch(k, after_of(k), merge_tie), done);
-                        merge_tie += 1;
-                    }
-                }
-                proptest::prop_assert_eq!(popped, expected, "round {}", round);
-            }
-        }
     }
 }

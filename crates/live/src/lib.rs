@@ -2,8 +2,8 @@
 //!
 //! The live tier — real sockets, real time, the same `DeviceRuntime`
 //! control loop as the simulator — is `ff_reactor`: its epoll fleet
-//! client, `ReactorServer` and per-device `Pacer`. This crate holds the
-//! two pieces that sit beside it:
+//! client and `ReactorServer`. This crate holds the two pieces that sit
+//! beside it:
 //!
 //! * [`TcpExportSink`], the line-delimited JSON telemetry endpoint the
 //!   `ff-bench dashboard` connects to;

@@ -13,14 +13,15 @@
 //! The offload transport's backpressure contract: a dead connection or
 //! a full bounded write buffer yields `FailedInstantly` (the runtime
 //! records the timeout on the spot and the controller parks at the
-//! §III-A.1 probe floor), and the per-device [`Pacer`] turns an
-//! impaired link's loss or backlog overflow into `DroppedInNetwork`,
-//! as `ff-net`'s link does in the DES.
+//! §III-A.1 probe floor). Each device's uplink is the simulator's
+//! `ff_net::Link`: a frame it delivers is written at its delivery
+//! instant, and one it drops (loss beyond ARQ, backlog overflow) is
+//! `DroppedInNetwork`, as in the DES.
 
 use crate::conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
-use crate::pacer::{Pacer, PacerConditions, PacerVerdict};
 use crate::timer::DeadlineWheel;
 use ff_core::Controller;
+use ff_device::deps::ff_net::{Link, LinkConfig, NetworkConditions, SendOutcome};
 use ff_device::{
     DeviceRuntime, FrameOutcome, LocalEngine, ModelSelection, Route, RuntimeConfig, SubmitOutcome,
     Transport, WallClock,
@@ -107,8 +108,8 @@ pub struct ReactorDeviceConfig {
     pub timeout_window: Duration,
     /// Reconnect backoff policy.
     pub reconnect: ReconnectPolicy,
-    /// Emulated uplink conditions applied by the per-device pacer.
-    pub pacer: PacerConditions,
+    /// Conditions of each device's emulated uplink, fixed for the run.
+    pub network: NetworkConditions,
 }
 
 impl Default for ReactorDeviceConfig {
@@ -122,7 +123,9 @@ impl Default for ReactorDeviceConfig {
             tick: Duration::from_secs(1),
             timeout_window: Duration::from_secs(3),
             reconnect: ReconnectPolicy::default(),
-            pacer: PacerConditions::ideal(),
+            // Effectively unimpaired loopback. `NetworkConditions::ideal()`
+            // is the paper's 10 Mbps, a shaped link.
+            network: NetworkConditions::new(1_000.0, 0.0),
         }
     }
 }
@@ -132,7 +135,8 @@ impl Default for ReactorDeviceConfig {
 pub struct FleetClientConfig {
     /// Parameters applied to every device.
     pub device: ReactorDeviceConfig,
-    /// Seed for pacer/backoff RNG streams (per-device derived).
+    /// Seed for the uplink, backoff and local-inference RNG streams
+    /// (per-device derived).
     pub seed: u64,
     /// Bound on buffered unwritten bytes per connection.
     pub write_buf_cap: usize,
@@ -174,7 +178,8 @@ pub struct ReactorDeviceSummary {
     pub local_completed: u64,
     /// Local-routed frames skipped because the engine was saturated.
     pub local_skipped: u64,
-    /// Frames the pacer dropped (emulated loss / backlog overflow).
+    /// Frames the emulated uplink dropped (loss beyond ARQ, backlog
+    /// overflow).
     pub paced_drops: u64,
     /// Sends rejected by the bounded write buffer after acceptance.
     pub late_backpressure: u64,
@@ -263,7 +268,7 @@ enum ClientTimer {
     Tick { dev: usize },
     /// An offload (or probe) deadline fired.
     Deadline { dev: usize, tag: u64 },
-    /// The pacer released a frame for writing.
+    /// The emulated uplink delivered a frame: write it.
     Send { dev: usize, tag: u64, bytes: u64 },
     /// Try dialing the server (again).
     Reconnect { dev: usize },
@@ -273,7 +278,7 @@ struct Dev {
     runtime: DeviceRuntime,
     controller: Box<dyn Controller>,
     conn: Option<FramedConn>,
-    pacer: Pacer,
+    link: Link<ChaCha8Rng>,
     rng: SmallRng,
     engine: LocalEngine<ChaCha8Rng>,
     /// Capture/tick grids are anchored here (staggered per device).
@@ -285,19 +290,17 @@ struct Dev {
     dial_failures: u32,
     dial_failures_total: u64,
     reconnects: u64,
-    paced_drops: u64,
     late_backpressure: u64,
     latency_ms: LogHistogram,
 }
 
 /// The per-call transport view the runtime writes through: disjoint
-/// borrows of one device's connection/pacer plus the shared wheel.
+/// borrows of one device's connection and uplink plus the shared wheel.
 struct FleetTransport<'a> {
     dev: usize,
     conn: &'a mut Option<FramedConn>,
-    pacer: &'a mut Pacer,
+    link: &'a mut Link<ChaCha8Rng>,
     wheel: &'a mut DeadlineWheel<ClientTimer>,
-    paced_drops: &'a mut u64,
 }
 
 impl Transport for FleetTransport<'_> {
@@ -311,12 +314,9 @@ impl Transport for FleetTransport<'_> {
         if !conn.can_enqueue(16 + bytes as usize) {
             return SubmitOutcome::FailedInstantly;
         }
-        match self.pacer.offer(bytes, now) {
-            PacerVerdict::Drop => {
-                *self.paced_drops += 1;
-                SubmitOutcome::DroppedInNetwork
-            }
-            PacerVerdict::SendAt(at) => {
+        match self.link.send(now, bytes) {
+            SendOutcome::Dropped(_) => SubmitOutcome::DroppedInNetwork,
+            SendOutcome::Delivered { at } => {
                 self.wheel.schedule(
                     at,
                     ClientTimer::Send {
@@ -377,6 +377,7 @@ impl FleetLoop {
             };
             let runtime = DeviceRuntime::new(rc, controller.as_mut());
             let seed = config.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let link_rng = ChaCha8Rng::seed_from_u64(seed);
             let origin = SimTime::ZERO + stagger.mul_f64(i as f64);
             let end_at = origin + sim_dur(d.duration);
             fleet_end = fleet_end.max(end_at);
@@ -389,7 +390,7 @@ impl FleetLoop {
                 runtime,
                 controller,
                 conn: None,
-                pacer: Pacer::new(d.pacer, ChaCha8Rng::seed_from_u64(seed)),
+                link: Link::new(LinkConfig::default(), d.network, link_rng),
                 rng: SmallRng::seed_from_u64(seed.rotate_left(17)),
                 engine: LocalEngine::with_rate(
                     d.local_rate_fps,
@@ -403,7 +404,6 @@ impl FleetLoop {
                 dial_failures: 0,
                 dial_failures_total: 0,
                 reconnects: 0,
-                paced_drops: 0,
                 late_backpressure: 0,
                 latency_ms: LogHistogram::for_latency_ms(),
             });
@@ -492,7 +492,10 @@ impl FleetLoop {
                 instant_failures: dev.runtime.instant_failures(),
                 local_completed: dev.engine.completed(),
                 local_skipped: dev.engine.skipped(),
-                paced_drops: dev.paced_drops,
+                paced_drops: {
+                    let link = dev.link.stats();
+                    link.frames_dropped_overflow + link.frames_dropped_loss
+                },
                 late_backpressure: dev.late_backpressure,
                 reconnects: dev.reconnects,
                 dial_failures: dev.dial_failures_total,
@@ -536,9 +539,8 @@ impl FleetLoop {
                 let mut tp = FleetTransport {
                     dev: i,
                     conn: &mut dev.conn,
-                    pacer: &mut dev.pacer,
+                    link: &mut dev.link,
                     wheel: &mut self.wheel,
-                    paced_drops: &mut dev.paced_drops,
                 };
                 let sub = dev
                     .runtime
@@ -567,9 +569,8 @@ impl FleetLoop {
         let mut tp = FleetTransport {
             dev: i,
             conn: &mut dev.conn,
-            pacer: &mut dev.pacer,
+            link: &mut dev.link,
             wheel: &mut self.wheel,
-            paced_drops: &mut dev.paced_drops,
         };
         let out = dev.runtime.tick(now, dev.controller.as_mut(), &mut tp);
         dev.engine.tick_passed();

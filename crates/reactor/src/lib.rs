@@ -7,8 +7,10 @@
 //! layout `ff-sim` schedules millions of events on), and one thread
 //! multiplexing every socket and every
 //! [`DeviceRuntime`](ff_device::DeviceRuntime) on its side — a fleet
-//! client ([`run_reactor_fleet`]), a batching server ([`ReactorServer`])
-//! and a per-device uplink emulator ([`Pacer`]).
+//! client ([`run_reactor_fleet`]) and a batching server
+//! ([`ReactorServer`]). The server batches with `ff-server`'s batcher
+//! and each device's uplink is `ff-net`'s link, the same code the
+//! simulator runs; only the clock and the transport are the host's.
 //!
 //! Three design rules carry over from the rest of the repo:
 //!
@@ -29,11 +31,11 @@
 pub mod conn;
 pub mod fleet;
 pub mod frame;
-pub mod pacer;
 pub mod server;
 pub mod timer;
 
 pub use conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
+pub use ff_device::deps::ff_net::NetworkConditions;
 pub use fleet::{
     run_reactor_device, run_reactor_fleet, FleetClientConfig, FleetSummary, ReactorDeviceConfig,
     ReactorDeviceSummary, ReconnectPolicy,
@@ -42,6 +44,5 @@ pub use frame::{
     decode_frame, decode_frame_exact, encode_request_into, encode_response_into, Frame, FrameError,
     MAX_FRAME_BYTES,
 };
-pub use pacer::{Pacer, PacerConditions, PacerVerdict};
 pub use server::{ReactorChaos, ReactorServer, ReactorServerConfig, ReactorServerStats};
 pub use timer::DeadlineWheel;

@@ -2,12 +2,15 @@
 //!
 //! §IV-A adaptive batching over real TCP: requests collect while a batch
 //! "executes", the next batch takes at most `batch_limit` of them, and
-//! the overflow is rejected at once. **One** thread runs an epoll loop
-//! over every connection, and the GPU's execution time is a timer-wheel
-//! event (`BatchDone`) rather than a sleep, so a thousand connections
-//! cost a thousand sockets and nothing else. Fault injection (hang-ups,
-//! swallowed requests, stalled replies) is retunable while the server
-//! runs, through [`ReactorChaos`].
+//! the overflow is rejected at once. The rule is `ff-server`'s
+//! [`Batcher`], the one the simulation's `EdgeServer` drives: the loop
+//! enqueues what it reads and forms at most one batch per loop turn, so
+//! requests read together ride one batch. **One** thread runs an epoll
+//! loop over every connection, and the GPU's execution time is a
+//! timer-wheel event (`BatchDone`) rather than a sleep, so a thousand
+//! connections cost a thousand sockets and nothing else. Fault injection
+//! (hang-ups, swallowed requests, stalled replies) is retunable while the
+//! server runs, through [`ReactorChaos`].
 //!
 //! Writes never block and never queue without bound: replies coalesce
 //! into each connection's bounded write buffer, and a reply that does not
@@ -20,12 +23,14 @@
 
 use crate::conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
 use crate::timer::DeadlineWheel;
+use ff_device::deps::ff_models::ModelKind;
+use ff_device::deps::ff_server::{Batcher, OverflowPolicy, Request, TenantId};
 use ff_device::WallClock;
+use ff_sim::{SimDuration, SimTime};
 use ff_telemetry::{Level, LogCode, Metric, Recorder, Scope, Telemetry};
 use mio::{Events, Interest, Poll, Token};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -36,13 +41,14 @@ use std::time::Duration;
 /// Token of the accept socket; connections use `Token(slot + 1)`.
 const LISTENER: Token = Token(0);
 
-/// Poll timeout cap: bounds both shutdown latency and timer slack when
-/// the wheel is empty.
+/// Poll timeout cap: bounds shutdown latency, timer slack when the wheel
+/// is empty, and the rate of accept retries after descriptor exhaustion.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
-/// Server batching parameters: the wall-clock analogue of `GpuProfile`.
-/// The defaults are the paper's batch limit of 15 and the MobileNetV3Small
-/// GPU profile of `ff-models` (`40 ms + 4.3 ms` per frame in the batch).
+/// Server batching parameters. A batch of `n` requests executes for
+/// `batch_base + per_frame·n` of wall-clock time. The defaults are the
+/// paper's batch limit of 15 and the MobileNetV3Small GPU profile of
+/// `ff-models` (`40 ms + 4.3 ms` per frame in the batch).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactorServerConfig {
     /// Maximum frames per batch (paper: 15).
@@ -292,18 +298,15 @@ enum ServerTimer {
     /// The executing batch's GPU time elapsed.
     BatchDone,
     /// A chaos-stalled reply becomes writable.
-    Reply {
-        conn: usize,
-        gen: u64,
-        tag: u64,
-        ok: bool,
-    },
+    Reply { route: ReplyRoute, ok: bool },
 }
 
-/// One queued (or batched) request.
-struct QItem {
+/// Where the reply to a request the batcher holds goes.
+#[derive(Clone, Copy)]
+struct ReplyRoute {
     conn: usize,
     gen: u64,
+    /// The client's tag, echoed in the reply.
     tag: u64,
     stall: Option<Duration>,
 }
@@ -332,9 +335,18 @@ struct ServerLoop {
     /// Slots with replies queued since the last flush, each listed once.
     dirty: Vec<usize>,
     next_gen: u64,
-    queue: VecDeque<QItem>,
-    batch: Vec<QItem>,
-    batch_busy: bool,
+    /// Accept failed for lack of descriptors: retry each loop turn, as
+    /// the edge-triggered listener raises no new edge for the backlog.
+    accept_stalled: bool,
+    /// §IV-A batching. A request's tenant is its connection slot, its
+    /// model the default profile's, and its tag an index into `routes`.
+    batcher: Batcher,
+    /// Reply routes of the requests the batcher holds, indexed by
+    /// `Request.tag`; freed slots are reused.
+    routes: Vec<ReplyRoute>,
+    free_routes: Vec<usize>,
+    /// Requests the batcher just completed or rejected.
+    released: Vec<Request>,
     recorder: Recorder,
     scope: Scope,
 }
@@ -366,9 +378,11 @@ impl ServerLoop {
             free: Vec::new(),
             dirty: Vec::new(),
             next_gen: 0,
-            queue: VecDeque::new(),
-            batch: Vec::new(),
-            batch_busy: false,
+            accept_stalled: false,
+            batcher: Batcher::new(config.batch_limit, OverflowPolicy::RejectNewest),
+            routes: Vec::new(),
+            free_routes: Vec::new(),
+            released: Vec::new(),
             recorder,
             scope,
         })
@@ -383,7 +397,10 @@ impl ServerLoop {
             while let Some((_, timer)) = self.wheel.pop_due(now) {
                 self.handle_timer(timer);
             }
-            self.maybe_form_batch();
+            if self.accept_stalled {
+                self.accept_all();
+            }
+            self.form_batch();
             self.flush_dirty();
 
             let timeout = match self.wheel.next_deadline() {
@@ -430,6 +447,7 @@ impl ServerLoop {
     }
 
     fn accept_all(&mut self) {
+        self.accept_stalled = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -474,8 +492,18 @@ impl ServerLoop {
                         self.clock.now().as_micros(),
                     );
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e) => match e.kind() {
+                    io::ErrorKind::WouldBlock => break,
+                    // A peer reset before accept, or a signal: the rest
+                    // of the backlog is still queued.
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted => {}
+                    // Out of descriptors or buffers (EMFILE, ENFILE):
+                    // retry next loop turn.
+                    _ => {
+                        self.accept_stalled = true;
+                        break;
+                    }
+                },
             }
         }
     }
@@ -498,30 +526,21 @@ impl ServerLoop {
                     self.stats.requests.fetch_add(1, Ordering::Relaxed);
                     self.recorder
                         .counter(self.scope, Metric::ServerRequests, 1, t);
-                    match self.chaos.verdict(&mut sconn.rng) {
-                        ChaosVerdict::Pass => self.queue.push_back(QItem {
-                            conn: i,
-                            gen,
-                            tag,
-                            stall: None,
-                        }),
+                    let stall = match self.chaos.verdict(&mut sconn.rng) {
+                        ChaosVerdict::Pass => None,
                         ChaosVerdict::Stall(d) => {
                             self.stats.chaos_stalls.fetch_add(1, Ordering::Relaxed);
                             self.recorder.counter(self.scope, Metric::ChaosStalls, 1, t);
                             self.recorder
                                 .log(self.scope, Level::Warn, LogCode::ChaosStall, t);
-                            self.queue.push_back(QItem {
-                                conn: i,
-                                gen,
-                                tag,
-                                stall: Some(d),
-                            });
+                            Some(d)
                         }
                         ChaosVerdict::Drop => {
                             self.stats.chaos_drops.fetch_add(1, Ordering::Relaxed);
                             self.recorder.counter(self.scope, Metric::ChaosDrops, 1, t);
                             self.recorder
                                 .log(self.scope, Level::Warn, LogCode::ChaosDrop, t);
+                            continue;
                         }
                         ChaosVerdict::Disconnect => {
                             self.stats.chaos_disconnects.fetch_add(1, Ordering::Relaxed);
@@ -532,7 +551,16 @@ impl ServerLoop {
                             self.close_conn(i);
                             return;
                         }
-                    }
+                    };
+                    self.enqueue(
+                        ReplyRoute {
+                            conn: i,
+                            gen,
+                            tag,
+                            stall,
+                        },
+                        now,
+                    );
                 }
                 Ok(Some(InboundFrame::Response { .. })) => {
                     // A client speaking the server direction is corrupt.
@@ -587,56 +615,64 @@ impl ServerLoop {
         }
     }
 
-    /// Paper scheme: batch = up to `limit` of the queue; reject the rest
-    /// immediately (they would miss the deadline anyway — §IV-A).
-    fn maybe_form_batch(&mut self) {
-        if self.batch_busy || self.queue.is_empty() {
-            return;
+    /// Hand a request to the batcher, keeping its reply route. The
+    /// tenant is the connection slot, not the generation: slots are
+    /// dense and reused, so the batcher's per-tenant table stays as
+    /// small as the peak connection count.
+    fn enqueue(&mut self, route: ReplyRoute, now: SimTime) {
+        let id = self.free_routes.pop().unwrap_or(self.routes.len());
+        if id == self.routes.len() {
+            self.routes.push(route);
+        } else {
+            self.routes[id] = route;
         }
-        let t = self.clock.now().as_micros();
-        self.recorder.gauge(
-            self.scope,
-            Metric::ServerQueueDepth,
-            self.queue.len() as f64,
-            t,
-        );
-        let take = self.queue.len().min(self.config.batch_limit);
-        self.batch.extend(self.queue.drain(..take));
-        let rejected_now = self.queue.len() as u64;
-        if rejected_now > 0 {
+        self.batcher.enqueue(Request {
+            tenant: TenantId(route.conn as u32),
+            model: ModelKind::MobileNetV3Small,
+            submitted_at: now,
+            tag: id as u64,
+        });
+    }
+
+    /// Form the next batch if the GPU is idle: the overflow is answered
+    /// at once, and the batch's execution time is a wheel event.
+    fn form_batch(&mut self) {
+        let depth = self.batcher.queue_len() as f64;
+        let Some((_, size)) = self.batcher.form(&mut self.released) else {
+            return;
+        };
+        let now = self.clock.now();
+        let t = now.as_micros();
+        self.recorder
+            .gauge(self.scope, Metric::ServerQueueDepth, depth, t);
+        let n = self.released.len() as u64;
+        if n > 0 {
+            self.stats.rejections.fetch_add(n, Ordering::Relaxed);
             self.recorder
-                .counter(self.scope, Metric::ServerRejections, rejected_now, t);
+                .counter(self.scope, Metric::ServerRejections, n, t);
             self.recorder
                 .log(self.scope, Level::Warn, LogCode::BatchOverflow, t);
         }
-        while let Some(item) = self.queue.pop_front() {
-            self.stats.rejections.fetch_add(1, Ordering::Relaxed);
-            self.send_reply(item, false);
-        }
-        self.batch_busy = true;
-        let exec = self.config.batch_base + self.config.per_frame * self.batch.len() as u32;
-        let exec = ff_sim::SimDuration::from_micros(exec.as_micros() as u64);
-        self.wheel
-            .schedule(self.clock.now() + exec, ServerTimer::BatchDone);
+        self.reply_released(false);
+        let exec = self.config.batch_base + self.config.per_frame * size as u32;
+        let exec = SimDuration::from_micros(exec.as_micros() as u64);
+        self.wheel.schedule(now + exec, ServerTimer::BatchDone);
     }
 
     fn handle_timer(&mut self, timer: ServerTimer) {
         match timer {
             ServerTimer::BatchDone => {
-                // Taken and handed back so the vector's capacity is reused.
-                let mut batch = std::mem::take(&mut self.batch);
-                self.batch_busy = false;
+                self.batcher.finish(&mut self.released);
+                let n = self.released.len() as u64;
                 self.stats.batches.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .completions
-                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                self.stats.completions.fetch_add(n, Ordering::Relaxed);
                 let t = self.clock.now().as_micros();
                 self.recorder
-                    .gauge(self.scope, Metric::BatchOccupancy, batch.len() as f64, t);
+                    .gauge(self.scope, Metric::BatchOccupancy, n as f64, t);
                 self.recorder
                     .counter(self.scope, Metric::ServerBatches, 1, t);
                 self.recorder
-                    .counter(self.scope, Metric::ServerCompletions, batch.len() as u64, t);
+                    .counter(self.scope, Metric::ServerCompletions, n, t);
                 if self.recorder.is_enabled() {
                     // A scan over every connection: only paid when watched.
                     let pending: usize = self
@@ -648,41 +684,39 @@ impl ServerLoop {
                     self.recorder
                         .gauge(self.scope, Metric::WriteBufferBytes, pending as f64, t);
                 }
-                for item in batch.drain(..) {
-                    self.send_reply(item, true);
+                self.reply_released(true);
+            }
+            ServerTimer::Reply { route, ok } => self.write_reply(route, ok),
+        }
+    }
+
+    /// Answer every request in `released`, now or after its chaos stall,
+    /// and free their routes.
+    fn reply_released(&mut self, ok: bool) {
+        for i in 0..self.released.len() {
+            let id = self.released[i].tag as usize;
+            let route = self.routes[id];
+            self.free_routes.push(id);
+            match route.stall {
+                Some(d) => {
+                    let at = self.clock.now() + SimDuration::from_micros(d.as_micros() as u64);
+                    self.wheel.schedule(at, ServerTimer::Reply { route, ok });
                 }
-                self.batch = batch;
+                None => self.write_reply(route, ok),
             }
-            ServerTimer::Reply { conn, gen, tag, ok } => self.write_reply(conn, gen, tag, ok),
         }
+        self.released.clear();
     }
 
-    fn send_reply(&mut self, item: QItem, ok: bool) {
-        match item.stall {
-            Some(d) => {
-                let at = self.clock.now() + ff_sim::SimDuration::from_micros(d.as_micros() as u64);
-                self.wheel.schedule(
-                    at,
-                    ServerTimer::Reply {
-                        conn: item.conn,
-                        gen: item.gen,
-                        tag: item.tag,
-                        ok,
-                    },
-                );
-            }
-            None => self.write_reply(item.conn, item.gen, item.tag, ok),
-        }
-    }
-
-    fn write_reply(&mut self, conn: usize, gen: u64, tag: u64, ok: bool) {
+    fn write_reply(&mut self, route: ReplyRoute, ok: bool) {
+        let conn = route.conn;
         let Some(sconn) = self.conns.get_mut(conn).and_then(Option::as_mut) else {
             return; // connection closed since the request was queued
         };
-        if sconn.gen != gen {
+        if sconn.gen != route.gen {
             return; // the slot was reused by a newer connection
         }
-        match sconn.conn.enqueue_response(tag, ok) {
+        match sconn.conn.enqueue_response(route.tag, ok) {
             EnqueueOutcome::Rejected => {
                 self.stats.writer_drops.fetch_add(1, Ordering::Relaxed);
                 self.recorder.counter(

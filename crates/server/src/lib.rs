@@ -17,15 +17,15 @@
 #![warn(missing_docs)]
 
 mod background;
+mod batcher;
 mod policy;
 mod server;
 mod tenants;
 mod tier;
 
 pub use background::PoissonArrivals;
+pub use batcher::Batcher;
 pub use policy::{jain_fairness_index, OverflowPolicy};
-pub use server::{
-    BatchOutput, Completion, EdgeServer, Rejection, Request, ServerStats, Submit, TenantId,
-};
+pub use server::{BatchOutput, EdgeServer, Request, ServerStats, Submit, TenantId};
 pub use tenants::TenantTable;
 pub use tier::{AdmissionPolicy, RoutingPolicy, ServerSpec, ServerTier, TierConfig, TierSubmit};

@@ -35,6 +35,7 @@ impl OverflowPolicy {
     /// Remove requests from `queue` until it holds at most `limit`,
     /// appending the victims to a caller-provided buffer so the
     /// per-batch hot path can reuse one allocation across the whole run.
+    /// [`RejectNewest`](Self::RejectNewest) appends them in queue order.
     pub fn drain_overflow_into(
         self,
         queue: &mut VecDeque<Request>,
@@ -43,8 +44,8 @@ impl OverflowPolicy {
     ) {
         match self {
             OverflowPolicy::RejectNewest => {
-                while queue.len() > limit {
-                    victims.push(queue.pop_back().expect("len > limit >= 0"));
+                if queue.len() > limit {
+                    victims.extend(queue.drain(limit..));
                 }
             }
             OverflowPolicy::FairShare => fair_share_drain(queue, limit, victims),
@@ -150,7 +151,7 @@ mod tests {
         let victims = drain(OverflowPolicy::RejectNewest, &mut q, 2);
         assert_eq!(
             victims.iter().map(|r| r.tag).collect::<Vec<_>>(),
-            vec![4, 3]
+            vec![3, 4]
         );
         assert_eq!(q.len(), 2);
         assert_eq!(q[0].tag, 1);

@@ -8,23 +8,24 @@
 //! >  with the contents of this queue. [...] we impose a limit of 15
 //! >  frames for each batch, while rejecting the rest in the queue."
 //!
-//! The GPU executes one batch at a time; batch latency follows the
-//! affine [`GpuProfile`] model. Multi-tenant contention therefore emerges
-//! exactly as in the paper: more offered load → larger batches → longer
-//! batch latency → longer queue waits → deadline violations, and past
-//! saturation → rejections at batch-formation time (`T_l`).
+//! The rule itself is the [`Batcher`], shared with the live server;
+//! [`EdgeServer`] drives it on the simulated clock. The GPU executes one
+//! batch at a time; batch latency follows the affine [`GpuProfile`]
+//! model. Multi-tenant contention therefore emerges exactly as in the
+//! paper: more offered load → larger batches → longer batch latency →
+//! longer queue waits → deadline violations, and past saturation →
+//! rejections at batch-formation time (`T_l`).
 //!
 //! The server is a passive state machine driven by the simulation's event
 //! loop: `submit` may start a batch (returning its completion instant to
-//! schedule), and `on_batch_done` returns finished requests plus the next
-//! batch's completion instant.
+//! schedule), and `batch_done_into` returns finished requests plus the
+//! next batch's completion instant.
 
+use crate::batcher::Batcher;
 use crate::policy::OverflowPolicy;
-use crate::tenants::TenantTable;
 use ff_models::{GpuProfile, ModelKind};
 use ff_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Identifies one client device (tenant) of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -41,26 +42,6 @@ pub struct Request {
     pub submitted_at: SimTime,
     /// Caller-defined correlation tag (the device uses its frame id).
     pub tag: u64,
-}
-
-/// A finished inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// The request that finished.
-    pub request: Request,
-    /// Batch-completion instant at the server.
-    pub completed_at: SimTime,
-    /// Size of the batch this request ran in (for reporting).
-    pub batch_size: usize,
-}
-
-/// A request rejected at batch-formation time (queue overflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Rejection {
-    /// The request that was turned away.
-    pub request: Request,
-    /// Batch-formation instant at which the overflow was rejected.
-    pub rejected_at: SimTime,
 }
 
 /// What happened when a request was submitted.
@@ -103,38 +84,27 @@ impl ServerStats {
     }
 }
 
-struct RunningBatch {
-    model: ModelKind,
-    requests: Vec<Request>,
-    done_at: SimTime,
-}
-
 /// Reusable output buffers for [`EdgeServer::batch_done_into`]: the
 /// batch-done hot path fills these instead of allocating fresh vectors
 /// per batch. Hold one per server and pass it to every call; the
 /// buffers are cleared (keeping capacity) on entry.
 #[derive(Debug, Default)]
 pub struct BatchOutput {
-    /// Requests that finished in the completed batch.
-    pub completions: Vec<Completion>,
+    /// Requests that finished in the completed batch, in batch order.
+    pub completions: Vec<Request>,
     /// Queue overflow rejected at batch-formation time.
-    pub rejections: Vec<Rejection>,
+    pub rejections: Vec<Request>,
     /// Completion instant of the next batch, if one started.
     pub next_done: Option<SimTime>,
 }
 
-/// The GPU-equipped edge server.
+/// The GPU-equipped edge server: a [`Batcher`] on the simulated clock,
+/// each batch priced by the [`GpuProfile`].
 pub struct EdgeServer {
     gpu: GpuProfile,
-    policy: OverflowPolicy,
-    queue: VecDeque<Request>,
-    running: Option<RunningBatch>,
-    stats: ServerStats,
-    rejections_by_tenant: TenantTable<u64>,
-    /// Recycled batch-request buffer (the previous batch's vector).
-    spare_requests: Vec<Request>,
-    /// Recycled overflow-victim buffer for `drain_overflow_into`.
-    victim_scratch: Vec<Request>,
+    batcher: Batcher,
+    /// Completion instant of the batch in flight.
+    done_at: Option<SimTime>,
 }
 
 impl EdgeServer {
@@ -147,44 +117,14 @@ impl EdgeServer {
     pub fn with_policy(gpu: GpuProfile, policy: OverflowPolicy) -> Self {
         EdgeServer {
             gpu,
-            policy,
-            queue: VecDeque::new(),
-            running: None,
-            stats: ServerStats::default(),
-            rejections_by_tenant: TenantTable::default(),
-            spare_requests: Vec::new(),
-            victim_scratch: Vec::new(),
+            batcher: Batcher::new(gpu.batch_limit, policy),
+            done_at: None,
         }
     }
 
-    /// The active overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
-    /// Rejections per tenant, for fairness accounting.
-    pub fn rejections_by_tenant(&self) -> &TenantTable<u64> {
-        &self.rejections_by_tenant
-    }
-
-    /// The GPU profile the server runs on.
-    pub fn gpu(&self) -> GpuProfile {
-        self.gpu
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// Requests currently waiting (not in the running batch).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether a batch is executing right now.
-    pub fn busy(&self) -> bool {
-        self.running.is_some()
+    /// The queue, the running batch and the counters.
+    pub fn batcher(&self) -> &Batcher {
+        &self.batcher
     }
 
     /// Simulate an abrupt process crash: the queue and any running batch
@@ -194,8 +134,8 @@ impl EdgeServer {
     /// for discarding any batch-done event it scheduled for the lost
     /// batch.
     pub fn crash(&mut self) {
-        self.queue.clear();
-        self.running = None;
+        self.batcher.crash();
+        self.done_at = None;
     }
 
     /// Offer a request. If the GPU is idle the request forms a batch and
@@ -205,133 +145,45 @@ impl EdgeServer {
             request.submitted_at <= now,
             "request submitted in the future"
         );
-        self.stats.requests_received += 1;
-        self.queue.push_back(request);
-        if self.running.is_none() {
-            let done_at = self
-                .form_and_start_batch(now)
-                .expect("queue is non-empty, a batch must form");
-            Submit::BatchStarted { done_at }
-        } else {
-            Submit::Queued
+        self.batcher.enqueue(request);
+        if self.done_at.is_some() {
+            return Submit::Queued;
         }
+        // An idle server's queue held nothing, so nothing overflows.
+        let done_at = self
+            .start_batch(now, &mut Vec::new())
+            .expect("queue is non-empty, a batch must form");
+        Submit::BatchStarted { done_at }
     }
 
     /// The caller's batch-done event fired: collect completions, form the
-    /// next batch from the queue (rejecting the overflow), and return the
-    /// next batch's completion instant if one started.
-    ///
-    /// Allocates fresh output vectors per call; event-loop hot paths
-    /// should prefer [`batch_done_into`](Self::batch_done_into) with a
-    /// reused [`BatchOutput`].
-    pub fn on_batch_done(
-        &mut self,
-        now: SimTime,
-    ) -> (Vec<Completion>, Vec<Rejection>, Option<SimTime>) {
-        let mut out = BatchOutput::default();
-        self.batch_done_into(now, &mut out);
-        (out.completions, out.rejections, out.next_done)
-    }
-
-    /// Allocation-free variant of [`on_batch_done`](Self::on_batch_done):
-    /// fills the caller's reused buffers (cleared on entry) instead of
-    /// returning fresh vectors. Behaviour is otherwise identical.
+    /// next batch from the queue (rejecting the overflow), and record the
+    /// next batch's completion instant if one started. Fills the
+    /// caller's reused buffers, which are cleared on entry.
     pub fn batch_done_into(&mut self, now: SimTime, out: &mut BatchOutput) {
         out.completions.clear();
         out.rejections.clear();
-        out.next_done = None;
-        let mut batch = self
-            .running
+        let done_at = self
+            .done_at
             .take()
-            .expect("on_batch_done called with no running batch");
-        assert_eq!(
-            batch.done_at, now,
-            "batch-done event fired at the wrong instant"
-        );
-        let size = batch.requests.len();
-        out.completions
-            .extend(batch.requests.drain(..).map(|request| Completion {
-                request,
-                completed_at: now,
-                batch_size: size,
-            }));
-        // Recycle the drained batch buffer for the next formation.
-        self.spare_requests = batch.requests;
-        self.stats.completions += out.completions.len() as u64;
-
-        // Paper scheme: next batch = queue contents up to the limit; the
-        // remainder is rejected.
-        self.drain_overflow_into(now, &mut out.rejections);
-        out.next_done = self.form_and_start_batch(now);
+            .expect("batch_done_into called with no running batch");
+        assert_eq!(done_at, now, "batch-done event fired at the wrong instant");
+        self.batcher.finish(&mut out.completions);
+        out.next_done = self.start_batch(now, &mut out.rejections);
     }
 
-    fn drain_overflow_into(&mut self, now: SimTime, out: &mut Vec<Rejection>) {
-        let limit = self.gpu.batch_limit;
-        let mut victims = std::mem::take(&mut self.victim_scratch);
-        victims.clear();
-        self.policy
-            .drain_overflow_into(&mut self.queue, limit, &mut victims);
-        self.stats.rejections += victims.len() as u64;
-        for v in &victims {
-            *self.rejections_by_tenant.slot(v.tenant) += 1;
-        }
-        out.extend(victims.drain(..).map(|request| Rejection {
-            request,
-            rejected_at: now,
-        }));
-        self.victim_scratch = victims;
-    }
-
-    fn form_and_start_batch(&mut self, now: SimTime) -> Option<SimTime> {
-        if self.queue.is_empty() {
-            return None;
-        }
-        debug_assert!(self.running.is_none(), "GPU already busy");
-        // Single-model batches: take queued requests of the front request's
-        // model (preserving FIFO order across models). One rotation of the
-        // queue keeps survivors in FIFO order without allocating a
-        // replacement deque.
-        let model = self.queue.front().expect("non-empty").model;
-        let limit = self.gpu.batch_limit;
-        let mut requests = std::mem::take(&mut self.spare_requests);
-        requests.clear();
-        for _ in 0..self.queue.len() {
-            let r = self.queue.pop_front().expect("length checked");
-            if r.model == model && requests.len() < limit {
-                requests.push(r);
-            } else {
-                self.queue.push_back(r);
-            }
-        }
-
-        let latency_ms = self.gpu.batch_latency_ms(model, requests.len());
+    /// Form the next batch and price it on the GPU.
+    fn start_batch(&mut self, now: SimTime, rejected: &mut Vec<Request>) -> Option<SimTime> {
+        let (model, size) = self.batcher.form(rejected)?;
+        let latency_ms = self.gpu.batch_latency_ms(model, size);
         let done_at = now + SimDuration::from_secs_f64(latency_ms / 1_000.0);
-        self.stats.batches_executed += 1;
-        self.stats.batched_frames += requests.len() as u64;
-        if requests.len() == limit {
-            self.stats.full_batches += 1;
-        }
-        self.running = Some(RunningBatch {
-            model,
-            requests,
-            done_at,
-        });
+        self.done_at = Some(done_at);
         Some(done_at)
-    }
-
-    /// Model of the batch currently executing, if any.
-    pub fn running_model(&self) -> Option<ModelKind> {
-        self.running.as_ref().map(|b| b.model)
-    }
-
-    /// Size of the batch currently executing, if any.
-    pub fn running_batch_size(&self) -> Option<usize> {
-        self.running.as_ref().map(|b| b.requests.len())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn req(tenant: u32, at: SimTime, tag: u64) -> Request {
@@ -347,19 +199,30 @@ mod tests {
         EdgeServer::new(GpuProfile::default())
     }
 
+    /// One batch-done event, its results in fresh vectors.
+    pub(crate) fn batch_done(
+        s: &mut EdgeServer,
+        now: SimTime,
+    ) -> (Vec<Request>, Vec<Request>, Option<SimTime>) {
+        let mut out = BatchOutput::default();
+        s.batch_done_into(now, &mut out);
+        (out.completions, out.rejections, out.next_done)
+    }
+
     #[test]
     fn crash_loses_work_in_progress_but_keeps_stats() {
         let mut s = server();
         s.submit(SimTime::ZERO, req(0, SimTime::ZERO, 1));
         s.submit(SimTime::ZERO, req(0, SimTime::ZERO, 2));
-        assert!(s.busy());
-        assert_eq!(s.queue_len(), 1);
+        assert!(s.batcher().busy());
+        assert_eq!(s.batcher().queue_len(), 1);
 
         s.crash();
-        assert!(!s.busy());
-        assert_eq!(s.queue_len(), 0);
-        assert_eq!(s.stats().requests_received, 2, "counters survive the crash");
-        assert_eq!(s.stats().completions, 0, "lost requests never complete");
+        assert!(!s.batcher().busy());
+        assert_eq!(s.batcher().queue_len(), 0);
+        let stats = s.batcher().stats();
+        assert_eq!(stats.requests_received, 2, "counters survive the crash");
+        assert_eq!(stats.completions, 0, "lost requests never complete");
 
         // A restarted server accepts work immediately.
         let at = SimTime::from_millis(100);
@@ -376,9 +239,9 @@ mod tests {
         };
         // Batch of 1: 40 + 4.3 ms.
         assert_eq!(done_at.as_millis(), 44);
-        assert!(s.busy());
-        assert_eq!(s.running_batch_size(), Some(1));
-        assert_eq!(s.queue_len(), 0);
+        assert!(s.batcher().busy());
+        assert_eq!(s.batcher().running_batch_size(), Some(1));
+        assert_eq!(s.batcher().queue_len(), 0);
     }
 
     #[test]
@@ -393,14 +256,14 @@ mod tests {
             let t = SimTime::from_millis(10 * tag);
             assert_eq!(s.submit(t, req(0, t, tag)), Submit::Queued);
         }
-        let (completions, rejections, next) = s.on_batch_done(done_at);
+        let (completions, rejections, next) = batch_done(&mut s, done_at);
         assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].request.tag, 0);
+        assert_eq!(completions[0].tag, 0);
         assert!(rejections.is_empty());
         let next = next.expect("queued requests start the next batch");
         // Batch of 3: 40 + 3*4.3 = 52.9 ms after done_at.
         assert_eq!((next - done_at).as_millis(), 52);
-        assert_eq!(s.running_batch_size(), Some(3));
+        assert_eq!(s.batcher().running_batch_size(), Some(3));
     }
 
     #[test]
@@ -415,15 +278,15 @@ mod tests {
             let t = SimTime::from_millis(tag);
             s.submit(t, req(0, t, tag));
         }
-        let (_, rejections, next) = s.on_batch_done(done_at);
+        let (_, rejections, next) = batch_done(&mut s, done_at);
         assert_eq!(rejections.len(), 5, "20 queued − 15 kept = 5 rejected");
         // Newest requests are the rejected ones.
-        let mut rejected_tags: Vec<u64> = rejections.iter().map(|r| r.request.tag).collect();
+        let mut rejected_tags: Vec<u64> = rejections.iter().map(|r| r.tag).collect();
         rejected_tags.sort_unstable();
         assert_eq!(rejected_tags, vec![16, 17, 18, 19, 20]);
         assert!(next.is_some());
-        assert_eq!(s.running_batch_size(), Some(15));
-        assert_eq!(s.stats().rejections, 5);
+        assert_eq!(s.batcher().running_batch_size(), Some(15));
+        assert_eq!(s.batcher().stats().rejections, 5);
     }
 
     #[test]
@@ -439,7 +302,7 @@ mod tests {
                 req(0, SimTime::from_millis(1), tag),
             );
         }
-        let (_, _, next) = s.on_batch_done(done_at);
+        let (_, _, next) = batch_done(&mut s, done_at);
         // Batch of 14: 40 + 14*4.3 = 100.2 ms.
         assert_eq!((next.unwrap() - done_at).as_millis(), 100);
     }
@@ -457,9 +320,9 @@ mod tests {
                 req(tenant, SimTime::from_millis(5), tag),
             );
         }
-        let (_, _, _next) = s.on_batch_done(done_at);
+        let (_, _, _next) = batch_done(&mut s, done_at);
         assert_eq!(
-            s.running_batch_size(),
+            s.batcher().running_batch_size(),
             Some(3),
             "all tenants share the batch"
         );
@@ -480,13 +343,13 @@ mod tests {
         };
         s.submit(SimTime::from_millis(1), heavy);
         s.submit(SimTime::from_millis(2), req(0, SimTime::from_millis(2), 1));
-        let (_, _, next) = s.on_batch_done(done_at);
+        let (_, _, next) = batch_done(&mut s, done_at);
         // EfficientNetB0 was first in the queue → it forms the next batch;
         // the MobileNet request waits.
-        assert_eq!(s.running_model(), Some(ModelKind::EfficientNetB0));
-        assert_eq!(s.running_batch_size(), Some(1));
-        assert_eq!(s.queue_len(), 1);
-        assert!(next.is_some());
+        assert_eq!(s.batcher().running_batch_size(), Some(1));
+        assert_eq!(s.batcher().queue_len(), 1);
+        let (completed, _, _) = batch_done(&mut s, next.expect("a batch started"));
+        assert_eq!(completed, [heavy]);
     }
 
     #[test]
@@ -496,12 +359,12 @@ mod tests {
         else {
             panic!()
         };
-        let (completions, rejections, next) = s.on_batch_done(done_at);
+        let (completions, rejections, next) = batch_done(&mut s, done_at);
         assert_eq!(completions.len(), 1);
         assert!(rejections.is_empty());
         assert!(next.is_none());
-        assert!(!s.busy());
-        let stats = s.stats();
+        assert!(!s.batcher().busy());
+        let stats = s.batcher().stats();
         assert_eq!(stats.completions, 1);
         assert_eq!(stats.batches_executed, 1);
     }
@@ -523,7 +386,7 @@ mod tests {
         loop {
             if next_arrival <= next_done && next_arrival < horizon {
                 now = next_arrival;
-                if !s.busy() {
+                if !s.batcher().busy() {
                     if let Submit::BatchStarted { done_at } = s.submit(now, req(0, now, tag)) {
                         next_done = done_at;
                     }
@@ -532,9 +395,9 @@ mod tests {
                 }
                 tag += 1;
                 next_arrival += SimDuration::from_secs_f64(1.0 / 300.0);
-            } else if s.busy() {
+            } else if s.batcher().busy() {
                 now = next_done;
-                let (c, _r, nd) = s.on_batch_done(now);
+                let (c, _r, nd) = batch_done(&mut s, now);
                 completed += c.len() as u64;
                 match nd {
                     Some(d) => next_done = d,
@@ -548,7 +411,7 @@ mod tests {
             } else {
                 break;
             }
-            if now >= horizon && !s.busy() {
+            if now >= horizon && !s.batcher().busy() {
                 break;
             }
         }
@@ -558,52 +421,14 @@ mod tests {
             (fps - expected).abs() / expected < 0.1,
             "measured {fps:.1} fps vs model {expected:.1} fps"
         );
-        assert!(s.stats().rejections > 0, "overload must reject");
-        assert!(s.stats().mean_batch_size() > 10.0);
-    }
-
-    #[test]
-    fn batch_done_into_reuses_buffers_and_matches_the_allocating_api() {
-        // Two servers driven identically: one through `on_batch_done`,
-        // one through `batch_done_into` with a single reused buffer.
-        let mut alloc = server();
-        let mut reuse = server();
-        let mut out = BatchOutput::default();
-        let mut done_alloc = None;
-        let mut done_reuse = None;
-        for round in 0..20u64 {
-            let t = SimTime::from_millis(round * 7);
-            for tag in 0..20u64 {
-                let r = req((tag % 3) as u32, t, round * 100 + tag);
-                if let Submit::BatchStarted { done_at } = alloc.submit(t, r) {
-                    done_alloc = Some(done_at);
-                }
-                if let Submit::BatchStarted { done_at } = reuse.submit(t, r) {
-                    done_reuse = Some(done_at);
-                }
-            }
-            assert_eq!(done_alloc, done_reuse);
-            if let Some(d) = done_alloc.take() {
-                let (c, rj, next) = alloc.on_batch_done(d);
-                reuse.batch_done_into(d, &mut out);
-                assert_eq!(c, out.completions);
-                assert_eq!(rj, out.rejections);
-                assert_eq!(next, out.next_done);
-                done_alloc = next;
-                done_reuse = out.next_done;
-            }
-        }
-        assert_eq!(alloc.stats(), reuse.stats());
-        assert!(alloc
-            .rejections_by_tenant()
-            .iter()
-            .eq(reuse.rejections_by_tenant().iter()));
+        assert!(s.batcher().stats().rejections > 0, "overload must reject");
+        assert!(s.batcher().stats().mean_batch_size() > 10.0);
     }
 
     #[test]
     #[should_panic(expected = "no running batch")]
     fn batch_done_without_batch_panics() {
-        server().on_batch_done(SimTime::ZERO);
+        batch_done(&mut server(), SimTime::ZERO);
     }
 
     #[test]
@@ -614,7 +439,7 @@ mod tests {
         else {
             panic!()
         };
-        s.on_batch_done(done_at + SimDuration::from_millis(1));
+        batch_done(&mut s, done_at + SimDuration::from_millis(1));
     }
 }
 
@@ -640,9 +465,9 @@ mod proptests {
             now += SimDuration::from_millis(gap);
             while let Some(d) = next_done {
                 if d <= now {
-                    let (c, _r, nd) = server.on_batch_done(d);
+                    let (c, _r, nd) = tests::batch_done(&mut server, d);
                     completed += c.len() as u64;
-                    max_batch = max_batch.max(c.first().map_or(0, |x| x.batch_size));
+                    max_batch = max_batch.max(c.len());
                     next_done = nd;
                 } else {
                     break;
@@ -664,12 +489,12 @@ mod proptests {
         }
         // Drain.
         while let Some(d) = next_done {
-            let (c, _r, nd) = server.on_batch_done(d);
+            let (c, _r, nd) = tests::batch_done(&mut server, d);
             completed += c.len() as u64;
-            max_batch = max_batch.max(c.first().map_or(0, |x| x.batch_size));
+            max_batch = max_batch.max(c.len());
             next_done = nd;
         }
-        (server.stats(), completed, max_batch)
+        (server.batcher().stats(), completed, max_batch)
     }
 
     proptest! {
@@ -709,10 +534,10 @@ mod proptests {
             let mut next_done: Option<SimTime> = None;
             let mut rejected: BTreeMap<TenantId, u64> = BTreeMap::new();
             let mut fire = |server: &mut EdgeServer, d: SimTime| {
-                let (c, r, nd) = server.on_batch_done(d);
-                assert!(c.len() <= server.gpu().batch_limit);
+                let (c, r, nd) = tests::batch_done(server, d);
+                assert!(c.len() <= GpuProfile::default().batch_limit);
                 for r in &r {
-                    *rejected.entry(r.request.tenant).or_default() += 1;
+                    *rejected.entry(r.tenant).or_default() += 1;
                 }
                 nd
             };
@@ -734,7 +559,7 @@ mod proptests {
             while let Some(d) = next_done {
                 next_done = fire(&mut server, d);
             }
-            let table = server.rejections_by_tenant();
+            let table = server.batcher().rejections_by_tenant();
             for (tenant, count) in table.iter() {
                 prop_assert_eq!(count, rejected.get(&tenant).copied().unwrap_or(0));
             }

@@ -382,7 +382,7 @@ impl ServerTier {
             RoutingPolicy::JoinShortestQueue { gossip_interval } => {
                 if now >= self.gossip_next {
                     for (depth, server) in self.gossip.iter_mut().zip(&self.servers) {
-                        *depth = server.queue_len();
+                        *depth = server.batcher().queue_len();
                     }
                     self.gossip_next = now + gossip_interval;
                     self.refresh_jsq_target();
@@ -401,8 +401,8 @@ impl ServerTier {
                     }
                     let (a, b) = (self.live[first], self.live[second]);
                     let load = |i: usize| {
-                        self.servers[i].queue_len()
-                            + self.servers[i].running_batch_size().unwrap_or(0)
+                        let s = self.servers[i].batcher();
+                        s.queue_len() + s.running_batch_size().unwrap_or(0)
                     };
                     let (la, lb) = (load(a), load(b));
                     // Less loaded wins; ties break to the lower index so
@@ -419,7 +419,7 @@ impl ServerTier {
     pub fn total_stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
         for s in &self.servers {
-            let st = s.stats();
+            let st = s.batcher().stats();
             total.requests_received += st.requests_received;
             total.completions += st.completions;
             total.rejections += st.rejections;
@@ -432,7 +432,7 @@ impl ServerTier {
 
     /// Per-server counters, in server-index order.
     pub fn per_server_stats(&self) -> Vec<ServerStats> {
-        self.servers.iter().map(EdgeServer::stats).collect()
+        self.servers.iter().map(|s| s.batcher().stats()).collect()
     }
 
     /// Requests turned away by the admission policy, total.
@@ -450,7 +450,7 @@ impl ServerTier {
     pub fn rejections_for(&self, tenant: TenantId) -> u64 {
         self.servers
             .iter()
-            .map(|s| s.rejections_by_tenant().get(tenant))
+            .map(|s| s.batcher().rejections_by_tenant().get(tenant))
             .sum::<u64>()
             + self.admission_rejections_for(tenant)
     }
@@ -462,7 +462,7 @@ impl ServerTier {
         let tables = self
             .servers
             .iter()
-            .map(EdgeServer::rejections_by_tenant)
+            .map(|s| s.batcher().rejections_by_tenant())
             .chain([&self.admission_rejections_by_tenant]);
         for table in tables {
             for (slot, (_, count)) in total.iter_mut().zip(table.iter()) {
@@ -528,7 +528,7 @@ mod tests {
             if let (Some(td), Some(bd)) = (tier_done.take(), bare_done.take()) {
                 assert_eq!(td, bd);
                 tier.batch_done_into(0, td, &mut out);
-                let (c, rj, next) = bare.on_batch_done(bd);
+                let (c, rj, next) = crate::server::tests::batch_done(&mut bare, bd);
                 assert_eq!(c, out.completions);
                 assert_eq!(rj, out.rejections);
                 assert_eq!(next, out.next_done);
@@ -536,7 +536,7 @@ mod tests {
                 bare_done = next;
             }
         }
-        assert_eq!(tier.total_stats(), bare.stats());
+        assert_eq!(tier.total_stats(), bare.batcher().stats());
         let mut untouched = before;
         assert_eq!(
             r.next_u64(),
@@ -593,8 +593,8 @@ mod tests {
         tier.crash(0);
         assert_eq!(tier.epoch(0), 1);
         assert!(!tier.is_up(0));
-        assert_eq!(tier.server(0).queue_len(), 0);
-        assert!(!tier.server(0).busy());
+        assert_eq!(tier.server(0).batcher().queue_len(), 0);
+        assert!(!tier.server(0).batcher().busy());
         assert_eq!(tier.epoch(1), 0, "other servers keep their epochs");
     }
 
@@ -618,7 +618,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(tier.server(0).queue_len(), 3);
+        assert_eq!(tier.server(0).batcher().queue_len(), 3);
         // After the gossip interval the refreshed depths (3 vs 0) shift
         // traffic to server 1.
         let later = SimTime::from_millis(1_500);

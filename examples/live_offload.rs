@@ -12,7 +12,7 @@
 
 use framefeedback::controller::FrameFeedback;
 use framefeedback::reactor::{
-    run_reactor_device, FleetClientConfig, PacerConditions, ReactorDeviceConfig, ReactorServer,
+    run_reactor_device, FleetClientConfig, NetworkConditions, ReactorDeviceConfig, ReactorServer,
     ReactorServerConfig,
 };
 use std::sync::atomic::Ordering;
@@ -43,7 +43,7 @@ fn main() {
             frame_bytes: 25_000,
             local_rate_fps: 13.0,
             tick: Duration::from_secs(1),
-            pacer: PacerConditions {
+            network: NetworkConditions {
                 bandwidth_mbps: 10.0,
                 loss_pct: 0.0,
             },

@@ -20,8 +20,8 @@ use framefeedback::baselines::LocalOnly;
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::metrics::QosRecord;
 use framefeedback::reactor::{
-    run_reactor_device, run_reactor_fleet, FleetClientConfig, PacerConditions, ReactorDeviceConfig,
-    ReactorDeviceSummary, ReactorServer, ReactorServerConfig, ReconnectPolicy,
+    run_reactor_device, run_reactor_fleet, FleetClientConfig, NetworkConditions,
+    ReactorDeviceConfig, ReactorDeviceSummary, ReactorServer, ReactorServerConfig, ReconnectPolicy,
 };
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -256,7 +256,7 @@ fn reactor_stalled_replies_become_timeouts_and_conserve() {
 fn reactor_throttled_uplink_times_out_and_backs_off() {
     let server = fast_server();
     let device = ReactorDeviceConfig {
-        pacer: PacerConditions {
+        network: NetworkConditions {
             bandwidth_mbps: 0.5,
             loss_pct: 0.0,
         },

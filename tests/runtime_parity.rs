@@ -312,10 +312,11 @@ fn reactor_fleet_tracks_the_simulated_fleet_within_tolerance() {
     // device < the 3 fps probe floor): controllers park at the floor
     // and throughput is dominated by the 13.4 fps local rate. The
     // *contended middle* (few devices, server busy but not saturated)
-    // is deliberately avoided — there the two server models' overflow
-    // policies (the
-    // reactor batcher rejects its queue remainder, the DES queues it)
-    // legitimately diverge.
+    // is deliberately avoided. Both hosts batch with ff-server's
+    // batcher, but an idle DES server starts a batch at the first
+    // arrival, while the reactor forms one per loop turn from whatever
+    // it read, and wall-clock jitter moves arrivals across batch
+    // boundaries: there the two legitimately diverge.
     const DEVICES: usize = 64;
     const SECS: u64 = 8;
     // Dominated by the 13.4 fps local rate; 1.5 fps of slack absorbs

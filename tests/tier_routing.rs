@@ -44,7 +44,7 @@ impl ScanRouter {
             RoutingPolicy::JoinShortestQueue { gossip_interval } => {
                 if now >= self.gossip_next {
                     for (i, depth) in self.gossip.iter_mut().enumerate() {
-                        *depth = tier.server(i).queue_len();
+                        *depth = tier.server(i).batcher().queue_len();
                     }
                     self.gossip_next = now + gossip_interval;
                 }
@@ -74,8 +74,8 @@ impl ScanRouter {
                         }
                         let (a, b) = (candidates[first], candidates[second]);
                         let load = |i: usize| {
-                            tier.server(i).queue_len()
-                                + tier.server(i).running_batch_size().unwrap_or(0)
+                            tier.server(i).batcher().queue_len()
+                                + tier.server(i).batcher().running_batch_size().unwrap_or(0)
                         };
                         let (la, lb) = (load(a), load(b));
                         Some(if (lb, b) < (la, a) { b } else { a })
@@ -159,7 +159,7 @@ proptest! {
                         tag: tag as u64,
                     };
                     let expected = reference.route(&tier, now, request.tenant, &mut ref_rng);
-                    let idle = expected.map(|s| !tier.server(s).busy());
+                    let idle = expected.map(|s| !tier.server(s).batcher().busy());
                     let outcome = tier.submit(now, request, true, &mut rng);
                     match (expected, outcome) {
                         (None, TierSubmit::Lost) => {}
