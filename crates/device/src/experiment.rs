@@ -8,12 +8,12 @@
 //!
 //! An experiment is one setting of the fleet host, not a host of its own:
 //! [`run_experiment`] lowers its [`ExperimentConfig`] into a one-device
-//! [`FleetConfig`] and runs it on the single-threaded fleet engine. What a
-//! fleet row has no column for — adaptive quality, the local-model
-//! ladder, the per-frame trace, a replayed schedule, the loss-model
-//! override, background and peer tenants, and the result's latency
-//! summaries and means — rides beside it in one [`Solo`] block. The
-//! whole-tier `outage` becomes one [`TierOutage`] per server.
+//! [`FleetConfig`] and runs it on the single-threaded fleet engine. Its
+//! features are fleet options of the same names; the background schedule
+//! plus the constant peer tenants becomes the tier's
+//! [`BackgroundConfig`]; the whole-tier `outage` becomes one
+//! [`TierOutage`] per server. The result's latency summaries, means and
+//! per-frame trace come from a `Watch` on row 0.
 
 use crate::fleet::{
     run_fleet_recording, EngineOptions, FleetConfig, FleetDeviceConfig, TierOutage,
@@ -21,13 +21,12 @@ use crate::fleet::{
 use crate::quality::QualityConfig;
 use crate::selection::ModelSelection;
 use crate::selector::SelectorConfig;
-use crate::solo::Solo;
 use crate::trace::FrameRecord;
 use ff_core::Controller;
 use ff_metrics::{LatencySummary, QosLog};
 use ff_models::{DeviceKind, GpuProfile, ModelKind};
 use ff_net::{LinkConfig, LinkStats, LossModel, NetworkConditions};
-use ff_server::{OverflowPolicy, ServerStats, TierConfig};
+use ff_server::{BackgroundConfig, OverflowPolicy, ServerStats, TierConfig};
 use ff_sim::{QueueBackend, SimDuration};
 use ff_telemetry::Telemetry;
 use ff_workload::{
@@ -105,8 +104,8 @@ pub struct ExperimentConfig {
     /// Scene-change script scoring each generated frame's information
     /// content on a dedicated RNG stream ("scene"). `None` — the default
     /// — draws nothing and is bit-identical to the pre-scene source.
-    /// Ignored for replayed capture schedules (recorded sizes already
-    /// embed any content structure).
+    /// Rejected with `replay`: a replayed frame carries no information
+    /// score (recorded sizes already embed any content structure).
     #[serde(default)]
     pub scene: Option<SceneScript>,
     /// Semantic frame filter (skip/shrink/pass). Only acts on frames
@@ -134,19 +133,6 @@ pub struct ServerOutage {
     pub from_secs: f64,
     /// Recovery instant in seconds; must be after `from_secs`.
     pub until_secs: f64,
-}
-
-impl ServerOutage {
-    fn validate(&self) {
-        assert!(
-            self.from_secs.is_finite() && self.from_secs >= 0.0,
-            "outage start must be finite and >= 0"
-        );
-        assert!(
-            self.until_secs.is_finite() && self.until_secs > self.from_secs,
-            "outage must end after it starts"
-        );
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -291,10 +277,6 @@ fn run_as_fleet(
     telemetry: &Telemetry,
     traced: bool,
 ) -> (ExperimentResult, Option<Vec<u8>>) {
-    if let Some(outage) = &config.outage {
-        outage.validate();
-    }
-    let solo = Box::new(Solo::new(&config));
     let tier = config
         .tier
         .unwrap_or_else(|| TierConfig::single(config.gpu, OverflowPolicy::default()));
@@ -308,6 +290,17 @@ fn run_as_fleet(
             })
             .collect(),
         None => Vec::new(),
+    };
+    // The peers run the device's model, and so are billed as it.
+    let peers_fps = config.peer_devices as f64 * config.peer_rate_fps;
+    let schedule = &config.background;
+    let background = BackgroundConfig {
+        steps: schedule
+            .steps()
+            .iter()
+            .map(|&(t, _)| (t, schedule.value_at(t) + peers_fps))
+            .collect(),
+        model: config.model,
     };
     let fleet = FleetConfig {
         seed: config.seed,
@@ -337,9 +330,16 @@ fn run_as_fleet(
         filter: config.filter,
         selection: config.selection,
         remote_model: config.remote_model,
+        adaptive_quality: config.adaptive_quality,
+        adaptive_local_model: config.adaptive_local_model,
+        loss_model: config.loss_model,
+        replay: config.replay,
+        background: Some(background),
     };
-    let (result, trace, solo) =
-        run_fleet_recording(fleet, vec![controller], traced.then_some(0), Some(solo));
-    let solo = solo.expect("the host hands the block back");
-    (solo.into_result(result), trace)
+    let watched = Some((0, config.record_trace));
+    let (mut fleet, trace, watch) =
+        run_fleet_recording(fleet, vec![controller], traced.then_some(0), watched);
+    let device = fleet.devices.pop().expect("a fleet of one");
+    let watch = watch.expect("row 0 is watched");
+    (watch.into_result(device, fleet), trace)
 }

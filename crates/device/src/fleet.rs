@@ -16,9 +16,9 @@
 //!
 //! The device control loop is [`crate::runtime`]'s, the same one the
 //! live clients and the replayer run: this module is a host adapter. The
-//! single-device experiment is this host too — a fleet of one carrying
-//! a [`Solo`] block for what only the experiment has. [`FleetCore`]
-//! owns each device's frame source, uplink, local engine and filter,
+//! single-device experiment is this host too: its features are fleet
+//! options, its accounting a [`Watch`] on one row. [`FleetCore`] owns
+//! each device's frame source, uplink, local engine and option columns,
 //! turns simulation events into runtime calls and schedules what they
 //! ask for; the only difference between the single-threaded engine and a
 //! shard ([`crate::shard`]) is where a delivered uplink goes (see
@@ -40,20 +40,22 @@
 //! is served from a small array while its flight table stays cold.
 
 use crate::local::LocalEngine;
+use crate::quality::{QualityAdapter, QualityConfig};
 use crate::runtime::{
     bootstrap, trace_header, DeviceLoop, FrameState, OffloadState, RuntimeConfig, SubmitOutcome,
     TickOutput, Transport,
 };
 use crate::selection::ModelSelection;
-use crate::solo::Solo;
+use crate::selector::{ModelSelector, SelectorConfig};
 use crate::splitter::Route;
+use crate::watch::Watch;
 use ff_core::Controller;
 use ff_metrics::QosLog;
 use ff_models::{DeviceKind, GpuProfile, ModelKind};
-use ff_net::{Link, LinkConfig, NetworkConditions, SendOutcome};
+use ff_net::{Link, LinkConfig, LossModel, NetworkConditions, SendOutcome};
 use ff_server::{
-    jain_fairness_index, BatchOutput, OverflowPolicy, Request, ServerStats, ServerTier, TenantId,
-    TierConfig, TierSubmit,
+    jain_fairness_index, Background, BackgroundConfig, BatchOutput, OverflowPolicy, Request,
+    ServerStats, ServerTier, TenantId, TierConfig, TierSubmit,
 };
 use ff_sim::{
     Ctx, EventQueue, QueueBackend, RngFactory, SimDuration, SimModel, SimTime, Simulation,
@@ -61,7 +63,7 @@ use ff_sim::{
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use ff_trace::TraceHandle;
 use ff_workload::{
-    FilterConfig, FilterStats, FilterVerdict, FrameSource, ReplayCursor, SceneScript,
+    FilterConfig, FilterStats, FilterVerdict, FrameSource, ReplayCursor, ReplayFrames, SceneScript,
     SemanticFilter, StepSchedule, StreamConfig,
 };
 use rand_chacha::ChaCha8Rng;
@@ -77,10 +79,10 @@ use crate::tags::{
 /// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
 /// the fleet host files in time order. The first four are filed a
 /// constant distance ahead of `now`; the last three are FIFO per link,
-/// per server and per background process, so in a fleet of one they stay
-/// in step, while in a larger fleet an out-of-order push falls through to
-/// the backend under its own sequence number (pop order never changes).
-/// A shard files only the first four.
+/// per server and per background process, so with one device and one
+/// server they stay in step, while in a larger fleet an out-of-order push
+/// falls through to the backend under its own sequence number (pop order
+/// never changes). A shard files only the first four.
 pub(crate) mod lane {
     /// The next capture, one frame interval ahead.
     pub(crate) const CAPTURE: usize = 0;
@@ -97,7 +99,7 @@ pub(crate) mod lane {
     /// One server's successive batch completions (with several servers,
     /// out-of-order ones fall through to the backend).
     pub(crate) const BATCH: usize = 5;
-    /// The single pending background arrival (a fleet of one's).
+    /// The single pending background arrival.
     pub(crate) const BACKGROUND: usize = 6;
 }
 
@@ -146,18 +148,21 @@ pub struct TierOutage {
 }
 
 impl TierOutage {
-    /// Panic on a window that ends before it starts or starts negative.
+    /// Panic on a window that starts negative or ends before it starts.
     pub fn validate(&self, servers: usize) {
+        let (from, until) = (self.from_secs, self.until_secs);
         assert!(
             self.server < servers,
             "outage names server {} but the tier has {servers}",
             self.server
         );
         assert!(
-            self.from_secs >= 0.0 && self.until_secs > self.from_secs,
-            "outage window [{}, {}) is empty or negative",
-            self.from_secs,
-            self.until_secs
+            from.is_finite() && from >= 0.0,
+            "outage start must be finite and >= 0, got {from}"
+        );
+        assert!(
+            until.is_finite() && until > from,
+            "outage must end after it starts: [{from}, {until})"
         );
     }
 }
@@ -229,6 +234,18 @@ pub struct FleetConfig {
     /// Model served by the tier for offloaded frames. `None` means each
     /// device's own `model` (the paper's symmetric setup).
     pub remote_model: Option<ModelKind>,
+    /// Adaptive JPEG quality on every device; like the next three, the
+    /// `ExperimentConfig` field of the same name, fleet-wide.
+    pub adaptive_quality: Option<QualityConfig>,
+    /// The adaptive local-model ladder on every device.
+    pub adaptive_local_model: Option<SelectorConfig>,
+    /// A loss process replacing every link's Bernoulli loss.
+    pub loss_model: Option<LossModel>,
+    /// A capture schedule every device replays; not with `scene`.
+    pub replay: Option<ReplayFrames>,
+    /// Poisson load from tenants outside the fleet, billed to tenant
+    /// `devices.len()`; `None` files no event. Single-threaded only.
+    pub background: Option<BackgroundConfig>,
 }
 
 impl Default for FleetConfig {
@@ -266,6 +283,11 @@ impl Default for FleetConfig {
             filter: None,
             selection: ModelSelection::AlwaysPaper,
             remote_model: None,
+            adaptive_quality: None,
+            adaptive_local_model: None,
+            loss_model: None,
+            replay: None,
+            background: None,
         }
     }
 }
@@ -292,10 +314,21 @@ impl FleetConfig {
         }
     }
 
-    /// The instant the run ends: stream duration plus one deadline of
-    /// drain time.
+    /// The instant the run ends: the stream's duration (a replay's plus
+    /// one frame interval) plus one deadline of drain time.
     pub(crate) fn end_at(&self) -> SimTime {
-        SimTime::ZERO + self.stream.stream_duration() + self.deadline
+        let stream = match &self.replay {
+            Some(replay) => replay.duration() + self.stream.frame_interval(),
+            None => self.stream.stream_duration(),
+        };
+        SimTime::ZERO + stream + self.deadline
+    }
+
+    /// The instant of every device's first capture: a replayed
+    /// schedule's first, else the start of the run.
+    pub(crate) fn first_capture(&self) -> SimTime {
+        let first = |replay| ReplayCursor::default().next_capture_time(replay);
+        self.replay.as_ref().map_or(SimTime::ZERO, first)
     }
 }
 
@@ -376,6 +409,9 @@ pub(crate) struct RuntimeColumns {
     recording: Option<(usize, TraceHandle)>,
     /// What every other row lends as its trace handle.
     untraced: TraceHandle,
+    /// The accounting of the one row a caller watches, if this range of
+    /// the fleet has it.
+    watch: Option<Watch>,
 }
 
 impl RuntimeColumns {
@@ -391,6 +427,7 @@ impl RuntimeColumns {
                 Some((row, handle)) if *row == i => handle,
                 _ => &mut self.untraced,
             },
+            watch: self.watch.as_mut().filter(|watch| watch.row == i),
         }
     }
 
@@ -416,8 +453,12 @@ pub(crate) struct FleetDevices {
     pub(crate) engine: Vec<LocalEngine<ChaCha8Rng>>,
     pub(crate) link: Vec<Link<ChaCha8Rng>>,
     /// One filter per device, or empty when `FleetConfig::filter` is
-    /// `None`.
+    /// `None`; likewise the next three for their options.
     pub(crate) filter: Vec<SemanticFilter>,
+    pub(crate) quality: Vec<QualityAdapter>,
+    pub(crate) selector: Vec<ModelSelector>,
+    /// Each device's position in `FleetConfig::replay`.
+    pub(crate) replay: Vec<ReplayCursor>,
     pub(crate) frames_local: Vec<u64>,
     pub(crate) runtime: RuntimeColumns,
 }
@@ -431,8 +472,8 @@ const _: () = assert!(std::mem::size_of::<LocalEngine<ChaCha8Rng>>() <= 176);
 
 impl FleetDevices {
     /// Build the state for global devices `[base, base + controllers.len())`,
-    /// with global device `traced` (if it falls in that range) recording
-    /// an `ff-trace`.
+    /// with global devices `traced` and `watched.0` (if in that range)
+    /// recording an `ff-trace` and keeping a [`Watch`].
     ///
     /// Every RNG stream is derived from the **global** device index, so
     /// the same device gets bit-identical randomness regardless of how
@@ -442,9 +483,11 @@ impl FleetDevices {
         controllers: Vec<Box<dyn Controller>>,
         base: usize,
         traced: Option<usize>,
+        watched: Option<(usize, bool)>,
     ) -> FleetDevices {
         let rng = RngFactory::new(config.seed);
         let n = controllers.len();
+        let column = |on: bool| if on { n } else { 0 };
         // One QoS record per controller tick, the last at or before the
         // end of the run.
         let ticks = (config.end_at().as_micros() / config.controller_period.as_micros()) as usize;
@@ -470,7 +513,10 @@ impl FleetDevices {
             source: Vec::with_capacity(n),
             engine: Vec::with_capacity(n),
             link: Vec::with_capacity(n),
-            filter: Vec::with_capacity(if config.filter.is_some() { n } else { 0 }),
+            filter: Vec::with_capacity(column(config.filter.is_some())),
+            quality: Vec::with_capacity(column(config.adaptive_quality.is_some())),
+            selector: Vec::with_capacity(column(config.adaptive_local_model.is_some())),
+            replay: Vec::with_capacity(column(config.replay.is_some())),
             frames_local: vec![0; n],
             runtime: RuntimeColumns {
                 configs,
@@ -480,6 +526,9 @@ impl FleetDevices {
                 qos: Vec::with_capacity(n),
                 recording: None,
                 untraced: TraceHandle::disabled(),
+                watch: watched
+                    .filter(|&(g, _)| (base..base + n).contains(&g))
+                    .map(|(g, frame_trace)| Watch::new(config, g - base, g, frame_trace)),
             },
         };
         for (local, controller) in devs.controller.iter_mut().enumerate() {
@@ -508,12 +557,23 @@ impl FleetDevices {
                 dc.model,
                 rng.indexed_stream("fleet-local", g as u64),
             ));
-            devs.link.push(Link::new(
+            let mut link = Link::new(
                 config.link,
                 initial_conditions,
                 rng.indexed_stream("fleet-link", g as u64),
-            ));
+            );
+            if let Some(model) = config.loss_model {
+                link.set_loss_model(model);
+            }
+            devs.link.push(link);
             devs.filter.extend(config.filter.map(SemanticFilter::new));
+            devs.quality
+                .extend(config.adaptive_quality.map(QualityAdapter::new));
+            let ladder = config.adaptive_local_model.clone();
+            devs.selector
+                .extend(ladder.map(|c| ModelSelector::new(c, dc.device)));
+            devs.replay
+                .extend(config.replay.as_ref().map(|_| ReplayCursor::default()));
 
             let rc = &devs.runtime.configs[dc.model as usize];
             let (frame, offload) = bootstrap(rc, controller.as_mut(), make_tag(g, 0, true));
@@ -594,9 +654,9 @@ pub(crate) enum FleetEvent {
         dev: Option<u32>,
         step: u32,
     },
-    /// Background schedule step `step` takes effect ([`Solo`] only).
+    /// Background rate step `step` takes effect (single-threaded only).
     LoadChange(usize),
-    /// The next background request arrives ([`Solo`] only).
+    /// The next background request arrives (likewise).
     Background,
 }
 
@@ -655,8 +715,6 @@ pub(crate) struct FleetCore {
     /// Local-inference completions applied so far: events of the model
     /// that never were calendar entries.
     pub(crate) local_completions: u64,
-    /// The single-device experiment's block, for a fleet of one.
-    pub(crate) solo: Option<Box<Solo>>,
 }
 
 impl FleetCore {
@@ -666,23 +724,7 @@ impl FleetCore {
             config,
             devs,
             local_completions: 0,
-            solo: None,
         }
-    }
-
-    /// Make this fleet of one run `solo`'s features: its end of run and
-    /// its loss model, which the link takes before its first send.
-    fn attach(&mut self, solo: Box<Solo>) {
-        assert_eq!(
-            self.devs.link.len(),
-            1,
-            "a Solo block drives a fleet of one"
-        );
-        self.end_at = solo.end_at;
-        if let Some(model) = solo.loss_model {
-            self.devs.link[0].set_loss_model(model);
-        }
-        self.solo = Some(solo);
     }
 
     /// The runtime row of the device `tag` belongs to: where the hosts
@@ -699,26 +741,31 @@ impl FleetCore {
         g: usize,
     ) {
         let now = ctx.now();
+        let config = &*self.config;
         let FleetDevices {
             base,
             source,
             engine,
             link,
             filter,
+            quality,
+            replay,
             frames_local,
             runtime,
             ..
         } = &mut self.devs;
         let i = g - *base;
         let src = &mut source[i];
-        let mut solo = self.solo.as_deref_mut();
-        let (frame, info) = match solo.as_mut().and_then(|s| s.replay.as_mut()) {
-            Some(replay) => (replay.next_frame(), None),
+        let mut replay = config.replay.as_ref().zip(replay.get_mut(i));
+        let (frame, info) = match &mut replay {
+            Some((frames, cursor)) => (cursor.next_frame(frames), None),
             None => (src.next_frame(), src.last_info()),
         };
         let Some(frame) = frame else {
             return;
         };
+        let replay = replay.map(|(frames, cursor)| (frames, &*cursor));
+        let mut rt = runtime.lend(i);
         // Semantic filter: drop or shrink low-information frames
         // before they cost routing, uplink, or local compute.
         let mut frame_bytes = frame.bytes;
@@ -727,23 +774,31 @@ impl FleetCore {
                 FilterVerdict::Pass => {}
                 FilterVerdict::Shrink { bytes } => frame_bytes = bytes,
                 FilterVerdict::Skip => {
-                    if let Some(solo) = solo.as_deref_mut() {
-                        solo.filtered_out(frame.id.0, now, frame.bytes);
+                    if let Some(watch) = rt.watch {
+                        watch.filtered_out(frame.id.0, now, frame.bytes);
                     }
-                    if let Some(next) = next_capture(src, solo.as_deref()) {
+                    if let Some(next) = next_capture(src, replay) {
                         ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
                     }
                     return;
                 }
             }
         }
-        let mut rt = runtime.lend(i);
         match rt.route_frame(frame.id.0, frame_bytes, now) {
             Route::Offload => {
-                let bytes = match solo.as_deref_mut() {
-                    Some(solo) => solo.offloaded(frame.id.0, now, frame_bytes),
+                let mut jpeg = config.stream.compression;
+                let bytes = match quality.get(i) {
+                    Some(adapter) => {
+                        jpeg.quality = adapter.quality();
+                        let scaled = frame_bytes as f64 * adapter.byte_scale(jpeg.resolution);
+                        (scaled.round() as u64).max(1)
+                    }
                     None => frame_bytes,
                 };
+                if let Some(watch) = rt.watch.as_deref_mut() {
+                    let model = config.remote_model.unwrap_or(config.devices[g].model);
+                    watch.offloaded(frame.id.0, now, bytes, jpeg, model);
+                }
                 let tag = make_tag(g, frame.id.0, false);
                 let mut transport = LinkTransport {
                     link: &mut link[i],
@@ -755,16 +810,15 @@ impl FleetCore {
             }
             Route::Local => {
                 let engine = &mut engine[i];
-                self.local_completions +=
-                    apply_local(engine, &mut rt, solo.as_deref_mut(), now, false);
+                self.local_completions += apply_local(engine, &mut rt, now, false);
                 let outcome = engine.offer(now);
-                if let Some(solo) = solo.as_deref_mut() {
-                    solo.offered_locally(frame.id.0, now, frame_bytes, outcome);
+                if let Some(watch) = rt.watch {
+                    watch.offered_locally(frame.id.0, now, frame_bytes, outcome);
                 }
                 frames_local[i] += 1;
             }
         }
-        if let Some(next) = next_capture(src, solo.as_deref()) {
+        if let Some(next) = next_capture(src, replay) {
             ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
         }
     }
@@ -776,20 +830,30 @@ impl FleetCore {
         g: usize,
     ) -> TickOutput {
         let now = ctx.now();
-        let i = g - self.devs.base;
+        let devs = &mut self.devs;
+        let i = g - devs.base;
         // The heartbeat probe leaves through this device's own link.
         let mut transport = LinkTransport {
-            link: &mut self.devs.link[i],
+            link: &mut devs.link[i],
             deliver: |sent_at, at, tag| uplinked(ctx, sent_at, at, tag),
         };
-        let controller = self.devs.controller[i].as_mut();
-        let engine = &mut self.devs.engine[i];
-        let mut rt = self.devs.runtime.lend(i);
-        let mut solo = self.solo.as_deref_mut();
-        self.local_completions += apply_local(engine, &mut rt, solo.as_deref_mut(), now, true);
+        let controller = devs.controller[i].as_mut();
+        let engine = &mut devs.engine[i];
+        let mut rt = devs.runtime.lend(i);
+        self.local_completions += apply_local(engine, &mut rt, now, true);
         let out = rt.tick(now, controller, &mut transport);
-        if let Some(solo) = solo {
-            solo.ticked(&out, engine);
+        if let Some(adapter) = devs.quality.get_mut(i) {
+            adapter.update(out.record.timeouts_network);
+        }
+        if let Some(selector) = devs.selector.get_mut(i) {
+            let before = selector.model();
+            let after = selector.update(out.record.po_target / self.config.stream.fps);
+            if before != after {
+                engine.set_rate_fps(selector.local_rate_fps());
+                if let Some(watch) = rt.watch {
+                    watch.local_model_changed(after);
+                }
+            }
         }
         engine.tick_passed();
         let deadline = FleetEvent::Deadline { tag: out.probe_tag };
@@ -802,24 +866,31 @@ impl FleetCore {
     }
 
     /// The run is over at `now`: apply the local completions due by
-    /// `end_at` (the calendar would have popped each), let a [`Solo`]
-    /// block read its device, close the trace, and free the columns no
-    /// result reads — before the caller allocates the results, so that
-    /// teardown does not set the run's peak memory.
-    pub(crate) fn finish(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    /// `end_at` (the calendar would have popped each), let the [`Watch`]
+    /// read its row, close the trace, and free the columns no result
+    /// reads — before the caller allocates the results, so that teardown
+    /// does not set the run's peak memory. Returns the trace and the
+    /// watch, if this range of the fleet has them.
+    pub(crate) fn finish(&mut self, now: SimTime) -> (Option<Vec<u8>>, Option<Watch>) {
         let devs = &mut self.devs;
         for (i, engine) in devs.engine.iter_mut().enumerate() {
             let mut rt = devs.runtime.lend(i);
-            let solo = self.solo.as_deref_mut();
-            self.local_completions += apply_local(engine, &mut rt, solo, self.end_at, false);
+            self.local_completions += apply_local(engine, &mut rt, self.end_at, false);
         }
-        if let Some(solo) = self.solo.as_deref_mut() {
-            solo.finish(now, &devs.link[0], &devs.engine[0], &devs.source[0]);
+        let mut watch = devs.runtime.watch.take();
+        if let Some(watch) = &mut watch {
+            let i = watch.row;
+            watch.link_stats = devs.link[i].stats();
+            watch.local_busy_fraction = devs.engine[i].busy_fraction(now);
+            watch.frames_generated = devs
+                .replay
+                .get(i)
+                .map_or_else(|| devs.source[i].generated(), ReplayCursor::generated);
         }
         devs.source = Vec::new();
         devs.engine = Vec::new();
         devs.link = Vec::new();
-        devs.runtime.finish_trace(now)
+        (devs.runtime.finish_trace(now), watch)
     }
 
     /// The request reached the tier at `at` (and, when
@@ -833,26 +904,23 @@ impl FleetCore {
         }
     }
 
+    /// Apply a network step, re-imposing any loss override it reset.
     pub(crate) fn network_change(&mut self, dev: Option<usize>, step: usize) {
-        match dev {
-            None => {
-                let conditions = self.config.network.steps()[step].1;
-                for link in &mut self.devs.link {
-                    link.set_conditions(conditions);
-                }
-            }
+        let config = &*self.config;
+        let (links, conditions) = match dev {
+            None => (&mut self.devs.link[..], config.network.steps()[step].1),
             Some(dev) => {
-                let schedules = self
-                    .config
+                let schedules = config
                     .per_device_network
                     .as_ref()
                     .expect("per-device event requires per-device schedules");
-                let conditions = schedules[dev].steps()[step].1;
-                self.devs.link[dev - self.devs.base].set_conditions(conditions);
+                let i = dev - self.devs.base;
+                (&mut self.devs.link[i..=i], schedules[dev].steps()[step].1)
             }
-        }
-        if let Some(model) = self.solo.as_ref().and_then(|solo| solo.loss_model) {
-            for link in &mut self.devs.link {
+        };
+        for link in links {
+            link.set_conditions(conditions);
+            if let Some(model) = config.loss_model {
                 link.set_loss_model(model);
             }
         }
@@ -860,28 +928,32 @@ impl FleetCore {
 }
 
 /// Apply the local completions due at `now` ([`LocalEngine::apply_due`])
-/// to the device's runtime row and, in a fleet of one, its [`Solo`]
-/// block. Returns how many were applied.
+/// to the device's runtime row and its [`Watch`], if any. Returns how
+/// many were applied.
 fn apply_local(
     engine: &mut LocalEngine<ChaCha8Rng>,
     rt: &mut DeviceLoop<'_>,
-    mut solo: Option<&mut Solo>,
     now: SimTime,
     before_tick: bool,
 ) -> u64 {
     engine.apply_due(now, before_tick, |done_at| {
         rt.note_local_done(1, done_at);
-        if let Some(solo) = solo.as_deref_mut() {
-            solo.local_completed();
+        if let Some(watch) = rt.watch.as_deref_mut() {
+            watch.local_completed();
         }
     })
 }
 
 /// When the device captures next, if it does: from its generated stream,
-/// or from a [`Solo`] block's replayed schedule.
-fn next_capture(source: &FrameSource<ChaCha8Rng>, solo: Option<&Solo>) -> Option<SimTime> {
-    match solo.and_then(|solo| solo.replay.as_ref()) {
-        Some(replay) => (!replay.exhausted()).then(|| replay.next_capture_time()),
+/// or from its cursor over the replayed schedule.
+fn next_capture(
+    source: &FrameSource<ChaCha8Rng>,
+    replay: Option<(&ReplayFrames, &ReplayCursor)>,
+) -> Option<SimTime> {
+    match replay {
+        Some((frames, cursor)) => {
+            (!cursor.exhausted(frames)).then(|| cursor.next_capture_time(frames))
+        }
         None => (!source.exhausted()).then(|| source.next_capture_time()),
     }
 }
@@ -1076,6 +1148,8 @@ struct FleetWorld {
     /// is due one fixed propagation delay after it was filed, so the
     /// entries fire in filing order).
     responses: VecDeque<u64>,
+    /// The tier's background load (`FleetConfig::background`).
+    background: Option<Background<ChaCha8Rng>>,
     obs: FleetObs,
 }
 
@@ -1100,10 +1174,10 @@ impl FleetWorld {
         outcome
     }
 
-    /// The block of a fleet of one, for its background events.
-    fn solo(&mut self) -> &mut Solo {
-        let solo = self.core.solo.as_deref_mut();
-        solo.expect("background events are filed only with a Solo block")
+    /// The background process, for its events.
+    fn background(&mut self) -> &mut Background<ChaCha8Rng> {
+        let background = self.background.as_mut();
+        background.expect("background events are filed only with background load")
     }
 
     /// Report this device's controller-period observations (and, from
@@ -1206,18 +1280,12 @@ impl SimModel for FleetWorld {
 
             FleetEvent::Responses(n) => {
                 for tag in self.responses.drain(..n as usize) {
-                    let outcome = self.core.row_of(tag).on_response(tag, ctx.now(), true);
-                    if let Some(solo) = self.core.solo.as_deref_mut() {
-                        solo.responded(tag, outcome);
-                    }
+                    self.core.row_of(tag).on_response(tag, ctx.now(), true);
                 }
             }
 
             FleetEvent::Deadline { tag } => {
-                let timed_out = self.core.row_of(tag).on_deadline(tag, ctx.now());
-                if let (Some(solo), Some(cause)) = (self.core.solo.as_deref_mut(), timed_out) {
-                    solo.timed_out(tag, cause);
-                }
+                self.core.row_of(tag).on_deadline(tag, ctx.now());
             }
 
             FleetEvent::Tick(dev) => {
@@ -1234,16 +1302,16 @@ impl SimModel for FleetWorld {
                 .network_change(dev.map(|d| d as usize), step as usize),
 
             FleetEvent::LoadChange(step) => {
-                if let Some(at) = self.solo().load_change(step, ctx.now()) {
+                if let Some(at) = self.background().load_change(step, ctx.now()) {
                     ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
                 }
             }
 
             FleetEvent::Background => {
                 let now = ctx.now();
-                let request = self.solo().background_arrival(now);
+                let (request, next) = self.background().arrive(now);
                 self.submit_to_server(ctx, request, false);
-                if let Some(at) = self.solo().next_background(now) {
+                if let Some(at) = next {
                     ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
                 }
             }
@@ -1268,6 +1336,14 @@ pub(crate) fn validate_fleet(config: &FleetConfig, controllers: &[Box<dyn Contro
             "one network schedule per device"
         );
     }
+    if let Some(load) = &config.background {
+        load.validate();
+    }
+    assert!(
+        config.replay.is_none() || config.scene.is_none(),
+        "`replay` cannot be combined with `scene`: a replayed frame carries \
+         no information score, so the scene (and any `filter`) would be ignored"
+    );
 }
 
 /// The flattened network-change schedule: `(t_secs, device, step)` per
@@ -1329,25 +1405,20 @@ pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> 
     run_fleet_recording(config, controllers, None, None).0
 }
 
-/// [`run_fleet`] with global device `traced`, if any, recording its
-/// runtime calls as an `ff-trace` (returned beside the result), and, for
-/// a fleet of one, a [`Solo`] block (handed back with its accounting).
-/// Recording is write-only, so the result is that of the unrecorded run.
+/// [`run_fleet`] with global device `traced`, if any, recording an
+/// `ff-trace`, and device `watched.0` keeping a [`Watch`] (with a frame
+/// trace when `watched.1`), both returned beside the result. Both are
+/// write-only, so the result is that of the plain run.
 pub(crate) fn run_fleet_recording(
     config: FleetConfig,
     controllers: Vec<Box<dyn Controller>>,
     traced: Option<usize>,
-    solo: Option<Box<Solo>>,
-) -> (FleetResult, Option<Vec<u8>>, Option<Box<Solo>>) {
+    watched: Option<(usize, bool)>,
+) -> (FleetResult, Option<Vec<u8>>, Option<Watch>) {
     validate_fleet(&config, &controllers);
     if config.engine.shards > 1 {
-        assert!(
-            solo.is_none(),
-            "the sharded engine cannot run a Solo block (a single-device experiment)"
-        );
         let shards = config.engine.shards;
-        let (result, trace) = crate::shard::run_sharded(config, controllers, shards, traced);
-        return (result, trace, None);
+        return crate::shard::run_sharded(config, controllers, shards, traced, watched);
     }
     let n = controllers.len();
     let change_events = network_change_events(&config);
@@ -1356,36 +1427,35 @@ pub(crate) fn run_fleet_recording(
     for outage in &config.outages {
         outage.validate(tier.len());
     }
-    let routing_rng = RngFactory::new(config.seed).stream("routing");
+    let rng = RngFactory::new(config.seed);
+    let routing_rng = rng.stream("routing");
+    // Background tenants are billed one above every device.
+    let tenant = TenantId(n as u32);
+    let background = config
+        .background
+        .clone()
+        .map(|load| Background::new(load, rng.stream("background"), tenant));
 
-    let backend = config.engine.backend;
-    let controller_period = config.controller_period;
+    let first_capture = config.first_capture();
     let obs = FleetObs::new(&config.telemetry, n, tier.len());
-    let outages = config.outages.clone();
-    let devs = FleetDevices::build(&config, controllers, 0, traced);
-    let mut core = FleetCore::new(Arc::new(config), devs);
-    if let Some(solo) = solo {
-        core.attach(solo);
-    }
+    let devs = FleetDevices::build(&config, controllers, 0, traced, watched);
+    let config = Arc::new(config);
+    let core = FleetCore::new(Arc::clone(&config), devs);
     let end_at = core.end_at;
-    // A replayed schedule starts at its first recorded capture.
-    let solo = core.solo.as_deref();
-    let first_capture = solo
-        .and_then(|solo| solo.replay.as_ref())
-        .map_or(SimTime::ZERO, ReplayCursor::next_capture_time);
-    let load_steps = solo.map(Solo::load_steps);
     let world = FleetWorld {
         core,
         tier,
         routing_rng,
         batch_out: BatchOutput::default(),
         responses: VecDeque::new(),
+        background,
         obs,
     };
-    let mut sim = Simulation::with_queue(world, EventQueue::with_backend(backend));
+    let queue = EventQueue::with_backend(config.engine.backend);
+    let mut sim = Simulation::with_queue(world, queue);
     for dev in 0..n {
         sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(dev));
-        let first_tick = SimTime::ZERO + controller_period;
+        let first_tick = SimTime::ZERO + config.controller_period;
         sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(dev));
     }
     for (t, dev, step) in change_events {
@@ -1394,14 +1464,14 @@ pub(crate) fn run_fleet_recording(
             FleetEvent::network_change(dev, step),
         );
     }
-    if let Some(steps) = load_steps {
-        for (step, &t) in steps.iter().enumerate().skip(1) {
+    if let Some(load) = &config.background {
+        for (step, &(t, _)) in load.steps.iter().enumerate().skip(1) {
             sim.schedule_at(SimTime::from_secs_f64(t), FleetEvent::LoadChange(step));
         }
         // Start the background process.
         sim.schedule_at(SimTime::ZERO, FleetEvent::LoadChange(0));
     }
-    for outage in outages {
+    for outage in &config.outages {
         sim.schedule_at(
             SimTime::from_secs_f64(outage.from_secs),
             FleetEvent::ServerCrash(outage.server),
@@ -1421,11 +1491,11 @@ pub(crate) fn run_fleet_recording(
     // can span several runs (e.g. a sweep).
     world.obs.telemetry.poll();
 
-    let trace = world.core.finish(now);
+    let (trace, watch) = world.core.finish(now);
     let events_handled = dispatched + world.core.local_completions;
     let device_results = world.core.devs.into_results(&world.core.config);
     let result = finish_fleet(device_results, &world.tier, events_handled);
-    (result, trace, world.core.solo)
+    (result, trace, watch)
 }
 
 #[cfg(test)]
@@ -1519,6 +1589,31 @@ mod tests {
             assert_eq!(report.ticks as usize, traced.devices[1].qos.len());
             assert!(traced.devices[1].offload_timeouts > 0, "Table V bites");
         }
+    }
+
+    #[test]
+    fn a_watched_row_reads_the_same_on_one_and_two_shards() {
+        // Row 4 of five: on two shards it is the second row of the second
+        // shard, so the watch must find it by its local index there.
+        let watched_run = |shards| {
+            let mut config = FleetConfig {
+                network: ff_workload::table_v(),
+                adaptive_quality: Some(QualityConfig::default()),
+                adaptive_local_model: Some(SelectorConfig::default()),
+                ..FleetConfig::default()
+            };
+            config.devices = vec![config.devices[0]; 5];
+            config.stream.total_frames = 1_800;
+            config.engine.shards = shards;
+            let (mut fleet, _, watch) =
+                run_fleet_recording(config, ff_controllers(5), None, Some((4, true)));
+            let device = fleet.devices.swap_remove(4);
+            watch.expect("row 4 is watched").into_result(device, fleet)
+        };
+        let one = watched_run(1);
+        assert!(one.offload_latency.is_some() && one.mean_local_accuracy.is_some());
+        assert_eq!(one.trace.as_ref().map(Vec::len), Some(1_800));
+        assert_eq!(format!("{one:?}"), format!("{:?}", watched_run(2)));
     }
 
     #[test]
@@ -1717,6 +1812,32 @@ mod tests {
         // The mobile device lands somewhere in between.
         let mobile = late(0).mean_po_target;
         assert!(mobile > 2.0 && mobile < 31.0, "mobile target {mobile}");
+    }
+
+    #[test]
+    #[should_panic(expected = "`replay` cannot be combined with `scene`")]
+    fn a_replayed_schedule_rejects_a_scene() {
+        use ff_workload::{ReplayFrame, ScenePhase};
+        let mut config = short_fleet();
+        let frame = ReplayFrame {
+            at_us: 0,
+            bytes: 1_000,
+        };
+        config.replay = Some(ReplayFrames::new(vec![frame]));
+        let phase = ScenePhase::new(0.2, 0.15);
+        config.scene = Some(SceneScript::new(StepSchedule::constant(phase)));
+        run_fleet(config, ff_controllers(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` is empty")]
+    fn an_empty_background_schedule_is_rejected_before_the_run() {
+        let mut config = short_fleet();
+        config.background = Some(BackgroundConfig {
+            steps: Vec::new(),
+            model: ModelKind::MobileNetV3Small,
+        });
+        run_fleet(config, ff_controllers(3));
     }
 
     #[test]

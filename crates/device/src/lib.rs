@@ -16,9 +16,8 @@
 //! `ff-server` batching server, background tenants, and any
 //! `ff_core::Controller` into one deterministic discrete-event run — the
 //! substitution for the paper's physical testbed that every figure and
-//! table regeneration is built on. It runs as a fleet of one
-//! ([`run_fleet`]'s engine, with the experiment's extra features beside
-//! its one device).
+//! table regeneration is built on. It runs as a fleet of one on
+//! [`run_fleet`]'s engine, with fleet options and one watched row.
 
 #![warn(missing_docs)]
 
@@ -49,10 +48,10 @@ pub mod runtime;
 mod selection;
 mod selector;
 pub mod shard;
-mod solo;
 mod splitter;
 pub mod tags;
 mod trace;
+mod watch;
 
 pub use content::{content_scenario, content_scenarios, CONTENT_SCENARIO_NAMES};
 pub use controller::ControllerSpec;

@@ -36,6 +36,7 @@ use crate::flight::{FlightTable, ProbeTable};
 use crate::offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 use crate::selection::{deadline_risk, ModelSelection};
 use crate::splitter::{FrameSplitter, Route};
+use crate::watch::Watch;
 use ff_core::{Controller, Measurement};
 use ff_metrics::{QosLog, QosRecord, WindowedRate};
 use ff_sim::{SimDuration, SimTime};
@@ -389,6 +390,8 @@ pub(crate) struct DeviceLoop<'a> {
     /// contract as telemetry: strictly write-only, so results are
     /// bit-identical with recording on or off (`tests/trace_inert.rs`).
     pub(crate) trace: &'a mut TraceHandle,
+    /// The watched fleet row's accounting (equally write-only).
+    pub(crate) watch: Option<&'a mut Watch>,
 }
 
 impl DeviceLoop<'_> {
@@ -495,6 +498,9 @@ impl DeviceLoop<'_> {
             ok,
             outcome: trace_outcome(&outcome),
         });
+        if let Some(watch) = self.watch.as_deref_mut() {
+            watch.responded(tag, outcome);
+        }
         outcome
     }
 
@@ -559,6 +565,9 @@ impl DeviceLoop<'_> {
             tag,
             timed_out: result.map(trace_cause),
         });
+        if let (Some(watch), Some(cause)) = (self.watch.as_deref_mut(), result) {
+            watch.timed_out(tag, cause);
+        }
         result
     }
 
@@ -728,6 +737,7 @@ impl DeviceRuntime {
             offload: &mut self.offload,
             qos: &mut self.qos,
             trace: &mut self.trace,
+            watch: None,
         }
     }
 

@@ -83,6 +83,7 @@ use crate::fleet::{
     FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
+use crate::watch::Watch;
 use ff_core::Controller;
 use ff_server::{BatchOutput, ServerTier, TierSubmit};
 use ff_sim::{run_phased, Ctx, EventQueue, RngFactory, SimDuration, SimModel, SimTime, Simulation};
@@ -329,18 +330,25 @@ pub fn run_fleet_sharded(
     controllers: Vec<Box<dyn Controller>>,
     shards: usize,
 ) -> FleetResult {
-    run_sharded(config, controllers, shards, None).0
+    run_sharded(config, controllers, shards, None, None).0
 }
 
-/// [`run_fleet_sharded`] with global device `traced`, if any, recording
-/// an `ff-trace` (see `fleet::run_fleet_recording`).
+/// [`run_fleet_sharded`] with a traced and a watched row, as
+/// `fleet::run_fleet_recording` takes them.
 pub(crate) fn run_sharded(
     config: FleetConfig,
     controllers: Vec<Box<dyn Controller>>,
     shards: usize,
     traced: Option<usize>,
-) -> (FleetResult, Option<Vec<u8>>) {
+    watched: Option<(usize, bool)>,
+) -> (FleetResult, Option<Vec<u8>>, Option<Watch>) {
     validate_fleet(&config, &controllers);
+    // Why: DESIGN.md §"Sharded engine", "Background load stays on one thread".
+    assert!(
+        config.background.is_none(),
+        "`background` load needs the single-threaded engine (shards: 1): the shard \
+         coordinator cannot order its arrivals among same-instant device deliveries"
+    );
     let config = Arc::new(config);
     let n = controllers.len();
     let k = shards.clamp(1, n);
@@ -408,13 +416,14 @@ pub(crate) fn run_sharded(
     };
 
     let change_events = network_change_events(&config);
+    let first_capture = config.first_capture();
     let mut states = Vec::with_capacity(k);
     let mut remaining = controllers;
     let mut offset = 0usize;
     for s in 0..k {
         let size = per + usize::from(s < big);
         let chunk: Vec<Box<dyn Controller>> = remaining.drain(..size).collect();
-        let devs = FleetDevices::build(&config, chunk, offset, traced);
+        let devs = FleetDevices::build(&config, chunk, offset, traced, watched);
         let scopes = device_scopes(&telemetry, offset..offset + size);
         let world = ShardDeviceWorld {
             core: FleetCore::new(Arc::clone(&config), devs),
@@ -425,7 +434,7 @@ pub(crate) fn run_sharded(
         let mut sim =
             Simulation::with_queue(world, EventQueue::with_backend(config.engine.backend));
         for g in offset..offset + size {
-            sim.schedule_lane(lane::CAPTURE, SimTime::ZERO, FleetEvent::Capture(g));
+            sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(g));
             let first_tick = SimTime::ZERO + config.controller_period;
             sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(g));
         }
@@ -630,7 +639,7 @@ pub(crate) fn run_sharded(
     // order. ----
     let mut shard_events = 0u64;
     let mut responses_applied = 0u64;
-    let mut trace = None;
+    let (mut trace, mut watch) = (None, None);
     let finished: Vec<FleetDevices> = states
         .into_iter()
         .map(|state| {
@@ -638,8 +647,9 @@ pub(crate) fn run_sharded(
             let now = state.sim.now();
             let dispatched = state.sim.events_handled();
             let mut core = state.sim.into_model().core;
-            let recorded = core.finish(now);
+            let (recorded, watched) = core.finish(now);
             trace = trace.take().or(recorded);
+            watch = watch.take().or(watched);
             shard_events += dispatched + core.local_completions;
             core.devs
         })
@@ -668,7 +678,7 @@ pub(crate) fn run_sharded(
         telemetry.poll();
     }
     let result = finish_fleet(device_results, &tier, events_handled);
-    (result, trace)
+    (result, trace, watch)
 }
 
 /// Test hooks for the merge-order proptest in

@@ -29,7 +29,7 @@
 pub const PROBE_TAG_BASE: u64 = 1 << 62;
 
 /// First tag of the background-tenant range (sim only).
-pub const BACKGROUND_TAG_BASE: u64 = 1 << 61;
+pub use ff_server::BACKGROUND_TAG_BASE;
 
 /// Whether a tag belongs to the heartbeat-probe range (either layout).
 pub fn is_probe_tag(tag: u64) -> bool {

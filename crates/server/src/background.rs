@@ -5,12 +5,18 @@
 //! rate follows the Table VI schedule: memoryless arrivals are the
 //! standard model for the superposition of many independent clients.
 //!
-//! The sampler is schedule-agnostic — the experiment driver passes the
-//! rate in force and handles rate-change points — so it stays free of
-//! upward dependencies.
+//! [`PoissonArrivals`] samples the gaps at the rate in force;
+//! [`Background`] is one run's whole process, driven by the host that
+//! owns the tier.
 
+use crate::server::{Request, TenantId};
+use ff_models::ModelKind;
 use ff_sim::{SimDuration, SimTime};
 use rand::Rng;
+
+/// First tag of the background-tenant range: request `seq` of a run's
+/// background process is tagged `BACKGROUND_TAG_BASE + seq`.
+pub const BACKGROUND_TAG_BASE: u64 = 1 << 61;
 
 /// Samples Poisson arrival gaps for the aggregate background load.
 #[derive(Debug, Clone)]
@@ -38,6 +44,96 @@ impl<R: Rng> PoissonArrivals<R> {
         let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         let gap_secs = -u.ln() / rate_per_sec;
         Some(now + SimDuration::from_secs_f64(gap_secs))
+    }
+}
+
+/// Poisson load offered to the tier by tenants outside the fleet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BackgroundConfig {
+    /// `(t_secs, requests/s)` rate steps in time order; the first takes
+    /// effect at the start of the run, whatever its instant.
+    pub steps: Vec<(f64, f64)>,
+    /// The model the requests are billed as.
+    pub model: ModelKind,
+}
+
+impl BackgroundConfig {
+    /// Panic, naming the field, on an empty schedule, or on a step whose
+    /// time is not finite, >= 0 and after the last, or whose rate is not
+    /// finite and >= 0.
+    pub fn validate(&self) {
+        assert!(!self.steps.is_empty(), "`background.steps` is empty");
+        let mut last = -1.0;
+        for &(t, rate) in &self.steps {
+            assert!(
+                t.is_finite() && t > last && rate.is_finite() && rate >= 0.0,
+                "`background.steps` needs ascending finite times from 0 and finite \
+                 rates >= 0, got ({t}, {rate})"
+            );
+            last = t;
+        }
+    }
+}
+
+/// One run's background process: the rate in force and at most one
+/// pending arrival, which the host files. It calls
+/// [`load_change`](Self::load_change) at each rate step (step 0 at the
+/// start of the run) and [`arrive`](Self::arrive) at each arrival.
+#[derive(Debug)]
+pub struct Background<R: Rng> {
+    config: BackgroundConfig,
+    arrivals: PoissonArrivals<R>,
+    tenant: TenantId,
+    rate: f64,
+    /// Whether the next arrival is already filed.
+    pending: bool,
+    seq: u64,
+}
+
+impl<R: Rng> Background<R> {
+    /// The process `config` describes, drawing its gaps from `rng` and
+    /// billing every request to `tenant`.
+    pub fn new(config: BackgroundConfig, rng: R, tenant: TenantId) -> Self {
+        Background {
+            config,
+            arrivals: PoissonArrivals::new(rng),
+            tenant,
+            rate: 0.0,
+            pending: false,
+            seq: 0,
+        }
+    }
+
+    /// Rate step `step` takes effect at `now`: the instant of the next
+    /// arrival, if one is to be filed.
+    pub fn load_change(&mut self, step: usize, now: SimTime) -> Option<SimTime> {
+        self.rate = self.config.steps[step].1;
+        self.next_arrival(now)
+    }
+
+    /// The filed arrival happens at `now`: its request, and the instant
+    /// of the next arrival, if one is to be filed.
+    pub fn arrive(&mut self, now: SimTime) -> (Request, Option<SimTime>) {
+        let request = Request {
+            tenant: self.tenant,
+            model: self.config.model,
+            submitted_at: now,
+            tag: BACKGROUND_TAG_BASE + self.seq,
+        };
+        self.seq += 1;
+        self.pending = false;
+        (request, self.next_arrival(now))
+    }
+
+    /// The next arrival after `now`, unless one is already filed or the
+    /// rate in force is zero.
+    fn next_arrival(&mut self, now: SimTime) -> Option<SimTime> {
+        if self.pending {
+            return None;
+        }
+        let at = self.arrivals.next_after(now, self.rate)?;
+        self.pending = true;
+        Some(at)
     }
 }
 
@@ -90,6 +186,46 @@ mod tests {
             tb = b.next_after(tb, 90.0).unwrap();
             assert_eq!(ta, tb);
         }
+    }
+
+    fn config(steps: Vec<(f64, f64)>) -> BackgroundConfig {
+        let model = ModelKind::MobileNetV3Small;
+        BackgroundConfig { steps, model }
+    }
+
+    #[test]
+    fn a_stepped_schedule_validates() {
+        config(vec![(0.0, 0.0), (2.0, 90.0)]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` is empty")]
+    fn an_empty_schedule_is_rejected() {
+        config(vec![]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` needs ascending")]
+    fn unordered_step_times_are_rejected() {
+        config(vec![(0.0, 10.0), (5.0, 20.0), (5.0, 30.0)]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` needs ascending")]
+    fn a_negative_step_time_is_rejected() {
+        config(vec![(-1.0, 10.0)]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` needs ascending")]
+    fn a_nan_rate_is_rejected() {
+        config(vec![(0.0, f64::NAN)]).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "`background.steps` needs ascending")]
+    fn a_negative_rate_is_rejected() {
+        config(vec![(0.0, 10.0), (1.0, -5.0)]).validate();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! right). Implements the paper's adaptive batching scheme — next batch =
 //! everything that arrived during the previous batch, capped at 15 with
 //! the overflow rejected — on top of the affine GPU latency model from
-//! `ff-models`, plus a Poisson sampler for Table VI's injected
-//! multi-tenant background load.
+//! `ff-models`, plus Table VI's injected multi-tenant background load
+//! (a Poisson process whose rate steps).
 //!
 //! Since the multi-server refactor the canonical entry point is the
 //! [`ServerTier`]: N heterogeneous [`EdgeServer`]s behind a routing
@@ -23,7 +23,7 @@ mod server;
 mod tenants;
 mod tier;
 
-pub use background::PoissonArrivals;
+pub use background::{Background, BackgroundConfig, PoissonArrivals, BACKGROUND_TAG_BASE};
 pub use batcher::Batcher;
 pub use policy::{jain_fairness_index, OverflowPolicy};
 pub use server::{BatchOutput, EdgeServer, Request, ServerStats, Submit, TenantId};

@@ -1,7 +1,7 @@
 //! Dense per-tenant state.
 //!
 //! Tenant ids are small dense integers everywhere in the tree (a
-//! device's index; the background tenant is 1000), and the server
+//! device's index; background load is one above the last), and the server
 //! touches per-tenant state once per completion, rejection or admission
 //! decision. A tenant-indexed vector makes each touch one bounds check
 //! and one load instead of an ordered-map descent.

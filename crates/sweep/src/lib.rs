@@ -59,7 +59,12 @@ use std::time::Instant;
 /// v4: the same [`ExperimentConfig`] computes different bits once the
 /// experiment runs as a one-device fleet (fleet RNG stream names, and
 /// requests billed as the offload model); a v3 entry holds the old bits.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: background load is billed to the tenant one above the last
+/// device (tenant 1 in an experiment), not tenant 1000, so a multi-server
+/// static-shard tier routes it to another server; a v4 entry holds the
+/// old bits.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// A routing-policy axis entry: which server a request lands on. This is
 /// exactly [`ff_server::RoutingPolicy`] — serializable and `Copy`, so a

@@ -89,46 +89,40 @@ impl ReplayFrames {
     }
 }
 
-/// Cursor yielding a [`ReplayFrames`] schedule through the same
-/// interface as [`FrameSource`](crate::FrameSource).
-#[derive(Debug, Clone)]
+/// A position in a [`ReplayFrames`] schedule, yielding it through the
+/// same interface as [`FrameSource`](crate::FrameSource). The schedule is
+/// an argument of every call, so any number of cursors replay one copy.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayCursor {
-    frames: ReplayFrames,
     next: usize,
 }
 
 impl ReplayCursor {
-    /// Start replaying `frames` from the first capture.
-    pub fn new(frames: ReplayFrames) -> Self {
-        ReplayCursor { frames, next: 0 }
-    }
-
     /// Frames yielded so far.
     pub fn generated(&self) -> u64 {
         self.next as u64
     }
 
     /// Whether every recorded capture has been yielded.
-    pub fn exhausted(&self) -> bool {
-        self.next >= self.frames.len()
+    pub fn exhausted(&self, frames: &ReplayFrames) -> bool {
+        self.next >= frames.len()
     }
 
     /// Capture instant of the next frame (the schedule's end when
     /// exhausted).
-    pub fn next_capture_time(&self) -> SimTime {
-        let at_us = self
-            .frames
+    pub fn next_capture_time(&self, frames: &ReplayFrames) -> SimTime {
+        let at_us = frames
             .frames()
             .get(self.next)
-            .map_or_else(|| self.frames.duration().as_micros(), |f| f.at_us);
+            .map_or_else(|| frames.duration().as_micros(), |f| f.at_us);
         SimTime::from_micros(at_us)
     }
 
     /// Yield the next recorded frame, or `None` when exhausted. Ids are
     /// the replay sequence numbers, so each run's tags stay unique even
     /// if the recorded run numbered frames differently.
-    pub fn next_frame(&mut self) -> Option<Frame> {
-        let f = *self.frames.frames().get(self.next)?;
+    pub fn next_frame(&mut self, frames: &ReplayFrames) -> Option<Frame> {
+        let f = *frames.frames().get(self.next)?;
         let id = self.next as u64;
         self.next += 1;
         Some(Frame {
@@ -163,19 +157,20 @@ mod tests {
 
     #[test]
     fn cursor_replays_recorded_times_and_sizes() {
-        let mut c = ReplayCursor::new(schedule());
-        assert!(!c.exhausted());
-        assert_eq!(c.next_capture_time(), SimTime::ZERO);
-        let f0 = c.next_frame().unwrap();
+        let frames = schedule();
+        let mut c = ReplayCursor::default();
+        assert!(!c.exhausted(&frames));
+        assert_eq!(c.next_capture_time(&frames), SimTime::ZERO);
+        let f0 = c.next_frame(&frames).unwrap();
         assert_eq!(f0.id, FrameId(0));
         assert_eq!(f0.bytes, 20_000);
-        assert_eq!(c.next_capture_time(), SimTime::from_micros(33_333));
-        let f1 = c.next_frame().unwrap();
+        assert_eq!(c.next_capture_time(&frames), SimTime::from_micros(33_333));
+        let f1 = c.next_frame(&frames).unwrap();
         assert_eq!(f1.captured_at, SimTime::from_micros(33_333));
-        let f2 = c.next_frame().unwrap();
+        let f2 = c.next_frame(&frames).unwrap();
         assert_eq!(f2.bytes, 18_500);
-        assert!(c.exhausted());
-        assert!(c.next_frame().is_none());
+        assert!(c.exhausted(&frames));
+        assert!(c.next_frame(&frames).is_none());
         assert_eq!(c.generated(), 3);
     }
 

@@ -1,5 +1,6 @@
-//! The server tier's routing against a scan-based reference, and the
-//! tier's refusal of a server that cannot batch.
+//! The server tier's routing against a scan-based reference, the tier's
+//! refusal of a server that cannot batch, and where a two-server static
+//! shard sends the experiment's background load.
 //!
 //! `ServerTier` routes through an ascending live-server list and a
 //! cached join-shortest-queue target, updated only when membership or
@@ -12,9 +13,11 @@ use framefeedback::controller::FrameFeedback;
 use framefeedback::device::{run_experiment, ExperimentConfig};
 use framefeedback::models::ModelKind;
 use framefeedback::server::{
-    BatchOutput, Request, RoutingPolicy, ServerSpec, ServerTier, TenantId, TierConfig, TierSubmit,
+    BatchOutput, OverflowPolicy, Request, RoutingPolicy, ServerSpec, ServerTier, TenantId,
+    TierConfig, TierSubmit,
 };
 use framefeedback::sim::{SimDuration, SimTime};
+use framefeedback::workload::table_vi;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -199,4 +202,33 @@ fn a_zero_batch_limit_is_rejected_at_validation() {
     let mut config = ExperimentConfig::default();
     config.gpu.batch_limit = 0;
     run_experiment(config, Box::new(FrameFeedback::new()));
+}
+
+/// `ffexp --scenario table6 --servers 2`, pinned. The Table VI load and
+/// the peer tenants are billed to tenant 1, one above the lone device,
+/// so static sharding sends them to server 1 and leaves server 0 to the
+/// device.
+#[test]
+fn a_two_server_static_shard_table6_keeps_background_off_the_device_server() {
+    let mut config = ExperimentConfig::default();
+    config.background = table_vi();
+    let spec = ServerSpec {
+        gpu: config.gpu,
+        policy: OverflowPolicy::default(),
+    };
+    config.tier = Some(TierConfig::uniform(2, spec));
+    let result = run_experiment(config, Box::new(FrameFeedback::new()));
+    let [device, background] = &result.per_server_stats[..] else {
+        panic!("two servers, got {}", result.per_server_stats.len());
+    };
+    // The device alone never fills its server; the load saturates its own.
+    assert_eq!((device.requests_received, device.rejections), (3_923, 0));
+    assert_eq!(
+        (background.requests_received, background.rejections),
+        (14_481, 1_390)
+    );
+    assert_eq!(
+        (result.frames_offloaded, result.offload_timeouts),
+        (3_790, 0)
+    );
 }
