@@ -25,10 +25,13 @@ use framefeedback::device::{
 };
 use framefeedback::metrics::QosRecord;
 use framefeedback::models::{DeviceKind, ModelKind};
-use framefeedback::server::{ServerSpec, TierConfig};
-use framefeedback::sim::SimTime;
+use framefeedback::net::{GilbertElliott, LossModel, NetworkConditions};
+use framefeedback::server::{ServerSpec, ServerStats, TierConfig};
+use framefeedback::sim::{RngFactory, SimTime};
 use framefeedback::telemetry::{Telemetry, TelemetryConfig};
-use framefeedback::workload::table_v;
+use framefeedback::workload::{
+    ideal_network, mobility_trace, table_v, MobilityConfig, StepSchedule,
+};
 use proptest::prelude::*;
 
 const MASTER_SEED: u64 = 0x713A_5EED;
@@ -180,6 +183,140 @@ fn shard_counts_beyond_the_device_count_clamp_and_still_match() {
     let reference = run_fleet_sharded(hostile_fleet(Telemetry::disabled()), controllers(12), 1);
     let oversharded = run_fleet_sharded(hostile_fleet(Telemetry::disabled()), controllers(12), 64);
     assert_fleets_identical(&reference, &oversharded, "K=64 (clamped) vs K=1");
+}
+
+/// FNV-1a over little-endian bytes; floats enter as raw bit patterns.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+    fn server(&mut self, s: &ServerStats) {
+        for v in [
+            s.requests_received,
+            s.completions,
+            s.rejections,
+            s.batches_executed,
+            s.batched_frames,
+            s.full_batches,
+        ] {
+            self.u64(v);
+        }
+    }
+}
+
+/// Every field of every device result, the event count and the
+/// per-server stats, hashed.
+fn fleet_hash(r: &FleetResult) -> u64 {
+    let mut h = Fnv::new();
+    for d in &r.devices {
+        h.str(d.controller);
+        h.str(d.device);
+        h.str(d.model);
+        h.u64(d.qos.records().len() as u64);
+        for q in d.qos.records() {
+            for v in [
+                q.t_secs,
+                q.pl,
+                q.po,
+                q.timeouts,
+                q.timeouts_network,
+                q.timeouts_load,
+                q.po_target,
+                q.accuracy_weighted_throughput,
+            ] {
+                h.f64(v);
+            }
+        }
+        h.u64(d.frames_offloaded);
+        h.u64(d.frames_local);
+        h.u64(d.offload_successes);
+        h.u64(d.offload_timeouts);
+        h.f64(d.mean_throughput);
+        h.f64(d.mean_accuracy_weighted_throughput);
+        h.str(&format!("{:?}", d.filter_stats));
+    }
+    h.u64(r.events_handled);
+    for s in &r.per_server_stats {
+        h.server(s);
+    }
+    h.0
+}
+
+/// Six devices, each on its own network schedule — two mobility traces,
+/// Table V, a lossy constant, a two-step outage and an ideal link —
+/// under a Gilbert–Elliott burst-loss model on every link.
+fn per_device_network_fleet() -> FleetConfig {
+    let mut c = FleetConfig::default();
+    c.seed = MASTER_SEED;
+    c.stream.total_frames = 600; // 20 s at 30 fps
+    c.devices = (0..6)
+        .map(|i| FleetDeviceConfig {
+            device: match i % 3 {
+                0 => DeviceKind::Pi3BRev12,
+                1 => DeviceKind::Pi4BRev12,
+                _ => DeviceKind::Pi4BRev14,
+            },
+            model: ModelKind::MobileNetV3Small,
+        })
+        .collect();
+    let mobility = MobilityConfig {
+        duration_secs: 20.0,
+        dwell_secs: 2.0,
+        ..MobilityConfig::default()
+    };
+    let walk = |seed| mobility_trace(&mobility, &mut RngFactory::new(seed).stream("mobility"));
+    c.per_device_network = Some(vec![
+        walk(1),
+        walk(2),
+        table_v(),
+        StepSchedule::constant(NetworkConditions::new(4.0, 7.0)),
+        StepSchedule::new(vec![
+            (0.0, NetworkConditions::new(8.0, 0.0)),
+            (7.0, NetworkConditions::new(1.0, 20.0)),
+            (13.0, NetworkConditions::new(8.0, 0.0)),
+        ]),
+        ideal_network(),
+    ]);
+    let burst = GilbertElliott::with_average_loss(0.05);
+    c.loss_model = Some(LossModel::GilbertElliott(burst));
+    c
+}
+
+/// Per-device schedules are otherwise checked only by tolerances and by
+/// shard-count equality, which a mistake shared by both engines passes:
+/// pin them bit for bit.
+#[test]
+fn per_device_networks_with_burst_loss_hold_their_golden_hash() {
+    const GOLDEN: u64 = 0x728a_cef1_7c7d_a37c;
+    for shards in [1, 2] {
+        let mut config = per_device_network_fleet();
+        config.engine.shards = shards;
+        let result = run_fleet(config, controllers(6));
+        assert!(result.devices.iter().any(|d| d.offload_timeouts > 0));
+        assert_eq!(
+            fleet_hash(&result),
+            GOLDEN,
+            "shards {shards}: per-device network fleet hash"
+        );
+    }
 }
 
 /// Strategy for one merge key. Tight ranges force heavy collisions on
