@@ -64,10 +64,10 @@ pub use fleet::{
     run_fleet, EngineOptions, FleetConfig, FleetDeviceConfig, FleetDeviceResult, FleetResult,
     TierOutage,
 };
-pub use flight::{FlightTable, ProbeTable};
+pub use flight::{FlightRing, FlightTable, ProbeTable};
 #[doc(hidden)]
 pub use local::testhooks as local_testhooks;
-pub use local::{LocalEngine, LocalOutcome};
+pub use local::{EngineState, LocalEngine, LocalOutcome, Service};
 #[doc(hidden)]
 pub use offload::testhooks as offload_testhooks;
 pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};

@@ -32,7 +32,7 @@
 //! at exactly-scheduled instants; polling hosts (the live client) call
 //! [`DeviceRuntime::expire_due`] each iteration instead.
 
-use crate::flight::{FlightTable, ProbeTable};
+use crate::flight::{FlightRing, ProbeTable};
 use crate::offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 use crate::selection::{deadline_risk, ModelSelection};
 use crate::splitter::{FrameSplitter, Route};
@@ -229,7 +229,7 @@ pub(crate) struct FrameState {
 /// The part only an offload, a response, a deadline or a tick touches.
 #[derive(Debug)]
 pub(crate) struct OffloadState {
-    flights: FlightTable,
+    flights: FlightRing,
     probes: ProbeTable,
     timeout_rate: WindowedRate,
     /// Latest timeout stamp fed to `timeout_rate`. Wall-clock hosts can
@@ -252,7 +252,7 @@ pub(crate) struct OffloadState {
 // a capture that stays local must not reach past its one line, and a
 // field added to either costs a 100k-device fleet 100 000× its size.
 const _: () = assert!(std::mem::size_of::<FrameState>() == 64);
-const _: () = assert!(std::mem::size_of::<OffloadState>() <= 400);
+const _: () = assert!(std::mem::size_of::<OffloadState>() == 232);
 
 /// Validate `config` and make the bootstrap decision (see
 /// [`DeviceRuntime::new`]); probes will be tagged `probe_tag_base + seq`.
@@ -267,6 +267,7 @@ pub(crate) fn bootstrap(
         !config.controller_period.is_zero(),
         "controller period must be positive"
     );
+    assert!(!config.deadline.is_zero(), "deadline must be positive");
     debug_assert!(is_probe_tag(probe_tag_base));
     let po_target = controller
         .update(&Measurement {
@@ -278,9 +279,6 @@ pub(crate) fn bootstrap(
             dt_secs: config.controller_period.as_secs_f64(),
         })
         .po_target;
-    // Frames captured within one deadline: the most a device that is
-    // answered or expired on time has in flight.
-    let window_frames = (config.deadline.as_secs_f64() * config.fs).ceil() as usize;
     (
         FrameState {
             splitter: FrameSplitter::new(),
@@ -289,7 +287,7 @@ pub(crate) fn bootstrap(
             frames_offloaded: 0,
         },
         OffloadState {
-            flights: FlightTable::new(config.deadline, window_frames),
+            flights: FlightRing::default(),
             probes: ProbeTable::default(),
             timeout_rate: WindowedRate::new(config.timeout_window),
             timeout_clock_floor: SimTime::ZERO,
@@ -517,7 +515,11 @@ impl DeviceLoop<'_> {
             self.offload.flights.rejected_by_server(tag);
             return FrameOutcome::Rejected;
         }
-        match self.offload.flights.response_arrived(tag, now) {
+        match self
+            .offload
+            .flights
+            .response_arrived(tag, now, self.config.deadline)
+        {
             Some(OffloadResolution::Success { latency, breakdown }) => {
                 self.frame.interval.offload_success += 1;
                 FrameOutcome::Success { latency, breakdown }
@@ -552,8 +554,10 @@ impl DeviceLoop<'_> {
             // the flag is already pessimistic.
             self.offload.probes.remove(tag);
             None
-        } else if let Some(OffloadResolution::Timeout { cause }) =
-            self.offload.flights.deadline_expired(tag, now)
+        } else if let Some(OffloadResolution::Timeout { cause }) = self
+            .offload
+            .flights
+            .deadline_expired(tag, now, self.config.deadline)
         {
             self.record_timeout(now, cause);
             Some(cause)
@@ -573,7 +577,7 @@ impl DeviceLoop<'_> {
 
     pub(crate) fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
         self.offload.probes.reap_overdue(now, self.config.deadline);
-        let expired = self.offload.flights.expire_due(now);
+        let expired = self.offload.flights.expire_due(now, self.config.deadline);
         for &(_, cause) in &expired {
             self.record_timeout(now, cause);
         }

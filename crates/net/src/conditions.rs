@@ -18,18 +18,30 @@ pub struct NetworkConditions {
 impl NetworkConditions {
     /// Validated conditions.
     pub fn new(bandwidth_mbps: f64, loss_pct: f64) -> Self {
-        assert!(
-            bandwidth_mbps > 0.0 && bandwidth_mbps.is_finite(),
-            "bandwidth must be positive and finite, got {bandwidth_mbps}"
-        );
-        assert!(
-            (0.0..=100.0).contains(&loss_pct),
-            "loss must be a percentage in [0, 100], got {loss_pct}"
-        );
-        NetworkConditions {
+        let conditions = NetworkConditions {
             bandwidth_mbps,
             loss_pct,
+        };
+        if let Err(why) = conditions.check() {
+            panic!("{why}");
         }
+        conditions
+    }
+
+    /// Why these conditions cannot drive a link, if they cannot: the
+    /// checks of [`Self::new`], for values that bypassed it (a schedule
+    /// read from JSON).
+    pub fn check(&self) -> Result<(), String> {
+        let (bandwidth, loss) = (self.bandwidth_mbps, self.loss_pct);
+        if !(bandwidth > 0.0 && bandwidth.is_finite()) {
+            return Err(format!(
+                "bandwidth must be positive and finite, got {bandwidth}"
+            ));
+        }
+        if !(0.0..=100.0).contains(&loss) {
+            return Err(format!("loss must be a percentage in [0, 100], got {loss}"));
+        }
+        Ok(())
     }
 
     /// The ideal condition used before degradation phases: 10 Mbps, no loss.

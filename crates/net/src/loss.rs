@@ -73,7 +73,7 @@ impl GilbertElliott {
         pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
     }
 
-    fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, v) in [
             ("p_good_to_bad", self.p_good_to_bad),
             ("p_bad_to_good", self.p_bad_to_good),
@@ -109,68 +109,38 @@ impl LossModel {
             LossModel::GilbertElliott(ge) => ge.stationary_loss(),
         }
     }
-}
 
-/// The stateful side of a loss process (the Markov state for GE).
-#[derive(Debug, Clone)]
-pub struct LossProcess {
-    model: LossModel,
-    in_bad_state: bool,
-}
-
-impl LossProcess {
-    /// A process starting in the good state.
-    pub fn new(model: LossModel) -> Self {
-        if let LossModel::GilbertElliott(ge) = &model {
-            ge.validate();
-        }
-        LossProcess {
-            model,
-            // Start in the good state: bursts are exceptional events.
-            in_bad_state: false,
+    /// Panic on parameters that are not probabilities.
+    pub fn validate(&self) {
+        match self {
+            LossModel::Bernoulli { p } => {
+                assert!((0.0..=1.0).contains(p), "loss must be a probability")
+            }
+            LossModel::GilbertElliott(ge) => ge.validate(),
         }
     }
 
-    /// The configured loss model.
-    pub fn model(&self) -> LossModel {
-        self.model
-    }
-
-    /// Swap the model (a schedule step); the Markov state resets to good.
-    pub fn set_model(&mut self, model: LossModel) {
-        if let LossModel::GilbertElliott(ge) = &model {
-            ge.validate();
-        }
-        self.model = model;
-        self.in_bad_state = false;
-    }
-
-    /// Draw the fate of one packet: `true` = lost.
-    pub fn packet_lost<R: Rng>(&mut self, rng: &mut R) -> bool {
-        match self.model {
+    /// Draw the fate of one packet: `true` = lost. `in_burst` is the
+    /// link's Markov state under Gilbert–Elliott loss (start it, and
+    /// restart it at every model change, in the good state: bursts are
+    /// exceptional events); Bernoulli loss neither reads nor writes it.
+    #[inline]
+    pub fn packet_lost<R: Rng>(&self, in_burst: &mut bool, rng: &mut R) -> bool {
+        match *self {
             LossModel::Bernoulli { p } => p > 0.0 && rng.gen_bool(p),
             LossModel::GilbertElliott(ge) => {
                 // Transition first, then draw loss in the new state.
-                if self.in_bad_state {
+                if *in_burst {
                     if rng.gen_bool(ge.p_bad_to_good) {
-                        self.in_bad_state = false;
+                        *in_burst = false;
                     }
                 } else if ge.p_good_to_bad > 0.0 && rng.gen_bool(ge.p_good_to_bad) {
-                    self.in_bad_state = true;
+                    *in_burst = true;
                 }
-                let p = if self.in_bad_state {
-                    ge.loss_bad
-                } else {
-                    ge.loss_good
-                };
+                let p = if *in_burst { ge.loss_bad } else { ge.loss_good };
                 p > 0.0 && rng.gen_bool(p)
             }
         }
-    }
-
-    /// Whether the process is currently in the bad (bursty) state.
-    pub fn in_burst(&self) -> bool {
-        self.in_bad_state
     }
 }
 
@@ -179,31 +149,31 @@ mod tests {
     use super::*;
     use ff_sim::RngFactory;
 
-    fn draw_n(process: &mut LossProcess, n: usize, seed: u64) -> Vec<bool> {
+    fn draw_n(model: LossModel, n: usize, seed: u64) -> Vec<bool> {
         let mut rng = RngFactory::new(seed).stream("loss-test");
-        (0..n).map(|_| process.packet_lost(&mut rng)).collect()
+        let mut in_burst = false;
+        (0..n)
+            .map(|_| model.packet_lost(&mut in_burst, &mut rng))
+            .collect()
     }
 
     #[test]
     fn bernoulli_matches_configured_rate() {
-        let mut p = LossProcess::new(LossModel::bernoulli(0.07));
-        let losses = draw_n(&mut p, 100_000, 1);
+        let losses = draw_n(LossModel::bernoulli(0.07), 100_000, 1);
         let rate = losses.iter().filter(|&&l| l).count() as f64 / losses.len() as f64;
         assert!((rate - 0.07).abs() < 0.005, "observed {rate:.4}");
     }
 
     #[test]
     fn zero_loss_never_loses() {
-        let mut p = LossProcess::new(LossModel::NONE);
-        assert!(draw_n(&mut p, 10_000, 2).iter().all(|&l| !l));
+        assert!(draw_n(LossModel::NONE, 10_000, 2).iter().all(|&l| !l));
     }
 
     #[test]
     fn gilbert_elliott_hits_the_target_average() {
         let ge = GilbertElliott::with_average_loss(0.07);
         assert!((ge.stationary_loss() - 0.07).abs() < 1e-12);
-        let mut p = LossProcess::new(LossModel::GilbertElliott(ge));
-        let losses = draw_n(&mut p, 400_000, 3);
+        let losses = draw_n(LossModel::GilbertElliott(ge), 400_000, 3);
         let rate = losses.iter().filter(|&&l| l).count() as f64 / losses.len() as f64;
         assert!((rate - 0.07).abs() < 0.01, "observed {rate:.4}");
     }
@@ -214,8 +184,7 @@ mod tests {
         // followed by another loss. For Bernoulli this equals the loss
         // rate; for GE it approaches the bad-state loss rate.
         let conditional_loss = |model: LossModel, seed: u64| {
-            let mut p = LossProcess::new(model);
-            let losses = draw_n(&mut p, 400_000, seed);
+            let losses = draw_n(model, 400_000, seed);
             let mut pairs = 0u64;
             let mut loss_then_loss = 0u64;
             for w in losses.windows(2) {
@@ -241,20 +210,19 @@ mod tests {
     }
 
     #[test]
-    fn burst_state_is_visible_and_resets_on_model_change() {
+    fn burst_state_is_entered_and_bernoulli_leaves_it_alone() {
         let ge = GilbertElliott {
             p_good_to_bad: 1.0, // deterministically enter the burst
             p_bad_to_good: 0.0,
             loss_good: 0.0,
             loss_bad: 1.0,
         };
-        let mut p = LossProcess::new(LossModel::GilbertElliott(ge));
         let mut rng = RngFactory::new(6).stream("x");
-        assert!(!p.in_burst());
-        assert!(p.packet_lost(&mut rng));
-        assert!(p.in_burst());
-        p.set_model(LossModel::NONE);
-        assert!(!p.in_burst());
+        let mut in_burst = false;
+        assert!(LossModel::GilbertElliott(ge).packet_lost(&mut in_burst, &mut rng));
+        assert!(in_burst);
+        assert!(!LossModel::NONE.packet_lost(&mut in_burst, &mut rng));
+        assert!(in_burst, "Bernoulli loss does not touch the burst state");
     }
 
     #[test]
@@ -274,5 +242,13 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn invalid_bernoulli_rejected() {
         LossModel::bernoulli(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss_bad must be a probability")]
+    fn invalid_gilbert_elliott_rejected() {
+        let mut ge = GilbertElliott::with_average_loss(0.05);
+        ge.loss_bad = 1.5;
+        LossModel::GilbertElliott(ge).validate();
     }
 }

@@ -78,18 +78,52 @@ impl StreamConfig {
     }
 }
 
-/// Deterministic generator of a frame stream.
-#[derive(Debug, Clone)]
-pub struct FrameSource<R: Rng> {
+/// What a stream's captures read besides the source's own state: the
+/// configuration, with its float conversions done once. Devices that
+/// share a stream configuration share one of these.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamParams {
     config: StreamConfig,
-    rng: R,
-    next_id: u64,
     /// `config.frame_interval()`, converted once: the float→µs
     /// conversion is too slow to repeat for every captured frame.
     interval: SimDuration,
     /// `config.compression.mean_frame_bytes()`, computed once.
     mean_bytes: f64,
-    /// Capture instant of frame `next_id`, advanced by `interval` per
+}
+
+impl StreamParams {
+    /// Validated parameters of `config`.
+    pub fn new(config: StreamConfig) -> Self {
+        assert!(config.fps > 0.0, "fps must be positive");
+        assert!(
+            (0.0..1.0).contains(&config.size_jitter),
+            "size jitter must be in [0, 1)"
+        );
+        StreamParams {
+            interval: config.frame_interval(),
+            mean_bytes: config.compression.mean_frame_bytes() as f64,
+            config,
+        }
+    }
+
+    /// The stream configuration.
+    pub fn config(&self) -> &StreamConfig {
+        &self.config
+    }
+
+    /// Capture instant of frame `n` (0-based).
+    pub fn capture_time(&self, n: u64) -> SimTime {
+        SimTime::ZERO + self.interval * n
+    }
+}
+
+/// One source's own state: where its stream stands and the randomness
+/// its next frame draws, generated against shared [`StreamParams`].
+#[derive(Debug, Clone)]
+pub struct SourceState<R: Rng> {
+    rng: R,
+    next_id: u64,
+    /// Capture instant of frame `next_id`, advanced by the interval per
     /// frame. Integer-µs addition, so it always equals
     /// `capture_time(next_id)` exactly.
     next_capture: SimTime,
@@ -110,18 +144,10 @@ struct Scene<R: Rng> {
     last_info: Option<f64>,
 }
 
-impl<R: Rng> FrameSource<R> {
-    /// A source emitting the configured stream with sizes drawn from `rng`.
-    pub fn new(config: StreamConfig, rng: R) -> Self {
-        assert!(config.fps > 0.0, "fps must be positive");
-        assert!(
-            (0.0..1.0).contains(&config.size_jitter),
-            "size jitter must be in [0, 1)"
-        );
-        FrameSource {
-            interval: config.frame_interval(),
-            mean_bytes: config.compression.mean_frame_bytes() as f64,
-            config,
+impl<R: Rng> SourceState<R> {
+    /// A source at the start of its stream, with sizes drawn from `rng`.
+    pub fn new(rng: R) -> Self {
+        SourceState {
             rng,
             next_id: 0,
             next_capture: SimTime::ZERO,
@@ -133,8 +159,8 @@ impl<R: Rng> FrameSource<R> {
     /// script. `scene_rng` must be a dedicated stream (e.g.
     /// `rng.stream("scene")`): the size-jitter stream advances exactly
     /// as without a script, so scene-off runs stay bit-identical.
-    pub fn with_scene(config: StreamConfig, rng: R, script: SceneScript, scene_rng: R) -> Self {
-        let mut source = FrameSource::new(config, rng);
+    pub fn with_scene(rng: R, script: SceneScript, scene_rng: R) -> Self {
+        let mut source = SourceState::new(rng);
         source.scene = Some(Box::new(Scene {
             state: SceneState::new(script, scene_rng),
             last_info: None,
@@ -142,24 +168,14 @@ impl<R: Rng> FrameSource<R> {
         source
     }
 
-    /// The stream configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Frames generated so far.
     pub fn generated(&self) -> u64 {
         self.next_id
     }
 
-    /// Whether the configured stream has been exhausted.
-    pub fn exhausted(&self) -> bool {
-        self.next_id >= self.config.total_frames
-    }
-
-    /// Capture instant of frame `n` (0-based).
-    pub fn capture_time(&self, n: u64) -> SimTime {
-        SimTime::ZERO + self.interval * n
+    /// Whether the stream `params` configure has been exhausted.
+    pub fn exhausted(&self, params: &StreamParams) -> bool {
+        self.next_id >= params.config.total_frames
     }
 
     /// Capture instant of the next frame [`Self::next_frame`] will
@@ -170,25 +186,25 @@ impl<R: Rng> FrameSource<R> {
     }
 
     /// Produce the next frame, or `None` when the stream is exhausted.
-    pub fn next_frame(&mut self) -> Option<Frame> {
-        if self.exhausted() {
+    pub fn next_frame(&mut self, params: &StreamParams) -> Option<Frame> {
+        if self.exhausted(params) {
             return None;
         }
         let id = self.next_id;
         self.next_id += 1;
         let captured_at = self.next_capture;
-        self.next_capture = captured_at + self.interval;
-        let j = self.config.size_jitter;
+        self.next_capture = captured_at + params.interval;
+        let j = params.config.size_jitter;
         let factor = if j == 0.0 {
             1.0
         } else {
             self.rng.gen_range(1.0 - j..=1.0 + j)
         };
-        let mut bytes = self.mean_bytes * factor;
+        let mut bytes = params.mean_bytes * factor;
         if let Some(scene) = &mut self.scene {
             let info = scene
                 .state
-                .next_info(captured_at.as_secs_f64(), self.config.fps);
+                .next_info(captured_at.as_secs_f64(), params.config.fps);
             bytes *= scene.state.size_factor(info);
             scene.last_info = Some(info);
         }
@@ -204,6 +220,70 @@ impl<R: Rng> FrameSource<R> {
     /// as full-information and passes it).
     pub fn last_info(&self) -> Option<f64> {
         self.scene.as_ref()?.last_info
+    }
+}
+
+/// Deterministic generator of a frame stream that owns its parameters:
+/// [`SourceState`] driven with its own [`StreamParams`].
+#[derive(Debug, Clone)]
+pub struct FrameSource<R: Rng> {
+    params: StreamParams,
+    state: SourceState<R>,
+}
+
+impl<R: Rng> FrameSource<R> {
+    /// A source emitting the configured stream with sizes drawn from `rng`.
+    pub fn new(config: StreamConfig, rng: R) -> Self {
+        FrameSource {
+            params: StreamParams::new(config),
+            state: SourceState::new(rng),
+        }
+    }
+
+    /// A source whose sizes are additionally modulated by a scene
+    /// script (see [`SourceState::with_scene`]).
+    pub fn with_scene(config: StreamConfig, rng: R, script: SceneScript, scene_rng: R) -> Self {
+        FrameSource {
+            params: StreamParams::new(config),
+            state: SourceState::with_scene(rng, script, scene_rng),
+        }
+    }
+
+    /// The stream configuration.
+    pub fn config(&self) -> &StreamConfig {
+        self.params.config()
+    }
+
+    /// Frames generated so far.
+    pub fn generated(&self) -> u64 {
+        self.state.generated()
+    }
+
+    /// Whether the configured stream has been exhausted.
+    pub fn exhausted(&self) -> bool {
+        self.state.exhausted(&self.params)
+    }
+
+    /// Capture instant of frame `n` (0-based).
+    pub fn capture_time(&self, n: u64) -> SimTime {
+        self.params.capture_time(n)
+    }
+
+    /// Capture instant of the next frame [`Self::next_frame`] will
+    /// produce.
+    pub fn next_capture_time(&self) -> SimTime {
+        self.state.next_capture_time()
+    }
+
+    /// Produce the next frame, or `None` when the stream is exhausted.
+    pub fn next_frame(&mut self) -> Option<Frame> {
+        self.state.next_frame(&self.params)
+    }
+
+    /// Information score of the most recent frame, when a scene script
+    /// is attached.
+    pub fn last_info(&self) -> Option<f64> {
+        self.state.last_info()
     }
 }
 

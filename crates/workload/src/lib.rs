@@ -24,7 +24,8 @@ mod scene;
 
 pub use filter::{FilterConfig, FilterStats, FilterVerdict, SemanticFilter};
 pub use frames::{
-    Frame, FrameId, FrameSource, StreamConfig, PAPER_DEADLINE_MS, PAPER_FPS, PAPER_TOTAL_FRAMES,
+    Frame, FrameId, FrameSource, SourceState, StreamConfig, StreamParams, PAPER_DEADLINE_MS,
+    PAPER_FPS, PAPER_TOTAL_FRAMES,
 };
 pub use mobility::{mobility_trace, MobilityConfig};
 pub use replay::{ReplayCursor, ReplayFrame, ReplayFrames};

@@ -9,7 +9,7 @@ use framefeedback::baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
 use framefeedback::controller::FrameFeedback;
 use framefeedback::device::{run_experiment, ExperimentConfig, ServerOutage, TraceSummary};
 use framefeedback::net::NetworkConditions;
-use framefeedback::workload::StepSchedule;
+use framefeedback::workload::{table_v, StepSchedule};
 
 fn short_config() -> ExperimentConfig {
     let mut c = ExperimentConfig::default();
@@ -169,6 +169,24 @@ fn inverted_outage_window_is_rejected() {
         from_secs: 10.0,
         until_secs: 10.0,
     });
+    run_experiment(cfg, Box::new(FrameFeedback::new()));
+}
+
+#[test]
+#[should_panic(
+    expected = "the shared network schedule, step 1 (t = 30 s): bandwidth must be positive and finite, got 0"
+)]
+fn a_zero_bandwidth_step_is_rejected_before_the_run() {
+    // Built as a config read from JSON (`ffexp --config`) is, past
+    // `NetworkConditions::new`. It used to start, then panic at the
+    // step's first offload with a non-finite serialization time.
+    let mut steps = table_v().steps().to_vec();
+    steps[1].1 = NetworkConditions {
+        bandwidth_mbps: 0.0,
+        loss_pct: 0.0,
+    };
+    let mut cfg = short_config();
+    cfg.network = StepSchedule::new(steps);
     run_experiment(cfg, Box::new(FrameFeedback::new()));
 }
 

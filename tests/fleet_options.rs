@@ -13,8 +13,9 @@ use framefeedback::device::{
     run_fleet, FleetConfig, FleetDeviceConfig, FleetResult, QualityConfig, SelectorConfig,
 };
 use framefeedback::models::{DeviceKind, ModelKind};
-use framefeedback::net::{GilbertElliott, LossModel};
+use framefeedback::net::{GilbertElliott, LossModel, NetworkConditions};
 use framefeedback::server::BackgroundConfig;
+use framefeedback::workload::{ideal_network, StepSchedule};
 
 const DEVICES: usize = 1_024;
 const FRAMES: u64 = 150;
@@ -108,4 +109,35 @@ fn device_options_are_identical_at_one_and_two_shards() {
 #[should_panic(expected = "`background` load needs the single-threaded engine")]
 fn background_load_is_rejected_on_shards() {
     run(options_fleet(true, 2));
+}
+
+#[test]
+#[should_panic(
+    expected = "device 1's network schedule, step 1 (t = 2 s): loss must be a percentage in [0, 100], got 150"
+)]
+fn an_over_100pct_loss_step_is_rejected_before_the_run_by_name() {
+    // Built as a config read from JSON is, past `NetworkConditions::new`.
+    // It used to panic mid-run with "loss must be a probability", naming
+    // neither the device nor the step.
+    let mut config = FleetConfig {
+        devices: vec![
+            FleetDeviceConfig {
+                device: DeviceKind::Pi4BRev12,
+                model: ModelKind::MobileNetV3Small,
+            };
+            3
+        ],
+        ..FleetConfig::default()
+    };
+    let lossy = NetworkConditions {
+        bandwidth_mbps: 10.0,
+        loss_pct: 150.0,
+    };
+    let mut schedules = vec![ideal_network(); 3];
+    schedules[1] = StepSchedule::new(vec![(0.0, NetworkConditions::ideal()), (2.0, lossy)]);
+    config.per_device_network = Some(schedules);
+    let controllers = (0..3)
+        .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
+        .collect();
+    run_fleet(config, controllers);
 }
