@@ -433,6 +433,8 @@ pub(crate) fn run_sharded(
         };
         let mut sim =
             Simulation::with_queue(world, EventQueue::with_backend(config.engine.backend));
+        sim.reserve_lane(lane::CAPTURE, size);
+        sim.reserve_lane(lane::TICK, size);
         for g in offset..offset + size {
             sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(g));
             let first_tick = SimTime::ZERO + config.controller_period;

@@ -187,6 +187,11 @@ impl<M: SimModel> Simulation<M> {
         self.queue.push(self.now + delay, event);
     }
 
+    /// Make room on lane `lane` for `additional` more seeded events.
+    pub fn reserve_lane(&mut self, lane: usize, additional: usize) {
+        self.queue.reserve_lane(lane, additional);
+    }
+
     /// Seed lane `lane` of the queue (see [`Ctx::schedule_lane`]).
     pub fn schedule_lane(&mut self, lane: usize, at: SimTime, event: M::Event) {
         check_causal(self.now, at);

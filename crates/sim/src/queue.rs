@@ -202,6 +202,13 @@ impl<E> EventQueue<E> {
     /// a single push falls through to the backend under the sequence
     /// number it drew here, and an entry for several — which the backend
     /// cannot count — is inserted into the lane in order.
+    /// Make room for `additional` more entries on lane `lane` at once,
+    /// for a host about to file that many (its set-up), instead of
+    /// growing by eighths through them.
+    pub(crate) fn reserve_lane(&mut self, lane: usize, additional: usize) {
+        self.lanes[lane].reserve_exact(additional);
+    }
+
     #[inline]
     pub(crate) fn push_lane(&mut self, lane: usize, at: SimTime, n: u32, event: E) {
         debug_assert!(n >= 1, "a lane entry stands for at least one push");
