@@ -20,11 +20,9 @@
 //! `--servers N` (default 1) to put the fleet behind an N-server tier —
 //! the snapshot stream then carries `server/<i>` scopes per server.
 
-use ff_bench::Dashboard;
-use ff_core::{Controller, FrameFeedback};
-use ff_device::{run_fleet, FleetConfig, FleetDeviceConfig, FleetResult};
+use ff_bench::{fleet, pi_fleet, Dashboard};
+use ff_device::{run_fleet, ControllerSpec, FleetConfig, FleetResult};
 use ff_live::TcpExportSink;
-use ff_models::{DeviceKind, ModelKind};
 use ff_server::{ServerSpec, TierConfig};
 use ff_telemetry::{JsonlSink, Snapshot, Telemetry, TelemetryConfig};
 use ff_workload::table_v;
@@ -78,12 +76,7 @@ fn parse_args() -> Options {
 fn fleet_config(opts: &Options, telemetry: Telemetry) -> FleetConfig {
     let mut c = FleetConfig::default();
     c.seed = opts.seed;
-    c.devices = (0..opts.devices)
-        .map(|_| FleetDeviceConfig {
-            device: DeviceKind::Pi4BRev12,
-            model: ModelKind::MobileNetV3Small,
-        })
-        .collect();
+    c.devices = pi_fleet(opts.devices);
     c.stream.total_frames = opts.frames;
     c.network = table_v();
     // N=1 keeps the legacy single-server path (bit-identical by the
@@ -95,12 +88,6 @@ fn fleet_config(opts: &Options, telemetry: Telemetry) -> FleetConfig {
     c
 }
 
-fn controllers(n: usize) -> Vec<Box<dyn Controller>> {
-    (0..n)
-        .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
-        .collect()
-}
-
 /// Run the fleet sim on a background thread; the caller consumes the
 /// snapshot stream while it runs. `finish()` closes the last window.
 fn spawn_fleet(opts: &Options, telemetry: &Telemetry) -> thread::JoinHandle<FleetResult> {
@@ -108,7 +95,8 @@ fn spawn_fleet(opts: &Options, telemetry: &Telemetry) -> thread::JoinHandle<Flee
     let telemetry = telemetry.clone();
     let n = config.devices.len();
     thread::spawn(move || {
-        let result = run_fleet(config, controllers(n));
+        let controllers = fleet(n, 0).iter().map(ControllerSpec::build).collect();
+        let result = run_fleet(config, controllers);
         telemetry.finish();
         result
     })

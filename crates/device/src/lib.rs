@@ -34,7 +34,6 @@ pub mod deps {
     pub use ff_server;
 }
 
-mod content;
 mod controller;
 mod cpu;
 mod experiment;
@@ -45,6 +44,7 @@ mod offload;
 mod quality;
 mod replay;
 pub mod runtime;
+mod scenario;
 mod selection;
 mod selector;
 pub mod shard;
@@ -53,7 +53,6 @@ pub mod tags;
 mod trace;
 mod watch;
 
-pub use content::{content_scenario, content_scenarios, CONTENT_SCENARIO_NAMES};
 pub use controller::ControllerSpec;
 pub use cpu::{CpuModel, EnergyModel};
 pub use experiment::{
@@ -77,6 +76,7 @@ pub use runtime::{
     is_probe_tag, DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig,
     SubmitOutcome, TickOutput, Transport, WallClock, BACKGROUND_TAG_BASE, PROBE_TAG_BASE,
 };
+pub use scenario::{content_scenarios, scenario, SCENARIO_NAMES};
 pub use selection::{deadline_risk, ModelSelection};
 pub use selector::{ModelSelector, SelectorConfig};
 pub use shard::run_fleet_sharded;

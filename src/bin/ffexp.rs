@@ -10,13 +10,12 @@
 //! ```
 
 use framefeedback::device::{
-    content_scenario, replay_verify_with, run_experiment, run_experiment_traced, ControllerSpec,
-    ExperimentConfig, ModelSelection, ReplayReport,
+    replay_verify_with, run_experiment, run_experiment_traced, scenario, ControllerSpec,
+    ExperimentConfig, ModelSelection, ReplayReport, SCENARIO_NAMES,
 };
 use framefeedback::server::{AdmissionPolicy, RoutingPolicy, ServerSpec, TierConfig};
 use framefeedback::sim::SimDuration;
 use framefeedback::trace::Trace;
-use framefeedback::workload::{fig2_loss_injection, ideal_network, table_v, table_vi};
 use std::process::ExitCode;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -223,18 +222,7 @@ fn parse_args(args: &[String]) -> Result<CliConfig, String> {
             other => return Err(format!("unknown argument {other}\n\n{USAGE}")),
         }
     }
-    if ![
-        "ideal",
-        "table5",
-        "table6",
-        "combined",
-        "fig2",
-        "scene-static",
-        "scene-bursty",
-        "scene-cut-storm",
-    ]
-    .contains(&config.scenario.as_str())
-    {
+    if !SCENARIO_NAMES.contains(&config.scenario.as_str()) {
         return Err(format!("unknown scenario {:?}\n\n{USAGE}", config.scenario));
     }
     controller_spec(&config.controller, &config).map_err(|e| format!("{e}\n\n{USAGE}"))?;
@@ -313,28 +301,8 @@ fn build_experiment(cli: &CliConfig) -> ExperimentConfig {
         apply_tier_flags(&mut config, cli);
         return config;
     }
-    let mut config = ExperimentConfig::default();
-    match cli.scenario.as_str() {
-        "ideal" => {
-            config.network = ideal_network();
-            config.peer_devices = 0;
-        }
-        "table5" => config.network = table_v(),
-        "table6" => {
-            config.background = table_vi();
-            config.peer_devices = 0;
-        }
-        "combined" => {
-            config.network = table_v();
-            config.background = table_vi();
-            config.peer_devices = 0;
-        }
-        "fig2" => config.network = fig2_loss_injection(),
-        scene => {
-            config = content_scenario(scene)
-                .unwrap_or_else(|| unreachable!("validated scenario name {scene}"));
-        }
-    }
+    let mut config = scenario(&cli.scenario)
+        .unwrap_or_else(|| unreachable!("validated scenario name {}", cli.scenario));
     config.seed = cli.seed;
     config.stream.total_frames = cli.frames;
     if let Some(s) = &cli.selection {
@@ -566,16 +534,7 @@ mod tests {
 
     #[test]
     fn every_scenario_builds_an_experiment() {
-        for scenario in [
-            "ideal",
-            "table5",
-            "table6",
-            "combined",
-            "fig2",
-            "scene-static",
-            "scene-bursty",
-            "scene-cut-storm",
-        ] {
+        for scenario in SCENARIO_NAMES {
             let mut cli = CliConfig::default();
             cli.scenario = scenario.into();
             cli.frames = 30;

@@ -20,9 +20,9 @@
 use framefeedback::baselines::{AllOrNothing, AlwaysOffload};
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::device::{
-    content_scenario, replay_verify, run_experiment, run_experiment_traced,
-    run_experiment_with_telemetry, ExperimentConfig, ExperimentResult, FrameFate, ModelSelection,
-    QualityConfig, SelectorConfig, ServerOutage,
+    replay_verify, run_experiment, run_experiment_traced, run_experiment_with_telemetry, scenario,
+    ExperimentConfig, ExperimentResult, FrameFate, ModelSelection, QualityConfig, SelectorConfig,
+    ServerOutage,
 };
 use framefeedback::metrics::LatencySummary;
 use framefeedback::models::ModelKind;
@@ -315,7 +315,7 @@ fn a_two_server_tier_with_a_token_bucket_is_pinned() {
 
 #[test]
 fn the_content_layer_with_a_remote_model_is_pinned() {
-    let mut c = content_scenario("scene-bursty").expect("canonical scenario");
+    let mut c = scenario("scene-bursty").expect("canonical scenario");
     c.stream.total_frames = 1_800;
     c.selection = ModelSelection::ExpectedAccuracy { margin: 0.04 };
     c.remote_model = Some(ModelKind::EfficientNetB0);

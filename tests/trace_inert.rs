@@ -14,7 +14,7 @@
 use framefeedback::baselines::AllOrNothing;
 use framefeedback::controller::FrameFeedback;
 use framefeedback::device::{
-    content_scenario, replay_verify, run_experiment, run_experiment_traced, ExperimentConfig,
+    replay_verify, run_experiment, run_experiment_traced, scenario, ExperimentConfig,
     ExperimentResult, ModelSelection, ServerOutage,
 };
 use framefeedback::models::ModelKind;
@@ -147,7 +147,7 @@ fn traces_verify_for_every_builtin_controller() {
 /// accuracies the replayed runtime needs to re-derive every demotion.
 #[test]
 fn content_aware_run_replay_verifies_bit_for_bit() {
-    let mut config = content_scenario("scene-bursty").expect("named scenario");
+    let mut config = scenario("scene-bursty").expect("named scenario");
     config.stream.total_frames = 1_200; // 40 s: reaches the collapse window
     config.selection = ModelSelection::ExpectedAccuracy { margin: 0.04 };
     let (result, bytes) = run_experiment_traced(config, Box::new(FrameFeedback::new()));
@@ -185,7 +185,7 @@ fn content_aware_run_replay_verifies_bit_for_bit() {
 /// survives `replay_verify`.
 #[test]
 fn content_aware_replay_detects_tampered_verdicts() {
-    let mut config = content_scenario("scene-bursty").expect("named scenario");
+    let mut config = scenario("scene-bursty").expect("named scenario");
     config.stream.total_frames = 1_200;
     config.selection = ModelSelection::ExpectedAccuracy { margin: 0.04 };
     let (_, bytes) = run_experiment_traced(config, Box::new(FrameFeedback::new()));
