@@ -78,7 +78,7 @@ pub fn table3_accuracy(_: &Flags) -> io::Result<Value> {
         .iter()
         .map(|m| (m.name(), m.profile().top1_accuracy))
         .collect();
-    print_rows("Table III: top-1 model accuracy", &accuracy);
+    print_rows("Table III: top-1 accuracy by model", &accuracy);
 
     #[derive(Serialize)]
     struct Point {
@@ -146,7 +146,7 @@ pub fn table4_settings(_: &Flags) -> io::Result<Value> {
         ("update_max_factor", cfg.update_max_factor),
         ("timeout_tolerance", cfg.timeout_tolerance),
     ];
-    print_rows("Table IV: PID settings (measured at 1 Hz)", &rows);
+    print_rows("Table IV: PID settings by variable (1 Hz)", &rows);
 
     let fs = 30.0;
     let measure = |po: f64, t: f64| Measurement {
@@ -302,7 +302,7 @@ pub fn fig3_network(_: &Flags) -> io::Result<Value> {
         .iter()
         .map(|ph| (label(ph), advantage(&results[0], &results[3], ph.clone())))
         .collect();
-    print_rows("Figure 3: framefeedback / all-or-nothing", &ratios);
+    print_rows("Figure 3: P ratio FF / all-or-nothing", &ratios);
     let series = lineup(&results);
     print_chart("Figure 3: throughput P", &series, QosRecord::throughput);
     Ok(serde_json::to_value(&results)?)
