@@ -19,8 +19,12 @@
 //! (default 900 = 30 s at 30 fps), `--seed N`, `--window-us N`, and
 //! `--servers N` (default 1) to put the fleet behind an N-server tier —
 //! the snapshot stream then carries `server/<i>` scopes per server.
+//!
+//! Flags are parsed strictly (`ff_bench::FlagArgs`): an unknown flag, a
+//! flag with no value, a value that does not parse, or two mode flags
+//! at once exit 2 and name the flag.
 
-use ff_bench::{fleet, pi_fleet, Dashboard};
+use ff_bench::{fleet, pi_fleet, Dashboard, FlagArgs};
 use ff_device::{run_fleet, ControllerSpec, FleetConfig, FleetResult};
 use ff_live::TcpExportSink;
 use ff_server::{ServerSpec, TierConfig};
@@ -28,9 +32,26 @@ use ff_telemetry::{JsonlSink, Snapshot, Telemetry, TelemetryConfig};
 use ff_workload::table_v;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
+use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
 
+const USAGE: &str = "usage: dashboard [--connect ADDR | --serve ADDR | --headless PATH] \
+[--devices N] [--frames N] [--seed N] [--window-us N] [--servers N]";
+
+/// Every flag `dashboard` takes; the first three pick the mode.
+const FLAGS: [&str; 8] = [
+    "--connect",
+    "--serve",
+    "--headless",
+    "--devices",
+    "--servers",
+    "--frames",
+    "--seed",
+    "--window-us",
+];
+
+#[derive(Debug, PartialEq)]
 struct Options {
     devices: usize,
     servers: usize,
@@ -40,6 +61,7 @@ struct Options {
     mode: Mode,
 }
 
+#[derive(Debug, PartialEq)]
 enum Mode {
     SelfServe,
     Connect(String),
@@ -47,30 +69,36 @@ enum Mode {
     Headless(String),
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let mode = if let Some(addr) = flag("--connect") {
+/// Parse the arguments after the program name. Rejects, by name, an
+/// unknown flag, a flag with no value, a value that does not parse, and
+/// more than one mode flag.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let args = FlagArgs::parse(&FLAGS, args)?;
+    let modes: Vec<&str> = FLAGS[..3]
+        .iter()
+        .copied()
+        .filter(|&mode| args.names().any(|f| f == mode))
+        .collect();
+    if let [a, b, ..] = modes[..] {
+        return Err(format!("{a} and {b} exclude each other"));
+    }
+    let mode = if let Some(addr) = args.value("--connect")? {
         Mode::Connect(addr)
-    } else if let Some(addr) = flag("--serve") {
+    } else if let Some(addr) = args.value("--serve")? {
         Mode::Serve(addr)
-    } else if let Some(path) = flag("--headless") {
+    } else if let Some(path) = args.value("--headless")? {
         Mode::Headless(path)
     } else {
         Mode::SelfServe
     };
-    Options {
-        devices: flag("--devices").map_or(3, |v| v.parse().expect("--devices N")),
-        servers: flag("--servers").map_or(1, |v| v.parse().expect("--servers N")),
-        frames: flag("--frames").map_or(900, |v| v.parse().expect("--frames N")),
-        seed: flag("--seed").map_or(42, |v| v.parse().expect("--seed N")),
-        window_us: flag("--window-us").map_or(1_000_000, |v| v.parse().expect("--window-us N")),
+    Ok(Options {
+        devices: args.value("--devices")?.unwrap_or(3),
+        servers: args.value("--servers")?.unwrap_or(1),
+        frames: args.value("--frames")?.unwrap_or(900),
+        seed: args.value("--seed")?.unwrap_or(42),
+        window_us: args.value("--window-us")?.unwrap_or(1_000_000),
         mode,
-    }
+    })
 }
 
 fn fleet_config(opts: &Options, telemetry: Telemetry) -> FleetConfig {
@@ -130,8 +158,15 @@ fn render_from(stream: TcpStream) {
     );
 }
 
-fn main() {
-    let opts = parse_args();
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let telemetry = Telemetry::new(TelemetryConfig {
         window_us: opts.window_us,
         ..Default::default()
@@ -185,5 +220,70 @@ fn main() {
                 serde_json::to_string(&result).expect("serialize fleet result")
             );
         }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_parse_into_their_types_and_defaults_hold() {
+        let opts = parse("--headless x.jsonl --frames 60 --devices 2 --servers 3").unwrap();
+        assert_eq!(
+            opts,
+            Options {
+                devices: 2,
+                servers: 3,
+                frames: 60,
+                seed: 42,
+                window_us: 1_000_000,
+                mode: Mode::Headless("x.jsonl".into()),
+            }
+        );
+        let opts = parse("").unwrap();
+        assert_eq!((opts.devices, opts.frames), (3, 900));
+        assert_eq!(opts.mode, Mode::SelfServe);
+        assert_eq!(
+            parse("--connect 127.0.0.1:9000").unwrap().mode,
+            Mode::Connect("127.0.0.1:9000".into())
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected_by_name() {
+        let err = parse("--headless x.jsonl --frames 60 --devise 2").unwrap_err();
+        assert_eq!(err, "unknown flag \"--devise\"");
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_rejected() {
+        assert_eq!(parse("--frames").unwrap_err(), "--frames needs a value");
+        assert_eq!(
+            parse("--headless --frames 60").unwrap_err(),
+            "--headless needs a value"
+        );
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_rejected() {
+        let err = parse("--devices three").unwrap_err();
+        assert!(err.starts_with("--devices \"three\": "), "{err}");
+        assert!(parse("--seed -1").is_err());
+        assert!(parse("--window-us 1.5").is_err());
+    }
+
+    #[test]
+    fn two_modes_at_once_are_rejected() {
+        let err = parse("--serve 127.0.0.1:0 --headless x.jsonl").unwrap_err();
+        assert_eq!(err, "--serve and --headless exclude each other");
+        let err = parse("--headless x.jsonl --connect a:1 --serve b:2").unwrap_err();
+        assert_eq!(err, "--connect and --serve exclude each other");
     }
 }

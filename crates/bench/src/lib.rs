@@ -56,10 +56,12 @@ use ff_models::{DeviceKind, ModelKind};
 use ff_sweep::{run_sweep, ControllerSpec, SweepOptions, SweepReport, SweepSpec};
 use ff_workload::StepSchedule;
 use serde::{Serialize, Value};
+use std::fmt;
 use std::io;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Run `report <entry> [flags]` with `args` as what follows the program
 /// name, exporting into `dir`. Returns the exit status: 0 on success, 1
@@ -173,29 +175,64 @@ impl Flags {
     /// flag, a flag `entry` does not take, a flag with no value, and a
     /// value that does not parse.
     fn parse(entry: &Entry, args: &[String]) -> Result<Flags, String> {
-        let mut flags = Flags::default();
+        let args = FlagArgs::parse(&FLAGS, args)?;
+        if let Some(flag) = args.names().find(|f| !entry.flags.contains(f)) {
+            return Err(format!("{} does not take {flag}", entry.name));
+        }
+        Ok(Flags {
+            frames: args.value("--frames")?,
+            seed: args.value("--seed")?,
+            devices: args.value("--devices")?,
+            servers: args.value("--servers")?,
+            md: args.value("--md")?,
+        })
+    }
+}
+
+/// Command-line `--flag value` pairs, parsed strictly against a table of
+/// the flags a binary takes. Every error names its flag.
+#[derive(Debug)]
+pub struct FlagArgs<'a> {
+    pairs: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> FlagArgs<'a> {
+    /// Split `args` into pairs. Rejects a flag not in `table` and a flag
+    /// with no value (the end of `args`, or another `--flag`).
+    pub fn parse(table: &[&str], args: &'a [String]) -> Result<FlagArgs<'a>, String> {
+        let mut pairs = Vec::new();
         let mut args = args.iter();
         while let Some(flag) = args.next() {
-            if !FLAGS.contains(&flag.as_str()) {
+            if !table.contains(&flag.as_str()) {
                 return Err(format!("unknown flag {flag:?}"));
-            }
-            if !entry.flags.contains(&flag.as_str()) {
-                return Err(format!("{} does not take {flag}", entry.name));
             }
             let value = args
                 .next()
                 .filter(|v| !v.starts_with("--"))
                 .ok_or_else(|| format!("{flag} needs a value"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("{flag} {value:?}: {e}");
-            match flag.as_str() {
-                "--frames" => flags.frames = Some(value.parse().map_err(|e| bad(&e))?),
-                "--seed" => flags.seed = Some(value.parse().map_err(|e| bad(&e))?),
-                "--devices" => flags.devices = Some(value.parse().map_err(|e| bad(&e))?),
-                "--servers" => flags.servers = Some(value.parse().map_err(|e| bad(&e))?),
-                _ => flags.md = Some(value.clone()),
-            }
+            pairs.push((flag.as_str(), value.as_str()));
         }
-        Ok(flags)
+        Ok(FlagArgs { pairs })
+    }
+
+    /// The flags given, in order.
+    pub fn names(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.pairs.iter().map(|&(flag, _)| flag)
+    }
+
+    /// `flag`'s value parsed as a `T` (the last one if given twice), or
+    /// `None` when it is not given. Rejects a value that does not parse.
+    pub fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: fmt::Display,
+    {
+        let Some(&(_, value)) = self.pairs.iter().rev().find(|&&(f, _)| f == flag) else {
+            return Ok(None);
+        };
+        value
+            .parse()
+            .map(Some)
+            .map_err(|e| format!("{flag} {value:?}: {e}"))
     }
 }
 

@@ -2,28 +2,35 @@
 //!
 //! One `FramedConn` owns one socket plus two buffers:
 //!
-//! * **read side** — the socket reads straight into `read_buf`'s spare
-//!   capacity, the only user-space copy a request makes; callers drain
-//!   complete frames with [`FramedConn::next_frame`]. Payload bytes are
-//!   opaque to every consumer in this crate, so decoded requests carry
-//!   the payload *length*, not a copy. The buffer grows to what arrives
-//!   and is reclaimed before the next read: emptied once every byte is
-//!   consumed, compacted only when a partial frame sits behind a long
-//!   consumed prefix.
+//! * **read side** — `fill` reads the socket through a [`READ_WINDOW`]
+//!   on its own stack and feeds each read to a streaming decoder, which
+//!   parses frame heads as the bytes arrive and counts a request's
+//!   payload off without keeping it: payload bytes are opaque to every
+//!   consumer in this crate, so decoded requests carry the payload
+//!   *length*, not a copy. Callers drain the decoded frames with
+//!   [`FramedConn::next_frame`]. Between fills the read side holds only
+//!   the parse state and at most one unparsed head
+//!   ([`MAX_HEAD_BYTES`](crate::MAX_HEAD_BYTES)), whatever the frames'
+//!   sizes; [`FramedConn::read_capacity`] reports it.
 //! * **write side** — frames coalesce into a **bounded** buffer
 //!   (default 256 KiB). When a frame does not fit, the enqueue is
 //!   rejected and the caller surfaces the verdict — the transport maps
 //!   it to `FailedInstantly`, the server counts a dropped reply. Nothing
 //!   ever blocks and nothing queues without bound: a peer that stops
 //!   reading costs its own replies, not the process's memory. The bound
-//!   is exact: [`FramedConn::pending_write_bytes`] never exceeds it.
+//!   is exact: [`FramedConn::pending_write_bytes`] never exceeds it. The
+//!   buffer is emptied, not freed, once flushed, so it keeps the largest
+//!   run of frames queued between two flushes.
 //!
 //! Both directions follow the edge-triggered discipline: `fill`/`flush`
-//! run until `WouldBlock`, so a single readiness edge is never lost.
+//! run until `WouldBlock`, so a single readiness edge is never lost. The
+//! connection counts its `read` and `write` calls, `WouldBlock`s
+//! included.
 
+pub use crate::frame::InboundFrame;
 use crate::frame::{
-    decode_frame, encode_request_into, encode_response_into, request_frame_len, response_frame_len,
-    Frame, FrameError,
+    encode_request_into, encode_response_into, request_frame_len, response_frame_len, FrameDecoder,
+    FrameError,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -31,9 +38,9 @@ use std::net::TcpStream;
 /// Default cap on buffered unwritten bytes per connection.
 pub const DEFAULT_WRITE_BUF_CAP: usize = 256 * 1024;
 
-/// Move a partial frame to the front of the read buffer only once the
-/// consumed bytes ahead of it reach this many.
-const COMPACT_THRESHOLD: usize = 64 * 1024;
+/// Bytes one `read` asks for. A 25 kB frame takes two reads; the window
+/// lives on `fill`'s stack, so an idle connection holds none of it.
+pub const READ_WINDOW: usize = 16 * 1024;
 
 /// Whether the peer is still there after a `fill`/`flush`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,34 +61,16 @@ pub enum EnqueueOutcome {
     Rejected,
 }
 
-/// A decoded inbound frame with the request payload reduced to its size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InboundFrame {
-    /// A client request (payload bytes were validated and skipped).
-    Request {
-        /// Echo token.
-        tag: u64,
-        /// Size of the (opaque) payload.
-        payload_len: usize,
-    },
-    /// A server response.
-    Response {
-        /// Echo token.
-        tag: u64,
-        /// Inference verdict.
-        ok: bool,
-    },
-}
-
 /// One nonblocking framed connection (see the module docs).
 pub struct FramedConn {
     stream: TcpStream,
-    read_buf: Vec<u8>,
-    read_pos: usize,
+    decoder: FrameDecoder,
     write_buf: Vec<u8>,
     write_pos: usize,
     write_cap: usize,
     closed: bool,
+    read_calls: u64,
+    write_calls: u64,
     coalesced_writes: u64,
     backpressure_rejects: u64,
 }
@@ -94,12 +83,13 @@ impl FramedConn {
         stream.set_nodelay(true)?;
         Ok(FramedConn {
             stream,
-            read_buf: Vec::new(),
-            read_pos: 0,
+            decoder: FrameDecoder::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             write_cap,
             closed: false,
+            read_calls: 0,
+            write_calls: 0,
             coalesced_writes: 0,
             backpressure_rejects: 0,
         })
@@ -110,56 +100,47 @@ impl FramedConn {
         &self.stream
     }
 
-    /// Read until `WouldBlock`, appending straight into the frame buffer.
+    /// Read until `WouldBlock` or EOF, decoding as the bytes arrive.
     ///
     /// Frames that arrived together with the peer's EOF stay decodable:
     /// a `Closed` fill still leaves them for [`FramedConn::next_frame`].
+    /// Reading stops early at corrupt bytes, which `next_frame` reports
+    /// after the frames before them.
     pub fn fill(&mut self) -> io::Result<ConnStatus> {
-        if self.read_pos == self.read_buf.len() {
-            self.read_buf.clear();
-            self.read_pos = 0;
-        } else if self.read_pos >= COMPACT_THRESHOLD {
-            self.read_buf.drain(..self.read_pos);
-            self.read_pos = 0;
-        }
-        // `read_to_end` appends into spare capacity without zero-filling
-        // it, retries `Interrupted`, and keeps what it read before an
-        // error; on a nonblocking socket only EOF ends it with `Ok`.
-        match self.stream.read_to_end(&mut self.read_buf) {
-            Ok(_) => {
-                self.closed = true;
-                Ok(ConnStatus::Closed)
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(ConnStatus::Open),
-            Err(e) => {
-                self.closed = true;
-                Err(e)
+        let mut window = [0u8; READ_WINDOW];
+        while !self.decoder.failed() {
+            self.read_calls += 1;
+            match self.stream.read(&mut window) {
+                Ok(0) => {
+                    self.closed = true;
+                    return Ok(ConnStatus::Closed);
+                }
+                Ok(n) => self.decoder.feed(&window[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    self.closed = true;
+                    return Err(e);
+                }
             }
         }
+        Ok(ConnStatus::Open)
     }
 
-    /// Decode the next complete frame out of the accumulated bytes.
+    /// The next frame the fills so far decoded.
     ///
     /// `Ok(None)` = no complete frame yet; `Err` = the stream is corrupt
     /// and the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<InboundFrame>, FrameError> {
-        let Some((frame, consumed)) = decode_frame(&self.read_buf[self.read_pos..])? else {
-            return Ok(None);
-        };
-        self.read_pos += consumed;
-        Ok(Some(match frame {
-            Frame::Request { tag, payload } => InboundFrame::Request {
-                tag,
-                payload_len: payload.len(),
-            },
-            Frame::Response { tag, ok } => InboundFrame::Response { tag, ok },
-        }))
+        self.decoder.next_frame()
     }
 
-    /// Bytes the read buffer holds allocated. It tracks the largest
-    /// burst a `fill` met, not the total the connection ever read.
+    /// Bytes the read side holds: [`MAX_HEAD_BYTES`](crate::MAX_HEAD_BYTES)
+    /// for the unparsed head, plus the queue of frames `next_frame` has
+    /// not yet drained, which is given back once drained. The read
+    /// window is not held.
     pub fn read_capacity(&self) -> usize {
-        self.read_buf.capacity()
+        self.decoder.capacity()
     }
 
     /// Unwritten bytes currently buffered.
@@ -206,6 +187,7 @@ impl FramedConn {
     /// Write buffered bytes until drained or `WouldBlock`.
     pub fn flush(&mut self) -> io::Result<ConnStatus> {
         while self.write_pos < self.write_buf.len() {
+            self.write_calls += 1;
             match self.stream.write(&self.write_buf[self.write_pos..]) {
                 Ok(0) => {
                     self.closed = true;
@@ -228,6 +210,16 @@ impl FramedConn {
     /// Whether buffered bytes are waiting for a writable edge.
     pub fn wants_write(&self) -> bool {
         self.write_pos < self.write_buf.len()
+    }
+
+    /// `read` calls made by `fill`, `WouldBlock`s and EOFs included.
+    pub fn read_calls(&self) -> u64 {
+        self.read_calls
+    }
+
+    /// `write` calls made by `flush`, `WouldBlock`s included.
+    pub fn write_calls(&self) -> u64 {
+        self.write_calls
     }
 
     /// Times an enqueue found bytes already pending (write coalescing).

@@ -19,9 +19,17 @@
 //! Hardening contract (the `ff-trace` codec pattern): decoding arbitrary
 //! bytes **never panics** — a truncated frame is `Ok(None)` for the
 //! streaming decoder and `Err` for [`decode_frame_exact`]; any corrupt
-//! magic, opcode, status, or over-limit length is `Err`. Encoders append
-//! into caller-owned buffers so steady-state encoding allocates nothing.
+//! magic, opcode, tag, status, or over-limit length is `Err` as soon as
+//! its bytes are in. Encoders append into caller-owned buffers so
+//! steady-state encoding allocates nothing.
+//!
+//! One head parser serves [`decode_frame`], which decodes from a buffer
+//! holding the whole frame, and the socket-free streaming decoder a
+//! [`FramedConn`](crate::FramedConn) feeds as bytes arrive, which holds
+//! at most one head ([`MAX_HEAD_BYTES`]) and counts a request's payload
+//! off without buffering it.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Frame magic, first on the wire.
@@ -171,12 +179,37 @@ pub fn encode_response_into(tag: u64, ok: bool, buf: &mut Vec<u8>) {
     buf.push(u8::from(!ok));
 }
 
-/// Streaming decode: parse one frame from the front of `buf`.
-///
-/// Returns `Ok(Some((frame, consumed)))` when a full frame is present,
-/// `Ok(None)` when more bytes are needed, and `Err` on corruption.
-/// Never panics, whatever the input.
-pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, FrameError> {
+/// A decoded inbound frame with the request payload reduced to its size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InboundFrame {
+    /// A client request (its payload bytes were counted off, not kept).
+    Request {
+        /// Echo token.
+        tag: u64,
+        /// Size of the (opaque) payload.
+        payload_len: usize,
+    },
+    /// A server response.
+    Response {
+        /// Echo token.
+        tag: u64,
+        /// Inference verdict.
+        ok: bool,
+    },
+}
+
+/// Longest frame head: the magic, a 10-byte length varint, the opcode,
+/// a 10-byte tag varint and a response's status byte. Everything in a
+/// frame but a request's payload is head.
+pub const MAX_HEAD_BYTES: usize = 4 + 10 + 1 + 10 + 1;
+
+/// Parse the head of the frame at the front of `buf`, which may hold
+/// any prefix of the stream: `Ok(Some((frame, head_len)))` once the
+/// head is in (a request's `payload_len` bytes follow it), `Ok(None)`
+/// while it is not. A corrupt field is `Err` as soon as its bytes are
+/// in, and the verdict on a prefix never changes as more bytes arrive;
+/// [`MAX_HEAD_BYTES`] bytes always decide.
+fn parse_head(buf: &[u8]) -> Result<Option<(InboundFrame, usize)>, FrameError> {
     // Magic: reject as soon as any prefix byte mismatches, so a corrupt
     // stream fails fast instead of waiting for 4 bytes.
     let probe = buf.len().min(4);
@@ -193,37 +226,143 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, FrameError
         return Err(FrameError::LengthOutOfRange);
     }
     let header = 4 + len_bytes;
-    let total = header + len as usize;
-    if buf.len() < total {
+    let body_len = len as usize;
+    let body = &buf[header..buf.len().min(header + body_len)];
+    let Some((&op, rest)) = body.split_first() else {
         return Ok(None);
-    }
-    let body = &buf[header..total];
-    let (op, rest) = body.split_first().expect("len >= 1 was checked");
-    let frame = match *op {
-        OP_REQUEST => {
-            let Some((tag, n)) = get_varint(rest)? else {
-                return Err(FrameError::BadBody);
-            };
-            Frame::Request {
-                tag,
-                payload: &rest[n..],
-            }
-        }
-        OP_RESPONSE => {
-            let Some((tag, n)) = get_varint(rest)? else {
-                return Err(FrameError::BadBody);
-            };
-            match rest[n..] {
-                [status] if status <= 1 => Frame::Response {
-                    tag,
-                    ok: status == 0,
-                },
-                _ => return Err(FrameError::BadBody),
-            }
-        }
-        _ => return Err(FrameError::BadOpcode),
     };
-    Ok(Some((frame, total)))
+    if op != OP_REQUEST && op != OP_RESPONSE {
+        return Err(FrameError::BadOpcode);
+    }
+    // A tag varint that runs past the bytes in waits for more; one that
+    // runs past the body's end is corrupt.
+    let Some((tag, n)) = get_varint(rest)? else {
+        return if body.len() == body_len {
+            Err(FrameError::BadBody)
+        } else {
+            Ok(None)
+        };
+    };
+    if op == OP_REQUEST {
+        let head = header + 1 + n;
+        let payload_len = header + body_len - head;
+        return Ok(Some((InboundFrame::Request { tag, payload_len }, head)));
+    }
+    // A response body is the opcode, the tag and one status byte.
+    if body_len != 1 + n + 1 {
+        return Err(FrameError::BadBody);
+    }
+    match rest.get(n) {
+        None => Ok(None),
+        Some(&status) if status <= 1 => Ok(Some((
+            InboundFrame::Response {
+                tag,
+                ok: status == 0,
+            },
+            header + body_len,
+        ))),
+        Some(_) => Err(FrameError::BadBody),
+    }
+}
+
+/// Streaming decode: parse one frame from the front of `buf`.
+///
+/// Returns `Ok(Some((frame, consumed)))` when a full frame is present,
+/// `Ok(None)` when more bytes are needed, and `Err` on corruption — as
+/// soon as the corrupt field is in, even if the frame is not. Never
+/// panics, whatever the input.
+pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, FrameError> {
+    let Some((head, at)) = parse_head(buf)? else {
+        return Ok(None);
+    };
+    Ok(match head {
+        InboundFrame::Request { tag, payload_len } => buf
+            .get(at..at + payload_len)
+            .map(|payload| (Frame::Request { tag, payload }, at + payload_len)),
+        InboundFrame::Response { tag, ok } => Some((Frame::Response { tag, ok }, at)),
+    })
+}
+
+/// The stream side of the codec, with no socket: bytes go in through
+/// [`FrameDecoder::feed`] in chunks of any size and come out of
+/// [`FrameDecoder::next_frame`] as the frames (then the first error)
+/// that [`decode_frame`] finds in their concatenation.
+///
+/// It keeps no bytes but the unparsed front of one head: a request's
+/// payload is counted off as it passes, never buffered. Decoded frames
+/// wait in a queue whose allocation is given back once drained.
+#[derive(Debug, Default)]
+pub(crate) struct FrameDecoder {
+    /// The front of the next frame's head, `head_len` bytes of it.
+    head: [u8; MAX_HEAD_BYTES],
+    head_len: usize,
+    /// A request whose head is in, and its payload bytes still to come.
+    payload: Option<(InboundFrame, usize)>,
+    frames: VecDeque<InboundFrame>,
+    /// The first corruption met; nothing after it is decoded.
+    error: Option<FrameError>,
+}
+
+impl FrameDecoder {
+    /// Decode `bytes`, the next bytes of the stream.
+    pub(crate) fn feed(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() && self.error.is_none() {
+            if let Some((frame, left)) = &mut self.payload {
+                let n = (*left).min(bytes.len());
+                *left -= n;
+                bytes = &bytes[n..];
+                if *left == 0 {
+                    self.frames.push_back(*frame);
+                    self.payload = None;
+                }
+                continue;
+            }
+            let held = self.head_len;
+            let take = bytes.len().min(MAX_HEAD_BYTES - held);
+            self.head[held..held + take].copy_from_slice(&bytes[..take]);
+            match parse_head(&self.head[..held + take]) {
+                Ok(Some((frame, at))) => {
+                    // `held` bytes did not make a head, so `at > held`.
+                    bytes = &bytes[at - held..];
+                    self.head_len = 0;
+                    match frame {
+                        InboundFrame::Request { payload_len, .. } if payload_len > 0 => {
+                            self.payload = Some((frame, payload_len));
+                        }
+                        _ => self.frames.push_back(frame),
+                    }
+                }
+                // Fewer than `MAX_HEAD_BYTES`, so all of `bytes` is held.
+                Ok(None) => {
+                    self.head_len = held + take;
+                    return;
+                }
+                Err(e) => self.error = Some(e),
+            }
+        }
+    }
+
+    /// The next decoded frame; once they are drained, the first error.
+    /// `Ok(None)` = no complete frame yet.
+    pub(crate) fn next_frame(&mut self) -> Result<Option<InboundFrame>, FrameError> {
+        if let Some(frame) = self.frames.pop_front() {
+            return Ok(Some(frame));
+        }
+        if self.frames.capacity() > 0 {
+            self.frames = VecDeque::new();
+        }
+        self.error.map_or(Ok(None), Err)
+    }
+
+    /// Whether the stream is corrupt, so further bytes are not decoded.
+    pub(crate) fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// Bytes held: the inline head buffer and the undrained frame queue.
+    pub(crate) fn capacity(&self) -> usize {
+        MAX_HEAD_BYTES + self.frames.capacity() * std::mem::size_of::<InboundFrame>()
+    }
 }
 
 /// Strict decode: `buf` must contain exactly one well-formed frame.
@@ -322,6 +461,30 @@ mod tests {
     }
 
     #[test]
+    fn a_tag_running_past_the_body_is_corrupt() {
+        // Body = opcode + one tag byte that promises more.
+        for op in [OP_REQUEST, OP_RESPONSE] {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&[2, op, 0x80]);
+            assert_eq!(decode_frame(&buf), Err(FrameError::BadBody));
+            // One byte short of the body, the tag may still end.
+            assert_eq!(decode_frame(&buf[..buf.len() - 1]), Ok(None));
+        }
+    }
+
+    #[test]
+    fn corruption_is_reported_before_the_frame_is_whole() {
+        // A 1 MiB request with a bad opcode fails on its sixth byte, not
+        // after its megabyte.
+        let mut buf = Vec::new();
+        encode_request_into(5, &vec![0; 1 << 20], &mut buf);
+        let op_at = 4 + varint_len(1 + 1 + (1 << 20)); // magic, length
+        buf[op_at] = 0x7F;
+        assert_eq!(decode_frame(&buf[..=op_at]), Err(FrameError::BadOpcode));
+        assert_eq!(decode_frame(&buf[..op_at]), Ok(None));
+    }
+
+    #[test]
     fn oversized_declared_length_is_rejected() {
         let mut buf = MAGIC.to_vec();
         put_varint(&mut buf, MAX_FRAME_BYTES + 1);
@@ -403,6 +566,93 @@ mod tests {
         ) {
             let _ = decode_frame(&junk);
             let _ = decode_frame_exact(&junk);
+        }
+
+        /// Requests of every tag width with payloads up to 70 kB, so they
+        /// straddle window edges, and responses; in three cases of four
+        /// one corrupt byte near a frame's start; maybe a cut tail. Fed in chunks of 1 B to
+        /// three read windows, drained after each, the decoder yields
+        /// what `decode_frame` finds in the whole buffer: the same
+        /// frames, then the same first error or none.
+        #[test]
+        fn prop_the_decoder_matches_decode_frame_over_any_chunking(
+            frames in proptest::collection::vec(
+                ((any::<u64>(), 0u32..64), (0usize..=70_000, 0u32..17), any::<bool>()),
+                1..8,
+            ),
+            (corrupt, (frame, offset), flip) in
+                (0u8..4, (any::<usize>(), 0usize..16), 1u8..=255),
+            (cut, cut_len) in (any::<bool>(), 0usize..40),
+            chunks in proptest::collection::vec(
+                (1usize..=3 * crate::READ_WINDOW, 0u32..16),
+                1..8,
+            ),
+        ) {
+            let mut wire = Vec::new();
+            let mut starts = Vec::new();
+            for &((raw, shift), (len, len_shift), is_request) in &frames {
+                starts.push(wire.len());
+                let tag = raw >> shift;
+                if is_request {
+                    // Payload bytes that look like frame heads.
+                    let payload: Vec<u8> =
+                        MAGIC.iter().copied().cycle().take(len >> len_shift).collect();
+                    encode_request_into(tag, &payload, &mut wire);
+                } else {
+                    encode_response_into(tag, raw & 1 == 0, &mut wire);
+                }
+            }
+            if corrupt > 0 {
+                let pos = (starts[frame % starts.len()] + offset).min(wire.len() - 1);
+                wire[pos] ^= flip;
+            }
+            if cut {
+                wire.truncate(wire.len().saturating_sub(cut_len));
+            }
+
+            let mut expected = Vec::new();
+            let mut at = 0;
+            let expected_end = loop {
+                match decode_frame(&wire[at..]) {
+                    Ok(Some((frame, used))) => {
+                        expected.push(match frame {
+                            Frame::Request { tag, payload } => InboundFrame::Request {
+                                tag,
+                                payload_len: payload.len(),
+                            },
+                            Frame::Response { tag, ok } => InboundFrame::Response { tag, ok },
+                        });
+                        at += used;
+                    }
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
+                }
+            };
+
+            let mut decoder = FrameDecoder::default();
+            let mut got = Vec::new();
+            let mut end = None;
+            let mut rest = &wire[..];
+            let mut sizes = chunks.iter().cycle().map(|&(size, shift)| (size >> shift).max(1));
+            while !rest.is_empty() && end.is_none() {
+                let n = sizes.next().expect("an endless cycle").min(rest.len());
+                let (chunk, tail) = rest.split_at(n);
+                decoder.feed(chunk);
+                rest = tail;
+                loop {
+                    match decoder.next_frame() {
+                        Ok(Some(frame)) => got.push(frame),
+                        Ok(None) => break,
+                        Err(e) => {
+                            end = Some(e);
+                            break;
+                        }
+                    }
+                }
+                prop_assert_eq!(decoder.capacity(), MAX_HEAD_BYTES);
+            }
+            prop_assert_eq!(got, expected);
+            prop_assert_eq!(end, expected_end);
         }
     }
 }

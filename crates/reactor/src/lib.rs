@@ -34,7 +34,9 @@ pub mod frame;
 pub mod server;
 pub mod timer;
 
-pub use conn::{ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP};
+pub use conn::{
+    ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP, READ_WINDOW,
+};
 pub use ff_device::deps::ff_net::NetworkConditions;
 pub use fleet::{
     run_reactor_device, run_reactor_fleet, FleetClientConfig, FleetSummary, ReactorDeviceConfig,
@@ -42,7 +44,7 @@ pub use fleet::{
 };
 pub use frame::{
     decode_frame, decode_frame_exact, encode_request_into, encode_response_into, Frame, FrameError,
-    MAX_FRAME_BYTES,
+    MAX_FRAME_BYTES, MAX_HEAD_BYTES,
 };
 pub use server::{ReactorChaos, ReactorServer, ReactorServerConfig, ReactorServerStats};
 pub use timer::DeadlineWheel;

@@ -7,8 +7,11 @@
 //! enqueues what it reads and forms at most one batch per loop turn, so
 //! requests read together ride one batch. **One** thread runs an epoll
 //! loop over every connection, and the GPU's execution time is a
-//! timer-wheel event (`BatchDone`) rather than a sleep, so a thousand
-//! connections cost a thousand sockets and nothing else. Fault injection
+//! timer-wheel event (`BatchDone`) rather than a sleep, so a connection
+//! costs no thread: between reads it holds its socket, a [`FramedConn`]
+//! whose read side keeps at most one unparsed frame head and no read
+//! buffer, and a write buffer as large as the most replies queued
+//! between two flushes (bounded by `write_buf_cap`). Fault injection
 //! (hang-ups, swallowed requests, stalled replies) is retunable while the
 //! server runs, through [`ReactorChaos`].
 //!

@@ -1,14 +1,16 @@
 //! Integration: `FramedConn` driven through the facade over loopback.
 //!
-//! The read path appends straight from the socket into one frame buffer
-//! and reclaims it before the next read; these cases pin that whatever
-//! the arrival pattern, frames decode whole and in order and the buffer
-//! stays sized by what arrives. The write side's bound is exact: a frame
-//! is rejected precisely when its encoded bytes would not fit.
+//! The read path reads through a bounded window and decodes as bytes
+//! arrive, keeping no payload; these cases pin that whatever the arrival
+//! pattern, frames decode whole and in order, a burst costs one `read`
+//! per window, and the read side never holds more than the window, nor
+//! more than one frame head once drained. The write side's bound is
+//! exact: a frame is rejected precisely when its encoded bytes would not
+//! fit.
 
 use framefeedback::reactor::{
     encode_request_into, encode_response_into, ConnStatus, EnqueueOutcome, FramedConn,
-    InboundFrame, DEFAULT_WRITE_BUF_CAP,
+    InboundFrame, DEFAULT_WRITE_BUF_CAP, MAX_HEAD_BYTES, READ_WINDOW,
 };
 use proptest::prelude::*;
 use std::io::{self, Write};
@@ -97,8 +99,41 @@ fn a_hundred_frames_in_one_fill_decode_in_order() {
     assert_eq!(drain(&mut conn), expected);
 }
 
+/// Four pipelined 25 kB requests, the benchmark's window, sit in the
+/// socket before one fill: it takes one `read` per 16 KiB of the burst
+/// and one more that meets `WouldBlock`, 8 in all, and once drained the
+/// read side is back to one head. The bound is the 16 KiB window's, not
+/// `READ_WINDOW`'s, so a smaller window fails it: one of 4 KiB made 6.5
+/// `recv` calls per request on the live benchmark and cost a sixth of
+/// its frames per second.
+#[test]
+fn a_burst_takes_one_read_per_window() {
+    const WINDOW: usize = 16 * 1024;
+    let mut wire = Vec::new();
+    for tag in 0..4 {
+        encode_request_into(tag, &[0x3C; 25_000], &mut wire);
+    }
+    let (mut conn, mut peer) = pair(DEFAULT_WRITE_BUF_CAP);
+    peer.write_all(&wire).unwrap();
+    await_bytes(&conn, wire.len());
+    assert_eq!(conn.fill().unwrap(), ConnStatus::Open);
+    let reads = conn.read_calls();
+    let bound = wire.len().div_ceil(WINDOW) as u64 + 1;
+    assert!(
+        reads <= bound,
+        "{reads} reads for a {} B burst, at most {bound}",
+        wire.len()
+    );
+    assert!(conn.read_capacity() <= READ_WINDOW);
+    let expected: Vec<_> = (0..4).map(|tag| request(tag, 25_000)).collect();
+    assert_eq!(drain(&mut conn), expected);
+    assert!(conn.read_capacity() <= MAX_HEAD_BYTES);
+}
+
 /// A 1 MiB request behind small ones arrives over many fills, and a
-/// frame split behind it still decodes once its tail arrives.
+/// frame split behind it still decodes once its tail arrives. The read
+/// side never holds more than the window: the request is counted off,
+/// not buffered.
 #[test]
 fn a_mebibyte_request_after_small_ones() {
     const BIG: usize = 1 << 20;
@@ -129,6 +164,7 @@ fn a_mebibyte_request_after_small_ones() {
             got.len()
         );
         assert_eq!(conn.fill().unwrap(), ConnStatus::Open);
+        assert!(conn.read_capacity() <= READ_WINDOW);
         got.extend(drain(&mut conn));
     }
     let mut peer = writer.join().unwrap();
@@ -136,6 +172,7 @@ fn a_mebibyte_request_after_small_ones() {
     while got.len() < 5 {
         assert!(Instant::now() < give_up, "the split frame never completed");
         assert_eq!(conn.fill().unwrap(), ConnStatus::Open);
+        assert!(conn.read_capacity() <= READ_WINDOW);
         got.extend(drain(&mut conn));
     }
     assert_eq!(
@@ -178,15 +215,12 @@ fn frames_before_a_close_still_decode() {
 }
 
 /// 10 000 round trips of 25 kB with four requests pipelined, so fills
-/// often end inside a frame. Before a read the buffer holds under 64 KiB
-/// of consumed bytes plus one partial frame, and a read adds at most the
-/// 100 kB in flight: under 190 kB, so a doubling capacity stays under
-/// 512 KiB while the stream carries 250 MB.
+/// often end inside a frame. Whatever is in flight, the read side holds
+/// no more than the window while the stream carries 250 MB.
 #[test]
 fn the_read_buffer_stays_bounded_over_ten_thousand_round_trips() {
     const TRIPS: u64 = 10_000;
     const WINDOW: u64 = 4;
-    const BOUND: usize = 512 * 1024;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
     let mut client = FramedConn::new(dialed, DEFAULT_WRITE_BUF_CAP).unwrap();
@@ -219,8 +253,8 @@ fn the_read_buffer_stays_bounded_over_ten_thousand_round_trips() {
         }
         assert_eq!(server.flush().unwrap(), ConnStatus::Open);
         assert!(
-            server.read_capacity() <= BOUND,
-            "read buffer grew to {} B after {answered} round trips",
+            server.read_capacity() <= READ_WINDOW,
+            "read side grew to {} B after {answered} round trips",
             server.read_capacity()
         );
 
@@ -239,9 +273,8 @@ fn the_read_buffer_stays_bounded_over_ten_thousand_round_trips() {
 }
 
 /// A peer whose writes never end on a frame boundary leaves a partial
-/// frame behind every fill, so the buffer is never empty before a read.
-/// The consumed prefix is compacted away instead: under 64 KiB of it,
-/// one partial frame and one 30 kB write stay under 256 KiB.
+/// frame behind every fill. Its payload is counted off as it passes, so
+/// the read side still holds no more than the window.
 #[test]
 fn a_stream_that_never_pauses_at_a_frame_boundary_stays_bounded() {
     const FRAMES: u64 = 2_000;
@@ -260,8 +293,8 @@ fn a_stream_that_never_pauses_at_a_frame_boundary_stays_bounded() {
             got += 1;
         }
         assert!(
-            conn.read_capacity() <= 256 * 1024,
-            "read buffer grew to {} B after {got} frames",
+            conn.read_capacity() <= READ_WINDOW,
+            "read side grew to {} B after {got} frames",
             conn.read_capacity()
         );
     }
