@@ -2,12 +2,16 @@
 //!
 //! One `FramedConn` owns one socket plus two buffers:
 //!
-//! * **read side** — `fill` reads the socket through a [`READ_WINDOW`]
-//!   on its own stack and feeds each read to a streaming decoder, which
-//!   parses frame heads as the bytes arrive and counts a request's
-//!   payload off without keeping it: payload bytes are opaque to every
-//!   consumer in this crate, so decoded requests carry the payload
-//!   *length*, not a copy. Callers drain the decoded frames with
+//! * **read side** — at a frame boundary `fill` reads the socket through
+//!   a [`READ_WINDOW`] on its own stack and feeds each read to a
+//!   streaming decoder, which parses frame heads as the bytes arrive.
+//!   Payload bytes are opaque to every consumer in this crate, so
+//!   decoded requests carry the payload *length*, not a copy: once a
+//!   request's head is in, the rest of its payload is discarded in the
+//!   kernel (`recv` with `MSG_TRUNC`, which on TCP drops the bytes
+//!   instead of copying them) and only counted off by the decoder; a
+//!   25 kB request costs one window read and one discard. Callers drain
+//!   the decoded frames with
 //!   [`FramedConn::next_frame`]. Between fills the read side holds only
 //!   the parse state and at most one unparsed head
 //!   ([`MAX_HEAD_BYTES`](crate::MAX_HEAD_BYTES)), whatever the frames'
@@ -18,14 +22,16 @@
 //!   it to `FailedInstantly`, the server counts a dropped reply. Nothing
 //!   ever blocks and nothing queues without bound: a peer that stops
 //!   reading costs its own replies, not the process's memory. The bound
-//!   is exact: [`FramedConn::pending_write_bytes`] never exceeds it. The
-//!   buffer is emptied, not freed, once flushed, so it keeps the largest
-//!   run of frames queued between two flushes.
+//!   is exact: [`FramedConn::pending_write_bytes`] never exceeds it. A
+//!   flush that drains the buffer frees it when it holds more than a few
+//!   KiB and keeps it otherwise, so a batch's small replies reuse one
+//!   allocation while a run of large requests does not stay allocated
+//!   after it leaves; [`FramedConn::write_capacity`] reports it.
 //!
 //! Both directions follow the edge-triggered discipline: `fill`/`flush`
 //! run until `WouldBlock`, so a single readiness edge is never lost. The
 //! connection counts its `read` and `write` calls, `WouldBlock`s
-//! included.
+//! included, and the payload bytes it discarded unread.
 
 pub use crate::frame::InboundFrame;
 use crate::frame::{
@@ -34,13 +40,20 @@ use crate::frame::{
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 
 /// Default cap on buffered unwritten bytes per connection.
 pub const DEFAULT_WRITE_BUF_CAP: usize = 256 * 1024;
 
-/// Bytes one `read` asks for. A 25 kB frame takes two reads; the window
+/// Bytes one `read` at a frame boundary asks for. It carries frame heads
+/// and replies (a batch's 15 replies are 255 B); a request's payload
+/// past the window is discarded in the kernel, not read. The window
 /// lives on `fill`'s stack, so an idle connection holds none of it.
-pub const READ_WINDOW: usize = 16 * 1024;
+pub const READ_WINDOW: usize = 1024;
+
+/// Write-buffer capacity a draining flush keeps; a larger buffer is
+/// freed. It holds a batch's replies (≤ 15 × 17 B) with room to spare.
+const WRITE_KEEP: usize = 4 * 1024;
 
 /// Whether the peer is still there after a `fill`/`flush`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +83,7 @@ pub struct FramedConn {
     write_cap: usize,
     closed: bool,
     read_calls: u64,
+    discarded_bytes: u64,
     write_calls: u64,
     coalesced_writes: u64,
     backpressure_rejects: u64,
@@ -89,6 +103,7 @@ impl FramedConn {
             write_cap,
             closed: false,
             read_calls: 0,
+            discarded_bytes: 0,
             write_calls: 0,
             coalesced_writes: 0,
             backpressure_rejects: 0,
@@ -100,7 +115,9 @@ impl FramedConn {
         &self.stream
     }
 
-    /// Read until `WouldBlock` or EOF, decoding as the bytes arrive.
+    /// Read until `WouldBlock` or EOF, decoding as the bytes arrive: at a
+    /// frame boundary through the window, inside a request's payload by
+    /// discarding the rest of it in the kernel.
     ///
     /// Frames that arrived together with the peer's EOF stay decodable:
     /// a `Closed` fill still leaves them for [`FramedConn::next_frame`].
@@ -110,10 +127,20 @@ impl FramedConn {
         let mut window = [0u8; READ_WINDOW];
         while !self.decoder.failed() {
             self.read_calls += 1;
-            match self.stream.read(&mut window) {
+            let left = self.decoder.payload_left();
+            let got = if left > 0 {
+                discard(&self.stream, left)
+            } else {
+                self.stream.read(&mut window)
+            };
+            match got {
                 Ok(0) => {
                     self.closed = true;
                     return Ok(ConnStatus::Closed);
+                }
+                Ok(n) if left > 0 => {
+                    self.discarded_bytes += n as u64;
+                    self.decoder.skip(n);
                 }
                 Ok(n) => self.decoder.feed(&window[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -141,6 +168,12 @@ impl FramedConn {
     /// window is not held.
     pub fn read_capacity(&self) -> usize {
         self.decoder.capacity()
+    }
+
+    /// Bytes the write buffer holds allocated: at most `WRITE_KEEP` (4 KiB)
+    /// once a flush has drained it, however large the run it carried.
+    pub fn write_capacity(&self) -> usize {
+        self.write_buf.capacity()
     }
 
     /// Unwritten bytes currently buffered.
@@ -202,7 +235,11 @@ impl FramedConn {
                 }
             }
         }
-        self.write_buf.clear();
+        if self.write_buf.capacity() > WRITE_KEEP {
+            self.write_buf = Vec::new();
+        } else {
+            self.write_buf.clear();
+        }
         self.write_pos = 0;
         Ok(ConnStatus::Open)
     }
@@ -215,6 +252,11 @@ impl FramedConn {
     /// `read` calls made by `fill`, `WouldBlock`s and EOFs included.
     pub fn read_calls(&self) -> u64 {
         self.read_calls
+    }
+
+    /// Payload bytes `fill` discarded in the kernel without reading them.
+    pub fn discarded_bytes(&self) -> u64 {
+        self.discarded_bytes
     }
 
     /// `write` calls made by `flush`, `WouldBlock`s included.
@@ -230,6 +272,28 @@ impl FramedConn {
     /// Times the bounded write buffer rejected a frame.
     pub fn backpressure_rejects(&self) -> u64 {
         self.backpressure_rejects
+    }
+}
+
+/// Drop up to `len` bytes from the front of `stream`'s receive queue
+/// without copying them: tcp(7) documents that `MSG_TRUNC` on a TCP
+/// socket discards the data instead of passing it back. Returns the
+/// bytes dropped, `Ok(0)` at EOF, and errors (`WouldBlock` on a
+/// nonblocking socket with nothing queued) as `read` does.
+fn discard(stream: &TcpStream, len: usize) -> io::Result<usize> {
+    use std::ffi::{c_int, c_void};
+    const MSG_TRUNC: c_int = 0x20;
+    extern "C" {
+        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    }
+    // SAFETY: the descriptor is `stream`'s and stays open for the call.
+    // With `MSG_TRUNC` a TCP `recv` writes nothing to `buf`, so the null
+    // pointer is never dereferenced; the kernel only counts `len` off.
+    let n = unsafe { recv(stream.as_raw_fd(), std::ptr::null_mut(), len, MSG_TRUNC) };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
     }
 }
 

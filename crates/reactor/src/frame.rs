@@ -289,14 +289,18 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame<'_>, usize)>, FrameError
 /// that [`decode_frame`] finds in their concatenation.
 ///
 /// It keeps no bytes but the unparsed front of one head: a request's
-/// payload is counted off as it passes, never buffered. Decoded frames
-/// wait in a queue whose allocation is given back once drained.
+/// payload is counted off as it passes, never buffered, and a caller
+/// that can drop payload bytes unread (a socket's `MSG_TRUNC`) counts
+/// them off through [`FrameDecoder::skip`] instead of feeding them.
+/// Decoded frames wait in a queue whose allocation is given back once
+/// drained.
 #[derive(Debug, Default)]
 pub(crate) struct FrameDecoder {
     /// The front of the next frame's head, `head_len` bytes of it.
     head: [u8; MAX_HEAD_BYTES],
     head_len: usize,
-    /// A request whose head is in, and its payload bytes still to come.
+    /// A request whose head is in, and its payload bytes still to come
+    /// (never 0: a request is queued once its last byte is counted off).
     payload: Option<(InboundFrame, usize)>,
     frames: VecDeque<InboundFrame>,
     /// The first corruption met; nothing after it is decoded.
@@ -307,14 +311,11 @@ impl FrameDecoder {
     /// Decode `bytes`, the next bytes of the stream.
     pub(crate) fn feed(&mut self, mut bytes: &[u8]) {
         while !bytes.is_empty() && self.error.is_none() {
-            if let Some((frame, left)) = &mut self.payload {
-                let n = (*left).min(bytes.len());
-                *left -= n;
+            let left = self.payload_left();
+            if left > 0 {
+                let n = left.min(bytes.len());
+                self.skip(n);
                 bytes = &bytes[n..];
-                if *left == 0 {
-                    self.frames.push_back(*frame);
-                    self.payload = None;
-                }
                 continue;
             }
             let held = self.head_len;
@@ -338,6 +339,26 @@ impl FrameDecoder {
                     return;
                 }
                 Err(e) => self.error = Some(e),
+            }
+        }
+    }
+
+    /// Payload bytes of the current request still to come; 0 at a frame
+    /// boundary or inside a head.
+    pub(crate) fn payload_left(&self) -> usize {
+        self.payload.map_or(0, |(_, left)| left)
+    }
+
+    /// Count off the next `n` bytes of the stream, which lie inside the
+    /// current request's payload (`n <= payload_left()`), without seeing
+    /// them: the caller discarded them unread.
+    pub(crate) fn skip(&mut self, n: usize) {
+        assert!(n <= self.payload_left(), "skipped past a request payload");
+        if let Some((frame, left)) = &mut self.payload {
+            *left -= n;
+            if *left == 0 {
+                self.frames.push_back(*frame);
+                self.payload = None;
             }
         }
     }
@@ -570,9 +591,11 @@ mod tests {
 
         /// Requests of every tag width with payloads up to 70 kB, so they
         /// straddle window edges, and responses; in three cases of four
-        /// one corrupt byte near a frame's start; maybe a cut tail. Fed in chunks of 1 B to
-        /// three read windows, drained after each, the decoder yields
-        /// what `decode_frame` finds in the whole buffer: the same
+        /// one corrupt byte near a frame's start; maybe a cut tail. Fed
+        /// in chunks of 1 B to 48 KiB, drained after each, where a step
+        /// inside a request's payload may instead skip 1 to all of the
+        /// payload bytes left, as a socket's discard does, the decoder
+        /// yields what `decode_frame` finds in the whole buffer: the same
         /// frames, then the same first error or none.
         #[test]
         fn prop_the_decoder_matches_decode_frame_over_any_chunking(
@@ -584,7 +607,7 @@ mod tests {
                 (0u8..4, (any::<usize>(), 0usize..16), 1u8..=255),
             (cut, cut_len) in (any::<bool>(), 0usize..40),
             chunks in proptest::collection::vec(
-                (1usize..=3 * crate::READ_WINDOW, 0u32..16),
+                (1usize..=48 * 1024, 0u32..16, any::<bool>()),
                 1..8,
             ),
         ) {
@@ -633,12 +656,22 @@ mod tests {
             let mut got = Vec::new();
             let mut end = None;
             let mut rest = &wire[..];
-            let mut sizes = chunks.iter().cycle().map(|&(size, shift)| (size >> shift).max(1));
+            let mut steps = chunks
+                .iter()
+                .cycle()
+                .map(|&(size, shift, skip)| ((size >> shift).max(1), skip));
             while !rest.is_empty() && end.is_none() {
-                let n = sizes.next().expect("an endless cycle").min(rest.len());
-                let (chunk, tail) = rest.split_at(n);
-                decoder.feed(chunk);
-                rest = tail;
+                let (n, skip) = steps.next().expect("an endless cycle");
+                let left = decoder.payload_left();
+                if skip && left > 0 {
+                    let k = n.min(left).min(rest.len());
+                    decoder.skip(k);
+                    rest = &rest[k..];
+                } else {
+                    let (chunk, tail) = rest.split_at(n.min(rest.len()));
+                    decoder.feed(chunk);
+                    rest = tail;
+                }
                 loop {
                     match decoder.next_frame() {
                         Ok(Some(frame)) => got.push(frame),

@@ -8,10 +8,12 @@
 //! requests read together ride one batch. **One** thread runs an epoll
 //! loop over every connection, and the GPU's execution time is a
 //! timer-wheel event (`BatchDone`) rather than a sleep, so a connection
-//! costs no thread: between reads it holds its socket, a [`FramedConn`]
-//! whose read side keeps at most one unparsed frame head and no read
-//! buffer, and a write buffer as large as the most replies queued
-//! between two flushes (bounded by `write_buf_cap`). Fault injection
+//! costs no thread: between reads it holds its socket and a
+//! [`FramedConn`] whose read side keeps at most one unparsed frame head
+//! and no read buffer (request payloads are discarded in the kernel,
+//! unread), and whose write buffer a draining flush keeps only while it
+//! is a few KiB, as a batch's replies are (bounded by `write_buf_cap`
+//! while it fills). Fault injection
 //! (hang-ups, swallowed requests, stalled replies) is retunable while the
 //! server runs, through [`ReactorChaos`].
 //!

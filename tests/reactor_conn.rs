@@ -1,19 +1,21 @@
 //! Integration: `FramedConn` driven through the facade over loopback.
 //!
-//! The read path reads through a bounded window and decodes as bytes
-//! arrive, keeping no payload; these cases pin that whatever the arrival
-//! pattern, frames decode whole and in order, a burst costs one `read`
-//! per window, and the read side never holds more than the window, nor
-//! more than one frame head once drained. The write side's bound is
-//! exact: a frame is rejected precisely when its encoded bytes would not
-//! fit.
+//! The read path reads frame heads through a bounded window, discards
+//! request payloads in the kernel and decodes as bytes arrive, keeping
+//! no payload; these cases pin that whatever the arrival pattern, frames
+//! decode whole and in order, a burst costs one window read and one
+//! discard per request, and the read side never holds more than the
+//! window, nor more than one frame head once drained. The write side's
+//! bound is exact: a frame is rejected precisely when its encoded bytes
+//! would not fit, and a drained write buffer does not stay the size of
+//! the largest run it carried.
 
 use framefeedback::reactor::{
     encode_request_into, encode_response_into, ConnStatus, EnqueueOutcome, FramedConn,
     InboundFrame, DEFAULT_WRITE_BUF_CAP, MAX_HEAD_BYTES, READ_WINDOW,
 };
 use proptest::prelude::*;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -100,17 +102,17 @@ fn a_hundred_frames_in_one_fill_decode_in_order() {
 }
 
 /// Four pipelined 25 kB requests, the benchmark's window, sit in the
-/// socket before one fill: it takes one `read` per 16 KiB of the burst
-/// and one more that meets `WouldBlock`, 8 in all, and once drained the
-/// read side is back to one head. The bound is the 16 KiB window's, not
-/// `READ_WINDOW`'s, so a smaller window fails it: one of 4 KiB made 6.5
-/// `recv` calls per request on the live benchmark and cost a sixth of
-/// its frames per second.
+/// socket before one fill. Each takes one window read for its head and
+/// one discard for the rest of its payload, and one more read meets
+/// `WouldBlock`: 9 calls in all. At most one window per request reaches
+/// user space; the rest is discarded in the kernel. A fill that fed the
+/// payload through the 1 KiB window would make about a hundred reads
+/// and discard nothing. Once drained, the read side is back to one head.
 #[test]
-fn a_burst_takes_one_read_per_window() {
-    const WINDOW: usize = 16 * 1024;
+fn a_burst_takes_one_read_and_one_discard_per_request() {
+    const FRAMES: u64 = 4;
     let mut wire = Vec::new();
-    for tag in 0..4 {
+    for tag in 0..FRAMES {
         encode_request_into(tag, &[0x3C; 25_000], &mut wire);
     }
     let (mut conn, mut peer) = pair(DEFAULT_WRITE_BUF_CAP);
@@ -118,16 +120,66 @@ fn a_burst_takes_one_read_per_window() {
     await_bytes(&conn, wire.len());
     assert_eq!(conn.fill().unwrap(), ConnStatus::Open);
     let reads = conn.read_calls();
-    let bound = wire.len().div_ceil(WINDOW) as u64 + 1;
+    let bound = 2 * FRAMES + 1;
     assert!(
         reads <= bound,
-        "{reads} reads for a {} B burst, at most {bound}",
+        "{reads} reads for {FRAMES} requests, at most {bound}"
+    );
+    let discarded = conn.discarded_bytes();
+    let floor = (wire.len() - FRAMES as usize * READ_WINDOW) as u64;
+    assert!(
+        discarded >= floor,
+        "{discarded} of {} B discarded, at least {floor}",
         wire.len()
     );
     assert!(conn.read_capacity() <= READ_WINDOW);
-    let expected: Vec<_> = (0..4).map(|tag| request(tag, 25_000)).collect();
+    let expected: Vec<_> = (0..FRAMES).map(|tag| request(tag, 25_000)).collect();
     assert_eq!(drain(&mut conn), expected);
     assert!(conn.read_capacity() <= MAX_HEAD_BYTES);
+}
+
+/// A client's run of four 25 kB requests grows its write buffer past
+/// 100 kB; once the peer has taken them and a flush drained the buffer,
+/// it is given back down to the 4 KiB a connection keeps, so 64 idle
+/// clients do not each hold their largest run. A batch's replies fit in
+/// what is kept and reuse it.
+#[test]
+fn a_drained_write_buffer_gives_back_a_large_run() {
+    const KEEP: usize = 4 * 1024;
+    let (mut conn, mut peer) = pair(DEFAULT_WRITE_BUF_CAP);
+    for tag in 0..4 {
+        assert_eq!(
+            conn.enqueue_request(tag, &[0x3C; 25_000]),
+            EnqueueOutcome::Queued
+        );
+    }
+    let queued = conn.pending_write_bytes();
+    assert!(conn.write_capacity() > KEEP);
+    let reader = std::thread::spawn(move || {
+        let mut sink = vec![0u8; queued];
+        peer.read_exact(&mut sink).unwrap();
+        peer
+    });
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while conn.wants_write() {
+        assert!(Instant::now() < give_up, "the peer never drained the run");
+        assert_eq!(conn.flush().unwrap(), ConnStatus::Open);
+        std::thread::yield_now();
+    }
+    let _peer = reader.join().unwrap();
+    assert!(
+        conn.write_capacity() <= KEEP,
+        "a drained write buffer still holds {} B",
+        conn.write_capacity()
+    );
+
+    for tag in 0..15 {
+        assert_eq!(conn.enqueue_response(tag, true), EnqueueOutcome::Queued);
+    }
+    let kept = conn.write_capacity();
+    assert_eq!(conn.flush().unwrap(), ConnStatus::Open);
+    assert!(!conn.wants_write());
+    assert_eq!(conn.write_capacity(), kept, "a batch's replies were freed");
 }
 
 /// A 1 MiB request behind small ones arrives over many fills, and a

@@ -17,9 +17,12 @@
 # sample per 1 ms of it; the kernel checks it once per tick, so a 250 Hz
 # kernel takes one per 4 ms. Read the shares, not the counts. A sample
 # taken in a system call lands on its libc stub, so libc's share includes
-# the kernel's time in those calls. libc resolves to its exported symbols
-# only: a sample in an unexported routine (memcpy's variants) takes the
-# name of the exported symbol before it.
+# the kernel's time in those calls. A shared object without debug
+# information names only its exported symbols, so each sample in one is
+# checked against the symbol sizes `nm -D -S --defined-only` reads: a
+# sample past the end of the exported symbol before it sits in an
+# unexported routine (memcpy's variants, chosen by an IFUNC resolver)
+# and is labelled `<unexported, after SYMBOL> [libc.so.6]`, not SYMBOL.
 #
 # Everything it writes goes to a directory under $TMPDIR (default /tmp),
 # removed on exit; `--trace 0` keeps the benchmark from writing its trace.
@@ -92,7 +95,7 @@ LD_PRELOAD="$work/shim.so" "$bin" --workload "$workload" "$@" --trace 0 \
     9>"$work/samples" >&2
 
 python3 - "$work" "$bin" <<'EOF'
-import collections, os, subprocess, sys
+import bisect, collections, os, subprocess, sys
 
 work, main_bin = sys.argv[1], sys.argv[2]
 samples = collections.Counter()
@@ -106,6 +109,34 @@ with open(os.path.join(work, "samples")) as f:
 total = sum(samples.values())
 if total == 0:
     sys.exit("prof: no samples")
+
+def exported(obj):
+    """The object's exported symbols: sorted starts, how far the symbols
+    up to each reach, their names, and the set of names."""
+    out = subprocess.run(
+        ["nm", "-D", "-S", "--defined-only", obj],
+        capture_output=True, text=True,
+    ).stdout.splitlines()
+    syms = []
+    for line in out:
+        fields = line.split()
+        if len(fields) == 4:  # value, size, type, name@version
+            start, size = int(fields[0], 16), int(fields[1], 16)
+            syms.append((start, start + size, fields[3].split("@")[0]))
+    syms.sort()
+    reach, far = [], 0
+    for _, end, _ in syms:
+        far = max(far, end)
+        reach.append(far)
+    return [s for s, _, _ in syms], reach, [n for _, _, n in syms], {n for _, _, n in syms}
+
+def unexported(dynsym, off):
+    """None when `off` lies inside an exported symbol, else its label."""
+    starts, reach, names, _ = dynsym
+    i = bisect.bisect_right(starts, off) - 1
+    if i >= 0 and off < reach[i]:
+        return None
+    return f"<unexported, after {names[i]}>" if i >= 0 else "<unexported>"
 
 inner, outer, by_obj = collections.Counter(), collections.Counter(), collections.Counter()
 objects = sorted({obj for obj, _ in samples})
@@ -131,8 +162,13 @@ for obj in objects:
             records.append([])
         else:
             records[-1].append(line)
+    dynsym = None if obj == main_bin else exported(obj)
     for off, lines in zip(offsets, records):
         names = lines[0::2] or ["??"]
+        # Without debug information addr2line names the exported symbol
+        # before the address, however far past its end the address is.
+        if dynsym and (names[0] == "??" or names[0] in dynsym[3]):
+            names = [unexported(dynsym, off) or names[0]]
         n = samples[(obj, off)]
         tag = "" if obj == main_bin else f" [{name}]"
         inner[names[0] + tag] += n
