@@ -11,8 +11,9 @@ use ff_core::{
     oscillation_index, tune, Controller, FrameFeedback, Measurement, PidConfig, TunerOptions,
 };
 use ff_device::{
-    content_scenarios, run_experiment, run_fleet, EnergyModel, ExperimentConfig, ExperimentResult,
-    FleetConfig, ModelSelection, QualityConfig, SelectorConfig, ServerOutage,
+    content_scenarios, replay_verify_with, run_experiment, run_experiment_traced, run_fleet,
+    EnergyModel, ExperimentConfig, ExperimentResult, FleetConfig, ModelSelection, QualityConfig,
+    SelectorConfig, ServerOutage,
 };
 use ff_metrics::{bootstrap_mean_ci, QosRecord};
 use ff_models::{
@@ -24,6 +25,7 @@ use ff_sim::{RngFactory, SimDuration};
 use ff_sweep::{
     run_fleet_sweep, AdmissionSpec, ControllerSpec, FleetSweepSpec, RoutingSpec, SweepOptions,
 };
+use ff_trace::Trace;
 use ff_workload::{mobility_trace, MobilityConfig, StepSchedule};
 use serde::{Serialize, Value};
 use std::io;
@@ -1397,6 +1399,201 @@ pub fn regret(_: &Flags) -> io::Result<Value> {
         "regret {relative:.2} implausibly high — controller or calibration broke"
     );
     Ok(serde_json::to_value(&rows)?)
+}
+
+/// One controller (`--controller`, default FrameFeedback, with any
+/// `--kp`/`--kd`) under one named scenario (`--scenario`, default
+/// `table5`) or under the whole `ExperimentConfig` of a `--config` file
+/// — the unit of every figure above. Prints the per-second QoS log and
+/// a summary; `--trace` also records the run for `verify_trace`.
+pub fn run(flags: &Flags) -> io::Result<Value> {
+    let config = experiment(flags)?;
+    let source = match &flags.config {
+        Some(path) => format!("config {}", path.display()),
+        None => format!("scenario {}", scenario_name(flags)),
+    };
+    let title = format!(
+        "{source}, controller {}, seed {}, {} frames: per-second QoS",
+        flags.controller(),
+        config.seed,
+        config.stream.total_frames
+    );
+    let controller = flags.controller_spec(flags.controller());
+    let controller = controller
+        .expect("checked when the flags were parsed")
+        .build();
+    let result = match &flags.trace {
+        None => run_experiment(config, controller),
+        Some(path) => {
+            let (result, bytes) = run_experiment_traced(config, controller);
+            std::fs::write(path, &bytes).map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+            })?;
+            println!("trace: {} bytes -> {}", bytes.len(), path.display());
+            result
+        }
+    };
+    let rows: Vec<Value> = (result.qos.records().iter())
+        .map(|q| {
+            let cells = [
+                ("t(s)", q.t_secs),
+                ("P", q.throughput()),
+                ("P_l", q.pl),
+                ("P_o", q.po),
+                ("T", q.timeouts),
+                ("Po*", q.po_target),
+            ];
+            Value::Obj(
+                cells
+                    .map(|(name, x)| (name.to_string(), Value::F64(x)))
+                    .into(),
+            )
+        })
+        .collect();
+    print_rows(&title, &rows);
+    println!(
+        "mean P = {:.2} fps | offloaded {} | local {} | timeouts {} | CPU {:.1}%",
+        result.mean_throughput,
+        result.frames_offloaded,
+        result.frames_local,
+        result.offload_timeouts,
+        result.cpu_usage_pct
+    );
+    if result.per_server_stats.len() > 1 || result.admission_rejections > 0 {
+        let per: Vec<String> = (result.per_server_stats.iter())
+            .map(|s| s.completions.to_string())
+            .collect();
+        println!(
+            "tier: {} servers | completions per server [{}] | admission rejections {}",
+            result.per_server_stats.len(),
+            per.join(", "),
+            result.admission_rejections
+        );
+    }
+    if let Some(fs) = &result.filter_stats {
+        println!(
+            "content: accuracy-weighted P = {:.2}/s | filter captured {} passed {} shrunk {} skipped {}",
+            result.mean_accuracy_weighted_throughput, fs.captured, fs.passed, fs.shrunk, fs.skipped
+        );
+    }
+    if let Some(lat) = result.offload_latency {
+        println!(
+            "offload latency: p50 {:.0} ms, p95 {:.0} ms, p99 {:.0} ms (deadline 250 ms)",
+            lat.p50_ms, lat.p95_ms, lat.p99_ms
+        );
+    }
+    if let (Some(up), Some(srv)) = (result.uplink_latency, result.server_latency) {
+        println!(
+            "breakdown (successful offloads): uplink p50 {:.0} ms, server+down p50 {:.0} ms",
+            up.p50_ms, srv.p50_ms
+        );
+    }
+    Ok(serde_json::to_value(&result)?)
+}
+
+/// Replay-verify the trace at `--trace` bit for bit: rebuild the runtime
+/// its header describes and re-drive the recorded calls under the
+/// controller the header names, with the `--kp`/`--kd` gains it was
+/// recorded with (the header does not carry gains). An unreadable
+/// trace or the first event that diverges is an error.
+pub fn verify_trace(flags: &Flags) -> io::Result<Value> {
+    #[derive(Serialize)]
+    struct Verified {
+        controller: String,
+        seed: u64,
+        events: u64,
+        captures: u64,
+        submits: u64,
+        ticks: u64,
+    }
+    let path = flags.trace.as_ref().expect("verify_trace requires --trace");
+    let fail = |kind, e: String| io::Error::new(kind, format!("{}: {e}", path.display()));
+    let bytes = std::fs::read(path).map_err(|e| fail(e.kind(), e.to_string()))?;
+    let trace = Trace::decode(&bytes).map_err(|e| {
+        fail(
+            io::ErrorKind::InvalidData,
+            format!("not a valid trace: {e}"),
+        )
+    })?;
+    let controller = (flags.controller_spec(&trace.header.controller))
+        .map_err(|e| fail(io::ErrorKind::InvalidInput, e))?;
+    let report = replay_verify_with(&trace, controller.build().as_mut())
+        .map_err(|e| fail(io::ErrorKind::InvalidData, format!("replay mismatch: {e}")))?;
+    let verified = Verified {
+        controller: trace.header.controller.clone(),
+        seed: trace.header.seed,
+        events: report.events,
+        captures: report.captures,
+        submits: report.submits,
+        ticks: report.ticks,
+    };
+    print_rows(
+        &format!("{}: replay verified", path.display()),
+        &[&verified],
+    );
+    Ok(serde_json::to_value(&verified)?)
+}
+
+/// The `ExperimentConfig` a `run` with the same flags would use, as the
+/// JSON `run --config` reads: a template for every field no flag
+/// reaches.
+pub fn dump_config(flags: &Flags) -> io::Result<Value> {
+    let config = serde_json::to_value(&experiment(flags)?)?;
+    println!("{}", serde_json::to_string_pretty(&config)?);
+    Ok(config)
+}
+
+/// `--scenario`, or `table5`, the paper's Figure 3 setting.
+fn scenario_name(flags: &Flags) -> &str {
+    flags.scenario.as_deref().unwrap_or("table5")
+}
+
+/// The experiment `run` and `dump_config` build: the `--config` file or
+/// the named scenario, with `--seed`, `--frames`, `--selection` and the
+/// tier flags laid over it — each only when given. Tier flags over a
+/// config without a tier build one from its single server.
+fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
+    let mut config = match &flags.config {
+        None => scenario(scenario_name(flags)),
+        Some(path) => {
+            let fail =
+                |kind, e: String| io::Error::new(kind, format!("--config {}: {e}", path.display()));
+            let body = std::fs::read_to_string(path).map_err(|e| fail(e.kind(), e.to_string()))?;
+            serde_json::from_str(&body)
+                .map_err(|e| fail(io::ErrorKind::InvalidData, e.to_string()))?
+        }
+    };
+    if let Some(seed) = flags.seed {
+        config.seed = seed;
+    }
+    if let Some(frames) = flags.frames {
+        config.stream.total_frames = frames;
+    }
+    if let Some(selection) = flags.selection {
+        config.selection = selection;
+    }
+    if flags.servers.is_none() && flags.routing.is_none() && flags.admission.is_none() {
+        return Ok(config);
+    }
+    let mut tier = (config.tier.take())
+        .unwrap_or_else(|| TierConfig::single(config.gpu, OverflowPolicy::default()));
+    if let Some(n) = flags.servers {
+        // A uniform tier over the first server's profile (or the
+        // config's GPU when the file's tier has no server).
+        let spec = tier.servers.first().copied().unwrap_or(ServerSpec {
+            gpu: config.gpu,
+            ..ServerSpec::default()
+        });
+        tier.servers = vec![spec; n.get()];
+    }
+    if let Some(routing) = flags.routing {
+        tier.routing = routing;
+    }
+    if let Some(admission) = flags.admission {
+        tier.admission = admission;
+    }
+    config.tier = Some(tier);
+    Ok(config)
 }
 
 /// FrameFeedback against the all-or-nothing baseline, as a sweep's

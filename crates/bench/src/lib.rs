@@ -32,12 +32,22 @@
 //! | `outage`              | server crash and restart |
 //! | `both_models`         | Figs. 3 and 4 with EfficientNetB0 |
 //! | `regret`              | regret against a clairvoyant oracle |
+//! | `run`                 | one controller under one scenario (or `--config` file) |
+//! | `verify_trace`        | replay-verify a trace `run --trace` recorded |
+//! | `dump_config`         | the `ExperimentConfig` a `run` would use |
 //!
 //! An entry prints its tables, runs its checks (a failed check panics,
 //! so `report` exits non-zero) and returns the value `report` exports
 //! as JSON to `target/experiments/<entry>.json`. Entries build their
 //! runs from `ff_device::scenario`'s named settings and take their phase
-//! tables from the scenario's own step schedule.
+//! tables from the scenario's own step schedule. The last three entries
+//! run one experiment as the command line asks:
+//!
+//! ```sh
+//! cargo run --release -p ff-bench --bin report -- run --scenario table6 --controller all-or-nothing --seed 7
+//! cargo run --release -p ff-bench --bin report -- run --frames 600 --kp 0.9 --trace tuned.fftrace
+//! cargo run --release -p ff-bench --bin report -- verify_trace --trace tuned.fftrace --kp 0.9
+//! ```
 //!
 //! The other binary, `dashboard`, is a live terminal fleet view over
 //! the telemetry export. Performance is measured by the standalone
@@ -50,9 +60,13 @@ mod entries;
 
 pub use dashboard::Dashboard;
 
-use ff_device::{ExperimentConfig, ExperimentResult, FleetDeviceConfig};
+use ff_device::{
+    ExperimentConfig, ExperimentResult, FleetDeviceConfig, ModelSelection, SCENARIO_NAMES,
+};
 use ff_metrics::{render_chart, ChartConfig, ChartSeries, QosAggregate, QosRecord};
 use ff_models::{DeviceKind, ModelKind};
+use ff_server::{AdmissionPolicy, RoutingPolicy};
+use ff_sim::SimDuration;
 use ff_sweep::{run_sweep, ControllerSpec, SweepOptions, SweepReport, SweepSpec};
 use ff_workload::StepSchedule;
 use serde::{Serialize, Value};
@@ -67,7 +81,8 @@ use std::str::FromStr;
 /// name, exporting into `dir`. Returns the exit status: 0 on success, 1
 /// when the export (or an entry's own output file) cannot be written,
 /// 2 for a missing or unknown entry or a bad flag. A failed check
-/// panics.
+/// panics. `run`, `verify_trace` and `dump_config` also exit 1 on an
+/// unreadable `--config` or trace and on a replay mismatch.
 pub fn report(args: &[String], dir: &Path) -> u8 {
     let names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
     let usage = format!(
@@ -101,32 +116,39 @@ pub fn report(args: &[String], dir: &Path) -> u8 {
 }
 
 /// One artifact `report` regenerates: its name, the flags it takes (out
-/// of [`FLAGS`]), and a run function whose doc comment says what the
-/// artifact is. `run` prints the entry's tables, runs its checks
-/// (panicking on a failed one) and returns the value to export.
+/// of [`FLAGS`]), those of them it cannot go without, and a run
+/// function whose doc comment says what the artifact is. The function
+/// prints the entry's tables, runs its checks (panicking on a failed
+/// one) and returns the value to export.
 struct Entry {
     name: &'static str,
     flags: &'static [&'static str],
+    required: &'static [&'static str],
     run: fn(&Flags) -> io::Result<Value>,
 }
 
 /// The catalogue entry named after its run function in `entries`,
-/// taking the flags in the optional array.
+/// taking the flags in the first optional array and requiring those in
+/// the second.
 macro_rules! entry {
     ($name:ident) => {
         entry!($name, [])
     };
     ($name:ident, $flags:expr) => {
+        entry!($name, $flags, [])
+    };
+    ($name:ident, $flags:expr, $required:expr) => {
         Entry {
             name: stringify!($name),
             flags: &$flags,
+            required: &$required,
             run: entries::$name,
         }
     };
 }
 
 /// Every artifact `report` regenerates: the paper's evaluation first,
-/// then the extensions.
+/// then the extensions, then the single runs.
 const CATALOGUE: &[Entry] = &[
     entry!(table2_local_rates),
     entry!(table3_accuracy),
@@ -151,6 +173,37 @@ const CATALOGUE: &[Entry] = &[
     entry!(outage),
     entry!(both_models),
     entry!(regret),
+    entry!(
+        run,
+        [
+            "--scenario",
+            "--controller",
+            "--seed",
+            "--frames",
+            "--kp",
+            "--kd",
+            "--servers",
+            "--routing",
+            "--admission",
+            "--selection",
+            "--config",
+            "--trace",
+        ]
+    ),
+    entry!(verify_trace, ["--trace", "--kp", "--kd"], ["--trace"]),
+    entry!(
+        dump_config,
+        [
+            "--scenario",
+            "--seed",
+            "--frames",
+            "--servers",
+            "--routing",
+            "--admission",
+            "--selection",
+            "--config",
+        ]
+    ),
 ];
 
 fn find(name: &str) -> Option<&'static Entry> {
@@ -158,7 +211,22 @@ fn find(name: &str) -> Option<&'static Entry> {
 }
 
 /// Every flag an entry can take.
-const FLAGS: [&str; 5] = ["--frames", "--seed", "--devices", "--servers", "--md"];
+const FLAGS: [&str; 14] = [
+    "--frames",
+    "--seed",
+    "--devices",
+    "--servers",
+    "--md",
+    "--scenario",
+    "--controller",
+    "--kp",
+    "--kd",
+    "--routing",
+    "--admission",
+    "--selection",
+    "--config",
+    "--trace",
+];
 
 /// An entry's parsed flags; `None` leaves the entry's default.
 #[derive(Debug, Default, PartialEq)]
@@ -168,24 +236,157 @@ struct Flags {
     devices: Option<NonZeroUsize>,
     servers: Option<NonZeroUsize>,
     md: Option<String>,
+    scenario: Option<String>,
+    controller: Option<String>,
+    kp: Option<f64>,
+    kd: Option<f64>,
+    routing: Option<RoutingPolicy>,
+    admission: Option<AdmissionPolicy>,
+    selection: Option<ModelSelection>,
+    config: Option<PathBuf>,
+    trace: Option<PathBuf>,
 }
 
 impl Flags {
     /// Parse what follows the entry name. Rejects, by name, an unknown
-    /// flag, a flag `entry` does not take, a flag with no value, and a
-    /// value that does not parse.
+    /// flag, a flag `entry` does not take, a flag it requires that is
+    /// not given, a flag with no value, and a value that does not
+    /// parse; rejects `--config` with `--scenario` and gains for a
+    /// controller that has none.
     fn parse(entry: &Entry, args: &[String]) -> Result<Flags, String> {
         let args = FlagArgs::parse(&FLAGS, args)?;
         if let Some(flag) = args.names().find(|f| !entry.flags.contains(f)) {
             return Err(format!("{} does not take {flag}", entry.name));
         }
-        Ok(Flags {
+        if let Some(flag) = (entry.required.iter()).find(|&&f| !args.names().any(|g| g == f)) {
+            return Err(format!("{} needs {flag}", entry.name));
+        }
+        let flags = Flags {
             frames: args.value("--frames")?,
             seed: args.value("--seed")?,
             devices: args.value("--devices")?,
             servers: args.value("--servers")?,
             md: args.value("--md")?,
-        })
+            scenario: args.value_with("--scenario", parse_scenario)?,
+            controller: args.value("--controller")?,
+            kp: args.value("--kp")?,
+            kd: args.value("--kd")?,
+            routing: args.value_with("--routing", parse_routing)?,
+            admission: args.value_with("--admission", parse_admission)?,
+            selection: args.value_with("--selection", parse_selection)?,
+            config: args.value("--config")?,
+            trace: args.value("--trace")?,
+        };
+        if flags.config.is_some() && flags.scenario.is_some() {
+            return Err(
+                "--config and --scenario exclude each other: the file is the scenario".into(),
+            );
+        }
+        flags.controller_spec(flags.controller())?;
+        Ok(flags)
+    }
+
+    /// The controller `run` runs: `--controller`, or FrameFeedback.
+    fn controller(&self) -> &str {
+        self.controller.as_deref().unwrap_or("framefeedback")
+    }
+
+    /// The controller called `name` with the `--kp`/`--kd` gain overrides
+    /// applied — to the run's `--controller`, or to the controller a
+    /// trace header names.
+    fn controller_spec(&self, name: &str) -> Result<ControllerSpec, String> {
+        match ControllerSpec::from_name(name) {
+            None => Err(format!("unknown controller {name:?}")),
+            Some(ControllerSpec::FrameFeedback(mut pid)) => {
+                pid.kp = self.kp.unwrap_or(pid.kp);
+                pid.kd = self.kd.unwrap_or(pid.kd);
+                Ok(ControllerSpec::FrameFeedback(pid))
+            }
+            Some(_) if self.kp.is_some() || self.kd.is_some() => Err(format!(
+                "--kp/--kd only apply to the framefeedback controller, not {name}"
+            )),
+            Some(spec) => Ok(spec),
+        }
+    }
+}
+
+fn parse_scenario(s: &str) -> Result<String, String> {
+    if !SCENARIO_NAMES.contains(&s) {
+        return Err(format!("not one of {}", SCENARIO_NAMES.join(" | ")));
+    }
+    Ok(s.to_string())
+}
+
+fn parse_routing(s: &str) -> Result<RoutingPolicy, String> {
+    match s {
+        "static-shard" => Ok(RoutingPolicy::StaticShard),
+        "po2c" => Ok(RoutingPolicy::PowerOfTwoChoices),
+        "jsq" => Ok(RoutingPolicy::JoinShortestQueue {
+            gossip_interval: SimDuration::from_millis(500),
+        }),
+        other => {
+            let ms: u64 = other
+                .strip_prefix("jsq:")
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| {
+                    format!("unknown routing {other:?} (static-shard | jsq[:MS] | po2c)")
+                })?;
+            if ms == 0 {
+                return Err("jsq gossip interval must be positive".into());
+            }
+            Ok(RoutingPolicy::JoinShortestQueue {
+                gossip_interval: SimDuration::from_millis(ms),
+            })
+        }
+    }
+}
+
+fn parse_admission(s: &str) -> Result<AdmissionPolicy, String> {
+    if s == "admit-all" {
+        return Ok(AdmissionPolicy::AdmitAll);
+    }
+    let spec = s.strip_prefix("token-bucket:").ok_or_else(|| {
+        format!("unknown admission {s:?} (admit-all | token-bucket:RATE[:BURST])")
+    })?;
+    let mut parts = spec.split(':');
+    let rate: f64 = parts
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("bad token-bucket rate in {s:?}"))?;
+    let burst: f64 = match parts.next() {
+        Some(v) => v
+            .parse()
+            .map_err(|e| format!("bad token-bucket burst: {e}"))?,
+        None => rate,
+    };
+    if parts.next().is_some() {
+        return Err(format!("too many fields in {s:?}"));
+    }
+    if !(rate > 0.0 && rate.is_finite() && burst >= 1.0 && burst.is_finite()) {
+        return Err("token bucket needs rate > 0 and burst >= 1".into());
+    }
+    Ok(AdmissionPolicy::TokenBucket {
+        rate_rps: rate,
+        burst,
+    })
+}
+
+fn parse_selection(s: &str) -> Result<ModelSelection, String> {
+    match s {
+        "paper" => Ok(ModelSelection::AlwaysPaper),
+        "expected-accuracy" => Ok(ModelSelection::ExpectedAccuracy { margin: 0.0 }),
+        other => {
+            let margin: f64 = other
+                .strip_prefix("expected-accuracy:")
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| {
+                    format!("unknown selection {other:?} (paper | expected-accuracy[:MARGIN])")
+                })?;
+            if !margin.is_finite() {
+                return Err("selection margin must be finite".into());
+            }
+            Ok(ModelSelection::ExpectedAccuracy { margin })
+        }
     }
 }
 
@@ -226,11 +427,22 @@ impl<'a> FlagArgs<'a> {
     where
         T::Err: fmt::Display,
     {
+        self.value_with(flag, |value| {
+            value.parse().map_err(|e: T::Err| e.to_string())
+        })
+    }
+
+    /// `flag`'s value read by `parse`, as [`value`](Self::value) reads
+    /// it by `FromStr`.
+    fn value_with<T>(
+        &self,
+        flag: &str,
+        parse: fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
         let Some(&(_, value)) = self.pairs.iter().rev().find(|&&(f, _)| f == flag) else {
             return Ok(None);
         };
-        value
-            .parse()
+        parse(value)
             .map(Some)
             .map_err(|e| format!("{flag} {value:?}: {e}"))
     }
@@ -582,6 +794,7 @@ mod tests {
             "POLICY_ZOO.md",
             "CONTENT_SWEEP.md",
             ".claude/skills/verify/SKILL.md",
+            ".github/workflows/ci.yml",
         ];
         // The word after each `marker`, skipping `<placeholder>`s.
         let quoted = |text: &str, marker: &str| -> Vec<String> {
@@ -598,7 +811,7 @@ mod tests {
         for doc in docs {
             let text = std::fs::read_to_string(root.join(doc)).expect(doc);
             for bin in quoted(&text, "--bin ") {
-                let live = ["report", "dashboard", "ffexp"].contains(&bin.as_str());
+                let live = ["report", "dashboard"].contains(&bin.as_str());
                 assert!(live, "{doc} quotes `--bin {bin}`, which is not a binary");
             }
             for name in quoted(&text, "report -- ") {

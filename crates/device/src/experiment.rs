@@ -36,8 +36,8 @@ use serde::{Deserialize, Serialize};
 
 /// Full configuration of one experiment run.
 ///
-/// Serializable: the `ffexp` CLI accepts a JSON file with this exact
-/// shape (`ffexp --dump-config` emits the defaults as a template).
+/// Serializable: `report -- run --config` accepts a JSON file with this
+/// exact shape (`report -- dump_config` exports one as a template).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Master seed; every stochastic component derives its own stream.
@@ -246,8 +246,8 @@ pub fn run_experiment(
 /// [`Telemetry::finish`], so one pipeline can span several runs.
 ///
 /// Telemetry is a parameter rather than an [`ExperimentConfig`] field
-/// because the config is the serializable `ffexp` CLI surface, while a
-/// pipeline handle is inherently process-local.
+/// because the config is the serializable `report -- run` surface,
+/// while a pipeline handle is inherently process-local.
 pub fn run_experiment_with_telemetry(
     config: ExperimentConfig,
     controller: Box<dyn Controller>,

@@ -4,8 +4,9 @@
 //! [`SCENARIO_NAMES`] lists them. The paper's own settings are the ideal
 //! network, the Table V network degradation (Figure 3), the Table VI
 //! server load (Figure 4), both at once (§IV-C), and Figure 2's loss
-//! injection. `ffexp --scenario <name>` runs one; the `ff-bench` report
-//! catalogue builds its entries from them.
+//! injection. `report -- run --scenario <name>` runs one; the other
+//! entries of the `ff-bench` report catalogue build their runs from
+//! them.
 //!
 //! The three `scene-*` scenarios are the content-aware extension. The
 //! paper evaluates on uniform frame streams; these ask what happens

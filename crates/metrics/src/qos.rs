@@ -7,9 +7,8 @@
 //!
 //! This is the **single** QoS schema for both execution modes: the
 //! simulator and the live TCP client emit their per-interval records
-//! through the same shared device runtime (`ff-device`), so `ffexp`
-//! output, `ff-bench` plotting, and live run summaries all consume one
-//! record type.
+//! through the same shared device runtime (`ff-device`), so `ff-bench`
+//! tables and plots and live run summaries all consume one record type.
 
 use ff_sim::SimTime;
 use serde::{Deserialize, Serialize};

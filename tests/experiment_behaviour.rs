@@ -177,9 +177,9 @@ fn inverted_outage_window_is_rejected() {
     expected = "the shared network schedule, step 1 (t = 30 s): bandwidth must be positive and finite, got 0"
 )]
 fn a_zero_bandwidth_step_is_rejected_before_the_run() {
-    // Built as a config read from JSON (`ffexp --config`) is, past
-    // `NetworkConditions::new`. It used to start, then panic at the
-    // step's first offload with a non-finite serialization time.
+    // Built as a config read from JSON (`report -- run --config`) is,
+    // past `NetworkConditions::new`. It used to start, then panic at
+    // the step's first offload with a non-finite serialization time.
     let mut steps = table_v().steps().to_vec();
     steps[1].1 = NetworkConditions {
         bandwidth_mbps: 0.0,

@@ -204,7 +204,7 @@ fn a_zero_batch_limit_is_rejected_at_validation() {
     run_experiment(config, Box::new(FrameFeedback::new()));
 }
 
-/// `ffexp --scenario table6 --servers 2`, pinned. The Table VI load and
+/// `report -- run --scenario table6 --servers 2`, pinned. The Table VI load and
 /// the peer tenants are billed to tenant 1, one above the lone device,
 /// so static sharding sends them to server 1 and leaves server 0 to the
 /// device.
