@@ -22,7 +22,9 @@
 //!
 //! Flags are parsed strictly (`ff_bench::FlagArgs`): an unknown flag, a
 //! flag with no value, a value that does not parse, or two mode flags
-//! at once exit 2 and name the flag.
+//! at once exit 2 and name the flag. An address that cannot be
+//! connected to or bound, or a snapshot file that cannot be created,
+//! exits 1 and names it.
 
 use ff_bench::{fleet, pi_fleet, Dashboard, FlagArgs};
 use ff_device::{run_fleet, ControllerSpec, FleetConfig, FleetResult};
@@ -167,27 +169,38 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Err(e) = run(&opts) {
+        eprintln!("{e}");
+        return ExitCode::from(1);
+    }
+    ExitCode::SUCCESS
+}
+
+/// Run the mode `opts` picks. An address that cannot be connected to or
+/// bound, or a snapshot file that cannot be created, is an error naming
+/// it.
+fn run(opts: &Options) -> Result<(), String> {
     let telemetry = Telemetry::new(TelemetryConfig {
         window_us: opts.window_us,
         ..Default::default()
     });
-
+    let bind = |addr: &str| TcpExportSink::bind(addr).map_err(|e| format!("bind {addr}: {e}"));
     match &opts.mode {
         Mode::Connect(addr) => {
-            let stream = TcpStream::connect(addr).expect("connect to exporter");
+            let stream = TcpStream::connect(addr).map_err(|e| format!("connect to {addr}: {e}"))?;
             render_from(stream);
         }
         Mode::SelfServe => {
-            let sink = TcpExportSink::bind("127.0.0.1:0").expect("bind export port");
+            let sink = bind("127.0.0.1:0")?;
             let addr = sink.addr();
             eprintln!("serving telemetry on {addr}");
             // Subscribe before the sim emits its first snapshot.
-            let stream = TcpStream::connect(addr).expect("self-connect");
+            let stream = TcpStream::connect(addr).map_err(|e| format!("connect to {addr}: {e}"))?;
             while sink.client_count() == 0 {
                 thread::sleep(Duration::from_millis(5));
             }
             telemetry.add_sink(Box::new(sink));
-            let sim = spawn_fleet(&opts, &telemetry);
+            let sim = spawn_fleet(opts, &telemetry);
             let renderer = thread::spawn(move || render_from(stream));
             let result = sim.join().expect("fleet sim");
             // Dropping the last pipeline handle drops the export sink,
@@ -197,7 +210,7 @@ fn main() -> ExitCode {
             print_summary(&result);
         }
         Mode::Serve(addr) => {
-            let sink = TcpExportSink::bind(addr).expect("bind export port");
+            let sink = bind(addr)?;
             println!("serving telemetry on {}", sink.addr());
             let wait_started = Instant::now();
             while sink.client_count() == 0 {
@@ -208,20 +221,20 @@ fn main() -> ExitCode {
                 thread::sleep(Duration::from_millis(20));
             }
             telemetry.add_sink(Box::new(sink));
-            let sim = spawn_fleet(&opts, &telemetry);
+            let sim = spawn_fleet(opts, &telemetry);
             print_summary(&sim.join().expect("fleet sim"));
         }
         Mode::Headless(path) => {
-            let sink = JsonlSink::create(path).expect("create snapshot JSONL file");
+            let sink = JsonlSink::create(path).map_err(|e| format!("create {path}: {e}"))?;
             telemetry.add_sink(Box::new(sink));
-            let result = spawn_fleet(&opts, &telemetry).join().expect("fleet sim");
+            let result = spawn_fleet(opts, &telemetry).join().expect("fleet sim");
             println!(
                 "{}",
                 serde_json::to_string(&result).expect("serialize fleet result")
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]

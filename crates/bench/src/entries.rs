@@ -445,7 +445,7 @@ pub fn fairness(_: &Flags) -> io::Result<Value> {
         for (scenario, greedy) in [("all-adaptive", 0), ("one-greedy", 1)] {
             let mut config = FleetConfig::default();
             config.devices = pi_fleet(N);
-            config.policy = policy;
+            config.tier = Some(TierConfig::single(GpuProfile::default(), policy));
             let controllers = fleet(N, greedy).iter().map(ControllerSpec::build).collect();
             let result = run_fleet(config, controllers);
             let devices: Vec<Device> = (result.devices.iter().zip(&result.rejections_by_device))
@@ -1551,7 +1551,8 @@ fn scenario_name(flags: &Flags) -> &str {
 /// The experiment `run` and `dump_config` build: the `--config` file or
 /// the named scenario, with `--seed`, `--frames`, `--selection` and the
 /// tier flags laid over it — each only when given. Tier flags over a
-/// config without a tier build one from its single server.
+/// config without a tier build one from its single server. A `--config`
+/// file that [`ExperimentConfig::check`] refuses is an error.
 fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
     let mut config = match &flags.config {
         None => scenario(scenario_name(flags)),
@@ -1559,8 +1560,10 @@ fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
             let fail =
                 |kind, e: String| io::Error::new(kind, format!("--config {}: {e}", path.display()));
             let body = std::fs::read_to_string(path).map_err(|e| fail(e.kind(), e.to_string()))?;
-            serde_json::from_str(&body)
-                .map_err(|e| fail(io::ErrorKind::InvalidData, e.to_string()))?
+            let config: ExperimentConfig = serde_json::from_str(&body)
+                .map_err(|e| fail(io::ErrorKind::InvalidData, e.to_string()))?;
+            (config.check()).map_err(|why| fail(io::ErrorKind::InvalidInput, why))?;
+            config
         }
     };
     if let Some(seed) = flags.seed {
@@ -1575,8 +1578,7 @@ fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
     if flags.servers.is_none() && flags.routing.is_none() && flags.admission.is_none() {
         return Ok(config);
     }
-    let mut tier = (config.tier.take())
-        .unwrap_or_else(|| TierConfig::single(config.gpu, OverflowPolicy::default()));
+    let mut tier = config.tier_config();
     if let Some(n) = flags.servers {
         // A uniform tier over the first server's profile (or the
         // config's GPU when the file's tier has no server).

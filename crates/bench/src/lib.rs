@@ -55,6 +55,17 @@
 //! `ff-sweep` shared-cursor engine — one worker per core, deterministic
 //! aggregation, `FF_SWEEP_WORKERS` / `FF_SWEEP_CACHE_DIR` to override.
 
+/// `report` prints through [`print_out`]: this `println!` shadows the
+/// standard one for the whole crate.
+macro_rules! println {
+    () => {
+        $crate::print_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod dashboard;
 mod entries;
 
@@ -71,11 +82,12 @@ use ff_sweep::{run_sweep, ControllerSpec, SweepOptions, SweepReport, SweepSpec};
 use ff_workload::StepSchedule;
 use serde::{Serialize, Value};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Run `report <entry> [flags]` with `args` as what follows the program
 /// name, exporting into `dir`. Returns the exit status: 0 on success, 1
@@ -112,6 +124,25 @@ pub fn report(args: &[String], dir: &Path) -> u8 {
             eprintln!("{}: {e}", entry.name);
             1
         }
+    }
+}
+
+/// Set once a write to stdout fails with a broken pipe: its reader is
+/// gone (`report … | head`), so nothing more is printed, while the entry
+/// still runs its checks and exports.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `args` to stdout unless stdout is closed. A broken pipe closes
+/// it for the rest of the process; any other failure panics, as
+/// `print!` does.
+fn print_out(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        let broken_pipe = e.kind() == io::ErrorKind::BrokenPipe;
+        assert!(broken_pipe, "failed printing to stdout: {e}");
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
     }
 }
 

@@ -135,6 +135,81 @@ pub struct ServerOutage {
     pub until_secs: f64,
 }
 
+impl ExperimentConfig {
+    /// The tier the experiment runs on: `tier`, else the paper's single
+    /// server with this configuration's `gpu`.
+    pub fn tier_config(&self) -> TierConfig {
+        let single = || TierConfig::single(self.gpu, OverflowPolicy::default());
+        self.tier.clone().unwrap_or_else(single)
+    }
+
+    /// Why this experiment cannot run, if it cannot: what
+    /// [`FleetConfig::check`] refuses in the fleet it lowers to.
+    pub fn check(&self) -> Result<(), String> {
+        self.clone().into_fleet(&Telemetry::disabled()).check()
+    }
+
+    /// The one-device fleet this experiment runs as, reporting into
+    /// `telemetry`.
+    fn into_fleet(self, telemetry: &Telemetry) -> FleetConfig {
+        let tier = self.tier_config();
+        // The whole tier goes dark at once: one window per server.
+        let outages = match self.outage {
+            Some(o) => (0..tier.servers.len())
+                .map(|server| TierOutage {
+                    server,
+                    from_secs: o.from_secs,
+                    until_secs: o.until_secs,
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        // The peers run the device's model, and so are billed as it.
+        let peers_fps = self.peer_devices as f64 * self.peer_rate_fps;
+        let schedule = &self.background;
+        let background = BackgroundConfig {
+            steps: schedule
+                .steps()
+                .iter()
+                .map(|&(t, _)| (t, schedule.value_at(t) + peers_fps))
+                .collect(),
+            model: self.model,
+        };
+        FleetConfig {
+            seed: self.seed,
+            devices: vec![FleetDeviceConfig {
+                device: self.device,
+                model: self.model,
+            }],
+            stream: self.stream,
+            deadline: self.deadline,
+            link: self.link,
+            network: self.network,
+            per_device_network: None,
+            controller_period: self.controller_period,
+            timeout_window: self.timeout_window,
+            tier: Some(tier),
+            outages,
+            // A fleet of one keeps a near-empty calendar, where the heap
+            // still beats the wheel (ROADMAP item 4(c)).
+            engine: EngineOptions {
+                backend: QueueBackend::Heap,
+                ..EngineOptions::default()
+            },
+            telemetry: telemetry.clone(),
+            scene: self.scene,
+            filter: self.filter,
+            selection: self.selection,
+            remote_model: self.remote_model,
+            adaptive_quality: self.adaptive_quality,
+            adaptive_local_model: self.adaptive_local_model,
+            loss_model: self.loss_model,
+            replay: self.replay,
+            background: Some(background),
+        }
+    }
+}
+
 impl Default for ExperimentConfig {
     fn default() -> Self {
         ExperimentConfig {
@@ -277,66 +352,8 @@ fn run_as_fleet(
     telemetry: &Telemetry,
     traced: bool,
 ) -> (ExperimentResult, Option<Vec<u8>>) {
-    let tier = config
-        .tier
-        .unwrap_or_else(|| TierConfig::single(config.gpu, OverflowPolicy::default()));
-    // The whole tier goes dark at once: one window per server.
-    let outages = match config.outage {
-        Some(o) => (0..tier.servers.len())
-            .map(|server| TierOutage {
-                server,
-                from_secs: o.from_secs,
-                until_secs: o.until_secs,
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    // The peers run the device's model, and so are billed as it.
-    let peers_fps = config.peer_devices as f64 * config.peer_rate_fps;
-    let schedule = &config.background;
-    let background = BackgroundConfig {
-        steps: schedule
-            .steps()
-            .iter()
-            .map(|&(t, _)| (t, schedule.value_at(t) + peers_fps))
-            .collect(),
-        model: config.model,
-    };
-    let fleet = FleetConfig {
-        seed: config.seed,
-        devices: vec![FleetDeviceConfig {
-            device: config.device,
-            model: config.model,
-        }],
-        stream: config.stream,
-        deadline: config.deadline,
-        link: config.link,
-        network: config.network,
-        per_device_network: None,
-        controller_period: config.controller_period,
-        timeout_window: config.timeout_window,
-        gpu: config.gpu,
-        policy: OverflowPolicy::default(),
-        tier: Some(tier),
-        outages,
-        // A fleet of one keeps a near-empty calendar, where the heap
-        // still beats the wheel (ROADMAP item 4(c)).
-        engine: EngineOptions {
-            backend: QueueBackend::Heap,
-            ..EngineOptions::default()
-        },
-        telemetry: telemetry.clone(),
-        scene: config.scene,
-        filter: config.filter,
-        selection: config.selection,
-        remote_model: config.remote_model,
-        adaptive_quality: config.adaptive_quality,
-        adaptive_local_model: config.adaptive_local_model,
-        loss_model: config.loss_model,
-        replay: config.replay,
-        background: Some(background),
-    };
     let watched = Some((0, config.record_trace));
+    let fleet = config.into_fleet(telemetry);
     let (mut fleet, trace, watch) =
         run_fleet_recording(fleet, vec![controller], traced.then_some(0), watched);
     let device = fleet.devices.pop().expect("a fleet of one");

@@ -12,7 +12,10 @@
 //! paper's topology is the `N = 1` default, which is bit-identical to
 //! the pre-tier single-server path; per-server maintenance windows
 //! ([`TierOutage`]) fold the crash/epoch machinery in at fleet scale
-//! for rolling-restart scenarios.
+//! for rolling-restart scenarios. Both engines drive the tier through
+//! one [`TierDriver`]: it turns a delivered uplink into a tier request
+//! and the device's arrival verdict, and a finished batch into the
+//! responses and rejections its host delivers.
 //!
 //! The device control loop is [`crate::runtime`]'s, the same one the
 //! live clients and the replayer run: this module is a host adapter. The
@@ -51,13 +54,13 @@ use crate::splitter::Route;
 use crate::watch::Watch;
 use ff_core::Controller;
 use ff_metrics::QosLog;
-use ff_models::{DeviceKind, GpuProfile, ModelKind};
+use ff_models::{DeviceKind, ModelKind};
 use ff_net::{
     LinkConfig, LinkParams, LinkState, LinkStats, LossModel, NetworkConditions, SendOutcome,
 };
 use ff_server::{
-    jain_fairness_index, Background, BackgroundConfig, BatchOutput, OverflowPolicy, Request,
-    ServerStats, ServerTier, TenantId, TierConfig, TierSubmit,
+    jain_fairness_index, Background, BackgroundConfig, BatchOutput, Request, ServerStats,
+    ServerTier, TenantId, TierConfig, TierSubmit,
 };
 use ff_sim::{
     Ctx, EventQueue, QueueBackend, RngFactory, SimDuration, SimModel, SimTime, Simulation,
@@ -71,6 +74,7 @@ use ff_workload::{
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::tags::{
@@ -150,22 +154,21 @@ pub struct TierOutage {
 }
 
 impl TierOutage {
-    /// Panic on a window that starts negative or ends before it starts.
-    pub fn validate(&self, servers: usize) {
-        let (from, until) = (self.from_secs, self.until_secs);
-        assert!(
-            self.server < servers,
-            "outage names server {} but the tier has {servers}",
-            self.server
-        );
-        assert!(
-            from.is_finite() && from >= 0.0,
-            "outage start must be finite and >= 0, got {from}"
-        );
-        assert!(
-            until.is_finite() && until > from,
-            "outage must end after it starts: [{from}, {until})"
-        );
+    /// Why this window cannot run on a tier of `servers`, if it cannot:
+    /// it names a server the tier lacks, starts negative or ends before
+    /// it starts.
+    pub fn check(&self, servers: usize) -> Result<(), String> {
+        let (server, from, until) = (self.server, self.from_secs, self.until_secs);
+        let why = if server >= servers {
+            format!("outage names server {server} but the tier has {servers}")
+        } else if !(from.is_finite() && from >= 0.0) {
+            format!("outage start must be finite and >= 0, got {from}")
+        } else if !(until.is_finite() && until > from) {
+            format!("outage must end after it starts: [{from}, {until})")
+        } else {
+            return Ok(());
+        };
+        Err(why)
     }
 }
 
@@ -201,15 +204,9 @@ pub struct FleetConfig {
     pub controller_period: SimDuration,
     /// Trailing window for the timeout-rate controller input.
     pub timeout_window: SimDuration,
-    /// Shared server GPU profile (the `N = 1` legacy knob; ignored when
-    /// `tier` is set).
-    pub gpu: GpuProfile,
-    /// Server overflow policy (the fairness ablation knob; ignored when
-    /// `tier` is set).
-    pub policy: OverflowPolicy,
-    /// Explicit server-tier topology: N servers plus routing and
-    /// admission policies. `None` means the legacy single server built
-    /// from `gpu` + `policy` — bit-identical to the pre-tier path.
+    /// The server tier: N servers plus routing and admission policies.
+    /// `None` means `TierConfig::default()`, the paper's single server
+    /// (default GPU profile, reject-newest overflow).
     pub tier: Option<TierConfig>,
     /// Per-server maintenance windows (rolling restarts). Empty by
     /// default; scheduling none keeps the event stream unchanged.
@@ -275,8 +272,6 @@ impl Default for FleetConfig {
             per_device_network: None,
             controller_period: SimDuration::from_secs(1),
             timeout_window: SimDuration::from_secs(3),
-            gpu: GpuProfile::default(),
-            policy: OverflowPolicy::RejectNewest,
             tier: None,
             outages: Vec::new(),
             engine: EngineOptions::default(),
@@ -295,12 +290,41 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The effective tier topology: the explicit `tier` if set, else the
-    /// legacy single server built from `gpu` + `policy`.
-    pub fn tier_config(&self) -> TierConfig {
-        self.tier
-            .clone()
-            .unwrap_or_else(|| TierConfig::single(self.gpu, self.policy))
+    /// Why this fleet cannot run, if it cannot: every rule a run
+    /// enforces on its configuration (by panicking, before the first
+    /// event), as a `Result`, so that a configuration read from a file
+    /// can be refused before anything runs.
+    pub fn check(&self) -> Result<(), String> {
+        if self.devices.is_empty() {
+            return Err("fleet needs at least one device".into());
+        }
+        check_network_schedule(&self.network, None)?;
+        if let Some(schedules) = &self.per_device_network {
+            if schedules.len() != self.devices.len() {
+                return Err("one network schedule per device".into());
+            }
+            for (dev, schedule) in schedules.iter().enumerate() {
+                check_network_schedule(schedule, Some(dev))?;
+            }
+        }
+        if let Some(load) = &self.background {
+            load.check()?;
+        }
+        if self.replay.is_some() && self.scene.is_some() {
+            return Err(
+                "`replay` cannot be combined with `scene`: a replayed frame carries \
+                 no information score, so the scene (and any `filter`) would be ignored"
+                    .into(),
+            );
+        }
+        // `None` is the default tier: one valid server.
+        if let Some(tier) = &self.tier {
+            tier.check()?;
+        }
+        let servers = self.tier.as_ref().map_or(1, |tier| tier.servers.len());
+        self.outages
+            .iter()
+            .try_for_each(|outage| outage.check(servers))
     }
 
     /// The tier request a delivered uplink becomes on arrival at `now`:
@@ -722,17 +746,6 @@ pub(crate) enum FleetEvent {
 // word-sized server, device and step indices would take.
 const _: () = assert!(std::mem::size_of::<FleetEvent>() <= 16);
 
-impl FleetEvent {
-    /// Step `step` of the shared network schedule (`dev: None`) or of
-    /// device `dev`'s own.
-    pub(crate) fn network_change(dev: Option<usize>, step: usize) -> FleetEvent {
-        FleetEvent::NetworkChange {
-            dev: dev.map(|d| d as u32),
-            step: step as u32,
-        }
-    }
-}
-
 /// The simulated side of the runtime's [`Transport`] seam: frames and
 /// probes enter the device's emulated uplink, and `deliver(sent_at, at,
 /// tag)` says where a delivery goes — an `Uplinked` event on the host's
@@ -1116,77 +1129,75 @@ pub(crate) fn device_scopes(telemetry: &Telemetry, range: std::ops::Range<usize>
 pub(crate) struct TierObs {
     /// Tier-aggregate scope; stays named "server" so single-server
     /// dashboards and pinned scope ids keep working at any N.
-    server: Scope,
+    server: ServerScope,
     /// Per-server scopes ("server/{i}"), interned only for N > 1 tiers.
-    servers: Vec<Scope>,
-    last_server: ServerStats,
-    last_servers: Vec<ServerStats>,
+    servers: Vec<ServerScope>,
     last_admission: u64,
+}
+
+/// One scope the tier reports under, with the counters it last read.
+struct ServerScope {
+    scope: Scope,
+    last: ServerStats,
 }
 
 impl TierObs {
     pub(crate) fn new(telemetry: &Telemetry, n_servers: usize) -> TierObs {
-        let servers: Vec<Scope> = if n_servers > 1 {
-            (0..n_servers)
-                .map(|i| telemetry.scope(&format!("server/{i}")))
-                .collect()
-        } else {
-            Vec::new()
+        let scope = |name: &str| ServerScope {
+            scope: telemetry.scope(name),
+            last: ServerStats::default(),
         };
+        let per_server = if n_servers > 1 { n_servers } else { 0 };
         TierObs {
-            server: telemetry.scope("server"),
-            last_servers: vec![ServerStats::default(); servers.len()],
-            servers,
-            last_server: ServerStats::default(),
+            server: scope("server"),
+            servers: (0..per_server)
+                .map(|i| scope(&format!("server/{i}")))
+                .collect(),
             last_admission: 0,
         }
     }
 
+    /// Report the tier at `t`: each server's readings under its own
+    /// scope (N > 1 only), their sums under "server", and the admission
+    /// rejections.
     pub(crate) fn report(&mut self, rec: &mut Recorder, tier: &ServerTier, t: u64) {
-        let server = self.server;
-        let stats = tier.total_stats();
-        let last = self.last_server;
-        let queue_depth: usize = (0..tier.len())
-            .map(|i| tier.server(i).batcher().queue_len())
-            .sum();
-        rec.gauge(server, Metric::ServerQueueDepth, queue_depth as f64, t);
-        let occupancy: usize = (0..tier.len())
-            .map(|i| tier.server(i).batcher().running_batch_size().unwrap_or(0))
-            .sum();
-        rec.gauge(server, Metric::BatchOccupancy, occupancy as f64, t);
-        let d = stats.requests_received - last.requests_received;
-        rec.counter(server, Metric::ServerRequests, d, t);
-        let d = stats.completions - last.completions;
-        rec.counter(server, Metric::ServerCompletions, d, t);
-        let d = stats.rejections - last.rejections;
-        rec.counter(server, Metric::ServerRejections, d, t);
-        let d = stats.batches_executed - last.batches_executed;
-        rec.counter(server, Metric::ServerBatches, d, t);
+        let (mut queue_depth, mut occupancy) = (0, 0);
+        for i in 0..tier.len() {
+            let s = tier.server(i).batcher();
+            let (queue, running) = (s.queue_len(), s.running_batch_size().unwrap_or(0));
+            queue_depth += queue;
+            occupancy += running;
+            if let Some(server) = self.servers.get_mut(i) {
+                let up = tier.is_up(i) as u64 as f64;
+                rec.gauge(server.scope, Metric::ServerUp, up, t);
+                server.report(rec, t, (queue, running), s.stats());
+            }
+        }
+        let server = &mut self.server;
+        server.report(rec, t, (queue_depth, occupancy), tier.total_stats());
         let admission = tier.admission_rejections();
         let d = admission - self.last_admission;
-        rec.counter(server, Metric::AdmissionRejections, d, t);
+        rec.counter(server.scope, Metric::AdmissionRejections, d, t);
         self.last_admission = admission;
-        self.last_server = stats;
+    }
+}
 
-        // Per-server scopes, only interned for multi-server tiers.
-        for (i, &scope) in self.servers.iter().enumerate() {
-            let s = tier.server(i).batcher();
-            let stats = s.stats();
-            let last = self.last_servers[i];
-            rec.gauge(scope, Metric::ServerUp, tier.is_up(i) as u64 as f64, t);
-            rec.gauge(scope, Metric::ServerQueueDepth, s.queue_len() as f64, t);
-            let occupancy = s.running_batch_size().unwrap_or(0);
-            rec.gauge(scope, Metric::BatchOccupancy, occupancy as f64, t);
-            let d = stats.requests_received - last.requests_received;
-            rec.counter(scope, Metric::ServerRequests, d, t);
-            let d = stats.completions - last.completions;
-            rec.counter(scope, Metric::ServerCompletions, d, t);
-            let d = stats.rejections - last.rejections;
-            rec.counter(scope, Metric::ServerRejections, d, t);
-            let d = stats.batches_executed - last.batches_executed;
-            rec.counter(scope, Metric::ServerBatches, d, t);
-            self.last_servers[i] = stats;
-        }
+impl ServerScope {
+    /// The queue-depth and batch-occupancy gauges at `t`, and the
+    /// counters of `stats` since the last report.
+    fn report(&mut self, rec: &mut Recorder, t: u64, gauges: (usize, usize), stats: ServerStats) {
+        let (scope, last) = (self.scope, self.last);
+        rec.gauge(scope, Metric::ServerQueueDepth, gauges.0 as f64, t);
+        rec.gauge(scope, Metric::BatchOccupancy, gauges.1 as f64, t);
+        let d = stats.requests_received - last.requests_received;
+        rec.counter(scope, Metric::ServerRequests, d, t);
+        let d = stats.completions - last.completions;
+        rec.counter(scope, Metric::ServerCompletions, d, t);
+        let d = stats.rejections - last.rejections;
+        rec.counter(scope, Metric::ServerRejections, d, t);
+        let d = stats.batches_executed - last.batches_executed;
+        rec.counter(scope, Metric::ServerBatches, d, t);
+        self.last = stats;
     }
 }
 
@@ -1239,57 +1250,211 @@ impl FleetObs {
     }
 }
 
+/// A batch the tier started: server `server`'s completion, due at `at`
+/// and stamped with the epoch of the server process that runs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchStarted {
+    pub(crate) at: SimTime,
+    pub(crate) server: u32,
+    pub(crate) epoch: u64,
+}
+
+/// How both fleet engines drive the [`ServerTier`]: what a delivered
+/// uplink and a finished batch mean to the tier and to the devices.
+/// Each batch the tier starts comes back as a [`BatchStarted`] for the
+/// host to file: on its lanes, or in the shard coordinator's order.
+pub(crate) struct TierDriver {
+    pub(crate) tier: ServerTier,
+    /// The tier's routing stream ("routing"); consumed only by
+    /// power-of-two-choices routing with two or more live servers, so
+    /// single-server runs never advance it.
+    routing_rng: ChaCha8Rng,
+    batch_out: BatchOutput,
+    reuse_batch_buffers: bool,
+    /// The tier's background load (`FleetConfig::background`); only the
+    /// single-threaded engine files its events.
+    background: Option<Background<ChaCha8Rng>>,
+}
+
+impl TierDriver {
+    /// The tier `config` describes, with its routing stream and its
+    /// background process, billed to the tenant one above every device.
+    pub(crate) fn new(config: &FleetConfig) -> TierDriver {
+        let tier = ServerTier::new(config.tier.as_ref().unwrap_or(&TierConfig::default()));
+        let rng = RngFactory::new(config.seed);
+        let routing_rng = rng.stream("routing");
+        let tenant = TenantId(config.devices.len() as u32);
+        let background = (config.background.clone())
+            .map(|load| Background::new(load, rng.stream("background"), tenant));
+        TierDriver {
+            tier,
+            routing_rng,
+            batch_out: BatchOutput::default(),
+            reuse_batch_buffers: config.engine.reuse_batch_buffers,
+            background,
+        }
+    }
+
+    /// Hand `request` to the tier at `now`, and say which batch it
+    /// started, if any. `regulated` requests face admission control (a
+    /// device's frames; not its probes or background tenants).
+    #[inline]
+    fn submit(
+        &mut self,
+        now: SimTime,
+        request: Request,
+        regulated: bool,
+    ) -> (TierSubmit, Option<BatchStarted>) {
+        let outcome = (self.tier).submit(now, request, regulated, &mut self.routing_rng);
+        let TierSubmit::BatchStarted {
+            server,
+            done_at: at,
+        } = outcome
+        else {
+            return (outcome, None);
+        };
+        let (epoch, server) = (self.tier.epoch(server), server as u32);
+        (outcome, Some(BatchStarted { at, server, epoch }))
+    }
+
+    /// The uplink `tag` reaches the tier at `now`. Returns the batch it
+    /// started, if any, and what its device learns on arrival: nothing
+    /// for a probe (its only feedback is its response) or for a frame
+    /// the routed server lost (down: its deadline fires as a
+    /// network-cause timeout); else whether admission turned it away
+    /// (the server saw it: a load-cause timeout at the deadline).
+    #[inline]
+    pub(crate) fn uplinked(
+        &mut self,
+        config: &FleetConfig,
+        tag: u64,
+        now: SimTime,
+    ) -> (Option<BatchStarted>, Option<bool>) {
+        let probe = tag_is_probe(tag);
+        let (outcome, started) = self.submit(now, config.request_for(tag, now), !probe);
+        let arrival = match outcome {
+            _ if probe => None,
+            TierSubmit::Lost => None,
+            TierSubmit::AdmissionRejected => Some(true),
+            TierSubmit::Queued { .. } | TierSubmit::BatchStarted { .. } => Some(false),
+        };
+        (started, arrival)
+    }
+
+    /// Server `server`'s batch started under `epoch` finishes at `now`:
+    /// `deliver(tag, false)` each device completion in batch order, then
+    /// `deliver(tag, true)` each frame batch formation rejected. Returns
+    /// the server's next batch, if any. A stale epoch delivers nothing:
+    /// the batch belonged to a server process that has since crashed.
+    pub(crate) fn batch_done(
+        &mut self,
+        server: u32,
+        epoch: u64,
+        now: SimTime,
+        mut deliver: impl FnMut(u64, bool),
+    ) -> Option<BatchStarted> {
+        let i = server as usize;
+        if epoch != self.tier.epoch(i) {
+            return None;
+        }
+        if !self.reuse_batch_buffers {
+            // Fresh result vectors for every batch. Kept only because
+            // the benchmark names `reuse_batch_buffers` (ROADMAP item 9).
+            self.batch_out = BatchOutput::default();
+        }
+        self.tier.batch_done_into(i, now, &mut self.batch_out);
+        let out = &self.batch_out;
+        // A background tenant's completion goes nowhere; a probe or a
+        // background request learns nothing of its rejection.
+        for c in out.completions.iter().filter(|c| !is_background_tag(c.tag)) {
+            deliver(c.tag, false);
+        }
+        for r in out
+            .rejections
+            .iter()
+            .filter(|r| r.tag < BACKGROUND_TAG_BASE)
+        {
+            deliver(r.tag, true);
+        }
+        (out.next_done).map(|at| BatchStarted { at, server, epoch })
+    }
+
+    /// The background process, for its rate steps.
+    pub(crate) fn background(&mut self) -> &mut Background<ChaCha8Rng> {
+        let background = self.background.as_mut();
+        background.expect("background events are filed only with background load")
+    }
+
+    /// The pending background request arrives at `now`. Returns the batch
+    /// it started, if any, and when the next one arrives, if it does.
+    pub(crate) fn background_arrival(
+        &mut self,
+        now: SimTime,
+    ) -> (Option<BatchStarted>, Option<SimTime>) {
+        let (request, next) = self.background().arrive(now);
+        (self.submit(now, request, false).1, next)
+    }
+}
+
+/// File the first capture and the first tick of global devices
+/// `devices`, and the network-schedule steps that apply to them, on a
+/// fleet engine's calendar: each of the shared schedule's steps, or
+/// each step of these devices' own schedules.
+pub(crate) fn seed_devices<M: SimModel<Event = FleetEvent>>(
+    sim: &mut Simulation<M>,
+    config: &FleetConfig,
+    devices: Range<usize>,
+) {
+    let first_capture = config.first_capture();
+    let first_tick = SimTime::ZERO + config.controller_period;
+    sim.reserve_lane(lane::CAPTURE, devices.len());
+    sim.reserve_lane(lane::TICK, devices.len());
+    for g in devices.clone() {
+        sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(g));
+        sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(g));
+    }
+    let mut file = |steps: &StepSchedule<NetworkConditions>, dev: Option<usize>| {
+        let dev = dev.map(|d| d as u32);
+        for (step, &(t, _)) in steps.steps().iter().enumerate().skip(1) {
+            let step = step as u32;
+            sim.schedule_at(
+                SimTime::from_secs_f64(t),
+                FleetEvent::NetworkChange { dev, step },
+            );
+        }
+    };
+    match &config.per_device_network {
+        Some(schedules) => devices.for_each(|g| file(&schedules[g], Some(g))),
+        None => file(&config.network, None),
+    }
+}
+
 /// The single-threaded engine's uplink seam: an `Uplinked` event on the
 /// link's lane.
 fn schedule_uplink(ctx: &mut Ctx<'_, FleetEvent>, _sent_at: SimTime, at: SimTime, tag: u64) {
     ctx.schedule_lane(lane::UPLINK, at, FleetEvent::Uplinked { tag });
 }
 
+/// File the completion of the batch the tier started, if it did, on
+/// its server's lane.
+fn schedule_batch(ctx: &mut Ctx<'_, FleetEvent>, started: Option<BatchStarted>) {
+    if let Some(BatchStarted { at, server, epoch }) = started {
+        ctx.schedule_lane(lane::BATCH, at, FleetEvent::BatchDone { server, epoch });
+    }
+}
+
 struct FleetWorld {
     core: FleetCore,
-    tier: ServerTier,
-    /// The tier's routing stream ("routing"); consumed only by
-    /// power-of-two-choices routing with two or more live servers, so
-    /// legacy single-server runs never advance it.
-    routing_rng: ChaCha8Rng,
-    batch_out: BatchOutput,
+    driver: TierDriver,
     /// Tags of the responses in flight to their devices, in the order of
     /// the [`FleetEvent::Responses`] entries that will deliver them (each
     /// is due one fixed propagation delay after it was filed, so the
     /// entries fire in filing order).
     responses: VecDeque<u64>,
-    /// The tier's background load (`FleetConfig::background`).
-    background: Option<Background<ChaCha8Rng>>,
     obs: FleetObs,
 }
 
 impl FleetWorld {
-    /// Hand `request` to the tier; `regulated` requests face admission
-    /// control (a device's frames; not its probes or background tenants).
-    fn submit_to_server(
-        &mut self,
-        ctx: &mut Ctx<'_, FleetEvent>,
-        request: Request,
-        regulated: bool,
-    ) -> TierSubmit {
-        let outcome = self
-            .tier
-            .submit(ctx.now(), request, regulated, &mut self.routing_rng);
-        if let TierSubmit::BatchStarted { server, done_at } = outcome {
-            let epoch = self.tier.epoch(server);
-            let server = server as u32;
-            let done = FleetEvent::BatchDone { server, epoch };
-            ctx.schedule_lane(lane::BATCH, done_at, done);
-        }
-        outcome
-    }
-
-    /// The background process, for its events.
-    fn background(&mut self) -> &mut Background<ChaCha8Rng> {
-        let background = self.background.as_mut();
-        background.expect("background events are filed only with background load")
-    }
-
     /// Report this device's controller-period observations (and, from
     /// device 0, the shared engine and server state), then poll the
     /// collector. Purely observational: emits into the recorder's ring
@@ -1309,8 +1474,9 @@ impl FleetWorld {
             let wheel = self.core.config.engine.backend == QueueBackend::Wheel;
             let engine = self.obs.engine;
             rec.gauge(engine, Metric::QueueBackendWheel, wheel as u64 as f64, t);
+            let tier = &self.driver.tier;
             self.obs
-                .observe_shared(ctx, &self.tier, self.core.local_completions);
+                .observe_shared(ctx, tier, self.core.local_completions);
         }
     }
 }
@@ -1324,68 +1490,32 @@ impl SimModel for FleetWorld {
 
             FleetEvent::Uplinked { tag } => {
                 let now = ctx.now();
-                let request = self.core.config.request_for(tag, now);
-                let outcome = self.submit_to_server(ctx, request, !tag_is_probe(tag));
-                if tag_is_probe(tag) {
-                    // Probes to a lost/rejecting tier simply never come
-                    // back: the heartbeat stays down.
-                    return;
-                }
-                match outcome {
-                    // The routed server is down: the frame vanishes in
-                    // flight, so its deadline fires as a Network-cause
-                    // timeout (same as the single-server outage path).
-                    TierSubmit::Lost => {}
-                    // Turned away at the door: the server saw it, so
-                    // this is a ServerLoad-cause timeout at the
-                    // deadline, same as a batch-formation rejection.
-                    TierSubmit::AdmissionRejected => self.core.apply_arrival(tag, now, true),
-                    TierSubmit::Queued { .. } | TierSubmit::BatchStarted { .. } => {
-                        self.core.apply_arrival(tag, now, false)
-                    }
+                let (started, arrival) = self.driver.uplinked(&self.core.config, tag, now);
+                schedule_batch(ctx, started);
+                if let Some(admission_rejected) = arrival {
+                    self.core.apply_arrival(tag, now, admission_rejected);
                 }
             }
 
             FleetEvent::BatchDone { server, epoch } => {
-                // A stale epoch means the batch belonged to a server
-                // process that has since crashed: its results are gone.
-                let server = server as usize;
-                if epoch != self.tier.epoch(server) {
-                    return;
-                }
                 let now = ctx.now();
-                let propagation = self.core.config.link.propagation;
-                if !self.core.config.engine.reuse_batch_buffers {
-                    // Fresh result vectors for every batch. Kept only
-                    // because the benchmark names `reuse_batch_buffers`
-                    // (ROADMAP item 9).
-                    self.batch_out = BatchOutput::default();
-                }
-                self.tier.batch_done_into(server, now, &mut self.batch_out);
+                let (responses, core) = (&mut self.responses, &mut self.core);
+                let queued = responses.len();
+                let next = self.driver.batch_done(server, epoch, now, |tag, rejected| {
+                    if rejected {
+                        core.row_of(tag).frame_rejected_by_server(tag, now);
+                    } else {
+                        responses.push_back(tag);
+                    }
+                });
                 // One response per device completion, all `propagation`
                 // from now: one lane entry delivers them in this order.
-                // Background tenants' requests go nowhere.
-                let queued = self.responses.len();
-                let tags = self.batch_out.completions.iter().map(|c| c.tag);
-                self.responses
-                    .extend(tags.filter(|&tag| !is_background_tag(tag)));
-                let n = (self.responses.len() - queued) as u32;
+                let n = (responses.len() - queued) as u32;
                 if n > 0 {
-                    let at = now + propagation;
+                    let at = now + core.config.link.propagation;
                     ctx.schedule_lane_batch(lane::RESPONSE, at, n, FleetEvent::Responses(n));
                 }
-                for r in &self.batch_out.rejections {
-                    // Only a device's frames learn of a rejection.
-                    let tag = r.tag;
-                    if tag < BACKGROUND_TAG_BASE {
-                        self.core.row_of(tag).frame_rejected_by_server(tag, now);
-                    }
-                }
-                if let Some(done_at) = self.batch_out.next_done {
-                    let server = server as u32;
-                    let done = FleetEvent::BatchDone { server, epoch };
-                    ctx.schedule_lane(lane::BATCH, done_at, done);
-                }
+                schedule_batch(ctx, next);
             }
 
             FleetEvent::Responses(n) => {
@@ -1403,24 +1533,23 @@ impl SimModel for FleetWorld {
                 self.observe_tick(ctx, dev, &out);
             }
 
-            FleetEvent::ServerCrash(server) => self.tier.crash(server),
+            FleetEvent::ServerCrash(server) => self.driver.tier.crash(server),
 
-            FleetEvent::ServerRecover(server) => self.tier.recover(server),
+            FleetEvent::ServerRecover(server) => self.driver.tier.recover(server),
 
             FleetEvent::NetworkChange { dev, step } => self
                 .core
                 .network_change(dev.map(|d| d as usize), step as usize),
 
             FleetEvent::LoadChange(step) => {
-                if let Some(at) = self.background().load_change(step, ctx.now()) {
+                if let Some(at) = self.driver.background().load_change(step, ctx.now()) {
                     ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
                 }
             }
 
             FleetEvent::Background => {
-                let now = ctx.now();
-                let (request, next) = self.background().arrive(now);
-                self.submit_to_server(ctx, request, false);
+                let (started, next) = self.driver.background_arrival(ctx.now());
+                schedule_batch(ctx, started);
                 if let Some(at) = next {
                     ctx.schedule_lane(lane::BACKGROUND, at, FleetEvent::Background);
                 }
@@ -1429,78 +1558,35 @@ impl SimModel for FleetWorld {
     }
 }
 
+/// Panic on a run that cannot start: a controller count that is not the
+/// device count, or what [`FleetConfig::check`] refuses.
 pub(crate) fn validate_fleet(config: &FleetConfig, controllers: &[Box<dyn Controller>]) {
     assert_eq!(
         config.devices.len(),
         controllers.len(),
         "one controller per device"
     );
-    assert!(
-        !config.devices.is_empty(),
-        "fleet needs at least one device"
-    );
-    check_network_schedule(&config.network, None);
-    if let Some(schedules) = &config.per_device_network {
-        assert_eq!(
-            schedules.len(),
-            config.devices.len(),
-            "one network schedule per device"
-        );
-        for (dev, schedule) in schedules.iter().enumerate() {
-            check_network_schedule(schedule, Some(dev));
-        }
-    }
-    if let Some(load) = &config.background {
-        load.validate();
-    }
-    assert!(
-        config.replay.is_none() || config.scene.is_none(),
-        "`replay` cannot be combined with `scene`: a replayed frame carries \
-         no information score, so the scene (and any `filter`) would be ignored"
-    );
+    config.check().unwrap_or_else(|why| panic!("{why}"));
 }
 
-/// Panic, naming the schedule (device `dev`'s, or the shared one) and
-/// the step, on a step no link can run under — one that bypassed
-/// `NetworkConditions::new`, as a schedule read from JSON does.
-fn check_network_schedule(steps: &StepSchedule<NetworkConditions>, dev: Option<usize>) {
+/// Why no link can run under some step of `steps`, naming the schedule
+/// (device `dev`'s, or the shared one) and the step: a step that
+/// bypassed `NetworkConditions::new`, as a schedule read from JSON does.
+fn check_network_schedule(
+    steps: &StepSchedule<NetworkConditions>,
+    dev: Option<usize>,
+) -> Result<(), String> {
     for (step, (t, conditions)) in steps.steps().iter().enumerate() {
         if let Err(why) = conditions.check() {
-            match dev {
+            return Err(match dev {
                 Some(dev) => {
-                    panic!("device {dev}'s network schedule, step {step} (t = {t} s): {why}")
+                    format!("device {dev}'s network schedule, step {step} (t = {t} s): {why}")
                 }
-                None => panic!("the shared network schedule, step {step} (t = {t} s): {why}"),
-            }
+                None => format!("the shared network schedule, step {step} (t = {t} s): {why}"),
+            });
         }
     }
-}
-
-/// The flattened network-change schedule: `(t_secs, device, step)` per
-/// applied step, in the order the single-threaded engine schedules them.
-pub(crate) fn network_change_events(config: &FleetConfig) -> Vec<(f64, Option<usize>, usize)> {
-    match &config.per_device_network {
-        Some(schedules) => schedules
-            .iter()
-            .enumerate()
-            .flat_map(|(dev, schedule)| {
-                schedule
-                    .steps()
-                    .iter()
-                    .enumerate()
-                    .skip(1)
-                    .map(move |(step, &(t, _))| (t, Some(dev), step))
-            })
-            .collect(),
-        None => config
-            .network
-            .steps()
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(step, &(t, _))| (t, None, step))
-            .collect(),
-    }
+    Ok(())
 }
 
 /// Assemble the fleet-wide result from per-device results plus the
@@ -1551,51 +1637,21 @@ pub(crate) fn run_fleet_recording(
         return crate::shard::run_sharded(config, controllers, shards, traced, watched);
     }
     let n = controllers.len();
-    let change_events = network_change_events(&config);
-    let tier_config = config.tier_config();
-    let tier = ServerTier::new(&tier_config);
-    for outage in &config.outages {
-        outage.validate(tier.len());
-    }
-    let rng = RngFactory::new(config.seed);
-    let routing_rng = rng.stream("routing");
-    // Background tenants are billed one above every device.
-    let tenant = TenantId(n as u32);
-    let background = config
-        .background
-        .clone()
-        .map(|load| Background::new(load, rng.stream("background"), tenant));
-
-    let first_capture = config.first_capture();
-    let obs = FleetObs::new(&config.telemetry, n, tier.len());
+    let driver = TierDriver::new(&config);
+    let obs = FleetObs::new(&config.telemetry, n, driver.tier.len());
     let devs = FleetDevices::build(&config, controllers, 0, traced, watched);
     let config = Arc::new(config);
     let core = FleetCore::new(Arc::clone(&config), devs);
     let end_at = core.end_at;
     let world = FleetWorld {
         core,
-        tier,
-        routing_rng,
-        batch_out: BatchOutput::default(),
+        driver,
         responses: VecDeque::new(),
-        background,
         obs,
     };
     let queue = EventQueue::with_backend(config.engine.backend);
     let mut sim = Simulation::with_queue(world, queue);
-    sim.reserve_lane(lane::CAPTURE, n);
-    sim.reserve_lane(lane::TICK, n);
-    for dev in 0..n {
-        sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(dev));
-        let first_tick = SimTime::ZERO + config.controller_period;
-        sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(dev));
-    }
-    for (t, dev, step) in change_events {
-        sim.schedule_at(
-            SimTime::from_secs_f64(t),
-            FleetEvent::network_change(dev, step),
-        );
-    }
+    seed_devices(&mut sim, &config, 0..n);
     if let Some(load) = &config.background {
         for (step, &(t, _)) in load.steps.iter().enumerate().skip(1) {
             sim.schedule_at(SimTime::from_secs_f64(t), FleetEvent::LoadChange(step));
@@ -1626,7 +1682,7 @@ pub(crate) fn run_fleet_recording(
     let (trace, watch) = world.core.finish(now);
     let events_handled = dispatched + world.core.local_completions;
     let device_results = world.core.devs.into_results(&world.core.config).collect();
-    let result = finish_fleet(device_results, &world.tier, events_handled);
+    let result = finish_fleet(device_results, &world.driver.tier, events_handled);
     (result, trace, watch)
 }
 
@@ -1634,7 +1690,8 @@ pub(crate) fn run_fleet_recording(
 mod tests {
     use super::*;
     use ff_core::FrameFeedback;
-    use ff_server::{AdmissionPolicy, RoutingPolicy, ServerSpec};
+    use ff_models::GpuProfile;
+    use ff_server::{AdmissionPolicy, OverflowPolicy, RoutingPolicy, ServerSpec};
     use ff_sim::RngFactory;
 
     fn short_fleet() -> FleetConfig {
@@ -1790,9 +1847,10 @@ mod tests {
             })
             .collect();
 
-        config.policy = OverflowPolicy::RejectNewest;
+        let gpu = GpuProfile::default();
+        config.tier = Some(TierConfig::single(gpu, OverflowPolicy::RejectNewest));
         let newest = run_fleet(config.clone(), ff_controllers(9));
-        config.policy = OverflowPolicy::FairShare;
+        config.tier = Some(TierConfig::single(gpu, OverflowPolicy::FairShare));
         let fair = run_fleet(config, ff_controllers(9));
 
         assert!(newest.server_stats.rejections > 0);
@@ -1819,7 +1877,8 @@ mod tests {
                 model: ModelKind::MobileNetV3Small,
             })
             .collect();
-        config.policy = OverflowPolicy::FairShare;
+        let gpu = GpuProfile::default();
+        config.tier = Some(TierConfig::single(gpu, OverflowPolicy::FairShare));
         let mut controllers = ff_controllers(7);
         controllers.push(Box::new(ff_baselines::AlwaysOffload::new()));
         let result = run_fleet(config, controllers);
@@ -1848,7 +1907,7 @@ mod tests {
         // the adaptive tenants' sparser submissions and fairness collapses
         // below that bar.
         let mut config = short_fleet();
-        config.gpu = GpuProfile { batch_limit: 6 };
+        let gpu = GpuProfile { batch_limit: 6 };
         config.devices = (0..6)
             .map(|_| FleetDeviceConfig {
                 device: DeviceKind::Pi4BRev12,
@@ -1861,9 +1920,9 @@ mod tests {
             controllers
         };
 
-        config.policy = OverflowPolicy::FairShare;
+        config.tier = Some(TierConfig::single(gpu, OverflowPolicy::FairShare));
         let fair = run_fleet(config.clone(), bursty_fleet());
-        config.policy = OverflowPolicy::RejectNewest;
+        config.tier = Some(TierConfig::single(gpu, OverflowPolicy::RejectNewest));
         let newest = run_fleet(config, bursty_fleet());
 
         assert!(

@@ -3,9 +3,10 @@
 //! Partitions the fleet's devices into K contiguous shards, each owning
 //! a private [`Simulation`] (its own timing wheel, its own ChaCha8
 //! streams — derived from **global** device indices so the partition
-//! never changes any device's randomness). The [`ServerTier`] lives on
-//! the coordinator (the calling thread), which merges cross-shard
-//! traffic between rounds.
+//! never changes any device's randomness). The
+//! [`ServerTier`](ff_server::ServerTier) lives on the coordinator (the
+//! calling thread), which merges cross-shard traffic between rounds and
+//! drives the tier through the single-threaded engine's own tier driver.
 //!
 //! ## The window protocol
 //!
@@ -79,14 +80,13 @@ use std::mem;
 use std::sync::{Arc, Mutex};
 
 use crate::fleet::{
-    device_scopes, finish_fleet, lane, network_change_events, observe_device_tick, validate_fleet,
-    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierObs,
+    device_scopes, finish_fleet, observe_device_tick, seed_devices, validate_fleet, BatchStarted,
+    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierDriver, TierObs,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
 use crate::watch::Watch;
 use ff_core::Controller;
-use ff_server::{BatchOutput, ServerTier, TierSubmit};
-use ff_sim::{run_phased, Ctx, EventQueue, RngFactory, SimDuration, SimModel, SimTime, Simulation};
+use ff_sim::{run_phased, Ctx, EventQueue, SimDuration, SimModel, SimTime, Simulation};
 use ff_telemetry::{Recorder, Scope};
 
 /// Merge-key classes, in legacy insertion-sequence order for equal
@@ -113,7 +113,7 @@ pub struct MergeKey {
 
 enum ItemKind {
     Outage { server: usize, recover: bool },
-    BatchDone { server: usize, epoch: u64 },
+    BatchDone { server: u32, epoch: u64 },
     Submission { tag: u64 },
 }
 
@@ -157,6 +157,8 @@ struct RoundMerge {
     next: usize,
     /// Pending outages and batch completions.
     timers: BinaryHeap<Reverse<ServerItem>>,
+    /// Batch completions scheduled so far: the next one's `tie`.
+    batches: u64,
 }
 
 impl RoundMerge {
@@ -178,6 +180,23 @@ impl RoundMerge {
     /// Schedule an outage or a batch completion.
     fn schedule(&mut self, key: MergeKey, kind: ItemKind) {
         self.timers.push(Reverse(ServerItem { key, kind }));
+    }
+
+    /// Schedule the completion of the batch the tier started at `now`,
+    /// if it did, tied in emission order.
+    fn schedule_batch(&mut self, now: SimTime, started: Option<BatchStarted>) {
+        let Some(batch) = started else {
+            return;
+        };
+        let key = MergeKey {
+            at: batch.at,
+            ins: now,
+            class: CLASS_BATCH,
+            tie: self.batches,
+        };
+        self.batches += 1;
+        let (server, epoch) = (batch.server, batch.epoch);
+        self.schedule(key, ItemKind::BatchDone { server, epoch });
     }
 
     /// Order this round's deposits among the submissions carried over
@@ -366,12 +385,7 @@ pub(crate) fn run_sharded(
     let window_end_us = move |r: u64| ((r + 1) * w_us).min(end_us + 1);
 
     // ---- Coordinator state: the tier and its event merge. ----
-    let tier_config = config.tier_config();
-    let mut tier = ServerTier::new(&tier_config);
-    for outage in &config.outages {
-        outage.validate(tier.len());
-    }
-    let mut routing_rng = RngFactory::new(config.seed).stream("routing");
+    let mut driver = TierDriver::new(&config);
     let mut merge = RoundMerge::default();
     let mut outage_tie = 0u64;
     for outage in &config.outages {
@@ -392,15 +406,12 @@ pub(crate) fn run_sharded(
         }
     }
     let propagation = config.link.propagation;
-    let reuse_buffers = config.engine.reuse_batch_buffers;
-    let mut batch_out = BatchOutput::default();
     let telemetry = config.telemetry.clone();
     let mut coord_rec = telemetry.recorder();
-    let mut tier_obs = TierObs::new(&telemetry, tier.len());
+    let mut tier_obs = TierObs::new(&telemetry, driver.tier.len());
     let period_us = config.controller_period.as_micros();
     let mut next_report_us = period_us;
     let mut fb_seq = 0u64;
-    let mut batch_tie = 0u64;
     let mut server_popped = 0u64;
 
     // ---- Shard partition: contiguous, first `big` shards one larger. ----
@@ -415,8 +426,6 @@ pub(crate) fn run_sharded(
         }
     };
 
-    let change_events = network_change_events(&config);
-    let first_capture = config.first_capture();
     let mut states = Vec::with_capacity(k);
     let mut remaining = controllers;
     let mut offset = 0usize;
@@ -433,28 +442,10 @@ pub(crate) fn run_sharded(
         };
         let mut sim =
             Simulation::with_queue(world, EventQueue::with_backend(config.engine.backend));
-        sim.reserve_lane(lane::CAPTURE, size);
-        sim.reserve_lane(lane::TICK, size);
-        for g in offset..offset + size {
-            sim.schedule_lane(lane::CAPTURE, first_capture, FleetEvent::Capture(g));
-            let first_tick = SimTime::ZERO + config.controller_period;
-            sim.schedule_lane(lane::TICK, first_tick, FleetEvent::Tick(g));
-        }
-        for &(t, dev, step) in &change_events {
-            let mine = match dev {
-                // Shared schedule steps replicate into every shard
-                // (each shard updates its own links); the duplicate
-                // event pops are deducted from `events_handled` below.
-                None => true,
-                Some(d) => d >= offset && d < offset + size,
-            };
-            if mine {
-                sim.schedule_at(
-                    SimTime::from_secs_f64(t),
-                    FleetEvent::network_change(dev, step),
-                );
-            }
-        }
+        // Shared schedule steps replicate into every shard (each shard
+        // updates its own links); the duplicate event pops are deducted
+        // from `events_handled` below.
+        seed_devices(&mut sim, &config, offset..offset + size);
         states.push(ShardState {
             sim,
             pending: Vec::new(),
@@ -504,73 +495,31 @@ pub(crate) fn run_sharded(
             match item.kind {
                 ItemKind::Outage { server, recover } => {
                     if recover {
-                        tier.recover(server);
+                        driver.tier.recover(server);
                     } else {
-                        tier.crash(server);
+                        driver.tier.crash(server);
                     }
                 }
                 ItemKind::Submission { tag } => {
-                    let probe = tag_is_probe(tag);
-                    let request = config.request_for(tag, now);
-                    let outcome = tier.submit(now, request, !probe, &mut routing_rng);
-                    if let TierSubmit::BatchStarted { server, done_at } = outcome {
-                        merge.schedule(
-                            MergeKey {
-                                at: done_at,
-                                ins: now,
-                                class: CLASS_BATCH,
-                                tie: batch_tie,
-                            },
-                            ItemKind::BatchDone {
-                                server,
-                                epoch: tier.epoch(server),
-                            },
-                        );
-                        batch_tie += 1;
-                    }
-                    // Routed to a dead server: lost in flight, the
-                    // deadline will fire as a network-cause timeout
-                    // without any feedback.
-                    if !probe && outcome != TierSubmit::Lost {
-                        let admission_rejected = outcome == TierSubmit::AdmissionRejected;
+                    let (started, arrival) = driver.uplinked(&config, tag, now);
+                    merge.schedule_batch(now, started);
+                    if let Some(admission_rejected) = arrival {
                         let arrived = FeedbackKind::Arrived { admission_rejected };
                         emit(now, FB_ARRIVAL, tag, arrived);
                     }
                 }
                 ItemKind::BatchDone { server, epoch } => {
-                    if epoch != tier.epoch(server) {
-                        continue;
-                    }
-                    if !reuse_buffers {
-                        batch_out = BatchOutput::default();
-                    }
-                    tier.batch_done_into(server, now, &mut batch_out);
-                    for c in &batch_out.completions {
-                        let at = now + propagation;
-                        // Past `end_at` the legacy engine schedules the
-                        // response but never pops it.
-                        if at <= end_at {
-                            emit(at, FB_BATCH, c.tag, FeedbackKind::Response);
-                        }
-                    }
-                    for rej in &batch_out.rejections {
-                        let tag = rej.tag;
-                        if !tag_is_probe(tag) {
+                    let at = now + propagation;
+                    let next = driver.batch_done(server, epoch, now, |tag, rejected| {
+                        if rejected {
                             emit(now, FB_BATCH, tag, FeedbackKind::BatchRejected);
+                        } else if at <= end_at {
+                            // Past `end_at` the single-threaded engine
+                            // files a response but never delivers it.
+                            emit(at, FB_BATCH, tag, FeedbackKind::Response);
                         }
-                    }
-                    if let Some(done_at) = batch_out.next_done {
-                        merge.schedule(
-                            MergeKey {
-                                at: done_at,
-                                ins: now,
-                                class: CLASS_BATCH,
-                                tie: batch_tie,
-                            },
-                            ItemKind::BatchDone { server, epoch },
-                        );
-                        batch_tie += 1;
-                    }
+                    });
+                    merge.schedule_batch(now, next);
                 }
             }
         }
@@ -579,7 +528,7 @@ pub(crate) fn run_sharded(
         // telemetry so the report site is free to differ).
         if coord_rec.is_enabled() {
             while next_report_us < b_us && next_report_us <= end_us {
-                tier_obs.report(&mut coord_rec, &tier, next_report_us);
+                tier_obs.report(&mut coord_rec, &driver.tier, next_report_us);
                 next_report_us += period_us;
             }
         }
@@ -679,7 +628,7 @@ pub(crate) fn run_sharded(
     if telemetry.is_enabled() {
         telemetry.poll();
     }
-    let result = finish_fleet(device_results, &tier, events_handled);
+    let result = finish_fleet(device_results, &driver.tier, events_handled);
     (result, trace, watch)
 }
 

@@ -9,7 +9,6 @@
 use crate::offload::TimeoutCause;
 use ff_sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// How a frame left the system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,55 +49,26 @@ pub struct FrameRecord {
     pub fate: FrameFate,
 }
 
-/// Collects frame records during a run (when enabled).
-///
-/// A trace built by [`with_capacity`](FrameTrace::with_capacity) with a
-/// non-zero capacity is **bounded**: memory never grows past the cap, and
-/// once it fills, each new frame evicts the oldest record (drop-oldest).
-/// Evictions are counted in [`dropped`](FrameTrace::dropped) and surfaced
-/// in [`TraceSummary`], so accounting stays exact for arbitrarily long
-/// runs. A zero capacity (the [`new`](FrameTrace::new) path) keeps the
-/// historical unbounded behaviour.
+/// Collects frame records during a run (when enabled): one per
+/// captured frame, so memory grows with the stream's length.
 #[derive(Debug, Default)]
 pub struct FrameTrace {
-    records: VecDeque<FrameRecord>,
+    records: Vec<FrameRecord>,
     enabled: bool,
-    /// Hard record cap; 0 = unbounded.
-    capacity: usize,
-    /// Frame id of the oldest retained record.
-    base: u64,
-    /// Records evicted by the drop-oldest cap.
-    dropped: u64,
 }
 
 impl FrameTrace {
-    /// A trace that records only when `enabled` (unbounded).
+    /// A trace that records only when `enabled`.
     pub fn new(enabled: bool) -> Self {
-        Self::with_capacity(enabled, 0)
-    }
-
-    /// A trace bounded to at most `capacity` retained frames: the buffer
-    /// is allocated once up front, and past the cap the oldest record is
-    /// dropped (and counted) for each new capture. `capacity == 0` means
-    /// unbounded. When disabled, nothing is allocated.
-    pub fn with_capacity(enabled: bool, capacity: usize) -> Self {
         FrameTrace {
-            records: VecDeque::with_capacity(if enabled { capacity } else { 0 }),
+            records: Vec::new(),
             enabled,
-            capacity: if enabled { capacity } else { 0 },
-            base: 0,
-            dropped: 0,
         }
     }
 
     /// Whether recording is on.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Records evicted by the drop-oldest cap so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Register a captured frame with a provisional fate (overwritten on
@@ -108,16 +78,11 @@ impl FrameTrace {
             return;
         }
         debug_assert_eq!(
-            self.base + self.records.len() as u64,
+            self.records.len() as u64,
             frame_id,
             "frames must be traced in capture order"
         );
-        if self.capacity > 0 && self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.base += 1;
-            self.dropped += 1;
-        }
-        self.records.push_back(FrameRecord {
+        self.records.push(FrameRecord {
             frame_id,
             captured_secs: at.as_secs_f64(),
             bytes,
@@ -125,50 +90,21 @@ impl FrameTrace {
         });
     }
 
-    /// Update the fate of a previously captured frame. Resolving a frame
-    /// the drop-oldest cap already evicted is a silent no-op.
+    /// Update the fate of a previously captured frame.
     pub fn resolve(&mut self, frame_id: u64, fate: FrameFate) {
         if !self.enabled {
             return;
         }
-        if frame_id < self.base {
-            return; // evicted by the cap; its fate is lost by design
-        }
         let record = self
             .records
-            .get_mut((frame_id - self.base) as usize)
+            .get_mut(frame_id as usize)
             .expect("resolving an untraced frame");
         record.fate = fate;
     }
 
-    /// The retained records, oldest first (empty when disabled).
+    /// The records, oldest first (empty when disabled).
     pub fn into_records(self) -> Vec<FrameRecord> {
-        self.records.into_iter().collect()
-    }
-
-    /// Fate counts of the retained records plus the eviction count.
-    pub fn summary(&self) -> TraceSummary {
-        let (a, b) = self.records.as_slices();
-        let mut s = TraceSummary::of(a);
-        let tail = TraceSummary::of(b);
-        s.local_completed += tail.local_completed;
-        s.local_skipped += tail.local_skipped;
-        s.offload_succeeded += tail.offload_succeeded;
-        s.offload_timed_out += tail.offload_timed_out;
-        s.unresolved += tail.unresolved;
-        s.filtered_out += tail.filtered_out;
-        s.dropped = self.dropped;
-        s
-    }
-
-    /// Number of retained frames (excluding dropped ones).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records
     }
 }
 
@@ -187,14 +123,10 @@ pub struct TraceSummary {
     pub unresolved: u64,
     /// Frames dropped by the semantic filter.
     pub filtered_out: u64,
-    /// Records evicted by the trace's drop-oldest cap (not represented
-    /// in the other counts).
-    pub dropped: u64,
 }
 
 impl TraceSummary {
-    /// Count the fates in a record slice (`dropped` stays 0; use
-    /// [`FrameTrace::summary`] to include evictions).
+    /// Count the fates in a record slice.
     pub fn of(records: &[FrameRecord]) -> TraceSummary {
         let mut s = TraceSummary::default();
         for r in records {
@@ -210,7 +142,7 @@ impl TraceSummary {
         s
     }
 
-    /// Sum of all fate counts plus evictions (= frames captured).
+    /// Sum of all fate counts (= frames captured).
     pub fn total(&self) -> u64 {
         self.local_completed
             + self.local_skipped
@@ -218,7 +150,6 @@ impl TraceSummary {
             + self.offload_timed_out
             + self.unresolved
             + self.filtered_out
-            + self.dropped
     }
 }
 
@@ -238,20 +169,8 @@ mod tests {
         let mut t = FrameTrace::new(false);
         t.captured(0, SimTime::ZERO, 100, FrameFate::Unresolved);
         t.resolve(0, FrameFate::LocalCompleted);
-        assert!(t.is_empty());
         assert!(!t.is_enabled());
-    }
-
-    #[test]
-    fn with_capacity_pre_sizes_only_when_enabled() {
-        let on = FrameTrace::with_capacity(true, 500);
-        assert!(on.records.capacity() >= 500);
-        let off = FrameTrace::with_capacity(false, 500);
-        assert_eq!(off.records.capacity(), 0);
-        // Behaviour is unchanged by pre-sizing.
-        let mut t = FrameTrace::with_capacity(true, 2);
-        t.captured(0, SimTime::ZERO, 9, FrameFate::Unresolved);
-        assert_eq!(t.len(), 1);
+        assert!(t.into_records().is_empty());
     }
 
     #[test]
@@ -303,58 +222,5 @@ mod tests {
     #[should_panic(expected = "untraced")]
     fn resolving_unknown_frame_panics() {
         FrameTrace::new(true).resolve(5, FrameFate::LocalCompleted);
-    }
-
-    #[test]
-    fn capacity_caps_memory_with_drop_oldest() {
-        let mut t = FrameTrace::with_capacity(true, 3);
-        for id in 0..10u64 {
-            t.captured(
-                id,
-                SimTime::from_millis(id * 33),
-                100,
-                FrameFate::Unresolved,
-            );
-        }
-        assert_eq!(t.len(), 3, "retained records must never exceed the cap");
-        assert_eq!(t.dropped(), 7);
-        let summary = t.summary();
-        assert_eq!(summary.dropped, 7);
-        assert_eq!(summary.total(), 10, "kept + dropped = captured");
-        let records = t.into_records();
-        let ids: Vec<u64> = records.iter().map(|r| r.frame_id).collect();
-        assert_eq!(ids, vec![7, 8, 9], "oldest records are the ones evicted");
-    }
-
-    #[test]
-    fn resolving_an_evicted_frame_is_a_silent_no_op() {
-        let mut t = FrameTrace::with_capacity(true, 2);
-        for id in 0..5u64 {
-            t.captured(id, SimTime::ZERO, 1, FrameFate::Unresolved);
-        }
-        // Frames 0..=2 were evicted; late resolutions must not panic or
-        // corrupt the retained window.
-        t.resolve(0, FrameFate::LocalCompleted);
-        t.resolve(2, FrameFate::OffloadSucceeded { latency_ms: 10.0 });
-        // A retained frame still resolves normally.
-        t.resolve(4, FrameFate::OffloadTimedOut { network: true });
-        let records = t.into_records();
-        assert_eq!(records[0].frame_id, 3);
-        assert_eq!(records[0].fate, FrameFate::Unresolved);
-        assert_eq!(
-            records[1].fate,
-            FrameFate::OffloadTimedOut { network: true }
-        );
-    }
-
-    #[test]
-    fn zero_capacity_stays_unbounded() {
-        let mut t = FrameTrace::new(true);
-        for id in 0..1000u64 {
-            t.captured(id, SimTime::ZERO, 1, FrameFate::LocalCompleted);
-        }
-        assert_eq!(t.len(), 1000);
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.summary().total(), 1000);
     }
 }

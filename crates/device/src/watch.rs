@@ -49,7 +49,7 @@ impl Watch {
     pub(crate) fn new(config: &FleetConfig, row: usize, g: usize, frame_trace: bool) -> Watch {
         Watch {
             row,
-            trace: FrameTrace::with_capacity(frame_trace, config.stream.total_frames as usize),
+            trace: FrameTrace::new(frame_trace),
             local_accuracy: config.devices[g].model.profile().top1_accuracy,
             ..Watch::default()
         }

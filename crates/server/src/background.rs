@@ -58,19 +58,30 @@ pub struct BackgroundConfig {
 }
 
 impl BackgroundConfig {
-    /// Panic, naming the field, on an empty schedule, or on a step whose
-    /// time is not finite, >= 0 and after the last, or whose rate is not
-    /// finite and >= 0.
-    pub fn validate(&self) {
-        assert!(!self.steps.is_empty(), "`background.steps` is empty");
+    /// Why this schedule cannot run, if it cannot, naming the field: an
+    /// empty schedule, or a step whose time is not finite, >= 0 and
+    /// after the last, or whose rate is not finite and >= 0.
+    pub fn check(&self) -> Result<(), String> {
+        if self.steps.is_empty() {
+            return Err("`background.steps` is empty".into());
+        }
         let mut last = -1.0;
         for &(t, rate) in &self.steps {
-            assert!(
-                t.is_finite() && t > last && rate.is_finite() && rate >= 0.0,
-                "`background.steps` needs ascending finite times from 0 and finite \
-                 rates >= 0, got ({t}, {rate})"
-            );
+            if !(t.is_finite() && t > last && rate.is_finite() && rate >= 0.0) {
+                return Err(format!(
+                    "`background.steps` needs ascending finite times from 0 and finite \
+                     rates >= 0, got ({t}, {rate})"
+                ));
+            }
             last = t;
+        }
+        Ok(())
+    }
+
+    /// Panic on what [`check`](Self::check) refuses.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
         }
     }
 }

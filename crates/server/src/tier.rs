@@ -117,33 +117,45 @@ impl TierConfig {
         }
     }
 
-    /// Panic on nonsensical parameters (empty tier, a server whose
-    /// batches hold nothing, non-positive token rate, zero-capacity
-    /// bucket, zero gossip interval).
-    pub fn validate(&self) {
-        assert!(!self.servers.is_empty(), "tier needs at least one server");
-        for (i, server) in self.servers.iter().enumerate() {
-            assert!(
-                server.gpu.batch_limit > 0,
-                "server {i}: gpu.batch_limit must be at least 1"
-            );
+    /// Why this tier cannot run, if it cannot: an empty tier, a server
+    /// whose batches hold nothing, a non-positive token rate, a
+    /// zero-capacity bucket or a zero gossip interval.
+    pub fn check(&self) -> Result<(), String> {
+        if self.servers.is_empty() {
+            return Err("tier needs at least one server".into());
+        }
+        if let Some(i) = self.servers.iter().position(|s| s.gpu.batch_limit == 0) {
+            return Err(format!("server {i}: gpu.batch_limit must be at least 1"));
         }
         if let AdmissionPolicy::TokenBucket { rate_rps, burst } = self.admission {
-            assert!(
-                rate_rps.is_finite() && rate_rps > 0.0,
-                "token bucket rate must be finite and positive"
-            );
-            assert!(
-                burst.is_finite() && burst >= 1.0,
-                "token bucket burst must hold at least one token"
-            );
+            if !(rate_rps.is_finite() && rate_rps > 0.0) {
+                return Err("token bucket rate must be finite and positive".into());
+            }
+            if !(burst.is_finite() && burst >= 1.0) {
+                return Err("token bucket burst must hold at least one token".into());
+            }
         }
         if let RoutingPolicy::JoinShortestQueue { gossip_interval } = self.routing {
-            assert!(
-                gossip_interval > SimDuration::ZERO,
-                "gossip interval must be positive"
-            );
+            if gossip_interval == SimDuration::ZERO {
+                return Err("gossip interval must be positive".into());
+            }
         }
+        Ok(())
+    }
+
+    /// Panic on what [`check`](Self::check) refuses.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+    }
+}
+
+/// The paper's topology: one server with the default GPU profile and
+/// the reject-newest overflow policy.
+impl Default for TierConfig {
+    fn default() -> Self {
+        TierConfig::single(GpuProfile::default(), OverflowPolicy::RejectNewest)
     }
 }
 

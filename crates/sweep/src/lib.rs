@@ -37,7 +37,7 @@ pub use ff_device::ControllerSpec;
 use ff_device::{
     run_experiment, run_fleet, ExperimentConfig, ExperimentResult, FleetConfig, FleetResult,
 };
-use ff_server::{OverflowPolicy, TierConfig};
+use ff_server::TierConfig;
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -97,9 +97,8 @@ impl GridScenario<ControllerSpec> for ExperimentConfig {
     }
 
     fn tier_mut(&mut self) -> &mut TierConfig {
-        let gpu = self.gpu;
-        self.tier
-            .get_or_insert_with(|| TierConfig::single(gpu, OverflowPolicy::default()))
+        let tier = self.tier_config();
+        self.tier.insert(tier)
     }
 
     fn check_lineup(&self, _: &ControllerSpec) -> Result<(), String> {
@@ -114,9 +113,7 @@ impl GridScenario<Vec<ControllerSpec>> for FleetConfig {
     }
 
     fn tier_mut(&mut self) -> &mut TierConfig {
-        let (gpu, policy) = (self.gpu, self.policy);
-        self.tier
-            .get_or_insert_with(|| TierConfig::single(gpu, policy))
+        self.tier.get_or_insert_with(TierConfig::default)
     }
 
     fn check_lineup(&self, controllers: &Vec<ControllerSpec>) -> Result<(), String> {

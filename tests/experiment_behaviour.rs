@@ -9,7 +9,7 @@ use framefeedback::baselines::{AllOrNothing, AlwaysOffload, LocalOnly};
 use framefeedback::controller::FrameFeedback;
 use framefeedback::device::{run_experiment, ExperimentConfig, ServerOutage, TraceSummary};
 use framefeedback::net::NetworkConditions;
-use framefeedback::workload::{table_v, StepSchedule};
+use framefeedback::workload::{table_v, ReplayFrame, ReplayFrames, StepSchedule};
 
 fn short_config() -> ExperimentConfig {
     let mut c = ExperimentConfig::default();
@@ -259,29 +259,46 @@ fn background_load_produces_server_pressure() {
 
 #[test]
 fn frame_trace_accounts_for_every_frame() {
-    let mut cfg = short_config();
-    cfg.record_trace = true;
-    cfg.network = StepSchedule::constant(NetworkConditions::new(4.0, 3.0));
-    let result = run_experiment(cfg, Box::new(FrameFeedback::new()));
-    let trace = result.trace.as_ref().expect("trace was requested");
-    assert_eq!(trace.len() as u64, result.frames_generated);
-    let summary = TraceSummary::of(trace);
-    assert_eq!(summary.total(), result.frames_generated);
-    // Cross-check against the aggregate counters.
-    assert_eq!(
-        summary.offload_succeeded + summary.offload_timed_out + summary.unresolved,
-        result.frames_offloaded,
-        "offload fates must match the offload count"
-    );
-    assert_eq!(summary.offload_succeeded, result.offload_successes);
-    assert!(summary.local_completed > 0);
-    assert!(
-        summary.unresolved <= 20,
-        "only horizon stragglers may stay unresolved"
-    );
-    // Capture times are monotone at the frame cadence.
-    for w in trace.windows(2) {
-        assert!(w[1].captured_secs > w[0].captured_secs);
+    let mut generated = short_config();
+    generated.record_trace = true;
+    generated.network = StepSchedule::constant(NetworkConditions::new(4.0, 3.0));
+    // A replayed schedule three times the stream's `total_frames`: the
+    // trace follows the frames captured, not the configured count.
+    let mut replayed = generated.clone();
+    replayed.stream.total_frames = 300;
+    let bytes = replayed.stream.compression.mean_frame_bytes();
+    let frames = (0..900u64).map(|i| ReplayFrame {
+        at_us: i * 1_000_000 / 30,
+        bytes,
+    });
+    replayed.replay = Some(ReplayFrames::new(frames.collect()));
+    for (name, cfg) in [("generated", generated), ("replayed", replayed)] {
+        let result = run_experiment(cfg, Box::new(FrameFeedback::new()));
+        let trace = result.trace.as_ref().expect("trace was requested");
+        assert_eq!(result.frames_generated, 900, "{name}");
+        assert_eq!(trace.len() as u64, result.frames_generated, "{name}");
+        assert_eq!(trace[0].frame_id, 0, "{name}");
+        let summary = TraceSummary::of(trace);
+        assert_eq!(summary.total(), result.frames_generated, "{name}");
+        // Cross-check against the aggregate counters.
+        assert_eq!(
+            summary.offload_succeeded + summary.offload_timed_out + summary.unresolved,
+            result.frames_offloaded,
+            "{name}: offload fates must match the offload count"
+        );
+        assert_eq!(
+            summary.offload_succeeded, result.offload_successes,
+            "{name}"
+        );
+        assert!(summary.local_completed > 0, "{name}");
+        assert!(
+            summary.unresolved <= 20,
+            "{name}: only horizon stragglers may stay unresolved"
+        );
+        // Capture times are monotone at the frame cadence.
+        for w in trace.windows(2) {
+            assert!(w[1].captured_secs > w[0].captured_secs, "{name}");
+        }
     }
 }
 

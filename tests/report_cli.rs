@@ -6,16 +6,19 @@
 //! Exit statuses: 0 on success; 2 for a flag that is unknown, not taken
 //! by the entry, missing its value or badly valued — before anything
 //! runs or is exported; 1 for an unreadable `--config` or trace, a
-//! replay mismatch or a failed write.
+//! config that fails validation, a replay mismatch or a failed write.
 
 use ff_bench::report;
 use framefeedback::controller::PidConfig;
 use framefeedback::device::{
-    run_experiment, scenario, ControllerSpec, ExperimentConfig, ModelSelection, SCENARIO_NAMES,
+    run_experiment, scenario, ControllerSpec, ExperimentConfig, ModelSelection, ServerOutage,
+    SCENARIO_NAMES,
 };
+use framefeedback::net::NetworkConditions;
 use framefeedback::server::{AdmissionPolicy, RoutingPolicy};
 use framefeedback::sim::SimDuration;
 use framefeedback::trace::Trace;
+use framefeedback::workload::StepSchedule;
 use std::path::{Path, PathBuf};
 
 /// A fresh, empty directory under the system temp directory, unique to
@@ -295,6 +298,54 @@ fn a_missing_or_unparsable_config_exits_1() {
             1
         );
         assert!(!dir.join(format!("{entry}.json")).exists());
+    }
+}
+
+/// A config that parses but cannot run is refused before anything runs,
+/// with the rule it breaks: `run --config` exits 1 and exports nothing.
+#[test]
+fn a_config_that_fails_validation_exits_1() {
+    let dir = scratch("config-invalid");
+    let mut empty_batches = ExperimentConfig::default();
+    empty_batches.gpu.batch_limit = 0;
+    let mut negative_bandwidth = ExperimentConfig::default();
+    let conditions = NetworkConditions {
+        bandwidth_mbps: -1.0,
+        loss_pct: 0.0,
+    };
+    negative_bandwidth.network = StepSchedule::constant(conditions);
+    let backwards_outage = ExperimentConfig {
+        outage: Some(ServerOutage {
+            from_secs: 5.0,
+            until_secs: 3.0,
+        }),
+        ..ExperimentConfig::default()
+    };
+    let cases = [
+        (
+            "batch-limit",
+            empty_batches,
+            "server 0: gpu.batch_limit must be at least 1",
+        ),
+        (
+            "bandwidth",
+            negative_bandwidth,
+            "the shared network schedule, step 0 (t = 0 s): bandwidth must be positive",
+        ),
+        (
+            "outage",
+            backwards_outage,
+            "outage must end after it starts: [5, 3)",
+        ),
+    ];
+    for (name, config, why) in cases {
+        let err = config.check().expect_err(name);
+        assert!(err.contains(why), "{name}: {err}");
+        let body = serde_json::to_string(&config).unwrap();
+        let path = write(&dir, &format!("{name}.json"), &body);
+        let line = format!("run --config {}", path.display());
+        assert_eq!(report_in(&dir, &line), 1, "{name}");
+        assert!(!dir.join("run.json").exists(), "{name} exported a run");
     }
 }
 

@@ -19,7 +19,7 @@ use framefeedback::device::{
     run_experiment, run_fleet, ExperimentConfig, FleetConfig, FleetDeviceConfig,
 };
 use framefeedback::metrics::QosRecord;
-use framefeedback::models::{DeviceKind, ModelKind};
+use framefeedback::models::{DeviceKind, GpuProfile, ModelKind};
 use framefeedback::server::{OverflowPolicy, ServerSpec, TierConfig};
 use framefeedback::sim::SimDuration;
 use framefeedback::sweep::{
@@ -103,7 +103,10 @@ fn single_server_tier_reproduces_the_legacy_fleet_exactly() {
             .collect::<Vec<_>>()
     };
     let mut tiered = legacy();
-    tiered.tier = Some(TierConfig::single(tiered.gpu, tiered.policy));
+    tiered.tier = Some(TierConfig::single(
+        GpuProfile::default(),
+        OverflowPolicy::RejectNewest,
+    ));
 
     let a = run_fleet(legacy(), controllers());
     let b = run_fleet(tiered, controllers());
