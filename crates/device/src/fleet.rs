@@ -298,6 +298,9 @@ impl FleetConfig {
         if self.devices.is_empty() {
             return Err("fleet needs at least one device".into());
         }
+        self.stream
+            .check()
+            .map_err(|why| format!("stream: {why}"))?;
         check_network_schedule(&self.network, None)?;
         if let Some(schedules) = &self.per_device_network {
             if schedules.len() != self.devices.len() {
@@ -306,6 +309,9 @@ impl FleetConfig {
             for (dev, schedule) in schedules.iter().enumerate() {
                 check_network_schedule(schedule, Some(dev))?;
             }
+        }
+        if let Some(loss) = &self.loss_model {
+            loss.check().map_err(|why| format!("loss_model: {why}"))?;
         }
         if let Some(load) = &self.background {
             load.check()?;

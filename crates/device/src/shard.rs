@@ -22,16 +22,17 @@
 //! phases (see [`ff_sim::run_phased`]):
 //!
 //! ```text
-//! coordinator r: sort the submissions deposited by device rounds < r,
-//!                merge them with the pending batch completions and
-//!                outages, handle what fires before window_end(r) in
-//!                MergeKey order, drive the tier, hand each shard its
-//!                feedback
+//! coordinator r: merge the sorted runs deposited by device rounds < r
+//!                into the carried submissions, merge those with the
+//!                pending batch completions and outages, handle what
+//!                fires before window_end(r) in MergeKey order, drive
+//!                the tier, hand each shard its feedback
 //! -- barrier --
 //! shard r:       apply feedback with at < window_end(r) interleaved
 //!                with local events by timestamp, then run the local
-//!                simulation up to window_end(r) − 1µs, then deposit
-//!                the submissions generated this window
+//!                simulation up to window_end(r) − 1µs, then sort the
+//!                submissions generated this window by MergeKey and
+//!                deposit them as one run
 //! -- barrier --
 //! ```
 //!
@@ -61,8 +62,8 @@
 //!   (simultaneous captures pop in device order), emission order for
 //!   batch completions and outages.
 //!
-//! Feedback is applied inside each shard sorted by
-//! `(at, class, emission seq)` where arrival-class feedback (the
+//! Feedback is applied inside each shard in `(at, class, emission seq)`
+//! order, where arrival-class feedback (the
 //! request reached the tier, possibly admission-rejected) is applied
 //! *before* local events at `at` — the legacy `Uplinked` handler runs
 //! before the same-send `Deadline` — and batch-class feedback
@@ -77,7 +78,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::fleet::{
     device_scopes, finish_fleet, observe_device_tick, seed_devices, validate_fleet, BatchStarted,
@@ -139,21 +140,79 @@ impl Ord for ServerItem {
     }
 }
 
-/// The coordinator's event order: a per-round sort-merge.
+/// A device→server uplink delivery crossing the shard boundary.
+#[derive(Clone, Copy)]
+struct Submission {
+    /// Arrival instant at the tier (`≥ sent_at + W`).
+    at: SimTime,
+    /// Send instant — the legacy insertion time of the `Uplinked` event.
+    sent_at: SimTime,
+    tag: u64,
+}
+
+impl Submission {
+    /// Its merge key, a pure function of the submission: kept implicit,
+    /// so a pending submission costs 24 bytes, not 40.
+    fn key(&self) -> MergeKey {
+        let class = if tag_is_probe(self.tag) {
+            CLASS_PROBE
+        } else {
+            CLASS_FRAME
+        };
+        MergeKey {
+            at: self.at,
+            ins: self.sent_at,
+            class,
+            tie: tag_device(self.tag) as u64,
+        }
+    }
+}
+
+/// Order a shard's outbox for the coordinator's merge. Keys are unique
+/// (a device sends at most one submission per class and instant, and
+/// `tie` is the device), so any sort gives the one order.
+fn sort_outbox(outbox: &mut [Submission]) {
+    outbox.sort_unstable_by_key(Submission::key);
+}
+
+/// Feed `each` the items of `runs`, each ascending by `key`, in
+/// ascending `key` order: a K-way merge that takes the least head. With
+/// keys unique across the runs, that is the order a sort of their union
+/// gives.
+fn merge_runs<T: Copy, K: Ord>(runs: &mut [&[T]], key: impl Fn(&T) -> K, mut each: impl FnMut(T)) {
+    loop {
+        let mut least: Option<(usize, K)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            let Some(head) = run.first() else { continue };
+            let head = key(head);
+            if least.as_ref().is_none_or(|(_, l)| head < *l) {
+                least = Some((i, head));
+            }
+        }
+        let Some((i, _)) = least else { return };
+        let (&item, rest) = runs[i].split_first().expect("a non-empty run");
+        runs[i] = rest;
+        each(item);
+    }
+}
+
+/// The coordinator's event order: a per-round merge of sorted runs.
 ///
 /// Submissions outnumber everything else (a 100k-device fleet deposits
 /// 100k of them in one round, all captured at the same microsecond), so
-/// they never enter a heap: each round's deposits are appended to one
-/// vector, sorted by [`MergeKey`], and consumed through a cursor.
-/// Outages and batch completions — a handful pending per server — sit
-/// in a small heap, and [`pop_before`](Self::pop_before) two-way merges
-/// the two by the same key, which yields exactly the order one global
-/// heap over all items would.
+/// they never enter a heap, and the coordinator never sorts them. Each
+/// shard deposits its round's submissions as one run sorted by
+/// [`MergeKey`]; [`begin_round`](Self::begin_round) merges the runs
+/// into the submissions carried from earlier rounds (those arriving in
+/// a later window, already in order), one vector consumed through a
+/// cursor. Outages and batch completions — a handful pending per server
+/// — sit in a small heap, and [`pop_before`](Self::pop_before) two-way
+/// merges the two by the same key, which yields exactly the order one
+/// global heap over all items would.
 #[derive(Default)]
 struct RoundMerge {
-    /// Submissions not yet handled; ascending from `next` after
-    /// [`begin_round`](Self::begin_round).
-    submissions: Vec<(MergeKey, u64)>,
+    /// Submissions not yet handled, ascending from `next`.
+    submissions: Vec<Submission>,
     next: usize,
     /// Pending outages and batch completions.
     timers: BinaryHeap<Reverse<ServerItem>>,
@@ -162,21 +221,6 @@ struct RoundMerge {
 }
 
 impl RoundMerge {
-    fn deposit(&mut self, sub: Submission) {
-        let class = if tag_is_probe(sub.tag) {
-            CLASS_PROBE
-        } else {
-            CLASS_FRAME
-        };
-        let key = MergeKey {
-            at: sub.at,
-            ins: sub.sent_at,
-            class,
-            tie: tag_device(sub.tag) as u64,
-        };
-        self.submissions.push((key, sub.tag));
-    }
-
     /// Schedule an outage or a batch completion.
     fn schedule(&mut self, key: MergeKey, kind: ItemKind) {
         self.timers.push(Reverse(ServerItem { key, kind }));
@@ -199,12 +243,55 @@ impl RoundMerge {
         self.schedule(key, ItemKind::BatchDone { server, epoch });
     }
 
-    /// Order this round's deposits among the submissions carried over
-    /// from earlier rounds (those arriving in a later window).
-    fn begin_round(&mut self) {
-        self.submissions.drain(..self.next);
+    /// Merge this round's deposits, one sorted run per shard, among the
+    /// submissions carried over from earlier rounds (those arriving in a
+    /// later window, already in order). A round without deposits leaves
+    /// the carried ones in place.
+    ///
+    /// The merge is in place: the carried submissions move behind room
+    /// for the deposits, and the merge writes from the front. Its write
+    /// cursor never passes the next carried submission, and meets it
+    /// once the deposits run dry, leaving the rest in place. So the one
+    /// buffer holds only what is pending, and keeps its capacity.
+    fn begin_round<'a>(&mut self, deposits: impl IntoIterator<Item = &'a [Submission]>) {
+        let mut runs: Vec<&[Submission]> =
+            deposits.into_iter().filter(|run| !run.is_empty()).collect();
+        let added: usize = runs.iter().map(|run| run.len()).sum();
+        if added == 0 {
+            return;
+        }
+        let subs = &mut self.submissions;
+        let carried = subs.len() - self.next;
+        // Room the merge overwrites; any submission fills it.
+        subs.resize(subs.len().max(added + carried), runs[0][0]);
+        subs.copy_within(self.next..self.next + carried, added);
+        subs.truncate(added + carried);
         self.next = 0;
-        self.submissions.sort_unstable_by_key(|&(key, _)| key);
+        let (mut write, mut read) = (0, added);
+        while write < read {
+            let mut least = subs.get(read).map(Submission::key);
+            let mut from = None;
+            for (i, run) in runs.iter().enumerate() {
+                let Some(key) = run.first().map(Submission::key) else {
+                    continue;
+                };
+                if least.is_none_or(|l| key < l) {
+                    (least, from) = (Some(key), Some(i));
+                }
+            }
+            subs[write] = match from {
+                Some(i) => {
+                    let (&sub, rest) = runs[i].split_first().expect("a non-empty run");
+                    runs[i] = rest;
+                    sub
+                }
+                None => {
+                    read += 1;
+                    subs[read - 1]
+                }
+            };
+            write += 1;
+        }
     }
 
     /// The earliest item firing before `bound`, if any. Timers scheduled
@@ -214,43 +301,34 @@ impl RoundMerge {
         let submission = self
             .submissions
             .get(self.next)
-            .filter(|(key, _)| key.at < bound);
+            .map(Submission::key)
+            .filter(|key| key.at < bound);
         let timer = self
             .timers
             .peek()
             .map(|Reverse(item)| item.key)
             .filter(|key| key.at < bound);
         let submission_first = match (submission, timer) {
-            (Some(&(key, _)), Some(timer)) => key < timer,
+            (Some(key), Some(timer)) => key < timer,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
         };
         if submission_first {
-            let (key, tag) = self.submissions[self.next];
+            let sub = self.submissions[self.next];
             self.next += 1;
-            let kind = ItemKind::Submission { tag };
-            Some(ServerItem { key, kind })
+            let kind = ItemKind::Submission { tag: sub.tag };
+            Some(ServerItem {
+                key: sub.key(),
+                kind,
+            })
         } else {
             self.timers.pop().map(|Reverse(item)| item)
         }
     }
 }
 
-/// A device→server uplink delivery crossing the shard boundary.
-struct Submission {
-    /// Arrival instant at the tier (`≥ sent_at + W`).
-    at: SimTime,
-    /// Send instant — the legacy insertion time of the `Uplinked` event.
-    sent_at: SimTime,
-    tag: u64,
-}
-
-/// Feedback classes: arrival-class applies *before* local events at its
-/// instant, batch-class *after* (see module docs).
-const FB_ARRIVAL: u8 = 0;
-const FB_BATCH: u8 = 1;
-
+#[derive(Clone, Copy)]
 enum FeedbackKind {
     /// The request reached the tier (and, when flagged, was turned away
     /// at the admission door). Never emitted for probes.
@@ -262,14 +340,41 @@ enum FeedbackKind {
 }
 
 /// A server→device notification crossing the shard boundary.
+#[derive(Clone, Copy)]
 struct Feedback {
     at: SimTime,
-    class: u8,
     /// Coordinator emission sequence — global, so same-instant feedback
     /// applies in the order the legacy engine would have inserted it.
     seq: u64,
     tag: u64,
     kind: FeedbackKind,
+}
+
+impl Feedback {
+    /// The order a shard applies its feedback in: by instant, then
+    /// arrival-class (`Arrived`, applied *before* local events at its
+    /// instant) ahead of batch-class (the rest, applied *after*; see the
+    /// module docs), then emission order.
+    fn order(&self) -> (SimTime, bool, u64) {
+        let batch_class = !matches!(self.kind, FeedbackKind::Arrived { .. });
+        (self.at, batch_class, self.seq)
+    }
+}
+
+/// One shard's feedback from one coordinator round, by kind, each run in
+/// emission order — which is [`Feedback::order`] within a kind:
+/// the coordinator handles its items in time order, and a response
+/// lands one propagation delay after the batch that sends it.
+#[derive(Default)]
+struct Inbox {
+    /// Arrival-class feedback: at the arrival, inside this window.
+    arrivals: Vec<Feedback>,
+    /// Batch-formation rejections: at the batch's completion, inside
+    /// this window.
+    rejections: Vec<Feedback>,
+    /// Responses: one propagation delay (`W`) after a completion inside
+    /// this window, so inside the next one.
+    responses: Vec<Feedback>,
 }
 
 /// One shard's simulation model: the shared [`FleetCore`] handlers over
@@ -278,7 +383,8 @@ struct Feedback {
 struct ShardDeviceWorld {
     core: FleetCore,
     /// Uplink deliveries of this window: submissions for the
-    /// coordinator instead of local `Uplinked` events.
+    /// coordinator instead of local `Uplinked` events, sorted when the
+    /// window ends.
     outbox: Vec<Submission>,
     recorder: Recorder,
     /// Telemetry scopes for the shard's devices, by local index (empty
@@ -323,12 +429,21 @@ impl SimModel for ShardDeviceWorld {
     }
 }
 
+/// A mailbox's lock. Never contended (see the mailboxes in
+/// [`run_sharded`]); poisoned only after a phase panicked, which
+/// `run_phased` re-raises.
+fn lock_mailbox<T>(mailbox: &Mutex<T>) -> MutexGuard<'_, T> {
+    mailbox
+        .lock()
+        .expect("a shard phase panicked holding a mailbox")
+}
+
 /// Per-shard worker state threaded through [`run_phased`].
 struct ShardState {
     sim: Simulation<ShardDeviceWorld>,
-    /// Feedback received but not yet applicable (its window hasn't
-    /// started locally).
-    pending: Vec<Feedback>,
+    /// The responses of the previous round's inbox: they land in this
+    /// window.
+    landing: Vec<Feedback>,
     /// Applied `Response` feedback — each one is a `Response` event the
     /// legacy engine would have popped, counted back into
     /// `events_handled`.
@@ -448,7 +563,7 @@ pub(crate) fn run_sharded(
         seed_devices(&mut sim, &config, offset..offset + size);
         states.push(ShardState {
             sim,
-            pending: Vec::new(),
+            landing: Vec::new(),
             responses_applied: 0,
         });
         offset += size;
@@ -458,26 +573,34 @@ pub(crate) fn run_sharded(
     // barrier protocol guarantees the coordinator and the workers never
     // touch them in the same phase, so every lock is uncontended, and
     // each side takes each lock once per round, never once per record.
-    // A submission buffer changes hands whole, so at most one copy of a
-    // burst is allocated per shard. ----
-    let submissions: Vec<Mutex<Vec<Submission>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
-    let feedback: Vec<Mutex<Vec<Feedback>>> = (0..k).map(|_| Mutex::new(Vec::new())).collect();
+    // Buffers change hands by swapping with emptied ones, so each keeps
+    // its capacity and no burst is allocated twice. ----
+    let submissions: Vec<Mutex<Vec<Submission>>> = (0..k).map(|_| Mutex::default()).collect();
+    let feedback: Vec<Mutex<Inbox>> = (0..k).map(|_| Mutex::default()).collect();
+
+    // The coordinator's mailbox guards, held for one phase each round;
+    // the vectors holding them are reused, so no round allocates.
+    let (mut deposits, mut inboxes) = (Vec::with_capacity(k), Vec::with_capacity(k));
 
     let coordinator = |r: u64| {
         // Merge everything the previous device round deposited. The
         // conservative bound guarantees all submissions with an arrival
         // inside this window are already here.
-        for mailbox in &submissions {
-            for sub in mem::take(&mut *mailbox.lock().unwrap()) {
-                merge.deposit(sub);
-            }
+        deposits.extend(submissions.iter().map(lock_mailbox));
+        merge.begin_round(deposits.iter().map(|run| run.as_slice()));
+        for mut run in deposits.drain(..) {
+            run.clear();
         }
-        merge.begin_round();
-        let mut inboxes: Vec<_> = feedback.iter().map(|m| m.lock().unwrap()).collect();
-        let mut emit = |at: SimTime, class: u8, tag: u64, kind: FeedbackKind| {
-            inboxes[shard_of(tag_device(tag))].push(Feedback {
+        inboxes.extend(feedback.iter().map(lock_mailbox));
+        let mut emit = |at: SimTime, tag: u64, kind: FeedbackKind| {
+            let inbox = &mut *inboxes[shard_of(tag_device(tag))];
+            let run = match kind {
+                FeedbackKind::Arrived { .. } => &mut inbox.arrivals,
+                FeedbackKind::BatchRejected => &mut inbox.rejections,
+                FeedbackKind::Response => &mut inbox.responses,
+            };
+            run.push(Feedback {
                 at,
-                class,
                 seq: fb_seq,
                 tag,
                 kind,
@@ -505,24 +628,25 @@ pub(crate) fn run_sharded(
                     merge.schedule_batch(now, started);
                     if let Some(admission_rejected) = arrival {
                         let arrived = FeedbackKind::Arrived { admission_rejected };
-                        emit(now, FB_ARRIVAL, tag, arrived);
+                        emit(now, tag, arrived);
                     }
                 }
                 ItemKind::BatchDone { server, epoch } => {
                     let at = now + propagation;
                     let next = driver.batch_done(server, epoch, now, |tag, rejected| {
                         if rejected {
-                            emit(now, FB_BATCH, tag, FeedbackKind::BatchRejected);
+                            emit(now, tag, FeedbackKind::BatchRejected);
                         } else if at <= end_at {
                             // Past `end_at` the single-threaded engine
                             // files a response but never delivers it.
-                            emit(at, FB_BATCH, tag, FeedbackKind::Response);
+                            emit(at, tag, FeedbackKind::Response);
                         }
                     });
                     merge.schedule_batch(now, next);
                 }
             }
         }
+        inboxes.clear();
         // Tier-side telemetry at controller-period boundaries (the
         // legacy engine reports from device 0's tick; results carry no
         // telemetry so the report site is free to differ).
@@ -538,47 +662,59 @@ pub(crate) fn run_sharded(
     };
 
     let worker = |shard: usize, r: u64, state: &mut ShardState| {
-        {
-            let mut inbox = feedback[shard].lock().unwrap();
-            state.pending.append(&mut inbox);
-        }
+        let ShardState {
+            sim,
+            landing,
+            responses_applied,
+        } = state;
+        // Take back the outbox the coordinator emptied last round.
+        let mailbox = &mut *lock_mailbox(&submissions[shard]);
+        mem::swap(&mut sim.model_mut().outbox, mailbox);
+        let inbox = &mut *lock_mailbox(&feedback[shard]);
         let b_us = window_end_us(r);
-        state
-            .pending
-            .sort_unstable_by_key(|f| (f.at, f.class, f.seq));
-        let cut = state.pending.partition_point(|f| f.at.as_micros() < b_us);
-        for f in state.pending.drain(..cut) {
+        // Every item the coordinator handled in round r fires at or
+        // after window_end(r − 1) and before window_end(r), so this
+        // round's arrivals and rejections, and the responses of round
+        // r − 1 (one window later), all land in this window, and this
+        // round's responses all land in the next.
+        let mut runs = [&landing[..], &inbox.arrivals[..], &inbox.rejections[..]];
+        merge_runs(&mut runs, Feedback::order, |f| {
+            assert!(f.at.as_micros() < b_us, "feedback past its window");
             match f.kind {
                 FeedbackKind::Arrived { admission_rejected } => {
                     // Arrival-class: the legacy `Uplinked` handler runs
                     // before the same-send `Deadline` at this instant,
                     // so apply before local events at `f.at`.
-                    state.sim.run_until(f.at - SimDuration::from_micros(1));
-                    state
-                        .sim
-                        .model_mut()
+                    sim.run_until(f.at - SimDuration::from_micros(1));
+                    sim.model_mut()
                         .core
                         .apply_arrival(f.tag, f.at, admission_rejected);
                 }
                 FeedbackKind::BatchRejected => {
-                    state.sim.run_until(f.at);
-                    let mut row = state.sim.model_mut().core.row_of(f.tag);
+                    sim.run_until(f.at);
+                    let mut row = sim.model_mut().core.row_of(f.tag);
                     row.frame_rejected_by_server(f.tag, f.at);
                 }
                 FeedbackKind::Response => {
-                    state.sim.run_until(f.at);
-                    let mut row = state.sim.model_mut().core.row_of(f.tag);
+                    sim.run_until(f.at);
+                    let mut row = sim.model_mut().core.row_of(f.tag);
                     row.on_response(f.tag, f.at, true);
-                    state.responses_applied += 1;
+                    *responses_applied += 1;
                 }
             }
-        }
-        state.sim.run_until(SimTime::from_micros(b_us - 1));
-        let outbox = &mut state.sim.model_mut().outbox;
-        if !outbox.is_empty() {
-            // The coordinator emptied the mailbox this round.
-            *submissions[shard].lock().unwrap() = mem::take(outbox);
-        }
+        });
+        assert!(
+            inbox.responses.iter().all(|f| f.at.as_micros() >= b_us),
+            "a response lands inside the window that sent it"
+        );
+        landing.clear();
+        mem::swap(landing, &mut inbox.responses);
+        inbox.arrivals.clear();
+        inbox.rejections.clear();
+        sim.run_until(SimTime::from_micros(b_us - 1));
+        let outbox = &mut sim.model_mut().outbox;
+        sort_outbox(outbox);
+        mem::swap(outbox, mailbox);
     };
 
     let states = run_phased(states, rounds, coordinator, worker);
@@ -638,7 +774,7 @@ pub(crate) fn run_sharded(
 #[doc(hidden)]
 pub mod testhooks {
     pub use super::MergeKey;
-    use super::{ItemKind, RoundMerge, Submission};
+    use super::{sort_outbox, ItemKind, RoundMerge, Submission};
     use crate::tags::fleet_tag;
     use ff_sim::{SimDuration, SimTime};
 
@@ -661,30 +797,40 @@ pub mod testhooks {
     }
 
     /// Each round's pop order through the coordinator's `RoundMerge`,
-    /// `timers` scheduled up front. A round `(bound, deposits)` deposits
-    /// submissions, each with the latency of the batch it starts (0 for
-    /// none), then pops what fires before `bound`; a popped submission
-    /// schedules its batch completion ([`batch_key`]) mid-pop.
-    pub fn play(
-        timers: Vec<MergeKey>,
-        rounds: &[(SimTime, Vec<(MergeKey, u64)>)],
-    ) -> Vec<Vec<MergeKey>> {
+    /// `timers` scheduled up front. A round `(bound, runs)` deposits one
+    /// run per shard, each submission with the latency of the batch it
+    /// starts (0 for none) and in send order, as an outbox fills: every
+    /// run is keyed from its tag and sorted as a shard does, then merged
+    /// as the coordinator does. The round then pops what fires before
+    /// `bound`; a popped submission schedules its batch completion
+    /// ([`batch_key`]) mid-pop.
+    pub fn play(timers: Vec<MergeKey>, rounds: &[(SimTime, Vec<Deposits>)]) -> Vec<Vec<MergeKey>> {
         let mut merge = RoundMerge::default();
         for key in timers {
             let (server, recover) = (0, false);
             merge.schedule(key, ItemKind::Outage { server, recover });
         }
-        let deposited = || rounds.iter().flat_map(|(_, deposits)| deposits);
+        let deposited = || rounds.iter().flat_map(|(_, runs)| runs).flatten();
         let after_of = |k| deposited().find(|(q, _)| *q == k).map_or(0, |&(_, a)| a);
         let mut tie = 0;
         let mut pops = Vec::new();
-        for (bound, deposits) in rounds {
-            for &(k, _) in deposits {
-                let tag = fleet_tag(k.tie as usize, 0, k.class == CLASS_PROBE);
-                let (at, sent_at) = (k.at, k.ins);
-                merge.deposit(Submission { at, sent_at, tag });
-            }
-            merge.begin_round();
+        for (bound, runs) in rounds {
+            let outboxes: Vec<Vec<Submission>> = runs
+                .iter()
+                .map(|run| {
+                    let mut outbox: Vec<Submission> = run
+                        .iter()
+                        .map(|&(k, _)| {
+                            let tag = fleet_tag(k.tie as usize, 0, k.class == CLASS_PROBE);
+                            let (at, sent_at) = (k.at, k.ins);
+                            Submission { at, sent_at, tag }
+                        })
+                        .collect();
+                    sort_outbox(&mut outbox);
+                    outbox
+                })
+                .collect();
+            merge.begin_round(outboxes.iter().map(Vec::as_slice));
             let mut popped = Vec::new();
             while let Some(item) = merge.pop_before(*bound) {
                 let after = after_of(item.key);
@@ -701,6 +847,10 @@ pub mod testhooks {
         pops
     }
 
+    /// One shard's deposits in one round, in send order: each
+    /// submission's key and the latency of the batch it starts.
+    pub type Deposits = Vec<(MergeKey, u64)>;
+
     /// Window width of the rounds `merge_order` plays, in microseconds.
     const WINDOW_US: u64 = 8;
 
@@ -708,20 +858,21 @@ pub mod testhooks {
     /// batch-class keys are timers, probe- and frame-class keys are
     /// deposited — the `i`-th key in some round no later than its
     /// arrival window, chosen by `i`, so a different arrival order also
-    /// moves keys between rounds — and every round pops what fires
-    /// before its window ends.
+    /// moves keys between rounds, and in one of two shard runs, also
+    /// chosen by `i` — and every round pops what fires before its window
+    /// ends.
     pub fn merge_order(keys: Vec<MergeKey>) -> Vec<MergeKey> {
         let window_of = |key: &MergeKey| (key.at.as_micros() / WINDOW_US) as usize;
         let n = keys.iter().map(window_of).max().map_or(0, |w| w + 1);
-        let mut rounds: Vec<(SimTime, Vec<(MergeKey, u64)>)> = (1..=n as u64)
-            .map(|r| (SimTime::from_micros(r * WINDOW_US), Vec::new()))
+        let mut rounds: Vec<(SimTime, Vec<Deposits>)> = (1..=n as u64)
+            .map(|r| (SimTime::from_micros(r * WINDOW_US), vec![Vec::new(); 2]))
             .collect();
         let mut timers = Vec::new();
         for (i, key) in keys.into_iter().enumerate() {
             if key.class <= CLASS_BATCH {
                 timers.push(key);
             } else {
-                rounds[i % (window_of(&key) + 1)].1.push((key, 0));
+                rounds[i % (window_of(&key) + 1)].1[i % 2].push((key, 0));
             }
         }
         play(timers, &rounds).concat()

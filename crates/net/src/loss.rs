@@ -73,22 +73,24 @@ impl GilbertElliott {
         pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
     }
 
-    pub(crate) fn validate(&self) {
+    /// Why this chain cannot run, if it cannot: a parameter that is not
+    /// a probability, or no way out of either state.
+    fn check(&self) -> Result<(), String> {
         for (name, v) in [
             ("p_good_to_bad", self.p_good_to_bad),
             ("p_bad_to_good", self.p_bad_to_good),
             ("loss_good", self.loss_good),
             ("loss_bad", self.loss_bad),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "{name} must be a probability, got {v}"
-            );
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} must be a probability, got {v}"));
+            }
         }
-        assert!(
-            self.p_good_to_bad + self.p_bad_to_good > 0.0,
-            "the chain must be able to move"
-        );
+        if self.p_good_to_bad + self.p_bad_to_good > 0.0 {
+            Ok(())
+        } else {
+            Err("the chain must be able to move".into())
+        }
     }
 }
 
@@ -110,13 +112,24 @@ impl LossModel {
         }
     }
 
-    /// Panic on parameters that are not probabilities.
-    pub fn validate(&self) {
+    /// Why this model cannot drive a link, if it cannot: a parameter that
+    /// is not a probability, or a Gilbert–Elliott chain that cannot move.
+    /// For a model that bypassed the constructors, as one read from JSON
+    /// does.
+    pub fn check(&self) -> Result<(), String> {
         match self {
-            LossModel::Bernoulli { p } => {
-                assert!((0.0..=1.0).contains(p), "loss must be a probability")
+            LossModel::Bernoulli { p } if !(0.0..=1.0).contains(p) => {
+                Err("loss must be a probability".into())
             }
-            LossModel::GilbertElliott(ge) => ge.validate(),
+            LossModel::Bernoulli { .. } => Ok(()),
+            LossModel::GilbertElliott(ge) => ge.check(),
+        }
+    }
+
+    /// Panic with [`Self::check`]'s reason, if it has one.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
         }
     }
 

@@ -72,6 +72,16 @@ impl StreamConfig {
         SimDuration::from_secs_f64(1.0 / self.fps)
     }
 
+    /// Why this stream cannot run, if it cannot: a frame rate that is
+    /// not positive, or a size jitter outside `[0, 1)`.
+    pub fn check(&self) -> Result<(), String> {
+        match (self.fps > 0.0, (0.0..1.0).contains(&self.size_jitter)) {
+            (false, _) => Err("fps must be positive".into()),
+            (true, false) => Err("size jitter must be in [0, 1)".into()),
+            (true, true) => Ok(()),
+        }
+    }
+
     /// Duration of the whole stream.
     pub fn stream_duration(&self) -> SimDuration {
         self.frame_interval() * self.total_frames
@@ -94,11 +104,9 @@ pub struct StreamParams {
 impl StreamParams {
     /// Validated parameters of `config`.
     pub fn new(config: StreamConfig) -> Self {
-        assert!(config.fps > 0.0, "fps must be positive");
-        assert!(
-            (0.0..1.0).contains(&config.size_jitter),
-            "size jitter must be in [0, 1)"
-        );
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
         StreamParams {
             interval: config.frame_interval(),
             mean_bytes: config.compression.mean_frame_bytes() as f64,

@@ -14,7 +14,7 @@ use framefeedback::device::{
     run_experiment, scenario, ControllerSpec, ExperimentConfig, ModelSelection, ServerOutage,
     SCENARIO_NAMES,
 };
-use framefeedback::net::NetworkConditions;
+use framefeedback::net::{LossModel, NetworkConditions};
 use framefeedback::server::{AdmissionPolicy, RoutingPolicy};
 use framefeedback::sim::SimDuration;
 use framefeedback::trace::Trace;
@@ -337,6 +337,36 @@ fn a_config_that_fails_validation_exits_1() {
             backwards_outage,
             "outage must end after it starts: [5, 3)",
         ),
+    ];
+    for (name, config, why) in cases {
+        let err = config.check().expect_err(name);
+        assert!(err.contains(why), "{name}: {err}");
+        let body = serde_json::to_string(&config).unwrap();
+        let path = write(&dir, &format!("{name}.json"), &body);
+        let line = format!("run --config {}", path.display());
+        assert_eq!(report_in(&dir, &line), 1, "{name}");
+        assert!(!dir.join("run.json").exists(), "{name} exported a run");
+    }
+}
+
+/// The stream and the loss model are checked with the rest: a loss
+/// probability above 1, a zero frame rate and a size jitter of 150 % are
+/// refused with exit 1, not a panic.
+#[test]
+fn a_bad_loss_model_or_stream_exits_1() {
+    let dir = scratch("config-loss-stream");
+    let lossy = ExperimentConfig {
+        loss_model: Some(LossModel::Bernoulli { p: 2.0 }),
+        ..ExperimentConfig::default()
+    };
+    let mut still = ExperimentConfig::default();
+    still.stream.fps = 0.0;
+    let mut jittery = ExperimentConfig::default();
+    jittery.stream.size_jitter = 1.5;
+    let cases = [
+        ("loss", lossy, "loss_model: loss must be a probability"),
+        ("fps", still, "stream: fps must be positive"),
+        ("jitter", jittery, "stream: size jitter must be in [0, 1)"),
     ];
     for (name, config, why) in cases {
         let err = config.check().expect_err(name);

@@ -12,7 +12,10 @@
 //! 2. **K = N is K = 1.** Any shard count K ∈ {2, 4, 8} must reproduce
 //!    the K = 1 run exactly, on a *hostile* configuration: a Table V
 //!    fleet over an N = 2 server tier with a mid-run server outage,
-//!    with telemetry off and on.
+//!    with telemetry off and on. A cold, lockstep fleet of 4,096
+//!    devices holds K ∈ {1, 2, 3} to the unsharded run: its deep,
+//!    randomly ordered deposit rounds and mass rejections are what the
+//!    12-device fixtures never build.
 //! 3. **The inter-shard merge is timing-independent.** The
 //!    coordinator's deterministic `(at, ins, class, tie)` merge order
 //!    must not depend on the order shards deliver their batches — a
@@ -183,6 +186,42 @@ fn shard_counts_beyond_the_device_count_clamp_and_still_match() {
     let reference = run_fleet_sharded(hostile_fleet(Telemetry::disabled()), controllers(12), 1);
     let oversharded = run_fleet_sharded(hostile_fleet(Telemetry::disabled()), controllers(12), 64);
     assert_fleets_identical(&reference, &oversharded, "K=64 (clamped) vs K=1");
+}
+
+/// The benchmark's cold fleet, scaled down: 4,096 identical Pis on
+/// Table V with one default server and 60 frames. The devices capture in
+/// lockstep, so each capture round deposits 4,096 submissions whose
+/// jittered sizes put their arrivals in random order, many of them
+/// waiting rounds for a later window, and the lone server turns most of
+/// them away.
+fn lockstep_cold_fleet() -> FleetConfig {
+    let mut c = FleetConfig::default();
+    c.seed = MASTER_SEED;
+    c.stream.total_frames = 60;
+    c.devices = vec![
+        FleetDeviceConfig {
+            device: DeviceKind::Pi4BRev12,
+            model: ModelKind::MobileNetV3Small,
+        };
+        4_096
+    ];
+    c.network = table_v();
+    c
+}
+
+#[test]
+fn a_lockstep_cold_fleet_is_bit_identical_at_one_two_and_three_shards() {
+    let reference = run_fleet(lockstep_cold_fleet(), controllers(4_096));
+    let rejected = reference.server_stats.rejections + reference.admission_rejections;
+    assert!(
+        rejected > reference.server_stats.completions,
+        "the fixture must turn most offloads away: {rejected} rejected, {} completed",
+        reference.server_stats.completions
+    );
+    for k in [1, 2, 3] {
+        let sharded = run_fleet_sharded(lockstep_cold_fleet(), controllers(4_096), k);
+        assert_fleets_identical(&reference, &sharded, &format!("cold K={k} vs unsharded"));
+    }
 }
 
 /// FNV-1a over little-endian bytes; floats enter as raw bit patterns.
