@@ -354,9 +354,9 @@ fn run_as_fleet(
 ) -> (ExperimentResult, Option<Vec<u8>>) {
     let watched = Some((0, config.record_trace));
     let fleet = config.into_fleet(telemetry);
-    let (mut fleet, trace, watch) =
-        run_fleet_recording(fleet, vec![controller], traced.then_some(0), watched);
+    let run = run_fleet_recording(fleet, vec![controller], traced.then_some(0), watched);
+    let mut fleet = run.result;
     let device = fleet.devices.pop().expect("a fleet of one");
-    let watch = watch.expect("row 0 is watched");
-    (watch.into_result(device, fleet), trace)
+    let watch = run.watch.expect("row 0 is watched");
+    (watch.into_result(device, fleet), run.trace)
 }

@@ -63,7 +63,8 @@ use ff_server::{
     ServerTier, TenantId, TierConfig, TierSubmit,
 };
 use ff_sim::{
-    Ctx, EventQueue, QueueBackend, RngFactory, SimDuration, SimModel, SimTime, Simulation,
+    Ctx, EventQueue, IndexedStream, QueueBackend, RngFactory, SimDuration, SimModel, SimTime,
+    Simulation, LANES, LANE_RUN_MAX,
 };
 use ff_telemetry::{Metric, Recorder, Scope, Telemetry};
 use ff_trace::TraceHandle;
@@ -512,9 +513,9 @@ pub(crate) struct FleetDevices {
 /// them, so the run frees them before allocating its results, and as one
 /// block per range that space can take the result vector.
 pub(crate) struct DeviceRow {
-    pub(crate) source: SourceState<ChaCha8Rng>,
-    pub(crate) engine: EngineState<ChaCha8Rng>,
-    pub(crate) link: LinkState<ChaCha8Rng>,
+    pub(crate) source: SourceState<IndexedStream>,
+    pub(crate) engine: EngineState<IndexedStream>,
+    pub(crate) link: LinkState<IndexedStream>,
 }
 
 /// A device on the local-model ladder: its selector, and the service its
@@ -527,10 +528,10 @@ pub(crate) struct Ladder {
 // One row of each per device: a field added to any of them costs a
 // 100k-device fleet 100 000× its size. (Checked here, where the RNG the
 // fleet instantiates them with is known.)
-const _: () = assert!(std::mem::size_of::<SourceState<ChaCha8Rng>>() == 136);
-const _: () = assert!(std::mem::size_of::<EngineState<ChaCha8Rng>>() == 136);
-const _: () = assert!(std::mem::size_of::<LinkState<ChaCha8Rng>>() == 128);
-const _: () = assert!(std::mem::size_of::<DeviceRow>() == 400);
+const _: () = assert!(std::mem::size_of::<SourceState<IndexedStream>>() == 104);
+const _: () = assert!(std::mem::size_of::<EngineState<IndexedStream>>() == 104);
+const _: () = assert!(std::mem::size_of::<LinkState<IndexedStream>>() == 104);
+const _: () = assert!(std::mem::size_of::<DeviceRow>() == 312);
 
 /// Row `i`'s link parameters, out of a range's `link_params`.
 #[inline]
@@ -603,13 +604,23 @@ impl FleetDevices {
                 .collect(),
             None => vec![initial_link_params(config, &config.network)],
         };
+        // The run frees the rows before it allocates the result vector
+        // (see `DeviceRow`), so the range that starts the fleet gets a
+        // block the results fit in: as rows of a sharded fleet alone
+        // they would not, and the result vector would grow the heap by
+        // its whole size instead of reusing them.
+        let results = config.devices.len() * std::mem::size_of::<FleetDeviceResult>();
+        let rows = match base {
+            0 => n.max(results.div_ceil(std::mem::size_of::<DeviceRow>())),
+            _ => n,
+        };
         let mut devs = FleetDevices {
             base,
             controller: controllers,
             stream: StreamParams::new(config.stream),
             services,
             link_params,
-            rows: Vec::with_capacity(n),
+            rows: Vec::with_capacity(rows),
             filter: Vec::with_capacity(column(config.filter.is_some())),
             quality: Vec::with_capacity(column(config.adaptive_quality.is_some())),
             ladder: Vec::with_capacity(column(config.adaptive_local_model.is_some())),
@@ -749,8 +760,10 @@ pub(crate) enum FleetEvent {
 }
 
 // Every calendar and lane entry carries one: 16 bytes, not the 32 that
-// word-sized server, device and step indices would take.
+// word-sized server, device and step indices would take; a lane entry is
+// 32 with its instant and its packed sequence number and count.
 const _: () = assert!(std::mem::size_of::<FleetEvent>() <= 16);
+const _: () = assert!(ff_sim::testhooks::lane_entry_bytes::<FleetEvent>() == 32);
 
 /// The simulated side of the runtime's [`Transport`] seam: frames and
 /// probes enter the device's emulated uplink, and `deliver(sent_at, at,
@@ -758,14 +771,14 @@ const _: () = assert!(std::mem::size_of::<FleetEvent>() <= 16);
 /// calendar, or a shard's outbox. `stats` counts what this transport
 /// sent, for a watched row to keep.
 pub(crate) struct LinkTransport<'a, F> {
-    link: &'a mut LinkState<ChaCha8Rng>,
+    link: &'a mut LinkState<IndexedStream>,
     params: &'a LinkParams,
     stats: LinkStats,
     deliver: F,
 }
 
 impl<'a, F> LinkTransport<'a, F> {
-    fn new(link: &'a mut LinkState<ChaCha8Rng>, params: &'a LinkParams, deliver: F) -> Self {
+    fn new(link: &'a mut LinkState<IndexedStream>, params: &'a LinkParams, deliver: F) -> Self {
         LinkTransport {
             link,
             params,
@@ -1058,7 +1071,7 @@ fn service_of(
 /// to the device's runtime row and its [`Watch`], if any. Returns how
 /// many were applied.
 fn apply_local(
-    engine: &mut EngineState<ChaCha8Rng>,
+    engine: &mut EngineState<IndexedStream>,
     service: &Service,
     rt: &mut DeviceLoop<'_>,
     now: SimTime,
@@ -1075,7 +1088,7 @@ fn apply_local(
 /// When the device captures next, if it does: from its generated stream,
 /// or from its cursor over the replayed schedule.
 fn next_capture(
-    source: &SourceState<ChaCha8Rng>,
+    source: &SourceState<IndexedStream>,
     stream: &StreamParams,
     replay: Option<(&ReplayFrames, &ReplayCursor)>,
 ) -> Option<SimTime> {
@@ -1083,7 +1096,7 @@ fn next_capture(
         Some((frames, cursor)) => {
             (!cursor.exhausted(frames)).then(|| cursor.next_capture_time(frames))
         }
-        None => (!source.exhausted(stream)).then(|| source.next_capture_time()),
+        None => (!source.exhausted(stream)).then(|| source.next_capture_time(stream)),
     }
 }
 
@@ -1515,11 +1528,15 @@ impl SimModel for FleetWorld {
                     }
                 });
                 // One response per device completion, all `propagation`
-                // from now: one lane entry delivers them in this order.
-                let n = (responses.len() - queued) as u32;
-                if n > 0 {
-                    let at = now + core.config.link.propagation;
+                // from now: one lane entry delivers them in this order
+                // (consecutive ones, if there are more than an entry
+                // counts, which pop back to back).
+                let mut left = responses.len() - queued;
+                let at = now + core.config.link.propagation;
+                while left > 0 {
+                    let n = left.min(LANE_RUN_MAX as usize) as u32;
                     ctx.schedule_lane_batch(lane::RESPONSE, at, n, FleetEvent::Responses(n));
+                    left -= n as usize;
                 }
                 schedule_batch(ctx, next);
             }
@@ -1624,19 +1641,57 @@ pub(crate) fn finish_fleet(
 /// ([`run_fleet_sharded`](crate::shard::run_fleet_sharded)); results
 /// are bit-identical at any shard count.
 pub fn run_fleet(config: FleetConfig, controllers: Vec<Box<dyn Controller>>) -> FleetResult {
-    run_fleet_recording(config, controllers, None, None).0
+    run_fleet_recording(config, controllers, None, None).result
+}
+
+/// What one fleet run returns: its result, what its traced and watched
+/// rows recorded, and what it cost.
+pub(crate) struct FleetRun {
+    pub(crate) result: FleetResult,
+    pub(crate) trace: Option<Vec<u8>>,
+    pub(crate) watch: Option<Watch>,
+    pub(crate) counts: RunCounts,
+}
+
+/// What a fleet run did, counted exactly: plain counters that the event
+/// queues and the shard coordinator keep anyway, read once at the end of
+/// the run (`tests/cost_ledger.rs` pins them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Calendar entries filed on each of the fleet's lanes (capture, tick,
+    /// deadline, response, uplink, batch, background), over all of the
+    /// run's queues.
+    pub lane_entries: [u64; LANES],
+    /// Calendar entries filed on the queues' backends (heap or wheel).
+    pub backend_entries: u64,
+    /// Shard windows the coordinator ran (0 unsharded).
+    pub windows_run: u64,
+    /// Shard windows the run spans (0 unsharded).
+    pub windows: u64,
+}
+
+impl RunCounts {
+    /// Add the entries `sim`'s queue filed.
+    pub(crate) fn add_filed<M: SimModel>(&mut self, sim: &Simulation<M>) {
+        let (lanes, backend) = ff_sim::testhooks::entries_filed(sim);
+        for (sum, filed) in self.lane_entries.iter_mut().zip(lanes) {
+            *sum += filed;
+        }
+        self.backend_entries += backend;
+    }
 }
 
 /// [`run_fleet`] with global device `traced`, if any, recording an
 /// `ff-trace`, and device `watched.0` keeping a [`Watch`] (with a frame
-/// trace when `watched.1`), both returned beside the result. Both are
-/// write-only, so the result is that of the plain run.
+/// trace when `watched.1`), both returned beside the result and the
+/// run's counts. Both are write-only, so the result is that of the
+/// plain run.
 pub(crate) fn run_fleet_recording(
     config: FleetConfig,
     controllers: Vec<Box<dyn Controller>>,
     traced: Option<usize>,
     watched: Option<(usize, bool)>,
-) -> (FleetResult, Option<Vec<u8>>, Option<Watch>) {
+) -> FleetRun {
     validate_fleet(&config, &controllers);
     if config.engine.shards > 1 {
         let shards = config.engine.shards;
@@ -1676,6 +1731,8 @@ pub(crate) fn run_fleet_recording(
         );
     }
     sim.run_until(end_at);
+    let mut counts = RunCounts::default();
+    counts.add_filed(&sim);
     let dispatched = sim.events_handled();
     let now = sim.now();
     // Dropping the simulation frees its calendar.
@@ -1688,8 +1745,51 @@ pub(crate) fn run_fleet_recording(
     let (trace, watch) = world.core.finish(now);
     let events_handled = dispatched + world.core.local_completions;
     let device_results = world.core.devs.into_results(&world.core.config).collect();
-    let result = finish_fleet(device_results, &world.driver.tier, events_handled);
-    (result, trace, watch)
+    FleetRun {
+        result: finish_fleet(device_results, &world.driver.tier, events_handled),
+        trace,
+        watch,
+        counts,
+    }
+}
+
+/// Test hooks for the cost ledger (`tests/cost_ledger.rs`): a fleet run
+/// with its counters, and the bytes each per-device column costs.
+#[doc(hidden)]
+pub mod testhooks {
+    pub use super::RunCounts;
+    use super::{run_fleet_recording, DeviceRow, FleetConfig, FleetEvent, FleetResult};
+    use crate::runtime::{FrameState, OffloadState};
+    use ff_core::Controller;
+    use ff_metrics::QosLog;
+    use ff_models::ModelKind;
+    use std::mem::size_of;
+
+    /// [`run_fleet`](super::run_fleet), with what it counted.
+    pub fn run_counted(
+        config: FleetConfig,
+        controllers: Vec<Box<dyn Controller>>,
+    ) -> (FleetResult, RunCounts) {
+        let run = run_fleet_recording(config, controllers, None, None);
+        (run.result, run.counts)
+    }
+
+    /// Each column every fleet row has, with the size of one element:
+    /// what a device costs before anything it allocates.
+    pub fn column_bytes() -> [(&'static str, usize); 7] {
+        [
+            ("controller", size_of::<Box<dyn Controller>>()),
+            ("rows (DeviceRow)", size_of::<DeviceRow>()),
+            ("frames_local", size_of::<u64>()),
+            ("runtime.model", size_of::<ModelKind>()),
+            ("runtime.frame (FrameState)", size_of::<FrameState>()),
+            ("runtime.offload (OffloadState)", size_of::<OffloadState>()),
+            ("runtime.qos (QosLog)", size_of::<QosLog>()),
+        ]
+    }
+
+    /// The bytes one lane entry of the fleet's event costs.
+    pub const LANE_ENTRY_BYTES: usize = ff_sim::testhooks::lane_entry_bytes::<FleetEvent>();
 }
 
 #[cfg(test)]
@@ -1771,7 +1871,8 @@ mod tests {
             config.stream.total_frames = 3_600; // Table V's 120 s
             config.engine.shards = shards;
             let untraced = run_fleet(config.clone(), ff_controllers(3));
-            let (traced, bytes, _) = run_fleet_recording(config, ff_controllers(3), Some(1), None);
+            let run = run_fleet_recording(config, ff_controllers(3), Some(1), None);
+            let (traced, bytes) = (run.result, run.trace);
             assert_eq!(
                 format!("{traced:?}"),
                 format!("{untraced:?}"),
@@ -1800,8 +1901,8 @@ mod tests {
             config.devices = vec![config.devices[0]; 5];
             config.stream.total_frames = 1_800;
             config.engine.shards = shards;
-            let (mut fleet, _, watch) =
-                run_fleet_recording(config, ff_controllers(5), None, Some((4, true)));
+            let run = run_fleet_recording(config, ff_controllers(5), None, Some((4, true)));
+            let (mut fleet, watch) = (run.result, run.watch);
             let device = fleet.devices.swap_remove(4);
             watch.expect("row 4 is watched").into_result(device, fleet)
         };

@@ -398,17 +398,26 @@ const INLINE_PROBES: usize = 2;
 /// Outstanding heartbeat probes for one device: a linear-scanned set of
 /// `(tag, sent_at)`. One probe leaves per controller period and dies at
 /// its deadline, so the live set holds at most a couple of entries —
-/// inline; a deadline spanning several periods overflows into a vec.
+/// inline; a deadline spanning several periods overflows into a vec,
+/// boxed so that a table that never overflows carries one word for it,
+/// not a vec's three.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeTable {
     inline: [(u64, SimTime); INLINE_PROBES],
     inline_len: usize,
-    overflow: Vec<(u64, SimTime)>,
+    // One word per table, not a vec's three: the extra allocation is
+    // paid only by a table that ever overflows.
+    #[allow(clippy::box_collection)]
+    overflow: Option<Box<Vec<(u64, SimTime)>>>,
 }
 
 impl ProbeTable {
+    fn overflow(&self) -> &[(u64, SimTime)] {
+        self.overflow.as_deref().map_or(&[], Vec::as_slice)
+    }
+
     fn live(&self) -> impl Iterator<Item = &(u64, SimTime)> {
-        self.inline[..self.inline_len].iter().chain(&self.overflow)
+        self.inline[..self.inline_len].iter().chain(self.overflow())
     }
 
     /// Record a probe sent at `sent_at`.
@@ -418,7 +427,7 @@ impl ProbeTable {
             self.inline[self.inline_len] = (tag, sent_at);
             self.inline_len += 1;
         } else {
-            self.overflow.push((tag, sent_at));
+            self.overflow.get_or_insert_default().push((tag, sent_at));
         }
     }
 
@@ -432,8 +441,9 @@ impl ProbeTable {
             self.inline[i] = self.inline[self.inline_len];
             return Some(sent_at);
         }
-        let i = self.overflow.iter().position(|&(t, _)| t == tag)?;
-        Some(self.overflow.swap_remove(i).1)
+        let overflow = self.overflow.as_deref_mut()?;
+        let i = overflow.iter().position(|&(t, _)| t == tag)?;
+        Some(overflow.swap_remove(i).1)
     }
 
     /// Discard every probe sent more than `deadline` before `now`: the
@@ -449,12 +459,14 @@ impl ProbeTable {
                 i += 1;
             }
         }
-        self.overflow.retain(|&(_, sent_at)| !overdue(sent_at));
+        if let Some(overflow) = &mut self.overflow {
+            overflow.retain(|&(_, sent_at)| !overdue(sent_at));
+        }
     }
 
     /// Probes still awaiting a response or deadline.
     pub fn len(&self) -> usize {
-        self.inline_len + self.overflow.len()
+        self.inline_len + self.overflow().len()
     }
 
     /// True when no probes are outstanding.

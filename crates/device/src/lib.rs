@@ -59,6 +59,8 @@ pub use experiment::{
     run_experiment, run_experiment_traced, run_experiment_with_telemetry, ExperimentConfig,
     ExperimentResult, ServerOutage,
 };
+#[doc(hidden)]
+pub use fleet::testhooks as fleet_testhooks;
 pub use fleet::{
     run_fleet, EngineOptions, FleetConfig, FleetDeviceConfig, FleetDeviceResult, FleetResult,
     TierOutage,

@@ -87,7 +87,9 @@ impl Service {
 /// the randomness of the next service, run against a shared [`Service`].
 #[derive(Debug, Clone)]
 pub struct EngineState<R: Rng> {
-    busy_until: Option<SimTime>,
+    /// When the inference in flight completes, or [`IDLE`]: a sentinel
+    /// rather than an `Option`, which would cost every row 8 bytes.
+    busy_until: SimTime,
     pending: bool,
     /// The inference in flight was already in flight when the device's
     /// last controller tick ran (see [`EngineState::apply_due`]).
@@ -95,20 +97,30 @@ pub struct EngineState<R: Rng> {
     rng: R,
 }
 
+/// `EngineState::busy_until` of an idle engine. No inference completes
+/// at the end of time, so no in-flight one can be mistaken for it.
+const IDLE: SimTime = SimTime::MAX;
+
 impl<R: Rng> EngineState<R> {
     /// An idle engine drawing its service times from `rng`.
     pub fn new(rng: R) -> Self {
         EngineState {
-            busy_until: None,
+            busy_until: IDLE,
             pending: false,
             spans_tick: false,
             rng,
         }
     }
 
+    /// When the inference in flight completes, if one is.
+    #[inline]
+    fn in_flight(&self) -> Option<SimTime> {
+        (self.busy_until != IDLE).then_some(self.busy_until)
+    }
+
     /// Whether the engine is computing at `now`.
     pub fn is_busy(&self, now: SimTime) -> bool {
-        self.busy_until.is_some_and(|t| t > now)
+        self.in_flight().is_some_and(|t| t > now)
     }
 
     fn start_service(&mut self, service: &Service, now: SimTime) -> SimTime {
@@ -119,7 +131,7 @@ impl<R: Rng> EngineState<R> {
                 .gen_range(1.0 - service.jitter..=1.0 + service.jitter)
         };
         let done = now + service.mean.mul_f64(factor);
-        self.busy_until = Some(done);
+        self.busy_until = done;
         self.spans_tick = false;
         done
     }
@@ -142,10 +154,10 @@ impl<R: Rng> EngineState<R> {
     /// completion instant if the pending frame starts immediately.
     fn complete(&mut self, service: &Service, now: SimTime) -> Option<SimTime> {
         debug_assert!(
-            self.busy_until.is_some_and(|t| t == now),
+            self.in_flight().is_some_and(|t| t == now),
             "completion out of sync with engine state"
         );
-        self.busy_until = None;
+        self.busy_until = IDLE;
         if self.pending {
             self.pending = false;
             Some(self.start_service(service, now))
@@ -181,7 +193,7 @@ impl<R: Rng> EngineState<R> {
         mut bill: impl FnMut(SimTime, Option<SimTime>),
     ) -> u64 {
         let mut applied = 0;
-        while let Some(done_at) = self.busy_until {
+        while let Some(done_at) = self.in_flight() {
             let due = done_at < now || (done_at == now && (!before_tick || self.spans_tick));
             if !due {
                 break;
@@ -196,7 +208,7 @@ impl<R: Rng> EngineState<R> {
     /// The device's controller tick has just run: whatever is in flight
     /// now was started before it. Call at the end of every tick handler.
     pub fn tick_passed(&mut self) {
-        self.spans_tick = self.busy_until.is_some();
+        self.spans_tick = self.in_flight().is_some();
     }
 }
 
@@ -441,11 +453,11 @@ pub mod testhooks {
                     }
                 }
                 Event::LocalDone => {
-                    if engine.busy_until != Some(now) {
+                    if engine.in_flight() != Some(now) {
                         return Err(format!(
                             "completion at {now} orphaned: a capture of the same \
                              instant restarted the engine until {:?}",
-                            engine.busy_until
+                            engine.in_flight()
                         ));
                     }
                     seen.completions.push(now);

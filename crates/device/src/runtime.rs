@@ -252,7 +252,7 @@ pub(crate) struct OffloadState {
 // a capture that stays local must not reach past its one line, and a
 // field added to either costs a 100k-device fleet 100 000× its size.
 const _: () = assert!(std::mem::size_of::<FrameState>() == 64);
-const _: () = assert!(std::mem::size_of::<OffloadState>() == 232);
+const _: () = assert!(std::mem::size_of::<OffloadState>() == 208);
 
 /// Validate `config` and make the bootstrap decision (see
 /// [`DeviceRuntime::new`]); probes will be tagged `probe_tag_base + seq`.
@@ -268,6 +268,10 @@ pub(crate) fn bootstrap(
         "controller period must be positive"
     );
     assert!(!config.deadline.is_zero(), "deadline must be positive");
+    assert!(
+        !config.timeout_window.is_zero(),
+        "timeout window must be positive"
+    );
     debug_assert!(is_probe_tag(probe_tag_base));
     let po_target = controller
         .update(&Measurement {
@@ -289,7 +293,7 @@ pub(crate) fn bootstrap(
         OffloadState {
             flights: FlightRing::default(),
             probes: ProbeTable::default(),
-            timeout_rate: WindowedRate::new(config.timeout_window),
+            timeout_rate: WindowedRate::new(),
             timeout_clock_floor: SimTime::ZERO,
             po_target,
             next_probe_tag: probe_tag_base,
@@ -425,7 +429,9 @@ impl DeviceLoop<'_> {
         // a rate-estimator read), keeping legacy runs bit-identical.
         if route == Route::Offload && self.config.selection != ModelSelection::AlwaysPaper {
             let risk = deadline_risk(
-                self.offload.timeout_rate.rate_at(now),
+                self.offload
+                    .timeout_rate
+                    .rate_at(now, self.config.timeout_window),
                 self.offload.po_target,
             );
             if self.config.selection.prefers_local(
@@ -602,7 +608,10 @@ impl DeviceLoop<'_> {
         let interval = std::mem::take(&mut self.frame.interval);
         let po = interval.sent as f64 / dt;
         let pl = interval.local_done as f64 / dt;
-        let timeout_rate = self.offload.timeout_rate.rate_at(now);
+        let timeout_rate = self
+            .offload
+            .timeout_rate
+            .rate_at(now, config.timeout_window);
         let heartbeat_ok = self.offload.heartbeat_ok;
 
         let po_target = controller
@@ -681,7 +690,10 @@ impl DeviceLoop<'_> {
     fn record_timeout(&mut self, now: SimTime, cause: TimeoutCause) {
         let offload = &mut *self.offload;
         offload.timeout_clock_floor = offload.timeout_clock_floor.max(now);
-        offload.timeout_rate.record(offload.timeout_clock_floor);
+        let window = self.config.timeout_window;
+        offload
+            .timeout_rate
+            .record(offload.timeout_clock_floor, window);
         match cause {
             TimeoutCause::Network => self.frame.interval.timeouts_network += 1,
             TimeoutCause::ServerLoad => self.frame.interval.timeouts_load += 1,

@@ -82,12 +82,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::fleet::{
     device_scopes, finish_fleet, observe_device_tick, seed_devices, validate_fleet, BatchStarted,
-    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, TierDriver, TierObs,
+    FleetConfig, FleetCore, FleetDevices, FleetEvent, FleetResult, FleetRun, RunCounts, TierDriver,
+    TierObs,
 };
 use crate::tags::{fleet_tag_device as tag_device, is_probe_tag as tag_is_probe};
-use crate::watch::Watch;
 use ff_core::Controller;
-use ff_sim::{run_phased, Ctx, EventQueue, SimDuration, SimModel, SimTime, Simulation};
+use ff_sim::{run_phased_skipping, Ctx, EventQueue, SimDuration, SimModel, SimTime, Simulation};
 use ff_telemetry::{Recorder, Scope};
 
 /// Merge-key classes, in legacy insertion-sequence order for equal
@@ -294,6 +294,13 @@ impl RoundMerge {
         }
     }
 
+    /// When the earliest pending item fires, if any item is pending.
+    fn next_at(&self) -> Option<SimTime> {
+        let submission = self.submissions.get(self.next).map(|sub| sub.at);
+        let timer = self.timers.peek().map(|Reverse(item)| item.key.at);
+        submission.into_iter().chain(timer).min()
+    }
+
     /// The earliest item firing before `bound`, if any. Timers scheduled
     /// between calls fire after the item that scheduled them, so they
     /// merge in without disturbing what was already popped.
@@ -464,7 +471,7 @@ pub fn run_fleet_sharded(
     controllers: Vec<Box<dyn Controller>>,
     shards: usize,
 ) -> FleetResult {
-    run_sharded(config, controllers, shards, None, None).0
+    run_sharded(config, controllers, shards, None, None).result
 }
 
 /// [`run_fleet_sharded`] with a traced and a watched row, as
@@ -475,7 +482,7 @@ pub(crate) fn run_sharded(
     shards: usize,
     traced: Option<usize>,
     watched: Option<(usize, bool)>,
-) -> (FleetResult, Option<Vec<u8>>, Option<Watch>) {
+) -> FleetRun {
     validate_fleet(&config, &controllers);
     // Why: DESIGN.md §"Sharded engine", "Background load stays on one thread".
     assert!(
@@ -498,6 +505,10 @@ pub(crate) fn run_sharded(
     // Exclusive upper bound of window `r` (clipped so the last window
     // covers `end_at` inclusively, like the legacy `run_until(end_at)`).
     let window_end_us = move |r: u64| ((r + 1) * w_us).min(end_us + 1);
+    // The window an instant falls in (past the last for one after
+    // `end_at`, which the harness reads as the last).
+    let window_of = move |t: SimTime| t.as_micros() / w_us;
+    let mut windows_run = 0u64;
 
     // ---- Coordinator state: the tier and its event merge. ----
     let mut driver = TierDriver::new(&config);
@@ -582,7 +593,17 @@ pub(crate) fn run_sharded(
     // the vectors holding them are reused, so no round allocates.
     let (mut deposits, mut inboxes) = (Vec::with_capacity(k), Vec::with_capacity(k));
 
+    // Each phase names the next window it has work in (see
+    // `ff_sim::run_phased_skipping`): the coordinator its merge's next
+    // item, a shard its calendar's next event and its first deposit. A
+    // window nobody names would pop nothing on either side of the
+    // barrier. The responses a round sends name no window: they wait in
+    // their shard's `landing` run, and the next window that shard runs
+    // applies them in time order among its events, as the window they
+    // land in would have — nothing else on the shard reads them before
+    // an event it has named.
     let coordinator = |r: u64| {
+        windows_run += 1;
         // Merge everything the previous device round deposited. The
         // conservative bound guarantees all submissions with an arrival
         // inside this window are already here.
@@ -659,6 +680,7 @@ pub(crate) fn run_sharded(
         if telemetry.is_enabled() {
             telemetry.poll();
         }
+        merge.next_at().map_or(u64::MAX, window_of)
     };
 
     let worker = |shard: usize, r: u64, state: &mut ShardState| {
@@ -672,11 +694,12 @@ pub(crate) fn run_sharded(
         mem::swap(&mut sim.model_mut().outbox, mailbox);
         let inbox = &mut *lock_mailbox(&feedback[shard]);
         let b_us = window_end_us(r);
-        // Every item the coordinator handled in round r fires at or
-        // after window_end(r − 1) and before window_end(r), so this
-        // round's arrivals and rejections, and the responses of round
-        // r − 1 (one window later), all land in this window, and this
-        // round's responses all land in the next.
+        // Every item the coordinator handled in round r fires before
+        // window_end(r), and after the last window run, so this round's
+        // arrivals and rejections, and the responses of the last round
+        // run (one window after it, at the latest this one), all land by
+        // the end of this window, and this round's responses all land
+        // after it.
         let mut runs = [&landing[..], &inbox.arrivals[..], &inbox.rejections[..]];
         merge_runs(&mut runs, Feedback::order, |f| {
             assert!(f.at.as_micros() < b_us, "feedback past its window");
@@ -714,10 +737,13 @@ pub(crate) fn run_sharded(
         sim.run_until(SimTime::from_micros(b_us - 1));
         let outbox = &mut sim.model_mut().outbox;
         sort_outbox(outbox);
+        let deposited = outbox.first().map(|sub| sub.at);
         mem::swap(outbox, mailbox);
+        let next = sim.peek_time().into_iter().chain(deposited).min();
+        next.map_or(u64::MAX, window_of)
     };
 
-    let states = run_phased(states, rounds, coordinator, worker);
+    let states = run_phased_skipping(states, rounds, coordinator, worker);
 
     // ---- Reassembly. Every shard first gives up its calendar and the
     // columns no result reads; only then is the result vector allocated,
@@ -727,9 +753,15 @@ pub(crate) fn run_sharded(
     let mut shard_events = 0u64;
     let mut responses_applied = 0u64;
     let (mut trace, mut watch) = (None, None);
+    let mut counts = RunCounts {
+        windows_run,
+        windows: rounds,
+        ..RunCounts::default()
+    };
     let finished: Vec<FleetDevices> = states
         .into_iter()
         .map(|state| {
+            counts.add_filed(&state.sim);
             responses_applied += state.responses_applied;
             let now = state.sim.now();
             let dispatched = state.sim.events_handled();
@@ -764,8 +796,12 @@ pub(crate) fn run_sharded(
     if telemetry.is_enabled() {
         telemetry.poll();
     }
-    let result = finish_fleet(device_results, &driver.tier, events_handled);
-    (result, trace, watch)
+    FleetRun {
+        result: finish_fleet(device_results, &driver.tier, events_handled),
+        trace,
+        watch,
+        counts,
+    }
 }
 
 /// Test hooks for the merge-order proptest in

@@ -68,10 +68,13 @@ impl<'a, E> Ctx<'a, E> {
         self.schedule_lane_batch(lane, at, 1, event);
     }
 
-    /// One entry standing for `n ≥ 1` consecutive
-    /// [`schedule_lane`](Self::schedule_lane) calls with the same `at`:
+    /// One entry standing for `n` consecutive
+    /// [`schedule_lane`](Self::schedule_lane) calls with the same `at`
+    /// (`1 ≤ n ≤` [`LANE_RUN_MAX`](crate::LANE_RUN_MAX)):
     /// `event` is handled once, in the position of the first, and counts
     /// as `n` events handled. The model applies the other `n − 1` itself.
+    /// Consecutive calls at one `at` pop back to back, so `m` pushes
+    /// split over several entries pop and count as one entry for `m`.
     pub fn schedule_lane_batch(&mut self, lane: usize, at: SimTime, n: u32, event: E) {
         check_causal(self.now, at);
         self.queue.push_lane(lane, at, n, event);
@@ -185,6 +188,12 @@ impl<M: SimModel> Simulation<M> {
     /// Seed the queue relative to the current instant.
     pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
         self.queue.push(self.now + delay, event);
+    }
+
+    /// Firing time of the earliest pending event, if any (see
+    /// [`EventQueue::peek_time`]).
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.queue.peek_time()
     }
 
     /// Make room on lane `lane` for `additional` more seeded events.

@@ -48,8 +48,8 @@ mod time;
 mod wheel;
 
 pub use engine::{Ctx, RunOutcome, SimModel, Simulation};
-pub use par::run_phased;
-pub use queue::{EventQueue, Popped, QueueBackend, LANES};
-pub use rng::RngFactory;
+pub use par::{run_phased, run_phased_skipping};
+pub use queue::{EventQueue, Popped, QueueBackend, LANES, LANE_RUN_MAX};
+pub use rng::{IndexedStream, RngFactory};
 pub use time::{round_nonneg_f64, SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};
 pub use wheel::{PopBefore, TimerWheel};

@@ -30,8 +30,22 @@
 //! The harness itself knows nothing about simulations: it moves each
 //! state into its thread, drives the round structure, and moves the
 //! states back out at the end.
+//!
+//! ## Skipping idle rounds
+//!
+//! [`run_phased_skipping`] runs only the rounds in which something
+//! happens. At the end of its phase every worker names the earliest
+//! round its shard next has work in, and so does the coordinator, after
+//! its own phase; the harness runs the earliest of those next (never the
+//! same round twice, and always the last one). A round nobody named
+//! costs neither barrier. A sharded simulation names a round from the
+//! instants it knows — the next event on each shard's calendar, the next
+//! item in the coordinator's merge — so a skipped round is one in which
+//! no phase had anything to handle. [`run_phased`] is that harness with
+//! every round named.
 
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
@@ -130,21 +144,70 @@ impl Drop for PoisonOnPanic<'_> {
 /// A panic in the coordinator or in any worker breaks the barrier: every
 /// other thread leaves at its next wait, and `run_phased` re-raises the
 /// original panic on the calling thread. It never hangs.
-pub fn run_phased<S, C, W>(mut states: Vec<S>, rounds: u64, mut coordinator: C, worker: W) -> Vec<S>
+pub fn run_phased<S, C, W>(states: Vec<S>, rounds: u64, mut coordinator: C, worker: W) -> Vec<S>
 where
     S: Send,
     C: FnMut(u64),
     W: Fn(usize, u64, &mut S) + Sync,
 {
+    run_phased_skipping(
+        states,
+        rounds,
+        |r| {
+            coordinator(r);
+            r + 1
+        },
+        |i, r, state: &mut S| {
+            worker(i, r, state);
+            r + 1
+        },
+    )
+}
+
+/// [`run_phased`] over the rounds that someone names: `coordinator(r)`
+/// and `worker(shard_index, r, &mut state)` each return the earliest
+/// round after `r` that they next need, and the harness runs the
+/// earliest round any of them named, or the last round, whichever comes
+/// first. Round 0 and round `rounds − 1` always run. A name at or before
+/// `r` means `r + 1`.
+///
+/// Panics as [`run_phased`] does.
+pub fn run_phased_skipping<S, C, W>(
+    mut states: Vec<S>,
+    rounds: u64,
+    mut coordinator: C,
+    worker: W,
+) -> Vec<S>
+where
+    S: Send,
+    C: FnMut(u64) -> u64,
+    W: Fn(usize, u64, &mut S) -> u64 + Sync,
+{
+    if rounds == 0 {
+        return states;
+    }
+    let last = rounds - 1;
+    // The round after `r`, of the earliest named.
+    let next = |r: u64, named: u64| named.clamp(r + 1, last);
     let k = states.len();
     if k == 0 {
-        for r in 0..rounds {
-            coordinator(r);
+        let mut r = 0;
+        loop {
+            let named = coordinator(r);
+            if r == last {
+                return states;
+            }
+            r = next(r, named);
         }
-        return states;
     }
     let barrier = &PhaseBarrier::new(k + 1);
     let worker = &worker;
+    // The round the workers run next, written by the coordinator before
+    // it releases them, and the round each worker named, written before
+    // it arrives at the end of its phase: the barrier between a write and
+    // its read orders the two, so relaxed accesses suffice.
+    let round = &AtomicU64::new(0);
+    let named: &[AtomicU64] = &(0..k).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
     thread::scope(|scope| {
         let handles: Vec<_> = states
             .drain(..)
@@ -152,24 +215,33 @@ where
             .map(|(i, mut state)| {
                 scope.spawn(move || {
                     let _poison = PoisonOnPanic(barrier);
-                    for r in 0..rounds {
+                    loop {
                         barrier.wait().ok()?;
-                        worker(i, r, &mut state);
+                        let r = round.load(Relaxed);
+                        named[i].store(worker(i, r, &mut state), Relaxed);
                         barrier.wait().ok()?;
+                        if r == last {
+                            return Some(state);
+                        }
                     }
-                    Some(state)
                 })
             })
             .collect();
         {
             let _poison = PoisonOnPanic(barrier);
-            for r in 0..rounds {
-                coordinator(r);
+            let mut r = 0;
+            loop {
+                let mut earliest = coordinator(r);
+                round.store(r, Relaxed);
                 // Release the workers into round `r`, then wait for all
                 // of them to finish it.
-                if barrier.wait().is_err() || barrier.wait().is_err() {
+                if barrier.wait().is_err() || barrier.wait().is_err() || r == last {
                     break;
                 }
+                for shard in named {
+                    earliest = earliest.min(shard.load(Relaxed));
+                }
+                r = next(r, earliest);
             }
         }
         let mut out = Vec::with_capacity(k);
@@ -229,6 +301,47 @@ mod tests {
             |shard, _r, state| *state += 1 + shard as u64,
         );
         assert_eq!(out, vec![110, 220, 330]);
+    }
+
+    #[test]
+    fn only_named_rounds_run_and_the_last_always_does() {
+        // Shard 0 names every third round up to 9, shard 1 round 7, the
+        // coordinator nothing: rounds 0, 3, 6, 7, 9, then the last, 11,
+        // which nobody named.
+        let log = Mutex::new(Vec::new());
+        let out = run_phased_skipping(
+            vec![0u64, 0],
+            12,
+            |r| {
+                log.lock().unwrap().push(r);
+                u64::MAX
+            },
+            |shard, r, runs: &mut u64| {
+                *runs += 1;
+                match shard {
+                    0 if r < 9 => r / 3 * 3 + 3,
+                    1 if r < 7 => 7,
+                    _ => u64::MAX,
+                }
+            },
+        );
+        assert_eq!(log.into_inner().unwrap(), vec![0, 3, 6, 7, 9, 11]);
+        assert_eq!(out, vec![6, 6]);
+    }
+
+    #[test]
+    fn a_name_in_the_past_means_the_next_round() {
+        let mut log = Vec::new();
+        run_phased_skipping(
+            vec![(), ()],
+            4,
+            |r| {
+                log.push(r);
+                0
+            },
+            |_, _, _: &mut ()| u64::MAX,
+        );
+        assert_eq!(log, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -35,7 +35,14 @@
 //!
 //! A lane entry may stand for `n` consecutive pushes at one instant (the
 //! responses of one finished batch): it reserves `n` sequence numbers, so
-//! no later event's number moves, and counts as `n` events.
+//! no later event's number moves, and counts as `n` events. The entry
+//! packs its first sequence number and `n` into one word (32 bytes an
+//! entry for a 16-byte event, not 40), so `n` is at most
+//! [`LANE_RUN_MAX`]: a host with more files consecutive entries at the
+//! one instant, which reserve the same numbers and pop back to back.
+//!
+//! The queue counts the entries filed on each lane and on the backend
+//! ([`crate::testhooks::entries_filed`]), for a ledger that pins them.
 
 use crate::time::SimTime;
 use crate::wheel::{PopBefore, TimerWheel};
@@ -45,6 +52,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Number of FIFO lanes beside the backend (see the module docs).
 pub const LANES: usize = 7;
+
+/// Bits of a lane entry's word that hold its first sequence number; the
+/// rest hold its count.
+const SEQ_BITS: u32 = 48;
+const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
+
+/// The most pushes one lane entry stands for.
+pub const LANE_RUN_MAX: u32 = (1 << (64 - SEQ_BITS)) - 1;
 
 struct Entry<E> {
     time: SimTime,
@@ -100,12 +115,29 @@ pub enum Popped<E> {
 }
 
 /// One lane entry: `n` consecutive pushes of `event` at `time`, holding
-/// sequence numbers `seq..seq + n`.
-struct LaneEntry<E> {
+/// sequence numbers `seq..seq + n`, with `seq` in the low [`SEQ_BITS`]
+/// bits of `seq_n` and `n` above them.
+pub(crate) struct LaneEntry<E> {
     time: SimTime,
-    seq: u64,
-    n: u32,
+    seq_n: u64,
     event: E,
+}
+
+impl<E> LaneEntry<E> {
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.seq_n & SEQ_MASK
+    }
+
+    #[inline]
+    fn n(&self) -> u32 {
+        (self.seq_n >> SEQ_BITS) as u32
+    }
+
+    #[inline]
+    fn key(&self) -> Key {
+        key(self.time, self.seq())
+    }
 }
 
 /// A deterministic future-event list.
@@ -123,6 +155,9 @@ pub struct EventQueue<E> {
     /// Events standing on the lanes (an entry for `n` pushes counts `n`).
     lane_len: usize,
     next_seq: u64,
+    /// Entries ever filed on each lane, and on the backend.
+    filed_lanes: [u64; LANES],
+    filed_backend: u64,
 }
 
 /// An entry's position in the pop order: `(time, seq)` packed so that
@@ -165,7 +200,15 @@ impl<E> EventQueue<E> {
             first_lane: 0,
             lane_len: 0,
             next_seq: 0,
+            filed_lanes: [0; LANES],
+            filed_backend: 0,
         }
+    }
+
+    /// Entries filed so far on each lane and on the backend (a lane
+    /// push that fell through to the backend counts there).
+    pub(crate) fn entries_filed(&self) -> ([u64; LANES], u64) {
+        (self.filed_lanes, self.filed_backend)
     }
 
     /// The active backend.
@@ -185,6 +228,7 @@ impl<E> EventQueue<E> {
 
     #[inline]
     fn push_backend(&mut self, at: SimTime, seq: u64, event: E) {
+        self.filed_backend += 1;
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(Entry {
                 time: at,
@@ -195,13 +239,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// [`push`](Self::push) for an event whose class is filed in time
-    /// order, `n` times over (`n ≥ 1` consecutive pushes at one instant,
-    /// filed as one entry that pops once and counts `n`).
-    /// Appended to lane `lane` while `at` keeps the lane sorted; otherwise
-    /// a single push falls through to the backend under the sequence
-    /// number it drew here, and an entry for several — which the backend
-    /// cannot count — is inserted into the lane in order.
     /// Make room for `additional` more entries on lane `lane` at once,
     /// for a host about to file that many (its set-up), instead of
     /// growing by eighths through them.
@@ -209,20 +246,37 @@ impl<E> EventQueue<E> {
         self.lanes[lane].reserve_exact(additional);
     }
 
+    /// [`push`](Self::push) for an event whose class is filed in time
+    /// order, `n` times over (`1 ≤ n ≤ LANE_RUN_MAX` consecutive pushes at
+    /// one instant, filed as one entry that pops once and counts `n`).
+    /// Appended to lane `lane` while `at` keeps the lane sorted; otherwise
+    /// a single push falls through to the backend under the sequence
+    /// number it drew here, and an entry for several — which the backend
+    /// cannot count — is inserted into the lane in order.
+    ///
+    /// Panics if `n` is out of range, or once the queue has drawn 2^48
+    /// sequence numbers (which a lane entry could not hold).
     #[inline]
     pub(crate) fn push_lane(&mut self, lane: usize, at: SimTime, n: u32, event: E) {
-        debug_assert!(n >= 1, "a lane entry stands for at least one push");
+        assert!(
+            (1..=LANE_RUN_MAX).contains(&n),
+            "a lane entry stands for 1 to {LANE_RUN_MAX} pushes, not {n}"
+        );
         let seq = self.next_seq;
         self.next_seq += u64::from(n);
+        assert!(
+            self.next_seq <= SEQ_MASK,
+            "the event queue drew 2^48 sequence numbers"
+        );
         let fifo = &mut self.lanes[lane];
         let sorted = fifo.back().is_none_or(|back| back.time <= at);
         if !sorted && n == 1 {
             return self.push_backend(at, seq, event);
         }
+        self.filed_lanes[lane] += 1;
         let entry = LaneEntry {
             time: at,
-            seq,
-            n,
+            seq_n: seq | (u64::from(n) << SEQ_BITS),
             event,
         };
         if fifo.len() == fifo.capacity() {
@@ -239,8 +293,7 @@ impl<E> EventQueue<E> {
             let after = fifo.partition_point(|e| e.time <= at);
             fifo.insert(after, entry);
         }
-        let front = fifo.front().expect("just pushed");
-        let front = key(front.time, front.seq);
+        let front = fifo.front().expect("just pushed").key();
         if front != self.fronts[lane] {
             self.fronts[lane] = front;
             // A lane's front only ever moves down on a push.
@@ -288,15 +341,16 @@ impl<E> EventQueue<E> {
             return Popped::Beyond;
         }
         let e = fifo.pop_front().expect("front was just read");
-        self.fronts[lane] = fifo.front().map_or(NO_KEY, |next| key(next.time, next.seq));
+        self.fronts[lane] = fifo.front().map_or(NO_KEY, LaneEntry::key);
         (self.first, self.first_lane) = (self.fronts[0], 0);
         for (i, &front) in self.fronts.iter().enumerate().skip(1) {
             if front < self.first {
                 (self.first, self.first_lane) = (front, i);
             }
         }
-        self.lane_len -= e.n as usize;
-        Popped::Event(e.time, (e.n, e.event))
+        let n = e.n();
+        self.lane_len -= n as usize;
+        Popped::Event(e.time, (n, e.event))
     }
 
     /// Pop the backend's head if it fires at or before `horizon` and
@@ -483,6 +537,40 @@ mod tests {
             assert_eq!(q.pop().unwrap().1, 3);
             assert_eq!(q.pop().unwrap().1, 4);
         }
+    }
+
+    #[test]
+    fn a_run_split_over_consecutive_entries_pops_as_one() {
+        // More pushes at one instant than one entry counts, filed as
+        // consecutive entries between two plain pushes of that instant:
+        // they pop back to back, in filing order, and count as the run.
+        for mut q in both_backends() {
+            let t = SimTime::from_millis(5);
+            q.push(t, 0);
+            let run = 2 * LANE_RUN_MAX + 3;
+            let mut left = run;
+            while left > 0 {
+                let n = left.min(LANE_RUN_MAX);
+                q.push_lane(3, t, n, 1);
+                left -= n;
+            }
+            q.push(t, 2);
+            assert_eq!(q.len(), run as usize + 2);
+            let mut popped = Vec::new();
+            while let Popped::Event(at, (n, e)) = q.pop_counted(SimTime::MAX) {
+                assert_eq!(at, t);
+                popped.push((e, n));
+            }
+            let runs = [LANE_RUN_MAX, LANE_RUN_MAX, 3].map(|n| (1, n));
+            assert_eq!(popped, [&[(0, 1)][..], &runs, &[(2, 1)]].concat());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a lane entry stands for 1 to")]
+    fn a_lane_entry_counts_at_most_lane_run_max() {
+        let mut q = EventQueue::<()>::new();
+        q.push_lane(0, SimTime::ZERO, LANE_RUN_MAX + 1, ());
     }
 
     #[test]

@@ -10,7 +10,15 @@
 //! Streams are ChaCha8: cryptographic quality is irrelevant here, but the
 //! ChaCha family guarantees the output sequence for a given seed is stable
 //! across crate versions, unlike `StdRng`.
+//!
+//! A stream's 32-byte key is a pure function of the master seed and the
+//! label's hash, so the streams a fleet keeps one of per device
+//! ([`RngFactory::indexed_stream`]) store those two words instead and
+//! rebuild the key at each block: an [`IndexedStream`] is 88 bytes where
+//! a [`ChaCha8Rng`] is 112, and yields the same words.
 
+use rand::chacha::block;
+use rand::RngCore;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -42,30 +50,114 @@ impl RngFactory {
 
     /// A stream for `label` parameterized by an index (e.g. per-tenant).
     ///
-    /// Hash-equivalent to `stream(&format!("{label}#{index}"))` — the
-    /// label bytes, the `#`, and the decimal digits of `index` are fed
-    /// through the same incremental FNV-1a — but with no heap allocation.
-    /// Sweep cells construct several of these per run, so this sits on
-    /// the grid engine's per-cell setup path.
-    pub fn indexed_stream(&self, label: &str, index: u64) -> ChaCha8Rng {
+    /// Word for word the stream `stream(&format!("{label}#{index}"))`
+    /// yields — the label bytes, the `#`, and the decimal digits of
+    /// `index` are fed through the same incremental FNV-1a — but with no
+    /// heap allocation, and held in an [`IndexedStream`]: a fleet keeps
+    /// three of these per device, and sweep cells construct several per
+    /// run.
+    pub fn indexed_stream(&self, label: &str, index: u64) -> IndexedStream {
         let mut h = fnv1a_update(FNV_OFFSET, label.as_bytes());
         h = fnv1a_update(h, b"#");
         let mut digits = [0u8; 20];
-        self.stream_from_hash(fnv1a_update(h, decimal_digits(index, &mut digits)))
+        IndexedStream {
+            master: self.master,
+            label_hash: fnv1a_update(h, decimal_digits(index, &mut digits)),
+            block: [0; 16],
+            counter: 0,
+            index: 16,
+        }
     }
 
     fn stream_from_hash(&self, label_hash: u64) -> ChaCha8Rng {
         let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&self.master.to_le_bytes());
-        seed[8..16].copy_from_slice(&label_hash.to_le_bytes());
-        // Mix the label hash into the rest of the seed words through a
-        // splitmix-style finalizer so short labels still fill the state.
-        let mut x = self.master ^ label_hash;
-        for chunk in seed[16..].chunks_exact_mut(8) {
-            x = splitmix64(x);
-            chunk.copy_from_slice(&x.to_le_bytes());
+        for (chunk, word) in seed
+            .chunks_exact_mut(8)
+            .zip(seed_words(self.master, label_hash))
+        {
+            chunk.copy_from_slice(&word.to_le_bytes());
         }
         ChaCha8Rng::from_seed(seed)
+    }
+}
+
+/// The four little-endian seed words of the stream `label_hash` names
+/// under `master`: the two themselves, then the label hash mixed in
+/// through a splitmix-style finalizer so short labels still fill the
+/// state.
+#[inline]
+fn seed_words(master: u64, label_hash: u64) -> [u64; 4] {
+    let x1 = splitmix64(master ^ label_hash);
+    [master, label_hash, x1, splitmix64(x1)]
+}
+
+/// A ChaCha8 stream that keeps its key as the two words it is derived
+/// from: what [`RngFactory::indexed_stream`] returns. It yields, word for
+/// word, the [`ChaCha8Rng`] that [`RngFactory::stream`] builds for the
+/// same label, in 88 bytes instead of 112; each block costs two splitmix
+/// rounds more to rebuild the key.
+///
+/// Its block counter is 32 bits wide: it serves blocks 0 to 2^32 − 2
+/// (about 2^36 words), and asking for one more panics rather than wrapping.
+#[derive(Debug, Clone)]
+pub struct IndexedStream {
+    master: u64,
+    label_hash: u64,
+    /// The current block's output words.
+    block: [u32; 16],
+    /// The next block to generate.
+    pub(crate) counter: u32,
+    /// Next unread word of `block`; 16 when it is used up.
+    index: u8,
+}
+
+// A fleet keeps three per device (DESIGN.md §"Bytes per device").
+const _: () = assert!(std::mem::size_of::<IndexedStream>() == 88);
+
+impl IndexedStream {
+    fn refill(&mut self) {
+        let n = self.counter;
+        self.counter = n
+            .checked_add(1)
+            .expect("an indexed stream serves 2^32 - 1 blocks, and all of them were drawn");
+        let mut key = [0u32; 8];
+        let words = seed_words(self.master, self.label_hash);
+        for (pair, word) in key.chunks_exact_mut(2).zip(words) {
+            pair[0] = word as u32;
+            pair[1] = (word >> 32) as u32;
+        }
+        self.block = block(&key, u64::from(n));
+        self.index = 0;
+    }
+}
+
+impl RngCore for IndexedStream {
+    /// `#[inline]` for the reason `ChaCha8Rng`'s draws are: the per-draw
+    /// bookkeeping must inline into the simulation's hot loops.
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.index >= 16 {
+            self.refill();
+        }
+        let w = self.block[self.index as usize];
+        self.index += 1;
+        w
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        // Both words from the current block when they are there; the
+        // words two `next_u32`s would take either way.
+        let i = self.index as usize;
+        if i + 2 <= 16 {
+            let lo = self.block[i] as u64;
+            let hi = self.block[i + 1] as u64;
+            self.index += 2;
+            return lo | (hi << 32);
+        }
+        let lo = self.next_u32() as u64;
+        let hi = self.next_u32() as u64;
+        lo | (hi << 32)
     }
 }
 
@@ -170,6 +262,55 @@ mod tests {
             let fast: u64 = f.indexed_stream("tenant", index).gen();
             let slow: u64 = f.stream(&format!("tenant#{index}")).gen();
             assert_eq!(fast, slow, "divergence at index {index}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "all of them were drawn")]
+    fn an_exhausted_indexed_stream_panics_instead_of_wrapping() {
+        let mut stream = RngFactory::new(5).indexed_stream("row", 3);
+        crate::testhooks::set_block_counter(&mut stream, u32::MAX - 1);
+        // Block 2^32 - 2, the last one, serves its 16 words ...
+        for _ in 0..16 {
+            stream.next_u32();
+        }
+        // ... and the next word would need block 2^32 - 1.
+        stream.next_u32();
+    }
+
+    proptest::proptest! {
+        /// The compact stream is the stream it replaces: every word of
+        /// the first blocks, drawn as any mix of 32- and 64-bit reads
+        /// (a 64-bit read may straddle a block edge), equals the one the
+        /// `ChaCha8Rng` of the same label yields.
+        #[test]
+        fn prop_indexed_stream_is_the_chacha8_stream(
+            master in proptest::prelude::any::<u64>(),
+            letters in proptest::collection::vec(0u8..27, 0..12),
+            index in proptest::prelude::any::<u64>(),
+            wide in proptest::collection::vec(proptest::prelude::any::<bool>(), 40..60),
+        ) {
+            let label: String = letters.iter().map(|&l| (b'a' + l) as char).collect();
+            let f = RngFactory::new(master);
+            let mut compact = f.indexed_stream(&label, index);
+            let mut full = f.stream(&format!("{label}#{index}"));
+            // One odd word first, so that 64-bit reads straddle edges.
+            proptest::prop_assert_eq!(compact.next_u32(), full.next_u32());
+            let mut words = 1;
+            for wide in wide {
+                if wide {
+                    proptest::prop_assert_eq!(compact.next_u64(), full.next_u64());
+                    words += 2;
+                } else {
+                    proptest::prop_assert_eq!(compact.next_u32(), full.next_u32());
+                    words += 1;
+                }
+            }
+            // At least three blocks, whatever the mix.
+            while words < 3 * 16 + 1 {
+                proptest::prop_assert_eq!(compact.next_u64(), full.next_u64());
+                words += 2;
+            }
         }
     }
 

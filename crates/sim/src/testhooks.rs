@@ -1,4 +1,5 @@
-//! Test hooks: the lane-identity property, written once.
+//! Test hooks: the lane-identity property, written once, and the
+//! counters a cost ledger reads.
 //!
 //! [`replay`] plays a script of queue operations into a [`Simulation`]
 //! whose queue uses lanes and into a plain binary heap fed one push per
@@ -8,7 +9,8 @@
 //! deliberately no second copy of it among this crate's unit tests.
 
 use crate::engine::{Ctx, SimModel, Simulation};
-use crate::queue::{EventQueue, Popped, QueueBackend, LANES};
+use crate::queue::{EventQueue, LaneEntry, Popped, QueueBackend, LANES};
+use crate::rng::IndexedStream;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -226,4 +228,22 @@ pub fn replay(backend: QueueBackend, ops: &[LaneOp]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Make `stream` generate block `counter` next: how a test reaches the
+/// end of the 32-bit block counter without drawing 2^32 blocks.
+pub fn set_block_counter(stream: &mut IndexedStream, counter: u32) {
+    stream.counter = counter;
+}
+
+/// The bytes one lane entry of event type `E` costs, for the host that
+/// knows its `E` to pin.
+pub const fn lane_entry_bytes<E>() -> usize {
+    std::mem::size_of::<LaneEntry<E>>()
+}
+
+/// Entries `sim`'s queue has filed so far on each lane and on its
+/// backend (a lane push that fell through to the backend counts there).
+pub fn entries_filed<M: SimModel>(sim: &Simulation<M>) -> ([u64; LANES], u64) {
+    sim.queue.entries_filed()
 }

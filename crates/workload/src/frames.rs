@@ -131,10 +131,6 @@ impl StreamParams {
 pub struct SourceState<R: Rng> {
     rng: R,
     next_id: u64,
-    /// Capture instant of frame `next_id`, advanced by the interval per
-    /// frame. Integer-µs addition, so it always equals
-    /// `capture_time(next_id)` exactly.
-    next_capture: SimTime,
     /// Optional scene script evolving per-frame information scores on
     /// its own RNG stream. `None` (the default) leaves the stream
     /// bit-identical to a pre-scene source. Boxed: a fleet holds one
@@ -158,7 +154,6 @@ impl<R: Rng> SourceState<R> {
         SourceState {
             rng,
             next_id: 0,
-            next_capture: SimTime::ZERO,
             scene: None,
         }
     }
@@ -187,10 +182,10 @@ impl<R: Rng> SourceState<R> {
     }
 
     /// Capture instant of the next frame [`Self::next_frame`] will
-    /// produce — `capture_time(generated())` without the multiply, for
-    /// hosts that schedule the next capture event once per frame.
-    pub fn next_capture_time(&self) -> SimTime {
-        self.next_capture
+    /// produce: `params.capture_time(generated())`, one multiply rather
+    /// than a stored instant per source.
+    pub fn next_capture_time(&self, params: &StreamParams) -> SimTime {
+        params.capture_time(self.next_id)
     }
 
     /// Produce the next frame, or `None` when the stream is exhausted.
@@ -200,8 +195,7 @@ impl<R: Rng> SourceState<R> {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let captured_at = self.next_capture;
-        self.next_capture = captured_at + params.interval;
+        let captured_at = params.capture_time(id);
         let j = params.config.size_jitter;
         let factor = if j == 0.0 {
             1.0
@@ -280,7 +274,7 @@ impl<R: Rng> FrameSource<R> {
     /// Capture instant of the next frame [`Self::next_frame`] will
     /// produce.
     pub fn next_capture_time(&self) -> SimTime {
-        self.state.next_capture_time()
+        self.state.next_capture_time(&self.params)
     }
 
     /// Produce the next frame, or `None` when the stream is exhausted.

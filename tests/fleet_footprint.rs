@@ -14,67 +14,13 @@
 //! would be counted too: the ignored case runs only with
 //! `--include-ignored --test-threads=1`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::device::{run_fleet, FleetConfig, FleetDeviceConfig, FleetResult};
 use framefeedback::models::{DeviceKind, ModelKind};
 use framefeedback::workload::table_v;
-
-/// The system allocator behind exact counters. `Relaxed` throughout:
-/// the counters publish no other data, and they are read only after the
-/// run's threads have been joined.
-struct Counting;
-
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters never touch
-// the memory being handed out.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        grew(layout.size());
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        grew(layout.size());
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Relaxed);
-        if new_size >= layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-        }
-        // SAFETY: `ptr` and `layout` describe a block this allocator
-        // returned, i.e. one `System` returned.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const DEVICES: usize = 4_096;
 const FRAMES: u64 = 60;
@@ -89,55 +35,59 @@ struct Footprint {
 /// Pis on the Table V schedule against the single default server, so
 /// every controller parks at the probe floor.
 fn measured_fleet(devices: usize, shards: usize) -> (FleetResult, Footprint) {
-    let calls_before = CALLS.load(Relaxed);
-    let live_before = LIVE.load(Relaxed);
-    PEAK.store(live_before, Relaxed);
-
-    let mut config = FleetConfig {
-        devices: vec![
-            FleetDeviceConfig {
-                device: DeviceKind::Pi4BRev12,
-                model: ModelKind::MobileNetV3Small,
-            };
-            devices
-        ],
-        network: table_v(),
-        ..FleetConfig::default()
-    };
-    config.stream.total_frames = FRAMES;
-    config.engine.shards = shards;
-    // The caller's controller boxes are part of the fleet's footprint.
-    let controllers = (0..devices)
-        .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
-        .collect();
-    let result = run_fleet(config, controllers);
-
+    let (result, calls, peak) = counting_alloc::measured(|| {
+        let mut config = FleetConfig {
+            devices: vec![
+                FleetDeviceConfig {
+                    device: DeviceKind::Pi4BRev12,
+                    model: ModelKind::MobileNetV3Small,
+                };
+                devices
+            ],
+            network: table_v(),
+            ..FleetConfig::default()
+        };
+        config.stream.total_frames = FRAMES;
+        config.engine.shards = shards;
+        // The caller's controller boxes are part of the fleet's footprint.
+        let controllers = (0..devices)
+            .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
+            .collect();
+        run_fleet(config, controllers)
+    });
     let footprint = Footprint {
-        calls_per_device: (CALLS.load(Relaxed) - calls_before) as f64 / devices as f64,
-        peak_bytes_per_device: (PEAK.load(Relaxed) - live_before) as f64 / devices as f64,
+        calls_per_device: calls as f64 / devices as f64,
+        peak_bytes_per_device: peak as f64 / devices as f64,
     };
     (result, footprint)
 }
 
 /// Allocation requests per device a run may make: the caller's
 /// controller box, the QoS log and the timeout window's deque.
-/// Measured 3.0278 unsharded and 3.1729 on two shards (9.02 and 9.18
+/// Measured 3.0276 unsharded and 3.0488 on two shards (9.02 and 9.18
 /// before the per-device diet, 3.0369 and 3.1892 before the engines
 /// reserved their capture and tick lanes at set-up instead of growing
-/// them an eighth at a time); the allowance above that is for per-run
+/// them an eighth at a time; two shards read 3.1729 until the shard
+/// mailboxes stopped growing per round); the allowance above that is for per-run
 /// costs, and is a quarter of what one more allocation per device adds.
 const MAX_CALLS_PER_DEVICE: f64 = 3.25;
 
 /// Peak live heap bytes per device, as measured (3 322 and 3 698 before
 /// the diet, 2 079.3 and 2 427.2 after it and the shared device runtime,
-/// 1 829.3 and 1 913.3 once the fleet of one became a plain fleet, and
+/// 1 829.3 and 1 913.3 once the fleet of one became a plain fleet,
 /// 1 442.0 and 1 525.9 once a row held only its own state: link, stream
 /// and engine parameters once per shard, link and engine counters on the
-/// watched row only, a 2-slot inline flight ring). Since the engines free
-/// their calendars and the columns no result reads before reassembling
-/// results, the peak is the run's own, not teardown's; the assertion
-/// allows 2 % on top.
-const MEASURED_PEAK_BYTES: [(usize, f64); 2] = [(1, 1_442.0), (2, 1_525.9)];
+/// watched row only, a 2-slot inline flight ring; 1 442.0 and 1 478.9
+/// once the shard mailboxes stopped growing per round; and 1 287.4 and
+/// 1 337.6 once the row RNG streams kept their 16-byte derivation
+/// instead of a 32-byte key, the busy-until, the next capture and the
+/// timeout window left the row, the probe overflow was boxed and a lane
+/// entry packed its sequence number with its count). Since the engines
+/// free their calendars and the columns no result reads before
+/// reassembling results, the peak is the run's own, not teardown's; the
+/// assertion allows 2 % on top (two shards read 1 333.9 to 1 338.4 from
+/// run to run: both workers allocate at once).
+const MEASURED_PEAK_BYTES: [(usize, f64); 2] = [(1, 1_287.4), (2, 1_337.6)];
 
 #[test]
 fn per_device_allocations_and_live_bytes_stay_on_their_diet() {
@@ -175,11 +125,11 @@ fn per_device_allocations_and_live_bytes_stay_on_their_diet() {
 
 /// A million parked devices on two shards cost no more per device than
 /// 4 096 do, within 2 %: nothing per device grows with the fleet. They
-/// cost less — measured 1 481.0 bytes against 1 525.9 — because what a
+/// cost less — measured 1 308.3 bytes against 1 337.6 — because what a
 /// run costs whatever its size is spread over 256× the devices. Ignored
-/// by default (≈ 1.6 GB of heap); CI runs it in release.
+/// by default (≈ 1.4 GB of heap); CI runs it in release.
 #[test]
-#[ignore = "allocates ~1.6 GB; run with --include-ignored --test-threads=1"]
+#[ignore = "allocates ~1.4 GB; run with --include-ignored --test-threads=1"]
 fn a_million_parked_devices_cost_what_four_thousand_do() {
     const MILLION: usize = 1 << 20;
     let (_, small) = measured_fleet(DEVICES, 2);
