@@ -4,7 +4,7 @@
 //!
 //! - **default**: run a Table V fleet simulation in-process with the
 //!   telemetry pipeline enabled, serve the snapshot stream on an
-//!   ephemeral TCP port (`ff_live::TcpExportSink`), connect back to it
+//!   ephemeral TCP port (`ff_telemetry::TcpExportSink`), connect back to it
 //!   like any external client would, and redraw the dashboard per
 //!   snapshot line — the full export loop in one command.
 //! - `--connect ADDR`: render snapshots from an already-running
@@ -28,9 +28,8 @@
 
 use ff_bench::{fleet, pi_fleet, Dashboard, FlagArgs};
 use ff_device::{run_fleet, ControllerSpec, FleetConfig, FleetResult};
-use ff_live::TcpExportSink;
 use ff_server::{ServerSpec, TierConfig};
-use ff_telemetry::{JsonlSink, Snapshot, Telemetry, TelemetryConfig};
+use ff_telemetry::{JsonlSink, Snapshot, TcpExportSink, Telemetry, TelemetryConfig};
 use ff_workload::table_v;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;

@@ -1,7 +1,7 @@
 //! Terminal fleet dashboard: pure rendering over telemetry snapshots.
 //!
 //! [`Dashboard`] folds a stream of `ff_telemetry::Snapshot`s — from an
-//! in-process subscriber channel, a JSONL file, or the `ff-live` TCP
+//! in-process subscriber channel, a JSONL file, or the telemetry TCP
 //! export — into a live terminal view: a per-device QoS table, server
 //! and engine counters, trend charts (via `ff_metrics::chart`), and the
 //! most recent log events. It performs no I/O and holds no clock; the

@@ -34,7 +34,7 @@ use std::io;
 /// variants, measured by running the local-only experiment on each
 /// device profile for 60 s rather than echoing the calibration
 /// constants.
-pub fn table2_local_rates(_: &Flags) -> io::Result<Value> {
+pub(crate) fn table2_local_rates(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         device: String,
@@ -75,7 +75,7 @@ pub fn table2_local_rates(_: &Flags) -> io::Result<Value> {
 /// Table III (top-1 model accuracy) and the §II-D discussion: accuracy
 /// versus input resolution and JPEG quality, against the bytes-per-frame
 /// cost of each setting.
-pub fn table3_accuracy(_: &Flags) -> io::Result<Value> {
+pub(crate) fn table3_accuracy(_: &Flags) -> io::Result<Value> {
     let accuracy: Vec<(&str, f64)> = ModelKind::ALL
         .iter()
         .map(|m| (m.name(), m.profile().top1_accuracy))
@@ -138,7 +138,7 @@ pub fn table3_accuracy(_: &Flags) -> io::Result<Value> {
 /// Table IV (the controller settings), each validated behaviourally: the
 /// defaults must reproduce the documented clamps, the probe floor, and
 /// the ramp time the update cap implies.
-pub fn table4_settings(_: &Flags) -> io::Result<Value> {
+pub(crate) fn table4_settings(_: &Flags) -> io::Result<Value> {
     let cfg = PidConfig::default();
     let rows = vec![
         ("K_P", cfg.kp),
@@ -212,7 +212,7 @@ pub fn table4_settings(_: &Flags) -> io::Result<Value> {
 /// variants oscillate harder, and the paper's (0.2, 0.26) setting
 /// balances sensitivity and overcorrection. The six variants run as one
 /// `ff-sweep` controller sweep.
-pub fn fig2_gain_sweep(_: &Flags) -> io::Result<Value> {
+pub(crate) fn fig2_gain_sweep(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct SweepResult {
         kp: f64,
@@ -292,7 +292,7 @@ pub fn fig2_gain_sweep(_: &Flags) -> io::Result<Value> {
 /// beats all-or-nothing by 50%–3× in the intermediate phases (around
 /// t ≈ 40 s and beyond t ≈ 90 s); always-offload is clearly suboptimal
 /// once conditions degrade.
-pub fn fig3_network(_: &Flags) -> io::Result<Value> {
+pub(crate) fn fig3_network(_: &Flags) -> io::Result<Value> {
     let config = scenario("table5");
     let title = "Table V: network schedule from t (s)";
     print_rows(title, config.network.steps());
@@ -319,7 +319,7 @@ pub fn fig3_network(_: &Flags) -> io::Result<Value> {
 /// our Pi can fit in some offloading when controlled by FrameFeedback.
 /// The other controllers have lower throughput due to their inability
 /// to adapt in a fine-grained way."
-pub fn fig4_server_load(_: &Flags) -> io::Result<Value> {
+pub(crate) fn fig4_server_load(_: &Flags) -> io::Result<Value> {
     let config = scenario("table6");
     let title = "Table VI: server load schedule from t (s), requests/s";
     print_rows(title, config.background.steps());
@@ -338,7 +338,7 @@ pub fn fig4_server_load(_: &Flags) -> io::Result<Value> {
 /// 50.2% to 22.3% on average when transitioning from local execution to
 /// offloading", read off the local-only and always-offload runs' CPU
 /// model, plus the energy model (Pi 4B 2.7 W idle / 6.4 W full load).
-pub fn cpu_usage(_: &Flags) -> io::Result<Value> {
+pub(crate) fn cpu_usage(_: &Flags) -> io::Result<Value> {
     let mut config = scenario("ideal");
     config.stream.total_frames = 1_800;
     let controllers: [Box<dyn Controller>; 3] = [
@@ -392,7 +392,7 @@ pub fn cpu_usage(_: &Flags) -> io::Result<Value> {
 /// mentioned but not shown in the paper): "Combining both sources of
 /// end-to-end latency largely works additively to create more
 /// unsuccessful offload requests."
-pub fn combined_stress(_: &Flags) -> io::Result<Value> {
+pub(crate) fn combined_stress(_: &Flags) -> io::Result<Value> {
     let config = scenario("combined");
     let results = run_lineup(&config);
     let phases = phases(&config.network, run_end(&config));
@@ -422,7 +422,7 @@ pub fn combined_stress(_: &Flags) -> io::Result<Value> {
 /// under the server's two overflow policies — the paper's implicit
 /// reject-newest and max-min fair share — with and without a greedy
 /// (always-offload) tenant.
-pub fn fairness(_: &Flags) -> io::Result<Value> {
+pub(crate) fn fairness(_: &Flags) -> io::Result<Value> {
     const N: usize = 9;
     #[derive(Serialize)]
     struct Summary {
@@ -496,7 +496,7 @@ pub fn fairness(_: &Flags) -> io::Result<Value> {
 /// point where gain choice matters — as the plant, compared against the
 /// paper's hand-tuned Table IV gains. The plant must oscillate at some
 /// `K_P` within the tuner's bounds.
-pub fn autotune(_: &Flags) -> io::Result<Value> {
+pub(crate) fn autotune(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Report {
         kp: f64,
@@ -537,7 +537,7 @@ pub fn autotune(_: &Flags) -> io::Result<Value> {
 /// not a factor in our system"). This runs the Table V scenario over a
 /// `K_I` sweep: integral action adds wind-up-driven overshoot after
 /// condition changes without improving throughput.
-pub fn pid_ablation(_: &Flags) -> io::Result<Value> {
+pub(crate) fn pid_ablation(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         ki: f64,
@@ -595,7 +595,7 @@ pub fn pid_ablation(_: &Flags) -> io::Result<Value> {
 /// slowly after a halving; the PD controller's error-proportional steps
 /// (clamped at +0.1·F_s) close large gaps quickly and its derivative
 /// term damps the hunt around capacity.
-pub fn aimd_vs_pd(_: &Flags) -> io::Result<Value> {
+pub(crate) fn aimd_vs_pd(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         scenario: String,
@@ -631,7 +631,7 @@ pub fn aimd_vs_pd(_: &Flags) -> io::Result<Value> {
 /// wireless links lose in bursts. At the *same average* loss rate (7 %
 /// on an otherwise ample 10 Mbps link), bursts change the timeout
 /// pattern a controller sees: calm stretches punctuated by storms.
-pub fn bursty_loss(_: &Flags) -> io::Result<Value> {
+pub(crate) fn bursty_loss(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         process: String,
@@ -670,7 +670,7 @@ pub fn bursty_loss(_: &Flags) -> io::Result<Value> {
 /// to *network-attributed* timeouts: frames shrink when the pipe thins,
 /// and quality recovers when conditions clear. Run on the Table V
 /// schedule against fixed-quality FrameFeedback.
-pub fn quality_adaptation(_: &Flags) -> io::Result<Value> {
+pub(crate) fn quality_adaptation(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         variant: String,
@@ -720,7 +720,7 @@ pub fn quality_adaptation(_: &Flags) -> io::Result<Value> {
 /// can afford a slower, more accurate model — and drop back to the fast
 /// one the moment offloading collapses. Run on a network that is
 /// healthy, then dies at 45 s, then recovers at 90 s.
-pub fn model_selection(_: &Flags) -> io::Result<Value> {
+pub(crate) fn model_selection(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         variant: String,
@@ -771,7 +771,7 @@ pub fn model_selection(_: &Flags) -> io::Result<Value> {
 /// system" (§II-B) without exploring the neighbourhood. This sweeps the
 /// deadline from 100 ms to 500 ms on the Table V scenario and checks
 /// that throughput never falls as the deadline loosens.
-pub fn deadline_sweep(_: &Flags) -> io::Result<Value> {
+pub(crate) fn deadline_sweep(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         deadline_ms: u64,
@@ -830,7 +830,7 @@ pub fn deadline_sweep(_: &Flags) -> io::Result<Value> {
 /// follow independent mobility traces against the shared server; each
 /// must beat its own local floor with no mobility model, only the
 /// timeout signal.
-pub fn mobility(_: &Flags) -> io::Result<Value> {
+pub(crate) fn mobility(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         device: &'static str,
@@ -889,7 +889,7 @@ pub fn mobility(_: &Flags) -> io::Result<Value> {
 /// 4 Mbps phase: its 95 % bootstrap CI must exclude 1 and every seed
 /// must exceed 1.2×, so the paper's "50% to 3× better in intermediate
 /// conditions" is not a seed-lottery artifact.
-pub fn seed_sweep(_: &Flags) -> io::Result<Value> {
+pub(crate) fn seed_sweep(_: &Flags) -> io::Result<Value> {
     const SEEDS: u64 = 15;
     #[derive(Serialize)]
     struct SeedRow {
@@ -958,7 +958,7 @@ pub fn seed_sweep(_: &Flags) -> io::Result<Value> {
 ///
 /// Flags: `--frames N` (per-device stream, default 1800), `--servers N`
 /// (default 2), `--devices N` (default 6), `--seed S` (default 42).
-pub fn policy_zoo(flags: &Flags) -> io::Result<Value> {
+pub(crate) fn policy_zoo(flags: &Flags) -> io::Result<Value> {
     // Per-device token-bucket rate: just under the per-device fair share
     // of the default two-server tier (~170 rps / 6 devices ≈ 28 rps), so
     // a greedy 30 fps tenant is clipped while adaptive tenants are not.
@@ -1080,7 +1080,7 @@ pub fn policy_zoo(flags: &Flags) -> io::Result<Value> {
 ///
 /// Flags: `--frames N` (default 1800), `--seed S` (default 42), `--md
 /// PATH` (rewrite the committed `CONTENT_SWEEP.md` table).
-pub fn content_sweep(flags: &Flags) -> io::Result<Value> {
+pub(crate) fn content_sweep(flags: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct ContentRow {
         scenario: String,
@@ -1234,7 +1234,7 @@ pub fn content_sweep(flags: &Flags) -> io::Result<Value> {
 /// out, so `T` equals the attempted rate and the only fixed point of the
 /// piecewise error is the probe floor `0.1·F_s` — 3 fps at 30 fps. The
 /// run shows the descent to the floor, the hold, and the recovery ramp.
-pub fn outage(_: &Flags) -> io::Result<Value> {
+pub(crate) fn outage(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         controller: String,
@@ -1285,7 +1285,7 @@ pub fn outage(_: &Flags) -> io::Result<Value> {
 /// main scenarios with **EfficientNetB0** — slower locally (2.5 fps on
 /// the Pi 4B) and heavier on the GPU — so both the local floor and the
 /// saturation crossover move. The Figure 3 shape must hold.
-pub fn both_models(_: &Flags) -> io::Result<Value> {
+pub(crate) fn both_models(_: &Flags) -> io::Result<Value> {
     let model = ModelKind::EfficientNetB0;
     println!(
         "EfficientNetB0: local P_l = 2.5 fps (Pi 4B r1.2), server saturation ~{:.0} rps",
@@ -1327,7 +1327,7 @@ pub fn both_models(_: &Flags) -> io::Result<Value> {
 /// throughput in the real, changing scenario is the price of adaptation:
 /// transients after each phase change plus steady-state hunting. The
 /// time-weighted total must stay under 35 % of the oracle's throughput.
-pub fn regret(_: &Flags) -> io::Result<Value> {
+pub(crate) fn regret(_: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Row {
         phase: String,
@@ -1406,7 +1406,7 @@ pub fn regret(_: &Flags) -> io::Result<Value> {
 /// `table5`) or under the whole `ExperimentConfig` of a `--config` file
 /// — the unit of every figure above. Prints the per-second QoS log and
 /// a summary; `--trace` also records the run for `verify_trace`.
-pub fn run(flags: &Flags) -> io::Result<Value> {
+pub(crate) fn run(flags: &Flags) -> io::Result<Value> {
     let config = experiment(flags)?;
     let source = match &flags.config {
         Some(path) => format!("config {}", path.display()),
@@ -1496,7 +1496,7 @@ pub fn run(flags: &Flags) -> io::Result<Value> {
 /// controller the header names, with the `--kp`/`--kd` gains it was
 /// recorded with (the header does not carry gains). An unreadable
 /// trace or the first event that diverges is an error.
-pub fn verify_trace(flags: &Flags) -> io::Result<Value> {
+pub(crate) fn verify_trace(flags: &Flags) -> io::Result<Value> {
     #[derive(Serialize)]
     struct Verified {
         controller: String,
@@ -1537,7 +1537,7 @@ pub fn verify_trace(flags: &Flags) -> io::Result<Value> {
 /// The `ExperimentConfig` a `run` with the same flags would use, as the
 /// JSON `run --config` reads: a template for every field no flag
 /// reaches.
-pub fn dump_config(flags: &Flags) -> io::Result<Value> {
+pub(crate) fn dump_config(flags: &Flags) -> io::Result<Value> {
     let config = serde_json::to_value(&experiment(flags)?)?;
     println!("{}", serde_json::to_string_pretty(&config)?);
     Ok(config)

@@ -9,8 +9,7 @@
 //!   `ff-baselines`,
 //! * [`FrameFeedback`] — the PD controller with the piecewise process
 //!   variable of Eq. 4/5 and the Table IV settings ([`PidConfig`]),
-//! * [`piecewise_error`] — the raw error function, exposed for tests and
-//!   the tuning harness.
+//! * [`tune`] — the §III-B gain-tuning procedure.
 //!
 //! ```
 //! use ff_core::{Controller, FrameFeedback, Measurement};
@@ -36,5 +35,5 @@ mod pid;
 mod tuning;
 
 pub use controller::{Controller, Decision, Measurement};
-pub use pid::{piecewise_error, FrameFeedback, PidConfig};
-pub use tuning::{oscillation_index, tune, TunerOptions, TuningOutcome};
+pub use pid::{FrameFeedback, PidConfig};
+pub use tuning::{oscillation_index, tune, TunerOptions};

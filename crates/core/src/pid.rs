@@ -98,7 +98,7 @@ impl PidConfig {
 
 /// The piecewise error function of Eq. 5. Exposed for property tests and
 /// the tuning harness.
-pub fn piecewise_error(cfg: &PidConfig, fs: f64, po: f64, timeout_rate: f64) -> f64 {
+pub(crate) fn piecewise_error(cfg: &PidConfig, fs: f64, po: f64, timeout_rate: f64) -> f64 {
     if timeout_rate <= 0.0 {
         fs - po
     } else {
@@ -130,11 +130,6 @@ impl FrameFeedback {
             prev_error: None,
             integral: 0.0,
         }
-    }
-
-    /// The controller's settings.
-    pub fn config(&self) -> &PidConfig {
-        &self.config
     }
 
     /// The raw (unclamped) control output for a given error — visible for

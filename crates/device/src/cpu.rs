@@ -10,7 +10,7 @@
 
 /// CPU usage model calibrated to the paper's measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuModel {
+pub(crate) struct CpuModel {
     /// Always-on share: capture, encode, OS (percent).
     pub base_pct: f64,
     /// Added at 100% local-inference busy fraction (percent).
@@ -38,7 +38,7 @@ impl CpuModel {
     /// * `local_busy_fraction` — fraction of time the inference engine
     ///   computed (0..=1),
     /// * `offload_share` — offloaded frames as a fraction of `F_s` (0..=1).
-    pub fn usage_pct(&self, local_busy_fraction: f64, offload_share: f64) -> f64 {
+    pub(crate) fn usage_pct(&self, local_busy_fraction: f64, offload_share: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&local_busy_fraction),
             "busy fraction must be in [0, 1], got {local_busy_fraction}"
@@ -69,7 +69,7 @@ pub struct EnergyModel {
     /// Additional power at 100% CPU (watts).
     pub dynamic_watts: f64,
     /// The CPU model translating activity into utilization.
-    pub cpu: CpuModel,
+    pub(crate) cpu: CpuModel,
 }
 
 impl Default for EnergyModel {

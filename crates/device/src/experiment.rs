@@ -144,7 +144,7 @@ impl ExperimentConfig {
     }
 
     /// Why this experiment cannot run, if it cannot: what
-    /// [`FleetConfig::check`] refuses in the fleet it lowers to.
+    /// `FleetConfig::check` refuses in the fleet it lowers to.
     pub fn check(&self) -> Result<(), String> {
         self.clone().into_fleet(&Telemetry::disabled()).check()
     }

@@ -80,7 +80,7 @@ use std::sync::Arc;
 
 use crate::tags::{
     fleet_tag as make_tag, fleet_tag_device as tag_device, is_background_tag,
-    is_probe_tag as tag_is_probe, BACKGROUND_TAG_BASE,
+    is_probe_tag as tag_is_probe, BACKGROUND_TAG_BASE, FLEET_MAX_DEVICES,
 };
 
 /// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
@@ -158,7 +158,7 @@ impl TierOutage {
     /// Why this window cannot run on a tier of `servers`, if it cannot:
     /// it names a server the tier lacks, starts negative or ends before
     /// it starts.
-    pub fn check(&self, servers: usize) -> Result<(), String> {
+    pub(crate) fn check(&self, servers: usize) -> Result<(), String> {
         let (server, from, until) = (self.server, self.from_secs, self.until_secs);
         let why = if server >= servers {
             format!("outage names server {server} but the tier has {servers}")
@@ -295,9 +295,16 @@ impl FleetConfig {
     /// enforces on its configuration (by panicking, before the first
     /// event), as a `Result`, so that a configuration read from a file
     /// can be refused before anything runs.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         if self.devices.is_empty() {
             return Err("fleet needs at least one device".into());
+        }
+        if self.devices.len() > FLEET_MAX_DEVICES {
+            return Err(format!(
+                "a fleet holds at most {FLEET_MAX_DEVICES} devices (a tag's device \
+                 index has 21 bits), got {}",
+                self.devices.len()
+            ));
         }
         self.stream
             .check()
@@ -663,7 +670,7 @@ impl FleetDevices {
                 .extend(config.adaptive_quality.map(QualityAdapter::new));
             let ladder = config.adaptive_local_model.clone();
             devs.ladder.extend(ladder.map(|c| Ladder {
-                selector: ModelSelector::new(c, dc.device),
+                selector: ModelSelector::new(c),
                 service: services[dc.device as usize][dc.model as usize],
             }));
             devs.replay
@@ -1810,6 +1817,22 @@ mod tests {
         (0..n)
             .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
             .collect()
+    }
+
+    #[test]
+    fn check_refuses_a_fleet_past_the_tag_space() {
+        let device = FleetDeviceConfig {
+            device: DeviceKind::Pi4BRev12,
+            model: ModelKind::MobileNetV3Small,
+        };
+        let mut config = FleetConfig {
+            devices: vec![device; FLEET_MAX_DEVICES],
+            ..FleetConfig::default()
+        };
+        assert_eq!(config.check(), Ok(()), "the largest fleet the tags hold");
+        config.devices.push(device);
+        let why = config.check().expect_err("one device past the tag space");
+        assert!(why.contains("at most 2097152 devices"), "{why}");
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Ring {
 /// no-ops, resolutions are reported exactly once. The deadline it
 /// enforces is the caller's, passed to each call that resolves a frame.
 #[derive(Debug, Clone)]
-pub struct FlightRing {
+pub(crate) struct FlightRing {
     ring: Ring,
     len: usize,
     resolved_success: u64,
@@ -161,7 +161,7 @@ impl FlightRing {
     }
 
     /// Register a frame the device just offloaded.
-    pub fn sent(&mut self, tag: u64, captured_at: SimTime) {
+    pub(crate) fn sent(&mut self, tag: u64, captured_at: SimTime) {
         loop {
             let e = self.ring.slot_mut(tag);
             if e.stage == EMPTY {
@@ -195,14 +195,14 @@ impl FlightRing {
 
     /// The uplink dropped the frame; the cause is known early but the
     /// resolution still waits for the deadline event.
-    pub fn network_dropped(&mut self, tag: u64) {
+    pub(crate) fn network_dropped(&mut self, tag: u64) {
         if let Some(e) = self.get_mut(tag) {
             e.stage = DROPPED_BY_NETWORK;
         }
     }
 
     /// The frame arrived at the server.
-    pub fn arrived_at_server(&mut self, tag: u64, at: SimTime) {
+    pub(crate) fn arrived_at_server(&mut self, tag: u64, at: SimTime) {
         assert!(
             at.as_micros() < REJECTED_BY_SERVER,
             "arrival instant {at} collides with the stage words"
@@ -213,7 +213,7 @@ impl FlightRing {
     }
 
     /// The server rejected the request (admission or batch overflow).
-    pub fn rejected_by_server(&mut self, tag: u64) {
+    pub(crate) fn rejected_by_server(&mut self, tag: u64) {
         if let Some(e) = self.get_mut(tag) {
             e.stage = REJECTED_BY_SERVER;
         }
@@ -221,7 +221,7 @@ impl FlightRing {
 
     /// A response reached the device at `now`; `None` if the frame was
     /// already resolved by its deadline event.
-    pub fn response_arrived(
+    pub(crate) fn response_arrived(
         &mut self,
         tag: u64,
         now: SimTime,
@@ -252,7 +252,7 @@ impl FlightRing {
 
     /// The deadline event for `tag` fired; `None` if the frame already
     /// succeeded.
-    pub fn deadline_expired(
+    pub(crate) fn deadline_expired(
         &mut self,
         tag: u64,
         now: SimTime,
@@ -270,7 +270,11 @@ impl FlightRing {
     /// (`now > captured_at + deadline`), for hosts that poll instead of
     /// scheduling a deadline event per frame. Expired frames are returned
     /// in ascending tag order so polling hosts stay deterministic.
-    pub fn expire_due(&mut self, now: SimTime, deadline: SimDuration) -> Vec<(u64, TimeoutCause)> {
+    pub(crate) fn expire_due(
+        &mut self,
+        now: SimTime,
+        deadline: SimDuration,
+    ) -> Vec<(u64, TimeoutCause)> {
         let mut due = Vec::new();
         for e in self.ring.slots_mut() {
             if e.stage != EMPTY && now > e.captured_at + deadline {
@@ -285,22 +289,22 @@ impl FlightRing {
     }
 
     /// Requests still unresolved.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.len
     }
 
     /// Offloads resolved as successes.
-    pub fn successes(&self) -> u64 {
+    pub(crate) fn successes(&self) -> u64 {
         self.resolved_success
     }
 
     /// Offloads resolved as timeouts.
-    pub fn timeouts(&self) -> u64 {
+    pub(crate) fn timeouts(&self) -> u64 {
         self.resolved_timeout
     }
 }
 
-/// Deadline tracker for one device: a [`FlightRing`] with its deadline
+/// Deadline tracker for one device: a `FlightRing` with its deadline
 /// owned. Semantically identical to the hash-map tracker it replaced
 /// (asserted by a differential proptest in `tests/flight_oracle.rs`).
 #[derive(Debug, Clone)]
@@ -328,7 +332,7 @@ impl FlightTable {
         self.flights.sent(tag, captured_at);
     }
 
-    /// The uplink dropped the frame ([`FlightRing::network_dropped`]).
+    /// The uplink dropped the frame (`FlightRing::network_dropped`).
     pub fn network_dropped(&mut self, tag: u64) {
         self.flights.network_dropped(tag);
     }
@@ -356,7 +360,7 @@ impl FlightTable {
     }
 
     /// Resolve every in-flight frame whose deadline has strictly passed
-    /// ([`FlightRing::expire_due`]).
+    /// (`FlightRing::expire_due`).
     pub fn expire_due(&mut self, now: SimTime) -> Vec<(u64, TimeoutCause)> {
         self.flights.expire_due(now, self.deadline)
     }
@@ -402,7 +406,7 @@ const INLINE_PROBES: usize = 2;
 /// boxed so that a table that never overflows carries one word for it,
 /// not a vec's three.
 #[derive(Debug, Clone, Default)]
-pub struct ProbeTable {
+pub(crate) struct ProbeTable {
     inline: [(u64, SimTime); INLINE_PROBES],
     inline_len: usize,
     // One word per table, not a vec's three: the extra allocation is
@@ -421,7 +425,7 @@ impl ProbeTable {
     }
 
     /// Record a probe sent at `sent_at`.
-    pub fn insert(&mut self, tag: u64, sent_at: SimTime) {
+    pub(crate) fn insert(&mut self, tag: u64, sent_at: SimTime) {
         debug_assert!(self.live().all(|&(t, _)| t != tag));
         if self.inline_len < INLINE_PROBES {
             self.inline[self.inline_len] = (tag, sent_at);
@@ -433,7 +437,7 @@ impl ProbeTable {
 
     /// Remove a probe, returning when it was sent (or `None` if its
     /// deadline already reaped it).
-    pub fn remove(&mut self, tag: u64) -> Option<SimTime> {
+    pub(crate) fn remove(&mut self, tag: u64) -> Option<SimTime> {
         let held = &mut self.inline[..self.inline_len];
         if let Some(i) = held.iter().position(|&(t, _)| t == tag) {
             let sent_at = held[i].1;
@@ -448,7 +452,7 @@ impl ProbeTable {
 
     /// Discard every probe sent more than `deadline` before `now`: the
     /// polling hosts' stand-in for per-probe deadline events.
-    pub fn reap_overdue(&mut self, now: SimTime, deadline: SimDuration) {
+    pub(crate) fn reap_overdue(&mut self, now: SimTime, deadline: SimDuration) {
         let overdue = |sent_at: SimTime| now.saturating_since(sent_at) > deadline;
         let mut i = 0;
         while i < self.inline_len {
@@ -465,13 +469,8 @@ impl ProbeTable {
     }
 
     /// Probes still awaiting a response or deadline.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inline_len + self.overflow().len()
-    }
-
-    /// True when no probes are outstanding.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -675,14 +674,14 @@ mod tests {
     #[test]
     fn probe_table_round_trips_and_reaps() {
         let mut p = ProbeTable::default();
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         p.insert(7, SimTime::from_millis(5));
         p.insert(9, SimTime::from_millis(10));
         assert_eq!(p.len(), 2);
         assert_eq!(p.remove(7), Some(SimTime::from_millis(5)));
         assert_eq!(p.remove(7), None);
         assert_eq!(p.remove(9), Some(SimTime::from_millis(10)));
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
     }
 
     proptest! {
@@ -711,7 +710,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(table.len(), map.len());
-                prop_assert_eq!(table.is_empty(), map.is_empty());
+                prop_assert_eq!(table.len() == 0, map.is_empty());
             }
             // What survived is the same set, not just the same count.
             for (tag, sent_at) in map {

@@ -1,13 +1,13 @@
 //! # ff-device — the measured edge device and the experiment runner
 //!
 //! Models the Raspberry Pi of the paper's evaluation: a 30 fps frame
-//! source, a credit-based [`FrameSplitter`] actuating the controller's
+//! source, a credit-based `FrameSplitter` actuating the controller's
 //! offload rate, a no-buffer [`LocalEngine`] calibrated to Table II, a
 //! [`FlightTable`] enforcing the 250 ms end-to-end deadline with
-//! `T_n`/`T_l` cause attribution, and the [`CpuModel`] reproducing the
+//! `T_n`/`T_l` cause attribution, and the `CpuModel` reproducing the
 //! §II-A CPU-usage observation.
 //!
-//! The per-frame control loop itself lives in [`runtime`]: a
+//! The per-frame control loop itself lives in `runtime.rs`: a
 //! [`DeviceRuntime`] that is clock- and transport-agnostic, driven here by
 //! the discrete-event fleet engines and in `ff-reactor` by the wall-clock
 //! fleet client — one loop, every host.
@@ -43,18 +43,18 @@ mod local;
 mod offload;
 mod quality;
 mod replay;
-pub mod runtime;
+mod runtime;
 mod scenario;
 mod selection;
 mod selector;
 pub mod shard;
 mod splitter;
-pub mod tags;
+mod tags;
 mod trace;
 mod watch;
 
 pub use controller::ControllerSpec;
-pub use cpu::{CpuModel, EnergyModel};
+pub use cpu::EnergyModel;
 pub use experiment::{
     run_experiment, run_experiment_traced, run_experiment_with_telemetry, ExperimentConfig,
     ExperimentResult, ServerOutage,
@@ -65,22 +65,22 @@ pub use fleet::{
     run_fleet, EngineOptions, FleetConfig, FleetDeviceConfig, FleetDeviceResult, FleetResult,
     TierOutage,
 };
-pub use flight::{FlightRing, FlightTable, ProbeTable};
+pub use flight::FlightTable;
 #[doc(hidden)]
 pub use local::testhooks as local_testhooks;
-pub use local::{EngineState, LocalEngine, LocalOutcome, Service};
+pub use local::{LocalEngine, LocalOutcome};
 #[doc(hidden)]
 pub use offload::testhooks as offload_testhooks;
-pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
-pub use quality::{QualityAdapter, QualityConfig};
-pub use replay::{replay_verify, replay_verify_with, ReplayMismatch, ReplayReport};
+pub use offload::OffloadResolution;
+pub use quality::QualityConfig;
+pub use replay::{replay_verify, replay_verify_with};
 pub use runtime::{
-    is_probe_tag, DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig,
-    SubmitOutcome, TickOutput, Transport, WallClock, BACKGROUND_TAG_BASE, PROBE_TAG_BASE,
+    DeviceRuntime, FrameOutcome, RuntimeConfig, SubmitOutcome, Transport, WallClock,
 };
 pub use scenario::{content_scenarios, scenario, SCENARIO_NAMES};
-pub use selection::{deadline_risk, ModelSelection};
-pub use selector::{ModelSelector, SelectorConfig};
+pub use selection::ModelSelection;
+pub use selector::SelectorConfig;
 pub use shard::run_fleet_sharded;
-pub use splitter::{FrameSplitter, Route};
-pub use trace::{FrameFate, FrameRecord, FrameTrace, TraceSummary};
+pub use splitter::Route;
+
+pub use trace::{FrameFate, TraceSummary};

@@ -36,7 +36,7 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalOutcome {
     /// Inference started; it completes at `done_at`, applied by
-    /// [`EngineState::apply_due`].
+    /// `EngineState::apply_due`.
     Started {
         /// Instant at which the inference finishes.
         done_at: SimTime,
@@ -52,7 +52,7 @@ pub enum LocalOutcome {
 /// per inference and its jitter. Devices of one kind running one model
 /// share one of these.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Service {
+pub(crate) struct Service {
     /// Mean service time, `1 / P_l`.
     pub mean: SimDuration,
     /// Multiplicative jitter half-width.
@@ -61,32 +61,27 @@ pub struct Service {
 
 impl Service {
     /// Run-to-run variation of CPU inference time.
-    pub const JITTER: f64 = 0.05;
+    pub(crate) const JITTER: f64 = 0.05;
 
     /// The service of `device` running `model` (Table II rates).
-    pub fn of(device: DeviceKind, model: ModelKind) -> Service {
+    pub(crate) fn of(device: DeviceKind, model: ModelKind) -> Service {
         Service::with_rate(device.local_rate_fps(model))
     }
 
     /// A service at an explicit rate in frames/s.
-    pub fn with_rate(rate_fps: f64) -> Service {
+    pub(crate) fn with_rate(rate_fps: f64) -> Service {
         assert!(rate_fps > 0.0, "local rate must be positive");
         Service {
             mean: SimDuration::from_secs_f64(1.0 / rate_fps),
             jitter: Service::JITTER,
         }
     }
-
-    /// The mean service rate in frames/s.
-    pub fn rate_fps(&self) -> f64 {
-        1.0 / self.mean.as_secs_f64()
-    }
 }
 
 /// One engine's own state: the inference in flight, the pending slot and
 /// the randomness of the next service, run against a shared [`Service`].
 #[derive(Debug, Clone)]
-pub struct EngineState<R: Rng> {
+pub(crate) struct EngineState<R: Rng> {
     /// When the inference in flight completes, or [`IDLE`]: a sentinel
     /// rather than an `Option`, which would cost every row 8 bytes.
     busy_until: SimTime,
@@ -103,7 +98,7 @@ const IDLE: SimTime = SimTime::MAX;
 
 impl<R: Rng> EngineState<R> {
     /// An idle engine drawing its service times from `rng`.
-    pub fn new(rng: R) -> Self {
+    pub(crate) fn new(rng: R) -> Self {
         EngineState {
             busy_until: IDLE,
             pending: false,
@@ -119,7 +114,7 @@ impl<R: Rng> EngineState<R> {
     }
 
     /// Whether the engine is computing at `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
+    pub(crate) fn is_busy(&self, now: SimTime) -> bool {
         self.in_flight().is_some_and(|t| t > now)
     }
 
@@ -137,7 +132,7 @@ impl<R: Rng> EngineState<R> {
     }
 
     /// Offer a frame at `now`; a started inference runs `now..done_at`.
-    pub fn offer(&mut self, service: &Service, now: SimTime) -> LocalOutcome {
+    pub(crate) fn offer(&mut self, service: &Service, now: SimTime) -> LocalOutcome {
         if self.is_busy(now) {
             return if self.pending {
                 LocalOutcome::Replaced
@@ -185,7 +180,7 @@ impl<R: Rng> EngineState<R> {
     ///   completion at its start of service — so at a shared instant the
     ///   one filed first pops first, and [`tick_passed`](Self::tick_passed)
     ///   records exactly which that is.
-    pub fn apply_due(
+    pub(crate) fn apply_due(
         &mut self,
         service: &Service,
         now: SimTime,
@@ -207,7 +202,7 @@ impl<R: Rng> EngineState<R> {
 
     /// The device's controller tick has just run: whatever is in flight
     /// now was started before it. Call at the end of every tick handler.
-    pub fn tick_passed(&mut self) {
+    pub(crate) fn tick_passed(&mut self) {
         self.spans_tick = self.in_flight().is_some();
     }
 }
@@ -254,7 +249,7 @@ impl EngineTally {
 }
 
 /// The local (on-device) inference engine with its service and counters
-/// owned: [`EngineState`] run against its own [`Service`].
+/// owned: `EngineState` run against its own `Service`.
 #[derive(Debug, Clone)]
 pub struct LocalEngine<R: Rng> {
     service: Service,
@@ -263,11 +258,6 @@ pub struct LocalEngine<R: Rng> {
 }
 
 impl<R: Rng> LocalEngine<R> {
-    /// An engine calibrated to `device` running `model` (Table II rates).
-    pub fn new(device: DeviceKind, model: ModelKind, rng: R) -> Self {
-        Self::with_rate(device.local_rate_fps(model), rng)
-    }
-
     /// An engine with an explicit service rate in frames/s.
     pub fn with_rate(rate_fps: f64, rng: R) -> Self {
         LocalEngine {
@@ -294,7 +284,7 @@ impl<R: Rng> LocalEngine<R> {
     }
 
     /// Apply the completions that have fallen due, oldest first:
-    /// `bill(done_at)` for each ([`EngineState::apply_due`]).
+    /// `bill(done_at)` for each (`EngineState::apply_due`).
     pub fn apply_due(
         &mut self,
         now: SimTime,
@@ -310,7 +300,7 @@ impl<R: Rng> LocalEngine<R> {
     }
 
     /// The device's controller tick has just run
-    /// ([`EngineState::tick_passed`]).
+    /// (`EngineState::tick_passed`).
     pub fn tick_passed(&mut self) {
         self.state.tick_passed();
     }
@@ -325,19 +315,13 @@ impl<R: Rng> LocalEngine<R> {
     pub fn skipped(&self) -> u64 {
         self.tally.skipped
     }
-
-    /// Fraction of `[0, now]` spent computing — the input to the CPU
-    /// usage model.
-    pub fn busy_fraction(&self, now: SimTime) -> f64 {
-        self.tally.busy_fraction(now)
-    }
 }
 
 /// Test hooks for the local-completion oracle in
 /// `tests/local_completions.rs`: one device's captures and controller
 /// ticks played against its engine twice — with every completion filed on
 /// a calendar, as the engines did before completions left it, and with
-/// [`EngineState::apply_due`] called the way `FleetCore` calls it.
+/// `EngineState::apply_due` called the way `FleetCore` calls it.
 #[doc(hidden)]
 pub mod testhooks {
     use super::{EngineState, LocalOutcome, Service};
@@ -573,7 +557,7 @@ mod tests {
     #[test]
     fn calibrated_to_table_ii() {
         let service = Service::of(DeviceKind::Pi4BRev12, ModelKind::MobileNetV3Small);
-        assert!((service.rate_fps() - 13.0).abs() < 0.01);
+        assert!((1.0 / service.mean.as_secs_f64() - 13.0).abs() < 0.01);
     }
 
     #[test]
@@ -626,15 +610,15 @@ mod tests {
             }
             now += SimDuration::from_secs_f64(1.0 / 30.0);
         }
-        let f = e.busy_fraction(now);
+        let f = e.tally.busy_fraction(now);
         assert!(f > 0.9 && f <= 1.0, "saturated busy fraction {f}");
     }
 
     #[test]
     fn idle_engine_has_zero_busy_fraction() {
         let e = engine(13.0);
-        assert_eq!(e.busy_fraction(SimTime::from_secs(10)), 0.0);
-        assert_eq!(e.busy_fraction(SimTime::ZERO), 0.0);
+        assert_eq!(e.tally.busy_fraction(SimTime::from_secs(10)), 0.0);
+        assert_eq!(e.tally.busy_fraction(SimTime::ZERO), 0.0);
     }
 
     #[test]

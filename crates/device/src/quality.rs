@@ -42,7 +42,7 @@ impl Default for QualityConfig {
 
 /// The quality-ladder controller.
 #[derive(Debug, Clone)]
-pub struct QualityAdapter {
+pub(crate) struct QualityAdapter {
     config: QualityConfig,
     quality: u8,
     clean_streak: u32,
@@ -50,7 +50,7 @@ pub struct QualityAdapter {
 
 impl QualityAdapter {
     /// An adapter starting at the configured maximum quality.
-    pub fn new(config: QualityConfig) -> Self {
+    pub(crate) fn new(config: QualityConfig) -> Self {
         assert!(
             config.min_quality >= 1 && config.min_quality <= config.max_quality,
             "quality bounds must satisfy 1 <= min <= max"
@@ -64,13 +64,13 @@ impl QualityAdapter {
     }
 
     /// Current JPEG quality.
-    pub fn quality(&self) -> u8 {
+    pub(crate) fn quality(&self) -> u8 {
         self.quality
     }
 
     /// Frame-size scaling factor relative to running at `max_quality`:
     /// multiply baseline frame bytes by this.
-    pub fn byte_scale(&self, resolution: u32) -> f64 {
+    pub(crate) fn byte_scale(&self, resolution: u32) -> f64 {
         let now = Compression::new(self.quality, resolution).mean_frame_bytes() as f64;
         let base = Compression::new(self.config.max_quality, resolution).mean_frame_bytes() as f64;
         now / base
@@ -78,7 +78,7 @@ impl QualityAdapter {
 
     /// Feed one measurement interval: the network-attributed timeout rate
     /// (frames/s). Returns the quality for the next interval.
-    pub fn update(&mut self, network_timeout_rate: f64) -> u8 {
+    pub(crate) fn update(&mut self, network_timeout_rate: f64) -> u8 {
         assert!(
             network_timeout_rate.is_finite() && network_timeout_rate >= 0.0,
             "timeout rate must be finite and non-negative"
@@ -102,12 +102,6 @@ impl QualityAdapter {
             self.clean_streak = 0;
         }
         self.quality
-    }
-
-    /// Reset to the default quality.
-    pub fn reset(&mut self) {
-        self.quality = self.config.max_quality;
-        self.clean_streak = 0;
     }
 }
 
@@ -178,14 +172,6 @@ mod tests {
             "q70 frames should be well under q90 size, got {scale}"
         );
         assert!(scale > 0.3);
-    }
-
-    #[test]
-    fn reset_restores_defaults() {
-        let mut a = adapter();
-        a.update(5.0);
-        a.reset();
-        assert_eq!(a.quality(), 90);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! and a cross-host check (a live recording verifies on any machine).
 
 use crate::runtime::{
-    is_probe_tag, trace_cause, trace_outcome, DeviceRuntime, RuntimeConfig, SubmitOutcome,
-    Transport, PROBE_TAG_BASE,
+    trace_cause, trace_outcome, DeviceRuntime, RuntimeConfig, SubmitOutcome, Transport,
 };
 use crate::selection::ModelSelection;
 use crate::splitter::Route;
+use crate::tags::{is_probe_tag, PROBE_TAG_BASE};
 use crate::ControllerSpec;
 use ff_core::Controller;
 use ff_sim::{SimDuration, SimTime};

@@ -48,7 +48,7 @@ use std::time::Instant;
 
 // The tag-space partition lives in the shared [`crate::tags`] module;
 // these re-exports keep the historical `runtime::` paths working.
-pub use crate::tags::{is_probe_tag, BACKGROUND_TAG_BASE, PROBE_TAG_BASE};
+use crate::tags::{is_probe_tag, BACKGROUND_TAG_BASE, PROBE_TAG_BASE};
 
 /// What happened when a frame was handed to the transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,11 +175,6 @@ impl WallClock {
         }
     }
 
-    /// The wall-clock instant of `t = 0`.
-    pub fn origin(&self) -> Instant {
-        self.origin
-    }
-
     /// The current runtime instant.
     pub fn now(&self) -> SimTime {
         self.at(Instant::now())
@@ -187,13 +182,8 @@ impl WallClock {
 
     /// The runtime instant of a wall-clock `instant` (saturating at 0 for
     /// instants before the origin).
-    pub fn at(&self, instant: Instant) -> SimTime {
+    pub(crate) fn at(&self, instant: Instant) -> SimTime {
         SimTime::from_micros(instant.saturating_duration_since(self.origin).as_micros() as u64)
-    }
-
-    /// The wall-clock instant of a runtime time `t`.
-    pub fn instant_at(&self, t: SimTime) -> Instant {
-        self.origin + std::time::Duration::from_micros(t.as_micros())
     }
 }
 
@@ -798,13 +788,13 @@ impl DeviceRuntime {
 
     /// The frame arrived at the server (sim adapter: refines `T_n`/`T_l`
     /// attribution for late responses).
-    pub fn frame_arrived_at_server(&mut self, tag: u64, at: SimTime) {
+    pub(crate) fn frame_arrived_at_server(&mut self, tag: u64, at: SimTime) {
         self.lend().frame_arrived_at_server(tag, at)
     }
 
     /// The server rejected the frame at `at` (batch overflow); it will
     /// resolve as a load timeout at its deadline.
-    pub fn frame_rejected_by_server(&mut self, tag: u64, at: SimTime) {
+    pub(crate) fn frame_rejected_by_server(&mut self, tag: u64, at: SimTime) {
         self.lend().frame_rejected_by_server(tag, at)
     }
 
@@ -833,11 +823,6 @@ impl DeviceRuntime {
         self.lend().tick(now, controller, transport)
     }
 
-    /// The controller's current offload-rate target (frames/s).
-    pub fn po_target(&self) -> f64 {
-        self.offload.po_target
-    }
-
     /// Frames handed to [`DeviceRuntime::offload`] (including instant
     /// failures).
     pub fn frames_offloaded(&self) -> u64 {
@@ -862,11 +847,6 @@ impl DeviceRuntime {
     /// Offloads still awaiting a response or deadline.
     pub fn in_flight(&self) -> usize {
         self.offload.flights.in_flight()
-    }
-
-    /// The per-interval QoS log so far.
-    pub fn qos(&self) -> &QosLog {
-        &self.qos
     }
 
     /// Consume the runtime, yielding the QoS log.
@@ -928,7 +908,7 @@ mod tests {
     #[test]
     fn bootstrap_decision_sets_the_initial_target() {
         let (rt, _) = runtime(30.0);
-        assert_eq!(rt.po_target(), 30.0);
+        assert_eq!(rt.offload.po_target, 30.0);
     }
 
     #[test]
@@ -1035,7 +1015,7 @@ mod tests {
         assert_eq!(out.record.timeouts, 10.0);
         assert_eq!(out.record.timeouts_network, 10.0);
         assert_eq!(out.record.po_target, 30.0);
-        assert_eq!(rt.qos().len(), 1);
+        assert_eq!(rt.qos.len(), 1);
         // Counters reset: a second empty tick reports zero rates.
         let out = rt.tick(SimTime::from_secs(2), &mut ctl, &mut tp);
         assert_eq!(out.record.po, 0.0);
@@ -1064,6 +1044,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside")]
+    fn target_above_fs_panics() {
+        route_increment(31.0, 30.0);
+    }
+
+    #[test]
     fn splitter_actuates_the_bootstrap_target() {
         let (mut rt, _) = runtime(15.0);
         let offloads = (0..30).filter(|_| rt.route() == Route::Offload).count();
@@ -1073,11 +1059,11 @@ mod tests {
     #[test]
     fn wall_clock_round_trips_instants() {
         let clock = WallClock::start();
-        let t = SimTime::from_millis(1234);
-        assert_eq!(clock.at(clock.instant_at(t)), t);
-        assert_eq!(clock.at(clock.origin()), SimTime::ZERO);
+        let later = clock.origin + std::time::Duration::from_millis(1234);
+        assert_eq!(clock.at(later), SimTime::from_millis(1234));
+        assert_eq!(clock.at(clock.origin), SimTime::ZERO);
         // Instants before the origin saturate to t = 0 rather than panic.
-        let early = clock.origin() - std::time::Duration::from_millis(5);
+        let early = clock.origin - std::time::Duration::from_millis(5);
         assert_eq!(clock.at(early), SimTime::ZERO);
     }
 }

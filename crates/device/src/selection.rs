@@ -41,7 +41,12 @@ impl ModelSelection {
     /// Expected accuracy of offloading is `remote · (1 − risk)`: a
     /// timed-out frame scores zero. The local model always answers in
     /// time, so its expected accuracy is just `local`.
-    pub fn prefers_local(&self, local_accuracy: f64, remote_accuracy: f64, risk: f64) -> bool {
+    pub(crate) fn prefers_local(
+        &self,
+        local_accuracy: f64,
+        remote_accuracy: f64,
+        risk: f64,
+    ) -> bool {
         match *self {
             ModelSelection::AlwaysPaper => false,
             ModelSelection::ExpectedAccuracy { margin } => {
@@ -51,7 +56,7 @@ impl ModelSelection {
     }
 
     /// Stable wire code for the trace header (schema v2).
-    pub fn code(&self) -> u8 {
+    pub(crate) fn code(&self) -> u8 {
         match self {
             ModelSelection::AlwaysPaper => 0,
             ModelSelection::ExpectedAccuracy { .. } => 1,
@@ -59,7 +64,7 @@ impl ModelSelection {
     }
 
     /// The hysteresis margin, or 0 for the legacy policy.
-    pub fn margin(&self) -> f64 {
+    pub(crate) fn margin(&self) -> f64 {
         match *self {
             ModelSelection::AlwaysPaper => 0.0,
             ModelSelection::ExpectedAccuracy { margin } => margin,
@@ -67,7 +72,7 @@ impl ModelSelection {
     }
 
     /// Rebuild from the trace-header wire pair. `None` for unknown codes.
-    pub fn from_code(code: u8, margin: f64) -> Option<Self> {
+    pub(crate) fn from_code(code: u8, margin: f64) -> Option<Self> {
         match code {
             0 => Some(ModelSelection::AlwaysPaper),
             1 => Some(ModelSelection::ExpectedAccuracy { margin }),
@@ -80,7 +85,7 @@ impl ModelSelection {
 /// target: the fraction of recent offloads that timed out, clamped to
 /// a probability. The `max(1)` floor keeps the estimate finite when the
 /// controller has throttled the target to zero.
-pub fn deadline_risk(timeout_rate: f64, po_target: f64) -> f64 {
+pub(crate) fn deadline_risk(timeout_rate: f64, po_target: f64) -> f64 {
     (timeout_rate / po_target.max(1.0)).clamp(0.0, 1.0)
 }
 

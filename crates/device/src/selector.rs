@@ -9,7 +9,7 @@
 //! device must carry the stream again, it immediately drops back to the
 //! fastest model to protect the throughput floor.
 
-use ff_models::{DeviceKind, ModelKind};
+use ff_models::ModelKind;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the local-model ladder.
@@ -44,16 +44,15 @@ impl Default for SelectorConfig {
 
 /// The local-model ladder controller.
 #[derive(Debug, Clone)]
-pub struct ModelSelector {
+pub(crate) struct ModelSelector {
     config: SelectorConfig,
-    device: DeviceKind,
     level: usize,
     high_streak: u32,
 }
 
 impl ModelSelector {
     /// A selector starting on the ladder's fastest model.
-    pub fn new(config: SelectorConfig, device: DeviceKind) -> Self {
+    pub(crate) fn new(config: SelectorConfig) -> Self {
         assert!(!config.ladder.is_empty(), "ladder needs at least one model");
         assert!(
             config.downgrade_share < config.upgrade_share,
@@ -61,25 +60,19 @@ impl ModelSelector {
         );
         ModelSelector {
             config,
-            device,
             level: 0,
             high_streak: 0,
         }
     }
 
     /// The currently selected local model.
-    pub fn model(&self) -> ModelKind {
+    pub(crate) fn model(&self) -> ModelKind {
         self.config.ladder[self.level]
-    }
-
-    /// The local inference rate of the current model on this device.
-    pub fn local_rate_fps(&self) -> f64 {
-        self.device.local_rate_fps(self.model())
     }
 
     /// Feed one interval's offload share (`P_o target / F_s`). Returns the
     /// model for the next interval.
-    pub fn update(&mut self, offload_share: f64) -> ModelKind {
+    pub(crate) fn update(&mut self, offload_share: f64) -> ModelKind {
         assert!(
             offload_share.is_finite() && offload_share >= 0.0,
             "offload share must be finite and non-negative"
@@ -102,27 +95,27 @@ impl ModelSelector {
         }
         self.model()
     }
-
-    /// Return to the fastest model and forget streaks.
-    pub fn reset(&mut self) {
-        self.level = 0;
-        self.high_streak = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ff_models::DeviceKind;
 
     fn selector() -> ModelSelector {
-        ModelSelector::new(SelectorConfig::default(), DeviceKind::Pi4BRev12)
+        ModelSelector::new(SelectorConfig::default())
+    }
+
+    /// The local inference rate of the selected model on the device.
+    fn local_rate_fps(s: &ModelSelector) -> f64 {
+        DeviceKind::Pi4BRev12.local_rate_fps(s.model())
     }
 
     #[test]
     fn starts_on_the_fastest_model() {
         let s = selector();
         assert_eq!(s.model(), ModelKind::MobileNetV3Small);
-        assert!((s.local_rate_fps() - 13.0).abs() < 0.01);
+        assert!((local_rate_fps(&s) - 13.0).abs() < 0.01);
     }
 
     #[test]
@@ -175,11 +168,11 @@ mod tests {
     #[test]
     fn upgraded_model_is_more_accurate_but_slower() {
         let mut s = selector();
-        let fast = (s.local_rate_fps(), s.model().profile().top1_accuracy);
+        let fast = (local_rate_fps(&s), s.model().profile().top1_accuracy);
         for _ in 0..5 {
             s.update(0.95);
         }
-        let slow = (s.local_rate_fps(), s.model().profile().top1_accuracy);
+        let slow = (local_rate_fps(&s), s.model().profile().top1_accuracy);
         assert!(slow.0 < fast.0, "rate must drop ({} -> {})", fast.0, slow.0);
         assert!(
             slow.1 > fast.1,
@@ -190,21 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_returns_to_the_base_model() {
-        let mut s = selector();
-        for _ in 0..5 {
-            s.update(0.95);
-        }
-        s.reset();
-        assert_eq!(s.model(), ModelKind::MobileNetV3Small);
-    }
-
-    #[test]
     #[should_panic(expected = "hysteresis")]
     fn inverted_thresholds_rejected() {
         let mut config = SelectorConfig::default();
         config.downgrade_share = 0.9;
-        ModelSelector::new(config, DeviceKind::Pi4BRev12);
+        ModelSelector::new(config);
     }
 
     #[test]
@@ -214,6 +197,6 @@ mod tests {
             ladder: vec![],
             ..Default::default()
         };
-        ModelSelector::new(config, DeviceKind::Pi4BRev12);
+        ModelSelector::new(config);
     }
 }

@@ -18,32 +18,20 @@ pub enum Route {
 
 /// Credit-based deterministic rate splitter.
 #[derive(Debug, Clone, Default)]
-pub struct FrameSplitter {
+pub(crate) struct FrameSplitter {
     credit: f64,
 }
 
 impl FrameSplitter {
     /// A splitter with zero accumulated credit.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Route one captured frame given the current targets.
-    pub fn route(&mut self, po_target: f64, fs: f64) -> Route {
-        assert!(fs > 0.0, "F_s must be positive");
-        assert!(
-            (0.0..=fs + 1e-9).contains(&po_target),
-            "P_o target {po_target} outside [0, F_s={fs}]"
-        );
-        self.advance(po_target / fs)
-    }
-
     /// Route one captured frame from a pre-computed credit increment
-    /// (`po_target / fs`). Callers that route at frame rate can compute
-    /// the division once per target update and validate it there; the
-    /// result is bit-identical to [`FrameSplitter::route`] with the same
-    /// operands.
-    pub fn advance(&mut self, incr: f64) -> Route {
+    /// (`po_target / fs`). Callers route at frame rate, so they compute
+    /// the division once per target update and validate it there.
+    pub(crate) fn advance(&mut self, incr: f64) -> Route {
         self.credit += incr;
         if self.credit >= 1.0 {
             self.credit -= 1.0;
@@ -52,22 +40,20 @@ impl FrameSplitter {
             Route::Local
         }
     }
-
-    /// Forget accumulated credit (e.g. on controller reset).
-    pub fn reset(&mut self) {
-        self.credit = 0.0;
-    }
-
-    /// Current fractional credit, for inspection.
-    pub fn credit(&self) -> f64 {
-        self.credit
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl FrameSplitter {
+        /// Route one frame at offload target `po_target` of `fs`, as the
+        /// runtime does with its precomputed increment.
+        fn route(&mut self, po_target: f64, fs: f64) -> Route {
+            self.advance(po_target / fs)
+        }
+    }
 
     fn offload_count(po: f64, fs: f64, frames: usize) -> usize {
         let mut s = FrameSplitter::new();
@@ -135,21 +121,6 @@ mod tests {
         assert_eq!(offloads, 30, "no stale credit after target drops to 0");
     }
 
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn target_above_fs_panics() {
-        FrameSplitter::new().route(31.0, 30.0);
-    }
-
-    #[test]
-    fn reset_clears_credit() {
-        let mut s = FrameSplitter::new();
-        s.route(15.0, 30.0);
-        assert!(s.credit() > 0.0);
-        s.reset();
-        assert_eq!(s.credit(), 0.0);
-    }
-
     proptest! {
         /// Over any horizon, the offloaded count differs from the ideal
         /// fluid count by at most one frame (zero long-run bias).
@@ -207,8 +178,8 @@ mod tests {
             for frac in &targets {
                 s.route(frac * fs, fs);
                 prop_assert!(
-                    (0.0..1.0).contains(&s.credit()),
-                    "credit {} escaped [0, 1)", s.credit()
+                    (0.0..1.0).contains(&s.credit),
+                    "credit {} escaped [0, 1)", s.credit
                 );
             }
         }
@@ -236,9 +207,9 @@ mod tests {
             }
             let earned = first_frac * first_len as f64 + second_frac * second_len as f64;
             prop_assert!(
-                (offloads as f64 + s.credit() - earned).abs() < 1e-6,
+                (offloads as f64 + s.credit - earned).abs() < 1e-6,
                 "offloads {} + credit {:.9} != earned {:.9}",
-                offloads, s.credit(), earned
+                offloads, s.credit, earned
             );
         }
     }

@@ -26,13 +26,13 @@
 /// First tag of the heartbeat-probe range. Also used as the probe *bit*
 /// in the fleet layout, so `is_probe_tag` gives one answer for both
 /// single-device and fleet tags.
-pub const PROBE_TAG_BASE: u64 = 1 << 62;
+pub(crate) const PROBE_TAG_BASE: u64 = 1 << 62;
 
 /// First tag of the background-tenant range (sim only).
-pub use ff_server::BACKGROUND_TAG_BASE;
+pub(crate) use ff_server::BACKGROUND_TAG_BASE;
 
 /// Whether a tag belongs to the heartbeat-probe range (either layout).
-pub fn is_probe_tag(tag: u64) -> bool {
+pub(crate) fn is_probe_tag(tag: u64) -> bool {
     tag >= PROBE_TAG_BASE
 }
 
@@ -42,14 +42,14 @@ pub(crate) fn is_background_tag(tag: u64) -> bool {
 }
 
 /// Bit position of the fleet device index within a packed tag.
-pub const FLEET_DEV_SHIFT: u32 = 36;
+pub(crate) const FLEET_DEV_SHIFT: u32 = 36;
 
 /// Mask of the per-device sequence field in a packed fleet tag
 /// (36 bits — a device would need 72 years at 30 fps to overflow it).
-pub const FLEET_SEQ_MASK: u64 = (1 << FLEET_DEV_SHIFT) - 1;
+pub(crate) const FLEET_SEQ_MASK: u64 = (1 << FLEET_DEV_SHIFT) - 1;
 
 /// Exclusive upper bound on the fleet device index (21 bits).
-pub const FLEET_MAX_DEVICES: usize = 1 << 21;
+pub(crate) const FLEET_MAX_DEVICES: usize = 1 << 21;
 
 // The packed frame layout must stay strictly below the reserved ranges;
 // if anyone widens a field, this fails the build rather than aliasing.
@@ -61,19 +61,19 @@ const _: () = assert!(
 );
 
 /// Pack a fleet tag from a device index and per-device sequence number.
-pub fn fleet_tag(dev: usize, seq: u64, probe: bool) -> u64 {
+pub(crate) fn fleet_tag(dev: usize, seq: u64, probe: bool) -> u64 {
     assert!(dev < FLEET_MAX_DEVICES, "device index too large");
     assert!(seq <= FLEET_SEQ_MASK, "sequence overflow");
     (if probe { PROBE_TAG_BASE } else { 0 }) | ((dev as u64) << FLEET_DEV_SHIFT) | seq
 }
 
 /// The device index packed into a fleet tag.
-pub fn fleet_tag_device(tag: u64) -> usize {
+pub(crate) fn fleet_tag_device(tag: u64) -> usize {
     ((tag & !PROBE_TAG_BASE) >> FLEET_DEV_SHIFT) as usize
 }
 
 /// The per-device sequence number packed into a fleet tag.
-pub fn fleet_tag_seq(tag: u64) -> u64 {
+pub(crate) fn fleet_tag_seq(tag: u64) -> u64 {
     tag & FLEET_SEQ_MASK
 }
 

@@ -52,14 +52,14 @@ pub struct FrameRecord {
 /// Collects frame records during a run (when enabled): one per
 /// captured frame, so memory grows with the stream's length.
 #[derive(Debug, Default)]
-pub struct FrameTrace {
+pub(crate) struct FrameTrace {
     records: Vec<FrameRecord>,
     enabled: bool,
 }
 
 impl FrameTrace {
     /// A trace that records only when `enabled`.
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         FrameTrace {
             records: Vec::new(),
             enabled,
@@ -67,13 +67,13 @@ impl FrameTrace {
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Register a captured frame with a provisional fate (overwritten on
     /// resolution). Frame ids must arrive in order.
-    pub fn captured(&mut self, frame_id: u64, at: SimTime, bytes: u64, fate: FrameFate) {
+    pub(crate) fn captured(&mut self, frame_id: u64, at: SimTime, bytes: u64, fate: FrameFate) {
         if !self.enabled {
             return;
         }
@@ -91,7 +91,7 @@ impl FrameTrace {
     }
 
     /// Update the fate of a previously captured frame.
-    pub fn resolve(&mut self, frame_id: u64, fate: FrameFate) {
+    pub(crate) fn resolve(&mut self, frame_id: u64, fate: FrameFate) {
         if !self.enabled {
             return;
         }
@@ -103,7 +103,7 @@ impl FrameTrace {
     }
 
     /// The records, oldest first (empty when disabled).
-    pub fn into_records(self) -> Vec<FrameRecord> {
+    pub(crate) fn into_records(self) -> Vec<FrameRecord> {
         self.records
     }
 }

@@ -3,6 +3,7 @@
 //! runtime columns beside the recording row's trace handle: one record
 //! per run, not a byte per device.
 
+use crate::cpu::CpuModel;
 use crate::experiment::ExperimentResult;
 use crate::fleet::{FleetConfig, FleetDeviceResult, FleetResult};
 use crate::local::{EngineTally, LocalOutcome};
@@ -10,7 +11,6 @@ use crate::offload::TimeoutCause;
 use crate::runtime::FrameOutcome;
 use crate::tags::fleet_tag_seq;
 use crate::trace::{timeout_fate, FrameFate, FrameTrace};
-use crate::CpuModel;
 use ff_metrics::LatencyStats;
 use ff_models::{Compression, ModelKind};
 use ff_net::LinkStats;

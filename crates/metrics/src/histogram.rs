@@ -31,7 +31,7 @@ pub struct LogHistogram {
 impl LogHistogram {
     /// A histogram covering `[min_value, max_value]` with the given
     /// relative precision (e.g. 0.02 → percentiles accurate to ~2%).
-    pub fn new(min_value: f64, max_value: f64, precision: f64) -> Self {
+    pub(crate) fn new(min_value: f64, max_value: f64, precision: f64) -> Self {
         assert!(
             min_value > 0.0 && min_value.is_finite(),
             "min_value must be positive"
@@ -94,21 +94,6 @@ impl LogHistogram {
         self.count
     }
 
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Exact arithmetic mean of all observations.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Exact maximum observation.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Approximate percentile (`q` in `[0, 1]`), with relative error
     /// bounded by the configured precision. Returns `None` when empty.
     pub fn percentile(&self, q: f64) -> Option<f64> {
@@ -132,28 +117,6 @@ impl LogHistogram {
         }
         Some(self.max)
     }
-
-    /// Merge another histogram recorded with identical parameters.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert!(
-            self.min_value == other.min_value
-                && self.growth == other.growth
-                && self.counts.len() == other.counts.len(),
-            "cannot merge histograms with different bucketing"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Memory footprint in buckets (for documentation/tests).
-    pub fn bucket_count(&self) -> usize {
-        self.counts.len()
-    }
 }
 
 #[cfg(test)]
@@ -161,10 +124,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl LogHistogram {
+        /// Exact arithmetic mean of all observations.
+        fn mean(&self) -> Option<f64> {
+            (self.count > 0).then(|| self.sum / self.count as f64)
+        }
+
+        /// Exact maximum observation.
+        fn max(&self) -> Option<f64> {
+            (self.count > 0).then_some(self.max)
+        }
+    }
+
     #[test]
     fn empty_histogram_reports_none() {
         let h = LogHistogram::for_latency_ms();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.5), None);
         assert_eq!(h.mean(), None);
         assert_eq!(h.max(), None);
@@ -215,34 +190,6 @@ mod tests {
         let p = h.percentile(1.0).unwrap();
         assert!((99.0..=102.0).contains(&p), "got {p}");
         assert_eq!(h.max(), Some(1e9));
-    }
-
-    #[test]
-    fn merge_equals_union() {
-        let mut a = LogHistogram::for_latency_ms();
-        let mut b = LogHistogram::for_latency_ms();
-        let mut whole = LogHistogram::for_latency_ms();
-        for i in 1..=500 {
-            a.record(i as f64);
-            whole.record(i as f64);
-        }
-        for i in 501..=1000 {
-            b.record(i as f64);
-            whole.record(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.percentile(q), whole.percentile(q));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucketing")]
-    fn merging_mismatched_histograms_panics() {
-        let mut a = LogHistogram::new(1.0, 100.0, 0.02);
-        let b = LogHistogram::new(1.0, 100.0, 0.05);
-        a.merge(&b);
     }
 
     #[test]
@@ -304,7 +251,7 @@ mod tests {
         // max barely above min → the minimum bucket count the constructor
         // can produce. Percentiles must stay in range and well-defined.
         let mut h = LogHistogram::new(1.0, 1.001, 0.02);
-        assert_eq!(h.bucket_count(), 2);
+        assert_eq!(h.counts.len(), 2);
         h.record(1.0);
         let p = h.percentile(0.5).unwrap();
         assert_eq!(p, 1.0, "single observation caps the midpoint at max");
@@ -314,7 +261,7 @@ mod tests {
     #[test]
     fn memory_is_bounded() {
         let h = LogHistogram::for_latency_ms();
-        assert!(h.bucket_count() < 1_500, "buckets: {}", h.bucket_count());
+        assert!(h.counts.len() < 1_500, "buckets: {}", h.counts.len());
     }
 
     proptest! {

@@ -38,7 +38,7 @@ impl WindowedRate {
 
     /// Record `n` occurrences at `now`. Records must be fed in
     /// non-decreasing time order (the natural order of a simulation run).
-    pub fn record_n(&mut self, now: SimTime, n: u64, window: SimDuration) {
+    fn record_n(&mut self, now: SimTime, n: u64, window: SimDuration) {
         if let Some(&(last, _)) = self.events.back() {
             assert!(
                 now >= last,
@@ -74,12 +74,6 @@ impl WindowedRate {
         }
     }
 
-    /// Occurrences within `(now - window, now]`.
-    pub fn count_at(&mut self, now: SimTime, window: SimDuration) -> u64 {
-        self.evict(now, window);
-        self.total_in_window
-    }
-
     /// Per-second rate over the trailing window at instant `now`.
     ///
     /// Before a full window has elapsed since t = 0, the divisor is the
@@ -92,12 +86,6 @@ impl WindowedRate {
             return 0.0;
         }
         self.total_in_window as f64 / denom
-    }
-
-    /// Drop all state (e.g. on controller reconfiguration).
-    pub fn reset(&mut self) {
-        self.events.clear();
-        self.total_in_window = 0;
     }
 }
 
@@ -122,14 +110,13 @@ mod tests {
         fn record_n(&mut self, now: SimTime, n: u64) {
             self.0.record_n(now, n, self.1);
         }
+        /// Occurrences within `(now - window, now]`.
         fn count_at(&mut self, now: SimTime) -> u64 {
-            self.0.count_at(now, self.1)
+            self.0.evict(now, self.1);
+            self.0.total_in_window
         }
         fn rate_at(&mut self, now: SimTime) -> f64 {
             self.0.rate_at(now, self.1)
-        }
-        fn reset(&mut self) {
-            self.0.reset();
         }
     }
 
@@ -188,18 +175,6 @@ mod tests {
         let mut r = Over::new(SimDuration::from_secs(1));
         r.record(s(2));
         r.record(s(1));
-    }
-
-    #[test]
-    fn reset_clears_window_state() {
-        let mut r = Over::new(SimDuration::from_secs(5));
-        r.record_n(s(1), 7);
-        r.reset();
-        assert_eq!(r.count_at(s(1)), 0);
-        // A reset estimator behaves like a fresh one: counts restart and
-        // earlier timestamps are admissible again.
-        r.record_n(s(0), 2);
-        assert_eq!(r.count_at(s(0)), 2);
     }
 
     #[test]

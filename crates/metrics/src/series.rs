@@ -38,7 +38,7 @@ impl LatencyStats {
     }
 
     /// Number of observations recorded.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.values_ms.len()
     }
 
@@ -54,7 +54,7 @@ impl LatencyStats {
     /// Arithmetic mean in milliseconds, if any observation was recorded.
     /// Summed in recording order until a quantile query reorders the
     /// observations.
-    pub fn mean_ms(&self) -> Option<f64> {
+    pub(crate) fn mean_ms(&self) -> Option<f64> {
         if self.values_ms.is_empty() {
             return None;
         }

@@ -39,7 +39,7 @@ impl Compression {
     ///
     /// Quadratic fit through typical photographic JPEG operating points:
     /// q=25 → ~0.9 bpp, q=50 → ~1.8 bpp, q=75 → ~3.5 bpp, q=90 → ~4.9 bpp.
-    pub fn bits_per_pixel(self) -> f64 {
+    pub(crate) fn bits_per_pixel(self) -> f64 {
         let q = self.quality as f64 / 100.0;
         0.4 + 5.6 * q * q
     }

@@ -108,11 +108,6 @@ impl DeviceKind {
             ModelKind::MobileNetV3Small | ModelKind::EfficientNetB0
         )
     }
-
-    /// Mean local service time in milliseconds (`1000 / P_l`).
-    pub fn local_service_ms(self, model: ModelKind) -> f64 {
-        1_000.0 / self.local_rate_fps(model)
-    }
 }
 
 #[cfg(test)]
@@ -189,11 +184,5 @@ mod tests {
     fn measured_flag_is_accurate() {
         assert!(DeviceKind::Pi3BRev12.local_rate_is_measured(ModelKind::EfficientNetB0));
         assert!(!DeviceKind::Pi3BRev12.local_rate_is_measured(ModelKind::EfficientNetB4));
-    }
-
-    #[test]
-    fn service_time_inverts_rate() {
-        let ms = DeviceKind::Pi4BRev12.local_service_ms(ModelKind::MobileNetV3Small);
-        assert!((ms - 1000.0 / 13.0).abs() < 1e-9);
     }
 }

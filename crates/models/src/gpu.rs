@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 /// Latency model for one classification model on the server GPU.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GpuModelProfile {
+pub(crate) struct GpuModelProfile {
     /// The model this latency profile describes.
     pub model: ModelKind,
     /// Fixed per-batch overhead in milliseconds.
@@ -31,7 +31,7 @@ pub struct GpuProfile {
 }
 
 /// The paper's batch-size cap.
-pub const PAPER_BATCH_LIMIT: usize = 15;
+pub(crate) const PAPER_BATCH_LIMIT: usize = 15;
 
 impl Default for GpuProfile {
     fn default() -> Self {
@@ -48,7 +48,7 @@ impl GpuProfile {
     /// (batch-15 steady state) is ~150 inferences/s — the offered-load
     /// level at which Table VI shows the measured device can no longer fit
     /// in any offloading.
-    pub fn model_profile(self, model: ModelKind) -> GpuModelProfile {
+    pub(crate) fn model_profile(self, model: ModelKind) -> GpuModelProfile {
         let (batch_base_ms, per_frame_ms) = match model {
             ModelKind::MobileNetV3Small => (40.0, 4.3),
             ModelKind::MobileNetV3Large => (48.0, 6.0),
@@ -159,7 +159,7 @@ mod tests {
         use crate::device::DeviceKind;
         let gpu = GpuProfile::default();
         let gpu_ms = gpu.batch_latency_ms(ModelKind::MobileNetV3Small, 1);
-        let pi_ms = DeviceKind::Pi4BRev14.local_service_ms(ModelKind::MobileNetV3Small);
+        let pi_ms = 1_000.0 / DeviceKind::Pi4BRev14.local_rate_fps(ModelKind::MobileNetV3Small);
         assert!(
             gpu_ms < pi_ms,
             "GPU single-frame {gpu_ms}ms vs Pi {pi_ms}ms"

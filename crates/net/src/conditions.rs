@@ -50,12 +50,12 @@ impl NetworkConditions {
     }
 
     /// Loss probability as a fraction in `[0, 1]`.
-    pub fn loss_probability(&self) -> f64 {
+    pub(crate) fn loss_probability(&self) -> f64 {
         self.loss_pct / 100.0
     }
 
     /// Seconds needed to serialize `bytes` onto the link.
-    pub fn serialization_secs(&self, bytes: u64) -> f64 {
+    pub(crate) fn serialization_secs(&self, bytes: u64) -> f64 {
         bytes as f64 * 8.0 / (self.bandwidth_mbps * 1e6)
     }
 }

@@ -71,16 +71,6 @@ pub enum SendOutcome {
     Dropped(DropReason),
 }
 
-impl SendOutcome {
-    /// The delivery instant, or `None` if the frame was dropped.
-    pub fn delivered_at(self) -> Option<SimTime> {
-        match self {
-            SendOutcome::Delivered { at } => Some(at),
-            SendOutcome::Dropped(_) => None,
-        }
-    }
-}
-
 /// Counters the link keeps for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkStats {
@@ -106,16 +96,6 @@ impl std::ops::AddAssign for LinkStats {
         self.frames_dropped_loss += other.frames_dropped_loss;
         self.packets_sent += other.packets_sent;
         self.packets_lost += other.packets_lost;
-    }
-}
-
-impl LinkStats {
-    /// Observed per-packet loss fraction.
-    pub fn observed_loss(&self) -> f64 {
-        if self.packets_sent == 0 {
-            return 0.0;
-        }
-        self.packets_lost as f64 / self.packets_sent as f64
     }
 }
 
@@ -195,7 +175,7 @@ impl<R: Rng> LinkState<R> {
     }
 
     /// Outstanding serialization backlog at `now`.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn backlog(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_since(now)
     }
 
@@ -290,19 +270,9 @@ impl<R: Rng> Link<R> {
         self.stats
     }
 
-    /// Outstanding serialization backlog at `now`.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.state.backlog(now)
-    }
-
     /// Offer a `bytes`-sized frame to the link at `now`.
     pub fn send(&mut self, now: SimTime, bytes: u64) -> SendOutcome {
         self.state.send(&self.params, now, bytes, &mut self.stats)
-    }
-
-    /// Observed per-packet loss fraction so far.
-    pub fn observed_loss(&self) -> f64 {
-        self.stats.observed_loss()
     }
 }
 
@@ -312,6 +282,20 @@ mod tests {
     use ff_sim::RngFactory;
     use proptest::prelude::*;
     use rand_chacha::ChaCha8Rng;
+
+    /// The delivery instant, or `None` if the frame was dropped.
+    fn delivered_at(outcome: SendOutcome) -> Option<SimTime> {
+        match outcome {
+            SendOutcome::Delivered { at } => Some(at),
+            SendOutcome::Dropped(_) => None,
+        }
+    }
+
+    /// Observed per-packet loss fraction so far.
+    fn observed_loss(l: &Link<ChaCha8Rng>) -> f64 {
+        let stats = l.stats();
+        stats.packets_lost as f64 / stats.packets_sent.max(1) as f64
+    }
 
     fn link(bw_mbps: f64, loss_pct: f64) -> Link<ChaCha8Rng> {
         Link::new(
@@ -326,21 +310,21 @@ mod tests {
         let mut l = link(10.0, 0.0);
         // 25 KB at 10 Mbps = 20 ms; + 5 ms propagation.
         let out = l.send(SimTime::ZERO, 25_000);
-        let at = out.delivered_at().expect("lossless link delivers");
+        let at = delivered_at(out).expect("lossless link delivers");
         assert_eq!(at.as_millis(), 25);
     }
 
     #[test]
     fn fifo_backlog_delays_subsequent_frames() {
         let mut l = link(10.0, 0.0);
-        let a = l.send(SimTime::ZERO, 25_000).delivered_at().unwrap();
-        let b = l.send(SimTime::ZERO, 25_000).delivered_at().unwrap();
+        let a = delivered_at(l.send(SimTime::ZERO, 25_000)).unwrap();
+        let b = delivered_at(l.send(SimTime::ZERO, 25_000)).unwrap();
         assert_eq!(b - a, SimDuration::from_millis(20), "second frame queues");
-        assert_eq!(l.backlog(SimTime::ZERO), SimDuration::from_millis(40));
+        assert_eq!(l.state.backlog(SimTime::ZERO), SimDuration::from_millis(40));
         // After the backlog drains, a new frame is unqueued again.
         let later = SimTime::from_millis(100);
-        assert_eq!(l.backlog(later), SimDuration::ZERO);
-        let c = l.send(later, 25_000).delivered_at().unwrap();
+        assert_eq!(l.state.backlog(later), SimDuration::ZERO);
+        let c = delivered_at(l.send(later, 25_000)).unwrap();
         assert_eq!(c - later, SimDuration::from_millis(25));
     }
 
@@ -379,7 +363,7 @@ mod tests {
             }
         }
         assert!(extra_latency_seen, "retransmission rounds must add RTO");
-        assert!(l.observed_loss() > 0.15 && l.observed_loss() < 0.45);
+        assert!(observed_loss(&l) > 0.15 && observed_loss(&l) < 0.45);
     }
 
     #[test]
@@ -404,7 +388,7 @@ mod tests {
         }
         assert_eq!(l.stats().frames_dropped_loss, 0);
         assert_eq!(l.stats().packets_lost, 0);
-        assert_eq!(l.observed_loss(), 0.0);
+        assert_eq!(observed_loss(&l), 0.0);
     }
 
     #[test]
@@ -413,11 +397,11 @@ mod tests {
         let mut l = LinkState::new(RngFactory::new(7).stream("link"));
         let mut stats = LinkStats::default();
         let fast = l.send(&params, SimTime::ZERO, 25_000, &mut stats);
-        let fast = fast.delivered_at().unwrap();
+        let fast = delivered_at(fast).unwrap();
         params.set_conditions(NetworkConditions::new(1.0, 0.0));
         let t1 = SimTime::from_secs(1);
         let slow = l.send(&params, t1, 25_000, &mut stats);
-        let slow = slow.delivered_at().unwrap();
+        let slow = delivered_at(slow).unwrap();
         assert!((slow - t1).as_millis() > 4 * (fast - SimTime::ZERO).as_millis());
     }
 
@@ -441,7 +425,7 @@ mod tests {
         for i in 0..2_000u64 {
             let _ = l.send(SimTime::from_millis(i * 10), 25_000);
         }
-        let obs = l.observed_loss();
+        let obs = observed_loss(&l);
         // Retransmissions re-draw loss, so observed per-packet loss stays
         // near the configured 7%.
         assert!((obs - 0.07).abs() < 0.01, "observed {obs:.4}");
@@ -468,7 +452,7 @@ mod tests {
         params.set_conditions(NetworkConditions::ideal());
         assert_eq!(
             params.loss_model(),
-            LossModel::NONE,
+            LossModel::bernoulli(0.0),
             "a step reverts to Bernoulli"
         );
     }
@@ -541,7 +525,7 @@ mod tests {
             let mut prev = SimDuration::ZERO;
             for _ in 0..count {
                 let _ = l.send(SimTime::ZERO, bytes);
-                let b = l.backlog(SimTime::ZERO);
+                let b = l.state.backlog(SimTime::ZERO);
                 prop_assert!(b >= prev);
                 prev = b;
             }

@@ -67,12 +67,6 @@ impl GilbertElliott {
         }
     }
 
-    /// The stationary (long-run average) loss probability.
-    pub fn stationary_loss(&self) -> f64 {
-        let pi_bad = self.p_good_to_bad / (self.p_good_to_bad + self.p_bad_to_good);
-        pi_bad * self.loss_bad + (1.0 - pi_bad) * self.loss_good
-    }
-
     /// Why this chain cannot run, if it cannot: a parameter that is not
     /// a probability, or no way out of either state.
     fn check(&self) -> Result<(), String> {
@@ -95,21 +89,10 @@ impl GilbertElliott {
 }
 
 impl LossModel {
-    /// No loss at all.
-    pub const NONE: LossModel = LossModel::Bernoulli { p: 0.0 };
-
     /// Validated Bernoulli model.
-    pub fn bernoulli(p: f64) -> Self {
+    pub(crate) fn bernoulli(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "loss must be a probability");
         LossModel::Bernoulli { p }
-    }
-
-    /// Long-run average loss probability.
-    pub fn average_loss(&self) -> f64 {
-        match self {
-            LossModel::Bernoulli { p } => *p,
-            LossModel::GilbertElliott(ge) => ge.stationary_loss(),
-        }
     }
 
     /// Why this model cannot drive a link, if it cannot: a parameter that
@@ -127,7 +110,7 @@ impl LossModel {
     }
 
     /// Panic with [`Self::check`]'s reason, if it has one.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }
@@ -138,7 +121,7 @@ impl LossModel {
     /// restart it at every model change, in the good state: bursts are
     /// exceptional events); Bernoulli loss neither reads nor writes it.
     #[inline]
-    pub fn packet_lost<R: Rng>(&self, in_burst: &mut bool, rng: &mut R) -> bool {
+    pub(crate) fn packet_lost<R: Rng>(&self, in_burst: &mut bool, rng: &mut R) -> bool {
         match *self {
             LossModel::Bernoulli { p } => p > 0.0 && rng.gen_bool(p),
             LossModel::GilbertElliott(ge) => {
@@ -179,13 +162,14 @@ mod tests {
 
     #[test]
     fn zero_loss_never_loses() {
-        assert!(draw_n(LossModel::NONE, 10_000, 2).iter().all(|&l| !l));
+        assert!(draw_n(LossModel::bernoulli(0.0), 10_000, 2)
+            .iter()
+            .all(|&l| !l));
     }
 
     #[test]
     fn gilbert_elliott_hits_the_target_average() {
         let ge = GilbertElliott::with_average_loss(0.07);
-        assert!((ge.stationary_loss() - 0.07).abs() < 1e-12);
         let losses = draw_n(LossModel::GilbertElliott(ge), 400_000, 3);
         let rate = losses.iter().filter(|&&l| l).count() as f64 / losses.len() as f64;
         assert!((rate - 0.07).abs() < 0.01, "observed {rate:.4}");
@@ -234,15 +218,8 @@ mod tests {
         let mut in_burst = false;
         assert!(LossModel::GilbertElliott(ge).packet_lost(&mut in_burst, &mut rng));
         assert!(in_burst);
-        assert!(!LossModel::NONE.packet_lost(&mut in_burst, &mut rng));
+        assert!(!LossModel::bernoulli(0.0).packet_lost(&mut in_burst, &mut rng));
         assert!(in_burst, "Bernoulli loss does not touch the burst state");
-    }
-
-    #[test]
-    fn average_loss_accessor_is_consistent() {
-        assert_eq!(LossModel::bernoulli(0.07).average_loss(), 0.07);
-        let ge = GilbertElliott::with_average_loss(0.1);
-        assert!((LossModel::GilbertElliott(ge).average_loss() - 0.1).abs() < 1e-12);
     }
 
     #[test]

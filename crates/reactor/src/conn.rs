@@ -182,7 +182,7 @@ impl FramedConn {
     }
 
     /// Whether a further `size`-byte frame fits under the write cap.
-    pub fn can_enqueue(&self, size: usize) -> bool {
+    pub(crate) fn can_enqueue(&self, size: usize) -> bool {
         !self.closed && self.pending_write_bytes() + size <= self.write_cap
     }
 

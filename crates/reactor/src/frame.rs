@@ -17,8 +17,8 @@
 //!   (0 = ok, 1 = rejected).
 //!
 //! Hardening contract (the `ff-trace` codec pattern): decoding arbitrary
-//! bytes **never panics** — a truncated frame is `Ok(None)` for the
-//! streaming decoder and `Err` for [`decode_frame_exact`]; any corrupt
+//! bytes **never panics** — a truncated frame is `Ok(None)` from
+//! [`decode_frame`] and the streaming decoder; any corrupt
 //! magic, opcode, tag, status, or over-limit length is `Err` as soon as
 //! its bytes are in. Encoders append into caller-owned buffers so
 //! steady-state encoding allocates nothing.
@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Frame magic, first on the wire.
-pub const MAGIC: [u8; 4] = *b"FFLP";
+pub(crate) const MAGIC: [u8; 4] = *b"FFLP";
 
 /// Opcode for a client→server inference request.
 const OP_REQUEST: u8 = 0x01;
@@ -42,7 +42,7 @@ const OP_RESPONSE: u8 = 0x02;
 
 /// Upper bound on the declared frame length (opcode + body), mirroring
 /// the legacy codec's 16 MiB cap; anything larger is corruption.
-pub const MAX_FRAME_BYTES: u64 = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u64 = 16 * 1024 * 1024;
 
 /// A decoded frame, borrowing the request payload from the input buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ pub enum FrameError {
     BadMagic,
     /// The length varint is malformed (overlong or > 10 bytes).
     BadLength,
-    /// The declared length exceeds [`MAX_FRAME_BYTES`] or is too short
+    /// The declared length exceeds the 16 MiB cap or is too short
     /// to hold the opcode.
     LengthOutOfRange,
     /// Unknown opcode byte.
@@ -80,9 +80,6 @@ pub enum FrameError {
     /// A body field (tag varint, status byte) is malformed or the body
     /// length does not match the opcode's layout.
     BadBody,
-    /// [`decode_frame_exact`] was given a buffer that is not exactly one
-    /// well-formed frame (truncated or trailing bytes).
-    Incomplete,
 }
 
 impl fmt::Display for FrameError {
@@ -93,7 +90,6 @@ impl fmt::Display for FrameError {
             FrameError::LengthOutOfRange => "frame length out of range",
             FrameError::BadOpcode => "unknown opcode",
             FrameError::BadBody => "malformed frame body",
-            FrameError::Incomplete => "buffer is not exactly one frame",
         };
         f.write_str(what)
     }
@@ -386,20 +382,19 @@ impl FrameDecoder {
     }
 }
 
-/// Strict decode: `buf` must contain exactly one well-formed frame.
-/// Truncation and trailing garbage are both errors — the invariant the
-/// codec proptests pin down.
-pub fn decode_frame_exact(buf: &[u8]) -> Result<Frame<'_>, FrameError> {
-    match decode_frame(buf)? {
-        Some((frame, consumed)) if consumed == buf.len() => Ok(frame),
-        _ => Err(FrameError::Incomplete),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Strict decode: `buf` must hold exactly one well-formed frame, so
+    /// truncation and trailing garbage both read `None`.
+    fn decode_frame_exact(buf: &[u8]) -> Option<Frame<'_>> {
+        match decode_frame(buf) {
+            Ok(Some((frame, consumed))) if consumed == buf.len() => Some(frame),
+            _ => None,
+        }
+    }
 
     fn encode(frame: &Frame<'_>) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -461,7 +456,7 @@ mod tests {
                 Ok(None) | Err(_) => {}
                 Ok(Some(_)) => panic!("prefix of {cut} bytes decoded as a full frame"),
             }
-            assert!(decode_frame_exact(&buf[..cut]).is_err());
+            assert!(decode_frame_exact(&buf[..cut]).is_none());
         }
     }
 
@@ -559,7 +554,7 @@ mod tests {
             encode_request_into(tag, &payload, &mut bytes);
             let cut = (cut % bytes.len() as u64) as usize; // strictly shorter
             prop_assert!(!matches!(decode_frame(&bytes[..cut]), Ok(Some(_))));
-            prop_assert!(decode_frame_exact(&bytes[..cut]).is_err());
+            prop_assert!(decode_frame_exact(&bytes[..cut]).is_none());
         }
 
         #[test]
@@ -577,7 +572,7 @@ mod tests {
             // the 4-byte magic must be detected outright.
             let out = decode_frame_exact(&bytes);
             if pos < 4 {
-                prop_assert!(out.is_err());
+                prop_assert!(out.is_none());
             }
         }
 

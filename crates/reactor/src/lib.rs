@@ -24,27 +24,23 @@
 //!   and the controller parks at the §III-A.1 probe floor — the same
 //!   contract a lost connection has had since PR 1. No unbounded queues,
 //!   no blocking `write_all`.
-//! * **Frames are length-prefixed binary.** The [`frame`] module defines
-//!   the `FFLP` codec (magic + varint length + opcode) shared by client
-//!   and server; decoding arbitrary bytes never panics.
+//! * **Frames are length-prefixed binary.** Client and server share the
+//!   `FFLP` codec (magic + varint length + opcode); decoding arbitrary
+//!   bytes never panics.
 
-pub mod conn;
-pub mod fleet;
-pub mod frame;
-pub mod server;
-pub mod timer;
+mod conn;
+mod fleet;
+mod frame;
+mod server;
+mod timer;
 
 pub use conn::{
     ConnStatus, EnqueueOutcome, FramedConn, InboundFrame, DEFAULT_WRITE_BUF_CAP, READ_WINDOW,
 };
 pub use ff_device::deps::ff_net::NetworkConditions;
 pub use fleet::{
-    run_reactor_device, run_reactor_fleet, FleetClientConfig, FleetSummary, ReactorDeviceConfig,
+    run_reactor_device, run_reactor_fleet, FleetClientConfig, ReactorDeviceConfig,
     ReactorDeviceSummary, ReconnectPolicy,
 };
-pub use frame::{
-    decode_frame, decode_frame_exact, encode_request_into, encode_response_into, Frame, FrameError,
-    MAX_FRAME_BYTES, MAX_HEAD_BYTES,
-};
-pub use server::{ReactorChaos, ReactorServer, ReactorServerConfig, ReactorServerStats};
-pub use timer::DeadlineWheel;
+pub use frame::{decode_frame, encode_request_into, encode_response_into, Frame, MAX_HEAD_BYTES};
+pub use server::{ReactorServer, ReactorServerConfig, ReactorServerStats};

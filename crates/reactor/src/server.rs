@@ -222,7 +222,7 @@ impl ReactorServer {
     /// counters, chaos verdicts, reactor gauges (ready events, write-
     /// buffer occupancy, coalesced writes) under scope `reactor/server`,
     /// timestamped in wall-clock microseconds since this call.
-    pub fn start_instrumented(
+    pub(crate) fn start_instrumented(
         listener: TcpListener,
         config: ReactorServerConfig,
         telemetry: &Telemetry,

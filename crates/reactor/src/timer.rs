@@ -13,7 +13,7 @@
 use ff_sim::{PopBefore, SimTime, TimerWheel};
 
 /// A wall-clock deadline wheel over payloads of type `E`.
-pub struct DeadlineWheel<E> {
+pub(crate) struct DeadlineWheel<E> {
     wheel: TimerWheel<E>,
     seq: u64,
 }
@@ -26,39 +26,29 @@ impl<E> Default for DeadlineWheel<E> {
 
 impl<E> DeadlineWheel<E> {
     /// An empty wheel.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeadlineWheel {
             wheel: TimerWheel::new(),
             seq: 0,
         }
     }
 
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
     /// Schedule `event` to fire at `at`. Scheduling in the past is legal
     /// and fires on the next [`pop_due`](Self::pop_due).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.wheel.push(at.as_micros(), seq, event);
     }
 
     /// The earliest pending fire time, if any.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&mut self) -> Option<SimTime> {
         self.wheel.peek().map(|(t, _)| SimTime::from_micros(t))
     }
 
     /// Pop the earliest timer due at or before `now`; `None` when the
     /// earliest timer is still in the future (or nothing is pending).
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
         match self.wheel.pop_before(now.as_micros()) {
             PopBefore::Event(t, _seq, e) => Some((SimTime::from_micros(t), e)),
             PopBefore::Beyond | PopBefore::Empty => None,
@@ -88,7 +78,7 @@ mod tests {
         assert_eq!(drain(&mut w, SimTime::from_millis(10)), vec![1, 2]);
         assert!(w.pop_due(SimTime::from_millis(29)).is_none());
         assert_eq!(drain(&mut w, SimTime::from_millis(30)), vec![3]);
-        assert!(w.is_empty());
+        assert!(w.wheel.is_empty());
     }
 
     #[test]

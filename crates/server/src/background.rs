@@ -20,19 +20,19 @@ pub const BACKGROUND_TAG_BASE: u64 = 1 << 61;
 
 /// Samples Poisson arrival gaps for the aggregate background load.
 #[derive(Debug, Clone)]
-pub struct PoissonArrivals<R: Rng> {
+pub(crate) struct PoissonArrivals<R: Rng> {
     rng: R,
 }
 
 impl<R: Rng> PoissonArrivals<R> {
     /// A sampler drawing gaps from `rng`.
-    pub fn new(rng: R) -> Self {
+    pub(crate) fn new(rng: R) -> Self {
         PoissonArrivals { rng }
     }
 
     /// The next arrival after `now` at `rate_per_sec`, or `None` when the
     /// rate is zero (the caller should re-poll at the next schedule step).
-    pub fn next_after(&mut self, now: SimTime, rate_per_sec: f64) -> Option<SimTime> {
+    pub(crate) fn next_after(&mut self, now: SimTime, rate_per_sec: f64) -> Option<SimTime> {
         assert!(
             rate_per_sec >= 0.0 && rate_per_sec.is_finite(),
             "rate must be finite and non-negative, got {rate_per_sec}"
@@ -76,13 +76,6 @@ impl BackgroundConfig {
             last = t;
         }
         Ok(())
-    }
-
-    /// Panic on what [`check`](Self::check) refuses.
-    pub fn validate(&self) {
-        if let Err(why) = self.check() {
-            panic!("{why}");
-        }
     }
 }
 
@@ -204,39 +197,46 @@ mod tests {
         BackgroundConfig { steps, model }
     }
 
+    /// Panic on what `check` refuses.
+    fn validate(config: BackgroundConfig) {
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
+    }
+
     #[test]
     fn a_stepped_schedule_validates() {
-        config(vec![(0.0, 0.0), (2.0, 90.0)]).validate();
+        validate(config(vec![(0.0, 0.0), (2.0, 90.0)]));
     }
 
     #[test]
     #[should_panic(expected = "`background.steps` is empty")]
     fn an_empty_schedule_is_rejected() {
-        config(vec![]).validate();
+        validate(config(vec![]));
     }
 
     #[test]
     #[should_panic(expected = "`background.steps` needs ascending")]
     fn unordered_step_times_are_rejected() {
-        config(vec![(0.0, 10.0), (5.0, 20.0), (5.0, 30.0)]).validate();
+        validate(config(vec![(0.0, 10.0), (5.0, 20.0), (5.0, 30.0)]));
     }
 
     #[test]
     #[should_panic(expected = "`background.steps` needs ascending")]
     fn a_negative_step_time_is_rejected() {
-        config(vec![(-1.0, 10.0)]).validate();
+        validate(config(vec![(-1.0, 10.0)]));
     }
 
     #[test]
     #[should_panic(expected = "`background.steps` needs ascending")]
     fn a_nan_rate_is_rejected() {
-        config(vec![(0.0, f64::NAN)]).validate();
+        validate(config(vec![(0.0, f64::NAN)]));
     }
 
     #[test]
     #[should_panic(expected = "`background.steps` needs ascending")]
     fn a_negative_rate_is_rejected() {
-        config(vec![(0.0, 10.0), (1.0, -5.0)]).validate();
+        validate(config(vec![(0.0, 10.0), (1.0, -5.0)]));
     }
 
     #[test]

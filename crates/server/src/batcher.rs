@@ -118,7 +118,7 @@ impl Batcher {
     /// Lose the queue and the batch in flight, as a crashed process
     /// does: those requests neither complete nor are rejected. The
     /// counters survive.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.queue.clear();
         self.running.clear();
     }

@@ -23,9 +23,8 @@ mod server;
 mod tenants;
 mod tier;
 
-pub use background::{Background, BackgroundConfig, PoissonArrivals, BACKGROUND_TAG_BASE};
+pub use background::{Background, BackgroundConfig, BACKGROUND_TAG_BASE};
 pub use batcher::Batcher;
 pub use policy::{jain_fairness_index, OverflowPolicy};
 pub use server::{BatchOutput, EdgeServer, Request, ServerStats, Submit, TenantId};
-pub use tenants::TenantTable;
 pub use tier::{AdmissionPolicy, RoutingPolicy, ServerSpec, ServerTier, TierConfig, TierSubmit};

@@ -36,7 +36,7 @@ impl OverflowPolicy {
     /// appending the victims to a caller-provided buffer so the
     /// per-batch hot path can reuse one allocation across the whole run.
     /// [`RejectNewest`](Self::RejectNewest) appends them in queue order.
-    pub fn drain_overflow_into(
+    pub(crate) fn drain_overflow_into(
         self,
         queue: &mut VecDeque<Request>,
         limit: usize,

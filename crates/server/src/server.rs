@@ -114,7 +114,7 @@ impl EdgeServer {
     }
 
     /// A server with an explicit overflow policy (see `OverflowPolicy`).
-    pub fn with_policy(gpu: GpuProfile, policy: OverflowPolicy) -> Self {
+    pub(crate) fn with_policy(gpu: GpuProfile, policy: OverflowPolicy) -> Self {
         EdgeServer {
             gpu,
             batcher: Batcher::new(gpu.batch_limit, policy),
@@ -133,7 +133,7 @@ impl EdgeServer {
     /// they describe the run, not the process. The caller is responsible
     /// for discarding any batch-done event it scheduled for the lost
     /// batch.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.batcher.crash();
         self.done_at = None;
     }

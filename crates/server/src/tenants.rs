@@ -19,7 +19,7 @@ pub struct TenantTable<T> {
 
 impl<T: Copy + Default> TenantTable<T> {
     /// The tenant's value (the default if it was never touched).
-    pub fn get(&self, tenant: TenantId) -> T {
+    pub(crate) fn get(&self, tenant: TenantId) -> T {
         self.slots
             .get(tenant.0 as usize)
             .copied()

@@ -16,7 +16,7 @@
 //!   Chakrabarti et al. (token-bucket constrained offloading) as the
 //!   server-side alternative to the paper's device-side PD loop.
 //!
-//! A single-server tier ([`ServerTier::single`]) is the degenerate case:
+//! A single-server tier ([`TierConfig::single`]) is the degenerate case:
 //! no routing draw, no gossip, no buckets touched — its observable
 //! behaviour is bit-identical to driving the wrapped [`EdgeServer`]
 //! directly, which is what keeps every pre-tier experiment reproducible.
@@ -144,7 +144,7 @@ impl TierConfig {
     }
 
     /// Panic on what [`check`](Self::check) refuses.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let Err(why) = self.check() {
             panic!("{why}");
         }
@@ -245,11 +245,6 @@ impl ServerTier {
         }
     }
 
-    /// The legacy single-server tier (reject-newest default policy).
-    pub fn single(gpu: GpuProfile) -> Self {
-        Self::new(&TierConfig::single(gpu, OverflowPolicy::default()))
-    }
-
     /// Number of servers in the tier.
     pub fn len(&self) -> usize {
         self.servers.len()
@@ -263,11 +258,6 @@ impl ServerTier {
     /// The routing policy in force.
     pub fn routing(&self) -> RoutingPolicy {
         self.routing
-    }
-
-    /// The admission policy in force.
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
     }
 
     /// Borrow one server (telemetry, assertions).
@@ -453,7 +443,7 @@ impl ServerTier {
     }
 
     /// Requests turned away by the admission policy, for one tenant.
-    pub fn admission_rejections_for(&self, tenant: TenantId) -> u64 {
+    pub(crate) fn admission_rejections_for(&self, tenant: TenantId) -> u64 {
         self.admission_rejections_by_tenant.get(tenant)
     }
 
@@ -511,7 +501,8 @@ mod tests {
 
     #[test]
     fn single_tier_is_bit_identical_to_a_bare_server() {
-        let mut tier = ServerTier::single(GpuProfile::default());
+        let single = TierConfig::single(GpuProfile::default(), OverflowPolicy::default());
+        let mut tier = ServerTier::new(&single);
         let mut bare = EdgeServer::new(GpuProfile::default());
         let mut r = rng();
         let before = r.clone();

@@ -9,8 +9,8 @@
 //! closure-based schedulers: the model has exclusive `&mut self` access
 //! while handling an event, and the queue is only reachable through `Ctx`.
 
-use crate::queue::{EventQueue, Popped, QueueBackend};
-use crate::time::{SimDuration, SimTime};
+use crate::queue::{EventQueue, Popped};
+use crate::time::SimTime;
 
 /// A simulatable system.
 pub trait SimModel {
@@ -49,11 +49,6 @@ impl<'a, E> Ctx<'a, E> {
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         check_causal(self.now, at);
         self.queue.push(at, event);
-    }
-
-    /// Schedule `event` after the relative delay `delay`.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
     }
 
     /// [`schedule_at`](Self::schedule_at) for an event of a class that is
@@ -143,7 +138,7 @@ impl<M: SimModel> Simulation<M> {
 
     /// Like [`new`](Self::new) but on an explicitly constructed event
     /// queue — the way to select the timing-wheel backend
-    /// ([`QueueBackend::Wheel`]) for fleet-scale runs. Every backend
+    /// ([`QueueBackend::Wheel`](crate::QueueBackend::Wheel)) for fleet-scale runs. Every backend
     /// produces bit-identical results; only speed differs.
     pub fn with_queue(model: M, queue: EventQueue<M::Event>) -> Self {
         Simulation {
@@ -152,11 +147,6 @@ impl<M: SimModel> Simulation<M> {
             now: SimTime::ZERO,
             events_handled: 0,
         }
-    }
-
-    /// The backend of the event queue driving this simulation.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     /// The current simulated instant (time of the last handled event).
@@ -185,13 +175,8 @@ impl<M: SimModel> Simulation<M> {
         self.queue.push(at, event);
     }
 
-    /// Seed the queue relative to the current instant.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: M::Event) {
-        self.queue.push(self.now + delay, event);
-    }
-
     /// Firing time of the earliest pending event, if any (see
-    /// [`EventQueue::peek_time`]).
+    /// `EventQueue::peek_time`).
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -284,6 +269,8 @@ impl<M: SimModel> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::QueueBackend;
+    use crate::time::SimDuration;
 
     /// A toy model: a ticker that counts ticks and re-schedules itself.
     struct Ticker {
@@ -306,7 +293,7 @@ mod tests {
             if self.ticks >= self.stop_after {
                 ctx.stop();
             } else {
-                ctx.schedule_in(self.period, TickEvent::Tick);
+                ctx.schedule_at(ctx.now() + self.period, TickEvent::Tick);
             }
         }
     }
@@ -431,7 +418,6 @@ mod tests {
         };
         let mut heap = make(QueueBackend::Heap);
         let mut wheel = make(QueueBackend::Wheel);
-        assert_eq!(wheel.queue_backend(), QueueBackend::Wheel);
         // Interleave horizon-bounded and budgeted runs to hit every loop.
         assert_eq!(
             heap.run_until(SimTime::from_secs(10)),

@@ -24,7 +24,7 @@
 //!     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, _ev: Ev) {
 //!         self.n += 1;
 //!         if self.n < 3 {
-//!             ctx.schedule_in(SimDuration::from_millis(10), Ev::Bump);
+//!             ctx.schedule_at(ctx.now() + SimDuration::from_millis(10), Ev::Bump);
 //!         }
 //!     }
 //! }
@@ -47,9 +47,9 @@ pub mod testhooks;
 mod time;
 mod wheel;
 
-pub use engine::{Ctx, RunOutcome, SimModel, Simulation};
+pub use engine::{Ctx, SimModel, Simulation};
 pub use par::{run_phased, run_phased_skipping};
-pub use queue::{EventQueue, Popped, QueueBackend, LANES, LANE_RUN_MAX};
+pub use queue::{EventQueue, QueueBackend, LANES, LANE_RUN_MAX};
 pub use rng::{IndexedStream, RngFactory};
-pub use time::{round_nonneg_f64, SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};
+pub use time::{round_nonneg_f64, SimDuration, SimTime};
 pub use wheel::{PopBefore, TimerWheel};

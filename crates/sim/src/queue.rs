@@ -105,7 +105,7 @@ enum Backend<E> {
 
 /// Outcome of [`EventQueue::pop_before`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Popped<E> {
+pub(crate) enum Popped<E> {
     /// The earliest event fired at or before the horizon.
     Event(SimTime, E),
     /// The earliest pending event lies beyond the horizon.
@@ -179,7 +179,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty heap-backed queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::on(Backend::Heap(BinaryHeap::new()))
     }
 
@@ -209,14 +209,6 @@ impl<E> EventQueue<E> {
     /// push that fell through to the backend counts there).
     pub(crate) fn entries_filed(&self) -> ([u64; LANES], u64) {
         (self.filed_lanes, self.filed_backend)
-    }
-
-    /// The active backend.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Wheel(_) => QueueBackend::Wheel,
-        }
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -316,7 +308,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event only if it fires at or
     /// before `horizon` — the fused peek-then-pop the simulation loop
     /// performs once per event. One backend traversal instead of two.
-    pub fn pop_before(&mut self, horizon: SimTime) -> Popped<E> {
+    pub(crate) fn pop_before(&mut self, horizon: SimTime) -> Popped<E> {
         match self.pop_counted(horizon) {
             Popped::Event(t, (_, event)) => Popped::Event(t, event),
             Popped::Beyond => Popped::Beyond,
@@ -381,7 +373,7 @@ impl<E> EventQueue<E> {
     /// Firing time of the earliest pending event. Takes `&mut self`
     /// because the wheel stages its earliest batch during the search
     /// (which is exactly what makes the following pop O(1)).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         let backend = match &mut self.backend {
             Backend::Heap(heap) => heap.peek().map(|e| e.time),
             Backend::Wheel(wheel) => wheel.peek().map(|(t, _)| SimTime::from_micros(t)),
@@ -391,7 +383,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lane_len
             + match &self.backend {
                 Backend::Heap(heap) => heap.len(),
@@ -399,14 +391,9 @@ impl<E> EventQueue<E> {
             }
     }
 
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drop all pending events (the sequence counter keeps advancing so
     /// ordering stays deterministic across clears).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match &mut self.backend {
             Backend::Heap(heap) => heap.clear(),
             Backend::Wheel(wheel) => wheel.clear(),
@@ -487,7 +474,7 @@ mod tests {
                 Popped::Event(SimTime::from_secs(2), 2)
             );
             assert_eq!(q.pop_before(SimTime::MAX), Popped::Empty);
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
         }
     }
 
@@ -514,12 +501,10 @@ mod tests {
 
     #[test]
     fn default_backend_is_the_heap() {
-        assert_eq!(EventQueue::<()>::new().backend(), QueueBackend::Heap);
+        assert!(matches!(EventQueue::<()>::new().backend, Backend::Heap(_)));
         assert_eq!(QueueBackend::default(), QueueBackend::Heap);
-        assert_eq!(
-            EventQueue::<()>::with_backend(QueueBackend::Wheel).backend(),
-            QueueBackend::Wheel
-        );
+        let wheel = EventQueue::<()>::with_backend(QueueBackend::Wheel);
+        assert!(matches!(wheel.backend, Backend::Wheel(_)));
     }
 
     #[test]
@@ -528,9 +513,9 @@ mod tests {
             q.push(SimTime::ZERO, 1);
             q.push(SimTime::ZERO, 2);
             assert_eq!(q.len(), 2);
-            assert!(!q.is_empty());
+            assert_ne!(q.len(), 0);
             q.clear();
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
             // Sequence numbers keep increasing: re-push and check order.
             q.push(SimTime::ZERO, 3);
             q.push(SimTime::ZERO, 4);

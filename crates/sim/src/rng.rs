@@ -36,11 +36,6 @@ impl RngFactory {
         }
     }
 
-    /// The master seed this factory derives streams from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// A deterministic stream for `label`. The same `(master, label)` pair
     /// always yields an identical generator; distinct labels yield
     /// (statistically) independent ones.
@@ -106,7 +101,7 @@ pub struct IndexedStream {
     /// The current block's output words.
     block: [u32; 16],
     /// The next block to generate.
-    pub(crate) counter: u32,
+    counter: u32,
     /// Next unread word of `block`; 16 when it is used up.
     index: u8,
 }
@@ -269,7 +264,7 @@ mod tests {
     #[should_panic(expected = "all of them were drawn")]
     fn an_exhausted_indexed_stream_panics_instead_of_wrapping() {
         let mut stream = RngFactory::new(5).indexed_stream("row", 3);
-        crate::testhooks::set_block_counter(&mut stream, u32::MAX - 1);
+        stream.counter = u32::MAX - 1;
         // Block 2^32 - 2, the last one, serves its 16 words ...
         for _ in 0..16 {
             stream.next_u32();

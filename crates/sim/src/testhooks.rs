@@ -10,7 +10,6 @@
 
 use crate::engine::{Ctx, SimModel, Simulation};
 use crate::queue::{EventQueue, LaneEntry, Popped, QueueBackend, LANES};
-use crate::rng::IndexedStream;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -228,12 +227,6 @@ pub fn replay(backend: QueueBackend, ops: &[LaneOp]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Make `stream` generate block `counter` next: how a test reaches the
-/// end of the 32-bit block counter without drawing 2^32 blocks.
-pub fn set_block_counter(stream: &mut IndexedStream, counter: u32) {
-    stream.counter = counter;
 }
 
 /// The bytes one lane entry of event type `E` costs, for the host that

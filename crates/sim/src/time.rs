@@ -22,9 +22,9 @@ pub struct SimTime(u64);
 pub struct SimDuration(u64);
 
 /// Microseconds per second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
+pub(crate) const MICROS_PER_SEC: u64 = 1_000_000;
 /// Microseconds per millisecond.
-pub const MICROS_PER_MILLI: u64 = 1_000;
+pub(crate) const MICROS_PER_MILLI: u64 = 1_000;
 
 /// `x.round() as u64` for finite non-negative `x`, without the libm
 /// call — on baseline x86-64, `f64::round` compiles to a library call,
@@ -99,7 +99,7 @@ impl SimTime {
     }
 
     /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+    pub(crate) fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
 }
@@ -153,11 +153,6 @@ impl SimDuration {
     /// Whether the span is empty.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction of spans.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiply the span by a non-negative factor, rounding to the nearest
@@ -233,7 +228,7 @@ impl Sub for SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                .expect("SimDuration underflow in subtraction; use saturating_sub"),
+                .expect("SimDuration underflow in subtraction"),
         )
     }
 }

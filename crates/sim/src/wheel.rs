@@ -206,7 +206,7 @@ impl<E> TimerWheel<E> {
     }
 
     /// Number of pending entries across all stores.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
@@ -238,14 +238,6 @@ impl<E> TimerWheel<E> {
             return;
         }
         self.file_new(time, seq, event);
-    }
-
-    /// Remove and return the earliest `(time, seq, event)` entry.
-    pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        match self.pop_below(u64::MAX, (u64::MAX, u64::MAX)) {
-            PopBefore::Event(t, seq, event) => Some((t, seq, event)),
-            PopBefore::Beyond | PopBefore::Empty => None,
-        }
     }
 
     /// Pop the earliest entry only if it fires at or before `horizon` —
@@ -318,7 +310,7 @@ impl<E> TimerWheel<E> {
 
     /// Drop everything. The cursor is retained: later pushes at earlier
     /// times are still ordered correctly via the `past` heap.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for l in 0..LEVELS {
             let mut sum = self.summary[l];
             while sum != 0 {
@@ -656,6 +648,16 @@ pub enum PopBefore<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<E> TimerWheel<E> {
+        /// Remove and return the earliest `(time, seq, event)` entry.
+        fn pop(&mut self) -> Option<(u64, u64, E)> {
+            match self.pop_before(u64::MAX) {
+                PopBefore::Event(t, seq, event) => Some((t, seq, event)),
+                PopBefore::Beyond | PopBefore::Empty => None,
+            }
+        }
+    }
 
     fn drain(w: &mut TimerWheel<u32>) -> Vec<(u64, u32)> {
         let mut out = Vec::new();

@@ -64,7 +64,7 @@ use std::time::Instant;
 /// device (tenant 1 in an experiment), not tenant 1000, so a multi-server
 /// static-shard tier routes it to another server; a v4 entry holds the
 /// old bits.
-pub const CACHE_SCHEMA_VERSION: u32 = 5;
+pub(crate) const CACHE_SCHEMA_VERSION: u32 = 5;
 
 /// A routing-policy axis entry: which server a request lands on. This is
 /// exactly [`ff_server::RoutingPolicy`] — serializable and `Copy`, so a
@@ -220,7 +220,7 @@ impl<S: GridScenario<L>, L: Clone> SweepSpec<S, L> {
     /// A routing or admission pick overlays the scenario's tier
     /// ([`GridScenario::tier_mut`]); with both axes empty the scenario,
     /// tier included, is untouched but for its seed.
-    pub fn cells(&self) -> Vec<Cell<S, L>> {
+    pub(crate) fn cells(&self) -> Vec<Cell<S, L>> {
         self.validate();
         let routings = axis_or_passthrough(&self.routings);
         let admissions = axis_or_passthrough(&self.admissions);
@@ -294,7 +294,7 @@ pub struct CellKey {
 
 /// One fully resolved grid cell, ready to execute.
 #[derive(Debug, Clone)]
-pub struct Cell<S = ExperimentConfig, L = ControllerSpec> {
+pub(crate) struct Cell<S = ExperimentConfig, L = ControllerSpec> {
     /// Grid coordinates.
     pub key: CellKey,
     /// The scenario (seed and tier overlay already applied).
@@ -308,7 +308,7 @@ impl Cell {
     /// controller spec, and cache schema version. Identical inputs hash
     /// identically across runs and processes; any config change moves
     /// the hash and misses the cache.
-    pub fn content_hash(&self) -> u64 {
+    pub(crate) fn content_hash(&self) -> u64 {
         let config = serde_json::to_string(&self.config).expect("config serializes");
         let spec = serde_json::to_string(&self.controller).expect("spec serializes");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -346,7 +346,7 @@ pub struct SweepOptions {
 
 /// Worker threads to use when the caller does not say: one per
 /// available core.
-pub fn default_workers() -> usize {
+pub(crate) fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -405,7 +405,7 @@ pub struct CellResult<R = ExperimentResult> {
 pub struct SweepReport<R = ExperimentResult> {
     /// Sweep name (from the spec).
     pub name: String,
-    /// Per-cell results in [`SweepSpec::cells`] order.
+    /// Per-cell results in grid order (scenario-major).
     pub cells: Vec<CellResult<R>>,
     /// Cells actually run this time.
     pub executed: usize,
@@ -417,24 +417,6 @@ pub struct SweepReport<R = ExperimentResult> {
 }
 
 impl<R: Serialize> SweepReport<R> {
-    /// Look up one cell by `(scenario, seed, controller)`. When the spec
-    /// carried routing/admission axes this returns the first matching
-    /// combination in grid order; use [`SweepReport::cells`] with a full
-    /// [`CellKey`] match to disambiguate.
-    pub fn get(&self, scenario: &str, seed: u64, controller: &str) -> Option<&CellResult<R>> {
-        self.cells.iter().find(|c| {
-            c.key.scenario == scenario && c.key.seed == seed && c.key.controller == controller
-        })
-    }
-
-    /// All results for one `(scenario, seed)` row, in controller order.
-    pub fn row(&self, scenario: &str, seed: u64) -> Vec<&CellResult<R>> {
-        self.cells
-            .iter()
-            .filter(|c| c.key.scenario == scenario && c.key.seed == seed)
-            .collect()
-    }
-
     /// Whether two reports carry bit-identical results (keys, cell
     /// order, and every QoS record / summary statistic; cache and
     /// timing metadata are excluded by construction).
@@ -791,17 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn report_lookup_by_key_and_row() {
-        let spec = tiny_spec(vec![5]);
-        let report = run_sweep(&spec, &SweepOptions::serial());
-        let cell = report.get("ideal", 5, "local-only").expect("cell exists");
-        assert_eq!(cell.result.controller, "local-only");
-        assert!(report.get("ideal", 5, "nonexistent").is_none());
-        let row = report.row("ideal", 5);
-        assert_eq!(row.len(), 2);
-    }
-
-    #[test]
     fn lineup_spec_matches_bench_lineup_order() {
         let spec = SweepSpec::lineup("lineup", tiny_config());
         let labels: Vec<&str> = spec.controllers.iter().map(|(l, _)| l.as_str()).collect();
@@ -902,7 +873,11 @@ mod tests {
         let parallel = run_fleet_sweep(&spec, &SweepOptions::parallel(3));
         assert_eq!(serial.cells.len(), 2);
         assert!(serial.results_identical(&parallel));
-        assert!(serial.get("two-servers", 7, "mixed").is_some());
+        let key = |c: &CellResult<FleetResult>| {
+            (c.key.scenario.clone(), c.key.seed, c.key.controller.clone())
+        };
+        let cell = ("two-servers".to_string(), 7, "mixed".to_string());
+        assert!(serial.cells.iter().any(|c| key(c) == cell));
     }
 
     #[test]

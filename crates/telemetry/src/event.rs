@@ -58,7 +58,7 @@ pub enum Metric {
 
 impl Metric {
     /// Stable snake_case name used in snapshot JSON.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Metric::EventsHandled => "events_handled",
             Metric::PendingEvents => "pending_events",
@@ -106,7 +106,7 @@ impl Metric {
 
 /// What one event records.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// Monotone counter increment.
     Counter {
         /// The counter being incremented.
@@ -140,7 +140,7 @@ pub enum EventKind {
 /// One recorded event: a timestamp (simulated or wall-mapped
 /// microseconds), the emitting scope, and the payload.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
+pub(crate) struct Event {
     /// Event time in microseconds (`SimTime::as_micros` in simulation,
     /// `WallClock`-mapped in live mode) — never the collector's clock.
     pub t_us: u64,

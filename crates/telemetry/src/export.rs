@@ -1,8 +1,8 @@
 //! Line-delimited TCP export of telemetry snapshots.
 //!
-//! A [`TcpExportSink`] is an `ff_telemetry::Sink` that serves the
-//! snapshot stream over a real socket: every snapshot the collector
-//! emits is written as one compact JSON line to every connected client.
+//! A [`TcpExportSink`] is a [`Sink`] that serves the snapshot stream
+//! over a real socket: every snapshot the collector emits is written as
+//! one compact JSON line to every connected client.
 //! `ff-bench dashboard --connect <addr>` is the reference consumer, but
 //! the protocol is plain enough for `nc` + `jq`.
 //!
@@ -12,16 +12,16 @@
 //!
 //! Export never blocks the host pipeline: subscriber sockets are
 //! non-blocking, and bytes the kernel will not take immediately are
-//! parked in a bounded per-subscriber buffer (default
-//! [`DEFAULT_PENDING_CAPACITY`]). A subscriber that stalls long enough
-//! to overflow its buffer is disconnected and counted in
-//! [`TcpExportSink::dropped_subscribers`]; a subscriber whose socket
-//! errors is dropped silently, exactly as if it had hung up.
+//! parked in a bounded per-subscriber buffer (256 KiB by default). A
+//! subscriber that stalls long enough to overflow its buffer is
+//! disconnected; a subscriber whose socket errors is dropped silently,
+//! exactly as if it had hung up.
 
-use ff_telemetry::{Sink, Snapshot};
+use crate::sink::Sink;
+use crate::Snapshot;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Default per-subscriber pending-byte budget (256 KiB): enough to ride
 /// out a paused terminal, small enough that a stuck reader cannot pin
 /// unbounded memory.
-pub const DEFAULT_PENDING_CAPACITY: usize = 256 * 1024;
+const DEFAULT_PENDING_CAPACITY: usize = 256 * 1024;
 
 /// Consecutive `accept` failures after which the accept loop gives up.
 /// Transient conditions (`EINTR`, aborted handshakes, fd exhaustion)
@@ -68,9 +68,6 @@ impl Subscriber {
 pub struct TcpExportSink {
     addr: SocketAddr,
     clients: Arc<Mutex<Vec<Subscriber>>>,
-    /// Subscribers disconnected because they overflowed their pending
-    /// buffer (cumulative).
-    dropped: Arc<AtomicU64>,
     /// Per-subscriber pending-byte budget.
     capacity: usize,
     stop: Arc<AtomicBool>,
@@ -88,7 +85,7 @@ impl TcpExportSink {
     /// [`bind`](TcpExportSink::bind) with an explicit per-subscriber
     /// pending-byte budget — primarily for tests, which shrink it to
     /// exercise the overflow path without megabytes of traffic.
-    pub fn bind_with_capacity(bind: &str, capacity: usize) -> io::Result<TcpExportSink> {
+    fn bind_with_capacity(bind: &str, capacity: usize) -> io::Result<TcpExportSink> {
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -106,7 +103,6 @@ impl TcpExportSink {
         Ok(TcpExportSink {
             addr,
             clients,
-            dropped: Arc::new(AtomicU64::new(0)),
             capacity,
             stop,
             accept_handle: Some(accept_handle),
@@ -121,18 +117,6 @@ impl TcpExportSink {
     /// How many subscribers are currently connected.
     pub fn client_count(&self) -> usize {
         self.clients.lock().map(|c| c.len()).unwrap_or(0)
-    }
-
-    /// How many subscribers have been disconnected for falling behind
-    /// (pending buffer overflow), cumulatively.
-    pub fn dropped_subscribers(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// A clone of the overflow counter, for observing the sink after
-    /// ownership moves into `Telemetry::add_sink`.
-    pub fn dropped_subscribers_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.dropped)
     }
 }
 
@@ -184,13 +168,11 @@ impl Sink for TcpExportSink {
         let mut line = json.into_bytes();
         line.push(b'\n');
         let capacity = self.capacity;
-        let dropped = &self.dropped;
         if let Ok(mut clients) = self.clients.lock() {
             clients.retain_mut(|c| {
                 // A subscriber that stalled past its budget is cut loose
                 // — the host pipeline never waits on a slow reader.
                 if c.pending.len() + line.len() > capacity {
-                    dropped.fetch_add(1, Ordering::Relaxed);
                     return false;
                 }
                 c.pending.extend_from_slice(&line);
@@ -234,7 +216,7 @@ impl Drop for TcpExportSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_telemetry::{Metric, Telemetry, TelemetryConfig};
+    use crate::{Metric, Telemetry, TelemetryConfig};
     use std::io::{BufRead, BufReader};
 
     #[test]
@@ -316,12 +298,12 @@ mod tests {
     /// quickly in the stall test.
     fn fat_snapshot(seq: u64) -> Snapshot {
         Snapshot {
-            schema: ff_telemetry::SNAPSHOT_SCHEMA_VERSION,
+            schema: crate::SNAPSHOT_SCHEMA_VERSION,
             seq,
             t_us: seq * 1_000_000,
             window_us: 1_000_000,
             dropped_events: 0,
-            scopes: vec![ff_telemetry::ScopeSnapshot {
+            scopes: vec![crate::ScopeSnapshot {
                 scope: "x".repeat(8_192),
                 counters: Vec::new(),
                 gauges: Vec::new(),
@@ -337,7 +319,6 @@ mod tests {
         // kernel's socket buffers are full.
         let mut sink = TcpExportSink::bind_with_capacity("127.0.0.1:0", 32 * 1_024).unwrap();
         let addr = sink.addr();
-        let dropped = sink.dropped_subscribers_handle();
 
         // A subscriber that connects and then never reads a byte.
         let stalled = TcpStream::connect(addr).unwrap();
@@ -352,7 +333,7 @@ mod tests {
         let start = std::time::Instant::now();
         for seq in 0..2_000u64 {
             sink.emit(&fat_snapshot(seq));
-            if dropped.load(Ordering::Relaxed) > 0 {
+            if sink.client_count() == 0 {
                 break;
             }
         }
@@ -361,11 +342,10 @@ mod tests {
             "emit stalled on a non-reading subscriber"
         );
         assert_eq!(
-            sink.dropped_subscribers(),
-            1,
+            sink.client_count(),
+            0,
             "the stalled subscriber was never dropped"
         );
-        assert_eq!(sink.client_count(), 0);
         drop(stalled);
     }
 
@@ -385,7 +365,7 @@ mod tests {
         // subscriber then reads everything back.
         for seq in 0..20u64 {
             sink.emit(&Snapshot {
-                schema: ff_telemetry::SNAPSHOT_SCHEMA_VERSION,
+                schema: crate::SNAPSHOT_SCHEMA_VERSION,
                 seq,
                 t_us: seq,
                 window_us: 1,
@@ -400,7 +380,6 @@ mod tests {
             let snap: Snapshot = serde_json::from_str(line.trim()).unwrap();
             assert_eq!(snap.seq, seq);
         }
-        assert_eq!(sink.dropped_subscribers(), 0);
         assert_eq!(sink.client_count(), 1);
     }
 }

@@ -11,7 +11,6 @@
 //!  Recorder::latency ──┘  (per        ├─► Telemetry::poll ──► Snapshot ─► JsonlSink
 //!                          recorder)  │    fold into             │      ─► ChannelSink
 //!  Recorder::log ────────► SPSC ring ─┘    time windows          └─────► TCP export
-//!                                                                        (ff-live)
 //! ```
 //!
 //! * A [`Recorder`] is a per-producer-thread handle: recording is
@@ -22,9 +21,9 @@
 //!   periodic [`Snapshot`]s — windows keyed by the **event timestamps**
 //!   (`t_us`), never by wall clock, so in simulation the snapshot
 //!   stream is a pure function of the event stream.
-//! * Snapshots fan out to pluggable [`Sink`]s: JSONL files, in-process
+//! * Snapshots fan out to pluggable `Sink`s: JSONL files, in-process
 //!   subscriber channels ([`Telemetry::subscribe`]), and the
-//!   line-delimited TCP export endpoint in `ff-live`.
+//!   line-delimited TCP export endpoint [`TcpExportSink`].
 //!
 //! # Determinism contract
 //!
@@ -46,19 +45,20 @@
 
 mod collect;
 mod event;
-pub mod log;
+mod export;
+mod log;
 mod recorder;
 mod ring;
 mod sink;
 
 pub use collect::{
-    CounterValue, GaugeValue, LatencyValue, LogEntry, ScopeSnapshot, Snapshot,
-    SNAPSHOT_SCHEMA_VERSION,
+    CounterValue, GaugeValue, LogEntry, ScopeSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION,
 };
-pub use event::{Event, EventKind, Metric};
+pub use event::Metric;
+pub use export::TcpExportSink;
 pub use log::{Level, LogCode};
 pub use recorder::{Recorder, Scope, Telemetry, TelemetryConfig};
-pub use sink::{ChannelSink, JsonlSink, Sink};
+pub use sink::JsonlSink;
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@ pub enum Level {
 
 impl Level {
     /// Stable lowercase name used in snapshot JSON and stderr echoes.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -57,7 +57,7 @@ pub enum LogCode {
 
 impl LogCode {
     /// Stable snake_case code used in snapshot JSON.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             LogCode::ChaosDrop => "chaos_drop",
             LogCode::ChaosDisconnect => "chaos_disconnect",
@@ -77,7 +77,7 @@ impl LogCode {
     }
 
     /// Human-readable message for stderr echoes.
-    pub const fn message(self) -> &'static str {
+    pub(crate) const fn message(self) -> &'static str {
         match self {
             LogCode::ChaosDrop => "chaos: response dropped without reply",
             LogCode::ChaosDisconnect => "chaos: connection torn down",

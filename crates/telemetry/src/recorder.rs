@@ -251,11 +251,6 @@ impl fmt::Debug for Recorder {
 }
 
 impl Recorder {
-    /// A permanently disabled recorder (for hosts built without a hub).
-    pub fn disabled() -> Recorder {
-        Recorder { ring: None }
-    }
-
     /// Whether records go anywhere.
     #[inline]
     pub fn is_enabled(&self) -> bool {

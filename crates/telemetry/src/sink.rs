@@ -2,9 +2,9 @@
 //!
 //! A [`Sink`] receives every emitted [`Snapshot`]. Sinks run on whatever
 //! thread calls `Telemetry::poll`/`finish` — never on a recording hot
-//! path — so they may allocate, lock, and do I/O freely. The TCP export
-//! sink lives in `ff-live` (it owns the sockets); the in-process channel
-//! and JSONL file sinks live here.
+//! path — so they may allocate, lock, and do I/O freely. The in-process
+//! channel and JSONL file sinks live here, the TCP export sink in
+//! `export.rs`.
 
 use crate::collect::Snapshot;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -49,13 +49,13 @@ impl Sink for JsonlSink {
 }
 
 /// Forwards snapshots to an in-process subscriber channel.
-pub struct ChannelSink {
+pub(crate) struct ChannelSink {
     tx: Sender<Snapshot>,
 }
 
 impl ChannelSink {
     /// A sink plus the receiver that observes everything it emits.
-    pub fn new() -> (ChannelSink, Receiver<Snapshot>) {
+    pub(crate) fn new() -> (ChannelSink, Receiver<Snapshot>) {
         let (tx, rx) = unbounded();
         (ChannelSink { tx }, rx)
     }

@@ -450,7 +450,7 @@ fn read_event(r: &mut Reader<'_>, last_at_us: &mut u64) -> Result<TraceEvent, Tr
 }
 
 /// Encode a whole trace (header + events) to bytes.
-pub fn encode_trace(trace: &Trace) -> Vec<u8> {
+pub(crate) fn encode_trace(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + trace.events.len() * 8);
     put_header(&mut buf, &trace.header);
     let mut last_at_us = 0u64;
@@ -462,7 +462,7 @@ pub fn encode_trace(trace: &Trace) -> Vec<u8> {
 
 /// Decode a whole trace from bytes. Total — returns [`TraceError`] on
 /// any corruption, never panics.
-pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
+pub(crate) fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
     let mut r = Reader::new(bytes);
     let header = read_header(&mut r)?;
     let mut events = Vec::new();

@@ -44,13 +44,14 @@
 mod codec;
 mod writer;
 
-pub use codec::{decode_trace, encode_trace};
 pub use writer::{TraceHandle, TraceWriter};
+
+use codec::{decode_trace, encode_trace};
 
 use ff_sim::SimTime;
 
 /// The four magic bytes every trace starts with.
-pub const TRACE_MAGIC: [u8; 4] = *b"FFTR";
+pub(crate) const TRACE_MAGIC: [u8; 4] = *b"FFTR";
 
 /// Current trace schema version. Bump on any change to the header or
 /// event wire layout; decoders reject traces from other versions.
@@ -58,7 +59,7 @@ pub const TRACE_MAGIC: [u8; 4] = *b"FFTR";
 /// v2: the header grew the model-selection policy (code + margin) and
 /// the Table III local/remote accuracies; [`TickQos`] grew the
 /// accuracy-weighted throughput field.
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
+pub(crate) const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Static parameters of the recorded run — everything needed to rebuild
 /// an identically-configured `DeviceRuntime` for replay.
@@ -281,7 +282,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The instant this event was recorded at.
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             TraceEvent::Capture { at, .. }
             | TraceEvent::Submit { at, .. }
@@ -323,7 +324,7 @@ impl Trace {
 /// Why a trace failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The input does not start with [`TRACE_MAGIC`].
+    /// The input does not start with `TRACE_MAGIC`.
     BadMagic,
     /// The trace was written by an incompatible schema version.
     UnsupportedSchema(u64),

@@ -11,7 +11,6 @@ use crate::{TraceEvent, TraceHeader};
 pub struct TraceWriter {
     buf: Vec<u8>,
     last_at_us: u64,
-    events: u64,
 }
 
 impl TraceWriter {
@@ -19,22 +18,12 @@ impl TraceWriter {
     pub fn new(header: &TraceHeader) -> Self {
         let mut buf = Vec::with_capacity(256);
         put_header(&mut buf, header);
-        TraceWriter {
-            buf,
-            last_at_us: 0,
-            events: 0,
-        }
+        TraceWriter { buf, last_at_us: 0 }
     }
 
     /// Append one event.
     pub fn record(&mut self, event: &TraceEvent) {
         put_event(&mut self.buf, &mut self.last_at_us, event);
-        self.events += 1;
-    }
-
-    /// Events recorded so far.
-    pub fn events_recorded(&self) -> u64 {
-        self.events
     }
 
     /// Finish the trace, yielding the encoded bytes.
@@ -61,11 +50,6 @@ impl TraceHandle {
         TraceHandle(Some(Box::new(TraceWriter::new(header))))
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Record the event produced by `make` — which is only invoked (and
     /// its arguments only materialized) when recording is enabled.
     #[inline]
@@ -73,11 +57,6 @@ impl TraceHandle {
         if let Some(w) = &mut self.0 {
             w.record(&make());
         }
-    }
-
-    /// Events recorded so far (0 when disabled).
-    pub fn events_recorded(&self) -> u64 {
-        self.0.as_ref().map_or(0, |w| w.events_recorded())
     }
 
     /// Finish recording, yielding the encoded trace (`None` when the
@@ -127,7 +106,6 @@ mod tests {
         for e in &events {
             w.record(e);
         }
-        assert_eq!(w.events_recorded(), 2);
         let via_writer = w.finish();
         let via_trace = Trace {
             header: header(),
@@ -140,16 +118,15 @@ mod tests {
     #[test]
     fn disabled_handle_records_nothing_and_never_builds_events() {
         let mut h = TraceHandle::disabled();
-        assert!(!h.is_enabled());
+        assert!(h.0.is_none());
         h.record_with(|| unreachable!("disabled handle must not build events"));
-        assert_eq!(h.events_recorded(), 0);
         assert!(h.finish().is_none());
     }
 
     #[test]
     fn recording_handle_round_trips() {
         let mut h = TraceHandle::recording(&header());
-        assert!(h.is_enabled());
+        assert!(h.0.is_some());
         h.record_with(|| TraceEvent::LocalDone {
             at: SimTime::from_micros(10),
             n: 3,

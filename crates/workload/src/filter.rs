@@ -39,7 +39,7 @@ impl Default for FilterConfig {
 
 impl FilterConfig {
     /// Panic on threshold orderings that cannot classify every score.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.skip_below)
                 && (0.0..=1.0).contains(&self.shrink_below)
@@ -103,11 +103,6 @@ impl SemanticFilter {
             config,
             stats: FilterStats::default(),
         }
-    }
-
-    /// The configured thresholds.
-    pub fn config(&self) -> FilterConfig {
-        self.config
     }
 
     /// Classify one frame by its information score and payload size.

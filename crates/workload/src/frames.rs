@@ -48,11 +48,9 @@ pub struct StreamConfig {
 }
 
 /// The paper's source frame rate.
-pub const PAPER_FPS: f64 = 30.0;
+pub(crate) const PAPER_FPS: f64 = 30.0;
 /// The paper's stream length in frames.
-pub const PAPER_TOTAL_FRAMES: u64 = 4_000;
-/// The paper's end-to-end deadline (§II-B: 250 ms).
-pub const PAPER_DEADLINE_MS: u64 = 250;
+pub(crate) const PAPER_TOTAL_FRAMES: u64 = 4_000;
 
 impl Default for StreamConfig {
     fn default() -> Self {
@@ -114,13 +112,8 @@ impl StreamParams {
         }
     }
 
-    /// The stream configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// Capture instant of frame `n` (0-based).
-    pub fn capture_time(&self, n: u64) -> SimTime {
+    pub(crate) fn capture_time(&self, n: u64) -> SimTime {
         SimTime::ZERO + self.interval * n
     }
 }
@@ -242,50 +235,9 @@ impl<R: Rng> FrameSource<R> {
         }
     }
 
-    /// A source whose sizes are additionally modulated by a scene
-    /// script (see [`SourceState::with_scene`]).
-    pub fn with_scene(config: StreamConfig, rng: R, script: SceneScript, scene_rng: R) -> Self {
-        FrameSource {
-            params: StreamParams::new(config),
-            state: SourceState::with_scene(rng, script, scene_rng),
-        }
-    }
-
-    /// The stream configuration.
-    pub fn config(&self) -> &StreamConfig {
-        self.params.config()
-    }
-
-    /// Frames generated so far.
-    pub fn generated(&self) -> u64 {
-        self.state.generated()
-    }
-
-    /// Whether the configured stream has been exhausted.
-    pub fn exhausted(&self) -> bool {
-        self.state.exhausted(&self.params)
-    }
-
-    /// Capture instant of frame `n` (0-based).
-    pub fn capture_time(&self, n: u64) -> SimTime {
-        self.params.capture_time(n)
-    }
-
-    /// Capture instant of the next frame [`Self::next_frame`] will
-    /// produce.
-    pub fn next_capture_time(&self) -> SimTime {
-        self.state.next_capture_time(&self.params)
-    }
-
     /// Produce the next frame, or `None` when the stream is exhausted.
     pub fn next_frame(&mut self) -> Option<Frame> {
         self.state.next_frame(&self.params)
-    }
-
-    /// Information score of the most recent frame, when a scene script
-    /// is attached.
-    pub fn last_info(&self) -> Option<f64> {
-        self.state.last_info()
     }
 }
 
@@ -294,6 +246,29 @@ mod tests {
     use super::*;
     use ff_sim::RngFactory;
     use proptest::prelude::*;
+
+    impl<R: Rng> FrameSource<R> {
+        /// A source whose sizes are additionally modulated by a scene
+        /// script, as the fleet's rows are.
+        fn with_scene(config: StreamConfig, rng: R, script: SceneScript, scene_rng: R) -> Self {
+            FrameSource {
+                params: StreamParams::new(config),
+                state: SourceState::with_scene(rng, script, scene_rng),
+            }
+        }
+
+        fn generated(&self) -> u64 {
+            self.state.generated()
+        }
+
+        fn exhausted(&self) -> bool {
+            self.state.exhausted(&self.params)
+        }
+
+        fn last_info(&self) -> Option<f64> {
+            self.state.last_info()
+        }
+    }
 
     fn source(cfg: StreamConfig) -> FrameSource<rand_chacha::ChaCha8Rng> {
         FrameSource::new(cfg, RngFactory::new(1).stream("frames"))
@@ -451,8 +426,8 @@ mod tests {
             let mut cfg = StreamConfig::default();
             cfg.fps = fps;
             let s = source(cfg);
-            let t_n = s.capture_time(n).as_micros();
-            let t_1 = s.capture_time(1).as_micros();
+            let t_n = s.params.capture_time(n).as_micros();
+            let t_1 = s.params.capture_time(1).as_micros();
             // Within rounding, t_n == n * t_1.
             prop_assert!((t_n as i128 - (n as i128) * (t_1 as i128)).abs() <= n as i128);
         }

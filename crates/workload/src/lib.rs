@@ -23,14 +23,8 @@ mod scenario;
 mod scene;
 
 pub use filter::{FilterConfig, FilterStats, FilterVerdict, SemanticFilter};
-pub use frames::{
-    Frame, FrameId, FrameSource, SourceState, StreamConfig, StreamParams, PAPER_DEADLINE_MS,
-    PAPER_FPS, PAPER_TOTAL_FRAMES,
-};
+pub use frames::{Frame, FrameSource, SourceState, StreamConfig, StreamParams};
 pub use mobility::{mobility_trace, MobilityConfig};
 pub use replay::{ReplayCursor, ReplayFrame, ReplayFrames};
-pub use scenario::{
-    fig2_loss_injection, ideal_network, table_v, table_vi, BackgroundLoad, NetworkConditions,
-    StepSchedule,
-};
-pub use scene::{scene_bursty, scene_cut_storm, scene_static, ScenePhase, SceneScript, SceneState};
+pub use scenario::{fig2_loss_injection, ideal_network, table_v, table_vi, StepSchedule};
+pub use scene::{scene_bursty, scene_cut_storm, scene_static, ScenePhase, SceneScript};

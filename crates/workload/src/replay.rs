@@ -68,7 +68,7 @@ impl ReplayFrames {
     }
 
     /// The recorded captures, in capture order.
-    pub fn frames(&self) -> &[ReplayFrame] {
+    pub(crate) fn frames(&self) -> &[ReplayFrame] {
         &self.frames
     }
 

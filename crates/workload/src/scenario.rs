@@ -7,7 +7,7 @@
 //! schedules from the paper, and `fig2_loss_injection()` reproduces the
 //! tuning experiment of Figure 2.
 
-pub use ff_net::NetworkConditions;
+use ff_net::NetworkConditions;
 use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant schedule: value `v` applies from its start time
@@ -55,17 +55,11 @@ impl<T: Clone> StepSchedule<T> {
     pub fn steps(&self) -> &[(f64, T)] {
         &self.steps
     }
-
-    /// Start times of every step after the first — the instants at which
-    /// a simulation must re-apply conditions.
-    pub fn change_points(&self) -> Vec<f64> {
-        self.steps.iter().skip(1).map(|&(t, _)| t).collect()
-    }
 }
 
 /// Background server load during one phase (Table VI column): offered
 /// offload requests per second from *other* tenants.
-pub type BackgroundLoad = f64;
+pub(crate) type BackgroundLoad = f64;
 
 /// The exact network schedule of Table V.
 ///
@@ -180,15 +174,6 @@ mod tests {
         assert_eq!(s.value_at(26.9).loss_pct, 0.0);
         assert_eq!(s.value_at(27.0).loss_pct, 7.0);
         assert_eq!(s.value_at(27.0).bandwidth_mbps, 10.0);
-    }
-
-    #[test]
-    fn change_points_are_step_starts() {
-        assert_eq!(
-            table_v().change_points(),
-            vec![30.0, 45.0, 60.0, 90.0, 105.0]
-        );
-        assert_eq!(ideal_network().change_points(), Vec::<f64>::new());
     }
 
     #[test]

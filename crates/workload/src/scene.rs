@@ -70,16 +70,6 @@ impl SceneScript {
             size_coupling: 0.5,
         }
     }
-
-    /// Override the size coupling.
-    pub fn with_size_coupling(mut self, size_coupling: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&size_coupling),
-            "size coupling must be in [0, 1)"
-        );
-        self.size_coupling = size_coupling;
-        self
-    }
 }
 
 /// Between cuts the score relaxes geometrically toward the phase's
@@ -93,7 +83,7 @@ const WOBBLE: f64 = 0.05;
 /// cut/no-cut branch, so the stream position depends only on the frame
 /// count — never on earlier outcomes.
 #[derive(Debug, Clone)]
-pub struct SceneState<R: Rng> {
+pub(crate) struct SceneState<R: Rng> {
     script: SceneScript,
     rng: R,
     info: f64,
@@ -102,7 +92,7 @@ pub struct SceneState<R: Rng> {
 impl<R: Rng> SceneState<R> {
     /// Start a script on its dedicated RNG stream. The score starts at
     /// the first phase's resting level.
-    pub fn new(script: SceneScript, rng: R) -> Self {
+    pub(crate) fn new(script: SceneScript, rng: R) -> Self {
         assert!(
             (0.0..1.0).contains(&script.size_coupling),
             "size coupling must be in [0, 1)"
@@ -123,14 +113,9 @@ impl<R: Rng> SceneState<R> {
         SceneState { script, rng, info }
     }
 
-    /// The script being evolved.
-    pub fn script(&self) -> &SceneScript {
-        &self.script
-    }
-
     /// Advance one frame captured at `t_secs` under frame rate `fps`,
     /// returning the frame's information score in `[0, 1]`.
-    pub fn next_info(&mut self, t_secs: f64, fps: f64) -> f64 {
+    pub(crate) fn next_info(&mut self, t_secs: f64, fps: f64) -> f64 {
         let phase = *self.script.phases.value_at(t_secs);
         let p_cut = (phase.cut_rate / fps).min(1.0);
         let u: f64 = self.rng.gen_range(0.0..1.0);
@@ -146,7 +131,7 @@ impl<R: Rng> SceneState<R> {
     }
 
     /// Multiplicative frame-size factor for an information score.
-    pub fn size_factor(&self, info: f64) -> f64 {
+    pub(crate) fn size_factor(&self, info: f64) -> f64 {
         1.0 + self.script.size_coupling * (2.0 * info - 1.0)
     }
 }
@@ -246,7 +231,11 @@ mod tests {
 
     #[test]
     fn size_factor_spans_the_coupling_range() {
-        let s = state(scene_static().with_size_coupling(0.4), 1);
+        let script = SceneScript {
+            size_coupling: 0.4,
+            ..scene_static()
+        };
+        let s = state(script, 1);
         assert!((s.size_factor(0.0) - 0.6).abs() < 1e-12);
         assert!((s.size_factor(0.5) - 1.0).abs() < 1e-12);
         assert!((s.size_factor(1.0) - 1.4).abs() < 1e-12);
@@ -255,7 +244,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "size coupling")]
     fn unit_size_coupling_rejected() {
-        let _ = scene_static().with_size_coupling(1.0);
+        let script = SceneScript {
+            size_coupling: 1.0,
+            ..scene_static()
+        };
+        let _ = state(script, 1);
     }
 
     #[test]

@@ -76,9 +76,8 @@ pub mod sim {
     pub use ff_sim::*;
 }
 
-/// Live-mode helpers beside the reactor (`ff-live`): the telemetry TCP
-/// export sink and the request direction of the legacy wire codec. The
-/// live tier itself is [`reactor`].
+/// The request direction of the legacy wire codec (`ff-live`). The live
+/// tier itself is [`reactor`].
 pub mod live {
     pub use ff_live::*;
 }

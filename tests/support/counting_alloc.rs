@@ -63,7 +63,7 @@ static ALLOCATOR: Counting = Counting;
 
 /// What `f` cost the allocator: its result, the allocation requests it
 /// made, and the most bytes live at once above what was live before it.
-pub fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let calls_before = CALLS.load(Relaxed);
     let live_before = LIVE.load(Relaxed);
     PEAK.store(live_before, Relaxed);
