@@ -71,11 +71,12 @@ pub use local::testhooks as local_testhooks;
 pub use local::{LocalEngine, LocalOutcome};
 #[doc(hidden)]
 pub use offload::testhooks as offload_testhooks;
-pub use offload::OffloadResolution;
+pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
 pub use quality::QualityConfig;
-pub use replay::{replay_verify, replay_verify_with};
+pub use replay::{replay_verify, replay_verify_with, ReplayMismatch, ReplayReport};
 pub use runtime::{
-    DeviceRuntime, FrameOutcome, RuntimeConfig, SubmitOutcome, Transport, WallClock,
+    DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig, SubmitOutcome,
+    TickOutput, Transport, WallClock,
 };
 pub use scenario::{content_scenarios, scenario, SCENARIO_NAMES};
 pub use selection::ModelSelection;
@@ -83,4 +84,4 @@ pub use selector::SelectorConfig;
 pub use shard::run_fleet_sharded;
 pub use splitter::Route;
 
-pub use trace::{FrameFate, TraceSummary};
+pub use trace::{FrameFate, FrameRecord, TraceSummary};

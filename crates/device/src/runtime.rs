@@ -46,8 +46,7 @@ use ff_trace::{
 };
 use std::time::Instant;
 
-// The tag-space partition lives in the shared [`crate::tags`] module;
-// these re-exports keep the historical `runtime::` paths working.
+// The tag-space partition lives in the shared `crate::tags` module.
 use crate::tags::{is_probe_tag, BACKGROUND_TAG_BASE, PROBE_TAG_BASE};
 
 /// What happened when a frame was handed to the transport.

@@ -23,4 +23,4 @@ pub use histogram::LogHistogram;
 pub use qos::{QosAggregate, QosLog, QosRecord};
 pub use rate::WindowedRate;
 pub use series::{LatencyStats, LatencySummary};
-pub use stats::bootstrap_mean_ci;
+pub use stats::{bootstrap_mean_ci, ConfidenceInterval};

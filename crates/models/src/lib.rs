@@ -18,8 +18,8 @@ mod device;
 mod gpu;
 mod zoo;
 
-pub use accuracy::{predicted_top1, tradeoff_frontier};
+pub use accuracy::{predicted_top1, tradeoff_frontier, TradeoffPoint};
 pub use compression::Compression;
-pub use device::DeviceKind;
+pub use device::{DeviceKind, DeviceProfile};
 pub use gpu::GpuProfile;
-pub use zoo::ModelKind;
+pub use zoo::{ModelKind, ModelProfile};

@@ -15,5 +15,5 @@ mod link;
 mod loss;
 
 pub use conditions::NetworkConditions;
-pub use link::{Link, LinkConfig, LinkParams, LinkState, LinkStats, SendOutcome};
+pub use link::{DropReason, Link, LinkConfig, LinkParams, LinkState, LinkStats, SendOutcome};
 pub use loss::{GilbertElliott, LossModel};

@@ -167,9 +167,16 @@ mod tests {
             .all(|&l| !l));
     }
 
+    /// The chain's stationary (long-run average) loss probability.
+    fn stationary_loss(ge: &GilbertElliott) -> f64 {
+        let pi_bad = ge.p_good_to_bad / (ge.p_good_to_bad + ge.p_bad_to_good);
+        pi_bad * ge.loss_bad + (1.0 - pi_bad) * ge.loss_good
+    }
+
     #[test]
     fn gilbert_elliott_hits_the_target_average() {
         let ge = GilbertElliott::with_average_loss(0.07);
+        assert!((stationary_loss(&ge) - 0.07).abs() < 1e-12);
         let losses = draw_n(LossModel::GilbertElliott(ge), 400_000, 3);
         let rate = losses.iter().filter(|&&l| l).count() as f64 / losses.len() as f64;
         assert!((rate - 0.07).abs() < 0.01, "observed {rate:.4}");

@@ -39,8 +39,10 @@ pub use conn::{
 };
 pub use ff_device::deps::ff_net::NetworkConditions;
 pub use fleet::{
-    run_reactor_device, run_reactor_fleet, FleetClientConfig, ReactorDeviceConfig,
+    run_reactor_device, run_reactor_fleet, FleetClientConfig, FleetSummary, ReactorDeviceConfig,
     ReactorDeviceSummary, ReconnectPolicy,
 };
-pub use frame::{decode_frame, encode_request_into, encode_response_into, Frame, MAX_HEAD_BYTES};
-pub use server::{ReactorServer, ReactorServerConfig, ReactorServerStats};
+pub use frame::{
+    decode_frame, encode_request_into, encode_response_into, Frame, FrameError, MAX_HEAD_BYTES,
+};
+pub use server::{ReactorChaos, ReactorServer, ReactorServerConfig, ReactorServerStats};

@@ -27,4 +27,5 @@ pub use background::{Background, BackgroundConfig, BACKGROUND_TAG_BASE};
 pub use batcher::Batcher;
 pub use policy::{jain_fairness_index, OverflowPolicy};
 pub use server::{BatchOutput, EdgeServer, Request, ServerStats, Submit, TenantId};
+pub use tenants::TenantTable;
 pub use tier::{AdmissionPolicy, RoutingPolicy, ServerSpec, ServerTier, TierConfig, TierSubmit};

@@ -3,7 +3,7 @@
 //! A [`Simulation`] owns a model implementing [`SimModel`] and a
 //! future-event list. The executor pops the earliest event, advances the
 //! clock, and hands the event to the model together with a [`Ctx`] the
-//! model uses to schedule follow-up events or stop the run.
+//! model uses to schedule follow-up events.
 //!
 //! This "one model, typed events" shape sidesteps the aliasing problems of
 //! closure-based schedulers: the model has exclusive `&mut self` access
@@ -25,7 +25,6 @@ pub trait SimModel {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop_requested: &'a mut bool,
     events_handled: u64,
 }
 
@@ -75,12 +74,6 @@ impl<'a, E> Ctx<'a, E> {
         self.queue.push_lane(lane, at, n, event);
     }
 
-    /// Request that the run stop after this event is handled. Pending
-    /// events remain queued (a later `run_*` call would resume them).
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
-    }
-
     /// Number of pending events (excluding the one being handled; a
     /// lane entry standing for `n` counts `n`).
     pub fn pending_events(&self) -> usize {
@@ -104,8 +97,6 @@ pub enum RunOutcome {
     QueueEmpty,
     /// The time horizon passed; the next event (if any) lies beyond it.
     HorizonReached,
-    /// The model called [`Ctx::stop`].
-    Stopped,
     /// The event budget given to `run_steps` was exhausted.
     BudgetExhausted,
 }
@@ -114,7 +105,7 @@ pub enum RunOutcome {
 enum Dispatch {
     QueueEmpty,
     BeyondHorizon,
-    Handled { stopped: bool },
+    Handled,
 }
 
 /// A discrete-event simulation: a model plus a clock and an event queue.
@@ -193,7 +184,7 @@ impl<M: SimModel> Simulation<M> {
     }
 
     /// Pop-and-handle one event with `horizon` as the cutoff — the
-    /// single place every `step`/`run_*` loop body (and therefore every
+    /// single place every `run_*` loop body (and therefore every
     /// queue backend) is exercised.
     fn dispatch_next(&mut self, horizon: SimTime) -> Dispatch {
         let (t, n, ev) = match self.queue.pop_counted(horizon) {
@@ -204,29 +195,22 @@ impl<M: SimModel> Simulation<M> {
         debug_assert!(t >= self.now, "event queue yielded an event in the past");
         self.now = t;
         self.events_handled += u64::from(n);
-        let mut stop = false;
         let mut ctx = Ctx {
             now: t,
             queue: &mut self.queue,
-            stop_requested: &mut stop,
             events_handled: self.events_handled,
         };
         self.model.handle(&mut ctx, ev);
-        Dispatch::Handled { stopped: stop }
+        Dispatch::Handled
     }
 
-    /// Handle a single event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        matches!(self.dispatch_next(SimTime::MAX), Dispatch::Handled { .. })
-    }
-
-    /// Run until the queue drains or the model stops the run.
+    /// Run until the queue drains.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run until the queue drains, the model stops, or the next event would
-    /// fire **after** `horizon` (events exactly at the horizon are handled).
+    /// Run until the queue drains or the next event would fire **after**
+    /// `horizon` (events exactly at the horizon are handled).
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         loop {
             match self.dispatch_next(horizon) {
@@ -237,15 +221,14 @@ impl<M: SimModel> Simulation<M> {
                     self.now = self.now.max(horizon);
                     return RunOutcome::HorizonReached;
                 }
-                Dispatch::Handled { stopped: true } => return RunOutcome::Stopped,
-                Dispatch::Handled { stopped: false } => {}
+                Dispatch::Handled => {}
             }
         }
     }
 
-    /// Run at most `budget` events (or until drained/stopped); a lane
-    /// entry standing for several events is one step.
-    pub fn run_steps(&mut self, budget: u64) -> RunOutcome {
+    /// Run at most `budget` events (or until drained); a lane entry
+    /// standing for several events is one step.
+    pub(crate) fn run_steps(&mut self, budget: u64) -> RunOutcome {
         for _ in 0..budget {
             match self.dispatch_next(SimTime::MAX) {
                 // Nothing outruns a `SimTime::MAX` horizon, so the
@@ -253,8 +236,7 @@ impl<M: SimModel> Simulation<M> {
                 Dispatch::QueueEmpty | Dispatch::BeyondHorizon => {
                     return RunOutcome::QueueEmpty;
                 }
-                Dispatch::Handled { stopped: true } => return RunOutcome::Stopped,
-                Dispatch::Handled { stopped: false } => {}
+                Dispatch::Handled => {}
             }
         }
         RunOutcome::BudgetExhausted
@@ -269,10 +251,11 @@ impl<M: SimModel> Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::QueueBackend;
+    use crate::queue::{Backend, QueueBackend};
     use crate::time::SimDuration;
 
-    /// A toy model: a ticker that counts ticks and re-schedules itself.
+    /// A toy model: a ticker that counts ticks and re-schedules itself
+    /// until it has ticked `stop_after` times.
     struct Ticker {
         period: SimDuration,
         ticks: u32,
@@ -290,9 +273,7 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<'_, TickEvent>, _ev: TickEvent) {
             self.ticks += 1;
             self.tick_times.push(ctx.now());
-            if self.ticks >= self.stop_after {
-                ctx.stop();
-            } else {
+            if self.ticks < self.stop_after {
                 ctx.schedule_at(ctx.now() + self.period, TickEvent::Tick);
             }
         }
@@ -310,9 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn ticker_stops_itself() {
+    fn ticker_drains_after_its_last_tick() {
         let mut sim = ticker(5);
-        assert_eq!(sim.run(), RunOutcome::Stopped);
+        assert_eq!(sim.run(), RunOutcome::QueueEmpty);
         assert_eq!(sim.model().ticks, 5);
         assert_eq!(sim.now(), SimTime::from_secs(4));
         assert_eq!(sim.events_handled(), 5);
@@ -341,7 +322,7 @@ mod tests {
         }
         let mut sim = Simulation::new(Inert);
         assert_eq!(sim.run(), RunOutcome::QueueEmpty);
-        assert!(!sim.step());
+        assert_eq!(sim.run_steps(1), RunOutcome::QueueEmpty);
     }
 
     #[test]
@@ -418,13 +399,15 @@ mod tests {
         };
         let mut heap = make(QueueBackend::Heap);
         let mut wheel = make(QueueBackend::Wheel);
+        assert!(matches!(heap.queue.backend, Backend::Heap(_)));
+        assert!(matches!(wheel.queue.backend, Backend::Wheel(_)));
         // Interleave horizon-bounded and budgeted runs to hit every loop.
         assert_eq!(
             heap.run_until(SimTime::from_secs(10)),
             wheel.run_until(SimTime::from_secs(10))
         );
         assert_eq!(heap.run_steps(7), wheel.run_steps(7));
-        assert_eq!(heap.step(), wheel.step());
+        assert_eq!(heap.run_steps(1), wheel.run_steps(1));
         assert_eq!(heap.run(), wheel.run());
         assert_eq!(heap.now(), wheel.now());
         assert_eq!(heap.events_handled(), wheel.events_handled());

@@ -47,7 +47,7 @@ pub mod testhooks;
 mod time;
 mod wheel;
 
-pub use engine::{Ctx, SimModel, Simulation};
+pub use engine::{Ctx, RunOutcome, SimModel, Simulation};
 pub use par::{run_phased, run_phased_skipping};
 pub use queue::{EventQueue, QueueBackend, LANES, LANE_RUN_MAX};
 pub use rng::{IndexedStream, RngFactory};

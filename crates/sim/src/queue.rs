@@ -61,7 +61,7 @@ const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 /// The most pushes one lane entry stands for.
 pub const LANE_RUN_MAX: u32 = (1 << (64 - SEQ_BITS)) - 1;
 
-struct Entry<E> {
+pub(crate) struct Entry<E> {
     time: SimTime,
     seq: u64,
     event: E,
@@ -97,7 +97,7 @@ pub enum QueueBackend {
     Wheel,
 }
 
-enum Backend<E> {
+pub(crate) enum Backend<E> {
     Heap(BinaryHeap<Entry<E>>),
     // Boxed: the wheel's level/slot table is ~12 KB of inline state.
     Wheel(Box<TimerWheel<E>>),
@@ -142,7 +142,7 @@ impl<E> LaneEntry<E> {
 
 /// A deterministic future-event list.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    pub(crate) backend: Backend<E>,
     /// Each sorted by `(time, seq)`.
     lanes: [VecDeque<LaneEntry<E>>; LANES],
     /// Key of each lane's front entry (`NO_KEY` for an empty lane), and

@@ -21,7 +21,7 @@
 //!   periodic [`Snapshot`]s — windows keyed by the **event timestamps**
 //!   (`t_us`), never by wall clock, so in simulation the snapshot
 //!   stream is a pure function of the event stream.
-//! * Snapshots fan out to pluggable `Sink`s: JSONL files, in-process
+//! * Snapshots fan out to pluggable [`Sink`]s: JSONL files, in-process
 //!   subscriber channels ([`Telemetry::subscribe`]), and the
 //!   line-delimited TCP export endpoint [`TcpExportSink`].
 //!
@@ -52,13 +52,14 @@ mod ring;
 mod sink;
 
 pub use collect::{
-    CounterValue, GaugeValue, LogEntry, ScopeSnapshot, Snapshot, SNAPSHOT_SCHEMA_VERSION,
+    CounterValue, GaugeValue, LatencyValue, LogEntry, ScopeSnapshot, Snapshot,
+    SNAPSHOT_SCHEMA_VERSION,
 };
 pub use event::Metric;
 pub use export::TcpExportSink;
 pub use log::{Level, LogCode};
 pub use recorder::{Recorder, Scope, Telemetry, TelemetryConfig};
-pub use sink::JsonlSink;
+pub use sink::{JsonlSink, Sink};
 
 #[cfg(test)]
 mod tests {

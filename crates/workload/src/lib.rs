@@ -23,7 +23,7 @@ mod scenario;
 mod scene;
 
 pub use filter::{FilterConfig, FilterStats, FilterVerdict, SemanticFilter};
-pub use frames::{Frame, FrameSource, SourceState, StreamConfig, StreamParams};
+pub use frames::{Frame, FrameId, FrameSource, SourceState, StreamConfig, StreamParams};
 pub use mobility::{mobility_trace, MobilityConfig};
 pub use replay::{ReplayCursor, ReplayFrame, ReplayFrames};
 pub use scenario::{fig2_loss_injection, ideal_network, table_v, table_vi, StepSchedule};

@@ -14,10 +14,10 @@
 //! * in `benchmark/src`, whose names are frozen.
 //!
 //! A name found nowhere outside must be in [`ALLOWED`] with the reason it
-//! stays public: a public signature reaches it, or it is a counter meant
-//! to be read. An entry that is no longer needed fails the scan too, and
-//! [`CEILING`] only falls, so the list only shrinks: a new public name is
-//! admitted on purpose or not at all.
+//! stays public: a public signature reaches it (its crate root re-exports
+//! it, so callers can name it), or it is a counter meant to be read. An
+//! entry that is no longer needed fails the scan too, so a new public
+//! name is admitted on purpose, by an edit to the list, or not at all.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -86,9 +86,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("trace::TraceError", "returned by `Trace::decode`"),
     ("workload::FrameId", "the type of `Frame::id`"),
 ];
-
-/// The most entries [`ALLOWED`] may hold; lower it when an entry goes.
-const CEILING: usize = 28;
 
 /// Item kinds the scan counts.
 const KINDS: [&str; 8] = [
@@ -220,7 +217,6 @@ fn every_public_name_is_used_outside_its_crate_or_allowed() {
         ALLOWED.iter().all(|(_, why)| !why.trim().is_empty()),
         "every ALLOWED entry gives its reason"
     );
-    assert!(ALLOWED.len() <= CEILING, "ALLOWED only shrinks");
     println!(
         "{} public declarations, {} named nowhere outside their crate",
         declarations.len(),

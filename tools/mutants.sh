@@ -2,11 +2,11 @@
 # Committed mutation checks: each diff under tools/mutants/ breaks the
 # program on purpose, and the test its manifest line names must fail.
 #
-#   tools/mutants.sh [--rev REV] [NAME...]
+#   tools/mutants.sh [NAME...]
 #
-# REV (default HEAD) is exported with `git archive` into a fresh
-# directory under $TMPDIR, as tools/ab.sh does; the repository itself is
-# only read. The diffs and the manifest come from this checkout.
+# HEAD is exported with `git archive` into a fresh directory under
+# $TMPDIR, as tools/ab.sh does; the repository itself is only read, so
+# commit first.
 # tools/mutants/MANIFEST holds one line per mutant:
 #
 #   <name> <cargo test arguments...>
@@ -23,29 +23,27 @@
 #   killed        the test built and failed;
 #   survived      the test built and passed;
 #   build-failed  the mutated code or its test did not compile;
-#   stale         the diff no longer applies to REV.
+#   stale         the diff no longer applies to HEAD.
 # The exit status is 0 only when every mutant is killed. Logs stay in
 # the printed work directory.
 set -euo pipefail
 
 usage() {
-    echo "usage: tools/mutants.sh [--rev REV] [NAME...]" >&2
+    echo "usage: tools/mutants.sh [NAME...]" >&2
     exit 2
 }
 
-rev=HEAD
 only=()
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --rev) rev="${2:?--rev needs a revision}"; shift 2 ;;
+for arg in "$@"; do
+    case "$arg" in
         -*) usage ;;
-        *) only+=("$1"); shift ;;
+        *) only+=("$arg") ;;
     esac
 done
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 mutants="$repo/tools/mutants"
-sha="$(git -C "$repo" rev-parse --verify "$rev^{commit}")"
+sha="$(git -C "$repo" rev-parse --verify HEAD)"
 work="$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX")"
 copy="$work/src"
 logs="$work/logs"
@@ -54,7 +52,7 @@ git -C "$repo" archive "$sha" | tar -x -C "$copy"
 # Its own repository, so that `git apply` patches the copy even when
 # $TMPDIR lies inside another work tree.
 git init -q "$copy"
-echo "mutating ${sha:0:12} ($rev), exported to $copy"
+echo "mutating ${sha:0:12} (HEAD), exported to $copy"
 
 names=()
 commands=()
