@@ -42,8 +42,6 @@ impl Controller for LocalOnly {
     fn po_target(&self) -> f64 {
         0.0
     }
-
-    fn reset(&mut self) {}
 }
 
 /// §IV-B.2: offload every frame at all times. "Since we disregard any
@@ -74,10 +72,6 @@ impl Controller for AlwaysOffload {
 
     fn po_target(&self) -> f64 {
         self.fs
-    }
-
-    fn reset(&mut self) {
-        self.fs = 0.0;
     }
 }
 
@@ -124,10 +118,6 @@ impl Controller for AllOrNothing {
     fn po_target(&self) -> f64 {
         self.po_target
     }
-
-    fn reset(&mut self) {
-        self.po_target = 0.0;
-    }
 }
 
 /// A fixed-rate policy: offload at a constant target forever. Not a
@@ -167,8 +157,6 @@ impl Controller for Fixed {
     fn po_target(&self) -> f64 {
         self.po
     }
-
-    fn reset(&mut self) {}
 }
 
 /// An AIMD (additive-increase, multiplicative-decrease) controller — the
@@ -230,10 +218,6 @@ impl Controller for Aimd {
     fn po_target(&self) -> f64 {
         self.po_target
     }
-
-    fn reset(&mut self) {
-        self.po_target = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -268,8 +252,6 @@ mod tests {
         let d = c.update(&measure(false, 30.0));
         assert_eq!(d.po_target, 30.0);
         assert_eq!(c.po_target(), 30.0);
-        c.reset();
-        assert_eq!(c.po_target(), 0.0);
     }
 
     #[test]
@@ -288,15 +270,6 @@ mod tests {
             let d = c.update(&measure(ok, 1.0));
             assert!(d.po_target == 0.0 || d.po_target == 30.0);
         }
-    }
-
-    #[test]
-    fn reset_returns_all_or_nothing_to_local() {
-        let mut c = AllOrNothing::new();
-        c.update(&measure(true, 0.0));
-        assert_eq!(c.po_target(), 30.0);
-        c.reset();
-        assert_eq!(c.po_target(), 0.0);
     }
 
     #[test]
@@ -322,8 +295,6 @@ mod tests {
             let po = c.update(&measure(true, 30.0)).po_target;
             assert!(po >= 0.0);
         }
-        c.reset();
-        assert_eq!(c.po_target(), 0.0);
     }
 
     #[test]

@@ -8,12 +8,11 @@ use crate::{
 };
 use ff_baselines::{Aimd, AlwaysOffload, Fixed, LocalOnly};
 use ff_core::{
-    oscillation_index, tune, Controller, FrameFeedback, Measurement, PidConfig, TunerOptions,
+    oscillation_index, tune, Controller, FrameFeedback, Measurement, PidConfig, TAIL_FRACTION,
 };
 use ff_device::{
     content_scenarios, replay_verify_with, run_experiment, run_experiment_traced, run_fleet,
-    EnergyModel, ExperimentConfig, ExperimentResult, FleetConfig, ModelSelection, QualityConfig,
-    SelectorConfig, ServerOutage,
+    EnergyModel, ExperimentConfig, ExperimentResult, FleetConfig, ModelSelection, ServerOutage,
 };
 use ff_metrics::{bootstrap_mean_ci, QosRecord};
 use ff_models::{
@@ -512,8 +511,7 @@ pub(crate) fn autotune(_: &Flags) -> io::Result<Value> {
         let result = run_experiment(config, Box::new(FrameFeedback::with_config(gains)));
         result.qos.records().iter().map(|r| r.po_target).collect()
     };
-    let outcome = tune(trial, TunerOptions::default())
-        .expect("no K_P within bounds oscillated: the plant is overdamped");
+    let outcome = tune(trial).expect("no K_P within bounds oscillated: the plant is overdamped");
     let report = Report {
         kp: outcome.config.kp,
         kd: outcome.config.kd,
@@ -523,7 +521,7 @@ pub(crate) fn autotune(_: &Flags) -> io::Result<Value> {
     };
     let title = "autotune: §III-B procedure on a constant 4 Mbps link";
     print_rows(title, &[&report]);
-    let score = |gains| oscillation_index(&trial(gains), 0.6);
+    let score = |gains| oscillation_index(&trial(gains), TAIL_FRACTION);
     println!(
         "oscillation on the plant: tuned {:.3} vs Table IV (K_P 0.2, K_D 0.26) {:.3}",
         score(outcome.config),
@@ -681,10 +679,7 @@ pub(crate) fn quality_adaptation(_: &Flags) -> io::Result<Value> {
         p_4mbps_phase: f64,
         p_1mbps_phase: f64,
     }
-    let variants = [
-        ("fixed-q90", None),
-        ("adaptive-quality", Some(QualityConfig::default())),
-    ];
+    let variants = [("fixed-q90", false), ("adaptive-quality", true)];
     let rows: Vec<Row> = variants
         .into_iter()
         .map(|(variant, adaptive_quality)| {
@@ -734,10 +729,7 @@ pub(crate) fn model_selection(_: &Flags) -> io::Result<Value> {
         (45.0, NetworkConditions::new(1.0, 20.0)),
         (90.0, NetworkConditions::new(10.0, 0.0)),
     ]);
-    let variants = [
-        ("fixed-mnv3small", None),
-        ("adaptive-local-model", Some(SelectorConfig::default())),
-    ];
+    let variants = [("fixed-mnv3small", false), ("adaptive-local-model", true)];
     let rows: Vec<Row> = variants
         .into_iter()
         .map(|(variant, adaptive_local_model)| {
@@ -1543,6 +1535,27 @@ pub(crate) fn dump_config(flags: &Flags) -> io::Result<Value> {
     Ok(config)
 }
 
+/// The first key of `input` that `parsed` — `input` read into its type
+/// and serialized back — lacks, as a path below `path` (`stream.fps`,
+/// `network.steps[0]`): a field the type does not have.
+fn unknown_field(input: &Value, parsed: &Value, path: &str) -> Option<String> {
+    match (input, parsed) {
+        (Value::Obj(fields), Value::Obj(known)) => fields.iter().find_map(|(key, value)| {
+            let path = match path {
+                "" => key.clone(),
+                _ => format!("{path}.{key}"),
+            };
+            match known.iter().find(|(k, _)| k == key) {
+                Some((_, parsed)) => unknown_field(value, parsed, &path),
+                None => Some(path),
+            }
+        }),
+        (Value::Arr(items), Value::Arr(known)) => (items.iter().zip(known).enumerate())
+            .find_map(|(i, (item, parsed))| unknown_field(item, parsed, &format!("{path}[{i}]"))),
+        _ => None,
+    }
+}
+
 /// `--scenario`, or `table5`, the paper's Figure 3 setting.
 fn scenario_name(flags: &Flags) -> &str {
     flags.scenario.as_deref().unwrap_or("table5")
@@ -1560,8 +1573,15 @@ fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
             let fail =
                 |kind, e: String| io::Error::new(kind, format!("--config {}: {e}", path.display()));
             let body = std::fs::read_to_string(path).map_err(|e| fail(e.kind(), e.to_string()))?;
-            let config: ExperimentConfig = serde_json::from_str(&body)
-                .map_err(|e| fail(io::ErrorKind::InvalidData, e.to_string()))?;
+            let invalid = |e: serde_json::Error| fail(io::ErrorKind::InvalidData, e.to_string());
+            let input: Value = serde_json::from_str(&body).map_err(invalid)?;
+            let config: ExperimentConfig = serde_json::from_value(&input).map_err(invalid)?;
+            // The parser skips a key the type does not have; refuse it.
+            let parsed = serde_json::to_value(&config).map_err(invalid)?;
+            if let Some(field) = unknown_field(&input, &parsed, "") {
+                let why = format!("unknown field {field}");
+                return Err(fail(io::ErrorKind::InvalidData, why));
+            }
             (config.check()).map_err(|why| fail(io::ErrorKind::InvalidInput, why))?;
             config
         }
@@ -1581,11 +1601,8 @@ fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
     let mut tier = config.tier_config();
     if let Some(n) = flags.servers {
         // A uniform tier over the first server's profile (or the
-        // config's GPU when the file's tier has no server).
-        let spec = tier.servers.first().copied().unwrap_or(ServerSpec {
-            gpu: config.gpu,
-            ..ServerSpec::default()
-        });
+        // default server's when the file's tier has none).
+        let spec = tier.servers.first().copied().unwrap_or_default();
         tier.servers = vec![spec; n.get()];
     }
     if let Some(routing) = flags.routing {
@@ -1613,5 +1630,26 @@ fn miss_rate(timeouts: u64, offloaded: u64) -> f64 {
         0.0
     } else {
         timeouts as f64 / offloaded as f64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unknown_field_is_named_by_its_path() {
+        let parsed = serde_json::to_value(&ExperimentConfig::default()).unwrap();
+        let read = |body: &str| serde_json::from_str::<Value>(body).unwrap();
+        let input = read(r#"{"seed": 1, "stream": {"fps": 30.0}}"#);
+        assert_eq!(unknown_field(&input, &parsed, ""), None);
+        let input = read(r#"{"seed": 1, "stream": {"fps": 30.0, "fsp": 30.0}}"#);
+        assert_eq!(
+            unknown_field(&input, &parsed, ""),
+            Some("stream.fsp".into())
+        );
+        let input = read(r#"{"network": {"steps": [[0.0, {"loss": 1.0}]]}}"#);
+        let at = Some("network.steps[0][1].loss".into());
+        assert_eq!(unknown_field(&input, &parsed, ""), at);
     }
 }

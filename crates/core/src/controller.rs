@@ -78,8 +78,11 @@ pub trait Controller: Send {
     /// The current offload-rate target without updating.
     fn po_target(&self) -> f64;
 
-    /// Forget all history (for reuse across experiment repetitions).
-    fn reset(&mut self);
+    /// Unused: no host resets a controller, since every run builds its
+    /// own (`ControllerSpec::build`). The empty default stays only
+    /// because `benchmark/src/layers.rs` still defines it; it goes with
+    /// the next change to the benchmark (ROADMAP item 9).
+    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -36,4 +36,4 @@ mod tuning;
 
 pub use controller::{Controller, Decision, Measurement};
 pub use pid::{FrameFeedback, PidConfig};
-pub use tuning::{oscillation_index, tune, TunerOptions, TuningOutcome};
+pub use tuning::{oscillation_index, tune, TuningOutcome, TAIL_FRACTION};

@@ -189,12 +189,6 @@ impl Controller for FrameFeedback {
     fn po_target(&self) -> f64 {
         self.po_target
     }
-
-    fn reset(&mut self) {
-        self.po_target = self.config.initial_po;
-        self.prev_error = None;
-        self.integral = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -420,20 +414,6 @@ mod tests {
             pd < p_only,
             "rising timeout error: PD must back off harder ({pd:.3} vs {p_only:.3})"
         );
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut c = FrameFeedback::new();
-        for _ in 0..10 {
-            let po = c.po_target();
-            c.update(&measure(po, 0.0));
-        }
-        assert!(c.po_target() > 0.0);
-        c.reset();
-        assert_eq!(c.po_target(), 0.0);
-        assert_eq!(c.prev_error, None);
-        assert_eq!(c.integral, 0.0);
     }
 
     #[test]

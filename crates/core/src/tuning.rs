@@ -15,38 +15,24 @@
 
 use crate::pid::PidConfig;
 
-/// Options for the tuning sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunerOptions {
-    /// Starting proportional gain.
-    pub kp_start: f64,
-    /// Multiplicative step for the `K_P` sweep.
-    pub kp_growth: f64,
-    /// Upper bound for `K_P` (sweep failure if exceeded).
-    pub kp_max: f64,
-    /// Additive step for the `K_D` sweep.
-    pub kd_step: f64,
-    /// Upper bound for `K_D`.
-    pub kd_max: f64,
-    /// Oscillation index above which a trace counts as oscillating.
-    pub oscillation_threshold: f64,
-    /// Fraction of the trace (from the end) scored, skipping the ramp.
-    pub tail_fraction: f64,
-}
+/// Starting proportional gain of the `K_P` sweep.
+const KP_START: f64 = 0.05;
+/// Multiplicative step of the `K_P` sweep.
+const KP_GROWTH: f64 = 1.5;
+/// Upper bound for `K_P` (sweep failure if exceeded).
+const KP_MAX: f64 = 5.0;
+/// Additive step of the `K_D` sweep.
+const KD_STEP: f64 = 0.05;
+/// Upper bound for `K_D`.
+const KD_MAX: f64 = 2.0;
+/// Oscillation index above which a trace counts as oscillating.
+const OSCILLATION_THRESHOLD: f64 = 1.0;
+/// Fraction of the trace (from the end) scored, skipping the ramp.
+pub const TAIL_FRACTION: f64 = 0.6;
 
-impl Default for TunerOptions {
-    fn default() -> Self {
-        TunerOptions {
-            kp_start: 0.05,
-            kp_growth: 1.5,
-            kp_max: 5.0,
-            kd_step: 0.05,
-            kd_max: 2.0,
-            oscillation_threshold: 1.0,
-            tail_fraction: 0.6,
-        }
-    }
-}
+const _: () = assert!(KP_START > 0.0 && KP_GROWTH > 1.0 && KP_START <= KP_MAX);
+const _: () = assert!(KD_STEP > 0.0 && KD_STEP <= KD_MAX);
+const _: () = assert!(TAIL_FRACTION >= 0.0 && TAIL_FRACTION <= 1.0);
 
 /// Result of a tuning run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,21 +71,21 @@ pub fn oscillation_index(trace: &[f64], tail_fraction: f64) -> f64 {
 /// Returns `None` if no `K_P` within bounds produces oscillation (the
 /// plant is overdamped — any gain works) — callers can then keep their
 /// current configuration.
-pub fn tune<F>(mut trial: F, opts: TunerOptions) -> Option<TuningOutcome>
+pub fn tune<F>(mut trial: F) -> Option<TuningOutcome>
 where
     F: FnMut(PidConfig) -> Vec<f64>,
 {
     // Phase 1: raise K_P until the PV oscillates under constant conditions.
-    let mut kp = opts.kp_start;
+    let mut kp = KP_START;
     let mut kp_osc = None;
-    while kp <= opts.kp_max {
+    while kp <= KP_MAX {
         let trace = trial(PidConfig::with_gains(kp, 0.0));
-        let osc = oscillation_index(&trace, opts.tail_fraction);
-        if osc > opts.oscillation_threshold {
+        let osc = oscillation_index(&trace, TAIL_FRACTION);
+        if osc > OSCILLATION_THRESHOLD {
             kp_osc = Some((kp, osc));
             break;
         }
-        kp *= opts.kp_growth;
+        kp *= KP_GROWTH;
     }
     let (kp, osc_before) = kp_osc?;
 
@@ -109,15 +95,15 @@ where
     // worse than the proportional-only controller.
     let mut best_kd = 0.0;
     let mut best_osc = osc_before;
-    let mut kd = opts.kd_step;
-    while kd <= opts.kd_max {
+    let mut kd = KD_STEP;
+    while kd <= KD_MAX {
         let trace = trial(PidConfig::with_gains(kp, kd));
-        let osc = oscillation_index(&trace, opts.tail_fraction);
+        let osc = oscillation_index(&trace, TAIL_FRACTION);
         if osc < best_osc {
             best_osc = osc;
             best_kd = kd;
         }
-        kd += opts.kd_step;
+        kd += KD_STEP;
     }
 
     Some(TuningOutcome {
@@ -183,8 +169,8 @@ mod tests {
 
     #[test]
     fn tuner_reproduces_the_paper_procedure_on_a_lagged_plant() {
-        let outcome = tune(capacity_plant(15.0, 120), TunerOptions::default())
-            .expect("the lagged plant oscillates at high K_P");
+        let outcome =
+            tune(capacity_plant(15.0, 120)).expect("the lagged plant oscillates at high K_P");
         // Oscillation found, then damped.
         assert!(outcome.kp_at_oscillation > 0.0);
         assert!(outcome.config.kd > 0.0, "damping must be added");
@@ -201,7 +187,7 @@ mod tests {
         // The paper landed on K_P = 0.2, K_D = 0.26 for its testbed; a
         // plant with capacity near the Fig. 2 operating point should tune
         // to the same order of magnitude.
-        let outcome = tune(capacity_plant(15.0, 120), TunerOptions::default()).unwrap();
+        let outcome = tune(capacity_plant(15.0, 120)).unwrap();
         assert!(
             (0.02..=2.0).contains(&outcome.config.kp),
             "K_P {} out of plausible range",
@@ -237,13 +223,13 @@ mod tests {
                 })
                 .collect()
         };
-        assert!(tune(trial, TunerOptions::default()).is_none());
+        assert!(tune(trial).is_none());
     }
 
     #[test]
     fn tuner_is_deterministic() {
-        let a = tune(capacity_plant(15.0, 120), TunerOptions::default()).unwrap();
-        let b = tune(capacity_plant(15.0, 120), TunerOptions::default()).unwrap();
+        let a = tune(capacity_plant(15.0, 120)).unwrap();
+        let b = tune(capacity_plant(15.0, 120)).unwrap();
         assert_eq!(a, b);
     }
 

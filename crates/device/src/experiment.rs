@@ -18,21 +18,23 @@
 use crate::fleet::{
     run_fleet_recording, EngineOptions, FleetConfig, FleetDeviceConfig, TierOutage,
 };
-use crate::quality::QualityConfig;
 use crate::selection::ModelSelection;
-use crate::selector::SelectorConfig;
 use crate::trace::FrameRecord;
 use ff_core::Controller;
 use ff_metrics::{LatencySummary, QosLog};
-use ff_models::{DeviceKind, GpuProfile, ModelKind};
+use ff_models::{DeviceKind, ModelKind};
 use ff_net::{LinkConfig, LinkStats, LossModel, NetworkConditions};
-use ff_server::{BackgroundConfig, OverflowPolicy, ServerStats, TierConfig};
+use ff_server::{BackgroundConfig, ServerStats, TierConfig};
 use ff_sim::{QueueBackend, SimDuration};
 use ff_telemetry::Telemetry;
 use ff_workload::{
     FilterConfig, FilterStats, ReplayFrames, SceneScript, StepSchedule, StreamConfig,
 };
 use serde::{Deserialize, Serialize};
+
+/// Offered offload rate of each peer tenant in frames/s (a Pi 4's local
+/// MobileNetV3-Small rate).
+const PEER_RATE_FPS: f64 = 13.0;
 
 /// Full configuration of one experiment run.
 ///
@@ -65,21 +67,22 @@ pub struct ExperimentConfig {
     /// Trailing window for the timeout-rate input `T` ("the average of T
     /// from the last few seconds", §III-A.1).
     pub timeout_window: SimDuration,
-    /// Server GPU profile (batch limit 15).
-    pub gpu: GpuProfile,
     /// Constant additional tenants sharing the server (the paper runs
-    /// three Pis concurrently; the two unmeasured ones are peers).
+    /// three Pis concurrently; the two unmeasured ones are peers), each
+    /// offering 13 frames/s.
     pub peer_devices: u32,
-    /// Offered offload rate of each peer in frames/s.
-    pub peer_rate_fps: f64,
     /// Enable the §II-D adaptive-quality extension: JPEG quality steps
-    /// down under network-attributed timeouts and recovers when clean.
-    pub adaptive_quality: Option<QualityConfig>,
+    /// down under network-attributed timeouts and recovers when clean
+    /// (90 down to 40 in steps of 10; the ladder's constants are in
+    /// `quality.rs`).
+    pub adaptive_quality: bool,
     /// Record the fate of every individual frame (memory ∝ stream length).
     pub record_trace: bool,
     /// Enable the adaptive local-model ladder: sustained offloading
-    /// upgrades the local model to a slower, more accurate one.
-    pub adaptive_local_model: Option<SelectorConfig>,
+    /// upgrades the local model to a slower, more accurate one
+    /// (MobileNetV3 Small → Large → EfficientNet-B0; the thresholds are
+    /// constants in `selector.rs`).
+    pub adaptive_local_model: bool,
     /// Optional server outage window: the server process crashes at
     /// `from_secs` (losing its queue and running batch) and a fresh
     /// process returns at `until_secs`. While down, nothing that enters
@@ -94,11 +97,11 @@ pub struct ExperimentConfig {
     /// compression parameters.
     #[serde(default)]
     pub replay: Option<ReplayFrames>,
-    /// Explicit server-tier topology (N servers, routing policy,
-    /// admission policy). `None` — the default, so existing JSON
-    /// configs still parse — means the legacy single server built from
-    /// `gpu`, which is bit-identical to the pre-tier path. The legacy
-    /// `outage` window takes the whole tier down at once.
+    /// The server tier (N servers, routing policy, admission policy):
+    /// the experiment's only server description. `None` — the default,
+    /// so configs written without the key still parse — means
+    /// `TierConfig::default()`, the paper's single server (batch limit
+    /// 15). The legacy `outage` window takes the whole tier down at once.
     #[serde(default)]
     pub tier: Option<TierConfig>,
     /// Scene-change script scoring each generated frame's information
@@ -137,10 +140,9 @@ pub struct ServerOutage {
 
 impl ExperimentConfig {
     /// The tier the experiment runs on: `tier`, else the paper's single
-    /// server with this configuration's `gpu`.
+    /// server.
     pub fn tier_config(&self) -> TierConfig {
-        let single = || TierConfig::single(self.gpu, OverflowPolicy::default());
-        self.tier.clone().unwrap_or_else(single)
+        self.tier.clone().unwrap_or_default()
     }
 
     /// Why this experiment cannot run, if it cannot: what
@@ -165,7 +167,7 @@ impl ExperimentConfig {
             None => Vec::new(),
         };
         // The peers run the device's model, and so are billed as it.
-        let peers_fps = self.peer_devices as f64 * self.peer_rate_fps;
+        let peers_fps = self.peer_devices as f64 * PEER_RATE_FPS;
         let schedule = &self.background;
         let background = BackgroundConfig {
             steps: schedule
@@ -224,12 +226,10 @@ impl Default for ExperimentConfig {
             background: StepSchedule::constant(0.0),
             controller_period: SimDuration::from_secs(1),
             timeout_window: SimDuration::from_secs(3),
-            gpu: GpuProfile::default(),
             peer_devices: 2,
-            peer_rate_fps: 13.0,
-            adaptive_quality: None,
+            adaptive_quality: false,
             record_trace: false,
-            adaptive_local_model: None,
+            adaptive_local_model: false,
             outage: None,
             replay: None,
             tier: None,

@@ -43,13 +43,13 @@
 //! is served from a small array while its flight table stays cold.
 
 use crate::local::{EngineState, Service};
-use crate::quality::{QualityAdapter, QualityConfig};
+use crate::quality::QualityAdapter;
 use crate::runtime::{
     bootstrap, trace_header, DeviceLoop, FrameState, OffloadState, RuntimeConfig, SubmitOutcome,
     TickOutput, Transport,
 };
 use crate::selection::ModelSelection;
-use crate::selector::{ModelSelector, SelectorConfig};
+use crate::selector::ModelSelector;
 use crate::splitter::Route;
 use crate::watch::Watch;
 use ff_core::Controller;
@@ -236,9 +236,9 @@ pub struct FleetConfig {
     pub remote_model: Option<ModelKind>,
     /// Adaptive JPEG quality on every device; like the next three, the
     /// `ExperimentConfig` field of the same name, fleet-wide.
-    pub adaptive_quality: Option<QualityConfig>,
+    pub adaptive_quality: bool,
     /// The adaptive local-model ladder on every device.
-    pub adaptive_local_model: Option<SelectorConfig>,
+    pub adaptive_local_model: bool,
     /// A loss process replacing every link's Bernoulli loss.
     pub loss_model: Option<LossModel>,
     /// A capture schedule every device replays; not with `scene`.
@@ -281,8 +281,8 @@ impl Default for FleetConfig {
             filter: None,
             selection: ModelSelection::AlwaysPaper,
             remote_model: None,
-            adaptive_quality: None,
-            adaptive_local_model: None,
+            adaptive_quality: false,
+            adaptive_local_model: false,
             loss_model: None,
             replay: None,
             background: None,
@@ -629,8 +629,8 @@ impl FleetDevices {
             link_params,
             rows: Vec::with_capacity(rows),
             filter: Vec::with_capacity(column(config.filter.is_some())),
-            quality: Vec::with_capacity(column(config.adaptive_quality.is_some())),
-            ladder: Vec::with_capacity(column(config.adaptive_local_model.is_some())),
+            quality: Vec::with_capacity(column(config.adaptive_quality)),
+            ladder: Vec::with_capacity(column(config.adaptive_local_model)),
             replay: Vec::with_capacity(column(config.replay.is_some())),
             frames_local: vec![0; n],
             runtime: RuntimeColumns {
@@ -666,13 +666,15 @@ impl FleetDevices {
                 link: LinkState::new(rng.indexed_stream("fleet-link", g as u64)),
             });
             devs.filter.extend(config.filter.map(SemanticFilter::new));
-            devs.quality
-                .extend(config.adaptive_quality.map(QualityAdapter::new));
-            let ladder = config.adaptive_local_model.clone();
-            devs.ladder.extend(ladder.map(|c| Ladder {
-                selector: ModelSelector::new(c),
-                service: services[dc.device as usize][dc.model as usize],
-            }));
+            if config.adaptive_quality {
+                devs.quality.push(QualityAdapter::new());
+            }
+            if config.adaptive_local_model {
+                devs.ladder.push(Ladder {
+                    selector: ModelSelector::new(),
+                    service: services[dc.device as usize][dc.model as usize],
+                });
+            }
             devs.replay
                 .extend(config.replay.as_ref().map(|_| ReplayCursor::default()));
 
@@ -1917,8 +1919,8 @@ mod tests {
         let watched_run = |shards| {
             let mut config = FleetConfig {
                 network: ff_workload::table_v(),
-                adaptive_quality: Some(QualityConfig::default()),
-                adaptive_local_model: Some(SelectorConfig::default()),
+                adaptive_quality: true,
+                adaptive_local_model: true,
                 ..FleetConfig::default()
             };
             config.devices = vec![config.devices[0]; 5];

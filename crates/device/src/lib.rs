@@ -72,7 +72,6 @@ pub use local::{LocalEngine, LocalOutcome};
 #[doc(hidden)]
 pub use offload::testhooks as offload_testhooks;
 pub use offload::{LatencyBreakdown, OffloadResolution, TimeoutCause};
-pub use quality::QualityConfig;
 pub use replay::{replay_verify, replay_verify_with, ReplayMismatch, ReplayReport};
 pub use runtime::{
     DeviceRuntime, FrameOutcome, IntervalCounters, OffloadSubmission, RuntimeConfig, SubmitOutcome,
@@ -80,7 +79,6 @@ pub use runtime::{
 };
 pub use scenario::{content_scenarios, scenario, SCENARIO_NAMES};
 pub use selection::ModelSelection;
-pub use selector::SelectorConfig;
 pub use shard::run_fleet_sharded;
 pub use splitter::Route;
 

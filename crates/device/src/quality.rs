@@ -11,54 +11,36 @@
 //! GPU, only the rate controller can.
 
 use ff_models::Compression;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the quality adaptation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QualityConfig {
-    /// Highest (default) quality.
-    pub max_quality: u8,
-    /// Floor below which accuracy degrades too far to be useful.
-    pub min_quality: u8,
-    /// Quality decrement per reaction.
-    pub step: u8,
-    /// Network-timeout rate (frames/s) that triggers a downgrade.
-    pub downgrade_threshold: f64,
-    /// Consecutive clean intervals required before an upgrade.
-    pub upgrade_after_clean: u32,
-}
+/// Highest (default) quality.
+const MAX_QUALITY: u8 = 90;
+/// Floor below which accuracy degrades too far to be useful.
+const MIN_QUALITY: u8 = 40;
+/// Quality decrement per reaction.
+const STEP: u8 = 10;
+/// Network-timeout rate (frames/s) that triggers a downgrade.
+const DOWNGRADE_THRESHOLD: f64 = 1.0;
+/// Consecutive clean intervals required before an upgrade.
+const UPGRADE_AFTER_CLEAN: u32 = 5;
 
-impl Default for QualityConfig {
-    fn default() -> Self {
-        QualityConfig {
-            max_quality: 90,
-            min_quality: 40,
-            step: 10,
-            downgrade_threshold: 1.0,
-            upgrade_after_clean: 5,
-        }
-    }
-}
+const _: () = assert!(
+    MIN_QUALITY >= 1 && MIN_QUALITY <= MAX_QUALITY,
+    "quality bounds must satisfy 1 <= min <= max"
+);
+const _: () = assert!(STEP > 0, "step must be positive");
 
 /// The quality-ladder controller.
 #[derive(Debug, Clone)]
 pub(crate) struct QualityAdapter {
-    config: QualityConfig,
     quality: u8,
     clean_streak: u32,
 }
 
 impl QualityAdapter {
-    /// An adapter starting at the configured maximum quality.
-    pub(crate) fn new(config: QualityConfig) -> Self {
-        assert!(
-            config.min_quality >= 1 && config.min_quality <= config.max_quality,
-            "quality bounds must satisfy 1 <= min <= max"
-        );
-        assert!(config.step > 0, "step must be positive");
+    /// An adapter starting at the maximum quality.
+    pub(crate) fn new() -> Self {
         QualityAdapter {
-            quality: config.max_quality,
-            config,
+            quality: MAX_QUALITY,
             clean_streak: 0,
         }
     }
@@ -68,11 +50,11 @@ impl QualityAdapter {
         self.quality
     }
 
-    /// Frame-size scaling factor relative to running at `max_quality`:
+    /// Frame-size scaling factor relative to running at the maximum quality:
     /// multiply baseline frame bytes by this.
     pub(crate) fn byte_scale(&self, resolution: u32) -> f64 {
         let now = Compression::new(self.quality, resolution).mean_frame_bytes() as f64;
-        let base = Compression::new(self.config.max_quality, resolution).mean_frame_bytes() as f64;
+        let base = Compression::new(MAX_QUALITY, resolution).mean_frame_bytes() as f64;
         now / base
     }
 
@@ -83,18 +65,13 @@ impl QualityAdapter {
             network_timeout_rate.is_finite() && network_timeout_rate >= 0.0,
             "timeout rate must be finite and non-negative"
         );
-        if network_timeout_rate > self.config.downgrade_threshold {
+        if network_timeout_rate > DOWNGRADE_THRESHOLD {
             self.clean_streak = 0;
-            self.quality = self
-                .quality
-                .saturating_sub(self.config.step)
-                .max(self.config.min_quality);
+            self.quality = self.quality.saturating_sub(STEP).max(MIN_QUALITY);
         } else if network_timeout_rate == 0.0 {
             self.clean_streak += 1;
-            if self.clean_streak >= self.config.upgrade_after_clean
-                && self.quality < self.config.max_quality
-            {
-                self.quality = (self.quality + self.config.step).min(self.config.max_quality);
+            if self.clean_streak >= UPGRADE_AFTER_CLEAN && self.quality < MAX_QUALITY {
+                self.quality = (self.quality + STEP).min(MAX_QUALITY);
                 self.clean_streak = 0;
             }
         } else {
@@ -110,7 +87,7 @@ mod tests {
     use super::*;
 
     fn adapter() -> QualityAdapter {
-        QualityAdapter::new(QualityConfig::default())
+        QualityAdapter::new()
     }
 
     #[test]
@@ -172,16 +149,6 @@ mod tests {
             "q70 frames should be well under q90 size, got {scale}"
         );
         assert!(scale > 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "quality bounds")]
-    fn inverted_bounds_rejected() {
-        QualityAdapter::new(QualityConfig {
-            min_quality: 95,
-            max_quality: 90,
-            ..Default::default()
-        });
     }
 
     #[test]

@@ -873,7 +873,6 @@ mod tests {
         fn po_target(&self) -> f64 {
             self.0
         }
-        fn reset(&mut self) {}
     }
 
     /// Scripted transport returning a fixed outcome per call.

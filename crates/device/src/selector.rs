@@ -10,56 +10,38 @@
 //! fastest model to protect the throughput floor.
 
 use ff_models::ModelKind;
-use serde::{Deserialize, Serialize};
 
-/// Configuration of the local-model ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SelectorConfig {
-    /// Models ordered fastest → most accurate. The first entry is the
-    /// safe default.
-    pub ladder: Vec<ModelKind>,
-    /// Offload share of `F_s` above which an upgrade is considered.
-    pub upgrade_share: f64,
-    /// Offload share below which the selector immediately downgrades to
-    /// the fastest model.
-    pub downgrade_share: f64,
-    /// Consecutive high-offload intervals required per upgrade step.
-    pub upgrade_after: u32,
-}
+/// Models ordered fastest → most accurate. The first entry is the safe
+/// default.
+const LADDER: [ModelKind; 3] = [
+    ModelKind::MobileNetV3Small,
+    ModelKind::MobileNetV3Large,
+    ModelKind::EfficientNetB0,
+];
+/// Offload share of `F_s` above which an upgrade is considered.
+const UPGRADE_SHARE: f64 = 0.8;
+/// Offload share below which the selector immediately downgrades to the
+/// fastest model.
+const DOWNGRADE_SHARE: f64 = 0.5;
+/// Consecutive high-offload intervals required per upgrade step.
+const UPGRADE_AFTER: u32 = 5;
 
-impl Default for SelectorConfig {
-    fn default() -> Self {
-        SelectorConfig {
-            ladder: vec![
-                ModelKind::MobileNetV3Small,
-                ModelKind::MobileNetV3Large,
-                ModelKind::EfficientNetB0,
-            ],
-            upgrade_share: 0.8,
-            downgrade_share: 0.5,
-            upgrade_after: 5,
-        }
-    }
-}
+const _: () = assert!(
+    DOWNGRADE_SHARE < UPGRADE_SHARE,
+    "downgrade share must be below upgrade share (hysteresis)"
+);
 
 /// The local-model ladder controller.
 #[derive(Debug, Clone)]
 pub(crate) struct ModelSelector {
-    config: SelectorConfig,
     level: usize,
     high_streak: u32,
 }
 
 impl ModelSelector {
     /// A selector starting on the ladder's fastest model.
-    pub(crate) fn new(config: SelectorConfig) -> Self {
-        assert!(!config.ladder.is_empty(), "ladder needs at least one model");
-        assert!(
-            config.downgrade_share < config.upgrade_share,
-            "downgrade share must be below upgrade share (hysteresis)"
-        );
+    pub(crate) fn new() -> Self {
         ModelSelector {
-            config,
             level: 0,
             high_streak: 0,
         }
@@ -67,7 +49,7 @@ impl ModelSelector {
 
     /// The currently selected local model.
     pub(crate) fn model(&self) -> ModelKind {
-        self.config.ladder[self.level]
+        LADDER[self.level]
     }
 
     /// Feed one interval's offload share (`P_o target / F_s`). Returns the
@@ -77,15 +59,13 @@ impl ModelSelector {
             offload_share.is_finite() && offload_share >= 0.0,
             "offload share must be finite and non-negative"
         );
-        if offload_share < self.config.downgrade_share {
+        if offload_share < DOWNGRADE_SHARE {
             // The device is carrying real load again: fastest model, now.
             self.level = 0;
             self.high_streak = 0;
-        } else if offload_share >= self.config.upgrade_share {
+        } else if offload_share >= UPGRADE_SHARE {
             self.high_streak += 1;
-            if self.high_streak >= self.config.upgrade_after
-                && self.level + 1 < self.config.ladder.len()
-            {
+            if self.high_streak >= UPGRADE_AFTER && self.level + 1 < LADDER.len() {
                 self.level += 1;
                 self.high_streak = 0;
             }
@@ -103,7 +83,7 @@ mod tests {
     use ff_models::DeviceKind;
 
     fn selector() -> ModelSelector {
-        ModelSelector::new(SelectorConfig::default())
+        ModelSelector::new()
     }
 
     /// The local inference rate of the selected model on the device.
@@ -180,23 +160,5 @@ mod tests {
             fast.1,
             slow.1
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn inverted_thresholds_rejected() {
-        let mut config = SelectorConfig::default();
-        config.downgrade_share = 0.9;
-        ModelSelector::new(config);
-    }
-
-    #[test]
-    #[should_panic(expected = "ladder")]
-    fn empty_ladder_rejected() {
-        let config = SelectorConfig {
-            ladder: vec![],
-            ..Default::default()
-        };
-        ModelSelector::new(config);
     }
 }

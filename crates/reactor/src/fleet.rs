@@ -44,6 +44,10 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// guards against a pathological stack.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Gap between consecutive initial dials, so a large fleet does not
+/// storm the accept queue in one instant.
+const CONNECT_STAGGER: Duration = Duration::from_micros(200);
+
 /// Settle margin after the last capture before the loop exits: one
 /// deadline so stragglers resolve, plus slack for the final responses.
 const DRAIN_MARGIN: Duration = Duration::from_millis(500);
@@ -138,11 +142,6 @@ pub struct FleetClientConfig {
     /// Seed for the uplink, backoff and local-inference RNG streams
     /// (per-device derived).
     pub seed: u64,
-    /// Bound on buffered unwritten bytes per connection.
-    pub write_buf_cap: usize,
-    /// Gap between consecutive initial dials, so a large fleet does not
-    /// storm the accept queue in one instant.
-    pub connect_stagger: Duration,
     /// Telemetry pipeline (disabled by default).
     pub telemetry: Telemetry,
 }
@@ -152,8 +151,6 @@ impl Default for FleetClientConfig {
         FleetClientConfig {
             device: ReactorDeviceConfig::default(),
             seed: 1,
-            write_buf_cap: DEFAULT_WRITE_BUF_CAP,
-            connect_stagger: Duration::from_micros(200),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -333,7 +330,6 @@ impl Transport for FleetTransport<'_> {
 
 struct FleetLoop {
     addr: SocketAddr,
-    write_buf_cap: usize,
     capture_step: SimDuration,
     tick_step: SimDuration,
     deadline: SimDuration,
@@ -361,7 +357,7 @@ impl FleetLoop {
         let clock = WallClock::start();
         let mut wheel = DeadlineWheel::new();
         let mut devs = Vec::with_capacity(controllers.len());
-        let stagger = sim_dur(config.connect_stagger);
+        let stagger = sim_dur(CONNECT_STAGGER);
         let capture_step = SimDuration::from_secs_f64(1.0 / d.fs);
         let mut fleet_end = SimTime::ZERO;
         for (i, mut controller) in controllers.into_iter().enumerate() {
@@ -411,7 +407,6 @@ impl FleetLoop {
         let fleet_end = fleet_end + sim_dur(d.deadline) + sim_dur(DRAIN_MARGIN);
         Ok(FleetLoop {
             addr,
-            write_buf_cap: config.write_buf_cap,
             capture_step,
             tick_step: sim_dur(d.tick),
             deadline: sim_dur(d.deadline),
@@ -605,7 +600,7 @@ impl FleetLoop {
 
     fn on_reconnect(&mut self, i: usize) {
         let dial = TcpStream::connect_timeout(&self.addr, DIAL_TIMEOUT)
-            .and_then(|s| FramedConn::new(s, self.write_buf_cap));
+            .and_then(|s| FramedConn::new(s, DEFAULT_WRITE_BUF_CAP));
         let now = self.clock.now();
         let dev = &mut self.devs[i];
         match dial {

@@ -12,8 +12,8 @@
 //! [`FramedConn`] whose read side keeps at most one unparsed frame head
 //! and no read buffer (request payloads are discarded in the kernel,
 //! unread), and whose write buffer a draining flush keeps only while it
-//! is a few KiB, as a batch's replies are (bounded by `write_buf_cap`
-//! while it fills). Fault injection
+//! is a few KiB, as a batch's replies are (bounded by
+//! `DEFAULT_WRITE_BUF_CAP` while it fills). Fault injection
 //! (hang-ups, swallowed requests, stalled replies) is retunable while the
 //! server runs, through [`ReactorChaos`].
 //!
@@ -62,8 +62,6 @@ pub struct ReactorServerConfig {
     pub batch_base: Duration,
     /// Marginal execution time per frame in the batch.
     pub per_frame: Duration,
-    /// Bound on buffered unwritten reply bytes per connection.
-    pub write_buf_cap: usize,
     /// Seed for the per-connection chaos RNG streams.
     pub chaos_seed: u64,
 }
@@ -74,7 +72,6 @@ impl Default for ReactorServerConfig {
             batch_limit: 15,
             batch_base: Duration::from_millis(40),
             per_frame: Duration::from_micros(4_300),
-            write_buf_cap: DEFAULT_WRITE_BUF_CAP,
             chaos_seed: 0,
         }
     }
@@ -456,7 +453,7 @@ impl ServerLoop {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let conn = match FramedConn::new(stream, self.config.write_buf_cap) {
+                    let conn = match FramedConn::new(stream, DEFAULT_WRITE_BUF_CAP) {
                         Ok(c) => c,
                         Err(_) => continue,
                     };

@@ -64,7 +64,12 @@ use std::time::Instant;
 /// device (tenant 1 in an experiment), not tenant 1000, so a multi-server
 /// static-shard tier routes it to another server; a v4 entry holds the
 /// old bits.
-pub(crate) const CACHE_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: `ExperimentConfig` lost `gpu` and `peer_rate_fps`, and its
+/// adaptive-quality and local-model options became flags, so the JSON
+/// a cell's content hash serializes has a new shape; the bits a config
+/// computes are unchanged, but no v5 entry is read back as a hit.
+pub(crate) const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// A routing-policy axis entry: which server a request lands on. This is
 /// exactly [`ff_server::RoutingPolicy`] — serializable and `Copy`, so a

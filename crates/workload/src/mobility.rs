@@ -15,21 +15,31 @@ use crate::scenario::StepSchedule;
 use ff_net::NetworkConditions;
 use rand::Rng;
 
-/// Parameters of a mobility trace.
+/// Bandwidth bounds of the walk in Mbps.
+const BANDWIDTH_RANGE: (f64, f64) = (1.0, 10.0);
+/// Standard deviation of one log-bandwidth step (0.25 ≈ ±25%).
+const STEP_SIGMA: f64 = 0.35;
+/// Probability that a dwell period is a loss episode.
+const LOSS_EPISODE_PROB: f64 = 0.15;
+/// Loss percentage during an episode.
+const EPISODE_LOSS_PCT: f64 = 7.0;
+
+const _: () = assert!(
+    BANDWIDTH_RANGE.0 > 0.0 && BANDWIDTH_RANGE.1 > BANDWIDTH_RANGE.0,
+    "bandwidth range must satisfy 0 < lo < hi"
+);
+const _: () = assert!(
+    LOSS_EPISODE_PROB >= 0.0 && LOSS_EPISODE_PROB <= 1.0,
+    "episode probability must be in [0, 1]"
+);
+
+/// Length and pace of a mobility trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobilityConfig {
     /// Trace length in seconds.
     pub duration_secs: f64,
     /// Seconds between condition changes (the walk's step period).
     pub dwell_secs: f64,
-    /// Bandwidth bounds in Mbps.
-    pub bandwidth_range: (f64, f64),
-    /// Standard deviation of one log-bandwidth step (0.25 ≈ ±25%).
-    pub step_sigma: f64,
-    /// Probability that a dwell period is a loss episode.
-    pub loss_episode_prob: f64,
-    /// Loss percentage during an episode.
-    pub episode_loss_pct: f64,
 }
 
 impl Default for MobilityConfig {
@@ -37,10 +47,6 @@ impl Default for MobilityConfig {
         MobilityConfig {
             duration_secs: 133.0, // one paper stream
             dwell_secs: 5.0,
-            bandwidth_range: (1.0, 10.0),
-            step_sigma: 0.35,
-            loss_episode_prob: 0.15,
-            episode_loss_pct: 7.0,
         }
     }
 }
@@ -52,15 +58,7 @@ pub fn mobility_trace<R: Rng>(
 ) -> StepSchedule<NetworkConditions> {
     assert!(config.duration_secs > 0.0, "duration must be positive");
     assert!(config.dwell_secs > 0.0, "dwell must be positive");
-    let (lo, hi) = config.bandwidth_range;
-    assert!(
-        lo > 0.0 && hi > lo,
-        "bandwidth range must satisfy 0 < lo < hi"
-    );
-    assert!(
-        (0.0..=1.0).contains(&config.loss_episode_prob),
-        "episode probability must be in [0, 1]"
-    );
+    let (lo, hi) = BANDWIDTH_RANGE;
 
     // Start mid-range (geometric mean).
     let mut ln_bw = (lo.ln() + hi.ln()) / 2.0;
@@ -71,11 +69,11 @@ pub fn mobility_trace<R: Rng>(
         let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = rng.gen_range(0.0..1.0);
         let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        ln_bw = (ln_bw + gauss * config.step_sigma).clamp(lo.ln(), hi.ln());
+        ln_bw = (ln_bw + gauss * STEP_SIGMA).clamp(lo.ln(), hi.ln());
         // exp(ln(hi)) can overshoot hi by an ulp; clamp in linear space too.
         let bandwidth = ln_bw.exp().clamp(lo, hi);
-        let loss = if rng.gen_bool(config.loss_episode_prob) {
-            config.episode_loss_pct
+        let loss = if rng.gen_bool(LOSS_EPISODE_PROB) {
+            EPISODE_LOSS_PCT
         } else {
             0.0
         };
@@ -149,13 +147,5 @@ mod tests {
     fn traces_are_deterministic_per_seed_and_differ_across_seeds() {
         assert_eq!(trace(7), trace(7));
         assert_ne!(trace(7), trace(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth range")]
-    fn inverted_bandwidth_range_rejected() {
-        let mut config = MobilityConfig::default();
-        config.bandwidth_range = (10.0, 1.0);
-        mobility_trace(&config, &mut RngFactory::new(0).stream("x"));
     }
 }

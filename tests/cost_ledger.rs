@@ -95,7 +95,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
             },
             allocator_calls: 576,
-            peak_live_bytes: 264_188..=264_188,
+            peak_live_bytes: 264_116..=264_116,
         },
     ),
     (
@@ -115,7 +115,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
             },
             allocator_calls: 572,
-            peak_live_bytes: 219_836..=219_836,
+            peak_live_bytes: 219_764..=219_764,
         },
     ),
     (
@@ -155,7 +155,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
             },
             allocator_calls: 12_401,
-            peak_live_bytes: 5_273_369..=5_273_369,
+            peak_live_bytes: 5_273_297..=5_273_297,
         },
     ),
     (

@@ -21,8 +21,7 @@ use framefeedback::baselines::{AllOrNothing, AlwaysOffload};
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::device::{
     replay_verify, run_experiment, run_experiment_traced, run_experiment_with_telemetry, scenario,
-    ExperimentConfig, ExperimentResult, FrameFate, ModelSelection, QualityConfig, SelectorConfig,
-    ServerOutage,
+    ExperimentConfig, ExperimentResult, FrameFate, ModelSelection, ServerOutage,
 };
 use framefeedback::metrics::LatencySummary;
 use framefeedback::models::ModelKind;
@@ -218,14 +217,17 @@ fn the_paper_scenarios_are_pinned() {
 #[test]
 fn adaptive_quality_and_the_local_model_ladder_are_pinned() {
     let quality = ExperimentConfig {
-        adaptive_quality: Some(QualityConfig::default()),
+        adaptive_quality: true,
         ..table_v_config()
     };
     let r = run_experiment(quality, ff());
-    assert!(r.mean_offload_quality < Some(f64::from(QualityConfig::default().max_quality)));
+    assert!(
+        r.mean_offload_quality < Some(90.0),
+        "quality must step down"
+    );
     check("adaptive-quality", &r, 0x053d_a20d_36b4_90b0);
     let ladder = ExperimentConfig {
-        adaptive_local_model: Some(SelectorConfig::default()),
+        adaptive_local_model: true,
         ..table_v_config()
     };
     let r = run_experiment(ladder, ff());

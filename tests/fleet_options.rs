@@ -9,9 +9,7 @@
 //! rejects it by name (DESIGN.md §"Sharded engine").
 
 use framefeedback::controller::{Controller, FrameFeedback};
-use framefeedback::device::{
-    run_fleet, FleetConfig, FleetDeviceConfig, FleetResult, QualityConfig, SelectorConfig,
-};
+use framefeedback::device::{run_fleet, FleetConfig, FleetDeviceConfig, FleetResult};
 use framefeedback::models::{DeviceKind, ModelKind};
 use framefeedback::net::{GilbertElliott, LossModel, NetworkConditions};
 use framefeedback::server::BackgroundConfig;
@@ -32,8 +30,8 @@ fn options_fleet(background: bool, shards: usize) -> FleetConfig {
             };
             DEVICES
         ],
-        adaptive_quality: Some(QualityConfig::default()),
-        adaptive_local_model: Some(SelectorConfig::default()),
+        adaptive_quality: true,
+        adaptive_local_model: true,
         loss_model: Some(LossModel::GilbertElliott(
             GilbertElliott::with_average_loss(0.05),
         )),

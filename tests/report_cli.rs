@@ -14,8 +14,9 @@ use framefeedback::device::{
     run_experiment, scenario, ControllerSpec, ExperimentConfig, ModelSelection, ServerOutage,
     SCENARIO_NAMES,
 };
+use framefeedback::models::GpuProfile;
 use framefeedback::net::{LossModel, NetworkConditions};
-use framefeedback::server::{AdmissionPolicy, RoutingPolicy};
+use framefeedback::server::{AdmissionPolicy, OverflowPolicy, RoutingPolicy, TierConfig};
 use framefeedback::sim::SimDuration;
 use framefeedback::trace::Trace;
 use framefeedback::workload::StepSchedule;
@@ -306,8 +307,13 @@ fn a_missing_or_unparsable_config_exits_1() {
 #[test]
 fn a_config_that_fails_validation_exits_1() {
     let dir = scratch("config-invalid");
-    let mut empty_batches = ExperimentConfig::default();
-    empty_batches.gpu.batch_limit = 0;
+    let empty_batches = ExperimentConfig {
+        tier: Some(TierConfig::single(
+            GpuProfile { batch_limit: 0 },
+            OverflowPolicy::default(),
+        )),
+        ..ExperimentConfig::default()
+    };
     let mut negative_bandwidth = ExperimentConfig::default();
     let conditions = NetworkConditions {
         bandwidth_mbps: -1.0,
@@ -346,6 +352,48 @@ fn a_config_that_fails_validation_exits_1() {
         let line = format!("run --config {}", path.display());
         assert_eq!(report_in(&dir, &line), 1, "{name}");
         assert!(!dir.join("run.json").exists(), "{name} exported a run");
+    }
+}
+
+/// A key the config does not have is refused, not skipped: a
+/// misspelt field, at the top or nested, or one that was removed
+/// (`peer_rate_fps` is a constant now), exits 1 and exports nothing,
+/// where it would run at the field's default.
+#[test]
+fn a_config_naming_an_unknown_field_exits_1() {
+    let dir = scratch("config-unknown-field");
+    let body = serde_json::to_string(&ExperimentConfig::default()).unwrap();
+    let with = |from: &str, to: &str| {
+        assert!(body.contains(from), "{from}");
+        body.replacen(from, to, 1)
+    };
+    let path = write(&dir, "clean.json", &body);
+    assert_eq!(
+        report_in(
+            &dir,
+            &format!("run --config {} --frames 30", path.display())
+        ),
+        0
+    );
+    let cases = [
+        ("top", with("{\"seed\":42,", "{\"seed\":42,\"sede\":7,")),
+        ("nested", with("\"stream\":{", "\"stream\":{\"fsp\":30.0,")),
+        (
+            "removed",
+            with("{\"seed\":42,", "{\"seed\":42,\"peer_rate_fps\":20.0,"),
+        ),
+    ];
+    for (name, body) in cases {
+        let path = write(&dir, &format!("{name}.json"), &body);
+        for entry in ["run", "dump_config"] {
+            let _ = std::fs::remove_file(dir.join(format!("{entry}.json")));
+            let line = format!("{entry} --config {}", path.display());
+            assert_eq!(report_in(&dir, &line), 1, "{name}: `report {line}`");
+            assert!(
+                !dir.join(format!("{entry}.json")).exists(),
+                "{name}: {entry} exported"
+            );
+        }
     }
 }
 
@@ -520,8 +568,8 @@ fn tier_flags_parse_and_build_a_tier() {
             burst: 40.0
         }
     );
-    // Every server inherits the config's GPU profile.
-    assert!(tier.servers.iter().all(|s| s.gpu == config.gpu));
+    // Every server is the paper's default server.
+    assert!(tier.servers.iter().all(|s| s.gpu == GpuProfile::default()));
 }
 
 #[test]

@@ -319,7 +319,6 @@ fn per_device_network_fleet() -> FleetConfig {
     let mobility = MobilityConfig {
         duration_secs: 20.0,
         dwell_secs: 2.0,
-        ..MobilityConfig::default()
     };
     let walk = |seed| mobility_trace(&mobility, &mut RngFactory::new(seed).stream("mobility"));
     c.per_device_network = Some(vec![

@@ -67,7 +67,10 @@ fn single_server_tier_reproduces_the_legacy_experiment_exactly() {
     legacy.seed = MASTER_SEED;
     legacy.stream.total_frames = 600; // 20 s
     let mut tiered = legacy.clone();
-    tiered.tier = Some(TierConfig::single(tiered.gpu, OverflowPolicy::default()));
+    tiered.tier = Some(TierConfig::single(
+        GpuProfile::default(),
+        OverflowPolicy::default(),
+    ));
 
     let a = run_experiment(
         legacy,

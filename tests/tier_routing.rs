@@ -11,7 +11,7 @@
 
 use framefeedback::controller::FrameFeedback;
 use framefeedback::device::{run_experiment, ExperimentConfig};
-use framefeedback::models::ModelKind;
+use framefeedback::models::{GpuProfile, ModelKind};
 use framefeedback::server::{
     BatchOutput, OverflowPolicy, Request, RoutingPolicy, ServerSpec, ServerTier, TenantId,
     TierConfig, TierSubmit,
@@ -200,7 +200,8 @@ proptest! {
 #[should_panic(expected = "server 0: gpu.batch_limit must be at least 1")]
 fn a_zero_batch_limit_is_rejected_at_validation() {
     let mut config = ExperimentConfig::default();
-    config.gpu.batch_limit = 0;
+    let empty = GpuProfile { batch_limit: 0 };
+    config.tier = Some(TierConfig::single(empty, OverflowPolicy::default()));
     run_experiment(config, Box::new(FrameFeedback::new()));
 }
 
@@ -212,11 +213,7 @@ fn a_zero_batch_limit_is_rejected_at_validation() {
 fn a_two_server_static_shard_table6_keeps_background_off_the_device_server() {
     let mut config = ExperimentConfig::default();
     config.background = table_vi();
-    let spec = ServerSpec {
-        gpu: config.gpu,
-        policy: OverflowPolicy::default(),
-    };
-    config.tier = Some(TierConfig::uniform(2, spec));
+    config.tier = Some(TierConfig::uniform(2, ServerSpec::default()));
     let result = run_experiment(config, Box::new(FrameFeedback::new()));
     let [device, background] = &result.per_server_stats[..] else {
         panic!("two servers, got {}", result.per_server_stats.len());
