@@ -1565,7 +1565,8 @@ fn scenario_name(flags: &Flags) -> &str {
 /// the named scenario, with `--seed`, `--frames`, `--selection` and the
 /// tier flags laid over it — each only when given. Tier flags over a
 /// config without a tier build one from its single server. A `--config`
-/// file that [`ExperimentConfig::check`] refuses is an error.
+/// file with a key `ExperimentConfig` does not have, or one that
+/// [`ExperimentConfig::check`] refuses, is an error.
 fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
     let mut config = match &flags.config {
         None => scenario(scenario_name(flags)),

@@ -94,7 +94,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// when the export (or an entry's own output file) cannot be written,
 /// 2 for a missing or unknown entry or a bad flag. A failed check
 /// panics. `run`, `verify_trace` and `dump_config` also exit 1 on an
-/// unreadable `--config` or trace and on a replay mismatch.
+/// unreadable `--config` or trace, a `--config` naming a field
+/// `ExperimentConfig` does not have, and a replay mismatch.
 pub fn report(args: &[String], dir: &Path) -> u8 {
     let names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
     let usage = format!(

@@ -182,7 +182,9 @@ pub struct FleetDeviceConfig {
     pub model: ModelKind,
 }
 
-/// Fleet-wide configuration.
+/// Fleet-wide configuration. Every field is one a run varies; the
+/// adaptive-quality and local-model ladders are switched on by flag, and
+/// their settings are constants of `quality.rs` and `selector.rs`.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Master seed for all of the fleet's RNG streams.
@@ -235,7 +237,8 @@ pub struct FleetConfig {
     /// device's own `model` (the paper's symmetric setup).
     pub remote_model: Option<ModelKind>,
     /// Adaptive JPEG quality on every device; like the next three, the
-    /// `ExperimentConfig` field of the same name, fleet-wide.
+    /// `ExperimentConfig` field of the same name, fleet-wide. Off leaves
+    /// the `quality` column empty.
     pub adaptive_quality: bool,
     /// The adaptive local-model ladder on every device.
     pub adaptive_local_model: bool,

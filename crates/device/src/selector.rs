@@ -26,6 +26,7 @@ const DOWNGRADE_SHARE: f64 = 0.5;
 /// Consecutive high-offload intervals required per upgrade step.
 const UPGRADE_AFTER: u32 = 5;
 
+const _: () = assert!(!LADDER.is_empty(), "ladder needs at least one model");
 const _: () = assert!(
     DOWNGRADE_SHARE < UPGRADE_SHARE,
     "downgrade share must be below upgrade share (hysteresis)"

@@ -6,7 +6,8 @@
 //! Exit statuses: 0 on success; 2 for a flag that is unknown, not taken
 //! by the entry, missing its value or badly valued — before anything
 //! runs or is exported; 1 for an unreadable `--config` or trace, a
-//! config that fails validation, a replay mismatch or a failed write.
+//! config with an unknown field or one that fails validation, a replay
+//! mismatch or a failed write.
 
 use ff_bench::report;
 use framefeedback::controller::PidConfig;
