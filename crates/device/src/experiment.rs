@@ -40,11 +40,10 @@ const PEER_RATE_FPS: f64 = 13.0;
 ///
 /// Serializable: `report -- run --config` accepts a JSON file with this
 /// exact shape (`report -- dump_config` exports one as a template), and
-/// refuses one with a key this type does not have. The fields are what
-/// a run varies; a setting no run varies is a constant of the module
-/// that reads it (the peers' rate here, the quality and model ladders in
-/// `quality.rs` and `selector.rs`), and the servers are described by
-/// `tier` alone.
+/// refuses one with a key this type does not have. Some settings are
+/// constants of the module that reads them rather than fields: the
+/// peers' rate here, the quality and model ladders in `quality.rs` and
+/// `selector.rs`. The servers are described by `tier` alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Master seed; every stochastic component derives its own stream.

@@ -182,9 +182,9 @@ pub struct FleetDeviceConfig {
     pub model: ModelKind,
 }
 
-/// Fleet-wide configuration. Every field is one a run varies; the
-/// adaptive-quality and local-model ladders are switched on by flag, and
-/// their settings are constants of `quality.rs` and `selector.rs`.
+/// Fleet-wide configuration. The adaptive-quality and local-model
+/// ladders are switched on by flag; their settings are constants of
+/// `quality.rs` and `selector.rs`.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Master seed for all of the fleet's RNG streams.
