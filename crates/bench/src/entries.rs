@@ -1535,23 +1535,31 @@ pub(crate) fn dump_config(flags: &Flags) -> io::Result<Value> {
     Ok(config)
 }
 
-/// The first key of `input` that `parsed` — `input` read into its type
-/// and serialized back — lacks, as a path below `path` (`stream.fps`,
-/// `network.steps[0]`): a field the type does not have.
-fn unknown_field(input: &Value, parsed: &Value, path: &str) -> Option<String> {
+/// Why `input` cannot be the config `parsed` says it is (`parsed` is
+/// `input` read into its type and serialized back), naming the first
+/// offending key by its path below `path` (`stream.fps`,
+/// `network.steps[0]`): `unknown field …` for a field the type does not
+/// have, `repeated field …` for a key its object already gave (the
+/// parser keeps the first value and would drop the rest).
+fn refused_field(input: &Value, parsed: &Value, path: &str) -> Option<String> {
     match (input, parsed) {
-        (Value::Obj(fields), Value::Obj(known)) => fields.iter().find_map(|(key, value)| {
-            let path = match path {
-                "" => key.clone(),
-                _ => format!("{path}.{key}"),
-            };
-            match known.iter().find(|(k, _)| k == key) {
-                Some((_, parsed)) => unknown_field(value, parsed, &path),
-                None => Some(path),
-            }
-        }),
+        (Value::Obj(fields), Value::Obj(known)) => {
+            (fields.iter().enumerate()).find_map(|(i, (key, value))| {
+                let path = match path {
+                    "" => key.clone(),
+                    _ => format!("{path}.{key}"),
+                };
+                if fields[..i].iter().any(|(k, _)| k == key) {
+                    return Some(format!("repeated field {path}"));
+                }
+                match known.iter().find(|(k, _)| k == key) {
+                    Some((_, parsed)) => refused_field(value, parsed, &path),
+                    None => Some(format!("unknown field {path}")),
+                }
+            })
+        }
         (Value::Arr(items), Value::Arr(known)) => (items.iter().zip(known).enumerate())
-            .find_map(|(i, (item, parsed))| unknown_field(item, parsed, &format!("{path}[{i}]"))),
+            .find_map(|(i, (item, parsed))| refused_field(item, parsed, &format!("{path}[{i}]"))),
         _ => None,
     }
 }
@@ -1565,8 +1573,9 @@ fn scenario_name(flags: &Flags) -> &str {
 /// the named scenario, with `--seed`, `--frames`, `--selection` and the
 /// tier flags laid over it — each only when given. Tier flags over a
 /// config without a tier build one from its single server. A `--config`
-/// file with a key `ExperimentConfig` does not have, or one that
-/// [`ExperimentConfig::check`] refuses, is an error.
+/// file with a key `ExperimentConfig` does not have, a key repeated in
+/// one object, or a config that [`ExperimentConfig::check`] refuses, is
+/// an error.
 fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
     let mut config = match &flags.config {
         None => scenario(scenario_name(flags)),
@@ -1577,10 +1586,10 @@ fn experiment(flags: &Flags) -> io::Result<ExperimentConfig> {
             let invalid = |e: serde_json::Error| fail(io::ErrorKind::InvalidData, e.to_string());
             let input: Value = serde_json::from_str(&body).map_err(invalid)?;
             let config: ExperimentConfig = serde_json::from_value(&input).map_err(invalid)?;
-            // The parser skips a key the type does not have; refuse it.
+            // The parser skips a key the type does not have, and all but
+            // the first of a repeated key; refuse both.
             let parsed = serde_json::to_value(&config).map_err(invalid)?;
-            if let Some(field) = unknown_field(&input, &parsed, "") {
-                let why = format!("unknown field {field}");
+            if let Some(why) = refused_field(&input, &parsed, "") {
                 return Err(fail(io::ErrorKind::InvalidData, why));
             }
             (config.check()).map_err(|why| fail(io::ErrorKind::InvalidInput, why))?;
@@ -1643,14 +1652,32 @@ mod tests {
         let parsed = serde_json::to_value(&ExperimentConfig::default()).unwrap();
         let read = |body: &str| serde_json::from_str::<Value>(body).unwrap();
         let input = read(r#"{"seed": 1, "stream": {"fps": 30.0}}"#);
-        assert_eq!(unknown_field(&input, &parsed, ""), None);
+        assert_eq!(refused_field(&input, &parsed, ""), None);
         let input = read(r#"{"seed": 1, "stream": {"fps": 30.0, "fsp": 30.0}}"#);
         assert_eq!(
-            unknown_field(&input, &parsed, ""),
-            Some("stream.fsp".into())
+            refused_field(&input, &parsed, ""),
+            Some("unknown field stream.fsp".into())
         );
         let input = read(r#"{"network": {"steps": [[0.0, {"loss": 1.0}]]}}"#);
-        let at = Some("network.steps[0][1].loss".into());
-        assert_eq!(unknown_field(&input, &parsed, ""), at);
+        let at = Some("unknown field network.steps[0][1].loss".into());
+        assert_eq!(refused_field(&input, &parsed, ""), at);
+    }
+
+    #[test]
+    fn a_repeated_field_is_named_by_its_path() {
+        let parsed = serde_json::to_value(&ExperimentConfig::default()).unwrap();
+        let read = |body: &str| serde_json::from_str::<Value>(body).unwrap();
+        let refused = |body: &str| refused_field(&read(body), &parsed, "");
+        assert_eq!(
+            refused(r#"{"seed": 42, "seed": 7}"#),
+            Some("repeated field seed".into())
+        );
+        assert_eq!(
+            refused(r#"{"stream": {"fps": 30.0, "fps": 15.0}}"#),
+            Some("repeated field stream.fps".into())
+        );
+        let steps = r#"{"network": {"steps": [[0.0, {"loss_pct": 1.0, "loss_pct": 2.0}]]}}"#;
+        let at = Some("repeated field network.steps[0][1].loss_pct".into());
+        assert_eq!(refused(steps), at);
     }
 }

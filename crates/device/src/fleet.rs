@@ -119,8 +119,8 @@ pub struct EngineOptions {
     /// Event-queue backend driving the simulation calendar.
     pub backend: QueueBackend,
     /// Reuse one [`BatchOutput`] across all batch completions instead of
-    /// allocating fresh result vectors per batch. Disabling this exists
-    /// only to measure the allocating baseline.
+    /// allocating a fresh completions vector per batch. Disabling this
+    /// exists only to measure the allocating baseline.
     pub reuse_batch_buffers: bool,
     /// Number of device shards to simulate in parallel (each on its own
     /// thread with a private event queue). `1` (or `0`) runs the
@@ -1300,6 +1300,8 @@ pub(crate) struct TierDriver {
     /// power-of-two-choices routing with two or more live servers, so
     /// single-server runs never advance it.
     routing_rng: ChaCha8Rng,
+    /// The finished batch's completions (its `rejections` stay empty:
+    /// the overflow is delivered where it stands in the queue).
     batch_out: BatchOutput,
     reuse_batch_buffers: bool,
     /// The tier's background load (`FleetConfig::background`); only the
@@ -1393,21 +1395,21 @@ impl TierDriver {
             // the benchmark names `reuse_batch_buffers` (ROADMAP item 9).
             self.batch_out = BatchOutput::default();
         }
-        self.tier.batch_done_into(i, now, &mut self.batch_out);
-        let out = &self.batch_out;
+        let completions = &mut self.batch_out.completions;
+        completions.clear();
+        self.tier.finish_batch(i, now, completions);
         // A background tenant's completion goes nowhere; a probe or a
         // background request learns nothing of its rejection.
-        for c in out.completions.iter().filter(|c| !is_background_tag(c.tag)) {
+        for c in completions.iter().filter(|c| !is_background_tag(c.tag)) {
             deliver(c.tag, false);
         }
-        for r in out
-            .rejections
-            .iter()
-            .filter(|r| r.tag < BACKGROUND_TAG_BASE)
-        {
-            deliver(r.tag, true);
-        }
-        (out.next_done).map(|at| BatchStarted { at, server, epoch })
+        // The overflow goes to its devices straight from the queue.
+        let next = self.tier.start_next(i, now, |r| {
+            if r.tag < BACKGROUND_TAG_BASE {
+                deliver(r.tag, true);
+            }
+        });
+        next.map(|at| BatchStarted { at, server, epoch })
     }
 
     /// The background process, for its rate steps.
@@ -1680,6 +1682,10 @@ pub struct RunCounts {
     pub windows_run: u64,
     /// Shard windows the run spans (0 unsharded).
     pub windows: u64,
+    /// Feedback records the shard coordinator sent its shards, by kind:
+    /// arrivals, batch-formation rejection runs (one per formation and
+    /// shard at most), responses (all 0 unsharded).
+    pub feedback: [u64; 3],
 }
 
 impl RunCounts {

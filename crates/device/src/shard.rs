@@ -340,10 +340,25 @@ enum FeedbackKind {
     /// The request reached the tier (and, when flagged, was turned away
     /// at the admission door). Never emitted for probes.
     Arrived { admission_rejected: bool },
-    /// Batch-formation overflow rejected the request.
-    BatchRejected,
+    /// Batch-formation overflow rejected `count` frames of this shard at
+    /// `at`: a run of [`Inbox::rejected_tags`] from index `tag`.
+    BatchRejected { count: u32 },
     /// A response (probe or frame) reaches the device at `at`.
     Response,
+}
+
+/// The feedback kinds, in the order `RunCounts::feedback` counts them.
+const FEEDBACK_KINDS: usize = 3;
+
+impl FeedbackKind {
+    /// Its index in `RunCounts::feedback`.
+    fn index(self) -> usize {
+        match self {
+            FeedbackKind::Arrived { .. } => 0,
+            FeedbackKind::BatchRejected { .. } => 1,
+            FeedbackKind::Response => 2,
+        }
+    }
 }
 
 /// A server→device notification crossing the shard boundary.
@@ -353,6 +368,8 @@ struct Feedback {
     /// Coordinator emission sequence — global, so same-instant feedback
     /// applies in the order the legacy engine would have inserted it.
     seq: u64,
+    /// The frame or probe; for a rejection run, its first index in
+    /// [`Inbox::rejected_tags`].
     tag: u64,
     kind: FeedbackKind,
 }
@@ -377,11 +394,46 @@ struct Inbox {
     /// Arrival-class feedback: at the arrival, inside this window.
     arrivals: Vec<Feedback>,
     /// Batch-formation rejections: at the batch's completion, inside
-    /// this window.
+    /// this window, one run per instant (see [`Inbox::reject`]).
     rejections: Vec<Feedback>,
+    /// The frames the rejection runs name, in rejection order.
+    rejected_tags: Vec<u64>,
     /// Responses: one propagation delay (`W`) after a completion inside
     /// this window, so inside the next one.
     responses: Vec<Feedback>,
+}
+
+impl Inbox {
+    /// Batch formation rejected frame `rejected.tag` of this shard at
+    /// `rejected.at`: extend the open run if it is at that instant, else
+    /// open one with `rejected`'s sequence number. Returns whether a run
+    /// was opened.
+    ///
+    /// Exact: within one instant, nothing else batch-class reaches this
+    /// shard between two rejections (responses land a propagation delay
+    /// later), and arrivals at that instant apply ahead of every
+    /// batch-class item by class, not by `seq`. So applying the run's
+    /// frames in a row, at its first rejection's place in
+    /// [`Feedback::order`], is the order one record per frame gives.
+    fn reject(&mut self, mut rejected: Feedback) -> bool {
+        let first = self.rejected_tags.len() as u64;
+        self.rejected_tags.push(rejected.tag);
+        if let Some(Feedback {
+            at,
+            kind: FeedbackKind::BatchRejected { count },
+            ..
+        }) = self.rejections.last_mut()
+        {
+            if *at == rejected.at {
+                *count += 1;
+                return false;
+            }
+        }
+        rejected.tag = first;
+        rejected.kind = FeedbackKind::BatchRejected { count: 1 };
+        self.rejections.push(rejected);
+        true
+    }
 }
 
 /// One shard's simulation model: the shared [`FleetCore`] handlers over
@@ -538,6 +590,7 @@ pub(crate) fn run_sharded(
     let period_us = config.controller_period.as_micros();
     let mut next_report_us = period_us;
     let mut fb_seq = 0u64;
+    let mut feedback_sent = [0u64; FEEDBACK_KINDS];
     let mut server_popped = 0u64;
 
     // ---- Shard partition: contiguous, first `big` shards one larger. ----
@@ -615,18 +668,23 @@ pub(crate) fn run_sharded(
         inboxes.extend(feedback.iter().map(lock_mailbox));
         let mut emit = |at: SimTime, tag: u64, kind: FeedbackKind| {
             let inbox = &mut *inboxes[shard_of(tag_device(tag))];
-            let run = match kind {
-                FeedbackKind::Arrived { .. } => &mut inbox.arrivals,
-                FeedbackKind::BatchRejected => &mut inbox.rejections,
-                FeedbackKind::Response => &mut inbox.responses,
-            };
-            run.push(Feedback {
+            let record = Feedback {
                 at,
                 seq: fb_seq,
                 tag,
                 kind,
-            });
+            };
+            match kind {
+                FeedbackKind::Arrived { .. } => inbox.arrivals.push(record),
+                FeedbackKind::BatchRejected { .. } => {
+                    if !inbox.reject(record) {
+                        return;
+                    }
+                }
+                FeedbackKind::Response => inbox.responses.push(record),
+            }
             fb_seq += 1;
+            feedback_sent[kind.index()] += 1;
         };
         let b_us = window_end_us(r);
         let b = SimTime::from_micros(b_us);
@@ -656,7 +714,7 @@ pub(crate) fn run_sharded(
                     let at = now + propagation;
                     let next = driver.batch_done(server, epoch, now, |tag, rejected| {
                         if rejected {
-                            emit(now, tag, FeedbackKind::BatchRejected);
+                            emit(now, tag, FeedbackKind::BatchRejected { count: 1 });
                         } else if at <= end_at {
                             // Past `end_at` the single-threaded engine
                             // files a response but never delivers it.
@@ -713,10 +771,13 @@ pub(crate) fn run_sharded(
                         .core
                         .apply_arrival(f.tag, f.at, admission_rejected);
                 }
-                FeedbackKind::BatchRejected => {
+                FeedbackKind::BatchRejected { count } => {
                     sim.run_until(f.at);
-                    let mut row = sim.model_mut().core.row_of(f.tag);
-                    row.frame_rejected_by_server(f.tag, f.at);
+                    let run = &inbox.rejected_tags[f.tag as usize..][..count as usize];
+                    for &tag in run {
+                        let mut row = sim.model_mut().core.row_of(tag);
+                        row.frame_rejected_by_server(tag, f.at);
+                    }
                 }
                 FeedbackKind::Response => {
                     sim.run_until(f.at);
@@ -734,6 +795,7 @@ pub(crate) fn run_sharded(
         mem::swap(landing, &mut inbox.responses);
         inbox.arrivals.clear();
         inbox.rejections.clear();
+        inbox.rejected_tags.clear();
         sim.run_until(SimTime::from_micros(b_us - 1));
         let outbox = &mut sim.model_mut().outbox;
         sort_outbox(outbox);
@@ -756,6 +818,7 @@ pub(crate) fn run_sharded(
     let mut counts = RunCounts {
         windows_run,
         windows: rounds,
+        feedback: feedback_sent,
         ..RunCounts::default()
     };
     let finished: Vec<FleetDevices> = states

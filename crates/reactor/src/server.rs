@@ -640,7 +640,8 @@ impl ServerLoop {
     /// at once, and the batch's execution time is a wheel event.
     fn form_batch(&mut self) {
         let depth = self.batcher.queue_len() as f64;
-        let Some((_, size)) = self.batcher.form(&mut self.released) else {
+        let released = &mut self.released;
+        let Some((_, size)) = self.batcher.form(|r| released.push(r)) else {
             return;
         };
         let now = self.clock.now();

@@ -69,20 +69,22 @@ impl Batcher {
 
     /// Form the next batch if none is in flight and a request waits,
     /// returning its model and size. The queue beyond the limit is
-    /// rejected first, appended to `rejected`; the batch then takes the
-    /// queued requests of the front request's model, in FIFO order, and
-    /// the rest keep their places.
-    pub fn form(&mut self, rejected: &mut Vec<Request>) -> Option<(ModelKind, usize)> {
+    /// rejected first, each request handed to `reject` as it leaves the
+    /// queue, in the policy's victim order (queue order under
+    /// `RejectNewest`); the batch then takes the queued requests of the
+    /// front request's model, in FIFO order, and the rest keep their
+    /// places.
+    pub fn form(&mut self, mut reject: impl FnMut(Request)) -> Option<(ModelKind, usize)> {
         if self.busy() || self.queue.is_empty() {
             return None;
         }
-        let before = rejected.len();
+        let (stats, by_tenant) = (&mut self.stats, &mut self.rejections_by_tenant);
         self.policy
-            .drain_overflow_into(&mut self.queue, self.limit, rejected);
-        for v in &rejected[before..] {
-            self.stats.rejections += 1;
-            *self.rejections_by_tenant.slot(v.tenant) += 1;
-        }
+            .drain_overflow(&mut self.queue, self.limit, |r| {
+                stats.rejections += 1;
+                *by_tenant.slot(r.tenant) += 1;
+                reject(r);
+            });
 
         // One rotation of the queue keeps the survivors in FIFO order
         // without allocating a replacement deque.

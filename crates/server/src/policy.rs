@@ -33,22 +33,22 @@ pub enum OverflowPolicy {
 
 impl OverflowPolicy {
     /// Remove requests from `queue` until it holds at most `limit`,
-    /// appending the victims to a caller-provided buffer so the
-    /// per-batch hot path can reuse one allocation across the whole run.
-    /// [`RejectNewest`](Self::RejectNewest) appends them in queue order.
-    pub(crate) fn drain_overflow_into(
+    /// handing each victim to `reject` as it leaves, so no copy of the
+    /// overflow is kept. [`RejectNewest`](Self::RejectNewest) hands them
+    /// over in queue order.
+    pub(crate) fn drain_overflow(
         self,
         queue: &mut VecDeque<Request>,
         limit: usize,
-        victims: &mut Vec<Request>,
+        reject: impl FnMut(Request),
     ) {
         match self {
             OverflowPolicy::RejectNewest => {
                 if queue.len() > limit {
-                    victims.extend(queue.drain(limit..));
+                    queue.drain(limit..).for_each(reject);
                 }
             }
-            OverflowPolicy::FairShare => fair_share_drain(queue, limit, victims),
+            OverflowPolicy::FairShare => fair_share_drain(queue, limit, reject),
         }
     }
 }
@@ -58,7 +58,7 @@ impl OverflowPolicy {
 /// on ties). Linear in the queue plus `victims · log(tenants)`: tenants
 /// are counted once, a max-heap names the victims' tenants in order, and
 /// one walk from the back of the queue picks the requests.
-fn fair_share_drain(queue: &mut VecDeque<Request>, limit: usize, victims: &mut Vec<Request>) {
+fn fair_share_drain(queue: &mut VecDeque<Request>, limit: usize, reject: impl FnMut(Request)) {
     let excess = queue.len().saturating_sub(limit);
     if excess == 0 {
         return;
@@ -96,7 +96,7 @@ fn fair_share_drain(queue: &mut VecDeque<Request>, limit: usize, victims: &mut V
     }
     queue.extend(survivors.into_iter().rev());
     picked.sort_unstable_by_key(|&(position, _)| position);
-    victims.extend(picked.into_iter().map(|(_, r)| r));
+    picked.into_iter().map(|(_, r)| r).for_each(reject);
 }
 
 /// Jain's fairness index over per-client allocations: 1 = perfectly fair,
@@ -134,14 +134,14 @@ mod tests {
         specs.iter().map(|&(t, tag)| req(t, tag)).collect()
     }
 
-    /// The victims of one [`OverflowPolicy::drain_overflow_into`] call.
+    /// The victims of one [`OverflowPolicy::drain_overflow`] call.
     pub(super) fn drain(
         policy: OverflowPolicy,
         queue: &mut VecDeque<Request>,
         limit: usize,
     ) -> Vec<Request> {
         let mut victims = Vec::new();
-        policy.drain_overflow_into(queue, limit, &mut victims);
+        policy.drain_overflow(queue, limit, |r| victims.push(r));
         victims
     }
 

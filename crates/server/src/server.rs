@@ -149,9 +149,10 @@ impl EdgeServer {
         if self.done_at.is_some() {
             return Submit::Queued;
         }
-        // An idle server's queue held nothing, so nothing overflows.
         let done_at = self
-            .start_batch(now, &mut Vec::new())
+            .start_next(now, |_| {
+                unreachable!("an idle server's queue held nothing to overflow")
+            })
             .expect("queue is non-empty, a batch must form");
         Submit::BatchStarted { done_at }
     }
@@ -160,21 +161,39 @@ impl EdgeServer {
     /// next batch from the queue (rejecting the overflow), and record the
     /// next batch's completion instant if one started. Fills the
     /// caller's reused buffers, which are cleared on entry.
+    ///
+    /// The composition of [`finish_batch`](Self::finish_batch) and
+    /// [`start_next`](Self::start_next), for callers that want the
+    /// rejections collected.
     pub fn batch_done_into(&mut self, now: SimTime, out: &mut BatchOutput) {
         out.completions.clear();
         out.rejections.clear();
+        self.finish_batch(now, &mut out.completions);
+        out.next_done = self.start_next(now, |r| out.rejections.push(r));
+    }
+
+    /// The first half of a batch-done event: the batch in flight
+    /// finished at `now`; append its requests to `completions`, in batch
+    /// order. [`start_next`](Self::start_next) must follow at the same
+    /// instant.
+    pub(crate) fn finish_batch(&mut self, now: SimTime, completions: &mut Vec<Request>) {
         let done_at = self
             .done_at
             .take()
             .expect("batch_done_into called with no running batch");
         assert_eq!(done_at, now, "batch-done event fired at the wrong instant");
-        self.batcher.finish(&mut out.completions);
-        out.next_done = self.start_batch(now, &mut out.rejections);
+        self.batcher.finish(completions);
     }
 
-    /// Form the next batch and price it on the GPU.
-    fn start_batch(&mut self, now: SimTime, rejected: &mut Vec<Request>) -> Option<SimTime> {
-        let (model, size) = self.batcher.form(rejected)?;
+    /// Form the next batch at `now`, handing each overflowed request to
+    /// `reject` as the batcher rejects it, and price the batch on the
+    /// GPU: its completion instant, if one started.
+    pub(crate) fn start_next(
+        &mut self,
+        now: SimTime,
+        reject: impl FnMut(Request),
+    ) -> Option<SimTime> {
+        let (model, size) = self.batcher.form(reject)?;
         let latency_ms = self.gpu.batch_latency_ms(model, size);
         let done_at = now + SimDuration::from_secs_f64(latency_ms / 1_000.0);
         self.done_at = Some(done_at);

@@ -343,10 +343,33 @@ impl ServerTier {
     }
 
     /// Drive server `server`'s batch-done transition (see
-    /// [`EdgeServer::batch_done_into`]). The caller re-schedules
-    /// `out.next_done` under the same server index and current epoch.
+    /// [`EdgeServer::batch_done_into`]): [`finish_batch`](Self::finish_batch)
+    /// then [`start_next`](Self::start_next), the rejections collected in
+    /// `out`. The caller re-schedules `out.next_done` under the same
+    /// server index and current epoch.
     pub fn batch_done_into(&mut self, server: usize, now: SimTime, out: &mut BatchOutput) {
         self.servers[server].batch_done_into(now, out);
+    }
+
+    /// Server `server`'s batch in flight finished at `now`: append its
+    /// requests to `completions`, in batch order.
+    /// [`start_next`](Self::start_next) must follow at the same instant.
+    pub fn finish_batch(&mut self, server: usize, now: SimTime, completions: &mut Vec<Request>) {
+        self.servers[server].finish_batch(now, completions);
+    }
+
+    /// Server `server` forms its next batch at `now`, handing each
+    /// request its overflow rejects to `reject` where it stands in the
+    /// queue (no copy of the overflow is kept). Returns the batch's
+    /// completion instant, if one started; the caller schedules it
+    /// under the same server index and current epoch.
+    pub fn start_next(
+        &mut self,
+        server: usize,
+        now: SimTime,
+        reject: impl FnMut(Request),
+    ) -> Option<SimTime> {
+        self.servers[server].start_next(now, reject)
     }
 
     fn admit(&mut self, now: SimTime, tenant: TenantId) -> bool {

@@ -39,7 +39,7 @@ proptest! {
             next_tag += arrivals;
 
             rejections.clear();
-            let formed = batcher.form(&mut rejections).map(|(_, size)| size);
+            let formed = batcher.form(|r| rejections.push(r)).map(|(_, size)| size);
             let (mut want_formed, mut want_rejected) = (None, Vec::new());
             if batch.is_empty() && !queue.is_empty() {
                 let take = queue.len().min(limit);

@@ -17,7 +17,10 @@
 //! * the bytes each per-device column costs (one element's `size_of`),
 //!   the allocator calls and the peak live heap bytes of each run;
 //! * calendar entries per frame, by lane and on the backend;
-//! * shard windows run per repetition, against the windows the run spans.
+//! * shard windows run per repetition, against the windows the run spans;
+//! * feedback records the shard coordinator sends its shards, by kind,
+//!   beside the requests batch formation rejected and the batches formed
+//!   (a shard gets at most one rejection run per formation).
 //!
 //! It writes them to `COST.md` at the root of the repository, generated
 //! and never edited by hand, before it asserts. The counters are the
@@ -43,7 +46,7 @@ use framefeedback::device::fleet_testhooks::{
 };
 use framefeedback::device::{EngineOptions, FleetConfig, FleetDeviceConfig};
 use framefeedback::models::{DeviceKind, ModelKind};
-use framefeedback::server::{RoutingPolicy, ServerSpec, TierConfig};
+use framefeedback::server::{RoutingPolicy, ServerSpec, ServerStats, TierConfig};
 use framefeedback::sim::QueueBackend;
 use framefeedback::workload::table_v;
 
@@ -93,9 +96,10 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 backend_entries: 25_855,
                 windows_run: 0,
                 windows: 0,
+                feedback: [0, 0, 0],
             },
-            allocator_calls: 576,
-            peak_live_bytes: 264_116..=264_116,
+            allocator_calls: 574,
+            peak_live_bytes: 263_924..=263_924,
         },
     ),
     (
@@ -113,9 +117,10 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 backend_entries: 25_855,
                 windows_run: 0,
                 windows: 0,
+                feedback: [0, 0, 0],
             },
-            allocator_calls: 572,
-            peak_live_bytes: 219_764..=219_764,
+            allocator_calls: 570,
+            peak_live_bytes: 219_572..=219_572,
         },
     ),
     (
@@ -133,6 +138,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 backend_entries: 10,
                 windows_run: 2_893,
                 windows: 4_050,
+                feedback: [25_918, 419, 26_566],
             },
             allocator_calls: 1_117,
             peak_live_bytes: 308_000..=320_000,
@@ -153,9 +159,10 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 backend_entries: 16_348,
                 windows_run: 0,
                 windows: 0,
+                feedback: [0, 0, 0],
             },
-            allocator_calls: 12_401,
-            peak_live_bytes: 5_273_297..=5_273_297,
+            allocator_calls: 12_399,
+            peak_live_bytes: 5_077_073..=5_077_073,
         },
     ),
     (
@@ -173,9 +180,10 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 backend_entries: 10,
                 windows_run: 84,
                 windows: 450,
+                feedback: [12_288, 6, 64],
             },
             allocator_calls: 12_492,
-            peak_live_bytes: 5_470_000..=5_490_000,
+            peak_live_bytes: 5_180_000..=5_200_000,
         },
     ),
 ];
@@ -197,10 +205,11 @@ struct Reading {
     counts: RunCounts,
     allocator_calls: usize,
     peak_live_bytes: usize,
+    server_stats: ServerStats,
 }
 
 fn run(fixture: &Fixture) -> Reading {
-    let ((_, counts), allocator_calls, peak_live_bytes) = counting_alloc::measured(|| {
+    let ((result, counts), allocator_calls, peak_live_bytes) = counting_alloc::measured(|| {
         let mut config = FleetConfig {
             devices: vec![
                 FleetDeviceConfig {
@@ -232,6 +241,7 @@ fn run(fixture: &Fixture) -> Reading {
         counts,
         allocator_calls,
         peak_live_bytes,
+        server_stats: result.server_stats,
     }
 }
 
@@ -311,6 +321,21 @@ fn ledger(readings: &[(&Fixture, Reading)]) -> String {
             w,
             "| {} | {} | {} |",
             fixture.name, r.counts.windows_run, r.counts.windows
+        );
+    }
+    let _ = writeln!(w, "\n## Feedback records sent to shards per repetition\n");
+    let _ = writeln!(
+        w,
+        "| fixture | arrivals | rejection runs | responses | requests rejected | batches formed |\n\
+         |---|---:|---:|---:|---:|---:|"
+    );
+    for (fixture, r) in readings.iter().filter(|(f, _)| f.shards > 1) {
+        let [arrivals, rejection_runs, responses] = r.counts.feedback;
+        let stats = &r.server_stats;
+        let _ = writeln!(
+            w,
+            "| {} | {arrivals} | {rejection_runs} | {responses} | {} | {} |",
+            fixture.name, stats.rejections, stats.batches_executed
         );
     }
     md

@@ -6,8 +6,8 @@
 //! Exit statuses: 0 on success; 2 for a flag that is unknown, not taken
 //! by the entry, missing its value or badly valued — before anything
 //! runs or is exported; 1 for an unreadable `--config` or trace, a
-//! config with an unknown field or one that fails validation, a replay
-//! mismatch or a failed write.
+//! config with an unknown or a repeated field or one that fails
+//! validation, a replay mismatch or a failed write.
 
 use ff_bench::report;
 use framefeedback::controller::PidConfig;
@@ -389,6 +389,39 @@ fn a_config_naming_an_unknown_field_exits_1() {
         for entry in ["run", "dump_config"] {
             let _ = std::fs::remove_file(dir.join(format!("{entry}.json")));
             let line = format!("{entry} --config {}", path.display());
+            assert_eq!(report_in(&dir, &line), 1, "{name}: `report {line}`");
+            assert!(
+                !dir.join(format!("{entry}.json")).exists(),
+                "{name}: {entry} exported"
+            );
+        }
+    }
+}
+
+/// A key repeated in one object, at any depth, exits 1 under `run` and
+/// `dump_config` and exports nothing: the parser keeps the first value,
+/// so the file would otherwise run a config it does not say.
+#[test]
+fn a_config_repeating_a_field_exits_1() {
+    let dir = scratch("config-repeated-field");
+    let body = serde_json::to_string(&ExperimentConfig::default()).unwrap();
+    let with = |from: &str, to: &str| {
+        assert!(body.contains(from), "{from}");
+        body.replacen(from, to, 1)
+    };
+    let cases = [
+        ("top", with("{\"seed\":42,", "{\"seed\":42,\"seed\":7,")),
+        ("nested", with("\"stream\":{", "\"stream\":{\"fps\":15.0,")),
+        (
+            "in-array",
+            with("\"loss_pct\":0.0", "\"loss_pct\":0.0,\"loss_pct\":5.0"),
+        ),
+    ];
+    for (name, body) in cases {
+        let path = write(&dir, &format!("{name}.json"), &body);
+        for entry in ["run", "dump_config"] {
+            let _ = std::fs::remove_file(dir.join(format!("{entry}.json")));
+            let line = format!("{entry} --config {} --frames 30", path.display());
             assert_eq!(report_in(&dir, &line), 1, "{name}: `report {line}`");
             assert!(
                 !dir.join(format!("{entry}.json")).exists(),
