@@ -1686,6 +1686,9 @@ pub struct RunCounts {
     /// arrivals, batch-formation rejection runs (one per formation and
     /// shard at most), responses (all 0 unsharded).
     pub feedback: [u64; 3],
+    /// Rounds, counted once per shard, in which a shard's rejections came
+    /// at two or more instants, so in as many runs (0 unsharded).
+    pub split_rejections: u64,
 }
 
 impl RunCounts {

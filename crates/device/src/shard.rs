@@ -591,6 +591,7 @@ pub(crate) fn run_sharded(
     let mut next_report_us = period_us;
     let mut fb_seq = 0u64;
     let mut feedback_sent = [0u64; FEEDBACK_KINDS];
+    let mut split_rejections = 0u64;
     let mut server_popped = 0u64;
 
     // ---- Shard partition: contiguous, first `big` shards one larger. ----
@@ -725,6 +726,7 @@ pub(crate) fn run_sharded(
                 }
             }
         }
+        split_rejections += inboxes.iter().filter(|i| i.rejections.len() > 1).count() as u64;
         inboxes.clear();
         // Tier-side telemetry at controller-period boundaries (the
         // legacy engine reports from device 0's tick; results carry no
@@ -819,6 +821,7 @@ pub(crate) fn run_sharded(
         windows_run,
         windows: rounds,
         feedback: feedback_sent,
+        split_rejections,
         ..RunCounts::default()
     };
     let finished: Vec<FleetDevices> = states

@@ -20,7 +20,8 @@
 //! * shard windows run per repetition, against the windows the run spans;
 //! * feedback records the shard coordinator sends its shards, by kind,
 //!   beside the requests batch formation rejected and the batches formed
-//!   (a shard gets at most one rejection run per formation).
+//!   (a shard gets at most one rejection run per formation), and the
+//!   shard rounds whose rejections came at two or more instants.
 //!
 //! It writes them to `COST.md` at the root of the repository, generated
 //! and never edited by hand, before it asserts. The counters are the
@@ -97,6 +98,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows_run: 0,
                 windows: 0,
                 feedback: [0, 0, 0],
+                split_rejections: 0,
             },
             allocator_calls: 574,
             peak_live_bytes: 263_924..=263_924,
@@ -118,6 +120,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows_run: 0,
                 windows: 0,
                 feedback: [0, 0, 0],
+                split_rejections: 0,
             },
             allocator_calls: 570,
             peak_live_bytes: 219_572..=219_572,
@@ -139,6 +142,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows_run: 2_893,
                 windows: 4_050,
                 feedback: [25_918, 419, 26_566],
+                split_rejections: 45,
             },
             allocator_calls: 1_117,
             peak_live_bytes: 308_000..=320_000,
@@ -160,6 +164,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows_run: 0,
                 windows: 0,
                 feedback: [0, 0, 0],
+                split_rejections: 0,
             },
             allocator_calls: 12_399,
             peak_live_bytes: 5_077_073..=5_077_073,
@@ -181,6 +186,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows_run: 84,
                 windows: 450,
                 feedback: [12_288, 6, 64],
+                split_rejections: 0,
             },
             allocator_calls: 12_492,
             peak_live_bytes: 5_180_000..=5_200_000,
@@ -326,16 +332,17 @@ fn ledger(readings: &[(&Fixture, Reading)]) -> String {
     let _ = writeln!(w, "\n## Feedback records sent to shards per repetition\n");
     let _ = writeln!(
         w,
-        "| fixture | arrivals | rejection runs | responses | requests rejected | batches formed |\n\
-         |---|---:|---:|---:|---:|---:|"
+        "| fixture | arrivals | rejection runs | responses | requests rejected | batches formed \
+         | shard rounds with rejections at two instants |\n\
+         |---|---:|---:|---:|---:|---:|---:|"
     );
     for (fixture, r) in readings.iter().filter(|(f, _)| f.shards > 1) {
         let [arrivals, rejection_runs, responses] = r.counts.feedback;
         let stats = &r.server_stats;
         let _ = writeln!(
             w,
-            "| {} | {arrivals} | {rejection_runs} | {responses} | {} | {} |",
-            fixture.name, stats.rejections, stats.batches_executed
+            "| {} | {arrivals} | {rejection_runs} | {responses} | {} | {} | {} |",
+            fixture.name, stats.rejections, stats.batches_executed, r.counts.split_rejections
         );
     }
     md

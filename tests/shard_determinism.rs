@@ -15,13 +15,16 @@
 //!    with telemetry off and on. A cold, lockstep fleet of 4,096
 //!    devices holds K ∈ {1, 2, 3} to the unsharded run: its deep,
 //!    randomly ordered deposit rounds and mass rejections are what the
-//!    12-device fixtures never build.
+//!    12-device fixtures never build. A saturated four-server tier holds
+//!    K ∈ {1, 2, 3} to it too: its batches reject one shard's frames at
+//!    two instants of one window, which a shard must apply apart.
 //! 3. **The inter-shard merge is timing-independent.** The
 //!    coordinator's deterministic `(at, ins, class, tie)` merge order
 //!    must not depend on the order shards deliver their batches — a
 //!    property test over arbitrary key sets and arrival permutations.
 
 use framefeedback::controller::{Controller, FrameFeedback};
+use framefeedback::device::fleet_testhooks::run_counted;
 use framefeedback::device::shard::testhooks::{merge_order, MergeKey};
 use framefeedback::device::{
     run_fleet, run_fleet_sharded, FleetConfig, FleetDeviceConfig, FleetResult, TierOutage,
@@ -29,7 +32,7 @@ use framefeedback::device::{
 use framefeedback::metrics::QosRecord;
 use framefeedback::models::{DeviceKind, ModelKind};
 use framefeedback::net::{GilbertElliott, LossModel, NetworkConditions};
-use framefeedback::server::{ServerSpec, ServerStats, TierConfig};
+use framefeedback::server::{RoutingPolicy, ServerSpec, ServerStats, TierConfig};
 use framefeedback::sim::{RngFactory, SimTime};
 use framefeedback::telemetry::{Telemetry, TelemetryConfig};
 use framefeedback::workload::{
@@ -221,6 +224,51 @@ fn a_lockstep_cold_fleet_is_bit_identical_at_one_two_and_three_shards() {
     for k in [1, 2, 3] {
         let sharded = run_fleet_sharded(lockstep_cold_fleet(), controllers(4_096), k);
         assert_fleets_identical(&reference, &sharded, &format!("cold K={k} vs unsharded"));
+    }
+}
+
+/// A saturated multi-server tier behind slow uplinks: 384 Pis at 2 Mbps
+/// against four default servers, so batches finish at different instants
+/// inside one shard window and turn away frames of one shard at each,
+/// and some of those frames spent more than half their deadline on the
+/// uplink, so a deadline falling between two such instants is blamed on
+/// the network if it fires before the rejection and on the server if
+/// after.
+fn split_rejection_fleet() -> FleetConfig {
+    let mut c = FleetConfig::default();
+    c.seed = MASTER_SEED;
+    c.stream.total_frames = 300;
+    c.devices = vec![
+        FleetDeviceConfig {
+            device: DeviceKind::Pi4BRev12,
+            model: ModelKind::MobileNetV3Small,
+        };
+        384
+    ];
+    c.network = StepSchedule::constant(NetworkConditions::new(2.0, 0.0));
+    let mut tier = TierConfig::uniform(4, ServerSpec::default());
+    tier.routing = RoutingPolicy::PowerOfTwoChoices;
+    c.tier = Some(tier);
+    c
+}
+
+/// A shard applies each of a batch's rejections at its own instant: the
+/// fixture has rounds in which one shard's frames are rejected at two
+/// instants, and every shard count reproduces the unsharded run.
+#[test]
+fn rejections_at_two_instants_of_one_window_keep_their_instants() {
+    let reference = run_fleet(split_rejection_fleet(), controllers(384));
+    let one = run_fleet_sharded(split_rejection_fleet(), controllers(384), 1);
+    assert_fleets_identical(&reference, &one, "split rejections K=1 vs unsharded");
+    for k in [2, 3] {
+        let mut config = split_rejection_fleet();
+        config.engine.shards = k;
+        let (sharded, counts) = run_counted(config, controllers(384));
+        assert!(
+            counts.split_rejections > 0,
+            "K={k}: no shard got rejections at two instants of one window"
+        );
+        assert_fleets_identical(&reference, &sharded, &format!("split rejections K={k}"));
     }
 }
 
