@@ -347,20 +347,6 @@ enum FeedbackKind {
     Response,
 }
 
-/// The feedback kinds, in the order `RunCounts::feedback` counts them.
-const FEEDBACK_KINDS: usize = 3;
-
-impl FeedbackKind {
-    /// Its index in `RunCounts::feedback`.
-    fn index(self) -> usize {
-        match self {
-            FeedbackKind::Arrived { .. } => 0,
-            FeedbackKind::BatchRejected { .. } => 1,
-            FeedbackKind::Response => 2,
-        }
-    }
-}
-
 /// A server→device notification crossing the shard boundary.
 #[derive(Clone, Copy)]
 struct Feedback {
@@ -590,7 +576,8 @@ pub(crate) fn run_sharded(
     let period_us = config.controller_period.as_micros();
     let mut next_report_us = period_us;
     let mut fb_seq = 0u64;
-    let mut feedback_sent = [0u64; FEEDBACK_KINDS];
+    // Records sent, by kind: arrivals, rejection runs, responses.
+    let mut feedback_sent = [0u64; 3];
     let mut split_rejections = 0u64;
     let mut server_popped = 0u64;
 
@@ -675,17 +662,24 @@ pub(crate) fn run_sharded(
                 tag,
                 kind,
             };
-            match kind {
-                FeedbackKind::Arrived { .. } => inbox.arrivals.push(record),
+            let sent = match kind {
+                FeedbackKind::Arrived { .. } => {
+                    inbox.arrivals.push(record);
+                    0
+                }
                 FeedbackKind::BatchRejected { .. } => {
                     if !inbox.reject(record) {
                         return;
                     }
+                    1
                 }
-                FeedbackKind::Response => inbox.responses.push(record),
-            }
+                FeedbackKind::Response => {
+                    inbox.responses.push(record);
+                    2
+                }
+            };
             fb_seq += 1;
-            feedback_sent[kind.index()] += 1;
+            feedback_sent[sent] += 1;
         };
         let b_us = window_end_us(r);
         let b = SimTime::from_micros(b_us);

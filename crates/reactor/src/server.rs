@@ -640,8 +640,7 @@ impl ServerLoop {
     /// at once, and the batch's execution time is a wheel event.
     fn form_batch(&mut self) {
         let depth = self.batcher.queue_len() as f64;
-        let released = &mut self.released;
-        let Some((_, size)) = self.batcher.form(|r| released.push(r)) else {
+        let Some((_, size)) = self.batcher.form(|r| self.released.push(r)) else {
             return;
         };
         let now = self.clock.now();
