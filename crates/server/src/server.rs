@@ -162,9 +162,10 @@ impl EdgeServer {
     /// next batch's completion instant if one started. Fills the
     /// caller's reused buffers, which are cleared on entry.
     ///
-    /// The composition of [`finish_batch`](Self::finish_batch) and
-    /// [`start_next`](Self::start_next), for callers that want the
-    /// rejections collected.
+    /// The two steps a tier drives apart
+    /// ([`ServerTier::finish_batch`](crate::ServerTier::finish_batch),
+    /// then [`ServerTier::start_next`](crate::ServerTier::start_next)),
+    /// for callers that want the rejections collected.
     pub fn batch_done_into(&mut self, now: SimTime, out: &mut BatchOutput) {
         out.completions.clear();
         out.rejections.clear();
