@@ -31,9 +31,11 @@
 //! than its own device can observe its instant. Captures, ticks,
 //! deadlines and responses are each filed a constant distance ahead, so
 //! they wait on the event queue's FIFO lanes ([`lane`]); a finished
-//! batch's responses share one entry; and a local inference's completion
+//! batch's responses share one entry; a local inference's completion
 //! is not filed at all — the engine applies it when its device next looks
-//! ([`EngineState::apply_due`]). DESIGN.md §"What is a calendar event".
+//! ([`EngineState::apply_due`]); and a shard applies a device's local
+//! captures up to its next offload or tick in place
+//! ([`FleetCore::capture`]). DESIGN.md §"What is a calendar event".
 //!
 //! Per-device state lives in structure-of-arrays form ([`FleetDevices`]),
 //! indexed by the device id packed into each tag ([`crate::tags`] defines
@@ -85,13 +87,18 @@ use crate::tags::{
 
 /// The event queue's lanes ([`ff_sim::LANES`]), one per class of event
 /// the fleet host files in time order. The first four are filed a
-/// constant distance ahead of `now`; the last three are FIFO per link,
+/// constant distance ahead of `now` (a shard's captures excepted, see
+/// [`CAPTURE`]); the last three are FIFO per link,
 /// per server and per background process, so with one device and one
 /// server they stay in step, while in a larger fleet an out-of-order push
 /// falls through to the backend under its own sequence number (pop order
 /// never changes). A shard files only the first four.
 pub(crate) mod lane {
-    /// The next capture, one frame interval ahead.
+    /// The next capture: one frame interval ahead, except in a shard,
+    /// which applies a device's local captures in place and files only
+    /// its next offloaded one or the first at or after its next tick
+    /// ([`FleetCore::capture`](super::FleetCore::capture)). Those are
+    /// filed further ahead, and fall through when out of step.
     pub(crate) const CAPTURE: usize = 0;
     /// The next controller tick, one period ahead.
     pub(crate) const TICK: usize = 1;
@@ -341,7 +348,33 @@ impl FleetConfig {
         let servers = self.tier.as_ref().map_or(1, |tier| tier.servers.len());
         self.outages
             .iter()
-            .try_for_each(|outage| outage.check(servers))
+            .try_for_each(|outage| outage.check(servers))?;
+        if self.engine.shards > 1 {
+            self.check_sharded()?;
+        }
+        Ok(())
+    }
+
+    /// Why the sharded engine cannot run this fleet, at any shard count,
+    /// if it cannot.
+    pub(crate) fn check_sharded(&self) -> Result<(), String> {
+        // Why: DESIGN.md §"Sharded engine", "Background load stays on one thread".
+        if self.background.is_some() {
+            return Err(
+                "`background` load needs the single-threaded engine (shards: 1): \
+                 the shard coordinator cannot order its arrivals among same-instant \
+                 device deliveries"
+                    .into(),
+            );
+        }
+        if self.link.propagation.is_zero() {
+            return Err(
+                "sharded execution derives its lookahead window from the link \
+                 propagation floor, which must be at least 1µs"
+                    .into(),
+            );
+        }
+        Ok(())
     }
 
     /// The tier request a delivered uplink becomes on arrival at `now`:
@@ -472,6 +505,13 @@ impl RuntimeColumns {
             },
             watch: self.watch.as_mut().filter(|watch| watch.row == i),
         }
+    }
+
+    /// Whether row `i` records a trace or keeps a [`Watch`]: a row whose
+    /// every capture is observed, so never applied ahead.
+    fn observes(&self, i: usize) -> bool {
+        self.recording.as_ref().is_some_and(|&(row, _)| row == i)
+            || self.watch.as_ref().is_some_and(|watch| watch.row == i)
     }
 
     /// Close the recording row's trace at `now`, if this range of the
@@ -831,16 +871,36 @@ pub(crate) struct FleetCore {
     /// Local-inference completions applied so far: events of the model
     /// that never were calendar entries.
     pub(crate) local_completions: u64,
+    /// Whether a capture applies its device's next local captures in
+    /// place, up to its next offload or tick ([`FleetCore::capture`]).
+    run_ahead: bool,
+    /// Captures applied that way: events of the model, like
+    /// `local_completions`, that never were calendar entries.
+    pub(crate) captures_ahead: u64,
 }
 
 impl FleetCore {
-    pub(crate) fn new(config: Arc<FleetConfig>, devs: FleetDevices) -> FleetCore {
+    /// The core over `devs`; `sharded` for a shard's, which runs local
+    /// captures ahead wherever routing reads only the splitter (see
+    /// [`FleetCore::capture`]).
+    pub(crate) fn new(config: Arc<FleetConfig>, devs: FleetDevices, sharded: bool) -> FleetCore {
+        let run_ahead = sharded
+            && config.selection == ModelSelection::AlwaysPaper
+            && config.replay.is_none()
+            && config.filter.is_none();
         FleetCore {
             end_at: config.end_at(),
             config,
             devs,
             local_completions: 0,
+            run_ahead,
+            captures_ahead: 0,
         }
+    }
+
+    /// Events of the model this core applied without a calendar entry.
+    pub(crate) fn unfiled_events(&self) -> u64 {
+        self.local_completions + self.captures_ahead
     }
 
     /// The runtime row of the device `tag` belongs to: where the hosts
@@ -850,6 +910,11 @@ impl FleetCore {
         self.devs.runtime.lend(tag_device(tag) - self.devs.base)
     }
 
+    /// Device `g` captures a frame now: route it, send or offer it, and
+    /// file the next capture. In a shard, the device's next captures that
+    /// the splitter routes locally and that come before its next tick are
+    /// applied here, each at its own instant, and the first that is not
+    /// is filed (DESIGN.md §"Sharded engine", "Run-ahead").
     pub(crate) fn capture(
         &mut self,
         ctx: &mut Ctx<'_, FleetEvent>,
@@ -873,6 +938,7 @@ impl FleetCore {
             ..
         } = &mut self.devs;
         let i = g - *base;
+        let run_ahead = self.run_ahead && !runtime.observes(i);
         let DeviceRow {
             source: src,
             engine,
@@ -933,15 +999,30 @@ impl FleetCore {
             }
             Route::Local => {
                 let service = service_of(services, ladder, &config.devices[g], i);
-                self.local_completions += apply_local(engine, &service, &mut rt, now, false);
-                let outcome = engine.offer(&service, now);
-                if let Some(watch) = rt.watch {
-                    watch.offered_locally(frame.id.0, now, frame_bytes, outcome);
-                }
+                let (id, bytes) = (frame.id.0, frame_bytes);
+                self.local_completions += offer_local(engine, &service, &mut rt, id, bytes, now);
                 frames_local[i] += 1;
             }
         }
-        if let Some(next) = next_capture(src, stream, replay) {
+        let mut next = next_capture(src, stream, replay);
+        if run_ahead {
+            // Nothing outside the device reads what a local capture
+            // writes, and only the tick writes what routing reads.
+            let period = config.controller_period.as_micros();
+            let tick = SimTime::from_micros((now.as_micros() / period + 1) * period);
+            let service = service_of(services, ladder, &config.devices[g], i);
+            while let Some(at) = next.filter(|&at| at < tick && !rt.offloads_next()) {
+                let frame = src.next_frame(stream).expect("a capture is due");
+                let route = rt.route_frame(frame.id.0, frame.bytes, at);
+                debug_assert_eq!(route, Route::Local, "the peek and the splitter disagree");
+                let (id, bytes) = (frame.id.0, frame.bytes);
+                self.local_completions += offer_local(engine, &service, &mut rt, id, bytes, at);
+                frames_local[i] += 1;
+                self.captures_ahead += 1;
+                next = next_capture(src, stream, None);
+            }
+        }
+        if let Some(next) = next {
             ctx.schedule_lane(lane::CAPTURE, next, FleetEvent::Capture(g));
         }
     }
@@ -1095,6 +1176,25 @@ fn apply_local(
             watch.local_completed(done_at, next);
         }
     })
+}
+
+/// Frame `frame_id` (`bytes`), captured at `now`, is routed `Local`:
+/// apply the completions due first, then offer it to the engine. Returns
+/// the completions applied.
+fn offer_local(
+    engine: &mut EngineState<IndexedStream>,
+    service: &Service,
+    rt: &mut DeviceLoop<'_>,
+    frame_id: u64,
+    bytes: u64,
+    now: SimTime,
+) -> u64 {
+    let done = apply_local(engine, service, rt, now, false);
+    let outcome = engine.offer(service, now);
+    if let Some(watch) = rt.watch.as_deref_mut() {
+        watch.offered_locally(frame_id, now, bytes, outcome);
+    }
+    done
 }
 
 /// When the device captures next, if it does: from its generated stream,
@@ -1689,6 +1789,9 @@ pub struct RunCounts {
     /// Rounds, counted once per shard, in which a shard's rejections came
     /// at two or more instants, so in as many runs (0 unsharded).
     pub split_rejections: u64,
+    /// Locally routed captures a shard applied ahead, in place, instead
+    /// of filing them (0 unsharded).
+    pub captures_ahead: u64,
 }
 
 impl RunCounts {
@@ -1723,7 +1826,10 @@ pub(crate) fn run_fleet_recording(
     let obs = FleetObs::new(&config.telemetry, n, driver.tier.len());
     let devs = FleetDevices::build(&config, controllers, 0, traced, watched);
     let config = Arc::new(config);
-    let core = FleetCore::new(Arc::clone(&config), devs);
+    // Per-frame captures: here same-instant ties break by insertion
+    // order, which a capture filed ahead would move (DESIGN.md §"Sharded
+    // engine", "Run-ahead").
+    let core = FleetCore::new(Arc::clone(&config), devs, false);
     let end_at = core.end_at;
     let world = FleetWorld {
         core,
@@ -1764,7 +1870,8 @@ pub(crate) fn run_fleet_recording(
     world.obs.telemetry.poll();
 
     let (trace, watch) = world.core.finish(now);
-    let events_handled = dispatched + world.core.local_completions;
+    counts.captures_ahead = world.core.captures_ahead;
+    let events_handled = dispatched + world.core.unfiled_events();
     let device_results = world.core.devs.into_results(&world.core.config).collect();
     FleetRun {
         result: finish_fleet(device_results, &world.driver.tier, events_handled),
@@ -1831,6 +1938,29 @@ mod tests {
         (0..n)
             .map(|_| Box::new(FrameFeedback::new()) as Box<dyn Controller>)
             .collect()
+    }
+
+    #[test]
+    fn check_refuses_background_load_on_shards() {
+        let mut config = short_fleet();
+        config.background = Some(BackgroundConfig {
+            steps: vec![(0.0, 10.0)],
+            model: ModelKind::MobileNetV3Small,
+        });
+        assert_eq!(config.check(), Ok(()), "one shard runs background load");
+        config.engine.shards = 2;
+        let why = config.check().expect_err("two shards cannot");
+        assert!(why.contains("`background` load"), "{why}");
+    }
+
+    #[test]
+    fn check_refuses_a_propagation_floor_under_a_microsecond_on_shards() {
+        let mut config = short_fleet();
+        config.link.propagation = SimDuration::ZERO;
+        assert_eq!(config.check(), Ok(()), "one shard needs no lookahead");
+        config.engine.shards = 2;
+        let why = config.check().expect_err("two shards need a window");
+        assert!(why.contains("at least 1µs"), "{why}");
     }
 
     #[test]

@@ -410,6 +410,12 @@ impl DeviceLoop<'_> {
         self.frame.splitter.advance(self.frame.route_incr)
     }
 
+    /// Whether the splitter would offload the next frame: the peek a
+    /// shard's run-ahead stops at (`fleet::FleetCore::capture`).
+    pub(crate) fn offloads_next(&self) -> bool {
+        self.frame.splitter.offloads_next(self.frame.route_incr)
+    }
+
     pub(crate) fn route_frame(&mut self, frame_id: u64, bytes: u64, now: SimTime) -> Route {
         let mut route = self.route();
         // Accuracy-aware demotion: an offload verdict may fall back to the

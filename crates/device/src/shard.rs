@@ -55,9 +55,11 @@
 //!   insertion sequence does: outages (scheduled at setup) before batch
 //!   completions (scheduled mid-run) before probe submissions (sent by
 //!   controller ticks) before frame submissions (sent by captures) —
-//!   ticks pop before captures at every shared instant because ticks
-//!   are (re)scheduled a full period ahead of captures' one frame
-//!   interval.
+//!   ticks pop before captures at every shared instant because a tick
+//!   is (re)scheduled a full period ahead, and the capture sharing its
+//!   instant is filed later: one frame interval ahead, or, where a
+//!   shard applies local captures ahead, after the device's previous
+//!   tick (the run-ahead stops at the next one).
 //! * `tie` — within a class: the global device index for submissions
 //!   (simultaneous captures pop in device order), emission order for
 //!   batch completions and outages.
@@ -522,21 +524,12 @@ pub(crate) fn run_sharded(
     watched: Option<(usize, bool)>,
 ) -> FleetRun {
     validate_fleet(&config, &controllers);
-    // Why: DESIGN.md §"Sharded engine", "Background load stays on one thread".
-    assert!(
-        config.background.is_none(),
-        "`background` load needs the single-threaded engine (shards: 1): the shard \
-         coordinator cannot order its arrivals among same-instant device deliveries"
-    );
+    // `check` holds this rule only where `engine.shards` asks for shards.
+    config.check_sharded().unwrap_or_else(|why| panic!("{why}"));
     let config = Arc::new(config);
     let n = controllers.len();
     let k = shards.clamp(1, n);
     let w_us = config.link.propagation.as_micros();
-    assert!(
-        w_us >= 1,
-        "sharded execution derives its lookahead window from the link \
-         propagation floor, which must be at least 1µs"
-    );
     let end_at = config.end_at();
     let end_us = end_at.as_micros();
     let rounds = end_us / w_us + 1;
@@ -602,7 +595,7 @@ pub(crate) fn run_sharded(
         let devs = FleetDevices::build(&config, chunk, offset, traced, watched);
         let scopes = device_scopes(&telemetry, offset..offset + size);
         let world = ShardDeviceWorld {
-            core: FleetCore::new(Arc::clone(&config), devs),
+            core: FleetCore::new(Arc::clone(&config), devs, true),
             outbox: Vec::new(),
             recorder: telemetry.recorder(),
             scopes,
@@ -829,7 +822,8 @@ pub(crate) fn run_sharded(
             let (recorded, watched) = core.finish(now);
             trace = trace.take().or(recorded);
             watch = watch.take().or(watched);
-            shard_events += dispatched + core.local_completions;
+            counts.captures_ahead += core.captures_ahead;
+            shard_events += dispatched + core.unfiled_events();
             core.devs
         })
         .collect();

@@ -33,13 +33,27 @@ impl FrameSplitter {
     /// the division once per target update and validate it there.
     pub(crate) fn advance(&mut self, incr: f64) -> Route {
         self.credit += incr;
-        if self.credit >= 1.0 {
+        if spends(self.credit) {
             self.credit -= 1.0;
             Route::Offload
         } else {
             Route::Local
         }
     }
+
+    /// Whether the next frame, routed at `incr`, would be offloaded:
+    /// [`advance`](Self::advance)'s own test, on the same sum, with
+    /// nothing spent.
+    pub(crate) fn offloads_next(&self, incr: f64) -> bool {
+        spends(self.credit + incr)
+    }
+}
+
+/// Whether `credit` buys an offload: the one predicate routing and its
+/// peek share.
+#[inline]
+fn spends(credit: f64) -> bool {
+    credit >= 1.0
 }
 
 #[cfg(test)]

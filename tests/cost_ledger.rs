@@ -16,7 +16,8 @@
 //!
 //! * the bytes each per-device column costs (one element's `size_of`),
 //!   the allocator calls and the peak live heap bytes of each run;
-//! * calendar entries per frame, by lane and on the backend;
+//! * calendar entries per frame, by lane and on the backend, and the
+//!   locally routed captures a shard applied ahead without one;
 //! * shard windows run per repetition, against the windows the run spans;
 //! * feedback records the shard coordinator sends its shards, by kind,
 //!   beside the requests batch formation rejected and the batches formed
@@ -99,6 +100,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
                 feedback: [0, 0, 0],
                 split_rejections: 0,
+                captures_ahead: 0,
             },
             allocator_calls: 574,
             peak_live_bytes: 263_924..=263_924,
@@ -121,6 +123,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
                 feedback: [0, 0, 0],
                 split_rejections: 0,
+                captures_ahead: 0,
             },
             allocator_calls: 570,
             peak_live_bytes: 219_572..=219_572,
@@ -137,14 +140,15 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
         },
         Pinned {
             counts: RunCounts {
-                lane_entries: [38_400, 1_280, 27_198, 0, 0, 0, 0],
-                backend_entries: 10,
-                windows_run: 2_893,
+                lane_entries: [22_081, 1_280, 27_198, 0, 0, 0, 0],
+                backend_entries: 4_484,
+                windows_run: 2_852,
                 windows: 4_050,
                 feedback: [25_918, 419, 26_566],
                 split_rejections: 45,
+                captures_ahead: 11_845,
             },
-            allocator_calls: 1_117,
+            allocator_calls: 1_125,
             peak_live_bytes: 308_000..=320_000,
         },
     ),
@@ -165,6 +169,7 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
                 windows: 0,
                 feedback: [0, 0, 0],
                 split_rejections: 0,
+                captures_ahead: 0,
             },
             allocator_calls: 12_399,
             peak_live_bytes: 5_077_073..=5_077_073,
@@ -181,12 +186,13 @@ const FIXTURES: [(Fixture, Pinned); 5] = [
         },
         Pinned {
             counts: RunCounts {
-                lane_entries: [245_760, 8_192, 20_480, 0, 0, 0, 0],
+                lane_entries: [20_480, 8_192, 20_480, 0, 0, 0, 0],
                 backend_entries: 10,
-                windows_run: 84,
+                windows_run: 32,
                 windows: 450,
                 feedback: [12_288, 6, 64],
                 split_rejections: 0,
+                captures_ahead: 225_280,
             },
             allocator_calls: 12_492,
             peak_live_bytes: 5_180_000..=5_200_000,
@@ -303,7 +309,10 @@ fn ledger(readings: &[(&Fixture, Reading)]) -> String {
         header += &format!(" {lane} |");
         rule += "---:|";
     }
-    let _ = writeln!(w, "{header} backend | all |\n{rule}---:|---:|");
+    let _ = writeln!(
+        w,
+        "{header} backend | all | captures applied ahead |\n{rule}---:|---:|---:|"
+    );
     for (fixture, r) in readings {
         let frames = fixture.devices as u64 * fixture.frames;
         let per = |entries: u64| entries as f64 / frames as f64;
@@ -315,9 +324,10 @@ fn ledger(readings: &[(&Fixture, Reading)]) -> String {
         let backend = format!("{:?}", fixture.backend).to_lowercase();
         let _ = writeln!(
             w,
-            "{row} {:.4} ({backend}) | {:.4} |",
+            "{row} {:.4} ({backend}) | {:.4} | {:.4} |",
             per(r.counts.backend_entries),
-            per(all)
+            per(all),
+            per(r.counts.captures_ahead)
         );
     }
     let _ = writeln!(w, "\n## Shard windows per repetition\n");

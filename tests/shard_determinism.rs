@@ -17,12 +17,17 @@
 //!    randomly ordered deposit rounds and mass rejections are what the
 //!    12-device fixtures never build. A saturated four-server tier holds
 //!    K ∈ {1, 2, 3} to it too: its batches reject one shard's frames at
-//!    two instants of one window, which a shard must apply apart.
+//!    two instants of one window, which a shard must apply apart. Two
+//!    more hold K ∈ {1, 2, 3} to it where a shard applies local captures
+//!    ahead: a zero-jitter lockstep fleet, whose offloads arrive on one
+//!    microsecond, and a fleet of mixed controllers, one of which puts
+//!    its splitter's credit exactly on 1.0.
 //! 3. **The inter-shard merge is timing-independent.** The
 //!    coordinator's deterministic `(at, ins, class, tie)` merge order
 //!    must not depend on the order shards deliver their batches — a
 //!    property test over arbitrary key sets and arrival permutations.
 
+use framefeedback::baselines::{AlwaysOffload, Fixed, LocalOnly};
 use framefeedback::controller::{Controller, FrameFeedback};
 use framefeedback::device::fleet_testhooks::run_counted;
 use framefeedback::device::shard::testhooks::{merge_order, MergeKey};
@@ -36,7 +41,7 @@ use framefeedback::server::{RoutingPolicy, ServerSpec, ServerStats, TierConfig};
 use framefeedback::sim::{RngFactory, SimTime};
 use framefeedback::telemetry::{Telemetry, TelemetryConfig};
 use framefeedback::workload::{
-    ideal_network, mobility_trace, table_v, MobilityConfig, StepSchedule,
+    ideal_network, mobility_trace, table_v, MobilityConfig, StepSchedule, StreamConfig,
 };
 use proptest::prelude::*;
 
@@ -270,6 +275,89 @@ fn rejections_at_two_instants_of_one_window_keep_their_instants() {
         );
         assert_fleets_identical(&reference, &sharded, &format!("split rejections K={k}"));
     }
+}
+
+/// Hold the fleet `fleet` builds, under the controllers `controllers`
+/// builds, to the unsharded run at K = 1, 2 and 3, and check that the
+/// sharded runs applied local captures ahead: the per-frame path of the
+/// unsharded engine is the run-ahead's oracle.
+fn assert_shards_run_ahead_exactly(
+    fleet: impl Fn() -> FleetConfig,
+    controllers: impl Fn() -> Vec<Box<dyn Controller>>,
+    what: &str,
+) {
+    let reference = run_fleet(fleet(), controllers());
+    let one = run_fleet_sharded(fleet(), controllers(), 1);
+    assert_fleets_identical(&reference, &one, &format!("{what} K=1 vs unsharded"));
+    for k in [2, 3] {
+        let mut config = fleet();
+        config.engine.shards = k;
+        let (sharded, counts) = run_counted(config, controllers());
+        assert!(
+            counts.captures_ahead > 0,
+            "{what} K={k}: no capture was applied ahead"
+        );
+        assert_fleets_identical(&reference, &sharded, &format!("{what} K={k}"));
+    }
+}
+
+/// Sixteen identical Pis with equal frame sizes on an ideal network and
+/// one server: the devices capture in lockstep, and their same-instant
+/// offloads reach the tier on the same microsecond, where only the merge
+/// key's device tie orders them.
+fn zero_jitter_lockstep_fleet() -> FleetConfig {
+    let mut c = FleetConfig::default();
+    c.seed = MASTER_SEED;
+    c.stream.total_frames = 300;
+    c.stream.size_jitter = 0.0;
+    c.devices = vec![
+        FleetDeviceConfig {
+            device: DeviceKind::Pi4BRev12,
+            model: ModelKind::MobileNetV3Small,
+        };
+        16
+    ];
+    c
+}
+
+/// A shard that applies local captures ahead files each device's next
+/// offload where the per-frame path would, so same-microsecond arrivals
+/// keep their order.
+#[test]
+fn a_zero_jitter_lockstep_fleet_runs_ahead_exactly() {
+    assert_shards_run_ahead_exactly(zero_jitter_lockstep_fleet, || controllers(16), "lockstep");
+}
+
+/// One device of each controller kind, four times over, on Table V: one
+/// that always offloads, one at a fixed 15 fps of 30 (so its splitter's
+/// credit lands exactly on 1.0 every other frame), one that never
+/// offloads, and FrameFeedback.
+fn mixed_controllers() -> Vec<Box<dyn Controller>> {
+    (0..16)
+        .map(|i| -> Box<dyn Controller> {
+            match i % 4 {
+                0 => Box::new(AlwaysOffload::new()),
+                1 => Box::new(Fixed::new(15.0)),
+                2 => Box::new(LocalOnly::new()),
+                _ => Box::new(FrameFeedback::new()),
+            }
+        })
+        .collect()
+}
+
+fn mixed_controller_fleet() -> FleetConfig {
+    let mut c = zero_jitter_lockstep_fleet();
+    c.stream.size_jitter = StreamConfig::default().size_jitter;
+    c.network = table_v();
+    c
+}
+
+/// The run-ahead stops at the first capture the splitter would offload,
+/// by the splitter's own test, and at the device's next tick, whatever
+/// its controller.
+#[test]
+fn mixed_controllers_run_ahead_exactly() {
+    assert_shards_run_ahead_exactly(mixed_controller_fleet, mixed_controllers, "mixed");
 }
 
 /// FNV-1a over little-endian bytes; floats enter as raw bit patterns.
