@@ -105,6 +105,20 @@ mod tests {
     }
 
     #[test]
+    fn the_peek_names_the_next_route() {
+        // 0.5 lands the credit exactly on 1.0 every other frame; 0.1
+        // reaches it through rounded sums.
+        for incr in [0.0, 0.1, 0.5, 1.0] {
+            let mut s = FrameSplitter::new();
+            for frame in 0..100 {
+                let peek = s.offloads_next(incr);
+                let route = s.advance(incr);
+                assert_eq!(peek, route == Route::Offload, "incr {incr}, frame {frame}");
+            }
+        }
+    }
+
+    #[test]
     fn long_run_rate_matches_target() {
         for po in [3.0, 7.5, 13.0, 22.1, 29.0] {
             let n = 3_000;
